@@ -178,7 +178,7 @@ PipelineResult RunPipelineColumnar(JobExecutor* executor,
 Dataset MustExec(JobExecutor* executor, std::unique_ptr<PlanNode> plan) {
   auto result = executor->Execute(*plan, {});
   DYNOPT_CHECK(result.ok());
-  return std::move(result->data);
+  return ToDataset(std::move(result->data));
 }
 
 /// Filter-kernel microbenchmark: the same predicate evaluated row-at-a-time

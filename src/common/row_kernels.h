@@ -1,5 +1,5 @@
-#ifndef DYNOPT_EXEC_ROW_KERNELS_H_
-#define DYNOPT_EXEC_ROW_KERNELS_H_
+#ifndef DYNOPT_COMMON_ROW_KERNELS_H_
+#define DYNOPT_COMMON_ROW_KERNELS_H_
 
 #include <cmath>
 #include <cstring>
@@ -110,4 +110,4 @@ class FastMod {
 
 }  // namespace dynopt
 
-#endif  // DYNOPT_EXEC_ROW_KERNELS_H_
+#endif  // DYNOPT_COMMON_ROW_KERNELS_H_

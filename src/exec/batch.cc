@@ -1,21 +1,10 @@
 #include "exec/batch.h"
 
 #include <algorithm>
-#include <cmath>
-#include <cstring>
+
+#include "common/row_kernels.h"
 
 namespace dynopt {
-
-uint64_t ColumnVector::HashDoubleValue(double d) {
-  if (d == static_cast<double>(static_cast<int64_t>(d)) &&
-      std::abs(d) < 9.0e18) {
-    return Mix64(static_cast<uint64_t>(static_cast<int64_t>(d)));
-  }
-  uint64_t bits;
-  static_assert(sizeof(bits) == sizeof(d));
-  std::memcpy(&bits, &d, sizeof(d));
-  return Mix64(bits);
-}
 
 namespace {
 
@@ -41,19 +30,7 @@ ColumnKind InferKind(const Row* rows, size_t n, size_t col, bool* has_nulls) {
     }
   }
   *has_nulls = nulls;
-  if (mixed) return ColumnKind::kValues;
-  switch (seen) {
-    case ValueType::kNull:  // All NULL: typed column, every slot invalid.
-    case ValueType::kInt64:
-      return ColumnKind::kInt64;
-    case ValueType::kDouble:
-      return ColumnKind::kDouble;
-    case ValueType::kBool:
-      return ColumnKind::kBool;
-    case ValueType::kString:
-      return ColumnKind::kString;
-  }
-  return ColumnKind::kValues;
+  return mixed ? ColumnKind::kValues : TypedKindFor(seen);
 }
 
 /// Infers the kind of source column `c` over the chunk and fills one
@@ -123,8 +100,6 @@ void FillColumn(const Row* rows, size_t n, size_t c, ColumnVector* out) {
   }
 }
 
-}  // namespace
-
 ColumnBatch BatchFromRows(const Row* rows, const uint64_t* sizes, size_t n,
                           size_t num_columns) {
   ColumnBatch batch;
@@ -144,39 +119,30 @@ ColumnBatch BatchFromRows(const Row* rows, const uint64_t* sizes, size_t n,
   return batch;
 }
 
-ColumnBatch BatchFromRowsProjected(const Row* rows, size_t n, const int* keep,
-                                   size_t num_keep) {
-  ColumnBatch batch;
-  batch.num_rows = n;
-  batch.columns.resize(num_keep);
-  for (size_t c = 0; c < num_keep; ++c) {
-    FillColumn(rows, n, static_cast<size_t>(keep[c]), &batch.columns[c]);
+}  // namespace
+
+std::vector<ColumnBatch> BatchesFromRows(const std::vector<Row>& rows,
+                                         const uint64_t* sizes,
+                                         size_t num_columns,
+                                         size_t max_batch_size) {
+  std::vector<ColumnBatch> batches;
+  batches.reserve(rows.size() / max_batch_size + 1);
+  for (size_t start = 0; start < rows.size(); start += max_batch_size) {
+    const size_t n = std::min(max_batch_size, rows.size() - start);
+    batches.push_back(BatchFromRows(rows.data() + start,
+                                    sizes != nullptr ? sizes + start : nullptr,
+                                    n, num_columns));
   }
-  batch.row_sizes.assign(n, 8);  // Row header.
-  for (size_t c = 0; c < num_keep; ++c) {
-    const size_t src = static_cast<size_t>(keep[c]);
-    for (size_t i = 0; i < n; ++i) {
-      batch.row_sizes[i] += ValueSizeBytesInline(rows[i][src]);
-    }
-  }
-  return batch;
+  return batches;
 }
 
 ColumnarDataset FromDataset(const Dataset& data, size_t max_batch_size) {
   ColumnarDataset out(data.columns, data.partitions.size());
   const bool has_sizes = data.HasRowSizes();
-  const size_t num_cols = data.columns.size();
   for (size_t p = 0; p < data.partitions.size(); ++p) {
-    const auto& rows = data.partitions[p];
-    auto& batches = out.partitions[p];
-    batches.reserve(rows.size() / max_batch_size + 1);
-    for (size_t start = 0; start < rows.size(); start += max_batch_size) {
-      const size_t n = std::min(max_batch_size, rows.size() - start);
-      batches.push_back(BatchFromRows(
-          rows.data() + start,
-          has_sizes ? data.row_sizes[p].data() + start : nullptr, n,
-          num_cols));
-    }
+    out.partitions[p] = BatchesFromRows(
+        data.partitions[p], has_sizes ? data.row_sizes[p].data() : nullptr,
+        data.columns.size(), max_batch_size);
   }
   return out;
 }

@@ -92,10 +92,9 @@ struct ExecOptions {
   /// batch-capacity math).
   size_t max_batch_size = 1024;
   /// Run scans/filters/projections/shuffle-joins through the columnar batch
-  /// engine (exec/batch.h, exec/vector_kernels.h). Row `Dataset` remains
-  /// the conversion boundary at scan and materialization, so serde, spill
-  /// files and fault-injection checksums are unchanged. Off = the original
-  /// row-at-a-time operators.
+  /// engine (exec/batch.h, exec/vector_kernels.h) over the tables' stored
+  /// column runs. Off = the original row-at-a-time operators, which build
+  /// rows from the stored columns.
   bool use_columnar = true;
 };
 

@@ -76,25 +76,6 @@ struct Dataset {
     return n;
   }
 
-  uint64_t TotalBytes() const {
-    uint64_t b = 0;
-    for (const auto& p : partitions) {
-      for (const auto& row : p) b += RowSizeBytes(row);
-    }
-    return b;
-  }
-
-  /// Largest single-partition byte size (drives max-over-nodes timing).
-  uint64_t MaxPartitionBytes() const {
-    uint64_t mx = 0;
-    for (const auto& p : partitions) {
-      uint64_t b = 0;
-      for (const auto& row : p) b += RowSizeBytes(row);
-      if (b > mx) mx = b;
-    }
-    return mx;
-  }
-
   /// All rows concatenated (result delivery / tests).
   std::vector<Row> GatherRows() const {
     std::vector<Row> out;

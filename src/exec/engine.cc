@@ -1,5 +1,7 @@
 #include "exec/engine.h"
 
+#include "exec/vector_kernels.h"
+
 namespace dynopt {
 
 Status Engine::CollectBaseStats(const std::string& table,
@@ -21,7 +23,9 @@ Status Engine::CollectBaseStats(const std::string& table,
     builders.emplace_back(columns, indices, options);
   }
   pool_.ParallelFor(num_parts, [&](size_t p) {
-    for (const Row& row : t->partition(p)) builders[p].AddRow(row);
+    for (const ColumnBatch& run : t->partition(p)) {
+      AddBatchToStats(run, &builders[p]);
+    }
   });
   TableStatsBuilder merged(columns, indices, options);
   for (const auto& b : builders) merged.Merge(b);

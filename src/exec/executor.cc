@@ -8,9 +8,9 @@
 #include "common/hash.h"
 #include "common/logging.h"
 #include "common/metrics_registry.h"
+#include "common/row_kernels.h"
 #include "common/tracer.h"
 #include "exec/join_hash_table.h"
-#include "exec/row_kernels.h"
 #include "exec/vector_kernels.h"
 #include "storage/schema.h"
 #include "storage/serde.h"
@@ -264,15 +264,14 @@ Result<JobResult> JobExecutor::Execute(
   JobResult result;
   result.metrics.num_jobs = 1;
   if (cluster_.exec.use_columnar) {
-    // Vectorized path: run the operator tree over column batches, convert
-    // at the root (the materialization boundary — Materialize, DRB serde
-    // and result delivery stay row-oriented).
-    DYNOPT_ASSIGN_OR_RETURN(ColumnarDataset columnar,
-                            ExecNodeColumnar(root, params, &result.metrics));
-    result.data = ToDataset(std::move(columnar));
-  } else {
+    // Vectorized path: the batches go out as they are — Materialize moves
+    // them into a temp table, result delivery gathers rows once.
     DYNOPT_ASSIGN_OR_RETURN(result.data,
+                            ExecNodeColumnar(root, params, &result.metrics));
+  } else {
+    DYNOPT_ASSIGN_OR_RETURN(Dataset rows,
                             ExecNode(root, params, &result.metrics));
+    result.data = FromDataset(rows, cluster_.exec.max_batch_size);
   }
   result.metrics.rows_out = result.data.NumRows();
   if (ReadsOnlySystemTables(root)) {
@@ -353,30 +352,28 @@ Result<Dataset> JobExecutor::ExecScan(const PlanNode& node,
   std::vector<uint64_t> bytes_in(num_parts, 0);
   std::vector<uint64_t> rows_in(num_parts, 0);
   pool_->ParallelFor(num_parts, [&](size_t p) {
-    const auto& rows = table->partition(p);
     auto& dest = out.partitions[p];
     auto& dest_sizes = out.row_sizes[p];
-    dest.reserve(rows.size());
-    dest_sizes.reserve(rows.size());
-    uint64_t bytes = 0;
-    for (const Row& row : rows) {
-      bytes += RowSizeBytes(row);
-      Row projected;
-      projected.reserve(keep.size());
-      // The values are hot in cache while being copied, so sizing the
-      // projected row here is nearly free; downstream shuffles meter from
-      // this annotation instead of re-reading the payload.
-      uint64_t projected_bytes = 8;
-      for (int k : keep) {
-        const Value& v = row[static_cast<size_t>(k)];
-        projected_bytes += ValueSizeBytesInline(v);
-        projected.push_back(v);
+    dest.reserve(table->PartitionRows(p));
+    dest_sizes.reserve(table->PartitionRows(p));
+    // Row engine: build each projected row from the stored columns, sizing
+    // it from the same values.
+    for (const ColumnBatch& run : table->partition(p)) {
+      for (size_t i = 0; i < run.num_rows; ++i) {
+        Row projected;
+        projected.reserve(keep.size());
+        uint64_t projected_bytes = 8;
+        for (int k : keep) {
+          const ColumnVector& col = run.columns[static_cast<size_t>(k)];
+          projected_bytes += col.SizeAt(i);
+          projected.push_back(col.ValueAt(i));
+        }
+        dest_sizes.push_back(projected_bytes);
+        dest.push_back(std::move(projected));
       }
-      dest_sizes.push_back(projected_bytes);
-      dest.push_back(std::move(projected));
     }
-    bytes_in[p] = bytes;
-    rows_in[p] = rows.size();
+    bytes_in[p] = table->PartitionBytes(p);
+    rows_in[p] = table->PartitionRows(p);
   });
 
   uint64_t total_bytes = 0, total_rows = 0;
@@ -1472,7 +1469,6 @@ Result<Dataset> JobExecutor::ExecIndexNestedLoopJoin(
   std::vector<uint64_t> matched_bytes(n, 0);
   std::vector<uint64_t> lookups(n, 0);
   pool_->ParallelFor(n, [&](size_t p) {
-    const auto& inner_rows = inner->partition(p);
     auto& dest = out.partitions[p];
     uint64_t local_matched_bytes = 0;
     for (const Row& outer_row : outer_rows) {
@@ -1482,7 +1478,7 @@ Result<Dataset> JobExecutor::ExecIndexNestedLoopJoin(
       const std::vector<uint32_t>* offsets = index->Lookup(p, key);
       if (offsets == nullptr) continue;
       for (uint32_t off : *offsets) {
-        const Row& inner_row = inner_rows[off];
+        const Row inner_row = inner->ReadRow(p, off);
         local_matched_bytes += RowSizeBytes(inner_row);
         Row joined;
         joined.reserve(outer_row.size() + inner_keep.size());
@@ -1581,18 +1577,20 @@ Result<ColumnarDataset> JobExecutor::ExecScanColumnar(const PlanNode& node,
   std::vector<uint64_t> bytes_in(num_parts, 0);
   std::vector<uint64_t> rows_in(num_parts, 0);
   pool_->ParallelFor(num_parts, [&](size_t p) {
-    const auto& rows = table->partition(p);
+    const std::vector<ColumnBatch>& runs = table->partition(p);
     auto& batches = out.partitions[p];
-    batches.reserve(rows.size() / batch_cap + 1);
-    uint64_t bytes = 0;
-    for (const Row& row : rows) bytes += RowSizeBytesInline(row);
-    for (size_t start = 0; start < rows.size(); start += batch_cap) {
-      const size_t m = std::min(batch_cap, rows.size() - start);
-      batches.push_back(BatchFromRowsProjected(rows.data() + start, m,
-                                               keep.data(), keep.size()));
+    batches.reserve(table->PartitionRows(p) / batch_cap + runs.size());
+    // Copy the kept column ranges of every stored run, at most batch_cap
+    // rows per batch; input bytes are the partition's cached total.
+    for (const ColumnBatch& run : runs) {
+      for (size_t start = 0; start < run.num_rows; start += batch_cap) {
+        const size_t m = std::min(batch_cap, run.num_rows - start);
+        batches.push_back(
+            SliceBatch(run, start, m, keep.data(), keep.size()));
+      }
     }
-    bytes_in[p] = bytes;
-    rows_in[p] = rows.size();
+    bytes_in[p] = table->PartitionBytes(p);
+    rows_in[p] = table->PartitionRows(p);
   });
 
   uint64_t total_bytes = 0, total_rows = 0;
@@ -2206,46 +2204,41 @@ Result<ColumnarDataset> JobExecutor::ExecJoinColumnar(
                                metrics);
 }
 
+namespace {
+
+/// Type of the first non-NULL value of column `c` in partition-then-row
+/// order (kNull when the column holds only NULLs): a temp table's field
+/// type.
+ValueType FirstValueType(const ColumnarDataset& data, size_t c) {
+  for (const auto& part : data.partitions) {
+    for (const ColumnBatch& b : part) {
+      for (size_t i = 0; i < b.num_rows; ++i) {
+        const ValueType t = b.columns[c].TypeAt(i);
+        if (t != ValueType::kNull) return t;
+      }
+    }
+  }
+  return ValueType::kNull;
+}
+
+}  // namespace
+
 Result<SinkResult> JobExecutor::Materialize(
-    Dataset&& data, const std::string& prefix,
+    ColumnarDataset&& data, const std::string& prefix,
     const std::vector<std::string>& stats_columns, bool collect_stats,
     ExecMetrics* metrics, const std::vector<std::string>* sketch_columns) {
   DYNOPT_RETURN_IF_ERROR(CheckAlive());
   TraceSpan span("materialize", "kernel");
   const auto wall_start = WallClock::now();
   // Build the temp table schema: stored column names are the (already
-  // qualified) dataset column names; types are inferred from data in one
-  // parallel pass that fills every column's type at once (first non-NULL
-  // value in partition-then-row order), instead of rescanning the dataset
-  // once per column.
+  // qualified) dataset column names; each type is the first non-NULL
+  // value's, in partition-then-row order.
   const size_t num_cols = data.columns.size();
   const size_t num_parts = data.partitions.size();
-  std::vector<std::vector<ValueType>> part_types(
-      num_parts, std::vector<ValueType>(num_cols, ValueType::kNull));
-  pool_->ParallelFor(num_parts, [&](size_t p) {
-    auto& types = part_types[p];
-    size_t unresolved = num_cols;
-    for (const Row& row : data.partitions[p]) {
-      if (unresolved == 0) break;
-      for (size_t c = 0; c < num_cols; ++c) {
-        if (types[c] == ValueType::kNull && !row[c].is_null()) {
-          types[c] = row[c].type();
-          --unresolved;
-        }
-      }
-    }
-  });
   std::vector<Field> fields;
   fields.reserve(num_cols);
   for (size_t c = 0; c < num_cols; ++c) {
-    ValueType type = ValueType::kNull;
-    for (size_t p = 0; p < num_parts; ++p) {
-      if (part_types[p][c] != ValueType::kNull) {
-        type = part_types[p][c];
-        break;
-      }
-    }
-    fields.push_back(Field{data.columns[c], type});
+    fields.push_back(Field{data.columns[c], FirstValueType(data, c)});
   }
   std::string name = catalog_->UniqueTempName(prefix);
   auto table = std::make_shared<Table>(name, Schema(std::move(fields)),
@@ -2267,32 +2260,28 @@ Result<SinkResult> JobExecutor::Materialize(
   for (size_t p = 0; p < num_parts; ++p) {
     builders.emplace_back(stat_names, stat_indices);
   }
-  const bool has_sizes = data.HasRowSizes();
+  // Each partition's stat columns are fed column-at-a-time, in the
+  // partition's row order; its byte total sums the size annotation.
   std::vector<uint64_t> part_bytes(num_parts, 0);
+  std::vector<uint64_t> part_rows(num_parts, 0);
   pool_->ParallelFor(num_parts, [&](size_t p) {
     uint64_t bytes = 0;
-    if (has_sizes) {
-      // Sum the producer's size annotation instead of re-walking payloads.
-      for (uint64_t b : data.row_sizes[p]) bytes += b;
-      if (collect_stats) {
-        for (const Row& row : data.partitions[p]) builders[p].AddRow(row);
-      }
-    } else {
-      for (const Row& row : data.partitions[p]) {
-        bytes += RowSizeBytes(row);
-        if (collect_stats) builders[p].AddRow(row);
-      }
+    uint64_t rows = 0;
+    for (const ColumnBatch& b : data.partitions[p]) {
+      for (uint64_t s : b.row_sizes) bytes += s;
+      rows += b.num_rows;
+      if (collect_stats) AddBatchToStats(b, &builders[p]);
     }
     part_bytes[p] = bytes;
+    part_rows[p] = rows;
   });
-  // Sequential append preserves the partition layout.
   uint64_t total_bytes = 0, total_rows = 0;
   for (size_t p = 0; p < num_parts; ++p) {
     total_bytes += part_bytes[p];
-    total_rows += data.partitions[p].size();
+    total_rows += part_rows[p];
   }
   // Account the sink buffer against the query tracker while it is resident
-  // here (released once the rows are handed to the catalog).
+  // here (released once the batches are handed to the catalog).
   MemoryReservation sink_mem(ctx_ != nullptr ? &ctx_->memory() : nullptr);
   sink_mem.GrowUnchecked(total_bytes);
   // Fault overlay for the sink write stage, applied before anything is
@@ -2313,6 +2302,8 @@ Result<SinkResult> JobExecutor::Materialize(
   }
   // Optionally round-trip each partition through the on-disk temp-file
   // format (the paper's intermediates are "stored in a temporary file").
+  // The DRB format is row-oriented, so rows are built here, and the
+  // verified read-back replaces the partition's batches.
   // Under fault injection this is where corruption is *physical*: a byte of
   // the written file is flipped, the checksummed format detects it on
   // read-back (kDataCorruption), and the partition is re-materialized with
@@ -2327,9 +2318,14 @@ Result<SinkResult> JobExecutor::Materialize(
     pool_->ParallelFor(num_parts, [&](size_t p) {
       std::string path = cluster_.spill_directory + "/" + name + ".p" +
                          std::to_string(p) + ".rows";
+      std::vector<Row> rows;
+      rows.reserve(part_rows[p]);
+      for (const ColumnBatch& b : data.partitions[p]) {
+        for (size_t i = 0; i < b.num_rows; ++i) rows.push_back(b.RowAt(i));
+      }
       Status st;
       for (int attempt = 0;; ++attempt) {
-        st = WriteRowsFile(path, data.partitions[p]);
+        st = WriteRowsFile(path, rows);
         if (!st.ok()) break;
         if (inject && faults_->CorruptsBlock(mat_stage, p, attempt)) {
           (void)CorruptByteInFile(path,
@@ -2337,7 +2333,8 @@ Result<SinkResult> JobExecutor::Materialize(
         }
         auto back = ReadRowsFile(path);
         if (back.ok()) {
-          data.partitions[p] = std::move(back).value();
+          data.partitions[p] = BatchesFromRows(
+              back.value(), nullptr, num_cols, cluster_.exec.max_batch_size);
           break;
         }
         st = back.status();
@@ -2400,7 +2397,7 @@ Result<SinkResult> JobExecutor::Materialize(
 
   // Online join-key sketches (predicate transfer): per-partition builders
   // merged into one dataset-level sketch per column, registered under the
-  // temp name. Runs before the rows are moved into the catalog below.
+  // temp name. Runs before the batches are moved into the table below.
   std::vector<int> sketch_indices;
   std::vector<std::string> sketch_names;
   if (sketches_ != nullptr && sketch_columns != nullptr) {
@@ -2431,18 +2428,9 @@ Result<SinkResult> JobExecutor::Materialize(
       }
     }
     pool_->ParallelFor(num_parts, [&](size_t p) {
-      for (const Row& row : data.partitions[p]) {
+      for (const ColumnBatch& b : data.partitions[p]) {
         for (size_t c = 0; c < num_sketch; ++c) {
-          JoinKeySketch& sk = shards[p][c];
-          ++sk.rows;
-          const int key_index[1] = {sketch_indices[c]};
-          if (row[static_cast<size_t>(key_index[0])].is_null()) {
-            ++sk.null_keys;
-            continue;
-          }
-          const uint64_t h = HashRowKeyInline(row, key_index, 1);
-          sk.bloom.Insert(h);
-          sk.agms.Update(h);
+          AddColumnToSketch(b, sketch_indices[c], &shards[p][c]);
         }
       }
     });
@@ -2466,13 +2454,10 @@ Result<SinkResult> JobExecutor::Materialize(
     metrics->simulated_seconds += sketch_cost;
   }
 
-  // Load partition-faithfully so the producing node's placement (and any
-  // skew) survives materialization.
+  // Move the batches in partition-faithfully so the producing node's
+  // placement (and any skew) survives materialization.
   for (size_t p = 0; p < num_parts; ++p) {
-    for (Row& row : data.partitions[p]) {
-      table->AppendRowToPartition(p, std::move(row));
-    }
-    data.partitions[p].clear();
+    table->AppendBatches(p, std::move(data.partitions[p]));
   }
 
   DYNOPT_RETURN_IF_ERROR(catalog_->RegisterTable(table));

@@ -27,9 +27,10 @@
 
 namespace dynopt {
 
-/// Output of running one job.
+/// Output of running one job: the root operator's batches, carried as-is
+/// to Materialize or to result delivery.
 struct JobResult {
-  Dataset data;
+  ColumnarDataset data;
   ExecMetrics metrics;
 };
 
@@ -106,12 +107,15 @@ class JobExecutor {
   Result<JobResult> Execute(const PlanNode& root,
                             const std::map<std::string, Value>& params);
 
-  /// The Sink operator: writes `data` to a fresh temp table in the catalog,
-  /// optionally collecting online statistics on `stats_columns` (qualified
-  /// names). Charges materialization I/O and the per-reopt fixed cost to
+  /// The Sink operator: moves `data`'s batches into a fresh temp table in
+  /// the catalog (partition placement and row order preserved), optionally
+  /// collecting online statistics on `stats_columns` (qualified names) and
+  /// join-key sketches on `sketch_columns`, column-at-a-time. Charges
+  /// materialization I/O and the per-reopt fixed cost to
   /// `metrics->reopt_seconds` and stats collection to
   /// `metrics->stats_seconds` (both included in simulated_seconds).
-  Result<SinkResult> Materialize(Dataset&& data, const std::string& prefix,
+  Result<SinkResult> Materialize(ColumnarDataset&& data,
+                                 const std::string& prefix,
                                  const std::vector<std::string>& stats_columns,
                                  bool collect_stats, ExecMetrics* metrics,
                                  const std::vector<std::string>*

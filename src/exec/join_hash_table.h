@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "common/value.h"
-#include "exec/row_kernels.h"
+#include "common/row_kernels.h"
 
 namespace dynopt {
 

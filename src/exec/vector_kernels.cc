@@ -144,24 +144,6 @@ inline const std::string* StringAt(const ColumnVector& col, size_t i) {
   return nullptr;
 }
 
-/// Converts an existing typed column to the kValues fallback in place
-/// (kind-mismatch promotion during multi-source appends).
-void PromoteToValues(ColumnVector* col) {
-  if (col->kind == ColumnKind::kValues) return;
-  const size_t n = col->size();
-  std::vector<Value> values;
-  values.reserve(n);
-  for (size_t i = 0; i < n; ++i) values.push_back(col->ValueAt(i));
-  col->kind = ColumnKind::kValues;
-  col->values = std::move(values);
-  col->i64.clear();
-  col->f64.clear();
-  col->b8.clear();
-  col->codes.clear();
-  col->dict.reset();
-  col->validity.clear();
-}
-
 /// An exact reserve() on every append would defeat std::vector's geometric
 /// growth — each gather into the same destination column would reallocate
 /// and copy everything appended so far. Grow by at least 2x instead.
@@ -272,6 +254,81 @@ void ProjectedRowSizes(const ColumnBatch& batch, const int* keep,
   }
 }
 
+ColumnBatch SliceBatch(const ColumnBatch& src, size_t begin, size_t n,
+                       const int* keep, size_t num_keep) {
+  ColumnBatch out;
+  out.num_rows = n;
+  out.columns.reserve(num_keep);
+  for (size_t k = 0; k < num_keep; ++k) {
+    out.columns.push_back(
+        src.columns[static_cast<size_t>(keep[k])].Slice(begin, n));
+  }
+  // Keeping every column in order keeps every row whole: its size is the
+  // source's cached annotation.
+  bool whole_rows = num_keep == src.columns.size();
+  std::vector<int> all(num_keep);
+  for (size_t k = 0; k < num_keep; ++k) {
+    all[k] = static_cast<int>(k);
+    whole_rows = whole_rows && keep[k] == all[k];
+  }
+  if (whole_rows) {
+    out.row_sizes.assign(src.row_sizes.begin() + begin,
+                         src.row_sizes.begin() + begin + n);
+  } else {
+    out.row_sizes.resize(n);
+    ProjectedRowSizes(out, all.data(), num_keep, out.row_sizes.data());
+  }
+  return out;
+}
+
+void AddColumnToStats(const ColumnVector& col, const uint32_t* sel, size_t n,
+                      ColumnStatsBuilder* out) {
+  if (col.kind == ColumnKind::kString) {
+    const StringDict& dict = *col.dict;
+    for (size_t k = 0; k < n; ++k) {
+      const size_t i = sel != nullptr ? sel[k] : k;
+      if (col.IsNullAt(i)) {
+        out->Add(Value::Null());
+      } else {
+        const uint32_t code = col.codes[i];
+        out->AddString(dict.entry(code), dict.hash(code));
+      }
+    }
+    return;
+  }
+  for (size_t k = 0; k < n; ++k) {
+    out->Add(col.ValueAt(sel != nullptr ? sel[k] : k));
+  }
+}
+
+void AddBatchToStats(const ColumnBatch& batch, TableStatsBuilder* builder) {
+  uint64_t bytes = 0;
+  for (uint64_t s : batch.row_sizes) bytes += s;
+  builder->AddRows(batch.num_rows, bytes);
+  const std::vector<int>& slots = builder->column_indices();
+  for (size_t i = 0; i < slots.size(); ++i) {
+    AddColumnToStats(batch.columns[static_cast<size_t>(slots[i])], nullptr,
+                     batch.num_rows, &builder->column(i));
+  }
+}
+
+void AddColumnToSketch(const ColumnBatch& batch, int column,
+                       JoinKeySketch* sketch) {
+  const size_t n = batch.num_rows;
+  std::vector<uint64_t> hashes(n);
+  std::vector<uint8_t> key_null(n, 0);
+  HashKeyColumns(batch, &column, 1, hashes.data(), key_null.data());
+  sketch->rows += n;
+  for (size_t i = 0; i < n; ++i) {
+    if (key_null[i]) {
+      ++sketch->null_keys;
+      continue;
+    }
+    sketch->bloom.Insert(hashes[i]);
+    sketch->agms.Update(hashes[i]);
+  }
+}
+
 ColumnBatch GatherBatch(const ColumnBatch& src, const uint32_t* sel,
                         size_t n) {
   ColumnBatch out;
@@ -325,7 +382,7 @@ void AppendGatherColumn(ColumnVector* dst, const ColumnVector& src,
     dst->validity.clear();
     dst->values.clear();
   }
-  if (dst->kind != src.kind) PromoteToValues(dst);
+  if (dst->kind != src.kind) dst->PromoteToValues();
   if (dst->kind == ColumnKind::kValues) {
     ReserveAppend(&dst->values, old_rows + n);
     if (src.kind == ColumnKind::kValues) {
@@ -747,20 +804,32 @@ void CompareOperands(const ScalarOperand& l, const ScalarOperand& r,
     }
   }
   // Fast path 2: dictionary string column vs string constant -> memoize the
-  // comparison per dictionary code (one compare per distinct value).
+  // comparison per dictionary code (one compare per distinct value). A
+  // dictionary larger than the batch (a table's stored dictionary) is
+  // compared row by row instead, so the cost stays bounded by the batch.
   if (l.col != nullptr && l.col->kind == ColumnKind::kString &&
       r.constant != nullptr && r.constant->type() == ValueType::kString) {
     const ColumnVector& col = *l.col;
     const StringDict& dict = *col.dict;
     const std::string& c = r.constant->AsStringUnchecked();
+    auto compare_code = [&](uint32_t code) -> uint8_t {
+      const int cmp = dict.entry(code).compare(c);
+      return ApplyCmp(cmp < 0 ? -1 : (cmp > 0 ? 1 : 0), op) ? kTriTrue
+                                                            : kTriFalse;
+    };
+    const bool nullable = !col.validity.empty();
+    if (dict.size() > n) {
+      for (size_t i = 0; i < n; ++i) {
+        (*out)[i] = (nullable && !col.validity[i])
+                        ? kTriNull
+                        : compare_code(col.codes[i]);
+      }
+      return;
+    }
     std::vector<uint8_t> by_code(dict.size());
     for (uint32_t code = 0; code < dict.size(); ++code) {
-      const int cmp = dict.entry(code).compare(c);
-      by_code[code] =
-          ApplyCmp(cmp < 0 ? -1 : (cmp > 0 ? 1 : 0), op) ? kTriTrue
-                                                         : kTriFalse;
+      by_code[code] = compare_code(code);
     }
-    const bool nullable = !col.validity.empty();
     for (size_t i = 0; i < n; ++i) {
       (*out)[i] = (nullable && !col.validity[i]) ? kTriNull
                                                  : by_code[col.codes[i]];

@@ -10,6 +10,8 @@
 #include "common/status.h"
 #include "exec/batch.h"
 #include "plan/expr.h"
+#include "stats/sketch.h"
+#include "stats/table_stats.h"
 
 namespace dynopt {
 
@@ -19,7 +21,7 @@ class UdfRegistry;
 /// row engine's per-row variant dispatch with tight typed loops (the
 /// DYNOPT_NATIVE_SIMD build compiles this translation unit with
 /// -march=native). Every kernel is bit-identical to its row counterpart in
-/// exec/row_kernels.h — same hash math, same byte sizes, same comparison
+/// common/row_kernels.h — same hash math, same byte sizes, same comparison
 /// semantics (including the all-numeric-comparisons-coerce-to-double rule
 /// of Value::Compare) — which is what lets the columnar engine keep the
 /// deterministic counters and simulated seconds byte-for-byte equal to the
@@ -64,6 +66,32 @@ inline bool JoinKeysEqualColumnar(const ColumnBatch& build, size_t i,
 /// accumulated column-at-a-time. `out` must hold batch.num_rows elements.
 void ProjectedRowSizes(const ColumnBatch& batch, const int* keep,
                        size_t num_keep, uint64_t* out);
+
+/// Rows [begin, begin + n) of the `num_keep` column slots in `keep` of
+/// `src`, in that order, as a fresh batch (a scan's projected copy of a
+/// stored run): column ranges are copied, string columns share the source
+/// dictionary, and row_sizes are the projected sizes (ProjectedRowSizes).
+ColumnBatch SliceBatch(const ColumnBatch& src, size_t begin, size_t n,
+                       const int* keep, size_t num_keep);
+
+/// Feeds `n` values of `col` to `out` in row order: rows sel[0..n) when
+/// `sel` is non-null, rows [0, n) otherwise. Equivalent to
+/// out->Add(col.ValueAt(i)) per row; string columns reuse the dictionary's
+/// cached hashes instead of materializing Values.
+void AddColumnToStats(const ColumnVector& col, const uint32_t* sel, size_t n,
+                      ColumnStatsBuilder* out);
+
+/// Feeds every row of `batch` to `builder` column-at-a-time (the builder's
+/// column indices are batch slots): the same statistics AddRow over each
+/// row would produce.
+void AddBatchToStats(const ColumnBatch& batch, TableStatsBuilder* builder);
+
+/// Feeds column `column` of every row of `batch` to a join-key sketch, in
+/// row order: counts rows and NULL keys, and inserts each non-NULL key's
+/// hash (HashRowKey over that one column) into the Bloom filter and
+/// Fast-AGMS sketch.
+void AddColumnToSketch(const ColumnBatch& batch, int column,
+                       JoinKeySketch* sketch);
 
 /// Gathers the `n` rows selected by `sel` out of `src` into a fresh
 /// compacted batch (typed per-column gather; string columns share the

@@ -102,6 +102,11 @@ Status ApplyPostProcessing(const QuerySpec& spec, const ClusterConfig& cluster,
         it->second[a].Add(row[static_cast<size_t>(agg_slots[a])]);
       }
     }
+    // A global aggregate (no GROUP BY) always yields one row, even over
+    // empty input: COUNT is 0 and SUM/MIN/MAX/AVG are NULL.
+    if (group_slots.empty() && groups.empty()) {
+      groups.try_emplace(Row{}, std::vector<AggState>(spec.aggregates.size()));
+    }
     out_rows.reserve(groups.size());
     for (const auto& [key, states] : groups) {
       Row row = key;

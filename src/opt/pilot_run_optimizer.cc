@@ -5,6 +5,7 @@
 #include <map>
 #include <sstream>
 
+#include "exec/vector_kernels.h"
 #include "opt/error_stats.h"
 #include "opt/finalize.h"
 #include "opt/plan_builder.h"
@@ -83,35 +84,70 @@ Result<OptimizerRunResult> PilotRunOptimizer::Run(const QuerySpec& query) {
         indices.push_back(idx);
       }
     }
-    // Bind this alias's local predicates against raw table rows.
-    BoundExprPtr bound;
-    ExprPtr predicate = CombineConjuncts(spec.PredicatesFor(ref.alias));
-    if (predicate != nullptr) {
-      BindContext ctx;
-      ctx.resolve_column = [&](const std::string& name) {
-        if (name.rfind(prefix, 0) == 0) {
-          return table->schema().FieldIndex(name.substr(prefix.size()));
-        }
-        return table->schema().FieldIndex(name);
-      };
-      ctx.params = &spec.params;
-      ctx.udfs = &engine_->udfs();
-      DYNOPT_ASSIGN_OR_RETURN(bound, Bind(predicate, ctx));
+    // Compile this alias's local predicates against the stored columns,
+    // named as the spec qualifies them.
+    const Schema& schema = table->schema();
+    std::vector<std::string> qualified_fields;
+    std::vector<int> all_fields;
+    for (size_t i = 0; i < schema.num_fields(); ++i) {
+      qualified_fields.push_back(prefix + schema.field(i).name);
+      all_fields.push_back(static_cast<int>(i));
+    }
+    VecPredicate predicate;
+    ExprPtr expr = CombineConjuncts(spec.PredicatesFor(ref.alias));
+    if (expr != nullptr) {
+      DYNOPT_ASSIGN_OR_RETURN(
+          predicate, VecPredicate::Compile(expr, qualified_fields, &spec.params,
+                                           &engine_->udfs()));
     }
 
+    // Read the stored runs in row order, a chunk at a time, until
+    // sample_limit rows have matched; only matched rows feed the builder.
+    constexpr size_t kChunkRows = 1024;
+    const uint64_t limit = options_.sample_limit;
     TableStatsBuilder builder(names, indices, options_.stats_options);
     uint64_t scanned = 0, matched = 0, scanned_bytes = 0;
-    for (size_t p = 0; p < table->num_partitions() &&
-                       matched < options_.sample_limit;
-         ++p) {
-      for (const Row& row : table->partition(p)) {
-        ++scanned;
-        scanned_bytes += RowSizeBytes(row);
-        if (bound == nullptr || bound->EvalBool(row)) {
-          ++matched;
-          builder.AddRow(row);
-          if (matched >= options_.sample_limit) break;
+    std::vector<uint8_t> keep;
+    std::vector<uint32_t> sel;
+    for (size_t p = 0; p < table->num_partitions() && matched < limit; ++p) {
+      for (const ColumnBatch& run : table->partition(p)) {
+        for (size_t start = 0; start < run.num_rows && matched < limit;
+             start += kChunkRows) {
+          const size_t m = std::min(kChunkRows, run.num_rows - start);
+          size_t taken = m;  // Rows scanned in this chunk.
+          sel.clear();
+          if (expr != nullptr) {
+            predicate.EvalBools(SliceBatch(run, start, m, all_fields.data(),
+                                           all_fields.size()),
+                                &keep);
+            for (size_t i = 0; i < m; ++i) {
+              if (!keep[i]) continue;
+              sel.push_back(static_cast<uint32_t>(start + i));
+              if (matched + sel.size() >= limit) {
+                taken = i + 1;
+                break;
+              }
+            }
+          } else {
+            taken = static_cast<size_t>(std::min<uint64_t>(m, limit - matched));
+            for (size_t i = 0; i < taken; ++i) {
+              sel.push_back(static_cast<uint32_t>(start + i));
+            }
+          }
+          scanned += taken;
+          for (size_t i = 0; i < taken; ++i) {
+            scanned_bytes += run.row_sizes[start + i];
+          }
+          matched += sel.size();
+          uint64_t sel_bytes = 0;
+          for (uint32_t i : sel) sel_bytes += run.row_sizes[i];
+          builder.AddRows(sel.size(), sel_bytes);
+          for (size_t c = 0; c < indices.size(); ++c) {
+            AddColumnToStats(run.columns[static_cast<size_t>(indices[c])],
+                             sel.data(), sel.size(), &builder.column(c));
+          }
         }
+        if (matched >= limit) break;
       }
     }
     // Charge the pilot-run work (it runs cluster-parallel).

@@ -5,7 +5,7 @@
 #include <utility>
 #include <vector>
 
-#include "exec/row_kernels.h"
+#include "exec/vector_kernels.h"
 
 namespace dynopt {
 
@@ -59,15 +59,8 @@ Status SketchDynamicOptimizer::EnsureBaseSketches(const QuerySpec& query,
                       opts.bits_per_key, opts.seed),
           FastAgmsSketch(opts), 0, 0});
       for (size_t p = 0; p < table->num_partitions(); ++p) {
-        for (const Row& row : table->partition(p)) {
-          ++sketch->rows;
-          if (row[static_cast<size_t>(col)].is_null()) {
-            ++sketch->null_keys;
-            continue;
-          }
-          const uint64_t h = HashRowKeyInline(row, &col, 1);
-          sketch->bloom.Insert(h);
-          sketch->agms.Update(h);
+        for (const ColumnBatch& run : table->partition(p)) {
+          AddColumnToSketch(run, col, sketch.get());
         }
       }
       engine_->sketches().Put(ref.table, column,

@@ -1,10 +1,27 @@
 #include "sql/parser.h"
 
+#include <charconv>
+#include <system_error>
+
 #include "sql/lexer.h"
 
 namespace dynopt {
 
 namespace {
+
+/// Converts a numeric literal token with std::from_chars, which reports
+/// overflow as an error code instead of throwing (std::stoll / std::stod
+/// throw std::out_of_range). `what` names the literal in the message.
+template <typename T>
+Result<T> ParseNumber(const std::string& text, const char* what) {
+  T v{};
+  const char* end = text.data() + text.size();
+  auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc() || ptr != end) {
+    return Status::ParseError(std::string(what) + " out of range: " + text);
+  }
+  return v;
+}
 
 /// Recursive-descent parser over the token stream.
 class Parser {
@@ -44,7 +61,8 @@ class Parser {
       if (Peek().type != TokenType::kIntLiteral) {
         return Status::ParseError("expected integer after LIMIT");
       }
-      stmt.limit = std::stoll(Advance().text);
+      DYNOPT_ASSIGN_OR_RETURN(
+          stmt.limit, ParseNumber<int64_t>(Advance().text, "LIMIT value"));
     }
     if (Peek().type != TokenType::kEnd) {
       return Status::ParseError("trailing input after statement: '" +
@@ -246,11 +264,13 @@ class Parser {
     const Token& tok = Peek();
     switch (tok.type) {
       case TokenType::kIntLiteral: {
-        int64_t v = std::stoll(Advance().text);
+        DYNOPT_ASSIGN_OR_RETURN(
+            int64_t v, ParseNumber<int64_t>(Advance().text, "integer literal"));
         return Lit(Value(v));
       }
       case TokenType::kDoubleLiteral: {
-        double v = std::stod(Advance().text);
+        DYNOPT_ASSIGN_OR_RETURN(
+            double v, ParseNumber<double>(Advance().text, "numeric literal"));
         return Lit(Value(v));
       }
       case TokenType::kStringLiteral:

@@ -49,6 +49,20 @@ void ColumnStatsBuilder::Add(const Value& v) {
   gk_.Insert(v.NumericKey());
 }
 
+void ColumnStatsBuilder::AddString(const std::string& s, uint64_t hash) {
+  ++count_;
+  // Value::Compare orders every non-string, non-NULL value before every
+  // string, and strings bytewise.
+  auto compare = [&s](const Value& bound) {
+    if (bound.type() != ValueType::kString) return -1;
+    return bound.AsStringUnchecked().compare(s);
+  };
+  if (min_value_.is_null() || compare(min_value_) > 0) min_value_ = Value(s);
+  if (max_value_.is_null() || compare(max_value_) < 0) max_value_ = Value(s);
+  hll_.Add(hash);
+  gk_.Insert(static_cast<double>(hash >> 11));  // Value::NumericKey.
+}
+
 void ColumnStatsBuilder::Merge(const ColumnStatsBuilder& other) {
   count_ += other.count_;
   null_count_ += other.null_count_;

@@ -49,6 +49,9 @@ class ColumnStatsBuilder {
   explicit ColumnStatsBuilder(const StatsOptions& options = StatsOptions());
 
   void Add(const Value& v);
+  /// Add(Value(s)) for a string whose HashString is already known (a
+  /// dictionary's cached hash), without materializing the Value.
+  void AddString(const std::string& s, uint64_t hash);
   void Merge(const ColumnStatsBuilder& other);
   ColumnStatsSnapshot Finalize() const;
 

@@ -31,7 +31,9 @@ struct TableStats {
 };
 
 /// Streaming, mergeable builder for TableStats: feed rows, naming which row
-/// slots correspond to which stat columns.
+/// slots correspond to which stat columns. Columnar callers feed the same
+/// data column-at-a-time instead: AddRows for the counts, then each stat
+/// column's values in row order through column(i).
 class TableStatsBuilder {
  public:
   /// `column_names[i]` is collected from row position `column_indices[i]`.
@@ -40,6 +42,15 @@ class TableStatsBuilder {
                     const StatsOptions& options = StatsOptions());
 
   void AddRow(const Row& row);
+  /// Counts `rows` rows totalling `bytes` whose values the caller feeds
+  /// through column(i).
+  void AddRows(uint64_t rows, uint64_t bytes) {
+    row_count_ += rows;
+    total_bytes_ += bytes;
+  }
+  ColumnStatsBuilder& column(size_t i) { return builders_[i]; }
+  /// Source slot of stat column i.
+  const std::vector<int>& column_indices() const { return column_indices_; }
   void Merge(const TableStatsBuilder& other);
   TableStats Finalize() const;
 

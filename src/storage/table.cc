@@ -1,5 +1,7 @@
 #include "storage/table.h"
 
+#include <algorithm>
+
 #include "common/logging.h"
 
 namespace dynopt {
@@ -26,8 +28,14 @@ const std::vector<uint32_t>* SecondaryIndex::Lookup(size_t partition,
 Table::Table(std::string name, Schema schema, size_t num_partitions)
     : name_(std::move(name)),
       schema_(std::move(schema)),
-      partitions_(num_partitions) {
+      partitions_(num_partitions),
+      dicts_(schema_.num_fields()) {
   DYNOPT_CHECK(num_partitions > 0);
+  for (size_t c = 0; c < schema_.num_fields(); ++c) {
+    if (schema_.field(c).type == ValueType::kString) {
+      dicts_[c] = std::make_shared<StringDict>();
+    }
+  }
 }
 
 Status Table::SetPartitionKey(const std::vector<std::string>& columns) {
@@ -49,7 +57,19 @@ Status Table::SetPartitionKey(const std::vector<std::string>& columns) {
   return Status::OK();
 }
 
-void Table::AppendRow(Row row) {
+void Table::OpenLoadRun(Partition* part) {
+  ColumnBatch run;
+  run.columns.resize(schema_.num_fields());
+  for (size_t c = 0; c < schema_.num_fields(); ++c) {
+    run.columns[c].kind = TypedKindFor(schema_.field(c).type);
+    run.columns[c].dict = dicts_[c];
+  }
+  part->run_starts.push_back(part->rows);
+  part->runs.push_back(std::move(run));
+  part->load_run_open = true;
+}
+
+void Table::AppendRow(const Row& row) {
   DYNOPT_CHECK(row.size() == schema_.num_fields());
   size_t target;
   if (!partition_key_indices_.empty()) {
@@ -58,17 +78,59 @@ void Table::AppendRow(Row row) {
   } else {
     target = static_cast<size_t>(round_robin_next_++ % partitions_.size());
   }
-  total_bytes_ += RowSizeBytes(row);
+  Partition& part = partitions_[target];
+  if (!part.load_run_open) OpenLoadRun(&part);
+  ColumnBatch& run = part.runs.back();
+  for (size_t c = 0; c < row.size(); ++c) run.columns[c].Append(row[c]);
+  const uint64_t size = RowSizeBytes(row);
+  run.row_sizes.push_back(size);
+  ++run.num_rows;
+  ++part.rows;
+  part.bytes += size;
   ++num_rows_;
-  partitions_[target].push_back(std::move(row));
+  total_bytes_ += size;
 }
 
-void Table::AppendRowToPartition(size_t partition, Row row) {
+void Table::AppendBatches(size_t partition,
+                          std::vector<ColumnBatch>&& batches) {
   DYNOPT_CHECK(partition < partitions_.size());
-  DYNOPT_CHECK(row.size() == schema_.num_fields());
-  total_bytes_ += RowSizeBytes(row);
-  ++num_rows_;
-  partitions_[partition].push_back(std::move(row));
+  Partition& part = partitions_[partition];
+  part.load_run_open = false;
+  for (ColumnBatch& batch : batches) {
+    if (batch.num_rows == 0) continue;
+    DYNOPT_CHECK(batch.columns.size() == schema_.num_fields());
+    DYNOPT_CHECK(batch.row_sizes.size() == batch.num_rows);
+    uint64_t bytes = 0;
+    for (uint64_t s : batch.row_sizes) bytes += s;
+    part.run_starts.push_back(part.rows);
+    part.rows += batch.num_rows;
+    part.bytes += bytes;
+    num_rows_ += batch.num_rows;
+    total_bytes_ += bytes;
+    part.runs.push_back(std::move(batch));
+  }
+  batches.clear();
+}
+
+Row Table::ReadRow(size_t p, uint64_t offset) const {
+  const Partition& part = partitions_[p];
+  DYNOPT_CHECK(offset < part.rows);
+  // The run holding `offset` is the last one starting at or before it.
+  const size_t run = static_cast<size_t>(
+      std::upper_bound(part.run_starts.begin(), part.run_starts.end(),
+                       offset) -
+      part.run_starts.begin() - 1);
+  return part.runs[run].RowAt(
+      static_cast<size_t>(offset - part.run_starts[run]));
+}
+
+std::vector<Row> Table::ReadRows(size_t p) const {
+  std::vector<Row> rows;
+  rows.reserve(partitions_[p].rows);
+  for (const ColumnBatch& run : partitions_[p].runs) {
+    for (size_t i = 0; i < run.num_rows; ++i) rows.push_back(run.RowAt(i));
+  }
+  return rows;
 }
 
 Status Table::CreateSecondaryIndex(const std::string& column) {
@@ -83,10 +145,12 @@ Status Table::CreateSecondaryIndex(const std::string& column) {
   auto index =
       std::make_unique<SecondaryIndex>(column, idx, partitions_.size());
   for (size_t p = 0; p < partitions_.size(); ++p) {
-    const auto& rows = partitions_[p];
-    for (size_t r = 0; r < rows.size(); ++r) {
-      index->Insert(rows[r][static_cast<size_t>(idx)], p,
-                    static_cast<uint32_t>(r));
+    uint32_t offset = 0;
+    for (const ColumnBatch& run : partitions_[p].runs) {
+      const ColumnVector& col = run.columns[static_cast<size_t>(idx)];
+      for (size_t i = 0; i < run.num_rows; ++i) {
+        index->Insert(col.ValueAt(i), p, offset++);
+      }
     }
   }
   indexes_[column] = std::move(index);

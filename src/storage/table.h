@@ -10,6 +10,7 @@
 
 #include "common/status.h"
 #include "common/value.h"
+#include "storage/column_batch.h"
 #include "storage/schema.h"
 
 namespace dynopt {
@@ -50,9 +51,15 @@ class SecondaryIndex {
       partitions_;
 };
 
-/// A base dataset: rows hash-partitioned across the simulated cluster's
-/// nodes. Immutable after load (the workloads bulk-load then query, as in
-/// the paper's experimental setup).
+/// A dataset stored as immutable typed column runs: rows hash-partitioned
+/// across the simulated cluster's nodes, each partition a sequence of
+/// ColumnBatch runs in row order. Base tables are bulk-loaded row by row
+/// (AppendRow) and then only read, as in the paper's experimental setup;
+/// temp tables take the batches a job produced (AppendBatches). Each run
+/// caches every row's full cost-model size, and each partition its row
+/// count and byte total, so scans never re-size rows. String columns
+/// loaded through AppendRow share one dictionary per column across all
+/// partitions.
 class Table {
  public:
   Table(std::string name, Schema schema, size_t num_partitions);
@@ -62,13 +69,17 @@ class Table {
   /// rows are spread round-robin.
   Status SetPartitionKey(const std::vector<std::string>& columns);
 
-  /// Appends one row, routing it to its home partition.
-  void AppendRow(Row row);
+  /// Appends one row to its home partition — the load API. Values go into
+  /// the partition's open run column by column: NULLs into validity,
+  /// strings into the column's shared dictionary, and a column whose values
+  /// mix types falls back to kValues.
+  void AppendRow(const Row& row);
 
-  /// Appends one row to an explicit partition — used when materializing an
-  /// intermediate dataset so the producing node's placement (and thus any
-  /// skew) is preserved.
-  void AppendRowToPartition(size_t partition, Row row);
+  /// Moves finished batches onto the end of `partition` as new runs (the
+  /// materialization sink, so the producing node's placement — and any
+  /// skew — survives). Each non-empty batch must have one column per
+  /// schema field and row_sizes holding RowSizeBytes of each row.
+  void AppendBatches(size_t partition, std::vector<ColumnBatch>&& batches);
 
   /// Builds a secondary index over `column` (for the Figure-8 INLJ
   /// experiments). Call after loading completes.
@@ -82,18 +93,45 @@ class Table {
   const std::string& name() const { return name_; }
   const Schema& schema() const { return schema_; }
   size_t num_partitions() const { return partitions_.size(); }
-  const std::vector<Row>& partition(size_t i) const { return partitions_[i]; }
+  /// The column runs of partition `p`, in row order.
+  const std::vector<ColumnBatch>& partition(size_t p) const {
+    return partitions_[p].runs;
+  }
+  uint64_t PartitionRows(size_t p) const { return partitions_[p].rows; }
+  uint64_t PartitionBytes(size_t p) const { return partitions_[p].bytes; }
   const std::vector<std::string>& partition_key() const {
     return partition_key_;
   }
+
+  /// Row accessor for row-at-a-time readers (the index nested loop join and
+  /// tests): row `offset` of partition `p`, built from the columns.
+  Row ReadRow(size_t p, uint64_t offset) const;
+  /// Every row of partition `p`, in order.
+  std::vector<Row> ReadRows(size_t p) const;
 
   uint64_t NumRows() const { return num_rows_; }
   uint64_t TotalBytes() const { return total_bytes_; }
 
  private:
+  struct Partition {
+    std::vector<ColumnBatch> runs;
+    std::vector<uint64_t> run_starts;  ///< First row offset of each run.
+    uint64_t rows = 0;
+    uint64_t bytes = 0;
+    bool load_run_open = false;  ///< Last run accepts AppendRow.
+  };
+
+  /// Starts the AppendRow run of `part`: one empty column per field, typed
+  /// after the schema (TypedKindFor), string columns on the shared
+  /// dictionaries.
+  void OpenLoadRun(Partition* part);
+
   std::string name_;
   Schema schema_;
-  std::vector<std::vector<Row>> partitions_;
+  std::vector<Partition> partitions_;
+  /// Per-field shared dictionary of AppendRow-loaded string columns (null
+  /// for non-string fields).
+  std::vector<std::shared_ptr<StringDict>> dicts_;
   std::vector<std::string> partition_key_;
   std::vector<int> partition_key_indices_;
   uint64_t num_rows_ = 0;

@@ -43,6 +43,15 @@ void ExpectDatasetsEqual(const Dataset& a, const Dataset& b) {
   }
 }
 
+/// Job outputs: identical rows in identical partitions and order, and
+/// identical row_sizes annotations (batch boundaries may differ).
+void ExpectDatasetsEqual(const ColumnarDataset& a, const ColumnarDataset& b) {
+  Dataset ra = ToDataset(ColumnarDataset(a));
+  Dataset rb = ToDataset(ColumnarDataset(b));
+  ExpectDatasetsEqual(ra, rb);
+  EXPECT_EQ(ra.row_sizes, rb.row_sizes);
+}
+
 void ExpectMetricsEqual(const ExecMetrics& a, const ExecMetrics& b) {
   // Bit-exact: the columnar operators must charge exactly the same units of
   // work in exactly the same order as the row operators.
@@ -132,6 +141,64 @@ TEST(ColumnBatchTest, BatchHashAndSizeMatchRowKernels) {
     }
   }
   EXPECT_EQ(row_idx, data.partitions[0].size());
+}
+
+TEST(ColumnBatchTest, ColumnwiseStatsAndSketchesMatchRowCollection) {
+  // Stored runs of a table with every column kind, including NULLs and a
+  // mixed-type column; strings go through the dictionary's cached hashes.
+  Dataset data = RandomDataset(9, 700, 1, 30, 0.2);
+  Table t("t", Schema({{"k", ValueType::kInt64},
+                       {"k2", ValueType::kInt64},
+                       {"score", ValueType::kDouble},
+                       {"name", ValueType::kString},
+                       {"mixed", ValueType::kInt64}}),
+          1);
+  for (const Row& row : data.partitions[0]) t.AppendRow(row);
+  const std::vector<std::string> names = {"k", "score", "name", "mixed"};
+  const std::vector<int> slots = {0, 2, 3, 4};
+  TableStatsBuilder by_row(names, slots), by_column(names, slots);
+  for (const Row& row : t.ReadRows(0)) by_row.AddRow(row);
+  for (const ColumnBatch& run : t.partition(0)) {
+    AddBatchToStats(run, &by_column);
+  }
+  const TableStats a = by_row.Finalize();
+  const TableStats b = by_column.Finalize();
+  EXPECT_EQ(a.row_count, b.row_count);
+  EXPECT_EQ(a.total_bytes, b.total_bytes);
+  for (const std::string& name : names) {
+    const ColumnStatsSnapshot& x = a.columns.at(name);
+    const ColumnStatsSnapshot& y = b.columns.at(name);
+    EXPECT_EQ(x.count, y.count) << name;
+    EXPECT_EQ(x.null_count, y.null_count) << name;
+    EXPECT_EQ(x.ndv, y.ndv) << name;
+    EXPECT_EQ(x.min_value, y.min_value) << name;
+    EXPECT_EQ(x.max_value, y.max_value) << name;
+    EXPECT_EQ(x.histogram.boundaries(), y.histogram.boundaries()) << name;
+  }
+
+  SketchOptions opts;
+  for (int col : {0, 3, 4}) {
+    JoinKeySketch by_rows{BloomFilter(700, 10, 1), FastAgmsSketch(opts), 0, 0};
+    JoinKeySketch by_cols{BloomFilter(700, 10, 1), FastAgmsSketch(opts), 0, 0};
+    for (const Row& row : t.ReadRows(0)) {
+      ++by_rows.rows;
+      if (row[static_cast<size_t>(col)].is_null()) {
+        ++by_rows.null_keys;
+        continue;
+      }
+      const uint64_t h = HashRowKey(row, {col});
+      by_rows.bloom.Insert(h);
+      by_rows.agms.Update(h);
+    }
+    for (const ColumnBatch& run : t.partition(0)) {
+      AddColumnToSketch(run, col, &by_cols);
+    }
+    EXPECT_EQ(by_rows.rows, by_cols.rows);
+    EXPECT_EQ(by_rows.null_keys, by_cols.null_keys);
+    EXPECT_EQ(by_rows.agms.JoinSizeEstimate(by_rows.agms),
+              by_cols.agms.JoinSizeEstimate(by_cols.agms));
+    EXPECT_EQ(by_rows.bloom.num_inserted(), by_cols.bloom.num_inserted());
+  }
 }
 
 // --- Columnar kernels vs row reference kernels ----------------------------
@@ -388,6 +455,54 @@ TEST_F(ColumnarParityTest, SimulatedTimeInvariantUnderBatchSize) {
     }
     ExpectDatasetsEqual(baseline.data, result->data);
     ExpectMetricsEqual(baseline.metrics, result->metrics);
+  }
+}
+
+TEST_F(ColumnarParityTest, ScanOutputInvariantUnderBatchSize) {
+  MakeTable("t", 900, 40, 73);
+  // A temp table too: its stored runs are a join's output batches.
+  engine_->mutable_cluster().exec.max_batch_size = 50;
+  auto join = engine_->MakeExecutor().Execute(
+      *PlanNode::Join(JoinMethod::kHashShuffle, PlanNode::Scan("t", "l"),
+                      PlanNode::Scan("t", "r"), {{"l.k2", "r.k2"}}),
+      {});
+  ASSERT_TRUE(join.ok()) << join.status().ToString();
+  ExecMetrics sink_metrics;
+  auto sink = engine_->MakeExecutor().Materialize(
+      std::move(join->data), "scan", {}, false, &sink_metrics);
+  ASSERT_TRUE(sink.ok()) << sink.status().ToString();
+
+  std::vector<std::unique_ptr<PlanNode>> plans;
+  plans.push_back(PlanNode::Scan("t", "a"));
+  plans.push_back(PlanNode::Scan("t", "a", false, {"a.name", "a.k"}));
+  plans.push_back(PlanNode::Scan(sink->table_name, "", true));
+  plans.push_back(PlanNode::Scan(sink->table_name, "", true,
+                                 {"r.score", "l.name", "l.k"}));
+  for (const auto& plan : plans) {
+    JobResult baseline;
+    bool first = true;
+    for (size_t batch_size : {1u, 7u, 1024u, 4096u}) {
+      engine_->mutable_cluster().exec.max_batch_size = batch_size;
+      auto result = engine_->MakeExecutor().Execute(*plan, {});
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      for (const auto& part : result->data.partitions) {
+        for (const ColumnBatch& b : part) {
+          EXPECT_GT(b.num_rows, 0u);
+          EXPECT_LE(b.num_rows, batch_size);
+          ASSERT_EQ(b.row_sizes.size(), b.num_rows);
+          for (size_t i = 0; i < b.num_rows; ++i) {
+            EXPECT_EQ(b.row_sizes[i], RowSizeBytes(b.RowAt(i)));
+          }
+        }
+      }
+      if (first) {
+        baseline = std::move(*result);
+        first = false;
+        continue;
+      }
+      ExpectDatasetsEqual(baseline.data, result->data);
+      ExpectMetricsEqual(baseline.metrics, result->metrics);
+    }
   }
 }
 

@@ -76,7 +76,7 @@ TEST(CsvLoadTest, LoadsAndPartitions) {
   // Find bob's row and check the NULL.
   bool found_bob = false;
   for (size_t p = 0; p < (*table)->num_partitions(); ++p) {
-    for (const Row& row : (*table)->partition(p)) {
+    for (const Row& row : (*table)->ReadRows(p)) {
       if (row[1] == Value("bob")) {
         found_bob = true;
         EXPECT_TRUE(row[2].is_null());

@@ -22,7 +22,7 @@
 #include "exec/engine.h"
 #include "exec/executor.h"
 #include "exec/reference_kernels.h"
-#include "exec/row_kernels.h"
+#include "common/row_kernels.h"
 #include "opt/optimizer.h"
 
 namespace dynopt {

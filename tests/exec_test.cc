@@ -165,7 +165,7 @@ TEST_P(JoinCorrectnessTest, HashAndBroadcastMatchNaive) {
   }
 
   // Oracle.
-  Dataset lscan, rscan;
+  ColumnarDataset lscan, rscan;
   {
     auto lres = Exec(*PlanNode::Scan("lhs", "l"));
     auto rres = Exec(*PlanNode::Scan("rhs", "r"));
@@ -324,9 +324,9 @@ TEST_F(ExecTest, MaterializePreservesDataAndPartitions) {
   MakeTable("t", 500, 50, 50);
   auto scan = Exec(*PlanNode::Scan("t", "a"));
   ASSERT_TRUE(scan.ok());
-  std::vector<size_t> partition_sizes;
-  for (const auto& p : scan->data.partitions) {
-    partition_sizes.push_back(p.size());
+  std::vector<uint64_t> partition_sizes;
+  for (size_t p = 0; p < scan->data.partitions.size(); ++p) {
+    partition_sizes.push_back(scan->data.PartitionRows(p));
   }
   std::vector<Row> original = scan->data.GatherRows();
 
@@ -347,7 +347,7 @@ TEST_F(ExecTest, MaterializePreservesDataAndPartitions) {
   auto table = engine_->catalog().GetTable(sink->table_name);
   ASSERT_TRUE(table.ok());
   for (size_t p = 0; p < partition_sizes.size(); ++p) {
-    EXPECT_EQ(table.value()->partition(p).size(), partition_sizes[p]);
+    EXPECT_EQ(table.value()->PartitionRows(p), partition_sizes[p]);
   }
   auto reread = Exec(*PlanNode::Scan(sink->table_name, "", true));
   ASSERT_TRUE(reread.ok());
@@ -357,6 +357,58 @@ TEST_F(ExecTest, MaterializePreservesDataAndPartitions) {
   EXPECT_EQ(original, roundtrip);
   EXPECT_GT(reread->metrics.bytes_intermediate_read, 0u);
   EXPECT_GT(reread->metrics.reopt_seconds, 0.0);
+}
+
+TEST_F(ExecTest, MaterializeThenScanKeepsOrderPlacementAndBytes) {
+  MakeTable("t", 700, 40, 52);
+  // A join output (many batches per partition, shared dictionaries), both
+  // in memory and through the on-disk temp-file round trip.
+  auto plan = [] {
+    return PlanNode::Join(JoinMethod::kHashShuffle, PlanNode::Scan("t", "l"),
+                          PlanNode::Scan("t", "r"), {{"l.k2", "r.k2"}});
+  };
+  for (bool to_disk : {false, true}) {
+    engine_->mutable_cluster().materialize_to_disk = to_disk;
+    engine_->mutable_cluster().exec.max_batch_size = 100;
+    auto job = Exec(*plan());
+    ASSERT_TRUE(job.ok()) << job.status().ToString();
+    const ColumnarDataset& out = job->data;
+    const uint64_t out_bytes = out.TotalBytes();
+    std::vector<std::vector<Row>> expected(out.partitions.size());
+    for (size_t p = 0; p < out.partitions.size(); ++p) {
+      for (const ColumnBatch& b : out.partitions[p]) {
+        for (size_t i = 0; i < b.num_rows; ++i) {
+          expected[p].push_back(b.RowAt(i));
+        }
+      }
+    }
+
+    JobExecutor executor = engine_->MakeExecutor();
+    ExecMetrics metrics;
+    auto sink = executor.Materialize(std::move(job->data), "order", {"l.k"},
+                                     true, &metrics, nullptr);
+    ASSERT_TRUE(sink.ok()) << sink.status().ToString();
+    EXPECT_EQ(metrics.bytes_materialized, out_bytes);
+    auto table = engine_->catalog().GetTable(sink->table_name);
+    ASSERT_TRUE(table.ok());
+    EXPECT_EQ(table.value()->TotalBytes(), out_bytes);
+
+    auto reread = Exec(*PlanNode::Scan(sink->table_name, "", true));
+    ASSERT_TRUE(reread.ok()) << reread.status().ToString();
+    EXPECT_EQ(reread->metrics.bytes_intermediate_read, out_bytes);
+    ASSERT_EQ(reread->data.partitions.size(), expected.size());
+    for (size_t p = 0; p < expected.size(); ++p) {
+      std::vector<Row> actual;
+      for (const ColumnBatch& b : reread->data.partitions[p]) {
+        for (size_t i = 0; i < b.num_rows; ++i) {
+          actual.push_back(b.RowAt(i));
+          EXPECT_EQ(b.row_sizes[i], RowSizeBytes(actual.back()));
+        }
+      }
+      // Same rows, same order, same node.
+      EXPECT_EQ(actual, expected[p]) << "partition " << p;
+    }
+  }
 }
 
 TEST_F(ExecTest, MaterializeWithoutStatsStillRecordsCardinality) {

@@ -136,6 +136,63 @@ TEST_F(FinalizeTest, GlobalAggregateNoGroupBy) {
   EXPECT_EQ(result.rows[0][0], Value(int64_t{79}));
 }
 
+TEST_F(FinalizeTest, GlobalAggregateOverEmptyInputYieldsOneRow) {
+  OptimizerRunResult result;
+  result.columns = {"t.g", "t.v"};
+  QuerySpec spec;
+  spec.projections = {"t.v"};
+  spec.aggregates = {{AggFn::kCount, "t.v", "c"},
+                     {AggFn::kSum, "t.v", "s"},
+                     {AggFn::kMin, "t.v", "lo"},
+                     {AggFn::kMax, "t.v", "hi"},
+                     {AggFn::kAvg, "t.v", "avg"}};
+  ASSERT_TRUE(ApplyPostProcessing(spec, cluster_, &result).ok());
+  ASSERT_EQ(result.rows.size(), 1u);
+  EXPECT_EQ(result.rows[0], (Row{Value(int64_t{0}), Value::Null(),
+                                 Value::Null(), Value::Null(),
+                                 Value::Null()}));
+  EXPECT_EQ(result.metrics.rows_out, 1u);
+
+  // With GROUP BY, empty input still has no groups.
+  OptimizerRunResult grouped;
+  grouped.columns = {"t.g", "t.v"};
+  ASSERT_TRUE(
+      ApplyPostProcessing(AggSpec(AggFn::kCount), cluster_, &grouped).ok());
+  EXPECT_TRUE(grouped.rows.empty());
+}
+
+/// End-to-end: COUNT over a filter that matches nothing is one row, 0.
+TEST(AggregationEndToEndTest, CountOverEmptyFilterIsZero) {
+  Engine engine;
+  auto orders = std::make_shared<Table>(
+      "orders",
+      Schema({{"o_orderkey", ValueType::kInt64},
+              {"o_totalprice", ValueType::kDouble}}),
+      engine.cluster().num_nodes);
+  ASSERT_TRUE(orders->SetPartitionKey({"o_orderkey"}).ok());
+  for (int i = 1; i <= 200; ++i) {
+    orders->AppendRow({Value(i), Value(1.5 * i)});
+  }
+  ASSERT_TRUE(engine.catalog().RegisterTable(orders).ok());
+  ASSERT_TRUE(
+      engine.CollectBaseStats("orders", {"o_orderkey", "o_totalprice"}).ok());
+
+  auto query = ParseAndBind(
+      "SELECT COUNT(o_orderkey), SUM(o_totalprice) FROM orders "
+      "WHERE o_orderkey < 0",
+      engine.catalog());
+  ASSERT_TRUE(query.ok()) << query.status().ToString();
+  DynamicOptimizer dynamic(&engine);
+  StaticCostBasedOptimizer cost_based(&engine);
+  for (Optimizer* opt : std::vector<Optimizer*>{&dynamic, &cost_based}) {
+    auto run = opt->Run(query.value());
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    ASSERT_EQ(run->rows.size(), 1u) << opt->name();
+    EXPECT_EQ(run->rows[0], (Row{Value(int64_t{0}), Value::Null()}))
+        << opt->name();
+  }
+}
+
 /// End-to-end: aggregation through SQL and every optimizer.
 TEST(AggregationEndToEndTest, AllOptimizersAgree) {
   Engine engine;

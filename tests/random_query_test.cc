@@ -72,7 +72,7 @@ std::vector<Row> Oracle(Engine* engine, const QuerySpec& spec, bool* ok) {
       bound = std::move(bound_or).value();
     }
     for (size_t p = 0; p < table->num_partitions(); ++p) {
-      for (const Row& row : table->partition(p)) {
+      for (const Row& row : table->ReadRows(p)) {
         if (bound == nullptr || bound->EvalBool(row)) piece.rows.push_back(row);
       }
     }
@@ -207,6 +207,12 @@ std::vector<Row> Oracle(Engine* engine, const QuerySpec& spec, bool* ok) {
         const Value& v = row[static_cast<size_t>(agg_slots[a])];
         if (!v.is_null()) it->second[a].push_back(v);
       }
+    }
+    // SQL: an aggregate without GROUP BY yields exactly one row, even when
+    // its input is empty (COUNT 0; SUM/MIN/MAX NULL — finished below).
+    if (group_slots.empty() && groups.empty()) {
+      groups.try_emplace(Row{}, std::vector<std::vector<Value>>(
+                                    spec.aggregates.size()));
     }
     std::vector<Row> grouped;
     for (const auto& [key, values] : groups) {

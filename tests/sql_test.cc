@@ -151,6 +151,36 @@ TEST(ParserTest, Errors) {
             StatusCode::kParseError);  // Expressions in SELECT unsupported.
 }
 
+TEST(ParserTest, OutOfRangeIntegerLiteralIsParseError) {
+  auto stmt = ParseSelect(
+      "SELECT o.o_orderkey FROM orders o "
+      "WHERE o.o_orderkey = 99999999999999999999999");
+  EXPECT_EQ(stmt.status().code(), StatusCode::kParseError);
+  EXPECT_NE(stmt.status().message().find("out of range"), std::string::npos);
+  // The largest int64 still parses.
+  EXPECT_TRUE(ParseSelect("SELECT a.x FROM t a WHERE a.x = 9223372036854775807")
+                  .ok());
+}
+
+TEST(ParserTest, OutOfRangeLimitIsParseError) {
+  EXPECT_EQ(ParseSelect("SELECT a.x FROM t a LIMIT 99999999999999999999999")
+                .status()
+                .code(),
+            StatusCode::kParseError);
+  auto ok = ParseSelect("SELECT a.x FROM t a LIMIT 5");
+  ASSERT_TRUE(ok.ok());
+  EXPECT_EQ(ok->limit, 5);
+}
+
+TEST(ParserTest, OutOfRangeDoubleLiteralIsParseError) {
+  const std::string huge = "1" + std::string(400, '0') + ".5";
+  EXPECT_EQ(ParseSelect("SELECT a.x FROM t a WHERE a.x < " + huge)
+                .status()
+                .code(),
+            StatusCode::kParseError);
+  EXPECT_TRUE(ParseSelect("SELECT a.x FROM t a WHERE a.x < 12.5").ok());
+}
+
 // --- Binder -------------------------------------------------------------------
 
 class BinderTest : public ::testing::Test {

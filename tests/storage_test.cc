@@ -36,7 +36,7 @@ TEST(TableTest, RoundRobinWithoutPartitionKey) {
   Table t("t", TwoColumnSchema(), 4);
   for (int i = 0; i < 8; ++i) t.AppendRow({Value(i), Value("r")});
   EXPECT_EQ(t.NumRows(), 8u);
-  for (size_t p = 0; p < 4; ++p) EXPECT_EQ(t.partition(p).size(), 2u);
+  for (size_t p = 0; p < 4; ++p) EXPECT_EQ(t.PartitionRows(p), 2u);
 }
 
 TEST(TableTest, HashPartitioningIsDeterministicAndKeyLocal) {
@@ -46,11 +46,11 @@ TEST(TableTest, HashPartitioningIsDeterministicAndKeyLocal) {
   // All rows with equal key land in the same partition.
   for (size_t p = 0; p < t.num_partitions(); ++p) {
     std::set<int64_t> keys;
-    for (const Row& row : t.partition(p)) keys.insert(row[0].AsInt64());
+    for (const Row& row : t.ReadRows(p)) keys.insert(row[0].AsInt64());
     for (int64_t k : keys) {
       for (size_t q = 0; q < t.num_partitions(); ++q) {
         if (q == p) continue;
-        for (const Row& row : t.partition(q)) {
+        for (const Row& row : t.ReadRows(q)) {
           EXPECT_NE(row[0].AsInt64(), k)
               << "key " << k << " in partitions " << p << " and " << q;
         }
@@ -66,21 +66,168 @@ TEST(TableTest, PartitionKeyMustExistAndPrecedeLoad) {
   EXPECT_EQ(t.SetPartitionKey({"id"}).code(), StatusCode::kInvalidArgument);
 }
 
-TEST(TableTest, AppendRowToPartitionPreservesPlacement) {
-  Table t("t", TwoColumnSchema(), 3);
-  t.AppendRowToPartition(2, {Value(1), Value("a")});
-  t.AppendRowToPartition(2, {Value(2), Value("b")});
-  EXPECT_EQ(t.partition(0).size(), 0u);
-  EXPECT_EQ(t.partition(2).size(), 2u);
-  EXPECT_EQ(t.NumRows(), 2u);
-  EXPECT_GT(t.TotalBytes(), 0u);
-}
-
 TEST(TableTest, TotalBytesGrowsWithData) {
   Table t("t", TwoColumnSchema(), 2);
   uint64_t before = t.TotalBytes();
   t.AppendRow({Value(1), Value("hello world, a longer string")});
   EXPECT_GT(t.TotalBytes(), before + 20);
+}
+
+// --- Columnar storage ----------------------------------------------------------
+
+/// Every storage case in one schema: typed ints, doubles, bools and
+/// strings with NULLs, an all-NULL column, a column whose values mix types
+/// (must fall back to kValues), and an untyped field.
+Schema ZooSchema() {
+  return Schema({{"i", ValueType::kInt64},
+                 {"d", ValueType::kDouble},
+                 {"b", ValueType::kBool},
+                 {"s", ValueType::kString},
+                 {"none", ValueType::kInt64},
+                 {"mixed", ValueType::kInt64},
+                 {"untyped", ValueType::kNull}});
+}
+
+std::vector<Row> ZooRows(int n) {
+  std::vector<Row> rows;
+  for (int r = 0; r < n; ++r) {
+    Row row;
+    row.push_back(r % 5 == 0 ? Value::Null() : Value(int64_t{r} * 1000003));
+    row.push_back(r % 7 == 0 ? Value::Null() : Value(r * 0.25 - 3.0));
+    row.push_back(r % 4 == 0 ? Value::Null() : Value(r % 3 == 0));
+    row.push_back(r % 6 == 0 ? Value::Null()
+                             : Value("str_" + std::to_string(r % 9)));
+    row.push_back(Value::Null());
+    row.push_back(r == 5 ? Value("five") : Value(r));
+    row.push_back(r % 2 == 0 ? Value(r) : Value(r * 1.5));
+    rows.push_back(std::move(row));
+  }
+  return rows;
+}
+
+TEST(ColumnarStorageTest, RowsReadBackExactlyAsAppended) {
+  const size_t num_parts = 3;
+  Table t("zoo", ZooSchema(), num_parts);
+  const std::vector<Row> rows = ZooRows(40);
+  for (const Row& row : rows) t.AppendRow(row);
+  ASSERT_EQ(t.NumRows(), rows.size());
+
+  for (size_t p = 0; p < num_parts; ++p) {
+    // Round-robin placement: row r lives in partition r % 3.
+    std::vector<Row> expected;
+    for (size_t r = p; r < rows.size(); r += num_parts) {
+      expected.push_back(rows[r]);
+    }
+    const std::vector<Row> actual = t.ReadRows(p);
+    ASSERT_EQ(actual.size(), expected.size());
+    for (size_t i = 0; i < actual.size(); ++i) {
+      ASSERT_EQ(actual[i].size(), expected[i].size());
+      for (size_t c = 0; c < actual[i].size(); ++c) {
+        // Exact: same type tag and same value, NULLs included.
+        EXPECT_EQ(actual[i][c].type(), expected[i][c].type())
+            << "partition " << p << " row " << i << " column " << c;
+        EXPECT_EQ(actual[i][c], expected[i][c]);
+      }
+      EXPECT_EQ(t.ReadRow(p, i), expected[i]);
+    }
+  }
+
+  // Layout: typed columns stay typed, the mixed column falls back, and the
+  // string column shares one dictionary across partitions.
+  const ColumnBatch& run0 = t.partition(0).front();
+  const ColumnBatch& run1 = t.partition(1).front();
+  EXPECT_EQ(run0.columns[0].kind, ColumnKind::kInt64);
+  EXPECT_EQ(run0.columns[1].kind, ColumnKind::kDouble);
+  EXPECT_EQ(run0.columns[2].kind, ColumnKind::kBool);
+  EXPECT_EQ(run0.columns[3].kind, ColumnKind::kString);
+  EXPECT_EQ(run0.columns[4].kind, ColumnKind::kInt64);
+  EXPECT_EQ(run0.columns[6].kind, ColumnKind::kValues);
+  // Row 5 ("five") went to partition 2 only.
+  EXPECT_EQ(t.partition(2).front().columns[5].kind, ColumnKind::kValues);
+  EXPECT_EQ(run0.columns[5].kind, ColumnKind::kInt64);
+  EXPECT_EQ(run0.columns[3].dict.get(), run1.columns[3].dict.get());
+  for (size_t i = 0; i < run0.num_rows; ++i) {
+    EXPECT_TRUE(run0.columns[4].IsNullAt(i));
+  }
+}
+
+TEST(ColumnarStorageTest, EmptyPartitions) {
+  Table t("t", TwoColumnSchema(), 4);
+  t.AppendRow({Value(1), Value("a")});
+  t.AppendRow({Value(2), Value::Null()});
+  for (size_t p = 2; p < 4; ++p) {
+    EXPECT_TRUE(t.partition(p).empty());
+    EXPECT_TRUE(t.ReadRows(p).empty());
+    EXPECT_EQ(t.PartitionRows(p), 0u);
+    EXPECT_EQ(t.PartitionBytes(p), 0u);
+  }
+  EXPECT_EQ(t.ReadRows(1), (std::vector<Row>{{Value(2), Value::Null()}}));
+
+  Table empty("e", TwoColumnSchema(), 2);
+  EXPECT_EQ(empty.NumRows(), 0u);
+  EXPECT_EQ(empty.TotalBytes(), 0u);
+  ASSERT_TRUE(empty.CreateSecondaryIndex("id").ok());
+}
+
+TEST(ColumnarStorageTest, ByteTotalsEqualSumOfRowSizes) {
+  Table t("zoo", ZooSchema(), 4);
+  ASSERT_TRUE(t.SetPartitionKey({"i"}).ok());
+  for (const Row& row : ZooRows(200)) t.AppendRow(row);
+  uint64_t total = 0;
+  for (size_t p = 0; p < t.num_partitions(); ++p) {
+    uint64_t part = 0;
+    for (const Row& row : t.ReadRows(p)) part += RowSizeBytes(row);
+    EXPECT_EQ(t.PartitionBytes(p), part) << "partition " << p;
+    // The per-row cache agrees row by row.
+    for (const ColumnBatch& run : t.partition(p)) {
+      for (size_t i = 0; i < run.num_rows; ++i) {
+        EXPECT_EQ(run.row_sizes[i], RowSizeBytes(run.RowAt(i)));
+      }
+    }
+    total += part;
+  }
+  EXPECT_EQ(t.TotalBytes(), total);
+}
+
+/// A batch holding `rows`, built through the same column append the load
+/// path uses.
+ColumnBatch BatchOf(const std::vector<Row>& rows) {
+  ColumnBatch batch;
+  batch.columns.resize(2);
+  batch.columns[0].kind = ColumnKind::kInt64;
+  batch.columns[1].kind = ColumnKind::kString;
+  batch.columns[1].dict = std::make_shared<StringDict>();
+  for (const Row& row : rows) {
+    batch.columns[0].Append(row[0]);
+    batch.columns[1].Append(row[1]);
+    batch.row_sizes.push_back(RowSizeBytes(row));
+  }
+  batch.num_rows = rows.size();
+  return batch;
+}
+
+TEST(ColumnarStorageTest, AppendBatchesPreservesPlacementAndOrder) {
+  Table t("t", TwoColumnSchema(), 3);
+  const std::vector<Row> first = {{Value(1), Value("a")},
+                                  {Value(2), Value("b")}};
+  const std::vector<Row> second = {{Value(3), Value::Null()}};
+  std::vector<ColumnBatch> batches;
+  batches.push_back(BatchOf(first));
+  batches.push_back(ColumnBatch());  // Empty batches are dropped.
+  batches.push_back(BatchOf(second));
+  t.AppendBatches(2, std::move(batches));
+  EXPECT_EQ(t.partition(0).size(), 0u);
+  EXPECT_EQ(t.partition(2).size(), 2u);
+  EXPECT_EQ(t.PartitionRows(2), 3u);
+  EXPECT_EQ(t.NumRows(), 3u);
+  const std::vector<Row> all = {first[0], first[1], second[0]};
+  EXPECT_EQ(t.ReadRows(2), all);
+  // Row offsets run across run boundaries.
+  for (size_t i = 0; i < all.size(); ++i) EXPECT_EQ(t.ReadRow(2, i), all[i]);
+  uint64_t bytes = 0;
+  for (const Row& row : all) bytes += RowSizeBytes(row);
+  EXPECT_EQ(t.PartitionBytes(2), bytes);
+  EXPECT_EQ(t.TotalBytes(), bytes);
 }
 
 // --- Secondary index -----------------------------------------------------------
@@ -105,7 +252,7 @@ TEST(IndexTest, CreateAndLookup) {
         index->Lookup(p, Value("name_3"));
     if (offsets == nullptr) continue;
     for (uint32_t off : *offsets) {
-      EXPECT_EQ(t.partition(p)[off][1], Value("name_3"));
+      EXPECT_EQ(t.ReadRow(p, off)[1], Value("name_3"));
       ++total_matches;
     }
   }

@@ -60,7 +60,7 @@ TEST_F(TpchTest, LineitemForeignKeysValid) {
   const int64_t max_part = static_cast<int64_t>(part->NumRows());
   const int64_t max_supp = static_cast<int64_t>(supplier->NumRows());
   for (size_t p = 0; p < lineitem->num_partitions(); ++p) {
-    for (const Row& row : lineitem->partition(p)) {
+    for (const Row& row : lineitem->ReadRows(p)) {
       EXPECT_LT(row[0].AsInt64(), max_order);  // l_orderkey.
       EXPECT_LT(row[2].AsInt64(), max_part);   // l_partkey.
       EXPECT_LT(row[3].AsInt64(), max_supp);   // l_suppkey.
@@ -74,13 +74,13 @@ TEST_F(TpchTest, LineitemPairsExistInPartsupp) {
   auto partsupp = Get("partsupp");
   std::set<std::pair<int64_t, int64_t>> pairs;
   for (size_t p = 0; p < partsupp->num_partitions(); ++p) {
-    for (const Row& row : partsupp->partition(p)) {
+    for (const Row& row : partsupp->ReadRows(p)) {
       pairs.emplace(row[0].AsInt64(), row[1].AsInt64());
     }
   }
   auto lineitem = Get("lineitem");
   for (size_t p = 0; p < lineitem->num_partitions(); ++p) {
-    for (const Row& row : lineitem->partition(p)) {
+    for (const Row& row : lineitem->ReadRows(p)) {
       EXPECT_TRUE(pairs.count({row[2].AsInt64(), row[3].AsInt64()}) > 0)
           << "dangling (partkey, suppkey) = (" << row[2].AsInt64() << ", "
           << row[3].AsInt64() << ")";
@@ -94,7 +94,7 @@ TEST_F(TpchTest, BrandSkewPlanted) {
   auto part = Get("part");
   int brand3 = 0, total = 0;
   for (size_t p = 0; p < part->num_partitions(); ++p) {
-    for (const Row& row : part->partition(p)) {
+    for (const Row& row : part->ReadRows(p)) {
       ++total;
       if (row[2].AsString().rfind("Brand#3", 0) == 0) ++brand3;
     }
@@ -107,7 +107,7 @@ TEST_F(TpchTest, StatusDateCorrelationPlanted) {
   auto orders = Get("orders");
   int old_f = 0, old_total = 0, new_f = 0, new_total = 0;
   for (size_t p = 0; p < orders->num_partitions(); ++p) {
-    for (const Row& row : orders->partition(p)) {
+    for (const Row& row : orders->ReadRows(p)) {
       bool old_order = row[2].AsInt64() < 19950401;
       bool finished = row[3].AsString() == "F";
       if (old_order) {
@@ -181,10 +181,7 @@ TEST(TpchDeterminismTest, SameSeedSameData) {
   auto tb = b.catalog().GetTable("orders").value();
   ASSERT_EQ(ta->NumRows(), tb->NumRows());
   for (size_t p = 0; p < ta->num_partitions(); ++p) {
-    ASSERT_EQ(ta->partition(p).size(), tb->partition(p).size());
-    for (size_t r = 0; r < ta->partition(p).size(); ++r) {
-      EXPECT_EQ(ta->partition(p)[r], tb->partition(p)[r]);
-    }
+    EXPECT_EQ(ta->ReadRows(p), tb->ReadRows(p));
   }
 }
 
@@ -227,7 +224,7 @@ TEST_F(TpcdsTest, CardinalitySchedule) {
 TEST_F(TpcdsTest, DateDimConsistent) {
   auto dd = Get("date_dim");
   for (size_t p = 0; p < dd->num_partitions(); ++p) {
-    for (const Row& row : dd->partition(p)) {
+    for (const Row& row : dd->ReadRows(p)) {
       int64_t date = row[1].AsInt64();
       EXPECT_EQ(row[2].AsInt64(), date / 10000);       // d_year.
       EXPECT_EQ(row[3].AsInt64(), (date / 100) % 100);  // d_moy.
@@ -243,14 +240,14 @@ TEST_F(TpcdsTest, ReturnsReferenceRealSales) {
   auto ss = Get("store_sales");
   std::set<std::tuple<int64_t, int64_t, int64_t>> sale_keys;
   for (size_t p = 0; p < ss->num_partitions(); ++p) {
-    for (const Row& row : ss->partition(p)) {
+    for (const Row& row : ss->ReadRows(p)) {
       sale_keys.emplace(row[1].AsInt64(), row[3].AsInt64(),
                         row[2].AsInt64());
     }
   }
   auto sr = Get("store_returns");
   for (size_t p = 0; p < sr->num_partitions(); ++p) {
-    for (const Row& row : sr->partition(p)) {
+    for (const Row& row : sr->ReadRows(p)) {
       EXPECT_TRUE(sale_keys.count({row[1].AsInt64(), row[3].AsInt64(),
                                    row[2].AsInt64()}) > 0);
     }
@@ -263,13 +260,13 @@ TEST_F(TpcdsTest, ReturnSeasonConcentration) {
   auto dd = Get("date_dim");
   std::map<int64_t, int64_t> moy_by_sk;
   for (size_t p = 0; p < dd->num_partitions(); ++p) {
-    for (const Row& row : dd->partition(p)) {
+    for (const Row& row : dd->ReadRows(p)) {
       moy_by_sk[row[0].AsInt64()] = row[3].AsInt64();
     }
   }
   int hot = 0, total = 0;
   for (size_t p = 0; p < sr->num_partitions(); ++p) {
-    for (const Row& row : sr->partition(p)) {
+    for (const Row& row : sr->ReadRows(p)) {
       int64_t moy = moy_by_sk.at(row[0].AsInt64());
       ++total;
       if (moy >= 8 && moy <= 10) ++hot;
@@ -285,7 +282,7 @@ TEST_F(TpcdsTest, CustomerSkewPlanted) {
   std::map<int64_t, int> counts;
   uint64_t total = 0;
   for (size_t p = 0; p < ss->num_partitions(); ++p) {
-    for (const Row& row : ss->partition(p)) {
+    for (const Row& row : ss->ReadRows(p)) {
       ++counts[row[2].AsInt64()];
       ++total;
     }

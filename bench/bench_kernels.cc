@@ -4,23 +4,24 @@
 // orders and part), every join executed as shuffle-both-sides + local hash
 // join at the cluster's node count.
 //
-// Three implementations run on identical inputs:
-//  - seed:     the sequential reference kernels (exec/reference_kernels.h —
-//              the pre-parallel-exchange executor, verbatim);
-//  - row:      the two-phase parallel shuffle exchange + flat-table hash
-//              join with key hashes computed once and threaded through,
-//              operating row-at-a-time on Row vectors;
-//  - columnar: the vectorized batch engine (exec/vector_kernels.h) —
-//              per-column hash/gather/probe loops over ColumnBatches.
+// Two implementations run on identical inputs:
+//  - seed:     the sequential row-at-a-time reference kernels
+//              (tests/support/reference_kernels.h — the original executor's
+//              shuffle and std::unordered_map hash join, also the tests'
+//              oracle);
+//  - columnar: the executor's batch kernels (JobExecutor::Repartition /
+//              LocalHashJoin over exec/vector_kernels.h) — per-column
+//              hash/gather/probe loops over ColumnBatches.
 //
-// Plus a filter-kernel microbenchmark (VecPredicate::EvalBools vs the row
-// engine's Bind + EvalBool loop) and a columnar batch-size sweep
+// Plus a filter-kernel microbenchmark (VecPredicate::EvalBools vs a
+// row-at-a-time Bind + EvalBool loop), a hash-kernel microbenchmark
+// (HashKeyColumns vs HashRowKey per row) and a columnar batch-size sweep
 // (64/256/1024/4096).
 //
 // The report (stdout + BENCH_kernels.json) breaks wall time down per
 // kernel class (shuffle / build / probe) so every future perf PR has a
 // machine-readable trajectory. Simulated seconds are asserted identical
-// between all implementations — the perf work must not move the paper's
+// between the implementations — the perf work must not move the paper's
 // cost model.
 //
 // Usage: bench_kernels [--sf <paper_sf>] [--iters <n>] [--out <path>]
@@ -36,9 +37,10 @@
 #include "common/logging.h"
 #include "exec/batch.h"
 #include "exec/executor.h"
-#include "exec/reference_kernels.h"
 #include "exec/vector_kernels.h"
 #include "plan/expr.h"
+#include "support/dataset.h"
+#include "support/reference_kernels.h"
 
 namespace dynopt {
 namespace bench {
@@ -75,48 +77,30 @@ struct PipelineResult {
   Dataset output;
 };
 
-/// Runs the five-join chain over copies of `inputs`. `build_sides[s]` and
-/// the running intermediate are consumed; inputs stay reusable.
-PipelineResult RunPipeline(JobExecutor* executor,
+/// Runs the five-join chain through the seed kernels over copies of the
+/// inputs. `build_sides[s]` and the running intermediate are consumed;
+/// inputs stay reusable.
+PipelineResult RunPipeline(const ClusterConfig& cluster,
                            const std::vector<Dataset>& build_inputs,
                            const Dataset& probe_input,
                            const std::vector<JoinStep>& steps,
-                           bool parallel_kernels, bool keep_output) {
+                           bool keep_output) {
   // Copies happen before the timer: the benchmark measures the kernels,
   // not std::vector deep copies.
   std::vector<Dataset> builds = build_inputs;
   Dataset current = probe_input;
-  const ClusterConfig& cluster = executor->cluster();
 
   PipelineResult result;
   const auto start = WallClock::now();
   for (size_t s = 0; s < steps.size(); ++s) {
     std::vector<int> build_keys = MustResolve(builds[s], steps[s].build_cols);
     std::vector<int> probe_keys = MustResolve(current, steps[s].probe_cols);
-    if (parallel_kernels) {
-      // Injection is never armed here, so the kernels cannot fail.
-      auto build_or = executor->Repartition(std::move(builds[s]), build_keys,
-                                            &result.metrics);
-      DYNOPT_CHECK(build_or.ok());
-      ShuffleResult build_parts = std::move(build_or).value();
-      auto probe_or = executor->Repartition(std::move(current), probe_keys,
-                                            &result.metrics);
-      DYNOPT_CHECK(probe_or.ok());
-      ShuffleResult probe_parts = std::move(probe_or).value();
-      auto join_or = executor->LocalHashJoin(
-          build_parts.data, probe_parts.data, build_keys, probe_keys,
-          &result.metrics, &build_parts.hashes, &probe_parts.hashes);
-      DYNOPT_CHECK(join_or.ok());
-      current = std::move(join_or).value();
-    } else {
-      Dataset build_parts = reference::Repartition(
-          std::move(builds[s]), build_keys, cluster, &result.metrics);
-      Dataset probe_parts = reference::Repartition(
-          std::move(current), probe_keys, cluster, &result.metrics);
-      current = reference::LocalHashJoin(build_parts, probe_parts, build_keys,
-                                         probe_keys, cluster,
-                                         &result.metrics);
-    }
+    Dataset build_parts = reference::Repartition(
+        std::move(builds[s]), build_keys, cluster, &result.metrics);
+    Dataset probe_parts = reference::Repartition(
+        std::move(current), probe_keys, cluster, &result.metrics);
+    current = reference::LocalHashJoin(build_parts, probe_parts, build_keys,
+                                       probe_keys, cluster, &result.metrics);
   }
   result.total_wall = SecondsSince(start);
   result.rows_out = current.NumRows();
@@ -124,8 +108,8 @@ PipelineResult RunPipeline(JobExecutor* executor,
   return result;
 }
 
-/// Columnar variant of RunPipeline: identical chain, identical metering,
-/// batches flowing between the kernels. Inputs are converted before the
+/// Batch variant of RunPipeline: identical chain, identical metering,
+/// batches flowing between the executor's kernels. Inputs are converted before the
 /// timer (in production the scan produces batches directly); only the
 /// kernels are timed.
 PipelineResult RunPipelineColumnar(JobExecutor* executor,
@@ -155,15 +139,16 @@ PipelineResult RunPipelineColumnar(JobExecutor* executor,
       DYNOPT_CHECK(idx >= 0);
       probe_keys.push_back(idx);
     }
-    auto build_or = executor->RepartitionColumnar(std::move(builds[s]),
-                                                  build_keys, &result.metrics);
+    // Injection is never armed here, so the kernels cannot fail.
+    auto build_or = executor->Repartition(std::move(builds[s]), build_keys,
+                                          &result.metrics);
     DYNOPT_CHECK(build_or.ok());
-    ColumnarShuffleResult build_parts = std::move(build_or).value();
-    auto probe_or = executor->RepartitionColumnar(std::move(current),
-                                                  probe_keys, &result.metrics);
+    ShuffleResult build_parts = std::move(build_or).value();
+    auto probe_or = executor->Repartition(std::move(current), probe_keys,
+                                          &result.metrics);
     DYNOPT_CHECK(probe_or.ok());
-    ColumnarShuffleResult probe_parts = std::move(probe_or).value();
-    auto join_or = executor->LocalHashJoinColumnar(
+    ShuffleResult probe_parts = std::move(probe_or).value();
+    auto join_or = executor->LocalHashJoin(
         build_parts.data, probe_parts.data, build_keys, probe_keys,
         &result.metrics, &build_parts.hashes, &probe_parts.hashes);
     DYNOPT_CHECK(join_or.ok());
@@ -182,7 +167,7 @@ Dataset MustExec(JobExecutor* executor, std::unique_ptr<PlanNode> plan) {
 }
 
 /// Filter-kernel microbenchmark: the same predicate evaluated row-at-a-time
-/// (Bind + EvalBool, the row engine's filter loop) and column-at-a-time
+/// (Bind + EvalBool, the oracle's filter loop) and column-at-a-time
 /// (VecPredicate::EvalBools). Returns {row_seconds, columnar_seconds} as
 /// best-of-iters; both sides must select the same rows.
 std::pair<double, double> BenchFilterKernels(const Dataset& data,
@@ -357,24 +342,16 @@ int Main(int argc, char** argv) {
 
   // Correctness + cost-model guard: one warm-up run of each implementation
   // must produce identical partitions and identical simulated metering.
-  PipelineResult seed_check = RunPipeline(&executor, build_inputs, lineitem,
-                                          steps, /*parallel_kernels=*/false,
+  PipelineResult seed_check = RunPipeline(executor.cluster(), build_inputs,
+                                          lineitem, steps,
                                           /*keep_output=*/true);
-  PipelineResult par_check = RunPipeline(&executor, build_inputs, lineitem,
-                                         steps, /*parallel_kernels=*/true,
-                                         /*keep_output=*/true);
   PipelineResult col_check = RunPipelineColumnar(&executor, build_inputs,
                                                  lineitem, steps,
                                                  default_batch,
                                                  /*keep_output=*/true);
-  DYNOPT_CHECK(par_check.output.partitions == seed_check.output.partitions);
   DYNOPT_CHECK(col_check.output.partitions == seed_check.output.partitions);
-  DYNOPT_CHECK(par_check.metrics.simulated_seconds ==
-               seed_check.metrics.simulated_seconds);
   DYNOPT_CHECK(col_check.metrics.simulated_seconds ==
                seed_check.metrics.simulated_seconds);
-  DYNOPT_CHECK(par_check.metrics.bytes_shuffled ==
-               seed_check.metrics.bytes_shuffled);
   DYNOPT_CHECK(col_check.metrics.bytes_shuffled ==
                seed_check.metrics.bytes_shuffled);
   DYNOPT_CHECK(col_check.metrics.tuples_processed ==
@@ -382,18 +359,13 @@ int Main(int argc, char** argv) {
 
   // Timed runs: best-of-iters (by kernel time) per implementation,
   // interleaved so no side systematically benefits from warm caches.
-  Breakdown seed_best, par_best, col_best;
-  seed_best.kernel_total = par_best.kernel_total = col_best.kernel_total =
-      1e300;
+  Breakdown seed_best, col_best;
+  seed_best.kernel_total = col_best.kernel_total = 1e300;
   for (int it = 0; it < iters; ++it) {
-    PipelineResult seed = RunPipeline(&executor, build_inputs, lineitem,
-                                      steps, false, false);
+    PipelineResult seed = RunPipeline(executor.cluster(), build_inputs,
+                                      lineitem, steps, false);
     Breakdown sb = ToBreakdown(seed);
     if (sb.kernel_total < seed_best.kernel_total) seed_best = sb;
-    PipelineResult par = RunPipeline(&executor, build_inputs, lineitem,
-                                     steps, true, false);
-    Breakdown pb = ToBreakdown(par);
-    if (pb.kernel_total < par_best.kernel_total) par_best = pb;
     PipelineResult col = RunPipelineColumnar(&executor, build_inputs,
                                              lineitem, steps, default_batch,
                                              false);
@@ -428,11 +400,8 @@ int Main(int argc, char** argv) {
   auto [hash_row_s, hash_col_s] =
       BenchHashKernels(lineitem, default_batch, iters);
 
-  const double speedup_total = seed_best.kernel_total / par_best.kernel_total;
-  const double speedup_e2e = seed_best.end_to_end / par_best.end_to_end;
-  const double col_speedup_total =
-      par_best.kernel_total / col_best.kernel_total;
-  const double col_speedup_e2e = par_best.end_to_end / col_best.end_to_end;
+  const double speedup_total = seed_best.kernel_total / col_best.kernel_total;
+  const double speedup_e2e = seed_best.end_to_end / col_best.end_to_end;
   const double filter_speedup = filter_row_s / filter_col_s;
   const double hash_speedup = hash_row_s / hash_col_s;
   std::printf("\n=== bench_kernels: TPC-H Q9 hash-join chain ===\n");
@@ -444,22 +413,15 @@ int Main(int argc, char** argv) {
   std::printf("lineitem_rows=%llu  output_rows=%llu  sim_seconds=%.3f "
               "(identical for both)\n\n",
               static_cast<unsigned long long>(lineitem_rows),
-              static_cast<unsigned long long>(par_check.rows_out),
-              par_check.metrics.simulated_seconds);
+              static_cast<unsigned long long>(col_check.rows_out),
+              col_check.metrics.simulated_seconds);
   PrintBreakdown("seed kernels", seed_best);
-  PrintBreakdown("row kernels", par_best);
   PrintBreakdown("columnar kernels", col_best);
-  std::printf("\nrow vs seed speedup: shuffle=%.2fx build=%.2fx probe=%.2fx "
-              "TOTAL=%.2fx (end_to_end=%.2fx)\n",
-              seed_best.shuffle / par_best.shuffle,
-              seed_best.build / par_best.build,
-              seed_best.probe / par_best.probe, speedup_total, speedup_e2e);
-  std::printf("columnar vs row speedup: shuffle=%.2fx build=%.2fx "
+  std::printf("\ncolumnar vs seed speedup: shuffle=%.2fx build=%.2fx "
               "probe=%.2fx TOTAL=%.2fx (end_to_end=%.2fx)\n",
-              par_best.shuffle / col_best.shuffle,
-              par_best.build / col_best.build,
-              par_best.probe / col_best.probe, col_speedup_total,
-              col_speedup_e2e);
+              seed_best.shuffle / col_best.shuffle,
+              seed_best.build / col_best.build,
+              seed_best.probe / col_best.probe, speedup_total, speedup_e2e);
   std::printf("filter kernel: row=%.4fs columnar=%.4fs speedup=%.2fx\n",
               filter_row_s, filter_col_s, filter_speedup);
   std::printf("hash kernel:   row=%.4fs columnar=%.4fs speedup=%.2fx\n",
@@ -482,36 +444,25 @@ int Main(int argc, char** argv) {
        << "  \"num_nodes\": " << executor.cluster().num_nodes << ",\n"
        << "  \"pool_threads\": " << engine->pool().num_threads() << ",\n"
        << "  \"lineitem_rows\": " << lineitem_rows << ",\n"
-       << "  \"output_rows\": " << par_check.rows_out << ",\n"
-       << "  \"simulated_seconds\": " << par_check.metrics.simulated_seconds
+       << "  \"output_rows\": " << col_check.rows_out << ",\n"
+       << "  \"simulated_seconds\": " << col_check.metrics.simulated_seconds
        << ",\n"
        << "  \"seed_kernels\": {\"shuffle_s\": " << seed_best.shuffle
        << ", \"build_s\": " << seed_best.build
        << ", \"probe_s\": " << seed_best.probe
        << ", \"kernel_total_s\": " << seed_best.kernel_total
        << ", \"end_to_end_s\": " << seed_best.end_to_end << "},\n"
-       << "  \"parallel_kernels\": {\"shuffle_s\": " << par_best.shuffle
-       << ", \"build_s\": " << par_best.build
-       << ", \"probe_s\": " << par_best.probe
-       << ", \"kernel_total_s\": " << par_best.kernel_total
-       << ", \"end_to_end_s\": " << par_best.end_to_end << "},\n"
        << "  \"columnar_kernels\": {\"shuffle_s\": " << col_best.shuffle
        << ", \"build_s\": " << col_best.build
        << ", \"probe_s\": " << col_best.probe
        << ", \"kernel_total_s\": " << col_best.kernel_total
        << ", \"end_to_end_s\": " << col_best.end_to_end
        << ", \"batch_size\": " << default_batch << "},\n"
-       << "  \"speedup\": {\"shuffle\": " << seed_best.shuffle / par_best.shuffle
-       << ", \"build\": " << seed_best.build / par_best.build
-       << ", \"probe\": " << seed_best.probe / par_best.probe
+       << "  \"speedup\": {\"shuffle\": " << seed_best.shuffle / col_best.shuffle
+       << ", \"build\": " << seed_best.build / col_best.build
+       << ", \"probe\": " << seed_best.probe / col_best.probe
        << ", \"total\": " << speedup_total
        << ", \"end_to_end\": " << speedup_e2e << "},\n"
-       << "  \"columnar_vs_row_speedup\": {\"shuffle\": "
-       << par_best.shuffle / col_best.shuffle
-       << ", \"build\": " << par_best.build / col_best.build
-       << ", \"probe\": " << par_best.probe / col_best.probe
-       << ", \"total\": " << col_speedup_total
-       << ", \"end_to_end\": " << col_speedup_e2e << "},\n"
        << "  \"filter_kernel\": {\"row_s\": " << filter_row_s
        << ", \"columnar_s\": " << filter_col_s
        << ", \"speedup\": " << filter_speedup << "},\n"

@@ -3,21 +3,19 @@
 
 #include <cmath>
 #include <cstring>
-#include <vector>
 
 #include "common/hash.h"
 #include "common/value.h"
 
 namespace dynopt {
 
-/// Header-inline equivalents of Value::Hash / Value::SizeBytes / HashRowKey
-/// / RowSizeBytes for the executor's hot kernel loops (shuffle routing and
-/// hash-join build/probe). The out-of-line versions in common/value.cc cost
-/// a call per value, which dominates when the loop body is just
-/// hash-and-route; inlining lets the compiler fold the variant dispatch into
-/// the loop. They must stay bit-identical to the out-of-line versions —
-/// exchange_test cross-checks both the scalar cases and every hash/byte
-/// count a shuffle produces.
+/// Header-inline equivalents of Value::Hash / Value::SizeBytes for column
+/// storage's per-value hash and size (ColumnVector::HashAt / SizeAt on the
+/// mixed-type kValues layout). The out-of-line versions in common/value.cc
+/// cost a call per value; inlining lets the compiler fold the variant
+/// dispatch into the loop. They must stay bit-identical to the out-of-line
+/// versions — exchange_test and columnar_test cross-check them against
+/// HashRowKey / RowSizeBytes.
 
 inline uint64_t ValueHashInline(const Value& v) {
   switch (v.type()) {
@@ -59,27 +57,6 @@ inline size_t ValueSizeBytesInline(const Value& v) {
     size += v.AsStringUnchecked().size();
   }
   return size;
-}
-
-inline uint64_t HashRowKeyInline(const Row& row, const int* key_indices,
-                                 size_t num_keys) {
-  uint64_t h = 0x2545f4914f6cdd1dULL;
-  for (size_t k = 0; k < num_keys; ++k) {
-    h = HashCombine(h,
-                    ValueHashInline(row[static_cast<size_t>(key_indices[k])]));
-  }
-  return h;
-}
-
-inline uint64_t HashRowKeyInline(const Row& row,
-                                 const std::vector<int>& key_indices) {
-  return HashRowKeyInline(row, key_indices.data(), key_indices.size());
-}
-
-inline size_t RowSizeBytesInline(const Row& row) {
-  size_t total = 8;  // Row header overhead.
-  for (const Value& v : row) total += ValueSizeBytesInline(v);
-  return total;
 }
 
 /// Exact h % n for a fixed n via a precomputed reciprocal: one 128-bit

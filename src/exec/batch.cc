@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/row_kernels.h"
 
 namespace dynopt {
 
@@ -100,72 +99,30 @@ void FillColumn(const Row* rows, size_t n, size_t c, ColumnVector* out) {
   }
 }
 
-ColumnBatch BatchFromRows(const Row* rows, const uint64_t* sizes, size_t n,
-                          size_t num_columns) {
+ColumnBatch BatchFromRows(const Row* rows, size_t n, size_t num_columns) {
   ColumnBatch batch;
   batch.num_rows = n;
   batch.columns.resize(num_columns);
   for (size_t c = 0; c < num_columns; ++c) {
     FillColumn(rows, n, c, &batch.columns[c]);
   }
-  if (sizes != nullptr) {
-    batch.row_sizes.assign(sizes, sizes + n);
-  } else {
-    batch.row_sizes.resize(n);
-    for (size_t i = 0; i < n; ++i) {
-      batch.row_sizes[i] = RowSizeBytesInline(rows[i]);
-    }
-  }
+  batch.row_sizes.resize(n);
+  for (size_t i = 0; i < n; ++i) batch.row_sizes[i] = RowSizeBytes(rows[i]);
   return batch;
 }
 
 }  // namespace
 
 std::vector<ColumnBatch> BatchesFromRows(const std::vector<Row>& rows,
-                                         const uint64_t* sizes,
                                          size_t num_columns,
                                          size_t max_batch_size) {
   std::vector<ColumnBatch> batches;
   batches.reserve(rows.size() / max_batch_size + 1);
   for (size_t start = 0; start < rows.size(); start += max_batch_size) {
     const size_t n = std::min(max_batch_size, rows.size() - start);
-    batches.push_back(BatchFromRows(rows.data() + start,
-                                    sizes != nullptr ? sizes + start : nullptr,
-                                    n, num_columns));
+    batches.push_back(BatchFromRows(rows.data() + start, n, num_columns));
   }
   return batches;
-}
-
-ColumnarDataset FromDataset(const Dataset& data, size_t max_batch_size) {
-  ColumnarDataset out(data.columns, data.partitions.size());
-  const bool has_sizes = data.HasRowSizes();
-  for (size_t p = 0; p < data.partitions.size(); ++p) {
-    out.partitions[p] = BatchesFromRows(
-        data.partitions[p], has_sizes ? data.row_sizes[p].data() : nullptr,
-        data.columns.size(), max_batch_size);
-  }
-  return out;
-}
-
-Dataset ToDataset(ColumnarDataset&& data) {
-  Dataset out(std::move(data.columns), data.partitions.size());
-  out.row_sizes.resize(data.partitions.size());
-  for (size_t p = 0; p < data.partitions.size(); ++p) {
-    auto& rows = out.partitions[p];
-    auto& sizes = out.row_sizes[p];
-    uint64_t total = 0;
-    for (const ColumnBatch& b : data.partitions[p]) total += b.num_rows;
-    rows.reserve(total);
-    sizes.reserve(total);
-    for (ColumnBatch& b : data.partitions[p]) {
-      for (size_t i = 0; i < b.num_rows; ++i) rows.push_back(b.RowAt(i));
-      sizes.insert(sizes.end(), b.row_sizes.begin(), b.row_sizes.end());
-      b = ColumnBatch();  // Free as we go: peak memory is one batch.
-    }
-    data.partitions[p].clear();
-  }
-  data.partitions.clear();
-  return out;
 }
 
 }  // namespace dynopt

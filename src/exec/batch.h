@@ -1,29 +1,50 @@
 #ifndef DYNOPT_EXEC_BATCH_H_
 #define DYNOPT_EXEC_BATCH_H_
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "common/value.h"
-#include "exec/dataset.h"
 #include "storage/column_batch.h"
 
 namespace dynopt {
 
-/// Node-partitioned batch collections for the vectorized execution engine.
-/// The batch layout itself (ColumnKind, StringDict, ColumnVector,
-/// ColumnBatch) lives in storage/column_batch.h because table storage uses
-/// it too: scans copy column ranges out of a table's runs, and
-/// materialization moves a job's batches into a temp table. Row `Dataset`
-/// remains only where rows are the contract — result delivery, the DRB
-/// temp-file round trip, the grace-join spill path, and the row engine —
-/// converted losslessly by FromDataset/ToDataset with byte-identical
-/// row_sizes.
+/// Process-wide count of by-name column lookups (ColumnarDataset::
+/// ColumnIndex). A name lookup is an O(columns) string scan, so kernels
+/// must resolve every slot once per operator — never inside a row or batch
+/// loop. The counter exists for the regression test that pins this
+/// invariant: the number of lookups a pipeline performs must be
+/// independent of its row count.
+inline std::atomic<uint64_t>& ColumnNameLookupCount() {
+  static std::atomic<uint64_t> count{0};
+  return count;
+}
 
-/// A node-partitioned batch collection — the columnar analogue of Dataset.
-/// Each partition is a sequence of batches; batch boundaries within a
-/// partition carry no semantics (concatenation order defines row order).
+/// Linear-scan column lookup behind ColumnIndex; increments
+/// ColumnNameLookupCount().
+inline int LinearColumnIndex(const std::vector<std::string>& columns,
+                             const std::string& name) {
+  ColumnNameLookupCount().fetch_add(1, std::memory_order_relaxed);
+  for (size_t i = 0; i < columns.size(); ++i) {
+    if (columns[i] == name) return static_cast<int>(i);
+  }
+  return -1;
+}
+
+/// Node-partitioned batch collections, the one in-memory form of data
+/// flowing between the executor's operators. The batch layout itself
+/// (ColumnKind, StringDict, ColumnVector, ColumnBatch) lives in
+/// storage/column_batch.h because table storage uses it too: scans copy
+/// column ranges out of a table's runs, and materialization moves a job's
+/// batches into a temp table. Rows appear only in result delivery
+/// (GatherRows) and at the DRB file boundary shared by materialize_to_disk
+/// and the grace-join spill files (BatchesFromRows).
+
+/// A node-partitioned batch collection. Each partition is a sequence of
+/// batches; batch boundaries within a partition carry no semantics
+/// (concatenation order defines row order).
 struct ColumnarDataset {
   std::vector<std::string> columns;
   std::vector<std::vector<ColumnBatch>> partitions;
@@ -32,9 +53,9 @@ struct ColumnarDataset {
   ColumnarDataset(std::vector<std::string> cols, size_t num_partitions)
       : columns(std::move(cols)), partitions(num_partitions) {}
 
-  /// Slot of a qualified column, or -1. Funnels through the same
-  /// instrumented lookup counter as Dataset::ColumnIndex: kernels must
-  /// resolve slots once per operator, never inside a batch/row loop.
+  /// Slot of a qualified column, or -1. Funnels through the instrumented
+  /// lookup counter: kernels must resolve slots once per operator, never
+  /// inside a batch/row loop.
   int ColumnIndex(const std::string& name) const {
     return LinearColumnIndex(columns, name);
   }
@@ -80,23 +101,11 @@ struct ColumnarDataset {
 
 /// Splits `rows` into batches of at most `max_batch_size` rows, inferring
 /// one ColumnKind per column and batch (kValues when a column mixes value
-/// types). When `sizes` is non-null it must hold RowSizeBytes for each row
-/// (a producer's annotation) and is copied; otherwise sizes are computed
-/// from the values.
+/// types) and sizing each row with RowSizeBytes — the read side of the DRB
+/// file boundary.
 std::vector<ColumnBatch> BatchesFromRows(const std::vector<Row>& rows,
-                                         const uint64_t* sizes,
                                          size_t num_columns,
                                          size_t max_batch_size);
-
-/// Splits every partition of `data` into batches of at most
-/// `max_batch_size` rows. Row order and the row_sizes annotation (computed
-/// when absent) are preserved exactly.
-ColumnarDataset FromDataset(const Dataset& data, size_t max_batch_size);
-
-/// Converts back to a row Dataset (the grace-join spill path and tests),
-/// emitting the row_sizes annotation from the batches' sizes. Exact inverse
-/// of FromDataset up to batch boundaries.
-Dataset ToDataset(ColumnarDataset&& data);
 
 }  // namespace dynopt
 

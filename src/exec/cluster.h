@@ -81,8 +81,7 @@ struct MemoryGovernanceConfig {
 };
 
 /// Execution-engine knobs independent of the simulated cost model. These
-/// change *how* operators run (vectorized batches vs. row-at-a-time), never
-/// *what* they meter: with any valid setting the deterministic counters and
+/// change *how* operators run, never *what* they meter: with any valid setting the deterministic counters and
 /// simulated seconds are byte-for-byte identical.
 struct ExecOptions {
   /// Capacity of one ColumnBatch (rows) in the vectorized engine. Larger
@@ -91,11 +90,6 @@ struct ExecOptions {
   /// (ValidateClusterConfig rejects 0, which would underflow the
   /// batch-capacity math).
   size_t max_batch_size = 1024;
-  /// Run scans/filters/projections/shuffle-joins through the columnar batch
-  /// engine (exec/batch.h, exec/vector_kernels.h) over the tables' stored
-  /// column runs. Off = the original row-at-a-time operators, which build
-  /// rows from the stored columns.
-  bool use_columnar = true;
 };
 
 /// Admission-control knobs for concurrent queries. Defaults allow modest
@@ -348,7 +342,7 @@ struct ClusterConfig {
   /// Risk-aware planning: spill-aware costing, q-error feedback loops and
   /// the cross-query error store (all off by default).
   RiskConfig risk;
-  /// Vectorized-execution knobs (batch size, columnar on/off).
+  /// Vectorized-execution knobs (batch size).
   ExecOptions exec;
   /// Predicate transfer + join-key sketches (off by default).
   SketchConfig sketch;

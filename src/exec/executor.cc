@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <iterator>
 
 #include "common/hash.h"
 #include "common/logging.h"
@@ -20,7 +19,7 @@ namespace dynopt {
 namespace {
 
 /// Key indices of `names` within `data`; error when any is missing.
-Result<std::vector<int>> ResolveColumns(const Dataset& data,
+Result<std::vector<int>> ResolveColumns(const ColumnarDataset& data,
                                         const std::vector<std::string>& names,
                                         const char* what) {
   std::vector<int> indices;
@@ -36,21 +35,38 @@ Result<std::vector<int>> ResolveColumns(const Dataset& data,
   return indices;
 }
 
-/// Columnar twin of ResolveColumns (same error text).
-Result<std::vector<int>> ResolveColumnsColumnar(
-    const ColumnarDataset& data, const std::vector<std::string>& names,
-    const char* what) {
-  std::vector<int> indices;
-  indices.reserve(names.size());
-  for (const auto& name : names) {
-    int idx = data.ColumnIndex(name);
-    if (idx < 0) {
-      return Status::ExecutionError(std::string(what) + " column " + name +
-                                    " not found in dataset");
-    }
-    indices.push_back(idx);
+/// Output columns of scan node `scan` over a table with `schema`: base
+/// scans prefix each field with the alias, intermediate readers keep the
+/// stored (already-qualified) names; a non-empty scan_columns list narrows
+/// and reorders them (projection pushdown). `keep` receives the stored
+/// field slot of each output column.
+Status ResolveScanColumns(const PlanNode& scan, const Schema& schema,
+                          std::vector<int>* keep,
+                          std::vector<std::string>* out_columns) {
+  std::vector<std::string> all_columns;
+  all_columns.reserve(schema.num_fields());
+  for (size_t i = 0; i < schema.num_fields(); ++i) {
+    all_columns.push_back(scan.is_intermediate
+                              ? schema.field(i).name
+                              : scan.alias + "." + schema.field(i).name);
   }
-  return indices;
+  if (scan.scan_columns.empty()) {
+    for (size_t i = 0; i < all_columns.size(); ++i) {
+      keep->push_back(static_cast<int>(i));
+    }
+    *out_columns = std::move(all_columns);
+    return Status::OK();
+  }
+  for (const auto& wanted : scan.scan_columns) {
+    auto it = std::find(all_columns.begin(), all_columns.end(), wanted);
+    if (it == all_columns.end()) {
+      return Status::ExecutionError("scan column " + wanted +
+                                    " not in table " + scan.table);
+    }
+    keep->push_back(static_cast<int>(it - all_columns.begin()));
+    out_columns->push_back(wanted);
+  }
+  return Status::OK();
 }
 
 uint64_t MaxOver(const std::vector<uint64_t>& per_node) {
@@ -65,6 +81,125 @@ double SecondsSince(WallClock::time_point start) {
   return std::chrono::duration<double>(WallClock::now() - start).count();
 }
 
+/// Builds `table` over the flat build batch of one partition; rows with a
+/// NULL key stay unlinked. `hashes`, when non-null, holds the shuffle's key
+/// hash of every row; otherwise the key columns are hashed here.
+void BuildTable(const ColumnBatch& build, const std::vector<int>& keys,
+                const uint64_t* hashes, JoinHashTable* table) {
+  const size_t n = build.num_rows;
+  if (n == 0) {
+    // An empty batch has no columns to hash; the table still initializes
+    // (all chains empty).
+    table->Build(nullptr, nullptr, 0);
+    return;
+  }
+  std::vector<uint8_t> key_null(n, 0);
+  std::vector<uint64_t> own_hashes;
+  if (hashes != nullptr) {
+    AnyKeyNull(build, keys.data(), keys.size(), key_null.data());
+  } else {
+    own_hashes.resize(n);
+    HashKeyColumns(build, keys.data(), keys.size(), own_hashes.data(),
+                   key_null.data());
+    hashes = own_hashes.data();
+  }
+  table->Build(hashes, key_null.data(), n);
+}
+
+/// Probes `table`, built over the flat `build` batch, with one partition's
+/// `num_batches` probe batches and emits build ++ probe rows into `sink`:
+/// probe rows in order, each one's matches in ascending build order.
+/// `hashes`, when non-null, holds the shuffle's key hashes of the probe rows
+/// in batch-concatenation order; otherwise keys are hashed here. Returns
+/// the number of rows emitted.
+uint64_t ProbeTable(const ColumnBatch& build, const JoinHashTable& table,
+                    const ColumnBatch* probe, size_t num_batches,
+                    const std::vector<int>& build_keys,
+                    const std::vector<int>& probe_keys, const uint64_t* hashes,
+                    BatchSink* sink) {
+  constexpr uint32_t kEnd = JoinHashTable::kEnd;
+  // Hoisted raw views: const locals stay in registers across the emission
+  // writes below.
+  const uint32_t* heads = table.heads();
+  const uint32_t* next = table.next();
+  const uint64_t* table_hashes = table.hashes();
+  const size_t mask = table.mask();
+  const int* bkeys = build_keys.data();
+  const int* pkeys = probe_keys.data();
+  const size_t num_keys = build_keys.size();
+  const uint64_t* bsizes = build.row_sizes.data();
+  std::vector<uint64_t> hash_scratch;
+  std::vector<uint8_t> null_scratch;
+  std::vector<uint32_t> bsel, psel;
+  std::vector<uint64_t> jsizes;
+  uint64_t matches = 0;
+  size_t hash_off = 0;
+  for (size_t b = 0; b < num_batches; ++b) {
+    const ColumnBatch& pb = probe[b];
+    const size_t m = pb.num_rows;
+    if (m == 0) continue;
+    null_scratch.assign(m, 0);
+    const uint64_t* ph;
+    if (hashes != nullptr) {
+      ph = hashes + hash_off;
+      AnyKeyNull(pb, pkeys, num_keys, null_scratch.data());
+    } else {
+      hash_scratch.resize(m);
+      HashKeyColumns(pb, pkeys, num_keys, hash_scratch.data(),
+                     null_scratch.data());
+      ph = hash_scratch.data();
+    }
+    bsel.clear();
+    psel.clear();
+    jsizes.clear();
+    const uint64_t* psizes = pb.row_sizes.data();
+    for (size_t j = 0; j < m; ++j) {
+      const uint64_t h = ph[j];
+      uint32_t first;
+      if (hashes != nullptr) {
+        // Precomputed hashes let misses resolve from the table's own arrays
+        // — the chain is walked comparing full 64-bit hashes (L1-resident)
+        // and the probe row's keys are only touched on a hash match. The
+        // upcoming bucket loads are data-dependent random accesses into an
+        // array that outgrows L2 for large build sides; prefetching a few
+        // rows ahead hides most of that latency.
+        if (j + 8 < m) __builtin_prefetch(&heads[ph[j + 8] & mask]);
+        first = heads[h & mask];
+        while (first != kEnd && table_hashes[first] != h) first = next[first];
+        if (first == kEnd) continue;
+        if (null_scratch[j]) continue;
+      } else {
+        if (null_scratch[j]) continue;
+        first = heads[h & mask];
+      }
+      for (uint32_t i = first; i != kEnd; i = next[i]) {
+        if (table_hashes[i] != h) continue;
+        if (!JoinKeysEqual(build, i, pb, j, bkeys, pkeys, num_keys)) {
+          continue;
+        }
+        bsel.push_back(i);
+        psel.push_back(static_cast<uint32_t>(j));
+        // Joined-row size: both payloads, one 8-byte header.
+        jsizes.push_back(bsizes[i] + psizes[j] - 8);
+      }
+    }
+    sink->AppendJoinGather(build, bsel.data(), pb, psel.data(), jsizes.data(),
+                           bsel.size());
+    matches += bsel.size();
+    hash_off += m;
+  }
+  return matches;
+}
+
+/// All of `rows` — a spill file read back — as one batch, with row sizes
+/// computed from the values (the file boundary is the only place the grace
+/// join holds rows).
+ColumnBatch BatchFromSpill(const std::vector<Row>& rows) {
+  if (rows.empty()) return ColumnBatch();
+  return std::move(
+      BatchesFromRows(rows, rows[0].size(), rows.size())[0]);
+}
+
 }  // namespace
 
 JobExecutor::JobExecutor(Catalog* catalog, StatsManager* stats,
@@ -77,6 +212,10 @@ JobExecutor::JobExecutor(Catalog* catalog, StatsManager* stats,
       stats_(stats),
       udfs_(udfs),
       cluster_(cluster),
+      // Validated at construction, reported at use: a zero max_batch_size
+      // or node count would otherwise fail as an underflow deep inside a
+      // kernel.
+      config_status_(ValidateClusterConfig(cluster_)),
       pool_(pool),
       faults_(faults),
       ctx_(ctx),
@@ -85,14 +224,6 @@ JobExecutor::JobExecutor(Catalog* catalog, StatsManager* stats,
       registry_(metrics_registry != nullptr ? metrics_registry
                                             : &MetricsRegistry::Global()) {
   DYNOPT_CHECK(catalog != nullptr && pool != nullptr);
-  // Config validation at construction time — a zero max_batch_size or node
-  // count would otherwise fail as an underflow deep inside a kernel.
-  const Status valid = ValidateClusterConfig(cluster_);
-  if (!valid.ok()) {
-    std::fprintf(stderr, "dynopt: invalid ClusterConfig: %s\n",
-                 valid.message().c_str());
-    std::abort();
-  }
 }
 
 Status JobExecutor::ApplyFaults(FaultSite site,
@@ -203,42 +334,6 @@ Status JobExecutor::ApplyFaults(FaultSite site,
   return Status::OK();
 }
 
-std::vector<Row> JobExecutor::TakeRowVec() {
-  std::lock_guard<std::mutex> lock(scratch_mutex_);
-  if (row_vec_pool_.empty()) return {};
-  std::vector<Row> v = std::move(row_vec_pool_.back());
-  row_vec_pool_.pop_back();
-  return v;
-}
-
-void JobExecutor::RecycleRowVec(std::vector<Row>&& v) {
-  if (v.capacity() == 0) return;
-  v.clear();
-  std::lock_guard<std::mutex> lock(scratch_mutex_);
-  if (row_vec_pool_.size() < 64) row_vec_pool_.push_back(std::move(v));
-}
-
-std::vector<uint64_t> JobExecutor::TakeHashVec() {
-  std::lock_guard<std::mutex> lock(scratch_mutex_);
-  if (hash_vec_pool_.empty()) return {};
-  std::vector<uint64_t> v = std::move(hash_vec_pool_.back());
-  hash_vec_pool_.pop_back();
-  return v;
-}
-
-void JobExecutor::RecycleHashVec(std::vector<uint64_t>&& v) {
-  if (v.capacity() == 0) return;
-  v.clear();
-  std::lock_guard<std::mutex> lock(scratch_mutex_);
-  if (hash_vec_pool_.size() < 64) hash_vec_pool_.push_back(std::move(v));
-}
-
-void JobExecutor::RecycleShuffleResult(ShuffleResult&& parts) {
-  for (auto& rows : parts.data.partitions) RecycleRowVec(std::move(rows));
-  for (auto& sizes : parts.data.row_sizes) RecycleHashVec(std::move(sizes));
-  for (auto& hashes : parts.hashes) RecycleHashVec(std::move(hashes));
-}
-
 namespace {
 
 /// True when every leaf of `node` scans a sys.* virtual table. Such jobs
@@ -259,20 +354,15 @@ bool ReadsOnlySystemTables(const PlanNode& node) {
 
 Result<JobResult> JobExecutor::Execute(
     const PlanNode& root, const std::map<std::string, Value>& params) {
+  DYNOPT_RETURN_IF_ERROR(config_status_);
   TraceSpan span("job", "job");
   registry_->counter("exec.jobs")->Increment();
   JobResult result;
   result.metrics.num_jobs = 1;
-  if (cluster_.exec.use_columnar) {
-    // Vectorized path: the batches go out as they are — Materialize moves
-    // them into a temp table, result delivery gathers rows once.
-    DYNOPT_ASSIGN_OR_RETURN(result.data,
-                            ExecNodeColumnar(root, params, &result.metrics));
-  } else {
-    DYNOPT_ASSIGN_OR_RETURN(Dataset rows,
-                            ExecNode(root, params, &result.metrics));
-    result.data = FromDataset(rows, cluster_.exec.max_batch_size);
-  }
+  // The root's batches go out as they are — Materialize moves them into a
+  // temp table, result delivery gathers rows once.
+  DYNOPT_ASSIGN_OR_RETURN(result.data,
+                          ExecNode(root, params, &result.metrics));
   result.metrics.rows_out = result.data.NumRows();
   if (ReadsOnlySystemTables(root)) {
     result.metrics.simulated_seconds = 0;
@@ -289,7 +379,7 @@ Result<JobResult> JobExecutor::Execute(
   return result;
 }
 
-Result<Dataset> JobExecutor::ExecNode(
+Result<ColumnarDataset> JobExecutor::ExecNode(
     const PlanNode& node, const std::map<std::string, Value>& params,
     ExecMetrics* metrics) {
   // Cooperative cancellation: every operator boundary is a check point, so
@@ -311,1265 +401,15 @@ Result<Dataset> JobExecutor::ExecNode(
   return Status::Internal("unknown plan node kind");
 }
 
-Result<Dataset> JobExecutor::ExecScan(const PlanNode& node,
-                                      ExecMetrics* metrics) {
+Result<ColumnarDataset> JobExecutor::ExecScan(const PlanNode& node,
+                                              ExecMetrics* metrics) {
   TraceSpan span("scan:" + node.table, "kernel");
   DYNOPT_ASSIGN_OR_RETURN(std::shared_ptr<Table> table,
                           catalog_->GetTable(node.table));
-  const Schema& schema = table->schema();
-  // Qualified output names: base scans prefix with the alias; intermediate
-  // readers keep stored (already-qualified) names.
-  std::vector<std::string> all_columns;
-  all_columns.reserve(schema.num_fields());
-  for (size_t i = 0; i < schema.num_fields(); ++i) {
-    all_columns.push_back(node.is_intermediate
-                              ? schema.field(i).name
-                              : node.alias + "." + schema.field(i).name);
-  }
-  // Projection pushdown: which slots to keep.
   std::vector<int> keep;
   std::vector<std::string> out_columns;
-  if (node.scan_columns.empty()) {
-    for (size_t i = 0; i < all_columns.size(); ++i) {
-      keep.push_back(static_cast<int>(i));
-    }
-    out_columns = all_columns;
-  } else {
-    for (const auto& wanted : node.scan_columns) {
-      auto it = std::find(all_columns.begin(), all_columns.end(), wanted);
-      if (it == all_columns.end()) {
-        return Status::ExecutionError("scan column " + wanted +
-                                      " not in table " + node.table);
-      }
-      keep.push_back(static_cast<int>(it - all_columns.begin()));
-      out_columns.push_back(wanted);
-    }
-  }
-
-  const size_t num_parts = table->num_partitions();
-  Dataset out(out_columns, num_parts);
-  out.row_sizes.resize(num_parts);
-  std::vector<uint64_t> bytes_in(num_parts, 0);
-  std::vector<uint64_t> rows_in(num_parts, 0);
-  pool_->ParallelFor(num_parts, [&](size_t p) {
-    auto& dest = out.partitions[p];
-    auto& dest_sizes = out.row_sizes[p];
-    dest.reserve(table->PartitionRows(p));
-    dest_sizes.reserve(table->PartitionRows(p));
-    // Row engine: build each projected row from the stored columns, sizing
-    // it from the same values.
-    for (const ColumnBatch& run : table->partition(p)) {
-      for (size_t i = 0; i < run.num_rows; ++i) {
-        Row projected;
-        projected.reserve(keep.size());
-        uint64_t projected_bytes = 8;
-        for (int k : keep) {
-          const ColumnVector& col = run.columns[static_cast<size_t>(k)];
-          projected_bytes += col.SizeAt(i);
-          projected.push_back(col.ValueAt(i));
-        }
-        dest_sizes.push_back(projected_bytes);
-        dest.push_back(std::move(projected));
-      }
-    }
-    bytes_in[p] = table->PartitionBytes(p);
-    rows_in[p] = table->PartitionRows(p);
-  });
-
-  uint64_t total_bytes = 0, total_rows = 0;
-  for (size_t p = 0; p < num_parts; ++p) {
-    total_bytes += bytes_in[p];
-    total_rows += rows_in[p];
-  }
-  if (Catalog::IsSystemName(node.table)) {
-    // sys.* virtual tables materialize engine state that is already in
-    // memory: metered at zero simulated cost so introspection queries
-    // never perturb the cost model a real workload sees.
-    return out;
-  }
-  metrics->tuples_processed += total_rows;
-  double io_seconds;
-  if (node.is_intermediate) {
-    metrics->bytes_intermediate_read += total_bytes;
-    io_seconds = static_cast<double>(MaxOver(bytes_in)) *
-                 cluster_.disk_read_seconds_per_byte;
-    // Re-reading materialized intermediates is re-optimization overhead.
-    metrics->reopt_seconds += io_seconds;
-  } else {
-    metrics->bytes_scanned += total_bytes;
-    io_seconds = static_cast<double>(MaxOver(bytes_in)) *
-                 cluster_.scan_seconds_per_byte;
-  }
-  metrics->simulated_seconds +=
-      io_seconds + static_cast<double>(MaxOver(rows_in)) *
-                       cluster_.cpu_seconds_per_tuple;
-  return out;
-}
-
-Result<Dataset> JobExecutor::ExecFilter(
-    const PlanNode& node, const std::map<std::string, Value>& params,
-    ExecMetrics* metrics) {
-  DYNOPT_ASSIGN_OR_RETURN(Dataset input,
-                          ExecNode(*node.children[0], params, metrics));
-  BindContext ctx;
-  ctx.resolve_column = [&input](const std::string& name) {
-    return input.ColumnIndex(name);
-  };
-  ctx.params = &params;
-  ctx.udfs = udfs_;
-  DYNOPT_ASSIGN_OR_RETURN(BoundExprPtr bound, Bind(node.predicate, ctx));
-
-  const size_t num_parts = input.partitions.size();
-  Dataset out(input.columns, num_parts);
-  const bool has_sizes = input.HasRowSizes();
-  if (has_sizes) out.row_sizes.resize(num_parts);
-  std::vector<uint64_t> rows_in(num_parts, 0);
-  pool_->ParallelFor(num_parts, [&](size_t p) {
-    auto& src = input.partitions[p];
-    auto& dest = out.partitions[p];
-    rows_in[p] = src.size();
-    if (has_sizes) {
-      // A filter does not change surviving rows, so their size annotations
-      // ride along.
-      const uint64_t* src_sizes = input.row_sizes[p].data();
-      auto& dest_sizes = out.row_sizes[p];
-      for (size_t i = 0; i < src.size(); ++i) {
-        if (bound->EvalBool(src[i])) {
-          dest_sizes.push_back(src_sizes[i]);
-          dest.push_back(std::move(src[i]));
-        }
-      }
-    } else {
-      for (Row& row : src) {
-        if (bound->EvalBool(row)) dest.push_back(std::move(row));
-      }
-    }
-  });
-  uint64_t total_rows = 0;
-  for (uint64_t r : rows_in) total_rows += r;
-  metrics->tuples_processed += total_rows;
-  metrics->simulated_seconds += static_cast<double>(MaxOver(rows_in)) *
-                                cluster_.cpu_seconds_per_tuple;
-  return out;
-}
-
-Result<Dataset> JobExecutor::ExecProject(
-    const PlanNode& node, const std::map<std::string, Value>& params,
-    ExecMetrics* metrics) {
-  DYNOPT_ASSIGN_OR_RETURN(Dataset input,
-                          ExecNode(*node.children[0], params, metrics));
-  DYNOPT_ASSIGN_OR_RETURN(
-      std::vector<int> keep,
-      ResolveColumns(input, node.project_columns, "project"));
-  const size_t num_parts = input.partitions.size();
-  Dataset out(node.project_columns, num_parts);
-  out.row_sizes.resize(num_parts);
-  std::vector<uint64_t> rows_in(num_parts, 0);
-  pool_->ParallelFor(num_parts, [&](size_t p) {
-    auto& src = input.partitions[p];
-    auto& dest = out.partitions[p];
-    auto& dest_sizes = out.row_sizes[p];
-    dest.reserve(src.size());
-    dest_sizes.reserve(src.size());
-    rows_in[p] = src.size();
-    for (const Row& row : src) {
-      Row projected;
-      projected.reserve(keep.size());
-      uint64_t projected_bytes = 8;
-      for (int k : keep) {
-        const Value& v = row[static_cast<size_t>(k)];
-        projected_bytes += ValueSizeBytesInline(v);
-        projected.push_back(v);
-      }
-      dest_sizes.push_back(projected_bytes);
-      dest.push_back(std::move(projected));
-    }
-  });
-  metrics->simulated_seconds += static_cast<double>(MaxOver(rows_in)) *
-                                cluster_.cpu_seconds_per_tuple;
-  return out;
-}
-
-Result<ShuffleResult> JobExecutor::Repartition(
-    Dataset&& input, const std::vector<int>& key_indices,
-    ExecMetrics* metrics) {
-  DYNOPT_RETURN_IF_ERROR(CheckAlive());
-  TraceSpan span("shuffle", "kernel");
-  const auto wall_start = WallClock::now();
-  const size_t n = cluster_.num_nodes;
-  const size_t src_parts = input.partitions.size();
-
-  // Fault overlay for one shuffle stage: node i both routes source
-  // partition i (CPU) and receives destination partition i (network); the
-  // wider of the two vectors bounds the node count.
-  auto fault_check = [&](const std::vector<uint64_t>& received_bytes,
-                         const std::vector<uint64_t>& rows_in) -> Status {
-    if (!FaultsArmed()) return Status::OK();
-    std::vector<double> per_node(std::max(received_bytes.size(),
-                                          rows_in.size()),
-                                 0.0);
-    for (size_t i = 0; i < received_bytes.size(); ++i) {
-      per_node[i] += static_cast<double>(received_bytes[i]) *
-                     cluster_.network_seconds_per_byte;
-    }
-    for (size_t i = 0; i < rows_in.size(); ++i) {
-      per_node[i] +=
-          static_cast<double>(rows_in[i]) * cluster_.cpu_seconds_per_tuple;
-    }
-    return ApplyFaults(FaultSite::kRepartition, per_node, metrics);
-  };
-
-  ShuffleResult result;
-  result.data = Dataset(input.columns, n);
-  result.hashes.resize(n);
-  result.data.row_sizes.resize(n);
-  for (size_t d = 0; d < n; ++d) {
-    result.data.partitions[d] = TakeRowVec();
-    result.hashes[d] = TakeHashVec();
-    result.data.row_sizes[d] = TakeHashVec();
-  }
-  // When the producer annotated per-row sizes (scan/project/join emission,
-  // or an earlier shuffle), network metering reads 8 bytes per row instead
-  // of re-walking the row payload — the routing loop then only touches the
-  // key column's cache line. The shuffle always re-emits the annotation for
-  // its own output, so the whole join chain meters each row's size once.
-  const bool input_has_sizes = input.HasRowSizes();
-
-  // Adaptive route: the two-phase exchange below exists so sources can be
-  // routed concurrently without locks, at the price of a second pass over
-  // the row headers. A pool without at least two workers cannot overlap
-  // anything, so the classic one-pass exchange (hash, meter and move each
-  // row while it is hot in cache) is strictly better there. Row order,
-  // hashes and all metering are identical on both routes.
-  if (pool_->num_threads() <= 1) {
-    uint64_t total_rows = 0;
-    size_t input_rows = 0;
-    for (const auto& src : input.partitions) input_rows += src.size();
-    const size_t estimate = input_rows / n + input_rows / (4 * n) + 4;
-    for (size_t d = 0; d < n; ++d) {
-      result.data.partitions[d].reserve(estimate);
-      result.hashes[d].reserve(estimate);
-      result.data.row_sizes[d].reserve(estimate);
-    }
-    std::vector<uint64_t> received_bytes(n, 0);
-    std::vector<uint64_t> rows_in(src_parts, 0);
-    uint64_t shuffled_bytes = 0;
-    const int* keys = key_indices.data();
-    const size_t num_keys = key_indices.size();
-    const FastMod mod_n(n);
-    std::vector<Row>* out_rows = result.data.partitions.data();
-    std::vector<uint64_t>* out_hashes = result.hashes.data();
-    std::vector<uint64_t>* out_sizes = result.data.row_sizes.data();
-    for (size_t p = 0; p < src_parts; ++p) {
-      auto& src = input.partitions[p];
-      rows_in[p] = src.size();
-      Row* rows_p = src.data();
-      const uint64_t* src_sizes =
-          input_has_sizes ? input.row_sizes[p].data() : nullptr;
-      const size_t m = src.size();
-      for (size_t i = 0; i < m; ++i) {
-        // Each Row is its own heap block, so hashing + size-metering is a
-        // DRAM-latency-bound pointer chase (the row headers stream, the
-        // payloads do not). Prefetching the payload ~16 rows ahead hides
-        // most of that (shorter distances leave half the latency exposed);
-        // the seed kernels have no equivalent and stall. With a size
-        // annotation only the key column's line is touched at all.
-        if (i + 16 < m) {
-          const char* pf = reinterpret_cast<const char*>(rows_p[i + 16].data());
-          __builtin_prefetch(pf);
-          if (src_sizes == nullptr) {
-            __builtin_prefetch(pf + 128);
-            __builtin_prefetch(pf + 256);
-          }
-        }
-        Row& row = rows_p[i];
-        const uint64_t h = HashRowKeyInline(row, keys, num_keys);
-        const size_t dest = static_cast<size_t>(mod_n(h));
-        const uint64_t bytes =
-            src_sizes != nullptr ? src_sizes[i] : RowSizeBytesInline(row);
-        // A row already sitting on its destination node (co-partitioned
-        // input) moves no bytes. Adding zero keeps the counters identical
-        // while letting the compiler emit a conditional move instead of a
-        // hash-dependent (hence unpredictable) branch.
-        const uint64_t moved = (dest != p || src_parts != n) ? bytes : 0;
-        shuffled_bytes += moved;
-        received_bytes[dest] += moved;
-        out_sizes[dest].push_back(bytes);
-        out_hashes[dest].push_back(h);
-        out_rows[dest].push_back(std::move(row));
-      }
-      total_rows += rows_in[p];
-      src.clear();
-      RecycleRowVec(std::move(src));
-    }
-    metrics->bytes_shuffled += shuffled_bytes;
-    metrics->tuples_processed += total_rows;
-    metrics->simulated_seconds +=
-        static_cast<double>(MaxOver(received_bytes)) *
-            cluster_.network_seconds_per_byte +
-        static_cast<double>(MaxOver(rows_in)) * cluster_.cpu_seconds_per_tuple;
-    DYNOPT_RETURN_IF_ERROR(fault_check(received_bytes, rows_in));
-    metrics->wall_shuffle_seconds += SecondsSince(wall_start);
-    return result;
-  }
-
-  // Phase 1: route every source partition independently on the pool. Rows
-  // do not move (and their non-key columns are not touched) yet — each
-  // source only computes its rows' key hashes, destinations and
-  // per-destination counts into private arrays, so the data path needs no
-  // locks and no shared-vector contention.
-  struct RoutePlan {
-    std::vector<uint64_t> hashes;    // [row] -> key hash (computed once)
-    std::vector<uint32_t> dest;      // [row] -> destination partition
-    std::vector<size_t> counts;      // [dest] -> rows routed there
-    std::vector<uint64_t> bytes_to;  // [dest] -> shuffled bytes
-    uint64_t shuffled_bytes = 0;
-  };
-  std::vector<RoutePlan> routed(src_parts);
-  std::vector<uint64_t> rows_in(src_parts, 0);
-  pool_->ParallelFor(src_parts, [&](size_t p) {
-    RoutePlan& plan = routed[p];
-    const auto& src = input.partitions[p];
-    const size_t m = src.size();
-    rows_in[p] = m;
-    plan.hashes.resize(m);
-    plan.dest.resize(m);
-    plan.counts.assign(n, 0);
-    const int* keys = key_indices.data();
-    const size_t num_keys = key_indices.size();
-    const FastMod mod_n(n);
-    const Row* rows_p = src.data();
-    for (size_t i = 0; i < m; ++i) {
-      // Hide the row-payload pointer chase (see the one-pass route above).
-      if (i + 16 < m) {
-        const char* pf = reinterpret_cast<const char*>(rows_p[i + 16].data());
-        __builtin_prefetch(pf);
-      }
-      const uint64_t h = HashRowKeyInline(rows_p[i], keys, num_keys);
-      const size_t dest = static_cast<size_t>(mod_n(h));
-      plan.hashes[i] = h;
-      plan.dest[i] = static_cast<uint32_t>(dest);
-      ++plan.counts[dest];
-    }
-  });
-
-  // Exact destination sizes are known, so every row moves exactly once into
-  // exactly-reserved storage. offsets[p][d] is the first slot in destination
-  // d owned by source p; sources occupy consecutive slot ranges in source
-  // order, which reproduces the row order of a sequential shuffle exactly.
-  std::vector<std::vector<size_t>> offsets(src_parts,
-                                           std::vector<size_t>(n, 0));
-  for (size_t d = 0; d < n; ++d) {
-    size_t running = 0;
-    for (size_t p = 0; p < src_parts; ++p) {
-      offsets[p][d] = running;
-      running += routed[p].counts[d];
-    }
-    result.data.partitions[d].resize(running);
-    result.hashes[d].resize(running);
-    result.data.row_sizes[d].resize(running);
-  }
-
-  // Phase 2: every source scatters its rows to its precomputed slots, in
-  // parallel. Slot ranges are disjoint, so concurrent writers never touch
-  // the same element. Byte metering happens here, in the same pass that
-  // (only now) touches the full row, and lands in per-source accumulators
-  // merged below.
-  pool_->ParallelFor(src_parts, [&](size_t p) {
-    auto& src = input.partitions[p];
-    RoutePlan& plan = routed[p];
-    plan.bytes_to.assign(n, 0);
-    std::vector<size_t> next = offsets[p];
-    Row* rows_p = src.data();
-    const uint64_t* src_sizes =
-        input_has_sizes ? input.row_sizes[p].data() : nullptr;
-    const size_t m = src.size();
-    for (size_t i = 0; i < m; ++i) {
-      if (i + 16 < m) {
-        const char* pf = reinterpret_cast<const char*>(rows_p[i + 16].data());
-        __builtin_prefetch(pf);
-        if (src_sizes == nullptr) {
-          __builtin_prefetch(pf + 128);
-          __builtin_prefetch(pf + 256);
-        }
-      }
-      const size_t d = plan.dest[i];
-      const uint64_t bytes =
-          src_sizes != nullptr ? src_sizes[i] : RowSizeBytesInline(src[i]);
-      // A row already sitting on its destination node (co-partitioned
-      // input) moves no bytes; adding zero keeps the counters identical
-      // without a hash-dependent branch.
-      const uint64_t moved = (d != p || src_parts != n) ? bytes : 0;
-      plan.shuffled_bytes += moved;
-      plan.bytes_to[d] += moved;
-      const size_t slot = next[d]++;
-      result.data.partitions[d][slot] = std::move(src[i]);
-      result.hashes[d][slot] = plan.hashes[i];
-      result.data.row_sizes[d][slot] = bytes;
-    }
-    src.clear();
-  });
-  // Serial section: hand the emptied source vectors back to the pool.
-  for (auto& src : input.partitions) RecycleRowVec(std::move(src));
-
-  std::vector<uint64_t> received_bytes(n, 0);
-  uint64_t total_rows = 0;
-  uint64_t shuffled_bytes = 0;
-  for (size_t p = 0; p < src_parts; ++p) {
-    shuffled_bytes += routed[p].shuffled_bytes;
-    total_rows += rows_in[p];
-    for (size_t d = 0; d < n; ++d) received_bytes[d] += routed[p].bytes_to[d];
-  }
-  metrics->bytes_shuffled += shuffled_bytes;
-  metrics->tuples_processed += total_rows;
-  metrics->simulated_seconds +=
-      static_cast<double>(MaxOver(received_bytes)) *
-          cluster_.network_seconds_per_byte +
-      static_cast<double>(MaxOver(rows_in)) * cluster_.cpu_seconds_per_tuple;
-  DYNOPT_RETURN_IF_ERROR(fault_check(received_bytes, rows_in));
-  metrics->wall_shuffle_seconds += SecondsSince(wall_start);
-  return result;
-}
-
-void JobExecutor::LeafHashJoin(const std::vector<Row>& build_rows,
-                               const std::vector<Row>& probe_rows,
-                               const std::vector<int>& build_keys,
-                               const std::vector<int>& probe_keys,
-                               uint64_t* work, std::vector<Row>* dest,
-                               std::vector<uint64_t>* dest_sizes) {
-  JoinHashTable table;
-  table.Build(build_rows, build_keys, nullptr);
-  constexpr uint32_t kEnd = JoinHashTable::kEnd;
-  const uint32_t* heads = table.heads();
-  const uint32_t* next = table.next();
-  const uint64_t* table_hashes = table.hashes();
-  const size_t mask = table.mask();
-  uint64_t local_work = build_rows.size() + probe_rows.size();
-  for (const Row& probe_row : probe_rows) {
-    if (AnyJoinKeyNull(probe_row, probe_keys)) continue;
-    const uint64_t h = HashRowKey(probe_row, probe_keys);
-    for (uint32_t i = heads[h & mask]; i != kEnd; i = next[i]) {
-      if (table_hashes[i] != h) continue;
-      const Row& build_row = build_rows[i];
-      if (!JoinKeysEqual(build_row, build_keys, probe_row, probe_keys)) {
-        continue;
-      }
-      dest->emplace_back();
-      Row& joined = dest->back();
-      joined.reserve(build_row.size() + probe_row.size());
-      joined.insert(joined.end(), build_row.begin(), build_row.end());
-      joined.insert(joined.end(), probe_row.begin(), probe_row.end());
-      if (dest_sizes != nullptr) {
-        // Joined-row size annotation, same formula as the in-memory probe:
-        // both payloads, one 8-byte row header.
-        dest_sizes->push_back(RowSizeBytesInline(build_row) +
-                              RowSizeBytesInline(probe_row) - 8);
-      }
-      ++local_work;
-    }
-  }
-  *work += local_work;
-}
-
-Status JobExecutor::GraceJoinPartition(
-    const std::vector<Row>& build_rows, const std::vector<Row>& probe_rows,
-    const std::vector<int>& build_keys, const std::vector<int>& probe_keys,
-    int depth, uint64_t salt, size_t part, uint64_t* work,
-    std::vector<Row>* dest, std::vector<uint64_t>* dest_sizes,
-    SpillStats* stats) {
-  DYNOPT_RETURN_IF_ERROR(CheckAlive());
-  const uint64_t budget = cluster_.memory.join_memory_budget_bytes;
-  uint64_t build_size = 0;
-  for (const Row& row : build_rows) build_size += RowSizeBytesInline(row);
-  // In-memory leaf: the build side fits the budget, cannot be split
-  // further, or the recursion cap is reached — then the join runs over
-  // budget rather than refuse (a single query always completes; the
-  // tracker records the over-subscription).
-  if (budget == 0 || build_size <= budget || build_rows.size() <= 1 ||
-      depth >= cluster_.memory.max_spill_recursion) {
-    MemoryReservation leaf_mem(ctx_ != nullptr ? &ctx_->memory() : nullptr);
-    leaf_mem.GrowUnchecked(build_size);
-    LeafHashJoin(build_rows, probe_rows, build_keys, probe_keys, work, dest,
-                 dest_sizes);
-    return Status::OK();
-  }
-
-  // Split both sides by a re-salted key hash — decorrelated from the node
-  // routing (h % num_nodes) and from parent splits, so keys that clustered
-  // at this level spread out below. NULL join keys never match, so their
-  // rows are dropped at split time instead of being spilled.
-  const int fanout = std::max(2, cluster_.memory.max_spill_fanout);
-  std::vector<std::vector<Row>> build_sub(fanout);
-  std::vector<std::vector<Row>> probe_sub(fanout);
-  const FastMod mod_f(static_cast<uint64_t>(fanout));
-  for (const Row& row : build_rows) {
-    if (AnyJoinKeyNull(row, build_keys)) continue;
-    const uint64_t h = Mix64(HashRowKeyInline(row, build_keys) ^ salt);
-    build_sub[mod_f(h)].push_back(row);
-  }
-  for (const Row& row : probe_rows) {
-    if (AnyJoinKeyNull(row, probe_keys)) continue;
-    const uint64_t h = Mix64(HashRowKeyInline(row, probe_keys) ^ salt);
-    probe_sub[mod_f(h)].push_back(row);
-  }
-  stats->repartition_rows += build_rows.size() + probe_rows.size();
-  stats->spill_seconds +=
-      static_cast<double>(build_rows.size() + probe_rows.size()) *
-      cluster_.cpu_seconds_per_tuple;
-
-  // Spill every non-empty sub-partition pair to checksummed files, freeing
-  // each in-memory copy as it is written: from here on, the partition's
-  // resident set is one sub-partition pair at a time. Every spilled byte is
-  // written once and read back once, charged at the disk rates.
-  const uint64_t serial =
-      spill_serial_.fetch_add(1, std::memory_order_relaxed);
-  const std::string base =
-      cluster_.spill_directory + "/" +
-      (ctx_ != nullptr ? ctx_->SpillFilePrefix()
-                       : std::string("__spill_q0_")) +
-      "s" + std::to_string(serial) + "_p" + std::to_string(part) + "_d" +
-      std::to_string(depth) + "_k";
-  std::vector<std::string> files;
-  files.reserve(static_cast<size_t>(fanout) * 2);
-  auto cleanup = [&files]() {
-    for (const std::string& f : files) std::remove(f.c_str());
-  };
-  std::vector<char> live(fanout, 0);
-  for (int k = 0; k < fanout; ++k) {
-    if (build_sub[k].empty() && probe_sub[k].empty()) continue;
-    live[k] = 1;
-    uint64_t pair_bytes = 0;
-    for (const Row& row : build_sub[k]) pair_bytes += RowSizeBytesInline(row);
-    for (const Row& row : probe_sub[k]) pair_bytes += RowSizeBytesInline(row);
-    const std::string bpath = base + std::to_string(k) + ".build.drb";
-    const std::string ppath = base + std::to_string(k) + ".probe.drb";
-    files.push_back(bpath);
-    files.push_back(ppath);
-    Status st = WriteRowsFile(bpath, build_sub[k]);
-    if (st.ok()) st = WriteRowsFile(ppath, probe_sub[k]);
-    if (!st.ok()) {
-      cleanup();
-      return st;
-    }
-    stats->spilled_bytes += pair_bytes;
-    stats->spill_seconds += static_cast<double>(pair_bytes) *
-                            (cluster_.disk_write_seconds_per_byte +
-                             cluster_.disk_read_seconds_per_byte);
-    ++stats->spill_partitions;
-    build_sub[k] = std::vector<Row>();
-    probe_sub[k] = std::vector<Row>();
-  }
-  build_sub.clear();
-  probe_sub.clear();
-
-  // Join each sub-partition pair: read both sides back, drop the files,
-  // recurse (a still-oversized sub-partition splits again under a fresh
-  // salt, up to max_spill_recursion).
-  for (int k = 0; k < fanout; ++k) {
-    if (!live[k]) continue;
-    Status alive = CheckAlive();
-    if (!alive.ok()) {
-      cleanup();
-      return alive;
-    }
-    const std::string bpath = base + std::to_string(k) + ".build.drb";
-    const std::string ppath = base + std::to_string(k) + ".probe.drb";
-    auto sub_build = ReadRowsFile(bpath);
-    if (!sub_build.ok()) {
-      cleanup();
-      return sub_build.status();
-    }
-    auto sub_probe = ReadRowsFile(ppath);
-    if (!sub_probe.ok()) {
-      cleanup();
-      return sub_probe.status();
-    }
-    std::remove(bpath.c_str());
-    std::remove(ppath.c_str());
-    const uint64_t next_salt = Mix64(
-        salt ^ (0x9e3779b97f4a7c15ULL * static_cast<uint64_t>(k + 1)));
-    Status st = GraceJoinPartition(sub_build.value(), sub_probe.value(),
-                                   build_keys, probe_keys, depth + 1,
-                                   next_salt, part, work, dest, dest_sizes,
-                                   stats);
-    if (!st.ok()) {
-      cleanup();
-      return st;
-    }
-  }
-  return Status::OK();
-}
-
-Result<Dataset> JobExecutor::LocalHashJoin(
-    const Dataset& build, const Dataset& probe,
-    const std::vector<int>& build_keys, const std::vector<int>& probe_keys,
-    ExecMetrics* metrics,
-    const std::vector<std::vector<uint64_t>>* build_hashes,
-    const std::vector<std::vector<uint64_t>>* probe_hashes) {
-  DYNOPT_CHECK(build.partitions.size() == probe.partitions.size());
-  DYNOPT_RETURN_IF_ERROR(CheckAlive());
-  const size_t num_parts = build.partitions.size();
-  std::vector<std::string> out_columns = build.columns;
-  out_columns.insert(out_columns.end(), probe.columns.begin(),
-                     probe.columns.end());
-  Dataset out(out_columns, num_parts);
-  // A joined row is build-row ++ probe-row, so its byte size is knowable in
-  // O(1) from the parents' annotations: both sides contribute their values,
-  // but the 8-byte row header is only paid once.
-  const bool emit_sizes = build.HasRowSizes() && probe.HasRowSizes();
-  if (emit_sizes) out.row_sizes.resize(num_parts);
-  for (size_t p = 0; p < num_parts; ++p) {
-    out.partitions[p] = TakeRowVec();
-    if (emit_sizes) out.row_sizes[p] = TakeHashVec();
-  }
-
-  // Per-node join-memory governance: size every build partition (cheap sum
-  // of the producer's annotations when present) and mark the ones exceeding
-  // the join budget for the grace-join spill path. With a zero budget
-  // (default) nothing is sized and nothing spills — the in-memory path and
-  // its metering are untouched.
-  const uint64_t join_budget = cluster_.memory.join_memory_budget_bytes;
-  const bool governed = join_budget > 0 || ctx_ != nullptr;
-  std::vector<uint64_t> build_bytes;
-  std::vector<char> spill(num_parts, 0);
-  bool any_spill = false;
-  if (governed) {
-    build_bytes.assign(num_parts, 0);
-    const bool build_has_sizes = build.HasRowSizes();
-    pool_->ParallelFor(num_parts, [&](size_t p) {
-      uint64_t bytes = 0;
-      if (build_has_sizes) {
-        for (uint64_t b : build.row_sizes[p]) bytes += b;
-      } else {
-        for (const Row& row : build.partitions[p]) {
-          bytes += RowSizeBytesInline(row);
-        }
-      }
-      build_bytes[p] = bytes;
-    });
-    if (join_budget > 0) {
-      for (size_t p = 0; p < num_parts; ++p) {
-        if (build_bytes[p] > join_budget && build.partitions[p].size() > 1) {
-          spill[p] = 1;
-          any_spill = true;
-        }
-      }
-    }
-  }
-  // Account the resident build side against the query's tracker for the
-  // duration of the join (spilled partitions account their sub-joins inside
-  // GraceJoinPartition instead).
-  MemoryReservation join_mem(ctx_ != nullptr ? &ctx_->memory() : nullptr);
-  if (ctx_ != nullptr) {
-    for (size_t p = 0; p < num_parts; ++p) {
-      if (!spill[p]) join_mem.GrowUnchecked(build_bytes[p]);
-    }
-  }
-
-  // Build phase: one flat table per partition, reusing the executor's
-  // pooled tables (their vectors keep capacity between joins). Spilled
-  // partitions never build a full-partition table — that is the point.
-  TraceSpan build_span("join-build", "kernel");
-  auto wall_start = WallClock::now();
-  if (join_tables_.size() < num_parts) join_tables_.resize(num_parts);
-  std::vector<JoinHashTable>& tables = join_tables_;
-  pool_->ParallelFor(num_parts, [&](size_t p) {
-    if (spill[p]) return;
-    tables[p].Build(build.partitions[p], build_keys,
-                    build_hashes != nullptr ? &(*build_hashes)[p] : nullptr);
-  });
-  metrics->wall_build_seconds += SecondsSince(wall_start);
-  if (FaultsArmed()) {
-    // Build-stage fault overlay: node p's clean task time is inserting its
-    // build partition into the hash table.
-    std::vector<double> build_seconds(num_parts, 0.0);
-    for (size_t p = 0; p < num_parts; ++p) {
-      build_seconds[p] = static_cast<double>(build.partitions[p].size()) *
-                         cluster_.cpu_seconds_per_tuple;
-    }
-    DYNOPT_RETURN_IF_ERROR(
-        ApplyFaults(FaultSite::kBuild, build_seconds, metrics));
-  }
-  build_span.End();
-
-  // Probe phase. Spilled partitions take the grace-join route inside the
-  // same ParallelFor: partition both sides to disk and join recursively,
-  // emitting into the same output slot. Their failures (spill I/O, a
-  // cancellation observed mid-spill) land in part_status, merged after the
-  // loop.
-  DYNOPT_RETURN_IF_ERROR(CheckAlive());
-  TraceSpan probe_span("join-probe", "kernel");
-  wall_start = WallClock::now();
-  std::vector<uint64_t> work(num_parts, 0);
-  std::vector<Status> part_status(num_parts);
-  std::vector<SpillStats> part_spill(any_spill ? num_parts : 0);
-  pool_->ParallelFor(num_parts, [&](size_t p) {
-    if (spill[p]) {
-      uint64_t local_work = 0;
-      part_status[p] = GraceJoinPartition(
-          build.partitions[p], probe.partitions[p], build_keys, probe_keys,
-          /*depth=*/0, /*salt=*/0xc2b2ae3d27d4eb4fULL, p, &local_work,
-          &out.partitions[p], emit_sizes ? &out.row_sizes[p] : nullptr,
-          &part_spill[p]);
-      work[p] = local_work;
-      return;
-    }
-    const auto& build_rows = build.partitions[p];
-    const auto& probe_rows = probe.partitions[p];
-    const JoinHashTable& table = tables[p];
-    const std::vector<uint64_t>* hashes =
-        probe_hashes != nullptr ? &(*probe_hashes)[p] : nullptr;
-    auto& dest = out.partitions[p];
-    // FK equi-joins emit about one row per probe row; reserving that up
-    // front removes most of the doubling reallocations (each of which
-    // re-moves every previously emitted row header). Worst case this
-    // over-allocates headers only, and many-to-many joins still grow.
-    dest.reserve(probe_rows.size());
-    const uint64_t* build_sizes =
-        emit_sizes ? build.row_sizes[p].data() : nullptr;
-    const uint64_t* probe_sizes =
-        emit_sizes ? probe.row_sizes[p].data() : nullptr;
-    std::vector<uint64_t>* dest_sizes =
-        emit_sizes ? &out.row_sizes[p] : nullptr;
-    if (dest_sizes != nullptr) dest_sizes->reserve(probe_rows.size());
-    uint64_t local_work = build_rows.size() + probe_rows.size();
-    // Hoisted raw views: const locals stay in registers across the emission
-    // writes below, which the compiler must otherwise assume may alias the
-    // vectors' headers and reload every iteration.
-    constexpr uint32_t kEnd = JoinHashTable::kEnd;
-    const uint32_t* heads = table.heads();
-    const uint32_t* next = table.next();
-    const uint64_t* table_hashes = table.hashes();
-    const size_t mask = table.mask();
-    const size_t num_probe_rows = probe_rows.size();
-    const uint64_t* probe_h = hashes != nullptr ? hashes->data() : nullptr;
-    for (size_t j = 0; j < num_probe_rows; ++j) {
-      uint64_t h;
-      uint32_t first;
-      if (probe_h != nullptr) {
-        // Precomputed hashes let misses resolve from the table's own arrays
-        // — the chain is walked comparing full 64-bit hashes (L1-resident)
-        // and the probe row itself is only touched on a hash match. NULL-key
-        // rows are filtered below on that (rare) match; the table holds no
-        // NULL-key entries, so hash + key equality already reject them, and
-        // the explicit check keeps the invariant obvious.
-        h = probe_h[j];
-        // The upcoming bucket loads are data-dependent random accesses into
-        // an array that outgrows L2 for large build sides; prefetching a few
-        // iterations ahead hides most of that latency.
-        if (j + 8 < num_probe_rows) {
-          __builtin_prefetch(&heads[probe_h[j + 8] & mask]);
-        }
-        first = heads[h & mask];
-        while (first != kEnd && table_hashes[first] != h) first = next[first];
-        if (first == kEnd) continue;
-        if (AnyJoinKeyNull(probe_rows[j], probe_keys)) continue;
-      } else {
-        if (AnyJoinKeyNull(probe_rows[j], probe_keys)) continue;
-        h = HashRowKey(probe_rows[j], probe_keys);
-        first = heads[h & mask];
-      }
-      const Row& probe_row = probe_rows[j];
-      for (uint32_t i = first; i != kEnd; i = next[i]) {
-        if (table_hashes[i] != h) continue;
-        const Row& build_row = build_rows[i];
-        if (!JoinKeysEqual(build_row, build_keys, probe_row, probe_keys)) {
-          continue;
-        }
-        dest.emplace_back();
-        Row& joined = dest.back();
-        joined.reserve(build_row.size() + probe_row.size());
-        joined.insert(joined.end(), build_row.begin(), build_row.end());
-        joined.insert(joined.end(), probe_row.begin(), probe_row.end());
-        if (dest_sizes != nullptr) {
-          dest_sizes->push_back(build_sizes[i] + probe_sizes[j] - 8);
-        }
-        ++local_work;
-      }
-    }
-    work[p] = local_work;
-  });
-  metrics->wall_probe_seconds += SecondsSince(wall_start);
-  for (const Status& st : part_status) {
-    DYNOPT_RETURN_IF_ERROR(st);
-  }
-
-  uint64_t total_work = 0;
-  for (uint64_t w : work) total_work += w;
-  metrics->tuples_processed += total_work;
-  metrics->simulated_seconds +=
-      static_cast<double>(MaxOver(work)) * cluster_.cpu_seconds_per_tuple;
-  if (any_spill) {
-    // Spill cost: each spilled partition's disk passes + repartition CPU run
-    // on that partition's node, concurrently across nodes — so simulated
-    // time takes the max over partitions while the byte/partition counters
-    // sum.
-    double max_spill_seconds = 0.0;
-    uint64_t call_spilled_bytes = 0;
-    uint64_t call_spill_partitions = 0;
-    for (size_t p = 0; p < num_parts; ++p) {
-      const SpillStats& s = part_spill[p];
-      max_spill_seconds = std::max(max_spill_seconds, s.spill_seconds);
-      call_spilled_bytes += s.spilled_bytes;
-      call_spill_partitions += s.spill_partitions;
-    }
-    metrics->spilled_bytes += call_spilled_bytes;
-    metrics->spill_partitions += call_spill_partitions;
-    registry_->counter("exec.spill_bytes")
-        ->Increment(call_spilled_bytes);
-    registry_->counter("exec.spill_partitions")
-        ->Increment(call_spill_partitions);
-    metrics->simulated_seconds += max_spill_seconds;
-    if (ctx_ != nullptr) {
-      metrics->peak_memory_bytes =
-          std::max(metrics->peak_memory_bytes, ctx_->memory().peak());
-    }
-  }
-  if (FaultsArmed()) {
-    // Probe-stage fault overlay: node p's clean task time is its probe +
-    // emission work (work[p] minus the build rows already charged above).
-    std::vector<double> probe_seconds(num_parts, 0.0);
-    for (size_t p = 0; p < num_parts; ++p) {
-      probe_seconds[p] =
-          static_cast<double>(work[p] - build.partitions[p].size()) *
-          cluster_.cpu_seconds_per_tuple;
-    }
-    DYNOPT_RETURN_IF_ERROR(
-        ApplyFaults(FaultSite::kProbe, probe_seconds, metrics));
-  }
-  return out;
-}
-
-Result<Dataset> JobExecutor::ExecJoin(
-    const PlanNode& node, const std::map<std::string, Value>& params,
-    ExecMetrics* metrics) {
-  DYNOPT_ASSIGN_OR_RETURN(Dataset build,
-                          ExecNode(*node.children[0], params, metrics));
-  DYNOPT_ASSIGN_OR_RETURN(Dataset probe,
-                          ExecNode(*node.children[1], params, metrics));
-  return ExecJoinWithInputs(node, std::move(build), std::move(probe),
-                            metrics);
-}
-
-Result<Dataset> JobExecutor::ExecJoinWithInputs(const PlanNode& node,
-                                                Dataset&& build,
-                                                Dataset&& probe,
-                                                ExecMetrics* metrics) {
-  std::vector<std::string> build_names, probe_names;
-  for (const auto& [l, r] : node.keys) {
-    build_names.push_back(l);
-    probe_names.push_back(r);
-  }
-  DYNOPT_ASSIGN_OR_RETURN(std::vector<int> build_keys,
-                          ResolveColumns(build, build_names, "join build"));
-  DYNOPT_ASSIGN_OR_RETURN(std::vector<int> probe_keys,
-                          ResolveColumns(probe, probe_names, "join probe"));
-
-  if (node.method == JoinMethod::kHashShuffle) {
-    if (PredicateTransferEnabled()) {
-      // Sideways pushdown: ship the build side's key filter so pruned probe
-      // rows never enter either Repartition below.
-      TransferPredicateRows(build, build_keys, &probe, probe_keys, metrics);
-    }
-    DYNOPT_ASSIGN_OR_RETURN(ShuffleResult build_parts,
-                            Repartition(std::move(build), build_keys,
-                                        metrics));
-    DYNOPT_ASSIGN_OR_RETURN(ShuffleResult probe_parts,
-                            Repartition(std::move(probe), probe_keys,
-                                        metrics));
-    DYNOPT_ASSIGN_OR_RETURN(
-        Dataset joined,
-        LocalHashJoin(build_parts.data, probe_parts.data, build_keys,
-                      probe_keys, metrics, &build_parts.hashes,
-                      &probe_parts.hashes));
-    // The shuffled inputs are fully consumed; recycle their storage for the
-    // next exchange instead of returning it to the allocator.
-    RecycleShuffleResult(std::move(build_parts));
-    RecycleShuffleResult(std::move(probe_parts));
-    return joined;
-  }
-
-  // Broadcast join: replicate the (small) build side to every partition of
-  // the probe side.
-  DYNOPT_CHECK(node.method == JoinMethod::kBroadcast);
-  std::vector<Row> build_rows = build.GatherRows();
-  uint64_t build_bytes = 0;
-  for (const Row& row : build_rows) build_bytes += RowSizeBytes(row);
-  const size_t n = probe.partitions.size();
-  metrics->bytes_broadcast += build_bytes * n;
-  // Every node receives the full build side; receipt happens in parallel.
-  metrics->simulated_seconds +=
-      static_cast<double>(build_bytes) * cluster_.network_seconds_per_byte;
-  // A build side larger than the per-node join memory overflows to disk:
-  // the dynamic hash join re-partitions the overflow in extra passes. An
-  // optimizer that broadcast a dataset it wrongly believed small pays here.
-  // This flat-penalty model only applies while no join-memory budget is
-  // configured; with a budget, the overflow takes the *real* grace-join
-  // spill path inside LocalHashJoin and is metered from executed passes.
-  if (cluster_.memory.join_memory_budget_bytes == 0 &&
-      build_bytes > cluster_.broadcast_threshold_bytes) {
-    double overflow = static_cast<double>(build_bytes -
-                                          cluster_.broadcast_threshold_bytes);
-    metrics->simulated_seconds +=
-        overflow * cluster_.spill_penalty_passes *
-        (cluster_.disk_write_seconds_per_byte +
-         cluster_.disk_read_seconds_per_byte);
-  }
-  if (FaultsArmed()) {
-    // Broadcast-stage fault overlay: every node receives the full build
-    // side, so all clean task times are equal.
-    std::vector<double> receive_seconds(
-        n, static_cast<double>(build_bytes) *
-               cluster_.network_seconds_per_byte);
-    DYNOPT_RETURN_IF_ERROR(
-        ApplyFaults(FaultSite::kBroadcast, receive_seconds, metrics));
-  }
-
-  Dataset replicated(build.columns, n);
-  for (size_t p = 0; p < n; ++p) replicated.partitions[p] = build_rows;
-  // Note: replication is physical here so per-node joins are real work; the
-  // memory cost is bounded by the planner's broadcast threshold.
-  return LocalHashJoin(replicated, probe, build_keys, probe_keys, metrics);
-}
-
-void JobExecutor::TransferPredicateRows(const Dataset& build,
-                                        const std::vector<int>& build_keys,
-                                        Dataset* probe,
-                                        const std::vector<int>& probe_keys,
-                                        ExecMetrics* metrics) {
-  TraceSpan span("predicate-transfer", "kernel");
-  const SketchConfig& cfg = cluster_.sketch;
-  const uint64_t build_rows = build.NumRows();
-  BloomFilter bloom(std::max<uint64_t>(build_rows, 1), cfg.pt_bits_per_key,
-                    cfg.seed);
-  uint64_t max_build_part = 0;
-  for (const auto& part : build.partitions) {
-    max_build_part = std::max<uint64_t>(max_build_part, part.size());
-    for (const Row& row : part) {
-      bool null_key = false;
-      for (int k : build_keys) null_key |= row[k].is_null();
-      // NULL keys never join, so they never enter the filter — and a probe
-      // row with a NULL key is pruned below without consulting it.
-      if (!null_key) bloom.Insert(HashRowKeyInline(row, build_keys));
-    }
-  }
-  // Each node feeds the filter from its resident build partition.
-  metrics->simulated_seconds +=
-      static_cast<double>(max_build_part) * cluster_.cpu_seconds_per_tuple;
-
-  // Ship the merged filter to every probe-side node. Like a broadcast:
-  // total bytes on the wire are size * nodes, receipt is parallel.
-  const size_t num_parts = probe->partitions.size();
-  metrics->pt_filter_bytes += bloom.SizeBytes() * num_parts;
-  metrics->simulated_seconds +=
-      static_cast<double>(bloom.SizeBytes()) * cluster_.network_seconds_per_byte;
-
-  // Filter probe partitions in place before they enter the shuffle.
-  const bool has_sizes = probe->HasRowSizes();
-  std::vector<uint64_t> part_rows(num_parts, 0);
-  std::vector<uint64_t> pruned_rows(num_parts, 0);
-  std::vector<uint64_t> pruned_bytes(num_parts, 0);
-  pool_->ParallelFor(num_parts, [&](size_t p) {
-    auto& rows = probe->partitions[p];
-    std::vector<uint64_t>* sizes = has_sizes ? &probe->row_sizes[p] : nullptr;
-    part_rows[p] = rows.size();
-    size_t kept = 0;
-    for (size_t i = 0; i < rows.size(); ++i) {
-      bool null_key = false;
-      for (int k : probe_keys) null_key |= rows[i][k].is_null();
-      const bool keep =
-          !null_key &&
-          bloom.MayContain(HashRowKeyInline(rows[i], probe_keys));
-      if (keep) {
-        if (kept != i) {
-          rows[kept] = std::move(rows[i]);
-          if (sizes != nullptr) (*sizes)[kept] = (*sizes)[i];
-        }
-        ++kept;
-      } else {
-        ++pruned_rows[p];
-        pruned_bytes[p] +=
-            sizes != nullptr ? (*sizes)[i] : RowSizeBytesInline(rows[i]);
-      }
-    }
-    rows.resize(kept);
-    if (sizes != nullptr) sizes->resize(kept);
-  });
-  uint64_t max_probe_part = 0;
-  for (size_t p = 0; p < num_parts; ++p) {
-    max_probe_part = std::max(max_probe_part, part_rows[p]);
-    metrics->pt_pruned_rows += pruned_rows[p];
-    metrics->pt_pruned_bytes += pruned_bytes[p];
-  }
-  // Each node tests its probe partition against the filter once.
-  metrics->simulated_seconds +=
-      static_cast<double>(max_probe_part) * cluster_.cpu_seconds_per_tuple;
-  metrics->tuples_processed += build_rows;
-  for (uint64_t r : part_rows) metrics->tuples_processed += r;
-}
-
-void JobExecutor::TransferPredicateColumnar(const ColumnarDataset& build,
-                                            const std::vector<int>& build_keys,
-                                            ColumnarDataset* probe,
-                                            const std::vector<int>& probe_keys,
-                                            ExecMetrics* metrics) {
-  TraceSpan span("predicate-transfer", "kernel");
-  const SketchConfig& cfg = cluster_.sketch;
-  const uint64_t build_rows = build.NumRows();
-  BloomFilter bloom(std::max<uint64_t>(build_rows, 1), cfg.pt_bits_per_key,
-                    cfg.seed);
-  {
-    std::vector<uint64_t> hashes;
-    std::vector<uint8_t> key_null;
-    for (const auto& part : build.partitions) {
-      for (const ColumnBatch& b : part) {
-        hashes.resize(b.num_rows);
-        key_null.assign(b.num_rows, 0);
-        HashKeyColumns(b, build_keys.data(), build_keys.size(), hashes.data(),
-                       key_null.data());
-        for (size_t i = 0; i < b.num_rows; ++i) {
-          if (key_null[i] == 0) bloom.Insert(hashes[i]);
-        }
-      }
-    }
-  }
-  uint64_t max_build_part = 0;
-  for (size_t p = 0; p < build.partitions.size(); ++p) {
-    max_build_part = std::max(max_build_part, build.PartitionRows(p));
-  }
-  metrics->simulated_seconds +=
-      static_cast<double>(max_build_part) * cluster_.cpu_seconds_per_tuple;
-
-  const size_t num_parts = probe->partitions.size();
-  metrics->pt_filter_bytes += bloom.SizeBytes() * num_parts;
-  metrics->simulated_seconds +=
-      static_cast<double>(bloom.SizeBytes()) * cluster_.network_seconds_per_byte;
-
-  std::vector<uint64_t> part_rows(num_parts, 0);
-  std::vector<uint64_t> pruned_rows(num_parts, 0);
-  std::vector<uint64_t> pruned_bytes(num_parts, 0);
-  pool_->ParallelFor(num_parts, [&](size_t p) {
-    std::vector<uint64_t> hashes;
-    std::vector<uint8_t> key_null;
-    std::vector<uint32_t> sel;
-    for (ColumnBatch& b : probe->partitions[p]) {
-      part_rows[p] += b.num_rows;
-      hashes.resize(b.num_rows);
-      key_null.assign(b.num_rows, 0);
-      HashKeyColumns(b, probe_keys.data(), probe_keys.size(), hashes.data(),
-                     key_null.data());
-      sel.clear();
-      for (size_t i = 0; i < b.num_rows; ++i) {
-        if (key_null[i] == 0 && bloom.MayContain(hashes[i])) {
-          sel.push_back(static_cast<uint32_t>(i));
-        } else {
-          ++pruned_rows[p];
-          pruned_bytes[p] += b.row_sizes[i];
-        }
-      }
-      if (sel.size() != b.num_rows) b = GatherBatch(b, sel.data(), sel.size());
-    }
-  });
-  uint64_t max_probe_part = 0;
-  for (size_t p = 0; p < num_parts; ++p) {
-    max_probe_part = std::max(max_probe_part, part_rows[p]);
-    metrics->pt_pruned_rows += pruned_rows[p];
-    metrics->pt_pruned_bytes += pruned_bytes[p];
-  }
-  metrics->simulated_seconds +=
-      static_cast<double>(max_probe_part) * cluster_.cpu_seconds_per_tuple;
-  metrics->tuples_processed += build_rows;
-  for (uint64_t r : part_rows) metrics->tuples_processed += r;
-}
-
-Result<Dataset> JobExecutor::ExecIndexNestedLoopJoin(
-    const PlanNode& node, const std::map<std::string, Value>& params,
-    ExecMetrics* metrics) {
-  TraceSpan span("inlj", "kernel");
-  if (node.keys.size() != 1) {
-    return Status::ExecutionError(
-        "indexed nested loop join supports exactly one key pair");
-  }
-  const PlanNode& inner_scan = *node.children[1];
-  if (inner_scan.kind != PlanNode::Kind::kScan || inner_scan.is_intermediate) {
-    return Status::ExecutionError(
-        "indexed nested loop join requires a base-table scan as inner");
-  }
-  DYNOPT_ASSIGN_OR_RETURN(std::shared_ptr<Table> inner,
-                          catalog_->GetTable(inner_scan.table));
-  // The inner key is qualified "alias.column"; strip the alias.
-  const std::string& inner_key_qualified = node.keys[0].second;
-  std::string prefix = inner_scan.alias + ".";
-  if (inner_key_qualified.rfind(prefix, 0) != 0) {
-    return Status::ExecutionError("inner join key " + inner_key_qualified +
-                                  " does not belong to " + inner_scan.alias);
-  }
-  std::string inner_column = inner_key_qualified.substr(prefix.size());
-  const SecondaryIndex* index = inner->GetSecondaryIndex(inner_column);
-  if (index == nullptr) {
-    return Status::ExecutionError("no secondary index on " +
-                                  inner_scan.table + "." + inner_column);
-  }
-
-  DYNOPT_ASSIGN_OR_RETURN(Dataset outer,
-                          ExecNode(*node.children[0], params, metrics));
-  int outer_key = outer.ColumnIndex(node.keys[0].first);
-  if (outer_key < 0) {
-    return Status::ExecutionError("outer join key " + node.keys[0].first +
-                                  " not found");
-  }
-
-  // Inner output columns (with projection pushdown).
-  const Schema& schema = inner->schema();
-  std::vector<std::string> inner_all;
-  for (size_t i = 0; i < schema.num_fields(); ++i) {
-    inner_all.push_back(inner_scan.alias + "." + schema.field(i).name);
-  }
-  std::vector<int> inner_keep;
-  std::vector<std::string> inner_columns;
-  if (inner_scan.scan_columns.empty()) {
-    for (size_t i = 0; i < inner_all.size(); ++i) {
-      inner_keep.push_back(static_cast<int>(i));
-    }
-    inner_columns = inner_all;
-  } else {
-    for (const auto& wanted : inner_scan.scan_columns) {
-      auto it = std::find(inner_all.begin(), inner_all.end(), wanted);
-      if (it == inner_all.end()) {
-        return Status::ExecutionError("scan column " + wanted +
-                                      " not in table " + inner_scan.table);
-      }
-      inner_keep.push_back(static_cast<int>(it - inner_all.begin()));
-      inner_columns.push_back(wanted);
-    }
-  }
-
-  // Broadcast the outer to every node; each arriving row probes the local
-  // index immediately (Section 3, Indexed Nested Loop Join).
-  std::vector<Row> outer_rows = outer.GatherRows();
-  uint64_t outer_bytes = 0;
-  for (const Row& row : outer_rows) outer_bytes += RowSizeBytes(row);
-  const size_t n = inner->num_partitions();
-  metrics->bytes_broadcast += outer_bytes * n;
-  metrics->simulated_seconds +=
-      static_cast<double>(outer_bytes) * cluster_.network_seconds_per_byte;
-  if (FaultsArmed()) {
-    // The INLJ outer broadcast is a broadcast stage like any other.
-    std::vector<double> receive_seconds(
-        n, static_cast<double>(outer_bytes) *
-               cluster_.network_seconds_per_byte);
-    DYNOPT_RETURN_IF_ERROR(
-        ApplyFaults(FaultSite::kBroadcast, receive_seconds, metrics));
-  }
-
-  std::vector<std::string> out_columns = outer.columns;
-  out_columns.insert(out_columns.end(), inner_columns.begin(),
-                     inner_columns.end());
-  Dataset out(out_columns, n);
-  std::vector<uint64_t> matched_bytes(n, 0);
-  std::vector<uint64_t> lookups(n, 0);
-  pool_->ParallelFor(n, [&](size_t p) {
-    auto& dest = out.partitions[p];
-    uint64_t local_matched_bytes = 0;
-    for (const Row& outer_row : outer_rows) {
-      const Value& key = outer_row[static_cast<size_t>(outer_key)];
-      if (key.is_null()) continue;
-      ++lookups[p];
-      const std::vector<uint32_t>* offsets = index->Lookup(p, key);
-      if (offsets == nullptr) continue;
-      for (uint32_t off : *offsets) {
-        const Row inner_row = inner->ReadRow(p, off);
-        local_matched_bytes += RowSizeBytes(inner_row);
-        Row joined;
-        joined.reserve(outer_row.size() + inner_keep.size());
-        joined.insert(joined.end(), outer_row.begin(), outer_row.end());
-        for (int k : inner_keep) {
-          joined.push_back(inner_row[static_cast<size_t>(k)]);
-        }
-        dest.push_back(std::move(joined));
-      }
-    }
-    matched_bytes[p] = local_matched_bytes;
-  });
-  uint64_t total_lookups = 0, total_matched = 0;
-  for (size_t p = 0; p < n; ++p) {
-    total_lookups += lookups[p];
-    total_matched += matched_bytes[p];
-  }
-  metrics->index_lookups += total_lookups;
-  metrics->bytes_scanned += total_matched;  // Only matched pages are read.
-  metrics->simulated_seconds +=
-      static_cast<double>(MaxOver(lookups)) * cluster_.index_lookup_seconds +
-      static_cast<double>(MaxOver(matched_bytes)) *
-          cluster_.disk_read_seconds_per_byte;
-  return out;
-}
-
-// --- Columnar operator path ----------------------------------------------
-//
-// Every operator below is the vectorized twin of a row operator above:
-// identical trace spans, identical deterministic counters, identical
-// simulated-seconds formulas, identical fault-injection sites drawn in the
-// same order. Only the in-memory representation (and wall-clock speed)
-// differs.
-
-Result<ColumnarDataset> JobExecutor::ExecNodeColumnar(
-    const PlanNode& node, const std::map<std::string, Value>& params,
-    ExecMetrics* metrics) {
-  DYNOPT_RETURN_IF_ERROR(CheckAlive());
-  switch (node.kind) {
-    case PlanNode::Kind::kScan:
-      return ExecScanColumnar(node, metrics);
-    case PlanNode::Kind::kFilter:
-      return ExecFilterColumnar(node, params, metrics);
-    case PlanNode::Kind::kProject:
-      return ExecProjectColumnar(node, params, metrics);
-    case PlanNode::Kind::kJoin:
-      if (node.method == JoinMethod::kIndexNestedLoop) {
-        // Row fallback: the INLJ probes a row-oriented secondary index and
-        // gathers matching rows directly; its whole subtree runs the row
-        // operators (metering is identical by construction) and the result
-        // converts at this boundary.
-        DYNOPT_ASSIGN_OR_RETURN(
-            Dataset rows, ExecIndexNestedLoopJoin(node, params, metrics));
-        return FromDataset(rows, cluster_.exec.max_batch_size);
-      }
-      return ExecJoinColumnar(node, params, metrics);
-  }
-  return Status::Internal("unknown plan node kind");
-}
-
-Result<ColumnarDataset> JobExecutor::ExecScanColumnar(const PlanNode& node,
-                                                      ExecMetrics* metrics) {
-  TraceSpan span("scan:" + node.table, "kernel");
-  DYNOPT_ASSIGN_OR_RETURN(std::shared_ptr<Table> table,
-                          catalog_->GetTable(node.table));
-  const Schema& schema = table->schema();
-  std::vector<std::string> all_columns;
-  all_columns.reserve(schema.num_fields());
-  for (size_t i = 0; i < schema.num_fields(); ++i) {
-    all_columns.push_back(node.is_intermediate
-                              ? schema.field(i).name
-                              : node.alias + "." + schema.field(i).name);
-  }
-  std::vector<int> keep;
-  std::vector<std::string> out_columns;
-  if (node.scan_columns.empty()) {
-    for (size_t i = 0; i < all_columns.size(); ++i) {
-      keep.push_back(static_cast<int>(i));
-    }
-    out_columns = all_columns;
-  } else {
-    for (const auto& wanted : node.scan_columns) {
-      auto it = std::find(all_columns.begin(), all_columns.end(), wanted);
-      if (it == all_columns.end()) {
-        return Status::ExecutionError("scan column " + wanted +
-                                      " not in table " + node.table);
-      }
-      keep.push_back(static_cast<int>(it - all_columns.begin()));
-      out_columns.push_back(wanted);
-    }
-  }
+  DYNOPT_RETURN_IF_ERROR(
+      ResolveScanColumns(node, table->schema(), &keep, &out_columns));
 
   const size_t num_parts = table->num_partitions();
   const size_t batch_cap = cluster_.exec.max_batch_size;
@@ -1610,6 +450,7 @@ Result<ColumnarDataset> JobExecutor::ExecScanColumnar(const PlanNode& node,
     metrics->bytes_intermediate_read += total_bytes;
     io_seconds = static_cast<double>(MaxOver(bytes_in)) *
                  cluster_.disk_read_seconds_per_byte;
+    // Re-reading materialized intermediates is re-optimization overhead.
     metrics->reopt_seconds += io_seconds;
   } else {
     metrics->bytes_scanned += total_bytes;
@@ -1622,12 +463,11 @@ Result<ColumnarDataset> JobExecutor::ExecScanColumnar(const PlanNode& node,
   return out;
 }
 
-Result<ColumnarDataset> JobExecutor::ExecFilterColumnar(
+Result<ColumnarDataset> JobExecutor::ExecFilter(
     const PlanNode& node, const std::map<std::string, Value>& params,
     ExecMetrics* metrics) {
   DYNOPT_ASSIGN_OR_RETURN(ColumnarDataset input,
-                          ExecNodeColumnar(*node.children[0], params,
-                                           metrics));
+                          ExecNode(*node.children[0], params, metrics));
   // Compile once per operator: slots resolved here, never in the batch
   // loop. Fails with the same BindError messages as Bind().
   DYNOPT_ASSIGN_OR_RETURN(
@@ -1669,15 +509,14 @@ Result<ColumnarDataset> JobExecutor::ExecFilterColumnar(
   return out;
 }
 
-Result<ColumnarDataset> JobExecutor::ExecProjectColumnar(
+Result<ColumnarDataset> JobExecutor::ExecProject(
     const PlanNode& node, const std::map<std::string, Value>& params,
     ExecMetrics* metrics) {
   DYNOPT_ASSIGN_OR_RETURN(ColumnarDataset input,
-                          ExecNodeColumnar(*node.children[0], params,
-                                           metrics));
+                          ExecNode(*node.children[0], params, metrics));
   DYNOPT_ASSIGN_OR_RETURN(
       std::vector<int> keep,
-      ResolveColumnsColumnar(input, node.project_columns, "project"));
+      ResolveColumns(input, node.project_columns, "project"));
   const size_t num_parts = input.partitions.size();
   ColumnarDataset out(node.project_columns, num_parts);
   std::vector<uint64_t> rows_in(num_parts, 0);
@@ -1691,8 +530,8 @@ Result<ColumnarDataset> JobExecutor::ExecProjectColumnar(
       ColumnBatch projected;
       projected.num_rows = b.num_rows;
       projected.row_sizes.resize(b.num_rows);
-      // New sizes first (they read the dropped columns' replacement — the
-      // kept columns — before any are moved out below).
+      // New sizes first (they read the kept columns before any are moved
+      // out below).
       ProjectedRowSizes(b, keep.data(), keep.size(),
                         projected.row_sizes.data());
       projected.columns.reserve(keep.size());
@@ -1722,9 +561,10 @@ Result<ColumnarDataset> JobExecutor::ExecProjectColumnar(
   return out;
 }
 
-Result<ColumnarShuffleResult> JobExecutor::RepartitionColumnar(
+Result<ShuffleResult> JobExecutor::Repartition(
     ColumnarDataset&& input, const std::vector<int>& key_indices,
     ExecMetrics* metrics) {
+  DYNOPT_RETURN_IF_ERROR(config_status_);
   DYNOPT_RETURN_IF_ERROR(CheckAlive());
   TraceSpan span("shuffle", "kernel");
   const auto wall_start = WallClock::now();
@@ -1733,6 +573,9 @@ Result<ColumnarShuffleResult> JobExecutor::RepartitionColumnar(
   const size_t batch_cap = cluster_.exec.max_batch_size;
   const size_t num_cols = input.columns.size();
 
+  // Fault overlay for one shuffle stage: node i both routes source
+  // partition i (CPU) and receives destination partition i (network); the
+  // wider of the two vectors bounds the node count.
   auto fault_check = [&](const std::vector<uint64_t>& received_bytes,
                          const std::vector<uint64_t>& rows_in) -> Status {
     if (!FaultsArmed()) return Status::OK();
@@ -1750,15 +593,14 @@ Result<ColumnarShuffleResult> JobExecutor::RepartitionColumnar(
     return ApplyFaults(FaultSite::kRepartition, per_node, metrics);
   };
 
-  // Adaptive route: mirrors the row shuffle — a pool without at least two
-  // workers cannot overlap anything, so the two-phase exchange below would
-  // pay n full re-scans of every source batch (one per destination) with
-  // nothing gained in return. The one-pass exchange hashes each batch,
-  // buckets its rows per destination and gathers them while the batch is
-  // still hot in cache. Row order, hashes and all metering are identical
-  // on both routes.
+  // Adaptive route: a pool without at least two workers cannot overlap
+  // anything, so the two-phase exchange below would pay n full re-scans of
+  // every source batch (one per destination) with nothing gained in
+  // return. The one-pass exchange hashes each batch, buckets its rows per
+  // destination and gathers them while the batch is still hot in cache.
+  // Row order, hashes and all metering are identical on both routes.
   if (pool_->num_threads() <= 1) {
-    ColumnarShuffleResult result;
+    ShuffleResult result;
     result.data = ColumnarDataset(input.columns, n);
     result.hashes.resize(n);
     std::vector<uint64_t> received_bytes(n, 0);
@@ -1787,8 +629,8 @@ Result<ColumnarShuffleResult> JobExecutor::RepartitionColumnar(
         const uint64_t* sizes = b.row_sizes.data();
         for (size_t i = 0; i < m; ++i) {
           const size_t dest = static_cast<size_t>(mod_n(hashes[i]));
-          // Co-partitioned rows move no bytes (same rule as the row
-          // shuffle).
+          // A row already sitting on its destination node (co-partitioned
+          // input) moves no bytes.
           const uint64_t moved = (dest != p || src_parts != n) ? sizes[i] : 0;
           shuffled_bytes += moved;
           received_bytes[dest] += moved;
@@ -1854,7 +696,8 @@ Result<ColumnarShuffleResult> JobExecutor::RepartitionColumnar(
         const size_t dest = static_cast<size_t>(mod_n(h[i]));
         plan.dest[base + i] = static_cast<uint32_t>(dest);
         ++plan.counts[dest];
-        // Co-partitioned rows move no bytes (same rule as the row shuffle).
+        // Co-partitioned rows move no bytes (same rule as the one-pass
+        // route).
         const uint64_t moved =
             (dest != p || src_parts != n) ? sizes[i] : 0;
         plan.shuffled_bytes += moved;
@@ -1868,7 +711,7 @@ Result<ColumnarShuffleResult> JobExecutor::RepartitionColumnar(
   // source batch in order, gathering its rows (and their hashes) into
   // fixed-capacity output batches. Sources in ascending order, rows in
   // batch order: exactly the row order of a sequential shuffle.
-  ColumnarShuffleResult result;
+  ShuffleResult result;
   result.data = ColumnarDataset(input.columns, n);
   result.hashes.resize(n);
   pool_->ParallelFor(n, [&](size_t d) {
@@ -1918,16 +761,153 @@ Result<ColumnarShuffleResult> JobExecutor::RepartitionColumnar(
   return result;
 }
 
-Result<ColumnarDataset> JobExecutor::LocalHashJoinColumnar(
+Status JobExecutor::GraceJoinPartition(
+    const ColumnBatch& build, const ColumnBatch& probe,
+    const std::vector<int>& build_keys, const std::vector<int>& probe_keys,
+    int depth, uint64_t salt, size_t part, uint64_t* work, BatchSink* sink,
+    SpillStats* stats) {
+  DYNOPT_RETURN_IF_ERROR(CheckAlive());
+  uint64_t build_size = 0;
+  for (uint64_t s : build.row_sizes) build_size += s;
+  // In-memory leaf: the build side fits the budget, cannot be split
+  // further, or the recursion cap is reached — then the join runs over
+  // budget rather than refuse (a single query always completes; the
+  // tracker records the over-subscription). Same build and probe as an
+  // in-memory partition, over a throwaway table.
+  if (build_size <= cluster_.memory.join_memory_budget_bytes ||
+      build.num_rows <= 1 || depth >= cluster_.memory.max_spill_recursion) {
+    MemoryReservation leaf_mem(ctx_ != nullptr ? &ctx_->memory() : nullptr);
+    leaf_mem.GrowUnchecked(build_size);
+    JoinHashTable table;
+    BuildTable(build, build_keys, nullptr, &table);
+    *work += build.num_rows + probe.num_rows +
+             ProbeTable(build, table, &probe, 1, build_keys, probe_keys,
+                        nullptr, sink);
+    return Status::OK();
+  }
+
+  // Split both sides by a re-salted key hash — decorrelated from the node
+  // routing (h % num_nodes) and from parent splits, so keys that clustered
+  // at this level spread out below. NULL join keys never match, so their
+  // rows are dropped at split time instead of being spilled.
+  const int fanout = std::max(2, cluster_.memory.max_spill_fanout);
+  const FastMod mod_f(static_cast<uint64_t>(fanout));
+  auto split = [&](const ColumnBatch& side, const std::vector<int>& keys) {
+    std::vector<std::vector<uint32_t>> sub(fanout);
+    if (side.num_rows == 0) return sub;
+    std::vector<uint64_t> hashes(side.num_rows);
+    std::vector<uint8_t> key_null(side.num_rows, 0);
+    HashKeyColumns(side, keys.data(), keys.size(), hashes.data(),
+                   key_null.data());
+    for (size_t i = 0; i < side.num_rows; ++i) {
+      if (key_null[i]) continue;
+      sub[mod_f(Mix64(hashes[i] ^ salt))].push_back(static_cast<uint32_t>(i));
+    }
+    return sub;
+  };
+  std::vector<std::vector<uint32_t>> build_sub = split(build, build_keys);
+  std::vector<std::vector<uint32_t>> probe_sub = split(probe, probe_keys);
+  stats->repartition_rows += build.num_rows + probe.num_rows;
+  stats->spill_seconds +=
+      static_cast<double>(build.num_rows + probe.num_rows) *
+      cluster_.cpu_seconds_per_tuple;
+
+  // Spill every non-empty sub-partition pair to checksummed DRB files —
+  // rows exist only at this file boundary, as in materialize_to_disk. Every
+  // spilled byte is written once and read back once, charged at the disk
+  // rates.
+  const uint64_t serial =
+      spill_serial_.fetch_add(1, std::memory_order_relaxed);
+  const std::string base =
+      cluster_.spill_directory + "/" +
+      (ctx_ != nullptr ? ctx_->SpillFilePrefix()
+                       : std::string("__spill_q0_")) +
+      "s" + std::to_string(serial) + "_p" + std::to_string(part) + "_d" +
+      std::to_string(depth) + "_k";
+  std::vector<std::string> files;
+  files.reserve(static_cast<size_t>(fanout) * 2);
+  auto cleanup = [&files]() {
+    for (const std::string& f : files) std::remove(f.c_str());
+  };
+  auto write_side = [](const std::string& path, const ColumnBatch& side,
+                       const std::vector<uint32_t>& sel, uint64_t* bytes) {
+    std::vector<Row> rows;
+    rows.reserve(sel.size());
+    for (uint32_t i : sel) {
+      rows.push_back(side.RowAt(i));
+      *bytes += side.row_sizes[i];
+    }
+    return WriteRowsFile(path, rows);
+  };
+  std::vector<char> live(fanout, 0);
+  for (int k = 0; k < fanout; ++k) {
+    if (build_sub[k].empty() && probe_sub[k].empty()) continue;
+    live[k] = 1;
+    uint64_t pair_bytes = 0;
+    const std::string bpath = base + std::to_string(k) + ".build.drb";
+    const std::string ppath = base + std::to_string(k) + ".probe.drb";
+    files.push_back(bpath);
+    files.push_back(ppath);
+    Status st = write_side(bpath, build, build_sub[k], &pair_bytes);
+    if (st.ok()) st = write_side(ppath, probe, probe_sub[k], &pair_bytes);
+    if (!st.ok()) {
+      cleanup();
+      return st;
+    }
+    stats->spilled_bytes += pair_bytes;
+    stats->spill_seconds += static_cast<double>(pair_bytes) *
+                            (cluster_.disk_write_seconds_per_byte +
+                             cluster_.disk_read_seconds_per_byte);
+    ++stats->spill_partitions;
+  }
+  build_sub.clear();
+  probe_sub.clear();
+
+  // Join each sub-partition pair: read both sides back, drop the files,
+  // recurse (a still-oversized sub-partition splits again under a fresh
+  // salt, up to max_spill_recursion).
+  for (int k = 0; k < fanout; ++k) {
+    if (!live[k]) continue;
+    Status alive = CheckAlive();
+    if (!alive.ok()) {
+      cleanup();
+      return alive;
+    }
+    const std::string bpath = base + std::to_string(k) + ".build.drb";
+    const std::string ppath = base + std::to_string(k) + ".probe.drb";
+    auto sub_build = ReadRowsFile(bpath);
+    if (!sub_build.ok()) {
+      cleanup();
+      return sub_build.status();
+    }
+    auto sub_probe = ReadRowsFile(ppath);
+    if (!sub_probe.ok()) {
+      cleanup();
+      return sub_probe.status();
+    }
+    std::remove(bpath.c_str());
+    std::remove(ppath.c_str());
+    const uint64_t next_salt = Mix64(
+        salt ^ (0x9e3779b97f4a7c15ULL * static_cast<uint64_t>(k + 1)));
+    Status st = GraceJoinPartition(
+        BatchFromSpill(sub_build.value()), BatchFromSpill(sub_probe.value()),
+        build_keys, probe_keys, depth + 1, next_salt, part, work, sink, stats);
+    if (!st.ok()) {
+      cleanup();
+      return st;
+    }
+  }
+  return Status::OK();
+}
+
+Result<ColumnarDataset> JobExecutor::LocalHashJoin(
     const ColumnarDataset& build, const ColumnarDataset& probe,
     const std::vector<int>& build_keys, const std::vector<int>& probe_keys,
     ExecMetrics* metrics,
     const std::vector<std::vector<uint64_t>>* build_hashes,
     const std::vector<std::vector<uint64_t>>* probe_hashes) {
+  DYNOPT_RETURN_IF_ERROR(config_status_);
   DYNOPT_CHECK(build.partitions.size() == probe.partitions.size());
-  // Spill-governed joins must take the row engine (ExecJoinColumnar routes
-  // them there); this kernel implements the in-memory path only.
-  DYNOPT_CHECK(cluster_.memory.join_memory_budget_bytes == 0);
   DYNOPT_RETURN_IF_ERROR(CheckAlive());
   const size_t num_parts = build.partitions.size();
   const size_t batch_cap = cluster_.exec.max_batch_size;
@@ -1936,11 +916,17 @@ Result<ColumnarDataset> JobExecutor::LocalHashJoinColumnar(
                      probe.columns.end());
   ColumnarDataset out(out_columns, num_parts);
 
-  // Memory governance (no budget, so nothing spills): account the resident
-  // build side against the query tracker exactly like the row join — the
-  // batches' row_sizes sum to the same annotation totals.
+  // Per-node join-memory governance: size every build partition from its
+  // row_sizes and mark the ones exceeding the join budget for the
+  // grace-join spill path. The resident build side is accounted against
+  // the query's tracker for the duration of the join (spilled partitions
+  // account their sub-joins inside GraceJoinPartition instead). With a
+  // zero budget and no query context nothing is sized and nothing spills.
+  const uint64_t join_budget = cluster_.memory.join_memory_budget_bytes;
+  std::vector<char> spill(num_parts, 0);
+  bool any_spill = false;
   MemoryReservation join_mem(ctx_ != nullptr ? &ctx_->memory() : nullptr);
-  if (ctx_ != nullptr) {
+  if (join_budget > 0 || ctx_ != nullptr) {
     std::vector<uint64_t> build_bytes(num_parts, 0);
     pool_->ParallelFor(num_parts, [&](size_t p) {
       uint64_t bytes = 0;
@@ -1950,46 +936,36 @@ Result<ColumnarDataset> JobExecutor::LocalHashJoinColumnar(
       build_bytes[p] = bytes;
     });
     for (size_t p = 0; p < num_parts; ++p) {
-      join_mem.GrowUnchecked(build_bytes[p]);
+      if (join_budget > 0 && build_bytes[p] > join_budget &&
+          build.PartitionRows(p) > 1) {
+        spill[p] = 1;
+        any_spill = true;
+      } else {
+        join_mem.GrowUnchecked(build_bytes[p]);
+      }
     }
   }
 
   // Build phase: concatenate each partition's build batches into one flat
   // batch (the table's index space), hash its key columns (or adopt the
-  // shuffle's hashes) and build the flat table.
+  // shuffle's hashes) and build the flat table. Spilled partitions never
+  // build a full-partition table — that is the point.
   TraceSpan build_span("join-build", "kernel");
   auto wall_start = WallClock::now();
   if (join_tables_.size() < num_parts) join_tables_.resize(num_parts);
   std::vector<JoinHashTable>& tables = join_tables_;
   std::vector<ColumnBatch> build_flat(num_parts);
-  std::vector<std::vector<uint8_t>> build_null(num_parts);
-  std::vector<std::vector<uint64_t>> hash_storage(
-      build_hashes != nullptr ? 0 : num_parts);
   pool_->ParallelFor(num_parts, [&](size_t p) {
     build_flat[p] = ConcatBatches(build.partitions[p]);
-    const size_t nb = build_flat[p].num_rows;
-    build_null[p].assign(nb, 0);
-    if (nb == 0) {
-      // Empty build partition: ConcatBatches has no columns to adopt, so
-      // skip key hashing; the table still initializes (all chains empty).
-      tables[p].BuildFromHashes(nullptr, nullptr, 0);
-      return;
-    }
-    const uint64_t* h;
-    if (build_hashes != nullptr) {
-      AnyKeyNull(build_flat[p], build_keys.data(), build_keys.size(),
-                 build_null[p].data());
-      h = (*build_hashes)[p].data();
-    } else {
-      hash_storage[p].resize(nb);
-      HashKeyColumns(build_flat[p], build_keys.data(), build_keys.size(),
-                     hash_storage[p].data(), build_null[p].data());
-      h = hash_storage[p].data();
-    }
-    tables[p].BuildFromHashes(h, build_null[p].data(), nb);
+    if (spill[p]) return;
+    BuildTable(build_flat[p], build_keys,
+               build_hashes != nullptr ? (*build_hashes)[p].data() : nullptr,
+               &tables[p]);
   });
   metrics->wall_build_seconds += SecondsSince(wall_start);
   if (FaultsArmed()) {
+    // Build-stage fault overlay: node p's clean task time is inserting its
+    // build partition into the hash table.
     std::vector<double> build_seconds(num_parts, 0.0);
     for (size_t p = 0; p < num_parts; ++p) {
       build_seconds[p] = static_cast<double>(build_flat[p].num_rows) *
@@ -2000,103 +976,75 @@ Result<ColumnarDataset> JobExecutor::LocalHashJoinColumnar(
   }
   build_span.End();
 
-  // Probe phase: per partition, walk the probe batches; matches accumulate
-  // as (build index, probe index) selection pairs per batch and are emitted
-  // by one gather per column. Emission order — probe rows ascending, chain
-  // order ascending — matches the row join exactly.
+  // Probe phase. Spilled partitions take the grace-join route inside the
+  // same ParallelFor, emitting into the same output slot; their failures
+  // (spill I/O, a cancellation observed mid-spill) land in part_status,
+  // merged after the loop.
   DYNOPT_RETURN_IF_ERROR(CheckAlive());
   TraceSpan probe_span("join-probe", "kernel");
   wall_start = WallClock::now();
   std::vector<uint64_t> work(num_parts, 0);
+  std::vector<Status> part_status(num_parts);
+  std::vector<SpillStats> part_spill(any_spill ? num_parts : 0);
   pool_->ParallelFor(num_parts, [&](size_t p) {
-    const ColumnBatch& bflat = build_flat[p];
-    const JoinHashTable& table = tables[p];
-    uint64_t probe_rows = 0;
-    for (const ColumnBatch& pb : probe.partitions[p]) {
-      probe_rows += pb.num_rows;
-    }
-    uint64_t local_work = bflat.num_rows + probe_rows;
+    const std::vector<ColumnBatch>& probe_batches = probe.partitions[p];
     BatchSink sink(out_columns.size(), batch_cap, &out.partitions[p]);
-    constexpr uint32_t kEnd = JoinHashTable::kEnd;
-    const uint32_t* heads = table.heads();
-    const uint32_t* next = table.next();
-    const uint64_t* table_hashes = table.hashes();
-    const size_t mask = table.mask();
-    const int* bkeys = build_keys.data();
-    const int* pkeys = probe_keys.data();
-    const size_t num_keys = build_keys.size();
-    const uint64_t* part_hashes =
-        probe_hashes != nullptr ? (*probe_hashes)[p].data() : nullptr;
-    std::vector<uint64_t> hash_scratch;
-    std::vector<uint8_t> null_scratch;
-    std::vector<uint32_t> bsel, psel;
-    std::vector<uint64_t> jsizes;
-    size_t hash_off = 0;
-    for (const ColumnBatch& pb : probe.partitions[p]) {
-      const size_t m = pb.num_rows;
-      null_scratch.assign(m, 0);
-      const uint64_t* ph;
-      if (part_hashes != nullptr) {
-        ph = part_hashes + hash_off;
-        AnyKeyNull(pb, pkeys, num_keys, null_scratch.data());
-      } else {
-        hash_scratch.resize(m);
-        HashKeyColumns(pb, pkeys, num_keys, hash_scratch.data(),
-                       null_scratch.data());
-        ph = hash_scratch.data();
-      }
-      bsel.clear();
-      psel.clear();
-      jsizes.clear();
-      const uint64_t* bsizes = bflat.row_sizes.data();
-      const uint64_t* psizes = pb.row_sizes.data();
-      for (size_t j = 0; j < m; ++j) {
-        const uint64_t h = ph[j];
-        uint32_t first;
-        if (part_hashes != nullptr) {
-          // Precomputed-hash path: walk to the first hash match before the
-          // NULL-key check (same rejection order as the row probe).
-          if (j + 8 < m) {
-            __builtin_prefetch(&heads[ph[j + 8] & mask]);
-          }
-          first = heads[h & mask];
-          while (first != kEnd && table_hashes[first] != h) {
-            first = next[first];
-          }
-          if (first == kEnd) continue;
-          if (null_scratch[j]) continue;
-        } else {
-          if (null_scratch[j]) continue;
-          first = heads[h & mask];
-        }
-        for (uint32_t i = first; i != kEnd; i = next[i]) {
-          if (table_hashes[i] != h) continue;
-          if (!JoinKeysEqualColumnar(bflat, i, pb, j, bkeys, pkeys,
-                                     num_keys)) {
-            continue;
-          }
-          bsel.push_back(i);
-          psel.push_back(static_cast<uint32_t>(j));
-          // Joined-row size: both payloads, one 8-byte header.
-          jsizes.push_back(bsizes[i] + psizes[j] - 8);
-          ++local_work;
-        }
-      }
-      sink.AppendJoinGather(bflat, bsel.data(), pb, psel.data(),
-                            jsizes.data(), bsel.size());
-      hash_off += m;
+    if (spill[p]) {
+      part_status[p] = GraceJoinPartition(
+          build_flat[p], ConcatBatches(probe_batches), build_keys, probe_keys,
+          /*depth=*/0, /*salt=*/0xc2b2ae3d27d4eb4fULL, p, &work[p], &sink,
+          &part_spill[p]);
+    } else {
+      uint64_t probe_rows = 0;
+      for (const ColumnBatch& pb : probe_batches) probe_rows += pb.num_rows;
+      work[p] = build_flat[p].num_rows + probe_rows +
+                ProbeTable(build_flat[p], tables[p], probe_batches.data(),
+                           probe_batches.size(), build_keys, probe_keys,
+                           probe_hashes != nullptr
+                               ? (*probe_hashes)[p].data()
+                               : nullptr,
+                           &sink);
     }
     sink.Flush();
-    work[p] = local_work;
   });
   metrics->wall_probe_seconds += SecondsSince(wall_start);
+  for (const Status& st : part_status) {
+    DYNOPT_RETURN_IF_ERROR(st);
+  }
 
   uint64_t total_work = 0;
   for (uint64_t w : work) total_work += w;
   metrics->tuples_processed += total_work;
   metrics->simulated_seconds +=
       static_cast<double>(MaxOver(work)) * cluster_.cpu_seconds_per_tuple;
+  if (any_spill) {
+    // Spill cost: each spilled partition's disk passes + repartition CPU run
+    // on that partition's node, concurrently across nodes — so simulated
+    // time takes the max over partitions while the byte/partition counters
+    // sum.
+    double max_spill_seconds = 0.0;
+    uint64_t call_spilled_bytes = 0;
+    uint64_t call_spill_partitions = 0;
+    for (size_t p = 0; p < num_parts; ++p) {
+      const SpillStats& s = part_spill[p];
+      max_spill_seconds = std::max(max_spill_seconds, s.spill_seconds);
+      call_spilled_bytes += s.spilled_bytes;
+      call_spill_partitions += s.spill_partitions;
+    }
+    metrics->spilled_bytes += call_spilled_bytes;
+    metrics->spill_partitions += call_spill_partitions;
+    registry_->counter("exec.spill_bytes")->Increment(call_spilled_bytes);
+    registry_->counter("exec.spill_partitions")
+        ->Increment(call_spill_partitions);
+    metrics->simulated_seconds += max_spill_seconds;
+    if (ctx_ != nullptr) {
+      metrics->peak_memory_bytes =
+          std::max(metrics->peak_memory_bytes, ctx_->memory().peak());
+    }
+  }
   if (FaultsArmed()) {
+    // Probe-stage fault overlay: node p's clean task time is its probe +
+    // emission work (work[p] minus the build rows already charged above).
     std::vector<double> probe_seconds(num_parts, 0.0);
     for (size_t p = 0; p < num_parts; ++p) {
       probe_seconds[p] =
@@ -2109,61 +1057,43 @@ Result<ColumnarDataset> JobExecutor::LocalHashJoinColumnar(
   return out;
 }
 
-Result<ColumnarDataset> JobExecutor::ExecJoinColumnar(
+Result<ColumnarDataset> JobExecutor::ExecJoin(
     const PlanNode& node, const std::map<std::string, Value>& params,
     ExecMetrics* metrics) {
   DYNOPT_ASSIGN_OR_RETURN(ColumnarDataset build,
-                          ExecNodeColumnar(*node.children[0], params,
-                                           metrics));
+                          ExecNode(*node.children[0], params, metrics));
   DYNOPT_ASSIGN_OR_RETURN(ColumnarDataset probe,
-                          ExecNodeColumnar(*node.children[1], params,
-                                           metrics));
-  // A configured join memory budget routes through the row engine: the
-  // grace hash join spills *rows* through the checksummed DRB serde, and
-  // that path (plus its metering and fault sites) stays row-oriented by
-  // design. Children still ran columnar; convert at this boundary.
-  if (cluster_.memory.join_memory_budget_bytes > 0) {
-    DYNOPT_ASSIGN_OR_RETURN(
-        Dataset joined,
-        ExecJoinWithInputs(node, ToDataset(std::move(build)),
-                           ToDataset(std::move(probe)), metrics));
-    return FromDataset(joined, cluster_.exec.max_batch_size);
-  }
-
+                          ExecNode(*node.children[1], params, metrics));
   std::vector<std::string> build_names, probe_names;
   for (const auto& [l, r] : node.keys) {
     build_names.push_back(l);
     probe_names.push_back(r);
   }
-  DYNOPT_ASSIGN_OR_RETURN(
-      std::vector<int> build_keys,
-      ResolveColumnsColumnar(build, build_names, "join build"));
-  DYNOPT_ASSIGN_OR_RETURN(
-      std::vector<int> probe_keys,
-      ResolveColumnsColumnar(probe, probe_names, "join probe"));
+  DYNOPT_ASSIGN_OR_RETURN(std::vector<int> build_keys,
+                          ResolveColumns(build, build_names, "join build"));
+  DYNOPT_ASSIGN_OR_RETURN(std::vector<int> probe_keys,
+                          ResolveColumns(probe, probe_names, "join probe"));
 
   if (node.method == JoinMethod::kHashShuffle) {
     if (PredicateTransferEnabled()) {
-      // Sideways pushdown, batch-at-a-time; metering-identical to the row
-      // twin (HashKeyColumns is bit-identical to HashRowKeyInline).
-      TransferPredicateColumnar(build, build_keys, &probe, probe_keys,
-                                metrics);
+      // Sideways pushdown: ship the build side's key filter so pruned probe
+      // rows never enter either Repartition below.
+      TransferPredicate(build, build_keys, &probe, probe_keys, metrics);
     }
     DYNOPT_ASSIGN_OR_RETURN(
-        ColumnarShuffleResult build_parts,
-        RepartitionColumnar(std::move(build), build_keys, metrics));
+        ShuffleResult build_parts,
+        Repartition(std::move(build), build_keys, metrics));
     DYNOPT_ASSIGN_OR_RETURN(
-        ColumnarShuffleResult probe_parts,
-        RepartitionColumnar(std::move(probe), probe_keys, metrics));
-    return LocalHashJoinColumnar(build_parts.data, probe_parts.data,
-                                 build_keys, probe_keys, metrics,
-                                 &build_parts.hashes, &probe_parts.hashes);
+        ShuffleResult probe_parts,
+        Repartition(std::move(probe), probe_keys, metrics));
+    return LocalHashJoin(build_parts.data, probe_parts.data, build_keys,
+                         probe_keys, metrics, &build_parts.hashes,
+                         &probe_parts.hashes);
   }
 
-  // Broadcast join: replicate the (small) build side to every partition.
+  // Broadcast join: replicate the (small) build side to every partition of
+  // the probe side.
   DYNOPT_CHECK(node.method == JoinMethod::kBroadcast);
-  // Build bytes from the batches' size annotation — identical to summing
-  // RowSizeBytes over the gathered rows (the annotation invariant).
   uint64_t build_bytes = 0;
   std::vector<ColumnBatch> build_all;
   for (auto& part : build.partitions) {
@@ -2175,11 +1105,17 @@ Result<ColumnarDataset> JobExecutor::ExecJoinColumnar(
   build.partitions.clear();
   const size_t n = probe.partitions.size();
   metrics->bytes_broadcast += build_bytes * n;
+  // Every node receives the full build side; receipt happens in parallel.
   metrics->simulated_seconds +=
       static_cast<double>(build_bytes) * cluster_.network_seconds_per_byte;
-  // Legacy flat overflow penalty (only ever active without a join budget —
-  // and this columnar path requires a zero budget).
-  if (build_bytes > cluster_.broadcast_threshold_bytes) {
+  // A build side larger than the per-node join memory overflows to disk:
+  // the dynamic hash join re-partitions the overflow in extra passes. An
+  // optimizer that broadcast a dataset it wrongly believed small pays here.
+  // This flat-penalty model only applies while no join-memory budget is
+  // configured; with a budget, the overflow takes the *real* grace-join
+  // spill path inside LocalHashJoin and is metered from executed passes.
+  if (cluster_.memory.join_memory_budget_bytes == 0 &&
+      build_bytes > cluster_.broadcast_threshold_bytes) {
     double overflow = static_cast<double>(build_bytes -
                                           cluster_.broadcast_threshold_bytes);
     metrics->simulated_seconds +=
@@ -2188,6 +1124,8 @@ Result<ColumnarDataset> JobExecutor::ExecJoinColumnar(
          cluster_.disk_read_seconds_per_byte);
   }
   if (FaultsArmed()) {
+    // Broadcast-stage fault overlay: every node receives the full build
+    // side, so all clean task times are equal.
     std::vector<double> receive_seconds(
         n, static_cast<double>(build_bytes) *
                cluster_.network_seconds_per_byte);
@@ -2195,13 +1133,237 @@ Result<ColumnarDataset> JobExecutor::ExecJoinColumnar(
         ApplyFaults(FaultSite::kBroadcast, receive_seconds, metrics));
   }
 
+  // Physical replication: per-node joins are real work (dictionaries are
+  // shared across the copies; codes and fixed-width payloads are
+  // duplicated). The memory cost is bounded by the planner's broadcast
+  // threshold.
   ColumnarDataset replicated(build.columns, n);
-  // Physical replication, like the row path: per-node joins are real work
-  // (dictionaries are shared across the copies; codes and fixed-width
-  // payloads are duplicated).
   for (size_t p = 0; p < n; ++p) replicated.partitions[p] = build_all;
-  return LocalHashJoinColumnar(replicated, probe, build_keys, probe_keys,
-                               metrics);
+  return LocalHashJoin(replicated, probe, build_keys, probe_keys, metrics);
+}
+
+void JobExecutor::TransferPredicate(const ColumnarDataset& build,
+                                    const std::vector<int>& build_keys,
+                                    ColumnarDataset* probe,
+                                    const std::vector<int>& probe_keys,
+                                    ExecMetrics* metrics) {
+  TraceSpan span("predicate-transfer", "kernel");
+  const SketchConfig& cfg = cluster_.sketch;
+  const uint64_t build_rows = build.NumRows();
+  BloomFilter bloom(std::max<uint64_t>(build_rows, 1), cfg.pt_bits_per_key,
+                    cfg.seed);
+  {
+    std::vector<uint64_t> hashes;
+    std::vector<uint8_t> key_null;
+    for (const auto& part : build.partitions) {
+      for (const ColumnBatch& b : part) {
+        hashes.resize(b.num_rows);
+        key_null.assign(b.num_rows, 0);
+        HashKeyColumns(b, build_keys.data(), build_keys.size(), hashes.data(),
+                       key_null.data());
+        // NULL keys never join, so they never enter the filter — and a
+        // probe row with a NULL key is pruned below without consulting it.
+        for (size_t i = 0; i < b.num_rows; ++i) {
+          if (key_null[i] == 0) bloom.Insert(hashes[i]);
+        }
+      }
+    }
+  }
+  // Each node feeds the filter from its resident build partition.
+  uint64_t max_build_part = 0;
+  for (size_t p = 0; p < build.partitions.size(); ++p) {
+    max_build_part = std::max(max_build_part, build.PartitionRows(p));
+  }
+  metrics->simulated_seconds +=
+      static_cast<double>(max_build_part) * cluster_.cpu_seconds_per_tuple;
+
+  // Ship the merged filter to every probe-side node. Like a broadcast:
+  // total bytes on the wire are size * nodes, receipt is parallel.
+  const size_t num_parts = probe->partitions.size();
+  metrics->pt_filter_bytes += bloom.SizeBytes() * num_parts;
+  metrics->simulated_seconds +=
+      static_cast<double>(bloom.SizeBytes()) * cluster_.network_seconds_per_byte;
+
+  // Filter probe partitions in place before they enter the shuffle.
+  std::vector<uint64_t> part_rows(num_parts, 0);
+  std::vector<uint64_t> pruned_rows(num_parts, 0);
+  std::vector<uint64_t> pruned_bytes(num_parts, 0);
+  pool_->ParallelFor(num_parts, [&](size_t p) {
+    std::vector<uint64_t> hashes;
+    std::vector<uint8_t> key_null;
+    std::vector<uint32_t> sel;
+    for (ColumnBatch& b : probe->partitions[p]) {
+      part_rows[p] += b.num_rows;
+      hashes.resize(b.num_rows);
+      key_null.assign(b.num_rows, 0);
+      HashKeyColumns(b, probe_keys.data(), probe_keys.size(), hashes.data(),
+                     key_null.data());
+      sel.clear();
+      for (size_t i = 0; i < b.num_rows; ++i) {
+        if (key_null[i] == 0 && bloom.MayContain(hashes[i])) {
+          sel.push_back(static_cast<uint32_t>(i));
+        } else {
+          ++pruned_rows[p];
+          pruned_bytes[p] += b.row_sizes[i];
+        }
+      }
+      if (sel.size() != b.num_rows) b = GatherBatch(b, sel.data(), sel.size());
+    }
+  });
+  uint64_t max_probe_part = 0;
+  for (size_t p = 0; p < num_parts; ++p) {
+    max_probe_part = std::max(max_probe_part, part_rows[p]);
+    metrics->pt_pruned_rows += pruned_rows[p];
+    metrics->pt_pruned_bytes += pruned_bytes[p];
+  }
+  // Each node tests its probe partition against the filter once.
+  metrics->simulated_seconds +=
+      static_cast<double>(max_probe_part) * cluster_.cpu_seconds_per_tuple;
+  metrics->tuples_processed += build_rows;
+  for (uint64_t r : part_rows) metrics->tuples_processed += r;
+}
+
+Result<ColumnarDataset> JobExecutor::ExecIndexNestedLoopJoin(
+    const PlanNode& node, const std::map<std::string, Value>& params,
+    ExecMetrics* metrics) {
+  TraceSpan span("inlj", "kernel");
+  if (node.keys.size() != 1) {
+    return Status::ExecutionError(
+        "indexed nested loop join supports exactly one key pair");
+  }
+  const PlanNode& inner_scan = *node.children[1];
+  if (inner_scan.kind != PlanNode::Kind::kScan || inner_scan.is_intermediate) {
+    return Status::ExecutionError(
+        "indexed nested loop join requires a base-table scan as inner");
+  }
+  DYNOPT_ASSIGN_OR_RETURN(std::shared_ptr<Table> inner,
+                          catalog_->GetTable(inner_scan.table));
+  // The inner key is qualified "alias.column"; strip the alias.
+  const std::string& inner_key_qualified = node.keys[0].second;
+  std::string prefix = inner_scan.alias + ".";
+  if (inner_key_qualified.rfind(prefix, 0) != 0) {
+    return Status::ExecutionError("inner join key " + inner_key_qualified +
+                                  " does not belong to " + inner_scan.alias);
+  }
+  std::string inner_column = inner_key_qualified.substr(prefix.size());
+  const SecondaryIndex* index = inner->GetSecondaryIndex(inner_column);
+  if (index == nullptr) {
+    return Status::ExecutionError("no secondary index on " +
+                                  inner_scan.table + "." + inner_column);
+  }
+
+  DYNOPT_ASSIGN_OR_RETURN(ColumnarDataset outer,
+                          ExecNode(*node.children[0], params, metrics));
+  const int outer_key = outer.ColumnIndex(node.keys[0].first);
+  if (outer_key < 0) {
+    return Status::ExecutionError("outer join key " + node.keys[0].first +
+                                  " not found");
+  }
+  // Inner output columns (with projection pushdown).
+  std::vector<int> inner_keep;
+  std::vector<std::string> inner_columns;
+  DYNOPT_RETURN_IF_ERROR(ResolveScanColumns(inner_scan, inner->schema(),
+                                            &inner_keep, &inner_columns));
+
+  // Broadcast the outer to every node; each arriving row probes the local
+  // index immediately (Section 3, Indexed Nested Loop Join). The outer's
+  // batches are gathered once, in partition-then-row order, and every
+  // non-NULL key is materialized once for all nodes' lookups.
+  struct OuterKey {
+    uint32_t batch;
+    uint32_t row;
+    Value key;
+  };
+  std::vector<ColumnBatch> outer_batches;
+  std::vector<OuterKey> keys;
+  uint64_t outer_bytes = 0;
+  for (auto& part : outer.partitions) {
+    for (ColumnBatch& b : part) {
+      if (b.num_rows == 0) continue;
+      const ColumnVector& col = b.columns[static_cast<size_t>(outer_key)];
+      for (size_t i = 0; i < b.num_rows; ++i) {
+        outer_bytes += b.row_sizes[i];
+        if (!col.IsNullAt(i)) {
+          keys.push_back({static_cast<uint32_t>(outer_batches.size()),
+                          static_cast<uint32_t>(i), col.ValueAt(i)});
+        }
+      }
+      outer_batches.push_back(std::move(b));
+    }
+  }
+  outer.partitions.clear();
+  const size_t n = inner->num_partitions();
+  metrics->bytes_broadcast += outer_bytes * n;
+  metrics->simulated_seconds +=
+      static_cast<double>(outer_bytes) * cluster_.network_seconds_per_byte;
+  if (FaultsArmed()) {
+    // The INLJ outer broadcast is a broadcast stage like any other.
+    std::vector<double> receive_seconds(
+        n, static_cast<double>(outer_bytes) *
+               cluster_.network_seconds_per_byte);
+    DYNOPT_RETURN_IF_ERROR(
+        ApplyFaults(FaultSite::kBroadcast, receive_seconds, metrics));
+  }
+
+  std::vector<std::string> out_columns = outer.columns;
+  out_columns.insert(out_columns.end(), inner_columns.begin(),
+                     inner_columns.end());
+  ColumnarDataset out(out_columns, n);
+  std::vector<uint64_t> matched_bytes(n, 0);
+  pool_->ParallelFor(n, [&](size_t p) {
+    BatchSink sink(out_columns.size(), cluster_.exec.max_batch_size,
+                   &out.partitions[p]);
+    // Matches accumulate as (outer row, inner row) selection pairs and are
+    // gathered whenever the outer batch or the inner run changes.
+    const ColumnBatch* outer_batch = nullptr;
+    const ColumnBatch* run = nullptr;
+    std::vector<uint32_t> osel, isel;
+    std::vector<uint64_t> sizes;
+    auto flush = [&]() {
+      sink.AppendJoinGather(*outer_batch, osel.data(), *run, isel.data(),
+                            sizes.data(), osel.size(), inner_keep.data());
+      osel.clear();
+      isel.clear();
+      sizes.clear();
+    };
+    uint64_t local_matched_bytes = 0;
+    for (const OuterKey& key : keys) {
+      const std::vector<uint32_t>* offsets = index->Lookup(p, key.key);
+      if (offsets == nullptr) continue;
+      const ColumnBatch& ob = outer_batches[key.batch];
+      for (uint32_t off : *offsets) {
+        const auto [match_run, row] = inner->LocateRow(p, off);
+        if ((&ob != outer_batch || match_run != run) && !osel.empty()) {
+          flush();
+        }
+        outer_batch = &ob;
+        run = match_run;
+        // Only matched pages are read: the full stored row is charged.
+        local_matched_bytes += run->row_sizes[row];
+        uint64_t size = ob.row_sizes[key.row];
+        for (int k : inner_keep) {
+          size += run->columns[static_cast<size_t>(k)].SizeAt(row);
+        }
+        osel.push_back(key.row);
+        isel.push_back(static_cast<uint32_t>(row));
+        sizes.push_back(size);
+      }
+    }
+    if (!osel.empty()) flush();
+    sink.Flush();
+    matched_bytes[p] = local_matched_bytes;
+  });
+  // Every node looks up every non-NULL outer key.
+  const uint64_t lookups_per_node = keys.size();
+  uint64_t total_matched = 0;
+  for (uint64_t b : matched_bytes) total_matched += b;
+  metrics->index_lookups += lookups_per_node * n;
+  metrics->bytes_scanned += total_matched;
+  metrics->simulated_seconds +=
+      static_cast<double>(lookups_per_node) * cluster_.index_lookup_seconds +
+      static_cast<double>(MaxOver(matched_bytes)) *
+          cluster_.disk_read_seconds_per_byte;
+  return out;
 }
 
 namespace {
@@ -2227,6 +1389,7 @@ Result<SinkResult> JobExecutor::Materialize(
     ColumnarDataset&& data, const std::string& prefix,
     const std::vector<std::string>& stats_columns, bool collect_stats,
     ExecMetrics* metrics, const std::vector<std::string>* sketch_columns) {
+  DYNOPT_RETURN_IF_ERROR(config_status_);
   DYNOPT_RETURN_IF_ERROR(CheckAlive());
   TraceSpan span("materialize", "kernel");
   const auto wall_start = WallClock::now();
@@ -2333,8 +1496,8 @@ Result<SinkResult> JobExecutor::Materialize(
         }
         auto back = ReadRowsFile(path);
         if (back.ok()) {
-          data.partitions[p] = BatchesFromRows(
-              back.value(), nullptr, num_cols, cluster_.exec.max_batch_size);
+          data.partitions[p] = BatchesFromRows(back.value(), num_cols,
+                                               cluster_.exec.max_batch_size);
           break;
         }
         st = back.status();

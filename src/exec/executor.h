@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -15,11 +14,11 @@
 #include "common/thread_pool.h"
 #include "exec/batch.h"
 #include "exec/cluster.h"
-#include "exec/dataset.h"
 #include "exec/fault_injector.h"
 #include "exec/job.h"
 #include "exec/join_hash_table.h"
 #include "exec/metrics.h"
+#include "exec/vector_kernels.h"
 #include "plan/udf.h"
 #include "stats/sketch.h"
 #include "stats/table_stats.h"
@@ -41,32 +40,25 @@ struct SinkResult {
 };
 
 /// A repartitioned dataset plus the key hash of every row, computed once
-/// during routing. hashes[p][i] == HashRowKey(data.partitions[p][i], keys)
-/// for the key set the shuffle ran on; the local hash join consumes them so
-/// build and probe never rehash.
+/// during routing: hashes[p][i] is the key hash of the i-th row of
+/// partition p in batch-concatenation order (the flat row index space the
+/// local hash join builds its table over), so build and probe never rehash.
 struct ShuffleResult {
-  Dataset data;
-  std::vector<std::vector<uint64_t>> hashes;
-};
-
-/// Columnar analogue of ShuffleResult: hashes[p][i] is the key hash of the
-/// i-th row of partition p in batch-concatenation order (the flat row index
-/// space the columnar join builds its table over).
-struct ColumnarShuffleResult {
   ColumnarDataset data;
   std::vector<std::vector<uint64_t>> hashes;
 };
 
 /// Executes physical job plans against the simulated cluster: operators run
-/// partition-parallel on a thread pool, and every unit of work (bytes
-/// scanned/shuffled/broadcast/materialized, tuples, index lookups) is
-/// metered and converted to simulated seconds under the ClusterConfig cost
-/// model. Per pipeline stage, simulated time is max-over-nodes.
+/// partition-parallel on a thread pool over ColumnBatch partitions, and
+/// every unit of work (bytes scanned/shuffled/broadcast/materialized,
+/// tuples, index lookups) is metered and converted to simulated seconds
+/// under the ClusterConfig cost model. Per pipeline stage, simulated time is
+/// max-over-nodes. Each plan-node kind has exactly one operator, and each
+/// operator one metering formula.
 ///
 /// The data-movement kernels (Repartition / LocalHashJoin) are public:
-/// tests compare them against the sequential reference implementation in
-/// exec/reference_kernels.h, and bench/bench_kernels.cc times them. Their
-/// simulated-seconds metering is byte-for-byte identical to the reference.
+/// tests compare them against the sequential row oracle under
+/// tests/support, and bench/bench_kernels.cc times them.
 /// When a FaultInjector is armed (Engine::ArmFaultInjection), every kernel
 /// additionally draws deterministic task failures, stragglers and temp-file
 /// corruption; re-executed work and unhidden slowdown are charged to
@@ -86,6 +78,8 @@ class JobExecutor {
   /// `metrics_registry` is where counters/gauges/histograms land; null
   /// (the default) falls back to MetricsRegistry::Global(). Engines pass
   /// their own registry so metrics stay attributable per engine.
+  /// An invalid `cluster` (ValidateClusterConfig) never aborts: every
+  /// public entry point returns the validation error instead.
   JobExecutor(Catalog* catalog, StatsManager* stats, const UdfRegistry* udfs,
               const ClusterConfig& cluster, ThreadPool* pool,
               FaultInjector* faults = nullptr, QueryContext* ctx = nullptr,
@@ -122,45 +116,27 @@ class JobExecutor {
                                      sketch_columns = nullptr);
 
   /// Hash-repartitions `input` on `key_indices` into the cluster's node
-  /// count, metering network traffic. Two-phase parallel exchange: phase 1
-  /// routes each source partition on the thread pool (computing each row's
-  /// key hash exactly once) into thread-local per-destination buffers;
-  /// phase 2 merges the buffers per destination, in source-partition order,
-  /// so the output row order matches a sequential shuffle. Fails only under
-  /// fault injection (retryable kTransient).
-  Result<ShuffleResult> Repartition(Dataset&& input,
+  /// count, metering network traffic. Phase 1 hashes key columns with
+  /// HashKeyColumns (each row's key hash exactly once); phase 2 scatters
+  /// per *destination* (each destination gathers its rows from every
+  /// source batch in source order, so writers never share state and the
+  /// output row order matches a sequential shuffle). Pools with at most one
+  /// worker take a one-pass exchange with the same output. Fails only
+  /// under fault injection (retryable kTransient).
+  Result<ShuffleResult> Repartition(ColumnarDataset&& input,
                                     const std::vector<int>& key_indices,
                                     ExecMetrics* metrics);
 
   /// Local hash join between aligned partitions (equal-length partition
-  /// vectors); emits build-row ++ probe-row. When `build_hashes` /
-  /// `probe_hashes` are non-null (per-partition key hashes from
-  /// Repartition) the join reuses them instead of rehashing. Fails only
-  /// under fault injection (retryable kTransient).
-  Result<Dataset> LocalHashJoin(
-      const Dataset& build, const Dataset& probe,
-      const std::vector<int>& build_keys, const std::vector<int>& probe_keys,
-      ExecMetrics* metrics,
-      const std::vector<std::vector<uint64_t>>* build_hashes = nullptr,
-      const std::vector<std::vector<uint64_t>>* probe_hashes = nullptr);
-
-  /// Vectorized shuffle: same routing function, metering, fault sites and
-  /// output row order as Repartition, but batch-at-a-time — phase 1 hashes
-  /// key columns with HashKeyColumns, phase 2 scatters per *destination*
-  /// (each destination gathers its rows from every source batch in order,
-  /// so writers never share state). Public for parity tests and benchmarks.
-  Result<ColumnarShuffleResult> RepartitionColumnar(
-      ColumnarDataset&& input, const std::vector<int>& key_indices,
-      ExecMetrics* metrics);
-
-  /// Vectorized local hash join (in-memory path only — spill-governed joins
-  /// take the row engine; callers must guarantee a zero join memory
-  /// budget). Build batches are concatenated per partition so the flat
-  /// table of JoinHashTable::BuildFromHashes indexes them directly; probing
-  /// walks probe batches emitting gathered build++probe columns. Metering,
-  /// fault sites and emission order are byte-for-byte identical to
-  /// LocalHashJoin.
-  Result<ColumnarDataset> LocalHashJoinColumnar(
+  /// vectors); emits build-row ++ probe-row. Build batches are concatenated
+  /// per partition so the flat table of JoinHashTable::Build indexes them
+  /// directly; probing walks probe batches emitting gathered
+  /// build++probe columns. When `build_hashes` / `probe_hashes` are
+  /// non-null (per-partition key hashes from Repartition) the join reuses
+  /// them instead of rehashing. Under a join memory budget, build
+  /// partitions over budget take the grace-join spill path. Fails under
+  /// fault injection (retryable kTransient), cancellation, or spill I/O.
+  Result<ColumnarDataset> LocalHashJoin(
       const ColumnarDataset& build, const ColumnarDataset& probe,
       const std::vector<int>& build_keys, const std::vector<int>& probe_keys,
       ExecMetrics* metrics,
@@ -170,44 +146,20 @@ class JobExecutor {
   const ClusterConfig& cluster() const { return cluster_; }
 
  private:
-  Result<Dataset> ExecNode(const PlanNode& node,
-                           const std::map<std::string, Value>& params,
-                           ExecMetrics* metrics);
-  Result<Dataset> ExecScan(const PlanNode& node, ExecMetrics* metrics);
-  Result<Dataset> ExecFilter(const PlanNode& node,
-                             const std::map<std::string, Value>& params,
-                             ExecMetrics* metrics);
-  Result<Dataset> ExecProject(const PlanNode& node,
-                              const std::map<std::string, Value>& params,
-                              ExecMetrics* metrics);
-  Result<Dataset> ExecJoin(const PlanNode& node,
-                           const std::map<std::string, Value>& params,
-                           ExecMetrics* metrics);
-  /// Join body shared by the row path and the columnar spill fallback: the
-  /// children are already executed; shuffles/broadcasts and joins `build`
-  /// against `probe` per node.method.
-  Result<Dataset> ExecJoinWithInputs(const PlanNode& node, Dataset&& build,
-                                     Dataset&& probe, ExecMetrics* metrics);
-  Result<Dataset> ExecIndexNestedLoopJoin(
+  Result<ColumnarDataset> ExecNode(const PlanNode& node,
+                                   const std::map<std::string, Value>& params,
+                                   ExecMetrics* metrics);
+  Result<ColumnarDataset> ExecScan(const PlanNode& node, ExecMetrics* metrics);
+  Result<ColumnarDataset> ExecFilter(
       const PlanNode& node, const std::map<std::string, Value>& params,
       ExecMetrics* metrics);
-
-  /// Columnar operator tree (cluster_.exec.use_columnar). Each operator is
-  /// metering-identical to its row twin; joins that cannot run columnar
-  /// (index nested loop; spill-governed hash joins) fall back to the row
-  /// operators through the FromDataset/ToDataset conversion boundary.
-  Result<ColumnarDataset> ExecNodeColumnar(
+  Result<ColumnarDataset> ExecProject(
       const PlanNode& node, const std::map<std::string, Value>& params,
       ExecMetrics* metrics);
-  Result<ColumnarDataset> ExecScanColumnar(const PlanNode& node,
-                                           ExecMetrics* metrics);
-  Result<ColumnarDataset> ExecFilterColumnar(
-      const PlanNode& node, const std::map<std::string, Value>& params,
-      ExecMetrics* metrics);
-  Result<ColumnarDataset> ExecProjectColumnar(
-      const PlanNode& node, const std::map<std::string, Value>& params,
-      ExecMetrics* metrics);
-  Result<ColumnarDataset> ExecJoinColumnar(
+  Result<ColumnarDataset> ExecJoin(const PlanNode& node,
+                                   const std::map<std::string, Value>& params,
+                                   ExecMetrics* metrics);
+  Result<ColumnarDataset> ExecIndexNestedLoopJoin(
       const PlanNode& node, const std::map<std::string, Value>& params,
       ExecMetrics* metrics);
 
@@ -220,26 +172,18 @@ class JobExecutor {
     return sketches_ != nullptr && cluster_.sketch.enable_predicate_transfer;
   }
 
-  /// Sideways pushdown for a shuffle join (row engine): builds a Bloom
-  /// filter over the build side's non-null key hashes, charges its transfer
-  /// to every node as network cost, then drops probe rows whose key cannot
-  /// match (null key or filter miss) before they enter Repartition. Pruned
+  /// Sideways pushdown for a shuffle join: builds a Bloom filter over the
+  /// build side's non-null key hashes (HashKeyColumns), charges its
+  /// transfer to every node as network cost, then drops probe rows whose
+  /// key cannot match (null key or filter miss) before they enter
+  /// Repartition, gathering survivors through a selection vector. Pruned
   /// rows/bytes are recorded in the pt_* counters; Bloom filters have no
   /// false negatives, so results are identical with the knob off.
-  void TransferPredicateRows(const Dataset& build,
-                             const std::vector<int>& build_keys,
-                             Dataset* probe,
-                             const std::vector<int>& probe_keys,
-                             ExecMetrics* metrics);
-
-  /// Columnar twin of TransferPredicateRows: hashes key columns with
-  /// HashKeyColumns (bit-identical to the row hash) and gathers surviving
-  /// rows through a selection vector.
-  void TransferPredicateColumnar(const ColumnarDataset& build,
-                                 const std::vector<int>& build_keys,
-                                 ColumnarDataset* probe,
-                                 const std::vector<int>& probe_keys,
-                                 ExecMetrics* metrics);
+  void TransferPredicate(const ColumnarDataset& build,
+                         const std::vector<int>& build_keys,
+                         ColumnarDataset* probe,
+                         const std::vector<int>& probe_keys,
+                         ExecMetrics* metrics);
 
   /// Cooperative cancellation check, run at every kernel/stage boundary.
   /// OK when no context is attached.
@@ -257,29 +201,20 @@ class JobExecutor {
     double spill_seconds = 0;       ///< Simulated disk+CPU cost of spilling.
   };
 
-  /// Grace hash join of one overflowing partition: recursively splits build
-  /// and probe by a re-salted key hash into checksummed spill files under
-  /// spill_directory, then joins each sub-partition pair (in memory once it
+  /// Grace hash join of one overflowing partition (`build` and `probe` are
+  /// its flat batches): recursively splits both sides by a re-salted key
+  /// hash into checksummed spill files under spill_directory, then joins
+  /// each sub-partition pair with the in-memory build and probe (once it
   /// fits the budget, or unconditionally at max_spill_recursion — a single
-  /// query always completes). Emits into `dest`/`dest_sizes` (sizes skipped
-  /// when null) and accounts everything in `stats`. Spill files are removed
-  /// as consumed and on error.
-  Status GraceJoinPartition(const std::vector<Row>& build_rows,
-                            const std::vector<Row>& probe_rows,
+  /// query always completes). Emits into `sink` (sub-partition, then probe
+  /// row, then hash-chain order), adds its tuple work to `work` and
+  /// accounts spilling in `stats`. Spill files are removed as consumed and
+  /// on error.
+  Status GraceJoinPartition(const ColumnBatch& build, const ColumnBatch& probe,
                             const std::vector<int>& build_keys,
                             const std::vector<int>& probe_keys, int depth,
                             uint64_t salt, size_t part, uint64_t* work,
-                            std::vector<Row>* dest,
-                            std::vector<uint64_t>* dest_sizes,
-                            SpillStats* stats);
-
-  /// In-memory leaf join used by GraceJoinPartition (single partition, own
-  /// throwaway hash table; NULL build/probe keys never match).
-  void LeafHashJoin(const std::vector<Row>& build_rows,
-                    const std::vector<Row>& probe_rows,
-                    const std::vector<int>& build_keys,
-                    const std::vector<int>& probe_keys, uint64_t* work,
-                    std::vector<Row>* dest, std::vector<uint64_t>* dest_sizes);
+                            BatchSink* sink, SpillStats* stats);
 
   /// Overlays injected faults on one completed kernel stage whose clean
   /// per-node task times are `per_node_seconds`. Draws a fresh stage id
@@ -295,24 +230,13 @@ class JobExecutor {
                      const std::vector<double>& per_node_seconds,
                      ExecMetrics* metrics, int stage = -1);
 
-  /// Scratch recycling: the shuffle and join kernels allocate
-  /// multi-hundred-KB header vectors (destination row vectors, hash
-  /// vectors, join tables) on every call, which glibc serves straight from
-  /// mmap — so every operator pays fresh first-touch page faults for memory
-  /// an earlier operator just released. These helpers keep emptied vectors
-  /// (capacity intact, contents cleared) on a small bounded pool instead.
-  /// The mutex only guards pool membership; pooled objects are always taken
-  /// and returned from serial sections, never inside ParallelFor bodies.
-  std::vector<Row> TakeRowVec();
-  void RecycleRowVec(std::vector<Row>&& v);
-  std::vector<uint64_t> TakeHashVec();
-  void RecycleHashVec(std::vector<uint64_t>&& v);
-  void RecycleShuffleResult(ShuffleResult&& parts);
-
   Catalog* catalog_;
   StatsManager* stats_;
   const UdfRegistry* udfs_;
   ClusterConfig cluster_;
+  /// ValidateClusterConfig(cluster_), returned by every public entry point
+  /// before any kernel touches the configuration.
+  Status config_status_;
   ThreadPool* pool_;
   FaultInjector* faults_;  ///< Engine-owned; may be null (no injection).
   QueryContext* ctx_ = nullptr;  ///< Caller-owned; may be null (ungoverned).
@@ -324,10 +248,6 @@ class JobExecutor {
   /// of one query) can spill concurrently into the same directory without
   /// colliding.
   static inline std::atomic<uint64_t> spill_serial_{0};
-
-  std::mutex scratch_mutex_;
-  std::vector<std::vector<Row>> row_vec_pool_;
-  std::vector<std::vector<uint64_t>> hash_vec_pool_;
 
   /// Join build tables, reused across LocalHashJoin calls so the bucket /
   /// chain / hash vectors keep their capacity instead of being reallocated

@@ -11,7 +11,7 @@ namespace {
 constexpr uint64_t kNullValueHash = 0x9ae16a3b2f90404fULL;
 
 /// Combines one column's per-row value hashes into the accumulator `out`
-/// (column-at-a-time leg of HashRowKeyInline), recording NULLs.
+/// (column-at-a-time leg of HashRowKey), recording NULLs.
 void CombineColumnHash(const ColumnVector& col, size_t n, uint64_t* out,
                        uint8_t* key_null) {
   const bool nullable = !col.validity.empty();
@@ -575,7 +575,7 @@ void BatchSink::AppendJoinGather(const ColumnBatch& build,
                                  const uint32_t* bsel,
                                  const ColumnBatch& probe,
                                  const uint32_t* psel, const uint64_t* sizes,
-                                 size_t n) {
+                                 size_t n, const int* probe_cols) {
   const size_t bc = build.columns.size();
   size_t off = 0;
   while (off < n) {
@@ -585,8 +585,10 @@ void BatchSink::AppendJoinGather(const ColumnBatch& build,
       AppendGatherColumn(&cur_.columns[c], build.columns[c], bsel + off, m);
     }
     for (size_t c = bc; c < num_columns_; ++c) {
-      AppendGatherColumn(&cur_.columns[c], probe.columns[c - bc], psel + off,
-                         m);
+      const size_t src = probe_cols != nullptr
+                             ? static_cast<size_t>(probe_cols[c - bc])
+                             : c - bc;
+      AppendGatherColumn(&cur_.columns[c], probe.columns[src], psel + off, m);
     }
     cur_.row_sizes.insert(cur_.row_sizes.end(), sizes + off, sizes + off + m);
     cur_.num_rows += m;

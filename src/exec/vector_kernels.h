@@ -17,18 +17,17 @@ namespace dynopt {
 
 class UdfRegistry;
 
-/// Vectorized kernels over ColumnBatch: per-column loops that replace the
-/// row engine's per-row variant dispatch with tight typed loops (the
+/// Vectorized kernels over ColumnBatch: per-column loops with tight typed
+/// inner loops instead of per-value variant dispatch (the
 /// DYNOPT_NATIVE_SIMD build compiles this translation unit with
-/// -march=native). Every kernel is bit-identical to its row counterpart in
-/// common/row_kernels.h — same hash math, same byte sizes, same comparison
-/// semantics (including the all-numeric-comparisons-coerce-to-double rule
-/// of Value::Compare) — which is what lets the columnar engine keep the
-/// deterministic counters and simulated seconds byte-for-byte equal to the
-/// row path.
+/// -march=native). Every kernel is bit-identical to the row-level Value
+/// semantics — same hash math as HashRowKey, same byte sizes as
+/// RowSizeBytes, same comparison semantics (including the
+/// all-numeric-comparisons-coerce-to-double rule of Value::Compare) — so
+/// results and metering match the row oracle under tests/support.
 
 /// Combined key hash of every row of `batch` into `out`, bit-identical to
-/// HashRowKeyInline(row, keys): seeded, then HashCombine of each key
+/// HashRowKey(row, keys): seeded, then HashCombine of each key
 /// column's value hash, column-at-a-time. `key_null[i]` is set to 1 when
 /// any key of row i is NULL (left untouched otherwise — callers zero it).
 /// Both arrays must hold batch.num_rows elements.
@@ -46,8 +45,8 @@ void AnyKeyNull(const ColumnBatch& batch, const int* keys, size_t num_keys,
 bool ColumnValueEqual(const ColumnVector& a, size_t i, const ColumnVector& b,
                       size_t j);
 
-/// Position-wise key equality (the columnar JoinKeysEqual).
-inline bool JoinKeysEqualColumnar(const ColumnBatch& build, size_t i,
+/// Position-wise key equality of build row i and probe row j.
+inline bool JoinKeysEqual(const ColumnBatch& build, size_t i,
                                   const ColumnBatch& probe, size_t j,
                                   const int* build_keys, const int* probe_keys,
                                   size_t num_keys) {
@@ -120,11 +119,13 @@ class BatchSink {
   void AppendGather(const ColumnBatch& src, const uint32_t* sel, size_t n);
 
   /// Appends `n` joined rows: build columns gathered by `bsel` from
-  /// `build`, probe columns gathered by `psel` from `probe`, with the
-  /// caller-computed joined row sizes (build + probe - one 8-byte header).
+  /// `build`, probe columns gathered by `psel` from `probe` — the slots
+  /// `probe_cols` when non-null (a projected inner), every column
+  /// otherwise — with the caller-computed joined row sizes.
   void AppendJoinGather(const ColumnBatch& build, const uint32_t* bsel,
                         const ColumnBatch& probe, const uint32_t* psel,
-                        const uint64_t* sizes, size_t n);
+                        const uint64_t* sizes, size_t n,
+                        const int* probe_cols = nullptr);
 
   /// Emits the final partial batch (no-op when empty). Call exactly once.
   void Flush();
@@ -152,7 +153,7 @@ void AppendGatherColumn(ColumnVector* dst, const ColumnVector& src,
 
 /// A filter predicate compiled against a batch schema: evaluates
 /// column-at-a-time into a tri-state mask (false / true / NULL) with the
-/// same semantics as the row engine's BoundExpr tree — leaf comparisons
+/// same semantics as the row-at-a-time BoundExpr tree — leaf comparisons
 /// propagate NULL, AND/OR/NOT coerce their children through EvalBool
 /// (NULL -> false), and the top-level filter applies the same coercion.
 /// Compilation resolves column names to slots once (never inside the batch

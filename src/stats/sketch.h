@@ -18,8 +18,8 @@ namespace dynopt {
 /// can be combined into one dataset-level sketch.
 ///
 /// Every operation consumes a precomputed 64-bit key hash — the executor
-/// hashes values with the same HashRowKeyInline/HashKeyColumns functions the
-/// shuffle uses, so equal keys produce equal hashes on both join sides
+/// hashes key columns with the same HashKeyColumns function the shuffle
+/// uses, so equal keys produce equal hashes on both join sides
 /// regardless of which column carries them.
 
 /// SplitMix64 finalizer: the remix both sketches use to derive independent

@@ -112,7 +112,8 @@ void Table::AppendBatches(size_t partition,
   batches.clear();
 }
 
-Row Table::ReadRow(size_t p, uint64_t offset) const {
+std::pair<const ColumnBatch*, size_t> Table::LocateRow(
+    size_t p, uint64_t offset) const {
   const Partition& part = partitions_[p];
   DYNOPT_CHECK(offset < part.rows);
   // The run holding `offset` is the last one starting at or before it.
@@ -120,8 +121,8 @@ Row Table::ReadRow(size_t p, uint64_t offset) const {
       std::upper_bound(part.run_starts.begin(), part.run_starts.end(),
                        offset) -
       part.run_starts.begin() - 1);
-  return part.runs[run].RowAt(
-      static_cast<size_t>(offset - part.run_starts[run]));
+  return {&part.runs[run],
+          static_cast<size_t>(offset - part.run_starts[run])};
 }
 
 std::vector<Row> Table::ReadRows(size_t p) const {

@@ -6,6 +6,7 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -103,9 +104,11 @@ class Table {
     return partition_key_;
   }
 
-  /// Row accessor for row-at-a-time readers (the index nested loop join and
-  /// tests): row `offset` of partition `p`, built from the columns.
-  Row ReadRow(size_t p, uint64_t offset) const;
+  /// The stored run holding row `offset` of partition `p`, and the row's
+  /// position within that run (the index nested loop join resolves its
+  /// index matches through this). `offset` must be below PartitionRows(p).
+  std::pair<const ColumnBatch*, size_t> LocateRow(size_t p,
+                                                  uint64_t offset) const;
   /// Every row of partition `p`, in order.
   std::vector<Row> ReadRows(size_t p) const;
 

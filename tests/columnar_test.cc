@@ -9,18 +9,21 @@
 #include "exec/batch.h"
 #include "exec/engine.h"
 #include "exec/executor.h"
-#include "exec/reference_kernels.h"
 #include "exec/vector_kernels.h"
+#include "support/dataset.h"
+#include "support/reference_kernels.h"
 
 namespace dynopt {
 namespace {
 
-// Property tests for the vectorized columnar engine: random datasets and
-// plans run through the columnar kernels and the row kernels must produce
-// identical rows in identical order, bit-identical simulated seconds and
-// deterministic counters, and identical row_sizes annotations. CI runs this
-// binary under TSan (the batch kernels are partition-parallel) and under
-// ASan+UBSan (the typed gathers and dictionary merges are pointer-heavy).
+// Property tests for the batch engine: random datasets and plans run
+// through the executor and through a row-at-a-time oracle (tests/support:
+// Table::ReadRows, Bind + EvalBool, the sequential reference kernels) must
+// produce identical rows in identical order, bit-identical simulated
+// seconds and deterministic counters, and row_sizes annotations equal to
+// RowSizeBytes. CI runs this binary under TSan (the batch kernels are
+// partition-parallel) and under ASan+UBSan (the typed gathers and
+// dictionary merges are pointer-heavy).
 
 uint64_t TotalRowSizes(const Dataset& data) {
   uint64_t total = 0;
@@ -53,8 +56,8 @@ void ExpectDatasetsEqual(const ColumnarDataset& a, const ColumnarDataset& b) {
 }
 
 void ExpectMetricsEqual(const ExecMetrics& a, const ExecMetrics& b) {
-  // Bit-exact: the columnar operators must charge exactly the same units of
-  // work in exactly the same order as the row operators.
+  // Bit-exact: the executor must charge exactly the same units of work in
+  // exactly the same order as the oracle.
   EXPECT_EQ(a.simulated_seconds, b.simulated_seconds);
   EXPECT_EQ(a.reopt_seconds, b.reopt_seconds);
   EXPECT_EQ(a.tuples_processed, b.tuples_processed);
@@ -201,7 +204,7 @@ TEST(ColumnBatchTest, ColumnwiseStatsAndSketchesMatchRowCollection) {
   }
 }
 
-// --- Columnar kernels vs row reference kernels ----------------------------
+// --- Batch kernels vs row reference kernels -------------------------------
 
 TEST(ColumnarKernelTest, ShuffleAndJoinMatchRowReferenceKernels) {
   for (uint64_t seed : {11u, 12u, 13u, 14u}) {
@@ -221,19 +224,19 @@ TEST(ColumnarKernelTest, ShuffleAndJoinMatchRowReferenceKernels) {
     Dataset row_joined = reference::LocalHashJoin(
         row_build, row_probe, keys, keys, cluster, &row_metrics);
 
-    // Columnar pipeline (parallel, hashes flow from shuffle into build and
+    // Batch pipeline (parallel, hashes flow from shuffle into build and
     // probe).
     JobExecutor executor = engine.MakeExecutor();
     ExecMetrics col_metrics;
-    auto cb = executor.RepartitionColumnar(
+    auto cb = executor.Repartition(
         FromDataset(build, cluster.exec.max_batch_size), keys, &col_metrics);
     ASSERT_TRUE(cb.ok()) << cb.status().ToString();
-    auto pb = executor.RepartitionColumnar(
+    auto pb = executor.Repartition(
         FromDataset(probe, cluster.exec.max_batch_size), keys, &col_metrics);
     ASSERT_TRUE(pb.ok()) << pb.status().ToString();
-    auto joined = executor.LocalHashJoinColumnar(cb->data, pb->data, keys,
-                                                 keys, &col_metrics,
-                                                 &cb->hashes, &pb->hashes);
+    auto joined = executor.LocalHashJoin(cb->data, pb->data, keys, keys,
+                                         &col_metrics, &cb->hashes,
+                                         &pb->hashes);
     ASSERT_TRUE(joined.ok()) << joined.status().ToString();
     Dataset col_joined = ToDataset(std::move(*joined));
 
@@ -251,9 +254,148 @@ TEST(ColumnarKernelTest, ShuffleAndJoinMatchRowReferenceKernels) {
   }
 }
 
-// --- Whole-query parity: columnar engine vs row engine --------------------
+// --- Whole-query parity: executor vs row oracle ---------------------------
 
-/// Fixture running the same plan under use_columnar on and off and
+uint64_t MaxPartitionRows(const Dataset& data) {
+  uint64_t mx = 0;
+  for (const auto& part : data.partitions) {
+    mx = std::max<uint64_t>(mx, part.size());
+  }
+  return mx;
+}
+
+/// Row-at-a-time oracle of a job over base-table scans, filters,
+/// projections and shuffle/broadcast joins: scans read Table::ReadRows,
+/// filters are Bind + EvalBool per row, joins run the sequential reference
+/// kernels, and every operator charges its cost-model formula into
+/// `metrics` in execution order — an independent derivation of the rows
+/// and metering the executor must produce.
+Result<Dataset> OracleRun(Engine* engine, const PlanNode& node,
+                          const std::map<std::string, Value>& params,
+                          ExecMetrics* metrics) {
+  const ClusterConfig& cluster = engine->cluster();
+  switch (node.kind) {
+    case PlanNode::Kind::kScan: {
+      if (!node.scan_columns.empty() || node.is_intermediate) {
+        return Status::Internal("oracle scans whole base tables only");
+      }
+      DYNOPT_ASSIGN_OR_RETURN(std::shared_ptr<Table> table,
+                              engine->catalog().GetTable(node.table));
+      std::vector<std::string> columns;
+      for (size_t i = 0; i < table->schema().num_fields(); ++i) {
+        columns.push_back(node.alias + "." + table->schema().field(i).name);
+      }
+      Dataset out(columns, table->num_partitions());
+      uint64_t max_bytes = 0;
+      for (size_t p = 0; p < table->num_partitions(); ++p) {
+        out.partitions[p] = table->ReadRows(p);
+        uint64_t bytes = 0;
+        for (const Row& row : out.partitions[p]) bytes += RowSizeBytes(row);
+        max_bytes = std::max(max_bytes, bytes);
+        metrics->bytes_scanned += bytes;
+      }
+      metrics->tuples_processed += out.NumRows();
+      metrics->simulated_seconds +=
+          static_cast<double>(max_bytes) * cluster.scan_seconds_per_byte +
+          static_cast<double>(MaxPartitionRows(out)) *
+              cluster.cpu_seconds_per_tuple;
+      return out;
+    }
+    case PlanNode::Kind::kFilter: {
+      DYNOPT_ASSIGN_OR_RETURN(
+          Dataset input,
+          OracleRun(engine, *node.children[0], params, metrics));
+      BindContext ctx;
+      ctx.resolve_column = [&input](const std::string& name) {
+        return input.ColumnIndex(name);
+      };
+      ctx.params = &params;
+      ctx.udfs = &engine->udfs();
+      DYNOPT_ASSIGN_OR_RETURN(BoundExprPtr bound, Bind(node.predicate, ctx));
+      Dataset out(input.columns, input.partitions.size());
+      for (size_t p = 0; p < input.partitions.size(); ++p) {
+        for (const Row& row : input.partitions[p]) {
+          if (bound->EvalBool(row)) out.partitions[p].push_back(row);
+        }
+      }
+      metrics->tuples_processed += input.NumRows();
+      metrics->simulated_seconds +=
+          static_cast<double>(MaxPartitionRows(input)) *
+          cluster.cpu_seconds_per_tuple;
+      return out;
+    }
+    case PlanNode::Kind::kProject: {
+      DYNOPT_ASSIGN_OR_RETURN(
+          Dataset input,
+          OracleRun(engine, *node.children[0], params, metrics));
+      std::vector<int> slots;
+      for (const std::string& name : node.project_columns) {
+        slots.push_back(input.ColumnIndex(name));
+        if (slots.back() < 0) {
+          return Status::ExecutionError("project column " + name +
+                                        " not found in dataset");
+        }
+      }
+      Dataset out(node.project_columns, input.partitions.size());
+      for (size_t p = 0; p < input.partitions.size(); ++p) {
+        for (const Row& row : input.partitions[p]) {
+          Row projected;
+          for (int s : slots) projected.push_back(row[static_cast<size_t>(s)]);
+          out.partitions[p].push_back(std::move(projected));
+        }
+      }
+      metrics->simulated_seconds +=
+          static_cast<double>(MaxPartitionRows(input)) *
+          cluster.cpu_seconds_per_tuple;
+      return out;
+    }
+    case PlanNode::Kind::kJoin: {
+      DYNOPT_ASSIGN_OR_RETURN(
+          Dataset build,
+          OracleRun(engine, *node.children[0], params, metrics));
+      DYNOPT_ASSIGN_OR_RETURN(
+          Dataset probe,
+          OracleRun(engine, *node.children[1], params, metrics));
+      std::vector<int> build_keys, probe_keys;
+      for (const auto& [l, r] : node.keys) {
+        build_keys.push_back(build.ColumnIndex(l));
+        probe_keys.push_back(probe.ColumnIndex(r));
+      }
+      if (node.method == JoinMethod::kHashShuffle) {
+        Dataset build_parts = reference::Repartition(
+            std::move(build), build_keys, cluster, metrics);
+        Dataset probe_parts = reference::Repartition(
+            std::move(probe), probe_keys, cluster, metrics);
+        return reference::LocalHashJoin(build_parts, probe_parts, build_keys,
+                                        probe_keys, cluster, metrics);
+      }
+      // Broadcast: every probe node receives the whole build side; a build
+      // side over the broadcast threshold pays the flat overflow penalty.
+      const std::vector<Row> build_rows = build.GatherRows();
+      uint64_t build_bytes = 0;
+      for (const Row& row : build_rows) build_bytes += RowSizeBytes(row);
+      const size_t n = probe.partitions.size();
+      metrics->bytes_broadcast += build_bytes * n;
+      metrics->simulated_seconds += static_cast<double>(build_bytes) *
+                                    cluster.network_seconds_per_byte;
+      if (build_bytes > cluster.broadcast_threshold_bytes) {
+        metrics->simulated_seconds +=
+            static_cast<double>(build_bytes -
+                                cluster.broadcast_threshold_bytes) *
+            cluster.spill_penalty_passes *
+            (cluster.disk_write_seconds_per_byte +
+             cluster.disk_read_seconds_per_byte);
+      }
+      Dataset replicated(build.columns, n);
+      for (size_t p = 0; p < n; ++p) replicated.partitions[p] = build_rows;
+      return reference::LocalHashJoin(replicated, probe, build_keys,
+                                      probe_keys, cluster, metrics);
+    }
+  }
+  return Status::Internal("unknown plan node kind");
+}
+
+/// Fixture running plans through the executor and the row oracle and
 /// asserting full parity. Tables get every kind of column plus NULL keys.
 class ColumnarParityTest : public ::testing::Test {
  protected:
@@ -282,23 +424,28 @@ class ColumnarParityTest : public ::testing::Test {
     ASSERT_TRUE(engine_->catalog().RegisterTable(t).ok());
   }
 
-  /// Executes `plan` with the columnar engine on and off; asserts identical
-  /// rows, row_sizes annotations, and metering; returns the columnar run.
+  /// Executes `plan` on the executor and on the oracle; asserts identical
+  /// status, rows in partition order, row_sizes annotations, and metering;
+  /// returns the executor's run.
   JobResult ExpectParity(const PlanNode& plan,
                          const std::map<std::string, Value>& params = {}) {
-    engine_->mutable_cluster().exec.use_columnar = true;
-    JobExecutor columnar = engine_->MakeExecutor();
-    auto col = columnar.Execute(plan, params);
-    engine_->mutable_cluster().exec.use_columnar = false;
-    JobExecutor row = engine_->MakeExecutor();
-    auto rw = row.Execute(plan, params);
-    EXPECT_EQ(col.ok(), rw.ok());
-    if (!col.ok() || !rw.ok()) {
-      EXPECT_EQ(col.status().ToString(), rw.status().ToString());
+    JobExecutor executor = engine_->MakeExecutor();
+    auto col = executor.Execute(plan, params);
+    ExecMetrics oracle_metrics;
+    auto oracle = OracleRun(engine_.get(), plan, params, &oracle_metrics);
+    EXPECT_EQ(col.ok(), oracle.ok());
+    if (!col.ok() || !oracle.ok()) {
+      EXPECT_EQ(col.status().ToString(), oracle.status().ToString());
       return JobResult();
     }
-    ExpectDatasetsEqual(rw->data, col->data);
-    ExpectMetricsEqual(rw->metrics, col->metrics);
+    const Dataset rows = ToDataset(ColumnarDataset(col->data));
+    ExpectDatasetsEqual(*oracle, rows);
+    for (size_t p = 0; p < rows.partitions.size(); ++p) {
+      for (size_t i = 0; i < rows.partitions[p].size(); ++i) {
+        EXPECT_EQ(rows.row_sizes[p][i], RowSizeBytes(rows.partitions[p][i]));
+      }
+    }
+    ExpectMetricsEqual(oracle_metrics, col->metrics);
     return std::move(*col);
   }
 
@@ -343,7 +490,7 @@ TEST_F(ColumnarParityTest, FilterPredicateZoo) {
   }
 }
 
-TEST_F(ColumnarParityTest, FilterBindErrorsMatchRowEngine) {
+TEST_F(ColumnarParityTest, FilterBindErrorsMatchBind) {
   MakeTable("t", 10, 5, 22);
   auto bad_col =
       PlanNode::Filter(PlanNode::Scan("t", "a"), Eq(Col("a", "nope"),
@@ -383,8 +530,8 @@ TEST_F(ColumnarParityTest, BroadcastJoinIncludingOversized) {
   JobResult result = ExpectParity(*plan);
   EXPECT_GT(result.metrics.bytes_broadcast, 0u);
 
-  // Shrink the broadcast budget so the build side overflows: the legacy
-  // spill penalty must be charged identically on both paths.
+  // Shrink the broadcast budget so the build side overflows: the flat
+  // spill penalty must be charged exactly as the oracle's formula.
   engine_->mutable_cluster().broadcast_threshold_bytes = 512;
   ExpectParity(*plan);
 }
@@ -440,7 +587,6 @@ TEST_F(ColumnarParityTest, SimulatedTimeInvariantUnderBatchSize) {
                        Cmp(CompareOp::kLt, Col("l", "score"),
                            Lit(Value(8.0)))),
       PlanNode::Scan("rhs", "r"), {{"l.k2", "r.k2"}});
-  engine_->mutable_cluster().exec.use_columnar = true;
   JobResult baseline;
   bool first = true;
   for (size_t batch_size : {1u, 3u, 64u, 1024u, 4096u}) {
@@ -520,23 +666,20 @@ TEST_F(ColumnarParityTest, NameLookupsIndependentOfRowCount) {
                        PlanNode::Scan(table, "r"), {{"l.k2", "r.k2"}}),
         {"l.name", "r.score"});
   };
-  for (bool columnar : {true, false}) {
-    engine_->mutable_cluster().exec.use_columnar = columnar;
-    auto lookups_for = [&](const std::string& table) {
-      JobExecutor executor = engine_->MakeExecutor();
-      const uint64_t before = ColumnNameLookupCount().load();
-      auto result = executor.Execute(*make_plan(table), {});
-      EXPECT_TRUE(result.ok()) << result.status().ToString();
-      return ColumnNameLookupCount().load() - before;
-    };
-    const uint64_t small = lookups_for("small_t");
-    const uint64_t large = lookups_for("large_t");
-    // 100x the rows, same plan: every kernel resolves its column slots once
-    // per operator, so the lookup count is a function of the plan alone.
-    EXPECT_EQ(small, large) << "columnar=" << columnar;
-    EXPECT_GT(small, 0u);
-    EXPECT_LT(small, 100u);
-  }
+  auto lookups_for = [&](const std::string& table) {
+    JobExecutor executor = engine_->MakeExecutor();
+    const uint64_t before = ColumnNameLookupCount().load();
+    auto result = executor.Execute(*make_plan(table), {});
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    return ColumnNameLookupCount().load() - before;
+  };
+  const uint64_t small = lookups_for("small_t");
+  const uint64_t large = lookups_for("large_t");
+  // 100x the rows, same plan: every kernel resolves its column slots once
+  // per operator, so the lookup count is a function of the plan alone.
+  EXPECT_EQ(small, large);
+  EXPECT_GT(small, 0u);
+  EXPECT_LT(small, 100u);
 }
 
 // --- Satellite: config validation at parse time ---------------------------

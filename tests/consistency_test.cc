@@ -6,7 +6,10 @@
 //  - simulated time is deterministic across repeated runs;
 //  - with predicate transfer disabled (the default), the sketch sizing
 //    knobs are inert: metering and EXPLAIN ANALYZE are byte-identical
-//    across all seven strategies whether the knobs are default or tweaked.
+//    across all seven strategies whether the knobs are default or tweaked;
+//  - an invalid cluster config set after engine construction comes back
+//    from every strategy as kInvalidArgument naming the knob, never as a
+//    process abort.
 
 #include <gtest/gtest.h>
 
@@ -220,6 +223,39 @@ std::string MeteredString(const ExecMetrics& metrics) {
 // sizing knob must not change a single metered byte or EXPLAIN ANALYZE
 // character for any of the seven strategies — including sketch-dynamic,
 // whose AGMS estimates do not depend on pt_bits_per_key.
+TEST_F(DegenerateInputTest, InvalidConfigIsAStatusInEveryStrategy) {
+  QuerySpec spec = ChainQuery();
+  // Best-order replays a join tree, so take its hint while the config is
+  // still valid.
+  DynamicOptimizer hint_run(engine_.get());
+  auto hint = hint_run.Run(spec);
+  ASSERT_TRUE(hint.ok()) << hint.status().ToString();
+  ASSERT_NE(hint->join_tree, nullptr);
+
+  engine_->mutable_cluster().exec.max_batch_size = 0;
+  DynamicOptimizer dynamic(engine_.get());
+  BestOrderOptimizer best(engine_.get(), hint->join_tree);
+  StaticCostBasedOptimizer cost_based(engine_.get());
+  PilotRunOptimizer pilot(engine_.get());
+  IngresLikeOptimizer ingres(engine_.get());
+  WorstOrderOptimizer worst(engine_.get());
+  SketchDynamicOptimizer sketch(engine_.get());
+  for (Optimizer* opt : std::vector<Optimizer*>{&dynamic, &best, &cost_based,
+                                                &pilot, &ingres, &worst,
+                                                &sketch}) {
+    auto result = opt->Run(spec);
+    ASSERT_FALSE(result.ok()) << opt->name();
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
+        << opt->name() << ": " << result.status().ToString();
+    EXPECT_NE(result.status().message().find("max_batch_size"),
+              std::string::npos)
+        << opt->name() << ": " << result.status().ToString();
+  }
+  // Valid again: the same engine runs the query.
+  engine_->mutable_cluster().exec.max_batch_size = 1024;
+  EXPECT_TRUE(DynamicOptimizer(engine_.get()).Run(spec).ok());
+}
+
 TEST_F(DegenerateInputTest, PredicateTransferOffIsByteIdentical) {
   QuerySpec spec = ChainQuery();
   // Multi-predicate alias forces a push-down materialization, so the

@@ -1,11 +1,12 @@
-// Property tests for the two-phase parallel shuffle exchange and the flat
-// hash-join kernel: against the sequential reference implementation
-// (exec/reference_kernels.h, the pre-parallel executor kernels) the
-// parallel kernels must produce identical rows and identical metering —
-// bytes_shuffled, tuples_processed and bit-identical simulated_seconds —
-// across uniform, skewed (Zipf), NULL-key, composite-key and
-// empty-partition inputs. Plus ThreadPool stress tests for the nested /
-// concurrent ParallelFor the exchange phases rely on.
+// Property tests for the batch shuffle exchange and the flat hash-join
+// kernel: against the sequential row-at-a-time reference implementation
+// (tests/support/reference_kernels.h, the original executor's kernels) the
+// executor's kernels must produce identical rows in identical order and
+// identical metering — bytes_shuffled, tuples_processed and bit-identical
+// simulated_seconds — across uniform, skewed (Zipf), NULL-key,
+// composite-key and empty-partition inputs, on every route of the adaptive
+// exchange. Plus ThreadPool stress tests for the nested / concurrent
+// ParallelFor the exchange phases rely on.
 
 #include <gtest/gtest.h>
 
@@ -18,12 +19,13 @@
 
 #include "common/logging.h"
 #include "common/random.h"
+#include "common/row_kernels.h"
 #include "common/thread_pool.h"
 #include "exec/engine.h"
 #include "exec/executor.h"
-#include "exec/reference_kernels.h"
-#include "common/row_kernels.h"
 #include "opt/optimizer.h"
+#include "support/dataset.h"
+#include "support/reference_kernels.h"
 
 namespace dynopt {
 namespace {
@@ -84,6 +86,15 @@ Dataset MakeDataset(const DatasetSpec& spec) {
 
 Dataset CopyDataset(const Dataset& data) { return data; }
 
+/// Kernel input: `data` as batches small enough that every partition spans
+/// several of them.
+ColumnarDataset Batches(const Dataset& data) { return FromDataset(data, 16); }
+
+/// Kernel output as rows, with the batches' row_sizes annotation.
+Dataset Rows(const ColumnarDataset& data) {
+  return ToDataset(ColumnarDataset(data));
+}
+
 class ExchangeTest : public ::testing::Test {
  protected:
   ExchangeTest() : engine_(std::make_unique<Engine>()) {}
@@ -95,7 +106,7 @@ class ExchangeTest : public ::testing::Test {
 };
 
 /// One full pipeline comparison: shuffle both sides + local hash join, with
-/// the parallel kernels (hashes threaded through) vs the sequential
+/// the executor's kernels (hashes threaded through) vs the sequential
 /// reference. Checks exact per-partition row sequences and all metering.
 void ExpectPipelineParityWith(JobExecutor executor,
                               const ClusterConfig& cluster,
@@ -104,12 +115,14 @@ void ExpectPipelineParityWith(JobExecutor executor,
                               const std::vector<int>& probe_keys) {
   ExecMetrics par_metrics;
   ShuffleResult build_parts = MustOk(
-      executor.Repartition(CopyDataset(build_in), build_keys, &par_metrics));
+      executor.Repartition(Batches(build_in), build_keys, &par_metrics));
   ShuffleResult probe_parts = MustOk(
-      executor.Repartition(CopyDataset(probe_in), probe_keys, &par_metrics));
-  Dataset par_out = MustOk(executor.LocalHashJoin(
+      executor.Repartition(Batches(probe_in), probe_keys, &par_metrics));
+  const Dataset par_out = Rows(MustOk(executor.LocalHashJoin(
       build_parts.data, probe_parts.data, build_keys, probe_keys,
-      &par_metrics, &build_parts.hashes, &probe_parts.hashes));
+      &par_metrics, &build_parts.hashes, &probe_parts.hashes)));
+  const Dataset par_build = Rows(build_parts.data);
+  const Dataset par_probe = Rows(probe_parts.data);
 
   ExecMetrics ref_metrics;
   Dataset ref_build = reference::Repartition(CopyDataset(build_in),
@@ -121,32 +134,28 @@ void ExpectPipelineParityWith(JobExecutor executor,
                                cluster, &ref_metrics);
 
   // The shuffle must place the same rows in the same partitions in the same
-  // order (phase-2 merge runs in source order), and precomputed hashes must
-  // match a fresh HashRowKey.
-  ASSERT_EQ(build_parts.data.partitions.size(),
-            ref_build.partitions.size());
+  // order (phase-2 gathers run in source order), and precomputed hashes
+  // must match a fresh HashRowKey.
+  ASSERT_EQ(par_build.partitions.size(), ref_build.partitions.size());
   for (size_t p = 0; p < ref_build.partitions.size(); ++p) {
-    EXPECT_EQ(build_parts.data.partitions[p], ref_build.partitions[p])
+    EXPECT_EQ(par_build.partitions[p], ref_build.partitions[p])
         << "build shuffle partition " << p;
-    ASSERT_EQ(build_parts.hashes[p].size(),
-              build_parts.data.partitions[p].size());
+    ASSERT_EQ(build_parts.hashes[p].size(), par_build.partitions[p].size());
     for (size_t i = 0; i < build_parts.hashes[p].size(); ++i) {
       EXPECT_EQ(build_parts.hashes[p][i],
-                HashRowKey(build_parts.data.partitions[p][i], build_keys));
+                HashRowKey(par_build.partitions[p][i], build_keys));
     }
   }
   for (size_t p = 0; p < ref_probe.partitions.size(); ++p) {
-    EXPECT_EQ(probe_parts.data.partitions[p], ref_probe.partitions[p])
+    EXPECT_EQ(par_probe.partitions[p], ref_probe.partitions[p])
         << "probe shuffle partition " << p;
   }
 
-  // Size annotations: the shuffle re-emits per-row sizes for its output and
-  // the join derives its output's sizes from the parents'; every annotation
-  // must equal a fresh RowSizeBytes of the annotated row (the shuffle's
+  // Size annotations: the shuffle gathers per-row sizes with its rows and
+  // the join derives its output's sizes from the parents'; every
+  // annotation must equal a fresh RowSizeBytes of the annotated row (the
   // network metering is summed from these).
-  for (const Dataset* annotated :
-       {&build_parts.data, &probe_parts.data, &par_out}) {
-    if (annotated->row_sizes.empty()) continue;
+  for (const Dataset* annotated : {&par_build, &par_probe, &par_out}) {
     ASSERT_TRUE(annotated->HasRowSizes());
     for (size_t p = 0; p < annotated->partitions.size(); ++p) {
       for (size_t i = 0; i < annotated->partitions[p].size(); ++i) {
@@ -173,21 +182,23 @@ void ExpectPipelineParityWith(JobExecutor executor,
   EXPECT_EQ(par_metrics.bytes_broadcast, ref_metrics.bytes_broadcast);
 }
 
-/// Runs the parity check through both routes of the adaptive exchange: the
-/// engine's own pool (the one-pass route on single-worker hosts) and an
-/// explicit multi-worker pool (always the two-phase scatter route), so both
-/// code paths are covered regardless of the host's core count.
+/// Runs the parity check through every route of the adaptive exchange: the
+/// engine's own pool, a single-worker pool (the one-pass route) and an
+/// explicit multi-worker pool (the two-phase scatter route), so both code
+/// paths are covered regardless of the host's core count.
 void ExpectPipelineParity(Engine* engine, const Dataset& build_in,
                           const Dataset& probe_in,
                           const std::vector<int>& build_keys,
                           const std::vector<int>& probe_keys) {
   ExpectPipelineParityWith(engine->MakeExecutor(), engine->cluster(),
                            build_in, probe_in, build_keys, probe_keys);
-  ThreadPool pool(3);
-  ExpectPipelineParityWith(
-      JobExecutor(&engine->catalog(), &engine->stats(), &engine->udfs(),
-                  engine->cluster(), &pool),
-      engine->cluster(), build_in, probe_in, build_keys, probe_keys);
+  for (size_t workers : {1u, 3u}) {
+    ThreadPool pool(workers);
+    ExpectPipelineParityWith(
+        JobExecutor(&engine->catalog(), &engine->stats(), &engine->udfs(),
+                    engine->cluster(), &pool),
+        engine->cluster(), build_in, probe_in, build_keys, probe_keys);
+  }
 }
 
 /// (rows_build, rows_probe, key_domain, zipf_skew, null_fraction,
@@ -264,7 +275,7 @@ TEST_F(ExchangeTest, CoPartitionedInputShufflesNoBytes) {
   JobExecutor executor = MakeExecutor();
   ExecMetrics metrics;
   ShuffleResult shuffled =
-      MustOk(executor.Repartition(CopyDataset(placed), keys, &metrics));
+      MustOk(executor.Repartition(Batches(placed), keys, &metrics));
   EXPECT_EQ(metrics.bytes_shuffled, 0u);
   EXPECT_EQ(shuffled.data.NumRows(), 300u);
 }
@@ -279,14 +290,15 @@ TEST_F(ExchangeTest, AllRowsOneKeyLandInOnePartition) {
   std::vector<int> keys = {0};
   JobExecutor executor = MakeExecutor();
   ExecMetrics par_metrics, ref_metrics;
-  ShuffleResult par =
-      MustOk(executor.Repartition(CopyDataset(data), keys, &par_metrics));
+  ShuffleResult shuffled =
+      MustOk(executor.Repartition(Batches(data), keys, &par_metrics));
+  const Dataset par = Rows(shuffled.data);
   Dataset ref = reference::Repartition(CopyDataset(data), keys, cluster(),
                                        &ref_metrics);
   size_t non_empty = 0;
-  for (size_t p = 0; p < par.data.partitions.size(); ++p) {
-    EXPECT_EQ(par.data.partitions[p], ref.partitions[p]);
-    if (!par.data.partitions[p].empty()) ++non_empty;
+  for (size_t p = 0; p < par.partitions.size(); ++p) {
+    EXPECT_EQ(par.partitions[p], ref.partitions[p]);
+    if (!par.partitions[p].empty()) ++non_empty;
   }
   EXPECT_EQ(non_empty, 1u);
   EXPECT_EQ(par_metrics.simulated_seconds, ref_metrics.simulated_seconds);
@@ -308,8 +320,8 @@ TEST_F(ExchangeTest, BroadcastStyleJoinWithoutPrecomputedHashes) {
   std::vector<int> keys = {0};
   JobExecutor executor = MakeExecutor();
   ExecMetrics par_metrics, ref_metrics;
-  Dataset par_out = MustOk(executor.LocalHashJoin(build, probe, keys, keys,
-                                                  &par_metrics));
+  Dataset par_out = Rows(MustOk(executor.LocalHashJoin(
+      Batches(build), Batches(probe), keys, keys, &par_metrics)));
   Dataset ref_out = reference::LocalHashJoin(build, probe, keys, keys,
                                              cluster(), &ref_metrics);
   for (size_t p = 0; p < ref_out.partitions.size(); ++p) {
@@ -333,8 +345,8 @@ TEST_F(ExchangeTest, DuplicateKeysEmitAllMatchesInBuildOrder)
   std::vector<int> keys = {0};
   JobExecutor executor = MakeExecutor();
   ExecMetrics par_metrics, ref_metrics;
-  Dataset par_out = MustOk(executor.LocalHashJoin(build, probe, keys, keys,
-                                                  &par_metrics));
+  Dataset par_out = Rows(MustOk(executor.LocalHashJoin(
+      Batches(build), Batches(probe), keys, keys, &par_metrics)));
   Dataset ref_out = reference::LocalHashJoin(build, probe, keys, keys,
                                              cluster(), &ref_metrics);
   ASSERT_EQ(par_out.NumRows(), 10u);
@@ -349,40 +361,32 @@ TEST_F(ExchangeTest, DuplicateKeysEmitAllMatchesInBuildOrder)
 }
 
 TEST_F(ExchangeTest, AnnotatedInputShuffleMetersIdentically) {
-  // When the producer attached per-row sizes, the shuffle meters from the
+  // The shuffle meters network bytes from the batches' row_sizes
   // annotation instead of re-walking payloads — the resulting bytes and
   // simulated seconds must be bit-identical to the reference (which always
   // recomputes), on both routes of the adaptive exchange.
   Dataset input = MakeDataset({.num_partitions = 7, .rows = 400,
                                .key_domain = 23, .null_fraction = 0.1});
-  input.row_sizes.resize(input.partitions.size());
-  for (size_t p = 0; p < input.partitions.size(); ++p) {
-    for (const Row& row : input.partitions[p]) {
-      input.row_sizes[p].push_back(RowSizeBytes(row));
-    }
-  }
   std::vector<int> keys = {0};
   ExecMetrics ref_metrics;
   Dataset ref = reference::Repartition(CopyDataset(input), keys, cluster(),
                                        &ref_metrics);
-  ThreadPool pool3(3);
-  JobExecutor scatter(&engine_->catalog(), &engine_->stats(),
-                      &engine_->udfs(), engine_->cluster(), &pool3);
-  JobExecutor onepass = MakeExecutor();
-  for (JobExecutor* executor : {&onepass, &scatter}) {
+  for (size_t workers : {1u, 3u}) {
+    ThreadPool pool(workers);
+    JobExecutor executor(&engine_->catalog(), &engine_->stats(),
+                         &engine_->udfs(), engine_->cluster(), &pool);
     ExecMetrics par_metrics;
-    ShuffleResult parts = MustOk(
-        executor->Repartition(CopyDataset(input), keys, &par_metrics));
+    ShuffleResult parts =
+        MustOk(executor.Repartition(Batches(input), keys, &par_metrics));
+    const Dataset rows = Rows(parts.data);
     for (size_t p = 0; p < ref.partitions.size(); ++p) {
-      EXPECT_EQ(parts.data.partitions[p], ref.partitions[p]);
+      EXPECT_EQ(rows.partitions[p], ref.partitions[p]);
     }
     EXPECT_EQ(par_metrics.bytes_shuffled, ref_metrics.bytes_shuffled);
     EXPECT_EQ(par_metrics.simulated_seconds, ref_metrics.simulated_seconds);
-    ASSERT_TRUE(parts.data.HasRowSizes());
-    for (size_t p = 0; p < parts.data.partitions.size(); ++p) {
-      for (size_t i = 0; i < parts.data.partitions[p].size(); ++i) {
-        EXPECT_EQ(parts.data.row_sizes[p][i],
-                  RowSizeBytes(parts.data.partitions[p][i]));
+    for (size_t p = 0; p < rows.partitions.size(); ++p) {
+      for (size_t i = 0; i < rows.partitions[p].size(); ++i) {
+        EXPECT_EQ(rows.row_sizes[p][i], RowSizeBytes(rows.partitions[p][i]));
       }
     }
   }
@@ -478,16 +482,19 @@ TEST(ThreadPoolStressTest, RepartitionFromWithinPool) {
   // would) must complete — this exercises ParallelFor's caller
   // participation through the real exchange code path.
   Engine engine;
+  // Executors are made up front: MakeExecutor lazily builds the engine's
+  // retry budget, so concurrent first calls would race on it.
+  std::vector<JobExecutor> executors;
+  for (int i = 0; i < 3; ++i) executors.push_back(engine.MakeExecutor());
   std::atomic<int> done{0};
   engine.pool().ParallelFor(3, [&](size_t seed) {
     DatasetSpec spec;
     spec.rows = 200;
     spec.seed = 100 + seed;
     Dataset data = MakeDataset(spec);
-    JobExecutor executor = engine.MakeExecutor();
     ExecMetrics metrics;
     ShuffleResult out =
-        MustOk(executor.Repartition(std::move(data), {0}, &metrics));
+        MustOk(executors[seed].Repartition(Batches(data), {0}, &metrics));
     if (out.data.NumRows() == 200) done.fetch_add(1);
   });
   EXPECT_EQ(done.load(), 3);

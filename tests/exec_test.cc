@@ -287,6 +287,76 @@ TEST_F(ExecTest, InljMatchesHashJoin) {
   EXPECT_EQ(b->metrics.index_lookups, 0u);
 }
 
+/// Every output row in partition order, one "p<i>:" line per partition, so
+/// a test can pin the exact emission order.
+std::string RowsInPartitionOrder(const ColumnarDataset& data) {
+  std::string out;
+  for (size_t p = 0; p < data.partitions.size(); ++p) {
+    out += "p" + std::to_string(p) + ":";
+    for (const ColumnBatch& b : data.partitions[p]) {
+      for (size_t i = 0; i < b.num_rows; ++i) {
+        out += " (";
+        for (size_t c = 0; c < b.columns.size(); ++c) {
+          if (c > 0) out += ",";
+          out += b.columns[c].ValueAt(i).ToString();
+        }
+        out += ")";
+      }
+    }
+    out += "\n";
+  }
+  return out;
+}
+
+TEST_F(ExecTest, InljPinnedMeteringAndOrder) {
+  // Exact metering and emission order of an INLJ whose outer carries NULL
+  // keys (skipped without a lookup) and whose inner scan is projected.
+  auto inner = MakeTable("inner", 60, 12, 48);
+  ASSERT_TRUE(inner->CreateSecondaryIndex("k").ok());
+  auto outer = std::make_shared<Table>(
+      "outer",
+      Schema({{"k", ValueType::kInt64}, {"tag", ValueType::kString}}),
+      engine_->cluster().num_nodes);
+  for (int i = 0; i < 8; ++i) {
+    outer->AppendRow({i % 3 == 1 ? Value::Null() : Value(int64_t{i + 3}),
+                      Value("o" + std::to_string(i))});
+  }
+  ASSERT_TRUE(engine_->catalog().RegisterTable(outer).ok());
+  auto plan = PlanNode::Join(
+      JoinMethod::kIndexNestedLoop, PlanNode::Scan("outer", "o"),
+      PlanNode::Scan("inner", "i", false, {"i.payload", "i.k2"}),
+      {{"o.k", "i.k"}});
+  auto result = Exec(*plan);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->data.columns,
+            (std::vector<std::string>{"o.k", "o.tag", "i.payload", "i.k2"}));
+  EXPECT_EQ(result->metrics.simulated_seconds, 0.010532199999999999);
+  EXPECT_EQ(result->metrics.bytes_broadcast, 2510u);
+  EXPECT_EQ(result->metrics.bytes_scanned, 1401u);
+  // Five non-NULL outer keys, looked up on each of the ten nodes.
+  EXPECT_EQ(result->metrics.index_lookups, 50u);
+  EXPECT_EQ(result->metrics.tuples_processed, 8u);
+  // Outer rows broadcast to every node and probe its local index; the
+  // inner is partitioned on k, so each key's matches sit on one node, in
+  // index (load) order.
+  EXPECT_EQ(RowsInPartitionOrder(result->data),
+            "p0:\n"
+            "p1: (9,'o6','inner_12',0) (9,'o6','inner_14',8) "
+            "(9,'o6','inner_15',4) (9,'o6','inner_21',9) "
+            "(9,'o6','inner_27',3) (9,'o6','inner_28',0)\n"
+            "p2:\np3:\np4:\np5:\np6:\n"
+            "p7: (5,'o2','inner_22',9) (5,'o2','inner_31',0) "
+            "(5,'o2','inner_33',0) (5,'o2','inner_41',5) "
+            "(6,'o3','inner_0',1) (6,'o3','inner_1',8) "
+            "(6,'o3','inner_45',9) (6,'o3','inner_55',4) "
+            "(8,'o5','inner_34',9) (8,'o5','inner_35',3) "
+            "(8,'o5','inner_43',8) (8,'o5','inner_53',2)\n"
+            "p8: (3,'o0','inner_20',9) (3,'o0','inner_26',4) "
+            "(3,'o0','inner_44',6) (3,'o0','inner_46',9) "
+            "(3,'o0','inner_54',7) (3,'o0','inner_58',6)\n"
+            "p9:\n");
+}
+
 TEST_F(ExecTest, InljRequiresIndex) {
   MakeTable("inner", 100, 10, 42);  // No index created.
   MakeTable("outer", 10, 10, 43);

@@ -12,6 +12,7 @@
 #include <memory>
 #include <string>
 
+#include "common/hash.h"
 #include "common/memory_tracker.h"
 #include "common/query_context.h"
 #include "common/random.h"
@@ -198,6 +199,74 @@ TEST_F(GraceJoinTest, TinyBudgetForcesRecursionAndStillMatches) {
   SortRows(&b);
   EXPECT_EQ(a, b);
   EXPECT_EQ(CountFilesWithPrefix(spill_dir_, "__spill_"), 0);
+}
+
+/// Order-sensitive fingerprint of a job's output: every value in
+/// partition-then-row order, with each partition boundary mixed in.
+uint64_t OrderFingerprint(const ColumnarDataset& data) {
+  uint64_t h = 0;
+  for (size_t p = 0; p < data.partitions.size(); ++p) {
+    h = HashCombine(h, p);
+    for (const ColumnBatch& b : data.partitions[p]) {
+      for (size_t i = 0; i < b.num_rows; ++i) {
+        for (const ColumnVector& col : b.columns) {
+          h = HashCombine(h, col.ValueAt(i).Hash());
+        }
+      }
+    }
+  }
+  return h;
+}
+
+/// Exact metering and emission order of recursive grace joins (fanout 2,
+/// a budget several splits below every build partition), for both join
+/// methods that go through the spill path.
+TEST_F(GraceJoinTest, PinnedRecursiveSpillMeteringAndOrder) {
+  Rng rng(31);
+  for (const auto& [name, rows] : {std::pair{"sb", 600}, {"sp", 900}}) {
+    auto t = std::make_shared<Table>(
+        name, Schema({{"k", ValueType::kInt64}, {"pad", ValueType::kString}}),
+        engine_->cluster().num_nodes);
+    for (int i = 0; i < rows; ++i) {
+      t->AppendRow({i % 17 == 0 ? Value::Null() : Value(rng.NextInt64(0, 149)),
+                    Value("v" + std::to_string(i % 41))});
+    }
+    ASSERT_TRUE(engine_->catalog().RegisterTable(t).ok());
+  }
+  engine_->mutable_cluster().memory.join_memory_budget_bytes = 256;
+  engine_->mutable_cluster().memory.max_spill_fanout = 2;
+  struct Pinned {
+    JoinMethod method;
+    double sim;
+    uint64_t spilled_bytes;
+    uint64_t spill_partitions;
+    uint64_t tuples;
+    uint64_t rows;
+    uint64_t fingerprint;
+  };
+  const Pinned cases[] = {
+      {JoinMethod::kHashShuffle, 0.42956400000000011, 177552, 167, 7603, 3192,
+       1643223946021974665ULL},
+      {JoinMethod::kBroadcast, 1.3453740000000003, 901712, 300, 11179, 3192,
+       8266236316227931581ULL},
+  };
+  for (const Pinned& want : cases) {
+    QueryContext ctx("pinned");
+    JobExecutor executor = engine_->MakeExecutor(&ctx);
+    auto result = executor.Execute(
+        *PlanNode::Join(want.method, PlanNode::Scan("sb", "b"),
+                        PlanNode::Scan("sp", "p"), {{"b.k", "p.k"}}),
+        {});
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    const ExecMetrics& m = result->metrics;
+    EXPECT_EQ(m.simulated_seconds, want.sim) << JoinMethodName(want.method);
+    EXPECT_EQ(m.spilled_bytes, want.spilled_bytes);
+    EXPECT_EQ(m.spill_partitions, want.spill_partitions);
+    EXPECT_EQ(m.tuples_processed, want.tuples);
+    EXPECT_EQ(result->data.NumRows(), want.rows);
+    EXPECT_EQ(OrderFingerprint(result->data), want.fingerprint);
+    EXPECT_EQ(CountFilesWithPrefix(spill_dir_, "__spill_"), 0);
+  }
 }
 
 TEST_F(GraceJoinTest, DuplicateHeavyKeyDegradesToInMemory) {

@@ -5,10 +5,14 @@
 // across all seven execution paths: dynamic re-optimization loop, static DP
 // single job, greedy worst-order chain, best-order hinted job, pilot-run,
 // INGRES-like loop, and the sketch-dynamic strategy with predicate
-// transfer enabled.
+// transfer enabled. Environment knobs re-run the same corpus under other
+// configurations: DYNOPT_JOIN_MEMORY_BUDGET forces hash joins through the
+// grace spill path, DYNOPT_ENABLE_INLJ indexes every table's join columns
+// and lets all seven strategies plan indexed nested loop joins.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdlib>
 #include <map>
 #include <memory>
@@ -284,7 +288,12 @@ std::vector<Row> Oracle(Engine* engine, const QuerySpec& spec, bool* ok) {
 struct Generated {
   std::unique_ptr<Engine> engine;
   QuerySpec query;
+  /// Planner knobs for every strategy (INLJ on under DYNOPT_ENABLE_INLJ).
+  PlannerOptions planner;
 };
+
+/// True when the corpus runs with indexed nested loop joins enabled.
+bool InljEnabled() { return std::getenv("DYNOPT_ENABLE_INLJ") != nullptr; }
 
 /// Random catalog: 3-5 tables, each non-root referencing a random earlier
 /// table via an `fk` column; random predicates (ranges, UDFs, params).
@@ -297,6 +306,7 @@ Generated Generate(uint64_t seed) {
     g.engine->mutable_cluster().memory.join_memory_budget_bytes =
         std::strtoull(budget, nullptr, 10);
   }
+  g.planner.enable_inlj = InljEnabled();
   Rng rng(seed);
   (void)g.engine->udfs().Register("p_even", [](const std::vector<Value>& a) {
     return Value(a[0].AsInt64() % 2 == 0);
@@ -331,6 +341,10 @@ Generated Generate(uint64_t seed) {
       table->AppendRow({Value(i), Value(rng.NextInt64(0, parent_rows - 1)),
                         Value(v), Value(v),
                         Value("s" + std::to_string(rng.NextInt64(0, 4)))});
+    }
+    if (InljEnabled()) {
+      (void)table->CreateSecondaryIndex("id");
+      (void)table->CreateSecondaryIndex("fk");
     }
     (void)g.engine->catalog().RegisterTable(table);
     (void)g.engine->CollectBaseStats(name, {"id", "fk", "v", "w", "s"});
@@ -435,6 +449,27 @@ Generated Generate(uint64_t seed) {
   return g;
 }
 
+/// Index lookups across every strategy run of AllPathsMatchOracle.
+std::atomic<uint64_t> g_index_lookups{0};
+std::atomic<int> g_oracle_runs{0};
+
+/// Under DYNOPT_ENABLE_INLJ the corpus must actually exercise the INLJ:
+/// fails the binary when oracle runs happened but none looked up an index,
+/// so the coverage cannot vanish silently.
+class InljCoverageCheck : public ::testing::Environment {
+ public:
+  void TearDown() override {
+    if (InljEnabled() && g_oracle_runs.load() > 0) {
+      EXPECT_GT(g_index_lookups.load(), 0u)
+          << "DYNOPT_ENABLE_INLJ set, but no strategy ran an indexed nested "
+             "loop join on any seed";
+    }
+  }
+};
+
+const auto* const kInljCoverage =
+    ::testing::AddGlobalTestEnvironment(new InljCoverageCheck);
+
 class RandomQueryTest : public ::testing::TestWithParam<uint64_t> {};
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomQueryTest,
@@ -449,31 +484,38 @@ TEST_P(RandomQueryTest, AllPathsMatchOracle) {
   ASSERT_TRUE(ok);
   SortRows(&expected);
 
-  DynamicOptimizer dynamic(g.engine.get());
+  g_oracle_runs.fetch_add(1);
+  DynamicOptimizerOptions dyn_options;
+  dyn_options.planner = g.planner;
+  DynamicOptimizer dynamic(g.engine.get(), dyn_options);
   auto dyn = dynamic.Run(g.query);
   ASSERT_TRUE(dyn.ok()) << dyn.status().ToString();
   SortRows(&dyn->rows);
   EXPECT_EQ(dyn->rows, expected) << "dynamic diverges from oracle, seed "
                                  << GetParam();
+  g_index_lookups.fetch_add(dyn->metrics.index_lookups);
 
-  StaticCostBasedOptimizer cost_based(g.engine.get());
+  StaticCostBasedOptimizer cost_based(g.engine.get(), g.planner);
   auto cb = cost_based.Run(g.query);
   ASSERT_TRUE(cb.ok()) << cb.status().ToString();
   SortRows(&cb->rows);
   EXPECT_EQ(cb->rows, expected) << "cost-based diverges, seed " << GetParam();
+  g_index_lookups.fetch_add(cb->metrics.index_lookups);
 
-  WorstOrderOptimizer worst(g.engine.get());
+  WorstOrderOptimizer worst(g.engine.get(), g.planner);
   auto wo = worst.Run(g.query);
   ASSERT_TRUE(wo.ok()) << wo.status().ToString();
   SortRows(&wo->rows);
   EXPECT_EQ(wo->rows, expected) << "worst-order diverges, seed " << GetParam();
+  g_index_lookups.fetch_add(wo->metrics.index_lookups);
 
-  IngresLikeOptimizer ingres(g.engine.get());
+  IngresLikeOptimizer ingres(g.engine.get(), g.planner);
   auto ing = ingres.Run(g.query);
   ASSERT_TRUE(ing.ok()) << ing.status().ToString();
   SortRows(&ing->rows);
   EXPECT_EQ(ing->rows, expected) << "ingres-like diverges, seed "
                                  << GetParam();
+  g_index_lookups.fetch_add(ing->metrics.index_lookups);
 
   // Best-order replays the join tree the dynamic run discovered as one
   // hinted pipelined job.
@@ -483,23 +525,28 @@ TEST_P(RandomQueryTest, AllPathsMatchOracle) {
   ASSERT_TRUE(bo.ok()) << bo.status().ToString();
   SortRows(&bo->rows);
   EXPECT_EQ(bo->rows, expected) << "best-order diverges, seed " << GetParam();
+  g_index_lookups.fetch_add(bo->metrics.index_lookups);
 
-  PilotRunOptimizer pilot(g.engine.get());
+  PilotRunOptions pilot_options;
+  pilot_options.planner = g.planner;
+  PilotRunOptimizer pilot(g.engine.get(), pilot_options);
   auto pr = pilot.Run(g.query);
   ASSERT_TRUE(pr.ok()) << pr.status().ToString();
   SortRows(&pr->rows);
   EXPECT_EQ(pr->rows, expected) << "pilot-run diverges, seed " << GetParam();
+  g_index_lookups.fetch_add(pr->metrics.index_lookups);
 
   // Seventh strategy, with executor-side predicate transfer switched on:
   // Bloom pruning must never drop a joining row (no false negatives), so
   // the result still matches the oracle bit for bit.
   g.engine->mutable_cluster().sketch.enable_predicate_transfer = true;
-  SketchDynamicOptimizer sketchy(g.engine.get());
+  SketchDynamicOptimizer sketchy(g.engine.get(), g.planner);
   auto sk = sketchy.Run(g.query);
   ASSERT_TRUE(sk.ok()) << sk.status().ToString();
   SortRows(&sk->rows);
   EXPECT_EQ(sk->rows, expected) << "sketch-dynamic diverges, seed "
                                 << GetParam();
+  g_index_lookups.fetch_add(sk->metrics.index_lookups);
 }
 
 TEST_P(RandomQueryTest, NoTempTableLeaks) {

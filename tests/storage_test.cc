@@ -128,7 +128,8 @@ TEST(ColumnarStorageTest, RowsReadBackExactlyAsAppended) {
             << "partition " << p << " row " << i << " column " << c;
         EXPECT_EQ(actual[i][c], expected[i][c]);
       }
-      EXPECT_EQ(t.ReadRow(p, i), expected[i]);
+      const auto [run, row] = t.LocateRow(p, i);
+      EXPECT_EQ(run->RowAt(row), expected[i]);
     }
   }
 
@@ -223,7 +224,11 @@ TEST(ColumnarStorageTest, AppendBatchesPreservesPlacementAndOrder) {
   const std::vector<Row> all = {first[0], first[1], second[0]};
   EXPECT_EQ(t.ReadRows(2), all);
   // Row offsets run across run boundaries.
-  for (size_t i = 0; i < all.size(); ++i) EXPECT_EQ(t.ReadRow(2, i), all[i]);
+  for (size_t i = 0; i < all.size(); ++i) {
+    const auto [run, row] = t.LocateRow(2, i);
+    EXPECT_EQ(run, &t.partition(2)[i < 2 ? 0 : 1]);
+    EXPECT_EQ(run->RowAt(row), all[i]);
+  }
   uint64_t bytes = 0;
   for (const Row& row : all) bytes += RowSizeBytes(row);
   EXPECT_EQ(t.PartitionBytes(2), bytes);
@@ -252,7 +257,8 @@ TEST(IndexTest, CreateAndLookup) {
         index->Lookup(p, Value("name_3"));
     if (offsets == nullptr) continue;
     for (uint32_t off : *offsets) {
-      EXPECT_EQ(t.ReadRow(p, off)[1], Value("name_3"));
+      const auto [run, row] = t.LocateRow(p, off);
+      EXPECT_EQ(run->columns[1].ValueAt(row), Value("name_3"));
       ++total_matches;
     }
   }

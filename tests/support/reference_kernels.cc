@@ -1,11 +1,10 @@
-#include "exec/reference_kernels.h"
+#include "support/reference_kernels.h"
 
 #include <algorithm>
 #include <chrono>
 #include <unordered_map>
 
 #include "common/logging.h"
-#include "exec/join_hash_table.h"
 
 namespace dynopt {
 namespace reference {

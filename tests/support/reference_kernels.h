@@ -1,25 +1,25 @@
-#ifndef DYNOPT_EXEC_REFERENCE_KERNELS_H_
-#define DYNOPT_EXEC_REFERENCE_KERNELS_H_
+#ifndef DYNOPT_TESTS_SUPPORT_REFERENCE_KERNELS_H_
+#define DYNOPT_TESTS_SUPPORT_REFERENCE_KERNELS_H_
 
 #include <vector>
 
 #include "exec/cluster.h"
-#include "exec/dataset.h"
 #include "exec/metrics.h"
+#include "support/dataset.h"
 
 namespace dynopt {
 namespace reference {
 
-/// Sequential reference implementations of the executor's data-movement
-/// kernels, preserved verbatim from the pre-parallel-exchange executor
+/// Sequential row-at-a-time reference implementations of the executor's
+/// data-movement kernels, preserved from the original executor
 /// (single-threaded shuffle, std::unordered_map<uint64_t,
 /// std::vector<size_t>> build table, key hashes recomputed on build and
 /// probe). They serve two purposes:
-///  - oracle: tests/exchange_test.cc asserts the parallel kernels produce
-///    identical rows, identical bytes_shuffled and bit-identical
-///    simulated_seconds;
+///  - oracle: exchange_test and columnar_test assert the batch kernels
+///    produce identical rows in identical order, identical bytes_shuffled
+///    and bit-identical simulated_seconds;
 ///  - baseline: bench/bench_kernels.cc measures the wall-clock speedup of
-///    the parallel kernels against these, writing BENCH_kernels.json.
+///    the batch kernels against these, writing BENCH_kernels.json.
 ///
 /// Both kernels also fill the wall_* fields of ExecMetrics so the benchmark
 /// can report a per-kernel-class breakdown for either implementation.
@@ -39,4 +39,4 @@ Dataset LocalHashJoin(const Dataset& build, const Dataset& probe,
 }  // namespace reference
 }  // namespace dynopt
 
-#endif  // DYNOPT_EXEC_REFERENCE_KERNELS_H_
+#endif  // DYNOPT_TESTS_SUPPORT_REFERENCE_KERNELS_H_

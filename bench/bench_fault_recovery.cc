@@ -281,18 +281,8 @@ RateSweepRow MeasureRate(Engine* engine, const Reference& ref,
 
   // Also surface the run through the shared harness records so the fault
   // counters flow into the generic records JSON.
-  Record record;
-  record.figure = "fault@" + std::to_string(rate);
-  record.query = query_name;
-  record.paper_sf = paper_sf;
-  record.optimizer = name;
-  record.sim_seconds = result->metrics.simulated_seconds;
-  record.wall_seconds = result->wall_seconds;
-  record.reopt_seconds = result->metrics.reopt_seconds;
-  record.stats_seconds = result->metrics.stats_seconds;
-  SetWallBreakdown(&record, result->metrics, result->profile.get());
-  record.rows = result->rows.size();
-  AddRecord(std::move(record));
+  AddRecord(MakeRecord("fault@" + std::to_string(rate), query_name, paper_sf,
+                       name, *result));
   return row;
 }
 

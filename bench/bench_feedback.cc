@@ -68,21 +68,6 @@ struct Cell {
   uint64_t rows = 0;
 };
 
-void AppendCellRecord(const Cell& cell, const OptimizerRunResult& result) {
-  Record record;
-  record.figure = "feedback/" + cell.section + "/" + cell.config;
-  record.query = cell.section;
-  record.paper_sf = 0;
-  record.optimizer = cell.optimizer;
-  record.sim_seconds = result.metrics.simulated_seconds;
-  record.reopt_seconds = result.metrics.reopt_seconds;
-  record.stats_seconds = result.metrics.stats_seconds;
-  SetWallBreakdown(&record, result.metrics, result.profile.get());
-  record.rows = result.rows.size();
-  record.plan = result.join_tree != nullptr ? result.join_tree->ToString() : "";
-  AddRecord(std::move(record));
-}
-
 Cell MakeCell(const std::string& section, const std::string& config,
               const std::string& optimizer, const OptimizerRunResult& result) {
   Cell cell;
@@ -95,7 +80,8 @@ Cell MakeCell(const std::string& section, const std::string& config,
   cell.error_reopt_triggers = result.metrics.error_reopt_triggers;
   cell.max_q_error = result.metrics.max_q_error;
   cell.rows = result.rows.size();
-  AppendCellRecord(cell, result);
+  AddRecord(MakeRecord("feedback/" + section + "/" + config, section, 0,
+                       optimizer, result));
   return cell;
 }
 

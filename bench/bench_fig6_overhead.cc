@@ -41,17 +41,8 @@ void RunCase(benchmark::State& state, const std::string& query,
     state.counters["online_stats_s"] = stats;
     state.counters["reopt_pct"] = 100.0 * reopt / total;
     state.counters["stats_pct"] = 100.0 * stats / total;
-    Record record;
-    record.figure = "Figure 6 (left)";
-    record.query = query;
-    record.paper_sf = paper_sf;
-    record.optimizer = "dynamic";
-    record.sim_seconds = total;
-    record.reopt_seconds = reopt;
-    record.stats_seconds = stats;
-    record.wall_seconds = result->wall_seconds;
-    SetWallBreakdown(&record, result->metrics, result->profile.get());
-    AddRecord(std::move(record));
+    AddRecord(
+        MakeRecord("Figure 6 (left)", query, paper_sf, "dynamic", *result));
   }
 }
 
@@ -79,10 +70,12 @@ void PrintBreakdown() {
               "re-optimization", "online-stats", "overhead%");
   for (const auto& r : Records()) {
     if (r.figure != "Figure 6 (left)") continue;
-    double base = r.sim_seconds - r.reopt_seconds - r.stats_seconds;
+    const ExecMetrics& m = r.metrics;
+    double base = m.simulated_seconds - m.reopt_seconds - m.stats_seconds;
     std::printf("%-6s %6d %14.2f %14.2f %14.2f %9.1f%%\n", r.query.c_str(),
-                r.paper_sf, base, r.reopt_seconds, r.stats_seconds,
-                100.0 * (r.reopt_seconds + r.stats_seconds) / r.sim_seconds);
+                r.paper_sf, base, m.reopt_seconds, m.stats_seconds,
+                100.0 * (m.reopt_seconds + m.stats_seconds) /
+                    m.simulated_seconds);
   }
 }
 

@@ -55,14 +55,8 @@ void RunCase(benchmark::State& state, const std::string& query, int paper_sf,
         return;
       }
       total = result->metrics.simulated_seconds;
-      Record record;
-      record.figure = "Figure 6 (right)";
-      record.query = query;
-      record.paper_sf = paper_sf;
-      record.optimizer = "predicate-push-down";
-      record.sim_seconds = total;
-      SetWallBreakdown(&record, result->metrics, result->profile.get());
-      AddRecord(std::move(record));
+      AddRecord(MakeRecord("Figure 6 (right)", query, paper_sf,
+                           "predicate-push-down", *result));
     }
     state.SetIterationTime(total);
   }
@@ -97,10 +91,10 @@ void PrintComparison() {
   for (const auto& r : Records()) {
     if (r.figure != "Figure 6 (right)") continue;
     double baseline = BaselineSeconds()[r.query + std::to_string(r.paper_sf)];
+    const double sim = r.metrics.simulated_seconds;
     std::printf("%-6s %6d %10.2f %12.2f %9.1f%%\n", r.query.c_str(),
-                r.paper_sf, baseline, r.sim_seconds,
-                baseline > 0 ? 100.0 * (r.sim_seconds - baseline) / baseline
-                             : 0.0);
+                r.paper_sf, baseline, sim,
+                baseline > 0 ? 100.0 * (sim - baseline) / baseline : 0.0);
   }
 }
 

@@ -36,18 +36,7 @@ void RunCase(benchmark::State& state, const std::string& query, int paper_sf,
         static_cast<double>(result->metrics.bytes_broadcast) / 1.0e6;
     state.counters["reopts"] =
         static_cast<double>(result->metrics.num_reopt_points);
-    Record record;
-    record.figure = "Figure 7";
-    record.query = query;
-    record.paper_sf = paper_sf;
-    record.optimizer = optimizer;
-    record.sim_seconds = result->metrics.simulated_seconds;
-    record.wall_seconds = result->wall_seconds;
-    SetWallBreakdown(&record, result->metrics, result->profile.get());
-    record.rows = result->rows.size();
-    record.plan =
-        result->join_tree != nullptr ? result->join_tree->ToString() : "";
-    AddRecord(std::move(record));
+    AddRecord(MakeRecord("Figure 7", query, paper_sf, optimizer, *result));
   }
 }
 

@@ -27,18 +27,7 @@ void RunCase(benchmark::State& state, const std::string& query, int paper_sf,
     state.counters["wall_s"] = result->wall_seconds;
     state.counters["index_lookups"] =
         static_cast<double>(result->metrics.index_lookups);
-    Record record;
-    record.figure = "Figure 8";
-    record.query = query;
-    record.paper_sf = paper_sf;
-    record.optimizer = optimizer;
-    record.sim_seconds = result->metrics.simulated_seconds;
-    record.wall_seconds = result->wall_seconds;
-    SetWallBreakdown(&record, result->metrics, result->profile.get());
-    record.rows = result->rows.size();
-    record.plan =
-        result->join_tree != nullptr ? result->join_tree->ToString() : "";
-    AddRecord(std::move(record));
+    AddRecord(MakeRecord("Figure 8", query, paper_sf, optimizer, *result));
   }
 }
 

@@ -67,7 +67,7 @@ void AddIntrospectRecord(const Cell& c) {
   Record record;
   record.figure = "introspect/" + c.section + "/" + c.config;
   record.query = c.section;
-  record.sim_seconds = c.sim_seconds;
+  record.metrics.simulated_seconds = c.sim_seconds;
   record.wall_seconds = c.wall_seconds;
   record.rows = c.rows;
   record.plan = c.note;

@@ -187,18 +187,8 @@ int Main(int argc, char** argv) {
         DYNOPT_CHECK(CountFilesWithPrefix(engine->cluster().spill_directory,
                                           ctx.SpillFilePrefix()) == 0);
 
-        Record record;
-        record.figure = "memory@" + std::to_string(budget);
-        record.query = query_name;
-        record.paper_sf = paper_sf;
-        record.optimizer = name;
-        record.sim_seconds = result->metrics.simulated_seconds;
-        record.wall_seconds = result->wall_seconds;
-        record.reopt_seconds = result->metrics.reopt_seconds;
-        record.stats_seconds = result->metrics.stats_seconds;
-        SetWallBreakdown(&record, result->metrics, result->profile.get());
-        record.rows = result->rows.size();
-        AddRecord(std::move(record));
+        AddRecord(MakeRecord("memory@" + std::to_string(budget), query_name,
+                             paper_sf, name, *result));
       }
     }
   }
@@ -212,10 +202,10 @@ int Main(int argc, char** argv) {
     row.query = r.query;
     row.optimizer = r.optimizer;
     row.budget_bytes = std::strtoull(r.figure.c_str() + 7, nullptr, 10);
-    row.sim_seconds = r.sim_seconds;
-    row.spilled_bytes = r.spilled_bytes;
-    row.spill_partitions = r.spill_partitions;
-    row.peak_memory_bytes = r.peak_memory_bytes;
+    row.sim_seconds = r.metrics.simulated_seconds;
+    row.spilled_bytes = r.metrics.spilled_bytes;
+    row.spill_partitions = r.metrics.spill_partitions;
+    row.peak_memory_bytes = r.metrics.peak_memory_bytes;
     sweep_rows.push_back(std::move(row));
   }
 

@@ -70,18 +70,8 @@ Cell MakeCell(const std::string& section, const std::string& config,
   cell.pt_pruned_bytes = result.metrics.pt_pruned_bytes;
   cell.rows = result.rows.size();
 
-  Record record;
-  record.figure = "sketch/" + section + "/" + config;
-  record.query = section;
-  record.paper_sf = 0;
-  record.optimizer = optimizer;
-  record.sim_seconds = result.metrics.simulated_seconds;
-  record.reopt_seconds = result.metrics.reopt_seconds;
-  record.stats_seconds = result.metrics.stats_seconds;
-  SetWallBreakdown(&record, result.metrics, result.profile.get());
-  record.rows = result.rows.size();
-  record.plan = cell.plan;
-  AddRecord(std::move(record));
+  AddRecord(MakeRecord("sketch/" + section + "/" + config, section, 0,
+                       optimizer, result));
   return cell;
 }
 

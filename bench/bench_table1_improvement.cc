@@ -26,14 +26,7 @@ void RunCase(benchmark::State& state, const std::string& query, int paper_sf,
       return;
     }
     state.SetIterationTime(result->metrics.simulated_seconds);
-    Record record;
-    record.figure = "Table 1";
-    record.query = query;
-    record.paper_sf = paper_sf;
-    record.optimizer = optimizer;
-    record.sim_seconds = result->metrics.simulated_seconds;
-    SetWallBreakdown(&record, result->metrics, result->profile.get());
-    AddRecord(std::move(record));
+    AddRecord(MakeRecord("Table 1", query, paper_sf, optimizer, *result));
   }
 }
 
@@ -78,8 +71,9 @@ void PrintTable1() {
           if (r.figure != "Table 1" || r.paper_sf != sf || r.query != query) {
             continue;
           }
-          if (r.optimizer == "dynamic") dynamic_s = r.sim_seconds;
-          if (r.optimizer == other) other_s = r.sim_seconds;
+          const double sim = r.metrics.simulated_seconds;
+          if (r.optimizer == "dynamic") dynamic_s = sim;
+          if (r.optimizer == other) other_s = sim;
         }
         if (dynamic_s > 0 && other_s > 0) {
           ratio_sum += other_s / dynamic_s;

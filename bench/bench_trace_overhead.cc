@@ -4,14 +4,15 @@
 //
 //   1. Metering identity — tracing never touches the simulated cost model,
 //      so every deterministic ExecMetrics field is byte-for-byte identical
-//      with tracing on and off (DYNOPT_CHECK, not a soft comparison).
+//      with tracing on and off (MeteringDiff under DYNOPT_CHECK, not a
+//      soft comparison).
 //   2. Low overhead — the best-of-N wall-clock with tracing enabled stays
 //      within DYNOPT_TRACE_OVERHEAD_PCT percent (default 5) of the
 //      disabled baseline.
 //
 // Outputs: BENCH_trace.json (timings + overhead), a Chrome-trace JSON of
 // the final traced run (loadable in Perfetto / chrome://tracing), an
-// EXPLAIN ANALYZE dump and the global metrics-registry snapshot.
+// EXPLAIN ANALYZE dump and the engine's metrics-registry snapshot.
 
 #include <algorithm>
 #include <cstdio>
@@ -36,35 +37,6 @@ Result<OptimizerRunResult> RunQ9(Engine* engine) {
   DYNOPT_ASSIGN_OR_RETURN(QuerySpec spec, GetQuery(engine, "q9"));
   DynamicOptimizer optimizer(engine);
   return optimizer.Run(spec);
-}
-
-/// Every deterministic ExecMetrics field, rendered exactly. Wall-clock
-/// fields (wall_*, queue_wait) are host-time and excluded; everything else
-/// must be invariant under tracing.
-std::string MeteringSignature(const ExecMetrics& m) {
-  char buf[512];
-  std::snprintf(
-      buf, sizeof(buf),
-      "rows=%llu tuples=%llu scan=%llu shuffle=%llu bcast=%llu mat=%llu "
-      "iread=%llu idx=%llu jobs=%d reopts=%d sim=%.17g reopt=%.17g "
-      "stats=%.17g recovery=%.17g retries=%llu spec=%llu corrupt=%llu "
-      "peak=%llu spill=%llu spill_parts=%llu q=%.17g decisions=%llu",
-      (unsigned long long)m.rows_out, (unsigned long long)m.tuples_processed,
-      (unsigned long long)m.bytes_scanned,
-      (unsigned long long)m.bytes_shuffled,
-      (unsigned long long)m.bytes_broadcast,
-      (unsigned long long)m.bytes_materialized,
-      (unsigned long long)m.bytes_intermediate_read,
-      (unsigned long long)m.index_lookups, m.num_jobs, m.num_reopt_points,
-      m.simulated_seconds, m.reopt_seconds, m.stats_seconds,
-      m.recovery_seconds, (unsigned long long)m.num_retries,
-      (unsigned long long)m.speculative_executions,
-      (unsigned long long)m.corrupted_blocks,
-      (unsigned long long)m.peak_memory_bytes,
-      (unsigned long long)m.spilled_bytes,
-      (unsigned long long)m.spill_partitions, m.max_q_error,
-      (unsigned long long)m.num_decisions);
-  return buf;
 }
 
 int Main(int argc, char** argv) {
@@ -109,19 +81,18 @@ int Main(int argc, char** argv) {
 
   // Baseline: tracing disabled (the default state).
   double off_best_wall = 0;
-  std::string off_signature;
+  ExecMetrics off_metrics;
   for (int r = 0; r < reps; ++r) {
     auto result = RunQ9(engine);
     DYNOPT_CHECK(result.ok());
-    const std::string sig = MeteringSignature(result->metrics);
     if (r == 0) {
       off_best_wall = result->wall_seconds;
-      off_signature = sig;
+      off_metrics = result->metrics;
     } else {
       off_best_wall = std::min(off_best_wall, result->wall_seconds);
       // The simulation itself must be deterministic run-over-run, or the
       // tracing-identity check below would be meaningless.
-      DYNOPT_CHECK(sig == off_signature);
+      DYNOPT_CHECK(MeteringDiff(result->metrics, off_metrics).empty());
     }
     // Disabled tracing must leave nothing behind to drain.
     DYNOPT_CHECK(result->profile != nullptr);
@@ -131,20 +102,19 @@ int Main(int argc, char** argv) {
   // Traced runs.
   Tracer::Global().Enable();
   double on_best_wall = 0;
-  std::string on_signature;
   std::shared_ptr<QueryProfile> traced_profile;
   OptimizerRunResult traced_run;
   for (int r = 0; r < reps; ++r) {
     auto result = RunQ9(engine);
     DYNOPT_CHECK(result.ok());
-    const std::string sig = MeteringSignature(result->metrics);
-    if (r == 0) {
-      on_best_wall = result->wall_seconds;
-      on_signature = sig;
-    } else {
-      on_best_wall = std::min(on_best_wall, result->wall_seconds);
-      DYNOPT_CHECK(sig == on_signature);
+    on_best_wall = r == 0 ? result->wall_seconds
+                          : std::min(on_best_wall, result->wall_seconds);
+    // Invariant 1: tracing changes no metered quantity.
+    const std::string drift = MeteringDiff(off_metrics, result->metrics);
+    if (!drift.empty()) {
+      std::fprintf(stderr, "metering drift (off != on):\n%s", drift.c_str());
     }
+    DYNOPT_CHECK(drift.empty());
     DYNOPT_CHECK(result->profile != nullptr);
     DYNOPT_CHECK(!result->profile->trace.empty());
     traced_profile = result->profile;
@@ -152,13 +122,8 @@ int Main(int argc, char** argv) {
   }
   Tracer::Global().Disable();
 
-  // Invariant 1: tracing changes no metered quantity.
-  if (off_signature != on_signature) {
-    std::fprintf(stderr, "metering drift!\n  off: %s\n  on:  %s\n",
-                 off_signature.c_str(), on_signature.c_str());
-  }
-  DYNOPT_CHECK(off_signature == on_signature);
-  std::printf("metering identical on/off: %s\n", off_signature.c_str());
+  std::printf("metering identical on/off: %s\n",
+              off_metrics.ToString().c_str());
 
   // Invariant 2: wall-clock overhead within the budget.
   const double overhead_pct =

@@ -1,5 +1,6 @@
 #include "bench/harness.h"
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <mutex>
@@ -7,7 +8,6 @@
 #include <sstream>
 
 #include "common/logging.h"
-#include "common/metrics_registry.h"
 #include "opt/dynamic_optimizer.h"
 #include "opt/ingres_optimizer.h"
 #include "opt/order_baselines.h"
@@ -163,41 +163,31 @@ Result<OptimizerRunResult> RunStrategy(Engine* engine, int paper_sf,
   return Status::InvalidArgument("unknown optimizer " + optimizer_name);
 }
 
-void SetWallBreakdown(Record* record, const ExecMetrics& metrics,
-                      const QueryProfile* profile) {
-  record->wall_shuffle_seconds = metrics.wall_shuffle_seconds;
-  record->wall_build_seconds = metrics.wall_build_seconds;
-  record->wall_probe_seconds = metrics.wall_probe_seconds;
-  record->wall_materialize_seconds = metrics.wall_materialize_seconds;
-  record->recovery_seconds = metrics.recovery_seconds;
-  record->num_retries = metrics.num_retries;
-  record->speculative_executions = metrics.speculative_executions;
-  record->corrupted_blocks = metrics.corrupted_blocks;
-  record->peak_memory_bytes = metrics.peak_memory_bytes;
-  record->spilled_bytes = metrics.spilled_bytes;
-  record->spill_partitions = metrics.spill_partitions;
-  record->queue_wait_seconds = metrics.queue_wait_seconds;
-  record->max_q_error = metrics.max_q_error;
-  record->num_decisions = metrics.num_decisions;
-  record->error_reopt_triggers = metrics.error_reopt_triggers;
-  record->bytes_shuffled = metrics.bytes_shuffled;
-  record->pt_filter_bytes = metrics.pt_filter_bytes;
-  record->pt_pruned_rows = metrics.pt_pruned_rows;
-  record->pt_pruned_bytes = metrics.pt_pruned_bytes;
-  record->q_error_log2.assign(16, 0);
-  if (profile != nullptr) {
-    for (const auto& d : profile->decisions.decisions()) {
+Record MakeRecord(std::string figure, std::string query, int paper_sf,
+                  std::string optimizer, const OptimizerRunResult& result) {
+  Record record;
+  record.figure = std::move(figure);
+  record.query = std::move(query);
+  record.paper_sf = paper_sf;
+  record.optimizer = std::move(optimizer);
+  record.metrics = result.metrics;
+  record.wall_seconds = result.wall_seconds;
+  record.rows = result.rows.size();
+  if (result.join_tree != nullptr) record.plan = result.join_tree->ToString();
+  if (result.profile != nullptr) {
+    for (const auto& d : result.profile->decisions.decisions()) {
       const double q = d.QError();
       if (q < 1.0) continue;
       uint64_t v = static_cast<uint64_t>(std::llround(q));
       size_t bucket = 0;
-      while (v > 1 && bucket + 1 < record->q_error_log2.size()) {
+      while (v > 1 && bucket + 1 < record.q_error_log2.size()) {
         v >>= 1;
         ++bucket;
       }
-      ++record->q_error_log2[bucket];
+      ++record.q_error_log2[bucket];
     }
   }
+  return record;
 }
 
 void AddRecord(Record record) {
@@ -245,30 +235,13 @@ std::string RecordsToJson() {
        << "\"query\": \"" << JsonEscape(r.query) << "\", "
        << "\"paper_sf\": " << r.paper_sf << ", "
        << "\"optimizer\": \"" << JsonEscape(r.optimizer) << "\", "
-       << "\"sim_seconds\": " << r.sim_seconds << ", "
-       << "\"wall_seconds\": " << r.wall_seconds << ", "
-       << "\"reopt_seconds\": " << r.reopt_seconds << ", "
-       << "\"stats_seconds\": " << r.stats_seconds << ", "
-       << "\"wall_shuffle_s\": " << r.wall_shuffle_seconds << ", "
-       << "\"wall_build_s\": " << r.wall_build_seconds << ", "
-       << "\"wall_probe_s\": " << r.wall_probe_seconds << ", "
-       << "\"wall_materialize_s\": " << r.wall_materialize_seconds << ", "
-       << "\"recovery_seconds\": " << r.recovery_seconds << ", "
-       << "\"num_retries\": " << r.num_retries << ", "
-       << "\"speculative_executions\": " << r.speculative_executions << ", "
-       << "\"corrupted_blocks\": " << r.corrupted_blocks << ", "
-       << "\"peak_memory_bytes\": " << r.peak_memory_bytes << ", "
-       << "\"spilled_bytes\": " << r.spilled_bytes << ", "
-       << "\"spill_partitions\": " << r.spill_partitions << ", "
-       << "\"queue_wait_seconds\": " << r.queue_wait_seconds << ", "
-       << "\"max_q_error\": " << r.max_q_error << ", "
-       << "\"num_decisions\": " << r.num_decisions << ", "
-       << "\"error_reopt_triggers\": " << r.error_reopt_triggers << ", "
-       << "\"bytes_shuffled\": " << r.bytes_shuffled << ", "
-       << "\"pt_filter_bytes\": " << r.pt_filter_bytes << ", "
-       << "\"pt_pruned_rows\": " << r.pt_pruned_rows << ", "
-       << "\"pt_pruned_bytes\": " << r.pt_pruned_bytes << ", "
-       << "\"q_error_log2\": [";
+       << "\"wall_seconds\": " << r.wall_seconds << ", ";
+    VisitMetricFields(
+        [&](const MetricField& field, const auto& value) {
+          os << "\"" << field.name << "\": " << value << ", ";
+        },
+        r.metrics);
+    os << "\"q_error_log2\": [";
     for (size_t i = 0; i < r.q_error_log2.size(); ++i) {
       os << (i == 0 ? "" : ", ") << r.q_error_log2[i];
     }
@@ -285,15 +258,6 @@ bool WriteRecordsJson(const std::string& path) {
   std::ofstream out(path);
   if (!out) return false;
   out << "{\n  \"records\": " << RecordsToJson() << "\n}\n";
-  return static_cast<bool>(out);
-}
-
-bool WriteMetricsSnapshot(const std::string& path,
-                          const MetricsRegistry* registry) {
-  std::ofstream out(path);
-  if (!out) return false;
-  out << (registry != nullptr ? registry->TextSnapshot()
-                              : MetricsRegistry::Global().TextSnapshot());
   return static_cast<bool>(out);
 }
 
@@ -323,7 +287,7 @@ void PrintFigureTable(const std::string& figure) {
         for (const auto& r : records) {
           if (r.figure == figure && r.paper_sf == sf && r.query == query &&
               r.optimizer == opt) {
-            value = r.sim_seconds;
+            value = r.metrics.simulated_seconds;
           }
         }
         if (value < 0) {
@@ -347,8 +311,10 @@ void PrintFigureTable(const std::string& figure) {
   bool any_wall = false;
   for (const auto& r : records) {
     if (r.figure == figure &&
-        (r.wall_shuffle_seconds > 0 || r.wall_build_seconds > 0 ||
-         r.wall_probe_seconds > 0 || r.wall_materialize_seconds > 0)) {
+        (r.metrics.wall_shuffle_seconds > 0 ||
+         r.metrics.wall_build_seconds > 0 ||
+         r.metrics.wall_probe_seconds > 0 ||
+         r.metrics.wall_materialize_seconds > 0)) {
       any_wall = true;
       break;
     }
@@ -361,8 +327,9 @@ void PrintFigureTable(const std::string& figure) {
           "%s sf=%d %s: shuffle=%.4f build=%.4f probe=%.4f "
           "materialize=%.4f wall_total=%.4f\n",
           r.query.c_str(), r.paper_sf, r.optimizer.c_str(),
-          r.wall_shuffle_seconds, r.wall_build_seconds, r.wall_probe_seconds,
-          r.wall_materialize_seconds, r.wall_seconds);
+          r.metrics.wall_shuffle_seconds, r.metrics.wall_build_seconds,
+          r.metrics.wall_probe_seconds, r.metrics.wall_materialize_seconds,
+          r.wall_seconds);
     }
   }
 }

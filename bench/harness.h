@@ -51,42 +51,10 @@ struct Record {
   std::string query;
   int paper_sf = 0;
   std::string optimizer;
-  double sim_seconds = 0;
+  /// The run's counters; RecordsToJson writes one key per ExecMetrics
+  /// field.
+  ExecMetrics metrics;
   double wall_seconds = 0;
-  double reopt_seconds = 0;
-  double stats_seconds = 0;
-  // Host wall-clock per operator class (ExecMetrics::wall_*_seconds):
-  // real time inside the physical kernels, independent of the simulated
-  // cost model above.
-  double wall_shuffle_seconds = 0;
-  double wall_build_seconds = 0;
-  double wall_probe_seconds = 0;
-  double wall_materialize_seconds = 0;
-  // Fault-injection outcomes (ExecMetrics fault counters); all zero when
-  // injection is disarmed.
-  double recovery_seconds = 0;
-  uint64_t num_retries = 0;
-  uint64_t speculative_executions = 0;
-  uint64_t corrupted_blocks = 0;
-  // Memory-governance outcomes (ExecMetrics memory counters); all zero
-  // when no QueryContext / join budget is configured.
-  uint64_t peak_memory_bytes = 0;
-  uint64_t spilled_bytes = 0;
-  uint64_t spill_partitions = 0;
-  double queue_wait_seconds = 0;
-  // Optimizer decision telemetry (ExecMetrics::max_q_error/num_decisions):
-  // the worst estimate-vs-actual ratio across this run's logged decisions.
-  double max_q_error = 0;
-  uint64_t num_decisions = 0;
-  // Extra re-optimization checkpoints bought by the error feedback loop
-  // (ExecMetrics::error_reopt_triggers; 0 at default knobs).
-  uint64_t error_reopt_triggers = 0;
-  // Exchange volume and predicate-transfer outcomes (ExecMetrics
-  // counters); pt_* are all zero unless enable_predicate_transfer is on.
-  uint64_t bytes_shuffled = 0;
-  uint64_t pt_filter_bytes = 0;
-  uint64_t pt_pruned_rows = 0;
-  uint64_t pt_pruned_bytes = 0;
   // Log2-bucketed histogram of rounded per-decision q-errors: bucket 0 =
   // [1,2), bucket i = [2^i, 2^(i+1)), last bucket open-ended. All zero
   // when no profile was attached to the run.
@@ -95,30 +63,21 @@ struct Record {
   std::string plan;
 };
 
-/// Copies the per-operator-class wall clocks, the fault counters, the
-/// memory-governance counters and the decision telemetry out of `metrics`
-/// into `record`. A non-null `profile` additionally fills the per-decision
-/// q-error histogram (`q_error_log2`).
-void SetWallBreakdown(Record* record, const ExecMetrics& metrics,
-                      const QueryProfile* profile = nullptr);
+/// The record of one run: the given identity plus the run's metrics, wall
+/// seconds, row count, join tree and (from its profile) the per-decision
+/// q-error histogram.
+Record MakeRecord(std::string figure, std::string query, int paper_sf,
+                  std::string optimizer, const OptimizerRunResult& result);
 
 void AddRecord(Record record);
 const std::vector<Record>& Records();
 
-/// All accumulated records as a JSON array (one object per record,
-/// including the fault-recovery counters).
+/// All accumulated records as a JSON array (one object per record).
 std::string RecordsToJson();
 
 /// Writes RecordsToJson() wrapped in {"records": [...]} to `path`.
 /// Returns false when the file cannot be written.
 bool WriteRecordsJson(const std::string& path);
-
-/// Writes `registry`->TextSnapshot() to `path` (one "name value" line per
-/// metric). Registries are engine-scoped: benches pass their engine's
-/// registry; null falls back to the process-wide default instance.
-/// Returns false when the file cannot be written.
-bool WriteMetricsSnapshot(const std::string& path,
-                          const MetricsRegistry* registry = nullptr);
 
 /// Prints records of `figure` grouped like the paper's figures: one block
 /// per scale factor, queries as rows, strategies as columns.

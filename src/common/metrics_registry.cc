@@ -45,11 +45,6 @@ void Histogram::Reset() {
   sum_.store(0, std::memory_order_relaxed);
 }
 
-MetricsRegistry& MetricsRegistry::Global() {
-  static MetricsRegistry* registry = new MetricsRegistry();
-  return *registry;
-}
-
 Counter* MetricsRegistry::counter(const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
   auto& slot = counters_[name];

@@ -72,17 +72,14 @@ struct MetricSample {
   uint64_t p99 = 0;
 };
 
-/// Registry of named counters/gauges/histograms. Each Engine owns one so
-/// metrics stay attributable per engine; Global() is the process-wide
-/// default instance for engine-less contexts. Lookup takes a lock; the
+/// Registry of named counters/gauges/histograms. Each Engine owns one and
+/// every component it builds records there, so metrics stay attributable
+/// per engine; there is no process-wide instance. Lookup takes a lock; the
 /// returned pointers are stable for the registry lifetime, so hot call
 /// sites can cache them. TextSnapshot() renders one sorted "name value"
-/// line per metric — the endpoint the bench harness writes next to its
-/// JSON records.
+/// line per metric.
 class MetricsRegistry {
  public:
-  static MetricsRegistry& Global();
-
   Counter* counter(const std::string& name);
   Gauge* gauge(const std::string& name);
   Histogram* histogram(const std::string& name);

@@ -62,17 +62,16 @@ class AdmissionController {
   /// `engine_memory` must outlive the controller (Engine owns both).
   /// `query_reservation_bytes` is reserved per admitted query with no
   /// estimate of its own (0 reserves nothing — slot counting only).
-  /// `metrics_registry` receives the admission counters/gauges; null falls
-  /// back to MetricsRegistry::Global(). Engines pass their own registry.
+  /// `metrics_registry` (the engine's) receives the admission
+  /// counters/gauges and must outlive the controller too.
   AdmissionController(const AdmissionConfig& config,
                       MemoryTracker* engine_memory,
                       uint64_t query_reservation_bytes,
-                      MetricsRegistry* metrics_registry = nullptr)
+                      MetricsRegistry* metrics_registry)
       : config_(config),
         engine_memory_(engine_memory),
         reservation_bytes_(query_reservation_bytes),
-        registry_(metrics_registry != nullptr ? metrics_registry
-                                              : &MetricsRegistry::Global()) {}
+        registry_(metrics_registry) {}
 
   AdmissionController(const AdmissionController&) = delete;
   AdmissionController& operator=(const AdmissionController&) = delete;
@@ -414,7 +413,7 @@ class AdmissionController {
   AdmissionConfig config_;
   MemoryTracker* engine_memory_;
   uint64_t reservation_bytes_;
-  MetricsRegistry* registry_;  ///< Engine-owned or Global(); never null.
+  MetricsRegistry* registry_;  ///< The engine's; never null.
 
   mutable std::mutex mu_;
   std::condition_variable cv_;

@@ -51,15 +51,14 @@ class Engine {
   /// must outlive the executor's jobs.
   JobExecutor MakeExecutor(QueryContext* ctx = nullptr) {
     return JobExecutor(&catalog_, &stats_, &udfs_, cluster_, &pool_,
-                       faults_.get(), ctx, &retry_budget(), &sketches_,
-                       &metrics_);
+                       &metrics_, faults_.get(), ctx, &retry_budget(),
+                       &sketches_);
   }
 
   /// Engine-scoped metrics registry: every executor, admission controller
   /// and watchdog this engine builds records here, so counters stay
   /// attributable when multiple engines share a process (sys.metrics reads
-  /// exactly this registry). MetricsRegistry::Global() remains the default
-  /// instance for engine-less contexts.
+  /// exactly this registry).
   MetricsRegistry& metrics_registry() { return metrics_; }
 
   /// Engine-level memory tracker: the root of the engine -> query ->

@@ -204,10 +204,9 @@ ColumnBatch BatchFromSpill(const std::vector<Row>& rows) {
 
 JobExecutor::JobExecutor(Catalog* catalog, StatsManager* stats,
                          const UdfRegistry* udfs, const ClusterConfig& cluster,
-                         ThreadPool* pool, FaultInjector* faults,
-                         QueryContext* ctx, RetryBudget* retry_budget,
-                         SketchManager* sketches,
-                         MetricsRegistry* metrics_registry)
+                         ThreadPool* pool, MetricsRegistry* metrics_registry,
+                         FaultInjector* faults, QueryContext* ctx,
+                         RetryBudget* retry_budget, SketchManager* sketches)
     : catalog_(catalog),
       stats_(stats),
       udfs_(udfs),
@@ -221,9 +220,8 @@ JobExecutor::JobExecutor(Catalog* catalog, StatsManager* stats,
       ctx_(ctx),
       retry_budget_(retry_budget),
       sketches_(sketches),
-      registry_(metrics_registry != nullptr ? metrics_registry
-                                            : &MetricsRegistry::Global()) {
-  DYNOPT_CHECK(catalog != nullptr && pool != nullptr);
+      registry_(metrics_registry) {
+  DYNOPT_CHECK(catalog != nullptr && pool != nullptr && registry_ != nullptr);
 }
 
 Status JobExecutor::ApplyFaults(FaultSite site,

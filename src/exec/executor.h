@@ -75,17 +75,16 @@ class JobExecutor {
   /// `sketches` attaches the engine's join-key sketch registry; null (the
   /// default) disables sketch collection and predicate transfer regardless
   /// of the cluster's sketch knobs.
-  /// `metrics_registry` is where counters/gauges/histograms land; null
-  /// (the default) falls back to MetricsRegistry::Global(). Engines pass
-  /// their own registry so metrics stay attributable per engine.
+  /// `metrics_registry` (the engine's) is where counters/gauges/histograms
+  /// land.
   /// An invalid `cluster` (ValidateClusterConfig) never aborts: every
   /// public entry point returns the validation error instead.
   JobExecutor(Catalog* catalog, StatsManager* stats, const UdfRegistry* udfs,
               const ClusterConfig& cluster, ThreadPool* pool,
+              MetricsRegistry* metrics_registry,
               FaultInjector* faults = nullptr, QueryContext* ctx = nullptr,
               RetryBudget* retry_budget = nullptr,
-              SketchManager* sketches = nullptr,
-              MetricsRegistry* metrics_registry = nullptr);
+              SketchManager* sketches = nullptr);
 
   void set_context(QueryContext* ctx) { ctx_ = ctx; }
   QueryContext* context() const { return ctx_; }
@@ -242,7 +241,7 @@ class JobExecutor {
   QueryContext* ctx_ = nullptr;  ///< Caller-owned; may be null (ungoverned).
   RetryBudget* retry_budget_ = nullptr;  ///< Engine-owned; may be null.
   SketchManager* sketches_ = nullptr;  ///< Engine-owned; may be null (no PT).
-  MetricsRegistry* registry_;  ///< Engine-owned or Global(); never null.
+  MetricsRegistry* registry_;  ///< The engine's; never null.
 
   /// Process-wide serial for spill-file names: two executors (or two joins
   /// of one query) can spill concurrently into the same directory without

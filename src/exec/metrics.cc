@@ -1,76 +1,50 @@
 #include "exec/metrics.h"
 
+#include <iomanip>
 #include <sstream>
 
 namespace dynopt {
 
 void ExecMetrics::Add(const ExecMetrics& other) {
-  rows_out = other.rows_out;  // Rows-out reflects the latest operator.
-  tuples_processed += other.tuples_processed;
-  bytes_scanned += other.bytes_scanned;
-  bytes_shuffled += other.bytes_shuffled;
-  bytes_broadcast += other.bytes_broadcast;
-  bytes_materialized += other.bytes_materialized;
-  bytes_intermediate_read += other.bytes_intermediate_read;
-  index_lookups += other.index_lookups;
-  num_jobs += other.num_jobs;
-  num_reopt_points += other.num_reopt_points;
-  simulated_seconds += other.simulated_seconds;
-  reopt_seconds += other.reopt_seconds;
-  stats_seconds += other.stats_seconds;
-  recovery_seconds += other.recovery_seconds;
-  num_retries += other.num_retries;
-  speculative_executions += other.speculative_executions;
-  corrupted_blocks += other.corrupted_blocks;
-  if (other.peak_memory_bytes > peak_memory_bytes) {
-    peak_memory_bytes = other.peak_memory_bytes;
-  }
-  spilled_bytes += other.spilled_bytes;
-  spill_partitions += other.spill_partitions;
-  queue_wait_seconds += other.queue_wait_seconds;
-  if (other.admission_degraded > admission_degraded) {
-    admission_degraded = other.admission_degraded;
-  }
-  wall_shuffle_seconds += other.wall_shuffle_seconds;
-  wall_build_seconds += other.wall_build_seconds;
-  wall_probe_seconds += other.wall_probe_seconds;
-  wall_materialize_seconds += other.wall_materialize_seconds;
-  if (other.max_q_error > max_q_error) max_q_error = other.max_q_error;
-  num_decisions += other.num_decisions;
-  error_reopt_triggers += other.error_reopt_triggers;
-  pt_filter_bytes += other.pt_filter_bytes;
-  pt_pruned_rows += other.pt_pruned_rows;
-  pt_pruned_bytes += other.pt_pruned_bytes;
+  VisitMetricFields(
+      [](const MetricField& field, auto& mine, const auto& theirs) {
+        switch (field.merge) {
+          case MetricMerge::kSum:
+            mine += theirs;
+            break;
+          case MetricMerge::kMax:
+            if (theirs > mine) mine = theirs;
+            break;
+          case MetricMerge::kLast:
+            mine = theirs;
+            break;
+        }
+      },
+      *this, other);
 }
 
 std::string ExecMetrics::ToString() const {
   std::ostringstream os;
-  os << "rows_out=" << rows_out << " tuples=" << tuples_processed
-     << " scanned=" << bytes_scanned << "B shuffled=" << bytes_shuffled
-     << "B broadcast=" << bytes_broadcast
-     << "B materialized=" << bytes_materialized
-     << "B reread=" << bytes_intermediate_read
-     << "B idx_lookups=" << index_lookups << " jobs=" << num_jobs
-     << " reopts=" << num_reopt_points << " sim_s=" << simulated_seconds
-     << " (reopt_s=" << reopt_seconds << ", stats_s=" << stats_seconds
-     << ", recovery_s=" << recovery_seconds << ")";
-  // Every group renders unconditionally so the string never drifts from the
-  // struct again (zero sections read as zeros, not as missing data).
-  os << " faults[retries=" << num_retries
-     << " speculative=" << speculative_executions
-     << " corrupted_blocks=" << corrupted_blocks << "]";
-  os << " mem[peak=" << peak_memory_bytes << "B spilled=" << spilled_bytes
-     << "B spill_parts=" << spill_partitions
-     << " queue_wait=" << queue_wait_seconds
-     << "s degraded=" << admission_degraded << "]";
-  os << " opt[decisions=" << num_decisions << " max_q_error=" << max_q_error
-     << " error_reopts=" << error_reopt_triggers << "]";
-  os << " pt[filter=" << pt_filter_bytes << "B pruned_rows=" << pt_pruned_rows
-     << " pruned=" << pt_pruned_bytes << "B]";
-  os
-     << " wall[shuffle=" << wall_shuffle_seconds
-     << "s build=" << wall_build_seconds << "s probe=" << wall_probe_seconds
-     << "s materialize=" << wall_materialize_seconds << "s]";
+  const char* sep = "";
+  VisitMetricFields(
+      [&](const MetricField& field, const auto& value) {
+        os << sep << field.name << "=" << value;
+        sep = " ";
+      },
+      *this);
+  return os.str();
+}
+
+std::string MeteringDiff(const ExecMetrics& a, const ExecMetrics& b) {
+  std::ostringstream os;
+  os << std::setprecision(17);
+  VisitMetricFields(
+      [&](const MetricField& field, const auto& x, const auto& y) {
+        if (field.kind == MetricKind::kMetered && x != y) {
+          os << field.name << ": " << x << " != " << y << "\n";
+        }
+      },
+      a, b);
   return os.str();
 }
 

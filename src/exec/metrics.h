@@ -6,113 +6,122 @@
 
 namespace dynopt {
 
+/// How ExecMetrics::Add() folds another value into a field.
+enum class MetricMerge {
+  kSum,   ///< Work and seconds accumulate.
+  kMax,   ///< Query-level peaks and flags keep the larger value.
+  kLast,  ///< The later value replaces the earlier one.
+};
+
+/// kMetered fields are the cost model's deterministic metering: identical
+/// on every host and every run. kHost fields depend on the host and on
+/// thread scheduling (wall-clock timers, concurrent high-water marks).
+enum class MetricKind { kMetered, kHost };
+
+// The one declaration of every ExecMetrics field, as
+//   X(type, name, merge rule, kind)
+// Add(), ToString(), MeteringDiff(), the bench record JSON and the
+// sys.queries columns all iterate it, so a new counter is one entry here.
+//
+// The three *_seconds components after simulated_seconds decompose total
+// simulated time the way Figure 6 of the paper does: plain execution vs.
+// re-optimization I/O (materializing and re-reading intermediates) vs.
+// online statistics collection.
+#define DYNOPT_EXEC_METRICS(X)                                                \
+  /* Rows of the latest job; a finished run's returned row count. */          \
+  X(uint64_t, rows_out, kLast, kMetered)                                      \
+  X(uint64_t, tuples_processed, kSum, kMetered)                               \
+  X(uint64_t, bytes_scanned, kSum, kMetered)                                  \
+  X(uint64_t, bytes_shuffled, kSum, kMetered)                                 \
+  X(uint64_t, bytes_broadcast, kSum, kMetered)                                \
+  X(uint64_t, bytes_materialized, kSum, kMetered)                             \
+  X(uint64_t, bytes_intermediate_read, kSum, kMetered)                        \
+  X(uint64_t, index_lookups, kSum, kMetered)                                  \
+  X(int, num_jobs, kSum, kMetered)                                            \
+  X(int, num_reopt_points, kSum, kMetered)                                    \
+  /* Total simulated execution time (includes the components below). */      \
+  X(double, simulated_seconds, kSum, kMetered)                                \
+  /* Re-optimization: sink/reader I/O + fixed per-reopt coordination. */      \
+  X(double, reopt_seconds, kSum, kMetered)                                    \
+  /* Online statistics (and sketch) collection. */                            \
+  X(double, stats_seconds, kSum, kMetered)                                    \
+  /* Critical-path time paid to injected faults: task re-executions and */    \
+  /* their backoff, straggler slowdown not hidden by speculation, and */      \
+  /* re-materialization of corrupted temp files. */                           \
+  X(double, recovery_seconds, kSum, kMetered)                                 \
+  /* Partition-task re-executions after injected task failures. */            \
+  X(uint64_t, num_retries, kSum, kMetered)                                    \
+  /* Speculative backup executions launched against stragglers. */            \
+  X(uint64_t, speculative_executions, kSum, kMetered)                         \
+  /* Materialized partition files whose checksum verification failed. */      \
+  X(uint64_t, corrupted_blocks, kSum, kMetered)                               \
+  /* High-water mark of the query's MemoryTracker. Max-merged: concurrent */  \
+  /* jobs share the tracker; the peak depends on task interleaving. */        \
+  X(uint64_t, peak_memory_bytes, kMax, kHost)                                 \
+  /* Bytes written to grace-join spill files (each also read back). */        \
+  X(uint64_t, spilled_bytes, kSum, kMetered)                                  \
+  /* Grace-join partitions that spilled (recursive splits each count). */     \
+  X(uint64_t, spill_partitions, kSum, kMetered)                               \
+  /* 1 when admission degraded the query under overload (see the */           \
+  /* degrade_* stamps on QueryContext). */                                    \
+  X(uint64_t, admission_degraded, kMax, kMetered)                             \
+  /* Worst per-decision q-error, max(est/actual, actual/est) with one-row */  \
+  /* floors, over decisions back-patched with actuals; 0 without any. */      \
+  X(double, max_q_error, kMax, kMetered)                                      \
+  /* Join-order/algorithm decisions logged (opt/decision_log.h). */           \
+  X(uint64_t, num_decisions, kSum, kMetered)                                  \
+  /* Extra re-optimization checkpoints the error feedback loop bought */      \
+  /* (risk.qerror_reopt_threshold; dynamic/ingres-like only). */              \
+  X(uint64_t, error_reopt_triggers, kSum, kMetered)                           \
+  /* Predicate transfer: Bloom-filter bytes shipped build -> probe side, */   \
+  /* probe rows the filter dropped before the shuffle (NULL keys count), */   \
+  /* and the shuffle bytes those rows would have moved. */                    \
+  X(uint64_t, pt_filter_bytes, kSum, kMetered)                                \
+  X(uint64_t, pt_pruned_rows, kSum, kMetered)                                 \
+  X(uint64_t, pt_pruned_bytes, kSum, kMetered)                                \
+  /* Host wall-clock (steady_clock) inside the executor's kernels, */         \
+  /* independent of the simulated cost model: shuffle exchange (routing + */  \
+  /* merge), hash-join build, hash-join probe (lookups + output), and sink */ \
+  /* materialization (schema inference, stats, write-back). */                \
+  X(double, wall_shuffle_seconds, kSum, kHost)                                \
+  X(double, wall_build_seconds, kSum, kHost)                                  \
+  X(double, wall_probe_seconds, kSum, kHost)                                  \
+  X(double, wall_materialize_seconds, kSum, kHost)
+
+/// One entry of DYNOPT_EXEC_METRICS.
+struct MetricField {
+  const char* name;
+  MetricMerge merge;
+  MetricKind kind;
+};
+
 /// Work metered while executing jobs, plus the simulated wall-clock those
-/// units translate to under the cluster's cost model. The three *_seconds
-/// components decompose total simulated time the way Figure 6 of the paper
-/// does: plain execution vs. re-optimization I/O (materializing and
-/// re-reading intermediates) vs. online statistics collection.
+/// units translate to under the cluster's cost model.
 struct ExecMetrics {
-  uint64_t rows_out = 0;
-  uint64_t tuples_processed = 0;
-  uint64_t bytes_scanned = 0;
-  uint64_t bytes_shuffled = 0;
-  uint64_t bytes_broadcast = 0;
-  uint64_t bytes_materialized = 0;
-  uint64_t bytes_intermediate_read = 0;
-  uint64_t index_lookups = 0;
-  int num_jobs = 0;
-  int num_reopt_points = 0;
+#define DYNOPT_METRIC_MEMBER(type, name, merge, kind) type name = 0;
+  DYNOPT_EXEC_METRICS(DYNOPT_METRIC_MEMBER)
+#undef DYNOPT_METRIC_MEMBER
 
-  /// Total simulated execution time (includes the two components below).
-  double simulated_seconds = 0;
-  /// Portion attributable to re-optimization (sink/reader I/O + fixed
-  /// per-reopt coordination cost).
-  double reopt_seconds = 0;
-  /// Portion attributable to online statistics collection.
-  double stats_seconds = 0;
-
-  // --- Fault injection / recovery (zero unless an injector is armed) -----
-
-  /// Extra critical-path time paid to injected faults: task re-executions
-  /// plus their backoff delays, straggler slowdown not hidden by
-  /// speculation, and re-materialization of corrupted temp files. Included
-  /// in simulated_seconds, like reopt_seconds.
-  double recovery_seconds = 0;
-  /// Partition-task re-executions after injected task failures.
-  uint64_t num_retries = 0;
-  /// Speculative backup executions launched against straggler tasks.
-  uint64_t speculative_executions = 0;
-  /// Materialized partition files whose checksum verification failed.
-  uint64_t corrupted_blocks = 0;
-
-  // --- Memory governance (zero unless budgets are configured) ------------
-
-  /// High-water mark of the query's MemoryTracker (bytes). Max-merged in
-  /// Add(): concurrent jobs of one query share the tracker, so summing
-  /// per-job peaks would double-count.
-  uint64_t peak_memory_bytes = 0;
-  /// Bytes written to grace-join spill files (each byte is also read back,
-  /// charged via the disk constants into simulated_seconds).
-  uint64_t spilled_bytes = 0;
-  /// Grace-join partitions that went through the spill path (recursive
-  /// splits counted individually).
-  uint64_t spill_partitions = 0;
-  /// Wall-clock the query spent waiting in the admission queue.
-  double queue_wait_seconds = 0;
-  /// 1 when the admission controller degraded this query under overload
-  /// (shrunken memory reservation and/or strategy downgrade — see the
-  /// degrade_* stamps on QueryContext). Max-merged in Add() like the other
-  /// query-level flags; 0 always at default (degradation-off) config.
-  uint64_t admission_degraded = 0;
-
-  // --- Host wall-clock per kernel class ---------------------------------
-  //
-  // Real elapsed time (std::chrono::steady_clock) spent inside the
-  // executor's data-movement and join kernels, independent of the
-  // simulated cost model above. These exist so perf work on the kernels
-  // has a machine-readable trajectory (bench_kernels / BENCH_kernels.json)
-  // while the simulated seconds stay byte-for-byte stable.
-
-  /// Shuffle exchange (Repartition): routing + merge, both phases.
-  double wall_shuffle_seconds = 0;
-  /// Hash-join build phase (hash-table construction over the build side).
-  double wall_build_seconds = 0;
-  /// Hash-join probe phase (lookups + output emission).
-  double wall_probe_seconds = 0;
-  /// Sink materialization (schema inference, stats, write-back).
-  double wall_materialize_seconds = 0;
-
-  // --- Optimizer decision telemetry -------------------------------------
-
-  /// Worst per-decision q-error, max(est/actual, actual/est) with one-row
-  /// floors, over the optimizer's decision log entries that were
-  /// back-patched with actual materialized cardinalities. 0 when no
-  /// decision has an actual yet; >= 1 otherwise. Max-merged in Add().
-  double max_q_error = 0;
-  /// Join-order/algorithm decisions the optimizer recorded for this query
-  /// (see opt/decision_log.h for the full per-decision QueryProfile).
-  uint64_t num_decisions = 0;
-  /// Extra re-optimization checkpoints the error feedback loop inserted
-  /// because the observed q-error crossed risk.qerror_reopt_threshold
-  /// (dynamic/ingres-like only; 0 always at default config).
-  uint64_t error_reopt_triggers = 0;
-
-  // --- Predicate transfer (zero unless sketch.enable_predicate_transfer) --
-
-  /// Bloom-filter bytes shipped from build to probe side of shuffle joins
-  /// (charged as network cost, like a broadcast: every node receives the
-  /// filter).
-  uint64_t pt_filter_bytes = 0;
-  /// Probe-side rows dropped by the transferred filter before entering the
-  /// shuffle (null join keys count — an inner join can never emit them).
-  uint64_t pt_pruned_rows = 0;
-  /// Bytes those pruned rows would have moved through the shuffle — the
-  /// network cost predicate transfer saved.
-  uint64_t pt_pruned_bytes = 0;
-
+  /// Folds `other` in, each field by its merge rule.
   void Add(const ExecMetrics& other);
+  /// "name=value" for every field, in list order.
   std::string ToString() const;
 };
+
+/// Calls fn(field, m.<field>...) once per list entry, in list order,
+/// passing that field of every `metrics` argument — so one visitor reads
+/// one ExecMetrics, compares two, or merges one into another.
+template <typename Fn, typename... Metrics>
+void VisitMetricFields(Fn&& fn, Metrics&&... metrics) {
+#define DYNOPT_METRIC_VISIT(type, name, merge, kind) \
+  fn(MetricField{#name, MetricMerge::merge, MetricKind::kind}, metrics.name...);
+  DYNOPT_EXEC_METRICS(DYNOPT_METRIC_VISIT)
+#undef DYNOPT_METRIC_VISIT
+}
+
+/// One "name: a != b" line, values exact, per deterministic (kMetered)
+/// field where `a` and `b` differ; empty when their metering is identical.
+std::string MeteringDiff(const ExecMetrics& a, const ExecMetrics& b);
 
 }  // namespace dynopt
 

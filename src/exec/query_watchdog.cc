@@ -10,9 +10,7 @@ namespace dynopt {
 
 QueryWatchdog::QueryWatchdog(const WatchdogConfig& config,
                              MetricsRegistry* metrics_registry)
-    : config_(config),
-      registry_(metrics_registry != nullptr ? metrics_registry
-                                            : &MetricsRegistry::Global()) {
+    : config_(config), registry_(metrics_registry) {
   if (config_.enabled) {
     monitor_ = std::thread([this] { MonitorLoop(); });
   }

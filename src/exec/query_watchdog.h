@@ -33,10 +33,10 @@ namespace dynopt {
 /// deadline) so polling never blocks query progress.
 class QueryWatchdog {
  public:
-  /// `metrics_registry` receives the watchdog kill counters; null falls
-  /// back to MetricsRegistry::Global().
-  explicit QueryWatchdog(const WatchdogConfig& config,
-                         MetricsRegistry* metrics_registry = nullptr);
+  /// `metrics_registry` (the engine's) receives the watchdog kill
+  /// counters.
+  QueryWatchdog(const WatchdogConfig& config,
+                MetricsRegistry* metrics_registry);
   ~QueryWatchdog();
 
   QueryWatchdog(const QueryWatchdog&) = delete;
@@ -59,7 +59,7 @@ class QueryWatchdog {
   void SweepLocked();
 
   const WatchdogConfig config_;
-  MetricsRegistry* registry_;  ///< Engine-owned or Global(); never null.
+  MetricsRegistry* registry_;  ///< The engine's; never null.
   mutable std::mutex mu_;
   std::condition_variable cv_;
   std::vector<QueryContext*> watched_;

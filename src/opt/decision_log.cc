@@ -5,9 +5,6 @@
 #include <cstdio>
 #include <sstream>
 
-#include "common/logging.h"
-#include "common/metrics_registry.h"
-
 namespace dynopt {
 
 namespace {
@@ -112,39 +109,6 @@ std::string SubtreeKey(const std::set<std::string>& aliases) {
     key += alias;
   }
   return key;
-}
-
-void FinalizeProfile(QueryProfile* profile, ExecMetrics* metrics,
-                     TraceSpan* query_span, MetricsRegistry* reg) {
-  DYNOPT_CHECK(profile != nullptr && metrics != nullptr);
-  metrics->max_q_error = profile->decisions.MaxQError();
-  metrics->num_decisions = profile->decisions.decisions().size();
-  // Engine-wide estimation-quality telemetry: a log2 histogram of rounded
-  // per-decision q-errors (bucket 1 = spot-on, each doubling one bucket
-  // up) so operators can watch the error distribution across queries, not
-  // just the per-query max that survives in ExecMetrics.
-  auto& registry = reg != nullptr ? *reg : MetricsRegistry::Global();
-  Histogram* q_hist = registry.histogram("opt.q_error");
-  uint64_t with_actuals = 0;
-  for (const auto& d : profile->decisions.decisions()) {
-    const double q = d.QError();
-    if (q >= 1.0) {
-      q_hist->Record(static_cast<uint64_t>(std::llround(q)));
-      ++with_actuals;
-    }
-  }
-  registry.counter("opt.decisions")->Increment(
-      profile->decisions.decisions().size());
-  registry.counter("opt.decisions_with_actuals")->Increment(with_actuals);
-  profile->metrics = *metrics;
-  if (query_span != nullptr) {
-    query_span->SetSimSeconds(metrics->simulated_seconds);
-    query_span->AddArg("max_q_error", metrics->max_q_error);
-    query_span->End();
-  }
-  if (Tracer::Global().enabled()) {
-    profile->trace = Tracer::Global().Drain();
-  }
 }
 
 }  // namespace dynopt

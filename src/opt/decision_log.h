@@ -10,7 +10,6 @@
 
 #include "common/tracer.h"
 #include "exec/job.h"
-#include "exec/metrics.h"
 
 namespace dynopt {
 
@@ -82,9 +81,10 @@ class DecisionLog {
 /// Used to attach actual materialized cardinalities to plan-tree nodes.
 std::string SubtreeKey(const std::set<std::string>& aliases);
 
-/// Everything observed about one optimizer run: the decision log, the
-/// actual cardinality of every materialized subtree, the final metrics and
-/// (when tracing was enabled) the drained span timeline. Attached to
+/// Everything observed about one optimizer run besides its metrics (those
+/// live once, in OptimizerRunResult::metrics): the decision log, the
+/// actual cardinality of every materialized subtree and (when tracing was
+/// enabled) the drained span timeline. Attached to
 /// OptimizerRunResult::profile and rendered by ExplainAnalyze().
 struct QueryProfile {
   std::string optimizer;  // "dynamic", "cost-based", ...
@@ -92,7 +92,6 @@ struct QueryProfile {
   /// SubtreeKey -> actual materialized row count. Single-alias keys are
   /// filtered base tables (predicate push-down sinks).
   std::map<std::string, uint64_t> subtree_actual_rows;
-  ExecMetrics metrics;
   std::vector<TraceEvent> trace;
   /// Introspection-plane annotations, filled by IntrospectionRun::Complete
   /// (opt/profile_archive.h) and empty when introspection is off — the
@@ -102,18 +101,6 @@ struct QueryProfile {
   std::string critical_path;    ///< dominant sim-seconds span chain
   std::string regression_note;  ///< non-empty when a plan regression fired
 };
-
-class MetricsRegistry;
-
-/// Standard optimizer epilogue: folds the decision log into
-/// `metrics->max_q_error`/`num_decisions`, snapshots `*metrics` into the
-/// profile, ends `query_span` annotated with simulated seconds, and drains
-/// the tracer timeline into the profile when tracing is enabled.
-/// `registry` receives the estimation-quality telemetry; null falls back
-/// to MetricsRegistry::Global().
-void FinalizeProfile(QueryProfile* profile, ExecMetrics* metrics,
-                     TraceSpan* query_span,
-                     MetricsRegistry* registry = nullptr);
 
 }  // namespace dynopt
 

@@ -33,10 +33,7 @@ std::unique_ptr<Optimizer> ApplyStrategyDowngrade(
   if (planned == nullptr || ctx == nullptr || !ctx->strategy_downgraded) {
     return planned;
   }
-  MetricsRegistry& registry = engine != nullptr
-                                  ? engine->metrics_registry()
-                                  : MetricsRegistry::Global();
-  registry.counter("opt.strategy_downgrades")->Increment();
+  engine->metrics_registry().counter("opt.strategy_downgrades")->Increment();
   auto fallback = std::make_unique<StaticCostBasedOptimizer>(engine);
   fallback->set_context(ctx);
   return fallback;

@@ -1,7 +1,6 @@
 #include "opt/dynamic_optimizer.h"
 
 #include <algorithm>
-#include <chrono>
 #include <set>
 #include <sstream>
 
@@ -9,7 +8,7 @@
 #include "opt/error_stats.h"
 #include "opt/finalize.h"
 #include "opt/plan_builder.h"
-#include "opt/profile_archive.h"
+#include "opt/query_run.h"
 #include "opt/reconstruction.h"
 #include "opt/static_optimizer.h"
 #include "plan/analysis.h"
@@ -100,7 +99,13 @@ DynamicOptimizer::DynamicOptimizer(Engine* engine,
     : engine_(engine), options_(options) {}
 
 Result<OptimizerRunResult> DynamicOptimizer::Run(const QuerySpec& query) {
+  return Run(query, ExecMetrics());
+}
+
+Result<OptimizerRunResult> DynamicOptimizer::Run(const QuerySpec& query,
+                                                 const ExecMetrics& prepaid) {
   DynamicCheckpoint state;
+  state.prepaid = prepaid;
   state.spec = query;
   state.spec.NormalizeJoins();
   DYNOPT_RETURN_IF_ERROR(state.spec.Validate());
@@ -137,13 +142,10 @@ Result<OptimizerRunResult> DynamicOptimizer::ResumeFromLastCheckpoint() {
 
 Result<OptimizerRunResult> DynamicOptimizer::RunFromState(
     DynamicCheckpoint state) {
-  const auto start = std::chrono::steady_clock::now();
   last_checkpoint_.reset();
   // Fingerprints state.spec before push-down rewrites it, so a resumed run
   // keeps the fingerprint of the original query (via spec.base_tables).
-  IntrospectionRun introspection(engine_, state.spec, options_.profile_label,
-                                 ctx_);
-  TraceSpan query_span("query:" + options_.profile_label, "query");
+  QueryRun run(engine_, state.spec, options_.profile_label, ctx_);
   JobExecutor executor = engine_->MakeExecutor(ctx_);
   std::ostringstream trace;
   trace << state.trace;
@@ -333,21 +335,14 @@ Result<OptimizerRunResult> DynamicOptimizer::RunFromState(
   // Temp tables are dropped by the cleanup guard on scope exit (success
   // and fatal failure alike), honoring options_.drop_temp_tables.
   auto finish = [&](OptimizerRunResult result) -> OptimizerRunResult {
+    // Persist what this query taught the error memory; a failed save only
+    // costs the lesson, never the query.
+    if (err_store != nullptr) (void)err_store->Save();
     auto profile = std::make_shared<QueryProfile>();
     profile->optimizer = options_.profile_label;
     profile->decisions = state.decisions;
     profile->subtree_actual_rows = state.subtree_actual_rows;
-    FinalizeProfile(profile.get(), &result.metrics, &query_span,
-                    &engine_->metrics_registry());
-    result.profile = std::move(profile);
-    // Persist what this query taught the error memory; a failed save only
-    // costs the lesson, never the query.
-    if (err_store != nullptr) (void)err_store->Save();
-    result.wall_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      start)
-            .count();
-    introspection.Complete(&result);
+    run.Finish(std::move(profile), state.prepaid, &result);
     return result;
   };
 

@@ -68,6 +68,9 @@ struct DynamicCheckpoint {
   bool pushdown_done = false;
   int completed_stages = 0;
   ExecMetrics metrics;  ///< Work already paid for (not redone on resume).
+  /// Work paid before the run's first stage (sketch-dynamic's base
+  /// sketches); added after every stage's work when the run finishes.
+  ExecMetrics prepaid;
   std::string trace;
   /// Decisions logged so far (each recorded after its stage materializes,
   /// so a resumed run never duplicates entries).
@@ -106,6 +109,10 @@ class DynamicOptimizer : public Optimizer {
 
   std::string name() const override { return "dynamic"; }
   Result<OptimizerRunResult> Run(const QuerySpec& query) override;
+  /// Run() for a wrapper that paid work before the run starts: `prepaid`
+  /// is counted in the result's metrics (see QueryRun::Finish).
+  Result<OptimizerRunResult> Run(const QuerySpec& query,
+                                 const ExecMetrics& prepaid);
 
   /// Continues a run that failed mid-query from its last checkpoint; the
   /// checkpoint's temp tables must still exist in the catalog. Completed

@@ -186,9 +186,9 @@ Result<std::string> ExplainAnalyze(Engine* engine, const QuerySpec& query,
   }
   out << ") --\n" << log.ToString();
 
-  // Deterministic execution counters only: host wall-clock and
-  // queue-wait times vary run to run and would break golden comparisons.
-  const ExecMetrics& m = profile.metrics;
+  // Deterministic execution counters only: host wall-clock times vary run
+  // to run and would break golden comparisons.
+  const ExecMetrics& m = run.metrics;
   out << "-- counters --\n"
       << "rows_out=" << m.rows_out << " tuples=" << m.tuples_processed
       << " jobs=" << m.num_jobs << " reopts=" << m.num_reopt_points << "\n"

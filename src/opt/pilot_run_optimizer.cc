@@ -1,15 +1,15 @@
 #include "opt/pilot_run_optimizer.h"
 
 #include <algorithm>
-#include <chrono>
 #include <map>
 #include <sstream>
+#include <utility>
 
 #include "exec/vector_kernels.h"
 #include "opt/error_stats.h"
 #include "opt/finalize.h"
 #include "opt/plan_builder.h"
-#include "opt/profile_archive.h"
+#include "opt/query_run.h"
 #include "opt/reconstruction.h"
 #include "opt/static_execution.h"
 #include "opt/static_optimizer.h"
@@ -46,7 +46,6 @@ PilotRunOptimizer::PilotRunOptimizer(Engine* engine,
     : engine_(engine), options_(options) {}
 
 Result<OptimizerRunResult> PilotRunOptimizer::Run(const QuerySpec& query) {
-  const auto start = std::chrono::steady_clock::now();
   QuerySpec spec = query;
   spec.NormalizeJoins();
   DYNOPT_RETURN_IF_ERROR(spec.Validate());
@@ -55,12 +54,9 @@ Result<OptimizerRunResult> PilotRunOptimizer::Run(const QuerySpec& query) {
   OptimizerRunResult result;
   std::ostringstream trace;
   const ClusterConfig& cluster = engine_->cluster();
-  TraceSpan query_span("query:" + name(), "query");
+  QueryRun run(engine_, spec, name(), ctx_);
   auto profile = std::make_shared<QueryProfile>();
   profile->optimizer = name();
-  // The <=1-join path below delegates to ExecuteTreeAsSingleJob, whose own
-  // guard archives the run; this one then only unregisters (same query id).
-  IntrospectionRun introspection(engine_, spec, name(), ctx_);
 
   // ---- Stage 1: pilot runs over samples of every base dataset -----------
   std::map<std::string, TableStats> overrides;
@@ -234,19 +230,15 @@ Result<OptimizerRunResult> PilotRunOptimizer::Run(const QuerySpec& query) {
       profile->decisions.Record(std::move(initial_decision));
 
   if (spec.joins.size() <= 1) {
-    query_span.End();  // ExecuteTreeAsSingleJob opens its own query span.
-    auto final = ExecuteTreeAsSingleJob(engine_, spec, initial_tree,
-                                        trace.str(), ctx_, std::move(profile),
-                                        initial_id);
-    if (final.ok()) {
-      final.value().metrics.Add(result.metrics);
-      final.value().profile->metrics = final.value().metrics;
-      final.value().wall_seconds =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        start)
-              .count();
-    }
-    return final;
+    // One job runs the whole plan; the samples were paid before it.
+    DYNOPT_RETURN_IF_ERROR(CheckContext());
+    const ExecMetrics samples = std::exchange(result.metrics, ExecMetrics());
+    DYNOPT_RETURN_IF_ERROR(ExecuteTree(engine_, spec, *initial_tree, ctx_,
+                                       profile.get(), initial_id, &result));
+    result.join_tree = std::move(initial_tree);
+    result.plan_trace = trace.str();
+    run.Finish(std::move(profile), samples, &result);
+    return result;
   }
 
   // ---- Stage 3: execute the first join, re-optimization point -----------
@@ -459,14 +451,7 @@ Result<OptimizerRunResult> PilotRunOptimizer::Run(const QuerySpec& query) {
       ApplyPostProcessing(spec, cluster, &result));
   result.join_tree = ReplaceSubtree(rest_tree, new_alias, step_tree);
   result.plan_trace = trace.str();
-  FinalizeProfile(profile.get(), &result.metrics, &query_span,
-                  &engine_->metrics_registry());
-  result.profile = std::move(profile);
-
-  result.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  introspection.Complete(&result);
+  run.Finish(std::move(profile), ExecMetrics(), &result);
   return result;
 }
 

@@ -116,19 +116,21 @@ ArchivedQuery ProfileArchive::Archive(ArchivedQuery entry) {
   const ArchivedQuery* baseline = nullptr;
   for (const auto& e : ring_) {
     if (e.fingerprint != entry.fingerprint) continue;
-    if (baseline == nullptr || e.sim_seconds < baseline->sim_seconds) {
+    if (baseline == nullptr || e.metrics.simulated_seconds <
+                                   baseline->metrics.simulated_seconds) {
       baseline = &e;
     }
   }
-  if (baseline != nullptr && baseline->sim_seconds > 0 &&
-      entry.sim_seconds >
-          config_.regression_threshold * baseline->sim_seconds) {
+  const double sim = entry.metrics.simulated_seconds;
+  const double baseline_sim =
+      baseline != nullptr ? baseline->metrics.simulated_seconds : 0;
+  if (baseline_sim > 0 && sim > config_.regression_threshold * baseline_sim) {
     entry.regressed = true;
     std::ostringstream note;
-    note << "sim_seconds " << FormatSeconds(entry.sim_seconds) << " is "
-         << FormatFactor(entry.sim_seconds / baseline->sim_seconds)
-         << "x the best archived run (" << FormatSeconds(baseline->sim_seconds)
-         << ", " << baseline->optimizer << ") of this query (threshold "
+    note << "sim_seconds " << FormatSeconds(sim) << " is "
+         << FormatFactor(sim / baseline_sim) << "x the best archived run ("
+         << FormatSeconds(baseline_sim) << ", " << baseline->optimizer
+         << ") of this query (threshold "
          << FormatFactor(config_.regression_threshold) << "x)";
     // Name the first decision where the two runs' plans part ways, and the
     // error-store prior (if any) that was in play there.
@@ -294,14 +296,9 @@ void IntrospectionRun::Complete(OptimizerRunResult* result) {
                                                : profile->optimizer;
   entry.fingerprint = fingerprint_;
   entry.priority = priority_;
-  entry.queue_wait_seconds = result->metrics.queue_wait_seconds > 0
-                                 ? result->metrics.queue_wait_seconds
-                                 : queue_wait_seconds_;
-  entry.peak_memory_bytes = result->metrics.peak_memory_bytes;
-  entry.spilled_bytes = result->metrics.spilled_bytes;
-  entry.retries = result->metrics.num_retries;
-  entry.sim_seconds = result->metrics.simulated_seconds;
+  entry.queue_wait_seconds = queue_wait_seconds_;
   entry.wall_seconds = result->wall_seconds;
+  entry.metrics = result->metrics;
   entry.critical_path = profile->critical_path;
   entry.profile = result->profile;
   const ArchivedQuery analyzed = archive_->Archive(std::move(entry));

@@ -38,28 +38,28 @@ struct ActiveQueryInfo {
   std::string priority;  // "low" | "normal" | "high"
 };
 
-/// One completed query in the profile archive: identity, resource summary,
-/// critical path, and the regression verdict computed against the best
-/// prior same-fingerprint entry at archive time.
+/// One completed query in the profile archive: identity, the run's
+/// metrics, critical path, and the regression verdict computed against the
+/// best prior same-fingerprint entry at archive time.
 struct ArchivedQuery {
   uint64_t query_id = 0;
   std::string label;
   std::string optimizer;
   std::string fingerprint;
   std::string priority;
+  /// Admission queue wait, read off the query's context (0 without one).
   double queue_wait_seconds = 0;
-  uint64_t peak_memory_bytes = 0;
-  uint64_t spilled_bytes = 0;
-  uint64_t retries = 0;
-  double sim_seconds = 0;
   double wall_seconds = 0;
+  /// The metrics the run returned (OptimizerRunResult::metrics).
+  ExecMetrics metrics;
   std::string critical_path;
 
   /// Regression verdict (set by ProfileArchive::Archive): `regressed` when
-  /// sim_seconds exceeded threshold x the best archived same-fingerprint
-  /// run. `regression` is the human-readable note; the divergence fields
-  /// name the first decision where this run's log departs from the
-  /// baseline's, and the error-store prior (if any) that drove it.
+  /// metrics.simulated_seconds exceeded threshold x the best archived
+  /// same-fingerprint run. `regression` is the human-readable note; the
+  /// divergence fields name the first decision where this run's log
+  /// departs from the baseline's, and the error-store prior (if any) that
+  /// drove it.
   bool regressed = false;
   std::string regression;
   int first_divergent_index = -1;
@@ -86,9 +86,10 @@ class ProfileArchive {
   void RegisterActive(ActiveQueryInfo info);
   void UnregisterActive(uint64_t query_id);
 
-  /// Analyzes `entry` against the best (lowest sim_seconds) archived entry
-  /// with the same fingerprint, fills the regression fields, appends it to
-  /// the ring (evicting beyond capacity) and returns the analyzed copy.
+  /// Analyzes `entry` against the best (lowest simulated_seconds) archived
+  /// entry with the same fingerprint, fills the regression fields, appends
+  /// it to the ring (evicting beyond capacity) and returns the analyzed
+  /// copy.
   ArchivedQuery Archive(ArchivedQuery entry);
 
   std::vector<ArchivedQuery> Snapshot() const;
@@ -130,8 +131,9 @@ class IntrospectionRun {
   IntrospectionRun(const IntrospectionRun&) = delete;
   IntrospectionRun& operator=(const IntrospectionRun&) = delete;
 
-  /// Archives the finished run. Call once, after FinalizeProfile (the
-  /// trace must already be drained into result->profile->trace).
+  /// Archives the finished run. Call once, with the result's metrics and
+  /// profile final (QueryRun::Finish does; the trace must already be
+  /// drained into result->profile->trace).
   void Complete(OptimizerRunResult* result);
 
  private:

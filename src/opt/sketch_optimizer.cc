@@ -81,16 +81,7 @@ Result<OptimizerRunResult> SketchDynamicOptimizer::Run(
     const QuerySpec& query) {
   ExecMetrics sketch_metrics;
   DYNOPT_RETURN_IF_ERROR(EnsureBaseSketches(query, &sketch_metrics));
-  auto result_or = inner_.Run(query);
-  if (!result_or.ok()) return result_or.status();
-  OptimizerRunResult result = std::move(result_or).value();
-  // The base-sketch pass ran before the inner run snapshotted its profile;
-  // fold its cost into both views so they stay consistent. Add() treats
-  // rows_out as "latest operator", so carry the query's real output count.
-  sketch_metrics.rows_out = result.metrics.rows_out;
-  result.metrics.Add(sketch_metrics);
-  if (result.profile != nullptr) result.profile->metrics.Add(sketch_metrics);
-  return result;
+  return inner_.Run(query, sketch_metrics);
 }
 
 }  // namespace dynopt

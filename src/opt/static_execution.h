@@ -12,22 +12,25 @@
 namespace dynopt {
 
 /// Executes a fully decided join tree as one pipelined job (no
-/// re-optimization points, no materialization) — the execution mode of all
-/// static strategies (cost-based, best-order, worst-order and the tail of
-/// pilot-run). A non-null `ctx` makes the job cancellable at its operator
-/// boundaries and accounts memory against the context's tracker.
-///
-/// With a non-null `profile`, the job's output cardinality (before
-/// post-processing) back-patches decision `root_decision` in the profile's
-/// log and is recorded under the tree's SubtreeKey; the finalized profile
-/// (q-error metrics folded in, trace drained) is attached to the result.
-/// Callers without a profile get one synthesized on the fly so every
-/// OptimizerRunResult carries a non-null profile.
+/// re-optimization points, no materialization) into `result`: its work is
+/// added to result->metrics, its rows and columns (post-processed) replace
+/// the result's. The job's output cardinality (before post-processing)
+/// back-patches decision `root_decision` in `profile`'s log and is recorded
+/// under the tree's SubtreeKey. A non-null `ctx` makes the job cancellable
+/// at its operator boundaries and accounts memory against its tracker.
+Status ExecuteTree(Engine* engine, const QuerySpec& spec,
+                   const JoinTree& tree, QueryContext* ctx,
+                   QueryProfile* profile, int root_decision,
+                   OptimizerRunResult* result);
+
+/// The whole Run() of the static strategies (cost-based, best-order,
+/// worst-order): ExecuteTree inside its own QueryRun, finished with
+/// `profile` (whose optimizer names the run).
 Result<OptimizerRunResult> ExecuteTreeAsSingleJob(
     Engine* engine, const QuerySpec& spec,
     std::shared_ptr<const JoinTree> tree, std::string plan_trace,
-    QueryContext* ctx = nullptr,
-    std::shared_ptr<QueryProfile> profile = nullptr, int root_decision = -1);
+    QueryContext* ctx, std::shared_ptr<QueryProfile> profile,
+    int root_decision);
 
 }  // namespace dynopt
 

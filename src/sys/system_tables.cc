@@ -45,32 +45,45 @@ std::shared_ptr<Table> BuildMetrics(Engine* engine) {
   return table;
 }
 
+/// An ExecMetrics field as a sys column value: counts as kInt64, seconds
+/// and ratios as kDouble.
+Value MetricValue(double v) { return D(v); }
+template <typename T>
+Value MetricValue(T v) {
+  return I(v);
+}
+
 void AppendQueryRow(Table* table, const ArchivedQuery& q,
                     const std::string& status) {
-  table->AppendRow({I(q.query_id), S(q.label), S(q.optimizer), S(status),
-                    S(q.priority), D(q.queue_wait_seconds),
-                    I(q.peak_memory_bytes), I(q.spilled_bytes), I(q.retries),
-                    D(q.sim_seconds), D(q.wall_seconds), S(q.fingerprint),
-                    S(q.critical_path), B(q.regressed), S(q.regression)});
+  Row row = {I(q.query_id), S(q.label), S(q.optimizer), S(status),
+             S(q.priority), D(q.queue_wait_seconds), D(q.wall_seconds),
+             S(q.fingerprint), S(q.critical_path), B(q.regressed),
+             S(q.regression)};
+  VisitMetricFields(
+      [&](const MetricField&, auto v) { row.push_back(MetricValue(v)); },
+      q.metrics);
+  table->AppendRow(row);
 }
 
 std::shared_ptr<Table> BuildQueries(Engine* engine) {
-  auto table =
-      MakeTable("sys.queries", {{"query_id", ValueType::kInt64},
-                                {"label", ValueType::kString},
-                                {"strategy", ValueType::kString},
-                                {"status", ValueType::kString},
-                                {"priority", ValueType::kString},
-                                {"queue_wait_seconds", ValueType::kDouble},
-                                {"peak_memory_bytes", ValueType::kInt64},
-                                {"spilled_bytes", ValueType::kInt64},
-                                {"retries", ValueType::kInt64},
-                                {"sim_seconds", ValueType::kDouble},
-                                {"wall_seconds", ValueType::kDouble},
-                                {"fingerprint", ValueType::kString},
-                                {"critical_path", ValueType::kString},
-                                {"regressed", ValueType::kBool},
-                                {"regression", ValueType::kString}});
+  // Identity columns, then one column per ExecMetrics field.
+  std::vector<Field> fields = {{"query_id", ValueType::kInt64},
+                               {"label", ValueType::kString},
+                               {"strategy", ValueType::kString},
+                               {"status", ValueType::kString},
+                               {"priority", ValueType::kString},
+                               {"queue_wait_seconds", ValueType::kDouble},
+                               {"wall_seconds", ValueType::kDouble},
+                               {"fingerprint", ValueType::kString},
+                               {"critical_path", ValueType::kString},
+                               {"regressed", ValueType::kBool},
+                               {"regression", ValueType::kString}};
+  VisitMetricFields(
+      [&](const MetricField& field, auto v) {
+        fields.push_back({field.name, MetricValue(v).type()});
+      },
+      ExecMetrics());
+  auto table = MakeTable("sys.queries", std::move(fields));
   ProfileArchive* archive = EngineProfileArchive(engine);
   if (archive == nullptr) return table;  // Introspection off: empty table.
   for (const ActiveQueryInfo& a : archive->ActiveSnapshot()) {

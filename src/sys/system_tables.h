@@ -24,8 +24,9 @@ std::vector<std::string> SystemTableNames();
 /// Tables:
 ///   sys.metrics     counters/gauges/histograms of the engine registry,
 ///                   with p50/p90/p99 for histograms
-///   sys.queries     active (status "running") + archived queries: resource
-///                   summary, fingerprint, critical path, regression
+///   sys.queries     active (status "running") + archived queries:
+///                   identity, fingerprint, critical path, regression, and
+///                   one column per ExecMetrics field
 ///   sys.admission   per-priority queue depth + engine-wide admission
 ///                   counters (admitted/shed/rejected/timeouts/degraded)
 ///   sys.memory      the engine -> query -> operator MemoryTracker tree

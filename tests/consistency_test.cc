@@ -212,17 +212,6 @@ TEST_F(DegenerateInputTest, MetricsDecompositionIsConsistent) {
   EXPECT_EQ(m.rows_out, result->rows.size());
 }
 
-// Deterministic counters only: wall-clock and queue-wait vary run to run.
-std::string MeteredString(const ExecMetrics& metrics) {
-  std::string s = metrics.ToString();
-  const size_t cut = s.find(" wall[");
-  return cut == std::string::npos ? s : s.substr(0, cut);
-}
-
-// With enable_predicate_transfer=false (the default), tweaking the Bloom
-// sizing knob must not change a single metered byte or EXPLAIN ANALYZE
-// character for any of the seven strategies — including sketch-dynamic,
-// whose AGMS estimates do not depend on pt_bits_per_key.
 TEST_F(DegenerateInputTest, InvalidConfigIsAStatusInEveryStrategy) {
   QuerySpec spec = ChainQuery();
   // Best-order replays a join tree, so take its hint while the config is
@@ -256,6 +245,10 @@ TEST_F(DegenerateInputTest, InvalidConfigIsAStatusInEveryStrategy) {
   EXPECT_TRUE(DynamicOptimizer(engine_.get()).Run(spec).ok());
 }
 
+// With enable_predicate_transfer=false (the default), tweaking the Bloom
+// sizing knob must not change a single metered byte or EXPLAIN ANALYZE
+// character for any of the seven strategies — including sketch-dynamic,
+// whose AGMS estimates do not depend on pt_bits_per_key.
 TEST_F(DegenerateInputTest, PredicateTransferOffIsByteIdentical) {
   QuerySpec spec = ChainQuery();
   // Multi-predicate alias forces a push-down materialization, so the
@@ -268,7 +261,7 @@ TEST_F(DegenerateInputTest, PredicateTransferOffIsByteIdentical) {
   struct StrategyRun {
     std::string name;
     size_t rows;
-    std::string metered;
+    ExecMetrics metrics;
     std::string explained;
   };
   // ASSERT_* macros require a void-returning scope, hence the out-param.
@@ -283,8 +276,8 @@ TEST_F(DegenerateInputTest, PredicateTransferOffIsByteIdentical) {
       EXPECT_EQ(result->metrics.pt_pruned_bytes, 0u) << opt->name();
       auto explained = ExplainAnalyze(engine, spec, *result);
       ASSERT_TRUE(explained.ok()) << explained.status().ToString();
-      out.push_back({opt->name(), result->rows.size(),
-                     MeteredString(result->metrics), explained.value()});
+      out.push_back({opt->name(), result->rows.size(), result->metrics,
+                     explained.value()});
     };
     DynamicOptimizer dynamic(engine);
     record(&dynamic);
@@ -321,7 +314,8 @@ TEST_F(DegenerateInputTest, PredicateTransferOffIsByteIdentical) {
   for (size_t i = 0; i < defaults.size(); ++i) {
     EXPECT_EQ(defaults[i].name, tweaked[i].name);
     EXPECT_EQ(defaults[i].rows, tweaked[i].rows) << defaults[i].name;
-    EXPECT_EQ(defaults[i].metered, tweaked[i].metered) << defaults[i].name;
+    EXPECT_EQ(MeteringDiff(defaults[i].metrics, tweaked[i].metrics), "")
+        << defaults[i].name;
     EXPECT_EQ(defaults[i].explained, tweaked[i].explained)
         << defaults[i].name;
   }
@@ -341,7 +335,7 @@ TEST_F(DegenerateInputTest, IntrospectionOffIsByteIdentical) {
   struct StrategyRun {
     std::string name;
     size_t rows;
-    std::string metered;
+    ExecMetrics metrics;
     std::string explained;
   };
   auto run_all = [&](Engine* engine, std::vector<StrategyRun>* out_runs) {
@@ -352,8 +346,8 @@ TEST_F(DegenerateInputTest, IntrospectionOffIsByteIdentical) {
                                << result.status().ToString();
       auto explained = ExplainAnalyze(engine, spec, *result);
       ASSERT_TRUE(explained.ok()) << explained.status().ToString();
-      out.push_back({opt->name(), result->rows.size(),
-                     MeteredString(result->metrics), explained.value()});
+      out.push_back({opt->name(), result->rows.size(), result->metrics,
+                     explained.value()});
     };
     DynamicOptimizer dynamic(engine);
     record(&dynamic);
@@ -394,7 +388,8 @@ TEST_F(DegenerateInputTest, IntrospectionOffIsByteIdentical) {
   for (size_t i = 0; i < defaults.size(); ++i) {
     EXPECT_EQ(defaults[i].name, tweaked[i].name);
     EXPECT_EQ(defaults[i].rows, tweaked[i].rows) << defaults[i].name;
-    EXPECT_EQ(defaults[i].metered, tweaked[i].metered) << defaults[i].name;
+    EXPECT_EQ(MeteringDiff(defaults[i].metrics, tweaked[i].metrics), "")
+        << defaults[i].name;
     EXPECT_EQ(defaults[i].explained, tweaked[i].explained)
         << defaults[i].name;
   }

@@ -196,7 +196,7 @@ void ExpectPipelineParity(Engine* engine, const Dataset& build_in,
     ThreadPool pool(workers);
     ExpectPipelineParityWith(
         JobExecutor(&engine->catalog(), &engine->stats(), &engine->udfs(),
-                    engine->cluster(), &pool),
+                    engine->cluster(), &pool, &engine->metrics_registry()),
         engine->cluster(), build_in, probe_in, build_keys, probe_keys);
   }
 }
@@ -374,7 +374,8 @@ TEST_F(ExchangeTest, AnnotatedInputShuffleMetersIdentically) {
   for (size_t workers : {1u, 3u}) {
     ThreadPool pool(workers);
     JobExecutor executor(&engine_->catalog(), &engine_->stats(),
-                         &engine_->udfs(), engine_->cluster(), &pool);
+                         &engine_->udfs(), engine_->cluster(), &pool,
+                         &engine_->metrics_registry());
     ExecMetrics par_metrics;
     ShuffleResult parts =
         MustOk(executor.Repartition(Batches(input), keys, &par_metrics));

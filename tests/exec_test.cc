@@ -520,5 +520,49 @@ TEST(MetricsTest, AddAccumulates) {
   EXPECT_FALSE(a.ToString().empty());
 }
 
+// Iterates the one field list: every field prints in ToString(), merges
+// in Add() per its declared rule, and takes part in MeteringDiff() exactly
+// when it is deterministic.
+TEST(MetricsTest, EveryFieldPrintsMergesAndComparesPerItsDeclaration) {
+  ExecMetrics merged, other;
+  VisitMetricFields(
+      [](const MetricField&, auto& mine, auto& theirs) {
+        mine = 5;
+        theirs = 3;
+      },
+      merged, other);
+  const ExecMetrics before = merged;
+  merged.Add(other);
+  const std::string text = " " + merged.ToString();
+  VisitMetricFields(
+      [&](const MetricField& field, auto value) {
+        const std::string name = field.name;
+        EXPECT_NE(text.find(" " + name + "="), std::string::npos) << name;
+        using T = decltype(value);
+        const T expected = field.merge == MetricMerge::kSum   ? T(8)
+                           : field.merge == MetricMerge::kMax ? T(5)
+                                                              : T(3);
+        EXPECT_EQ(value, expected) << name;
+      },
+      merged);
+
+  EXPECT_EQ(MeteringDiff(before, before), "");
+  ExecMetrics probe = before;
+  VisitMetricFields(
+      [&](const MetricField& field, auto& value) {
+        const auto original = value;
+        value = 7;
+        const std::string diff = MeteringDiff(before, probe);
+        const std::string name = field.name;
+        if (field.kind == MetricKind::kMetered) {
+          EXPECT_EQ(diff, name + ": 5 != 7\n");
+        } else {
+          EXPECT_EQ(diff, "") << name;
+        }
+        value = original;
+      },
+      probe);
+}
+
 }  // namespace
 }  // namespace dynopt

@@ -54,16 +54,6 @@ void AddTable(Engine* engine, const std::string& name, const Schema& schema,
   ASSERT_TRUE(engine->CollectBaseStats(name, stats_columns).ok());
 }
 
-/// ExecMetrics::ToString() minus the trailing host wall-clock section —
-/// everything metered (bytes, simulated seconds, decision telemetry) with
-/// the real-time kernel clocks, which legitimately vary run to run,
-/// stripped off.
-std::string MeteredString(const ExecMetrics& metrics) {
-  std::string s = metrics.ToString();
-  const size_t cut = s.find(" wall[");
-  return cut == std::string::npos ? s : s.substr(0, cut);
-}
-
 std::vector<Row> SortedRows(const OptimizerRunResult& result) {
   std::vector<Row> rows = result.rows;
   SortRows(&rows);
@@ -406,8 +396,7 @@ TEST(FeedbackTest, DefaultAndNeutralKnobsMeterIdenticallyAcrossStrategies) {
     engine.mutable_cluster().risk = RiskConfig();
 
     for (const auto* run : {&repeat, &neutral}) {
-      EXPECT_EQ(MeteredString((*run)->metrics),
-                MeteredString(baseline->metrics));
+      EXPECT_EQ(MeteringDiff((*run)->metrics, baseline->metrics), "");
       EXPECT_EQ((*run)->rows, baseline->rows);
       auto text = ExplainAnalyze(&engine, spec, run->value());
       ASSERT_TRUE(text.ok());
@@ -565,7 +554,7 @@ TEST(FeedbackTest, PlanWithDpNeutralRiskIsExactAndWideRiskFlips) {
 
 // ---- Registry telemetry (satellite) --------------------------------------
 
-TEST(FeedbackTest, FinalizeProfileExportsQErrorTelemetry) {
+TEST(FeedbackTest, RunEpilogueExportsQErrorTelemetry) {
   Engine engine;
   BuildSpillTables(&engine);
   const QuerySpec spec = SpillQuery();

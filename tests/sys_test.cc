@@ -4,7 +4,10 @@
 //  - sys scans are metered at zero simulated cost, and turning
 //    introspection on does not change a query's simulated time;
 //  - metrics registries are engine-scoped (two engines do not share
-//    counters, and neither leaks into the process-wide registry);
+//    counters);
+//  - every view of a run reads one copy of its metrics: the archived
+//    entry equals the returned result under all seven strategies, and
+//    sys.queries has one column per ExecMetrics field;
 //  - the profile archive is a bounded ring keyed by a stable logical
 //    fingerprint;
 //  - the critical-path extractor picks the dominant sim-seconds chain;
@@ -17,6 +20,7 @@
 #include <algorithm>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/random.h"
@@ -151,8 +155,6 @@ TEST_F(SysTest, IntrospectionOnDoesNotChangeSimulatedTime) {
 }
 
 TEST_F(SysTest, MetricsRegistriesAreEngineScoped) {
-  const uint64_t global_before =
-      MetricsRegistry::Global().counter("opt.decisions")->value();
   auto other = std::make_unique<Engine>();
   LoadTables(other.get());
   const uint64_t other_before =
@@ -163,12 +165,91 @@ TEST_F(SysTest, MetricsRegistriesAreEngineScoped) {
   ASSERT_TRUE(dynamic.Run(chain).ok());
 
   EXPECT_GT(engine_->metrics_registry().counter("opt.decisions")->value(), 0u);
-  // A run on one engine must not bleed into another engine's registry or
-  // the process-global one.
+  // A run on one engine must not bleed into another engine's registry.
   EXPECT_EQ(other->metrics_registry().counter("opt.decisions")->value(),
             other_before);
-  EXPECT_EQ(MetricsRegistry::Global().counter("opt.decisions")->value(),
-            global_before);
+}
+
+// The archive (what sys.queries shows and the regression detector
+// compares) holds the metrics the run returned, and rows_out counts the
+// returned rows — under all seven strategies, on a fresh engine (so
+// sketch-dynamic pays for its base sketches in the run) and on a one-join
+// query (pilot-run's single-job path).
+TEST_F(SysTest, ArchiveHoldsTheReturnedMetricsUnderAllSevenStrategies) {
+  QuerySpec one_join;
+  one_join.tables = {{"x", "x", false, false, {}},
+                     {"y", "y", false, false, {}}};
+  one_join.joins = {{"x", "y", {{"x.k", "y.k"}}}};
+  one_join.projections = {"x.v", "y.v"};
+  one_join.NormalizeJoins();
+  for (const QuerySpec& spec : {ChainQuery(), one_join}) {
+    auto engine = std::make_unique<Engine>();
+    EnableIntrospection(engine.get());
+    LoadTables(engine.get());
+    ProfileArchive* archive = EngineProfileArchive(engine.get());
+    ASSERT_NE(archive, nullptr);
+    auto check = [&](Optimizer* opt) {
+      auto result = opt->Run(spec);
+      ASSERT_TRUE(result.ok()) << opt->name() << ": "
+                               << result.status().ToString();
+      EXPECT_EQ(result->metrics.rows_out, result->rows.size()) << opt->name();
+      const ArchivedQuery archived = archive->Snapshot().back();
+      EXPECT_EQ(archived.optimizer, opt->name());
+      EXPECT_EQ(archived.metrics.simulated_seconds,
+                result->metrics.simulated_seconds)
+          << opt->name();
+      EXPECT_EQ(MeteringDiff(archived.metrics, result->metrics), "")
+          << opt->name();
+    };
+    SketchDynamicOptimizer sketch(engine.get());
+    check(&sketch);
+    DynamicOptimizer dynamic(engine.get());
+    check(&dynamic);
+    auto hint = DynamicOptimizer(engine.get()).Run(spec);
+    ASSERT_TRUE(hint.ok());
+    BestOrderOptimizer best(engine.get(), hint->join_tree);
+    check(&best);
+    StaticCostBasedOptimizer cost_based(engine.get());
+    check(&cost_based);
+    PilotRunOptimizer pilot(engine.get());
+    check(&pilot);
+    IngresLikeOptimizer ingres(engine.get());
+    check(&ingres);
+    WorstOrderOptimizer worst(engine.get());
+    check(&worst);
+  }
+}
+
+TEST_F(SysTest, QueriesHasAColumnPerMetricField) {
+  DynamicOptimizer dynamic(engine_.get());
+  auto run = dynamic.Run(ChainQuery());
+  ASSERT_TRUE(run.ok());
+  auto spec = ParseAndBind("SELECT * FROM sys.queries", engine_->catalog());
+  ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+  auto queries = dynamic.Run(*spec);
+  ASSERT_TRUE(queries.ok()) << queries.status().ToString();
+  const int status_col = ColumnIndex(queries->columns, "status");
+  ASSERT_GE(status_col, 0);
+  // The chain run is the only completed query; the scan itself is running.
+  const Row* completed = nullptr;
+  for (const Row& row : queries->rows) {
+    if (row[static_cast<size_t>(status_col)].AsString() == "completed") {
+      completed = &row;
+    }
+  }
+  ASSERT_NE(completed, nullptr);
+  VisitMetricFields(
+      [&](const MetricField& field, auto value) {
+        const int col = ColumnIndex(queries->columns, field.name);
+        ASSERT_GE(col, 0) << field.name;
+        const Value& cell = (*completed)[static_cast<size_t>(col)];
+        if constexpr (std::is_floating_point_v<decltype(value)>) {
+          EXPECT_EQ(cell.AsDouble(), value) << field.name;
+        } else {
+          EXPECT_EQ(cell.AsInt64(), static_cast<int64_t>(value)) << field.name;
+        }
+      },
+      run->metrics);
 }
 
 TEST_F(SysTest, ArchiveIsABoundedRing) {
@@ -265,7 +346,6 @@ TEST_F(SysTest, RegressionDetectorNamesDivergentDecisionAndPrior) {
     int id = result.profile->decisions.Record(std::move(d));
     result.profile->decisions.SetActual(id, 300);
     result.metrics.simulated_seconds = sim;
-    result.profile->metrics = result.metrics;
     return result;
   };
 

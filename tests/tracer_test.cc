@@ -251,23 +251,9 @@ TEST(TracerMeteringTest, TracingDoesNotChangeSimulatedMetering) {
   Tracer::Global().Drain();
   ASSERT_TRUE(on.ok()) << on.status().ToString();
 
-  // Byte-for-byte identical deterministic metering (exact ==, never near).
-  EXPECT_EQ(off->metrics.simulated_seconds, on->metrics.simulated_seconds);
-  EXPECT_EQ(off->metrics.reopt_seconds, on->metrics.reopt_seconds);
-  EXPECT_EQ(off->metrics.stats_seconds, on->metrics.stats_seconds);
-  EXPECT_EQ(off->metrics.recovery_seconds, on->metrics.recovery_seconds);
-  EXPECT_EQ(off->metrics.rows_out, on->metrics.rows_out);
-  EXPECT_EQ(off->metrics.tuples_processed, on->metrics.tuples_processed);
-  EXPECT_EQ(off->metrics.bytes_scanned, on->metrics.bytes_scanned);
-  EXPECT_EQ(off->metrics.bytes_shuffled, on->metrics.bytes_shuffled);
-  EXPECT_EQ(off->metrics.bytes_broadcast, on->metrics.bytes_broadcast);
-  EXPECT_EQ(off->metrics.bytes_materialized, on->metrics.bytes_materialized);
-  EXPECT_EQ(off->metrics.bytes_intermediate_read,
-            on->metrics.bytes_intermediate_read);
-  EXPECT_EQ(off->metrics.num_jobs, on->metrics.num_jobs);
-  EXPECT_EQ(off->metrics.num_reopt_points, on->metrics.num_reopt_points);
-  EXPECT_EQ(off->metrics.max_q_error, on->metrics.max_q_error);
-  EXPECT_EQ(off->metrics.num_decisions, on->metrics.num_decisions);
+  // Every deterministic field byte-for-byte identical (exact ==, never
+  // near).
+  EXPECT_EQ(MeteringDiff(off->metrics, on->metrics), "");
   EXPECT_EQ(off->rows, on->rows);
 
   // The traced run captured spans: a query root plus opt/stage/kernel work.

@@ -1,6 +1,7 @@
 #ifndef DYNOPT_COMMON_HASH_H_
 #define DYNOPT_COMMON_HASH_H_
 
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <string_view>
@@ -35,6 +36,20 @@ inline uint64_t HashBytes(const void* data, size_t len) {
 
 inline uint64_t HashString(std::string_view s) {
   return HashBytes(s.data(), s.size());
+}
+
+/// Hash of a double under the engine's cross-type key rule: integral
+/// doubles hash like the equal int64, so cross-type join keys behave
+/// consistently with Value::Compare; other doubles hash their bits.
+inline uint64_t HashDouble(double d) {
+  if (d == static_cast<double>(static_cast<int64_t>(d)) &&
+      std::abs(d) < 9.0e18) {
+    return Mix64(static_cast<uint64_t>(static_cast<int64_t>(d)));
+  }
+  uint64_t bits;
+  static_assert(sizeof(bits) == sizeof(d));
+  std::memcpy(&bits, &d, sizeof(d));
+  return Mix64(bits);
 }
 
 }  // namespace dynopt

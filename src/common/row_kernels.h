@@ -1,9 +1,6 @@
 #ifndef DYNOPT_COMMON_ROW_KERNELS_H_
 #define DYNOPT_COMMON_ROW_KERNELS_H_
 
-#include <cmath>
-#include <cstring>
-
 #include "common/hash.h"
 #include "common/value.h"
 
@@ -25,19 +22,8 @@ inline uint64_t ValueHashInline(const Value& v) {
       return Mix64(v.AsBool() ? 1 : 0);
     case ValueType::kInt64:
       return Mix64(static_cast<uint64_t>(v.AsInt64()));
-    case ValueType::kDouble: {
-      double d = v.AsDouble();
-      // Hash integral doubles identically to the equal int64 so that
-      // cross-type join keys behave consistently with Compare().
-      if (d == static_cast<double>(static_cast<int64_t>(d)) &&
-          std::abs(d) < 9.0e18) {
-        return Mix64(static_cast<uint64_t>(static_cast<int64_t>(d)));
-      }
-      uint64_t bits;
-      static_assert(sizeof(bits) == sizeof(d));
-      std::memcpy(&bits, &d, sizeof(d));
-      return Mix64(bits);
-    }
+    case ValueType::kDouble:
+      return HashDouble(v.AsDouble());
     case ValueType::kString:
       return HashString(v.AsString());
   }

@@ -72,19 +72,8 @@ uint64_t Value::Hash() const {
       return Mix64(AsBool() ? 1 : 0);
     case ValueType::kInt64:
       return Mix64(static_cast<uint64_t>(AsInt64()));
-    case ValueType::kDouble: {
-      double d = AsDouble();
-      // Hash integral doubles identically to the equal int64 so that
-      // cross-type join keys behave consistently with Compare().
-      if (d == static_cast<double>(static_cast<int64_t>(d)) &&
-          std::abs(d) < 9.0e18) {
-        return Mix64(static_cast<uint64_t>(static_cast<int64_t>(d)));
-      }
-      uint64_t bits;
-      static_assert(sizeof(bits) == sizeof(d));
-      std::memcpy(&bits, &d, sizeof(d));
-      return Mix64(bits);
-    }
+    case ValueType::kDouble:
+      return HashDouble(AsDouble());
     case ValueType::kString:
       return HashString(AsString());
   }

@@ -7,6 +7,7 @@ namespace dynopt {
 Status Engine::CollectBaseStats(const std::string& table,
                                 const std::vector<std::string>& columns,
                                 const StatsOptions& options) {
+  DYNOPT_RETURN_IF_ERROR(ValidateStatsOptions(options));
   DYNOPT_ASSIGN_OR_RETURN(std::shared_ptr<Table> t, catalog_.GetTable(table));
   std::vector<int> indices;
   for (const auto& col : columns) {

@@ -155,7 +155,8 @@ class Engine {
   /// registers them with the StatsManager — the simulator's analogue of the
   /// statistics AsterixDB gathers during LSM ingestion. Column names are
   /// unqualified here; the stats are stored under unqualified names too and
-  /// qualified by the estimator per query alias.
+  /// qualified by the estimator per query alias. Out-of-range `options`
+  /// come back as kInvalidArgument (ValidateStatsOptions).
   Status CollectBaseStats(const std::string& table,
                           const std::vector<std::string>& columns,
                           const StatsOptions& options = StatsOptions());

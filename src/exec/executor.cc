@@ -1417,14 +1417,18 @@ Result<SinkResult> JobExecutor::Materialize(
     }
   }
   std::vector<TableStatsBuilder> builders;
-  builders.reserve(num_parts);
-  for (size_t p = 0; p < num_parts; ++p) {
-    builders.emplace_back(stat_names, stat_indices);
+  if (collect_stats) {
+    builders.reserve(num_parts);
+    for (size_t p = 0; p < num_parts; ++p) {
+      builders.emplace_back(stat_names, stat_indices);
+    }
   }
   // Each partition's stat columns are fed column-at-a-time, in the
-  // partition's row order; its byte total sums the size annotation.
+  // partition's row order; its byte total sums the size annotation. With
+  // statistics on, the whole pass counts as statistics wall time.
   std::vector<uint64_t> part_bytes(num_parts, 0);
   std::vector<uint64_t> part_rows(num_parts, 0);
+  const auto stats_start = WallClock::now();
   pool_->ParallelFor(num_parts, [&](size_t p) {
     uint64_t bytes = 0;
     uint64_t rows = 0;
@@ -1436,6 +1440,7 @@ Result<SinkResult> JobExecutor::Materialize(
     part_bytes[p] = bytes;
     part_rows[p] = rows;
   });
+  if (collect_stats) metrics->wall_stats_seconds += SecondsSince(stats_start);
   uint64_t total_bytes = 0, total_rows = 0;
   for (size_t p = 0; p < num_parts; ++p) {
     total_bytes += part_bytes[p];
@@ -1571,6 +1576,7 @@ Result<SinkResult> JobExecutor::Materialize(
     }
   }
   if (!sketch_indices.empty()) {
+    const auto sketch_start = WallClock::now();
     SketchOptions opts;
     opts.bits_per_key = cluster_.sketch.pt_bits_per_key;
     opts.agms_depth = cluster_.sketch.agms_depth;
@@ -1613,6 +1619,7 @@ Result<SinkResult> JobExecutor::Materialize(
         cluster_.stats_seconds_per_value / static_cast<double>(num_parts);
     metrics->stats_seconds += sketch_cost;
     metrics->simulated_seconds += sketch_cost;
+    metrics->wall_stats_seconds += SecondsSince(sketch_start);
   }
 
   // Move the batches in partition-faithfully so the producing node's
@@ -1626,9 +1633,11 @@ Result<SinkResult> JobExecutor::Materialize(
   SinkResult result;
   result.table_name = name;
   if (collect_stats) {
+    const auto finalize_start = WallClock::now();
     TableStatsBuilder merged(stat_names, stat_indices);
     for (const auto& b : builders) merged.Merge(b);
     result.stats = merged.Finalize();
+    metrics->wall_stats_seconds += SecondsSince(finalize_start);
     result.stats.row_count = total_rows;
     result.stats.total_bytes = total_bytes;
     if (stats_ != nullptr) stats_->Put(name, result.stats);

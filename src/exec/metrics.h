@@ -86,7 +86,10 @@ enum class MetricKind { kMetered, kHost };
   X(double, wall_shuffle_seconds, kSum, kHost)                                \
   X(double, wall_build_seconds, kSum, kHost)                                  \
   X(double, wall_probe_seconds, kSum, kHost)                                  \
-  X(double, wall_materialize_seconds, kSum, kHost)
+  X(double, wall_materialize_seconds, kSum, kHost)                            \
+  /* The part of wall_materialize_seconds spent on online statistics and */   \
+  /* join-key sketches: collection, merge and finalize. */                    \
+  X(double, wall_stats_seconds, kSum, kHost)
 
 /// One entry of DYNOPT_EXEC_METRICS.
 struct MetricField {

@@ -42,7 +42,7 @@ void CombineColumnHash(const ColumnVector& col, size_t n, uint64_t* out,
           out[i] = HashCombine(out[i], kNullValueHash);
           key_null[i] = 1;
         } else {
-          out[i] = HashCombine(out[i], ColumnVector::HashDoubleValue(v[i]));
+          out[i] = HashCombine(out[i], HashDouble(v[i]));
         }
       }
       break;
@@ -283,21 +283,27 @@ ColumnBatch SliceBatch(const ColumnBatch& src, size_t begin, size_t n,
 
 void AddColumnToStats(const ColumnVector& col, const uint32_t* sel, size_t n,
                       ColumnStatsBuilder* out) {
-  if (col.kind == ColumnKind::kString) {
-    const StringDict& dict = *col.dict;
-    for (size_t k = 0; k < n; ++k) {
-      const size_t i = sel != nullptr ? sel[k] : k;
-      if (col.IsNullAt(i)) {
-        out->Add(Value::Null());
-      } else {
-        const uint32_t code = col.codes[i];
-        out->AddString(dict.entry(code), dict.hash(code));
+  const ColumnRows rows{col.validity.empty() ? nullptr : col.validity.data(),
+                        sel, n};
+  switch (col.kind) {
+    case ColumnKind::kInt64:
+      out->AddInt64s(col.i64.data(), rows);
+      return;
+    case ColumnKind::kDouble:
+      out->AddDoubles(col.f64.data(), rows);
+      return;
+    case ColumnKind::kBool:
+      out->AddBools(col.b8.data(), rows);
+      return;
+    case ColumnKind::kString:
+      out->AddStrings(col.codes.data(), col.dict->entries().data(),
+                      col.dict->hashes().data(), rows);
+      return;
+    case ColumnKind::kValues:
+      for (size_t k = 0; k < n; ++k) {
+        out->Add(col.values[sel != nullptr ? sel[k] : k]);
       }
-    }
-    return;
-  }
-  for (size_t k = 0; k < n; ++k) {
-    out->Add(col.ValueAt(sel != nullptr ? sel[k] : k));
+      return;
   }
 }
 

@@ -75,8 +75,9 @@ ColumnBatch SliceBatch(const ColumnBatch& src, size_t begin, size_t n,
 
 /// Feeds `n` values of `col` to `out` in row order: rows sel[0..n) when
 /// `sel` is non-null, rows [0, n) otherwise. Equivalent to
-/// out->Add(col.ValueAt(i)) per row; string columns reuse the dictionary's
-/// cached hashes instead of materializing Values.
+/// out->Add(col.ValueAt(i)) per row; typed columns go through the
+/// builder's bulk adds (string columns with the dictionary's cached
+/// hashes), so only the mixed-type kValues layout adds Value by Value.
 void AddColumnToStats(const ColumnVector& col, const uint32_t* sel, size_t n,
                       ColumnStatsBuilder* out);
 

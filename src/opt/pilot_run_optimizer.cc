@@ -46,6 +46,7 @@ PilotRunOptimizer::PilotRunOptimizer(Engine* engine,
     : engine_(engine), options_(options) {}
 
 Result<OptimizerRunResult> PilotRunOptimizer::Run(const QuerySpec& query) {
+  DYNOPT_RETURN_IF_ERROR(ValidateStatsOptions(options_.stats_options));
   QuerySpec spec = query;
   spec.NormalizeJoins();
   DYNOPT_RETURN_IF_ERROR(spec.Validate());

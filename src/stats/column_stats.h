@@ -1,8 +1,11 @@
 #ifndef DYNOPT_STATS_COLUMN_STATS_H_
 #define DYNOPT_STATS_COLUMN_STATS_H_
 
+#include <cstddef>
+#include <cstdint>
 #include <string>
 
+#include "common/status.h"
 #include "common/value.h"
 #include "stats/gk_quantile.h"
 #include "stats/histogram.h"
@@ -19,6 +22,12 @@ struct StatsOptions {
   int hll_precision = 12;
   int histogram_buckets = 64;
 };
+
+/// kInvalidArgument naming the first out-of-range field: gk_epsilon must lie
+/// in (0, 0.5), hll_precision in [4, 18] and histogram_buckets in
+/// [1, 65536]. Entry points that take caller-supplied options check them
+/// here, before any sketch is built.
+Status ValidateStatsOptions(const StatsOptions& options);
 
 /// Finalized, immutable per-column statistics snapshot used by the
 /// optimizer: distinct count (HLL), value range, and an equi-height
@@ -43,21 +52,47 @@ struct ColumnStatsSnapshot {
   std::string ToString() const;
 };
 
+/// The rows of one typed column a bulk add reads: rows sel[0, n) when `sel`
+/// is non-null, rows [0, n) otherwise. A row whose `validity` byte is 0 is
+/// NULL; without a validity array every row is valid.
+struct ColumnRows {
+  const uint8_t* validity = nullptr;
+  const uint32_t* sel = nullptr;
+  size_t n = 0;
+};
+
 /// Streaming accumulator for one column; mergeable across partitions.
+///
+/// Typed columns are added in bulk, each add equivalent to Add(Value) of
+/// every row in order but without making any row a Value: HLL hashes are
+/// the value hashes (Mix64, HashDouble, a dictionary's cached HashString),
+/// the GK key is Value::NumericKey, and min/max follow Value::Compare —
+/// numbers compare as doubles, strings bytewise, every number sorts before
+/// every string, and the first occurrence wins ties — becoming a Value once
+/// per call.
 class ColumnStatsBuilder {
  public:
   explicit ColumnStatsBuilder(const StatsOptions& options = StatsOptions());
 
+  /// One value (the mixed-type kValues layout and row-at-a-time callers).
   void Add(const Value& v);
-  /// Add(Value(s)) for a string whose HashString is already known (a
-  /// dictionary's cached hash), without materializing the Value.
-  void AddString(const std::string& s, uint64_t hash);
+  void AddInt64s(const int64_t* values, const ColumnRows& rows);
+  void AddDoubles(const double* values, const ColumnRows& rows);
+  /// Bytes are booleans: 0 is false, anything else true.
+  void AddBools(const uint8_t* values, const ColumnRows& rows);
+  /// Dictionary-encoded strings: row i holds entries[codes[i]], whose
+  /// HashString is hashes[codes[i]].
+  void AddStrings(const uint32_t* codes, const std::string* entries,
+                  const uint64_t* hashes, const ColumnRows& rows);
   void Merge(const ColumnStatsBuilder& other);
   ColumnStatsSnapshot Finalize() const;
 
   uint64_t count() const { return count_; }
 
  private:
+  template <typename Column>
+  void AddNumbers(const Column& column, const ColumnRows& rows);
+
   StatsOptions options_;
   uint64_t count_ = 0;
   uint64_t null_count_ = 0;

@@ -1,30 +1,31 @@
 #include "stats/hyperloglog.h"
 
+#include <array>
 #include <cmath>
 
 #include "common/logging.h"
 
 namespace dynopt {
 
+namespace {
+
+// 2^-r for every register value r (at most 64 - 4 + 1), exactly as
+// std::ldexp(1.0, -r).
+constexpr std::array<double, 64> kInversePowersOfTwo = [] {
+  std::array<double, 64> table{};
+  double x = 1.0;
+  for (double& e : table) {
+    e = x;
+    x /= 2.0;
+  }
+  return table;
+}();
+
+}  // namespace
+
 HyperLogLog::HyperLogLog(int precision) : precision_(precision) {
   DYNOPT_CHECK(precision >= 4 && precision <= 18);
   registers_.assign(static_cast<size_t>(1) << precision, 0);
-}
-
-void HyperLogLog::Add(uint64_t hash) {
-  ++num_adds_;
-  const uint64_t index = hash >> (64 - precision_);
-  const uint64_t remaining = hash << precision_;
-  // Rank = position of leftmost 1-bit in the remaining bits (1-based);
-  // all-zero remainder gets the maximum rank.
-  int rank;
-  if (remaining == 0) {
-    rank = 64 - precision_ + 1;
-  } else {
-    rank = __builtin_clzll(remaining) + 1;
-  }
-  auto& reg = registers_[index];
-  if (rank > reg) reg = static_cast<uint8_t>(rank);
 }
 
 double HyperLogLog::Estimate() const {
@@ -42,8 +43,8 @@ double HyperLogLog::Estimate() const {
   double sum = 0.0;
   size_t zeros = 0;
   for (uint8_t reg : registers_) {
-    sum += std::ldexp(1.0, -static_cast<int>(reg));
-    if (reg == 0) ++zeros;
+    sum += kInversePowersOfTwo[reg];
+    zeros += reg == 0;
   }
   double estimate = alpha * m * m / sum;
   // Linear counting for the small-cardinality regime.

@@ -20,7 +20,17 @@ class HyperLogLog {
   explicit HyperLogLog(int precision = 12);
 
   /// Adds an element identified by its 64-bit hash.
-  void Add(uint64_t hash);
+  void Add(uint64_t hash) {
+    ++num_adds_;
+    const uint64_t index = hash >> (64 - precision_);
+    const uint64_t remaining = hash << precision_;
+    // Rank = position of leftmost 1-bit in the remaining bits (1-based);
+    // all-zero remainder gets the maximum rank.
+    const int rank = remaining == 0 ? 64 - precision_ + 1
+                                    : __builtin_clzll(remaining) + 1;
+    uint8_t& reg = registers_[index];
+    if (rank > reg) reg = static_cast<uint8_t>(rank);
+  }
 
   /// Estimated number of distinct elements added.
   double Estimate() const;

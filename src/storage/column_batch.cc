@@ -1,8 +1,5 @@
 #include "storage/column_batch.h"
 
-#include <cmath>
-#include <cstring>
-
 namespace dynopt {
 
 ColumnKind TypedKindFor(ValueType t) {
@@ -18,17 +15,6 @@ ColumnKind TypedKindFor(ValueType t) {
       return ColumnKind::kString;
   }
   return ColumnKind::kValues;
-}
-
-uint64_t ColumnVector::HashDoubleValue(double d) {
-  if (d == static_cast<double>(static_cast<int64_t>(d)) &&
-      std::abs(d) < 9.0e18) {
-    return Mix64(static_cast<uint64_t>(static_cast<int64_t>(d)));
-  }
-  uint64_t bits;
-  static_assert(sizeof(bits) == sizeof(d));
-  std::memcpy(&bits, &d, sizeof(d));
-  return Mix64(bits);
 }
 
 void ColumnVector::Append(const Value& v) {

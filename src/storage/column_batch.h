@@ -50,6 +50,9 @@ class StringDict {
   const std::string& entry(uint32_t code) const { return entries_[code]; }
   uint64_t hash(uint32_t code) const { return hashes_[code]; }
   uint64_t size_bytes(uint32_t code) const { return sizes_[code]; }
+  /// Every entry and every cached hash, indexed by code.
+  const std::vector<std::string>& entries() const { return entries_; }
+  const std::vector<uint64_t>& hashes() const { return hashes_; }
 
   /// Code of `s`, inserting it if absent.
   uint32_t Intern(const std::string& s) { return Intern(s, HashString(s)); }
@@ -187,7 +190,7 @@ struct ColumnVector {
       case ColumnKind::kInt64:
         return Mix64(static_cast<uint64_t>(i64[i]));
       case ColumnKind::kDouble:
-        return HashDoubleValue(f64[i]);
+        return HashDouble(f64[i]);
       case ColumnKind::kBool:
         return Mix64(b8[i] != 0 ? 1 : 0);
       case ColumnKind::kString:
@@ -229,11 +232,6 @@ struct ColumnVector {
   /// Rows [begin, begin + n) as a fresh column: typed payloads and validity
   /// are range copies; string columns share this column's dictionary.
   ColumnVector Slice(size_t begin, size_t n) const;
-
-  /// Hash of a double under the engine's cross-type key rule (integral
-  /// doubles hash like the equal int64) — the kDouble leg of
-  /// ValueHashInline.
-  static uint64_t HashDoubleValue(double d);
 };
 
 /// A horizontal slice of rows: `num_rows` rows across `columns.size()`

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -201,6 +203,150 @@ TEST(ColumnBatchTest, ColumnwiseStatsAndSketchesMatchRowCollection) {
     EXPECT_EQ(by_rows.agms.JoinSizeEstimate(by_rows.agms),
               by_cols.agms.JoinSizeEstimate(by_cols.agms));
     EXPECT_EQ(by_rows.bloom.num_inserted(), by_cols.bloom.num_inserted());
+  }
+}
+
+// Type and exact payload of a Value (doubles by their bits, so -0.0 and a
+// NaN are told apart from 0.0).
+std::string ExactValue(const Value& v) {
+  if (v.type() == ValueType::kDouble) {
+    const double d = v.AsDouble();
+    uint64_t bits;
+    std::memcpy(&bits, &d, sizeof(d));
+    return "DOUBLE:" + std::to_string(bits);
+  }
+  return std::string(ValueTypeName(v.type())) + ":" + v.ToString();
+}
+
+void ExpectSnapshotsIdentical(const ColumnStatsSnapshot& x,
+                              const ColumnStatsSnapshot& y) {
+  EXPECT_EQ(x.count, y.count);
+  EXPECT_EQ(x.null_count, y.null_count);
+  uint64_t xb, yb;
+  std::memcpy(&xb, &x.ndv, sizeof(xb));
+  std::memcpy(&yb, &y.ndv, sizeof(yb));
+  EXPECT_EQ(xb, yb) << x.ndv << " vs " << y.ndv;
+  EXPECT_EQ(ExactValue(x.min_value), ExactValue(y.min_value));
+  EXPECT_EQ(ExactValue(x.max_value), ExactValue(y.max_value));
+  EXPECT_EQ(x.histogram.count(), y.histogram.count());
+  const std::vector<double>& xs = x.histogram.boundaries();
+  const std::vector<double>& ys = y.histogram.boundaries();
+  ASSERT_EQ(xs.size(), ys.size());
+  EXPECT_EQ(std::memcmp(xs.data(), ys.data(), xs.size() * sizeof(double)), 0);
+}
+
+TEST(ColumnBatchTest, TypedStatsAddsMatchValueAddsAtScale) {
+  // 60,000 rows per column — hundreds of compress periods — of every
+  // column kind, with and without NULLs, fed in 1,000-row slices through
+  // AddColumnToStats (the typed bulk adds) against Add(Value) per row.
+  // The extreme int64s, +-2^53 and +-(2^53 + 1), round to the same double,
+  // so only the first occurrence is the right min/max; a column of +0.0
+  // and -0.0 ties everywhere; another double column mixes both zeros into
+  // its range, and a third starts with a NaN (Value::Compare keeps a NaN
+  // bound for good).
+  constexpr size_t kRows = 60000;
+  constexpr int64_t kTwo53 = int64_t{1} << 53;
+  Rng rng(23);
+  auto dict = std::make_shared<StringDict>();
+  for (int i = 0; i < 500; ++i) dict->Intern("s" + std::to_string(i * 7919));
+  std::vector<std::pair<std::string, ColumnVector>> columns;
+  for (bool nulls : {false, true}) {
+    const std::string tag = nulls ? " with NULLs" : "";
+    ColumnVector i64, f64, zeros, nan_first, b8, str, mixed;
+    i64.kind = ColumnKind::kInt64;
+    f64.kind = zeros.kind = nan_first.kind = ColumnKind::kDouble;
+    b8.kind = ColumnKind::kBool;
+    str.kind = ColumnKind::kString;
+    str.dict = dict;
+    mixed.kind = ColumnKind::kValues;
+    for (size_t i = 0; i < kRows; ++i) {
+      const int64_t small = rng.NextInt64(-1000000, 1000000);
+      const int64_t huge = rng.NextBool(0.5) ? kTwo53 + rng.NextInt64(0, 1)
+                                             : -kTwo53 - rng.NextInt64(0, 1);
+      i64.i64.push_back(rng.NextBool(0.2) ? huge : small);
+      const double zero = rng.NextBool(0.5) ? 0.0 : -0.0;
+      zeros.f64.push_back(zero);
+      f64.f64.push_back(rng.NextBool(0.3) ? zero
+                                          : rng.NextDouble() * 1e4 - 5e3);
+      nan_first.f64.push_back(i == 0 ? std::numeric_limits<double>::quiet_NaN()
+                                     : rng.NextDouble() * 100);
+      b8.b8.push_back(rng.NextBool(0.3) ? 1 : 0);
+      str.codes.push_back(static_cast<uint32_t>(rng.NextUint64(dict->size())));
+      switch (rng.NextUint64(nulls ? 4 : 3)) {
+        case 0:
+          mixed.values.push_back(Value(small));
+          break;
+        case 1:
+          mixed.values.push_back(Value(static_cast<double>(small) / 4));
+          break;
+        case 2:
+          mixed.values.push_back(Value(dict->entry(str.codes.back())));
+          break;
+        default:
+          mixed.values.push_back(Value::Null());
+          break;
+      }
+    }
+    if (nulls) {
+      std::vector<uint8_t> validity(kRows);
+      for (uint8_t& v : validity) v = rng.NextBool(0.1) ? 0 : 1;
+      for (ColumnVector* c : {&i64, &f64, &zeros, &nan_first, &b8, &str}) {
+        c->validity = validity;
+      }
+    }
+    columns.emplace_back("int64" + tag, std::move(i64));
+    columns.emplace_back("double" + tag, std::move(f64));
+    columns.emplace_back("signed zeros" + tag, std::move(zeros));
+    columns.emplace_back("nan-first double" + tag, std::move(nan_first));
+    columns.emplace_back("bool" + tag, std::move(b8));
+    columns.emplace_back("string" + tag, std::move(str));
+    columns.emplace_back("values" + tag, std::move(mixed));
+  }
+  // Pilot-run's path: an ascending selection of about 60% of the rows.
+  std::vector<uint32_t> sel;
+  for (uint32_t i = 0; i < kRows; ++i) {
+    if (rng.NextBool(0.6)) sel.push_back(i);
+  }
+  constexpr size_t kSlice = 1000;
+  auto feed_typed = [&](const ColumnVector& col, bool selected,
+                        ColumnStatsBuilder* out) {
+    const size_t n = selected ? sel.size() : kRows;
+    for (size_t start = 0; start < n; start += kSlice) {
+      const size_t m = std::min(kSlice, n - start);
+      if (selected) {
+        AddColumnToStats(col, sel.data() + start, m, out);
+      } else {
+        AddColumnToStats(col.Slice(start, m), nullptr, m, out);
+      }
+    }
+  };
+  auto feed_values = [&](const ColumnVector& col, bool selected,
+                         ColumnStatsBuilder* out) {
+    const size_t n = selected ? sel.size() : kRows;
+    for (size_t k = 0; k < n; ++k) out->Add(col.ValueAt(selected ? sel[k] : k));
+  };
+  for (bool selected : {false, true}) {
+    for (const auto& [name, col] : columns) {
+      SCOPED_TRACE(name + (selected ? " (selection)" : ""));
+      ColumnStatsBuilder typed, by_value;
+      feed_typed(col, selected, &typed);
+      feed_values(col, selected, &by_value);
+      ExpectSnapshotsIdentical(typed.Finalize(), by_value.Finalize());
+    }
+    // One builder fed every column in turn, forwards and backwards, so the
+    // running min/max meet bounds of other types (every number sorts
+    // before every string).
+    for (bool reversed : {false, true}) {
+      SCOPED_TRACE(std::string("all columns") + (reversed ? " reversed" : ""));
+      ColumnStatsBuilder typed, by_value;
+      for (size_t c = 0; c < columns.size(); ++c) {
+        const ColumnVector& col =
+            columns[reversed ? columns.size() - 1 - c : c].second;
+        feed_typed(col, selected, &typed);
+        feed_values(col, selected, &by_value);
+      }
+      ExpectSnapshotsIdentical(typed.Finalize(), by_value.Finalize());
+    }
   }
 }
 

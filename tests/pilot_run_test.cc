@@ -92,6 +92,33 @@ TEST_F(PilotRunTest, NoTempLeaks) {
   EXPECT_EQ(engine_->catalog().TableNames().size(), before);
 }
 
+TEST_F(PilotRunTest, OutOfRangeStatsOptionsComeBackAsInvalidArgument) {
+  // Both entry points that take caller-supplied sketch resolutions reject
+  // them before building a sketch (which would otherwise abort).
+  StatsOptions wide_hll;
+  wide_hll.hll_precision = 20;
+  StatsOptions no_eps;
+  no_eps.gk_epsilon = 0.5;
+  ASSERT_NE(engine_->stats().Get("nation"), nullptr);
+  const std::string before = engine_->stats().Get("nation")->ToString();
+  const size_t tables = engine_->catalog().TableNames().size();
+  for (const StatsOptions& bad : {wide_hll, no_eps}) {
+    const Status st = engine_->CollectBaseStats("nation", {"n_nationkey"}, bad);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+    PilotRunOptions options;
+    options.stats_options = bad;
+    PilotRunOptimizer optimizer(engine_, options);
+    auto query = TpchQ9(engine_);
+    ASSERT_TRUE(query.ok());
+    auto result = optimizer.Run(query.value());
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
+        << result.status().ToString();
+  }
+  EXPECT_EQ(engine_->stats().Get("nation")->ToString(), before);
+  EXPECT_EQ(engine_->catalog().TableNames().size(), tables);
+}
+
 TEST_F(PilotRunTest, AgreesWithDynamicOnAllQueries) {
   for (const char* q : {"q17", "q50", "q8", "q9"}) {
     Result<QuerySpec> query = std::string(q) == "q17"

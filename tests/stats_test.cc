@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -13,6 +15,7 @@
 #include "stats/histogram.h"
 #include "stats/hyperloglog.h"
 #include "stats/table_stats.h"
+#include "support/reference_stats.h"
 
 namespace dynopt {
 namespace {
@@ -145,7 +148,173 @@ TEST(GkQuantileTest, BoundariesAreMonotone) {
   }
 }
 
+// --- Buffered GK vs the one-at-a-time oracle ---------------------------------
+
+uint64_t Bits(double d) {
+  uint64_t bits;
+  std::memcpy(&bits, &d, sizeof(d));
+  return bits;
+}
+
+std::vector<uint64_t> Bits(const std::vector<double>& values) {
+  std::vector<uint64_t> bits;
+  for (double v : values) bits.push_back(Bits(v));
+  return bits;
+}
+
+::testing::AssertionResult SameSummary(const GkQuantileSketch& got,
+                                       const reference::GkSketch& want) {
+  if (got.count() != want.count()) {
+    return ::testing::AssertionFailure()
+           << "count " << got.count() << " != " << want.count();
+  }
+  const auto& a = got.tuples();
+  const auto& b = want.tuples();
+  if (a.size() != b.size()) {
+    return ::testing::AssertionFailure()
+           << a.size() << " tuples != " << b.size();
+  }
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (Bits(a[i].v) != Bits(b[i].v) || a[i].g != b[i].g ||
+        a[i].delta != b[i].delta) {
+      return ::testing::AssertionFailure()
+             << "tuple " << i << ": (" << a[i].v << ", " << a[i].g << ", "
+             << a[i].delta << ") != (" << b[i].v << ", " << b[i].g << ", "
+             << b[i].delta << ")";
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+std::vector<double> ParityStream(const std::string& kind, size_t n,
+                                 Rng& rng) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<double> out(n);
+  for (size_t i = 0; i < n; ++i) {
+    double v = rng.NextDouble() * 1000.0;
+    if (kind == "low-cardinality") {
+      v = static_cast<double>(rng.NextUint64(6));
+    } else if (kind == "signed-zero") {
+      const double choices[] = {0.0, -0.0, 0.0, -0.0, 1.0, -1.0};
+      v = choices[rng.NextUint64(6)];
+    } else if (kind == "above-2^53") {
+      // Neighbouring int64s round to the same double: ties everywhere.
+      v = static_cast<double>((int64_t{1} << 53) +
+                              static_cast<int64_t>(rng.NextUint64(64)));
+    } else if (kind == "sorted") {
+      v = static_cast<double>(i);
+    } else if (kind == "reversed") {
+      v = static_cast<double>(n - i);
+    } else if (kind == "nan") {
+      if (rng.NextUint64(1000) == 0) v = nan;
+    }
+    out[i] = v;
+  }
+  if (kind == "nan") out[n / 2] = nan;  // At least one, mid-stream.
+  return out;
+}
+
+TEST(GkParityTest, BufferedInsertsMatchOneAtATimeBitForBit) {
+  // Every stream feeds a main and a side sketch pair (engine vs oracle),
+  // one value per Insert call or in bulk calls of 1 to 600 values, which
+  // the engine splits at compress periods and at the pending cap. A bulk
+  // call never starts with a NaN, so each NaN follows values of its own
+  // call. Quantile, NumTuples, boundary extraction and merges of the side
+  // sketch are interleaved at random points, flushing the engine's pending
+  // inserts mid-period. 1e-4 has a compress period of 5000, above the
+  // pending cap.
+  for (const char* kind : {"uniform", "low-cardinality", "signed-zero",
+                           "above-2^53", "sorted", "reversed", "nan"}) {
+    for (double eps : {0.005, 0.01, 0.003, 0.0001}) {
+      for (uint64_t seed : {1u, 2u}) {
+        for (bool bulk : {false, true}) {
+          SCOPED_TRACE(std::string(kind) + " eps=" + std::to_string(eps) +
+                       " seed=" + std::to_string(seed) +
+                       (bulk ? " bulk" : " one at a time"));
+          Rng rng(seed * 7919 + static_cast<uint64_t>(eps * 1e6));
+          const std::vector<double> stream =
+              ParityStream(kind, 4000 + rng.NextUint64(12000), rng);
+          GkQuantileSketch main(eps), side(eps);
+          reference::GkSketch main_ref(eps), side_ref(eps);
+          for (size_t i = 0; i < stream.size();) {
+            size_t len = std::min<size_t>(bulk ? 1 + rng.NextUint64(600) : 1,
+                                          stream.size() - i);
+            while (bulk && i + len < stream.size() &&
+                   std::isnan(stream[i + len])) {
+              ++len;
+            }
+            const bool to_side = rng.NextBool(0.3);
+            GkQuantileSketch& sketch = to_side ? side : main;
+            reference::GkSketch& ref = to_side ? side_ref : main_ref;
+            if (bulk) {
+              sketch.Insert(stream.data() + i, len);
+            } else {
+              sketch.Insert(stream[i]);
+            }
+            for (size_t j = i; j < i + len; ++j) ref.Insert(stream[j]);
+            i += len;
+            if (rng.NextUint64(bulk ? 3 : 300) != 0 || main.count() == 0) {
+              continue;
+            }
+            switch (rng.NextUint64(5)) {
+              case 0: {
+                const double phi = rng.NextDouble();
+                ASSERT_EQ(Bits(main.Quantile(phi)),
+                          Bits(main_ref.Quantile(phi)));
+                break;
+              }
+              case 1:
+                ASSERT_EQ(main.NumTuples(), main_ref.tuples().size());
+                break;
+              case 2:
+                main.Merge(side);
+                main_ref.Merge(side_ref);
+                ASSERT_TRUE(SameSummary(side, side_ref));
+                break;
+              case 3:
+                ASSERT_EQ(Bits(main.ExtractBoundaries(64)),
+                          Bits(main_ref.ExtractBoundaries(64)));
+                break;
+              default:
+                ASSERT_TRUE(SameSummary(main, main_ref));
+                break;
+            }
+          }
+          main.Merge(side);
+          main_ref.Merge(side_ref);
+          ASSERT_TRUE(SameSummary(main, main_ref));
+          ASSERT_EQ(Bits(main.ExtractBoundaries(64)),
+                    Bits(main_ref.ExtractBoundaries(64)));
+          // A merge into an empty sketch copies the flushed summary.
+          GkQuantileSketch copy(eps);
+          reference::GkSketch copy_ref(eps);
+          copy.Merge(main);
+          copy_ref.Merge(main_ref);
+          ASSERT_TRUE(SameSummary(copy, copy_ref));
+        }
+      }
+    }
+  }
+}
+
 // --- HyperLogLog -------------------------------------------------------------
+
+TEST(HllTest, EstimateMatchesLdexpSumBitForBit) {
+  Rng rng(17);
+  for (int precision : {4, 5, 6, 12, 14}) {
+    for (int n : {0, 3, 40, 2000, 200000}) {
+      HyperLogLog hll(precision);
+      reference::HllSketch ref(precision);
+      for (int i = 0; i < n; ++i) {
+        const uint64_t h = rng.Next();
+        hll.Add(h);
+        ref.Add(h);
+      }
+      EXPECT_EQ(Bits(hll.Estimate()), Bits(ref.Estimate()))
+          << "precision=" << precision << " n=" << n;
+    }
+  }
+}
 
 class HllAccuracyTest : public ::testing::TestWithParam<int> {};
 
@@ -293,6 +462,31 @@ TEST(ColumnStatsTest, MergeMatchesSingleStream) {
   EXPECT_NEAR(merged.ndv, single.ndv, single.ndv * 0.02 + 1);
   EXPECT_EQ(merged.min_value, single.min_value);
   EXPECT_EQ(merged.max_value, single.max_value);
+}
+
+TEST(StatsOptionsTest, OutOfRangeFieldsAreNamed) {
+  EXPECT_TRUE(ValidateStatsOptions(StatsOptions()).ok());
+  auto code_and_field = [](StatsOptions options, const char* field) {
+    const Status st = ValidateStatsOptions(options);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << field;
+    EXPECT_NE(st.message().find(field), std::string::npos) << st.message();
+  };
+  for (double eps : {0.0, -0.1, 0.5, 2.0,
+                     std::numeric_limits<double>::quiet_NaN()}) {
+    StatsOptions options;
+    options.gk_epsilon = eps;
+    code_and_field(options, "gk_epsilon");
+  }
+  for (int precision : {3, 19, 20}) {
+    StatsOptions options;
+    options.hll_precision = precision;
+    code_and_field(options, "hll_precision");
+  }
+  for (int buckets : {0, -4, 65537}) {
+    StatsOptions options;
+    options.histogram_buckets = buckets;
+    code_and_field(options, "histogram_buckets");
+  }
 }
 
 TEST(TableStatsTest, BuilderCollectsSelectedColumns) {

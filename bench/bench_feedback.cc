@@ -95,7 +95,7 @@ void AddTable(Engine* engine, const std::string& name, const Schema& schema,
               const std::vector<Row>& rows,
               const std::vector<std::string>& stats_columns) {
   auto t = std::make_shared<Table>(name, schema, engine->cluster().num_nodes);
-  for (const Row& row : rows) t->AppendRow(row);
+  for (const Row& row : rows) DYNOPT_CHECK(t->AppendRow(row).ok());
   DYNOPT_CHECK(engine->catalog().RegisterTable(t).ok());
   DYNOPT_CHECK(engine->CollectBaseStats(name, stats_columns).ok());
 }

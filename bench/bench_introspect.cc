@@ -174,7 +174,8 @@ void LoadSkewTables(Engine* engine) {
         engine->cluster().num_nodes);
     DYNOPT_CHECK(t->SetPartitionKey({"k"}).ok());
     for (int i = 0; i < rows; ++i) {
-      t->AppendRow({Value(rng.NextInt64(0, 99)), Value(rng.NextInt64(0, 9))});
+      const Row row = {Value(rng.NextInt64(0, 99)), Value(rng.NextInt64(0, 9))};
+      DYNOPT_CHECK(t->AppendRow(row).ok());
     }
     DYNOPT_CHECK(engine->catalog().RegisterTable(t).ok());
     DYNOPT_CHECK(engine->CollectBaseStats(name, {"k", "v"}).ok());

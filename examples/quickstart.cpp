@@ -30,8 +30,9 @@ Status RunQuickstart() {
       engine.cluster().num_nodes);
   DYNOPT_RETURN_IF_ERROR(users->SetPartitionKey({"id"}));
   for (int64_t i = 0; i < 1000; ++i) {
-    users->AppendRow({Value(i), Value("user_" + std::to_string(i)),
-                      Value(i % 7 == 0 ? "DE" : "US")});
+    DYNOPT_RETURN_IF_ERROR(
+        users->AppendRow({Value(i), Value("user_" + std::to_string(i)),
+                          Value(i % 7 == 0 ? "DE" : "US")}));
   }
   DYNOPT_RETURN_IF_ERROR(engine.catalog().RegisterTable(users));
 
@@ -43,8 +44,8 @@ Status RunQuickstart() {
       engine.cluster().num_nodes);
   DYNOPT_RETURN_IF_ERROR(orders->SetPartitionKey({"order_id"}));
   for (int64_t i = 0; i < 10000; ++i) {
-    orders->AppendRow(
-        {Value(i), Value(i % 1000), Value(static_cast<double>(i % 500))});
+    DYNOPT_RETURN_IF_ERROR(orders->AppendRow(
+        {Value(i), Value(i % 1000), Value(static_cast<double>(i % 500))}));
   }
   DYNOPT_RETURN_IF_ERROR(engine.catalog().RegisterTable(orders));
 

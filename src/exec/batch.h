@@ -99,12 +99,13 @@ struct ColumnarDataset {
   }
 };
 
-/// Splits `rows` into batches of at most `max_batch_size` rows, inferring
-/// one ColumnKind per column and batch (kValues when a column mixes value
-/// types) and sizing each row with RowSizeBytes — the read side of the DRB
-/// file boundary.
+/// Splits `rows` into batches of at most `max_batch_size` rows, column c
+/// of every batch of kind `kinds[c]` — the kinds of the columns the rows
+/// were written from, so a chunk whose column is all NULL keeps its kind —
+/// and sizes each row with RowSizeBytes: the read side of the DRB file
+/// boundary. Every non-NULL value must have its column's type.
 std::vector<ColumnBatch> BatchesFromRows(const std::vector<Row>& rows,
-                                         size_t num_columns,
+                                         const std::vector<ColumnKind>& kinds,
                                          size_t max_batch_size);
 
 }  // namespace dynopt

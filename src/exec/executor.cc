@@ -191,13 +191,22 @@ uint64_t ProbeTable(const ColumnBatch& build, const JoinHashTable& table,
   return matches;
 }
 
-/// All of `rows` — a spill file read back — as one batch, with row sizes
-/// computed from the values (the file boundary is the only place the grace
-/// join holds rows).
-ColumnBatch BatchFromSpill(const std::vector<Row>& rows) {
+/// The kind of each column of `batch`.
+std::vector<ColumnKind> ColumnKinds(const ColumnBatch& batch) {
+  std::vector<ColumnKind> kinds;
+  kinds.reserve(batch.columns.size());
+  for (const ColumnVector& col : batch.columns) kinds.push_back(col.kind);
+  return kinds;
+}
+
+/// All of `rows` — a spill file written from a batch with column `kinds` —
+/// read back as one batch of the same kinds, with row sizes computed from
+/// the values (the file boundary is the only place the grace join holds
+/// rows).
+ColumnBatch BatchFromSpill(const std::vector<Row>& rows,
+                           const std::vector<ColumnKind>& kinds) {
   if (rows.empty()) return ColumnBatch();
-  return std::move(
-      BatchesFromRows(rows, rows[0].size(), rows.size())[0]);
+  return std::move(BatchesFromRows(rows, kinds, rows.size())[0]);
 }
 
 }  // namespace
@@ -860,6 +869,8 @@ Status JobExecutor::GraceJoinPartition(
   }
   build_sub.clear();
   probe_sub.clear();
+  const std::vector<ColumnKind> build_kinds = ColumnKinds(build);
+  const std::vector<ColumnKind> probe_kinds = ColumnKinds(probe);
 
   // Join each sub-partition pair: read both sides back, drop the files,
   // recurse (a still-oversized sub-partition splits again under a fresh
@@ -888,8 +899,9 @@ Status JobExecutor::GraceJoinPartition(
     const uint64_t next_salt = Mix64(
         salt ^ (0x9e3779b97f4a7c15ULL * static_cast<uint64_t>(k + 1)));
     Status st = GraceJoinPartition(
-        BatchFromSpill(sub_build.value()), BatchFromSpill(sub_probe.value()),
-        build_keys, probe_keys, depth + 1, next_salt, part, work, sink, stats);
+        BatchFromSpill(sub_build.value(), build_kinds),
+        BatchFromSpill(sub_probe.value(), probe_kinds), build_keys,
+        probe_keys, depth + 1, next_salt, part, work, sink, stats);
     if (!st.ok()) {
       cleanup();
       return st;
@@ -1381,6 +1393,17 @@ ValueType FirstValueType(const ColumnarDataset& data, size_t c) {
   return ValueType::kNull;
 }
 
+/// The kind of each column of `data`, which every non-empty batch of the
+/// column shares; empty when `data` has no rows.
+std::vector<ColumnKind> DatasetKinds(const ColumnarDataset& data) {
+  for (const auto& part : data.partitions) {
+    for (const ColumnBatch& b : part) {
+      if (b.num_rows > 0) return ColumnKinds(b);
+    }
+  }
+  return {};
+}
+
 }  // namespace
 
 Result<SinkResult> JobExecutor::Materialize(
@@ -1469,13 +1492,15 @@ Result<SinkResult> JobExecutor::Materialize(
   // Optionally round-trip each partition through the on-disk temp-file
   // format (the paper's intermediates are "stored in a temporary file").
   // The DRB format is row-oriented, so rows are built here, and the
-  // verified read-back replaces the partition's batches.
+  // verified read-back replaces the partition's batches, each column
+  // keeping its kind.
   // Under fault injection this is where corruption is *physical*: a byte of
   // the written file is flipped, the checksummed format detects it on
   // read-back (kDataCorruption), and the partition is re-materialized with
   // backoff — up to the retry budget, after which the sink fails fatally.
   if (cluster_.materialize_to_disk) {
     const bool inject = FaultsArmed();
+    const std::vector<ColumnKind> kinds = DatasetKinds(data);
     const BackoffPolicy& backoff = cluster_.fault.backoff;
     std::vector<Status> statuses(num_parts);
     std::vector<double> extra_seconds(num_parts, 0.0);
@@ -1499,7 +1524,7 @@ Result<SinkResult> JobExecutor::Materialize(
         }
         auto back = ReadRowsFile(path);
         if (back.ok()) {
-          data.partitions[p] = BatchesFromRows(back.value(), num_cols,
+          data.partitions[p] = BatchesFromRows(back.value(), kinds,
                                                cluster_.exec.max_batch_size);
           break;
         }

@@ -72,25 +72,10 @@ void CombineColumnHash(const ColumnVector& col, size_t n, uint64_t* out,
       }
       break;
     }
-    case ColumnKind::kValues: {
-      const Value* v = col.values.data();
-      for (size_t i = 0; i < n; ++i) {
-        if (v[i].is_null()) key_null[i] = 1;
-        out[i] = HashCombine(out[i], ValueHashInline(v[i]));
-      }
-      break;
-    }
   }
 }
 
 void MarkColumnNulls(const ColumnVector& col, size_t n, uint8_t* key_null) {
-  if (col.kind == ColumnKind::kValues) {
-    const Value* v = col.values.data();
-    for (size_t i = 0; i < n; ++i) {
-      if (v[i].is_null()) key_null[i] = 1;
-    }
-    return;
-  }
   if (col.validity.empty()) return;
   const uint8_t* valid = col.validity.data();
   for (size_t i = 0; i < n; ++i) {
@@ -114,34 +99,8 @@ inline bool NumericAt(const ColumnVector& col, size_t i, double* out) {
       return true;
     case ColumnKind::kString:
       return false;
-    case ColumnKind::kValues: {
-      const Value& v = col.values[i];
-      switch (v.type()) {
-        case ValueType::kInt64:
-          *out = static_cast<double>(v.AsInt64());
-          return true;
-        case ValueType::kDouble:
-          *out = v.AsDouble();
-          return true;
-        case ValueType::kBool:
-          *out = v.AsBool() ? 1.0 : 0.0;
-          return true;
-        default:
-          return false;
-      }
-    }
   }
   return false;
-}
-
-inline const std::string* StringAt(const ColumnVector& col, size_t i) {
-  if (col.IsNullAt(i)) return nullptr;
-  if (col.kind == ColumnKind::kString) return &col.dict->entry(col.codes[i]);
-  if (col.kind == ColumnKind::kValues &&
-      col.values[i].type() == ValueType::kString) {
-    return &col.values[i].AsStringUnchecked();
-  }
-  return nullptr;
 }
 
 /// An exact reserve() on every append would defeat std::vector's geometric
@@ -200,16 +159,11 @@ bool ColumnValueEqual(const ColumnVector& a, size_t i, const ColumnVector& b,
     // double; equality must mirror that exactly.
     return da == db;
   }
-  const std::string* sa = StringAt(a, i);
-  const std::string* sb = StringAt(b, j);
-  if (sa != nullptr && sb != nullptr) {
-    if (a.kind == ColumnKind::kString && b.kind == ColumnKind::kString &&
-        a.dict.get() == b.dict.get()) {
-      return a.codes[i] == b.codes[j];
-    }
-    return *sa == *sb;
+  if (a.kind != ColumnKind::kString || b.kind != ColumnKind::kString) {
+    return false;  // A string never equals a number.
   }
-  return a.ValueAt(i) == b.ValueAt(j);
+  if (a.dict.get() == b.dict.get()) return a.codes[i] == b.codes[j];
+  return a.dict->entry(a.codes[i]) == b.dict->entry(b.codes[j]);
 }
 
 void ProjectedRowSizes(const ColumnBatch& batch, const int* keep,
@@ -245,11 +199,6 @@ void ProjectedRowSizes(const ColumnBatch& batch, const int* keep,
         }
         break;
       }
-      case ColumnKind::kValues:
-        for (size_t i = 0; i < n; ++i) {
-          out[i] += ValueSizeBytesInline(col.values[i]);
-        }
-        break;
     }
   }
 }
@@ -298,11 +247,6 @@ void AddColumnToStats(const ColumnVector& col, const uint32_t* sel, size_t n,
     case ColumnKind::kString:
       out->AddStrings(col.codes.data(), col.dict->entries().data(),
                       col.dict->hashes().data(), rows);
-      return;
-    case ColumnKind::kValues:
-      for (size_t k = 0; k < n; ++k) {
-        out->Add(col.values[sel != nullptr ? sel[k] : k]);
-      }
       return;
   }
 }
@@ -362,10 +306,6 @@ ColumnBatch GatherBatch(const ColumnBatch& src, const uint32_t* sel,
         d.codes.resize(n);
         for (size_t k = 0; k < n; ++k) d.codes[k] = s.codes[sel[k]];
         break;
-      case ColumnKind::kValues:
-        d.values.reserve(n);
-        for (size_t k = 0; k < n; ++k) d.values.push_back(s.values[sel[k]]);
-        break;
     }
     if (!s.validity.empty()) {
       d.validity.resize(n);
@@ -386,21 +326,6 @@ void AppendGatherColumn(ColumnVector* dst, const ColumnVector& src,
     dst->kind = src.kind;
     dst->dict = src.kind == ColumnKind::kString ? src.dict : nullptr;
     dst->validity.clear();
-    dst->values.clear();
-  }
-  if (dst->kind != src.kind) dst->PromoteToValues();
-  if (dst->kind == ColumnKind::kValues) {
-    ReserveAppend(&dst->values, old_rows + n);
-    if (src.kind == ColumnKind::kValues) {
-      for (size_t k = 0; k < n; ++k) {
-        dst->values.push_back(src.values[sel[k]]);
-      }
-    } else {
-      for (size_t k = 0; k < n; ++k) {
-        dst->values.push_back(src.ValueAt(sel[k]));
-      }
-    }
-    return;
   }
   switch (dst->kind) {
     case ColumnKind::kInt64:
@@ -444,8 +369,6 @@ void AppendGatherColumn(ColumnVector* dst, const ColumnVector& src,
         }
       }
       break;
-    case ColumnKind::kValues:
-      break;  // Handled above.
   }
   AppendValidity(dst, old_rows, src, sel, n);
 }
@@ -464,10 +387,10 @@ ColumnBatch ConcatBatches(const std::vector<ColumnBatch>& batches) {
   out.row_sizes.reserve(total);
   std::vector<uint32_t> identity;  // built lazily — slow path only
   for (size_t c = 0; c < num_cols; ++c) {
-    // When every non-empty batch agrees on the column's layout (same kind
-    // and, for strings, the very same dictionary — the common case, since
-    // a partition's batches come from one producer), the concat is a bulk
-    // range copy instead of a per-element gather.
+    // When a string column's batches all share one dictionary (the
+    // common case, since a partition's batches come from one producer) —
+    // and always for the other kinds — the concat is a bulk range copy
+    // instead of a per-element gather that merges dictionaries.
     const ColumnVector* proto = nullptr;
     bool uniform = true;
     bool any_validity = false;
@@ -477,9 +400,7 @@ ColumnBatch ConcatBatches(const std::vector<ColumnBatch>& batches) {
       if (!s.validity.empty()) any_validity = true;
       if (proto == nullptr) {
         proto = &s;
-      } else if (s.kind != proto->kind ||
-                 (s.kind == ColumnKind::kString &&
-                  s.dict.get() != proto->dict.get())) {
+      } else if (s.dict.get() != proto->dict.get()) {
         uniform = false;
       }
     }
@@ -507,10 +428,6 @@ ColumnBatch ConcatBatches(const std::vector<ColumnBatch>& batches) {
           case ColumnKind::kString:
             if (d.codes.empty()) d.codes.reserve(total);
             d.codes.insert(d.codes.end(), s.codes.begin(), s.codes.end());
-            break;
-          case ColumnKind::kValues:
-            if (d.values.empty()) d.values.reserve(total);
-            d.values.insert(d.values.end(), s.values.begin(), s.values.end());
             break;
         }
         if (any_validity) {
@@ -737,7 +654,7 @@ void EvalScalar(const PNode& node, const ColumnBatch& batch,
 
 /// Numeric double view of an operand: fills vals/nulls (length n) and
 /// returns true when the operand is statically numeric (typed numeric
-/// column or numeric constant). kValues columns and non-numeric constants
+/// column or numeric constant). String columns and non-numeric constants
 /// fall back to the generic Value path.
 bool FillNumeric(const ScalarOperand& op, size_t n, std::vector<double>* vals,
                  std::vector<uint8_t>* nulls) {

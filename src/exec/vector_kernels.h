@@ -74,10 +74,9 @@ ColumnBatch SliceBatch(const ColumnBatch& src, size_t begin, size_t n,
                        const int* keep, size_t num_keep);
 
 /// Feeds `n` values of `col` to `out` in row order: rows sel[0..n) when
-/// `sel` is non-null, rows [0, n) otherwise. Equivalent to
-/// out->Add(col.ValueAt(i)) per row; typed columns go through the
-/// builder's bulk adds (string columns with the dictionary's cached
-/// hashes), so only the mixed-type kValues layout adds Value by Value.
+/// `sel` is non-null, rows [0, n) otherwise, through the builder's typed
+/// bulk add for the column's kind (string columns with the dictionary's
+/// cached hashes). Equivalent to out->Add(col.ValueAt(i)) per row.
 void AddColumnToStats(const ColumnVector& col, const uint32_t* sel, size_t n,
                       ColumnStatsBuilder* out);
 
@@ -101,15 +100,15 @@ ColumnBatch GatherBatch(const ColumnBatch& src, const uint32_t* sel,
                         size_t n);
 
 /// Concatenates all batches of one partition into a single batch (used by
-/// the join build side so hash-table entries index a flat row space).
-/// String dictionaries are merged via cached-hash interning.
+/// the join build side so hash-table entries index a flat row space). The
+/// batches' columns must agree in kind; string columns on different
+/// dictionaries are merged via cached-hash interning.
 ColumnBatch ConcatBatches(const std::vector<ColumnBatch>& batches);
 
 /// Accumulates gathered rows into fixed-capacity output batches
-/// (max_batch_size rows each), adapting destination column kinds to the
-/// sources (mixed-kind sources promote a column to kValues; string columns
-/// merge dictionaries). Shuffle scatter and join emission funnel through
-/// this sink.
+/// (max_batch_size rows each); each destination column takes its source's
+/// kind, and string columns merge dictionaries. Shuffle scatter and join
+/// emission funnel through this sink.
 class BatchSink {
  public:
   BatchSink(size_t num_columns, size_t max_batch_size,
@@ -145,10 +144,10 @@ class BatchSink {
   uint64_t rows_appended_ = 0;
 };
 
-/// Appends src[sel[0..n)] to `dst`, adapting dst's kind (first append
-/// adopts the source layout and shares its dictionary; later kind
-/// mismatches promote dst to kValues; dictionary mismatches intern via the
-/// source's cached hashes). Exposed for the sink and for tests.
+/// Appends src[sel[0..n)] to `dst`. The first append adopts the source's
+/// kind and shares its dictionary; later sources must have the same kind,
+/// and a string source on another dictionary interns via its cached
+/// hashes. Exposed for the sink and for tests.
 void AppendGatherColumn(ColumnVector* dst, const ColumnVector& src,
                         const uint32_t* sel, size_t n);
 

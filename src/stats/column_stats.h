@@ -74,7 +74,8 @@ class ColumnStatsBuilder {
  public:
   explicit ColumnStatsBuilder(const StatsOptions& options = StatsOptions());
 
-  /// One value (the mixed-type kValues layout and row-at-a-time callers).
+  /// One value: the row-at-a-time oracle the typed bulk adds must match
+  /// (TableStatsBuilder::AddRow and the tests).
   void Add(const Value& v);
   void AddInt64s(const int64_t* values, const ColumnRows& rows);
   void AddDoubles(const double* values, const ColumnRows& rows);

@@ -14,78 +14,30 @@ ColumnKind TypedKindFor(ValueType t) {
     case ValueType::kString:
       return ColumnKind::kString;
   }
-  return ColumnKind::kValues;
+  return ColumnKind::kInt64;
 }
 
 void ColumnVector::Append(const Value& v) {
-  if (kind == ColumnKind::kValues) {
-    values.push_back(v);
-    return;
-  }
-  const ValueType t = v.type();
-  if (t == ValueType::kNull) {
+  const bool null = v.is_null();
+  if (null || !validity.empty()) {
+    // The first NULL makes every earlier row explicitly valid.
     if (validity.empty()) validity.assign(size(), 1);
-    switch (kind) {
-      case ColumnKind::kInt64:
-        i64.push_back(0);
-        break;
-      case ColumnKind::kDouble:
-        f64.push_back(0);
-        break;
-      case ColumnKind::kBool:
-        b8.push_back(0);
-        break;
-      case ColumnKind::kString:
-        codes.push_back(0);
-        break;
-      case ColumnKind::kValues:
-        break;
-    }
-    validity.push_back(0);
-    return;
+    validity.push_back(null ? 0 : 1);
   }
   switch (kind) {
     case ColumnKind::kInt64:
-      if (t != ValueType::kInt64) break;
-      i64.push_back(v.AsInt64());
-      if (!validity.empty()) validity.push_back(1);
-      return;
+      i64.push_back(null ? 0 : v.AsInt64());
+      break;
     case ColumnKind::kDouble:
-      if (t != ValueType::kDouble) break;
-      f64.push_back(v.AsDouble());
-      if (!validity.empty()) validity.push_back(1);
-      return;
+      f64.push_back(null ? 0 : v.AsDouble());
+      break;
     case ColumnKind::kBool:
-      if (t != ValueType::kBool) break;
-      b8.push_back(v.AsBool() ? 1 : 0);
-      if (!validity.empty()) validity.push_back(1);
-      return;
+      b8.push_back(!null && v.AsBool() ? 1 : 0);
+      break;
     case ColumnKind::kString:
-      if (t != ValueType::kString) break;
-      codes.push_back(dict->Intern(v.AsStringUnchecked()));
-      if (!validity.empty()) validity.push_back(1);
-      return;
-    case ColumnKind::kValues:
+      codes.push_back(null ? 0 : dict->Intern(v.AsStringUnchecked()));
       break;
   }
-  PromoteToValues();
-  values.push_back(v);
-}
-
-void ColumnVector::PromoteToValues() {
-  if (kind == ColumnKind::kValues) return;
-  const size_t n = size();
-  std::vector<Value> promoted;
-  promoted.reserve(n);
-  for (size_t i = 0; i < n; ++i) promoted.push_back(ValueAt(i));
-  kind = ColumnKind::kValues;
-  values = std::move(promoted);
-  i64.clear();
-  f64.clear();
-  b8.clear();
-  codes.clear();
-  dict.reset();
-  validity.clear();
 }
 
 ColumnVector ColumnVector::Slice(size_t begin, size_t n) const {
@@ -105,9 +57,6 @@ ColumnVector ColumnVector::Slice(size_t begin, size_t n) const {
     case ColumnKind::kString:
       out.dict = dict;
       out.codes.assign(codes.begin() + begin, codes.begin() + end);
-      break;
-    case ColumnKind::kValues:
-      out.values.assign(values.begin() + begin, values.begin() + end);
       break;
   }
   if (!validity.empty()) {

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "common/hash.h"
-#include "common/row_kernels.h"
 #include "common/value.h"
 
 namespace dynopt {
@@ -17,10 +16,9 @@ namespace dynopt {
 /// A ColumnBatch holds rows as typed column vectors: int64, double and bool
 /// columns are flat arrays; string columns are dictionary-encoded (codes
 /// into a StringDict that caches each entry's hash and byte size, so
-/// hashing/sizing a string value is an array load instead of an FNV walk);
-/// columns whose values mix types — possible because rows are dynamically
-/// typed — fall back to a Value-per-row representation that round-trips
-/// exactly.
+/// hashing/sizing a string value is an array load instead of an FNV walk).
+/// A column's kind is fixed by its schema field's type: every non-NULL
+/// value in it has that type (Table::AppendRow rejects any other).
 ///
 /// Every batch carries per-row cost-model byte sizes (`row_sizes`: 8-byte
 /// row header + value sizes, i.e. RowSizeBytes of the row), so network and
@@ -33,7 +31,6 @@ enum class ColumnKind : uint8_t {
   kDouble,  ///< Flat double array (+ optional validity).
   kBool,    ///< Flat byte array, 0/1 (+ optional validity).
   kString,  ///< Dictionary codes into a shared StringDict (+ validity).
-  kValues,  ///< Mixed-type fallback: one Value per row (exact round-trip).
 };
 
 /// The typed layout for values of type `t`. NULL-only data (kNull) gets an
@@ -113,8 +110,7 @@ class StringDict {
 
 /// One typed column of a batch. Exactly one payload vector (per `kind`) is
 /// populated; `validity` is empty when every row is non-NULL, otherwise one
-/// byte per row (1 = valid). kValues columns encode NULL in the Value
-/// itself and keep validity empty.
+/// byte per row (1 = valid).
 struct ColumnVector {
   ColumnKind kind = ColumnKind::kInt64;
   std::vector<int64_t> i64;
@@ -122,7 +118,6 @@ struct ColumnVector {
   std::vector<uint8_t> b8;
   std::vector<uint32_t> codes;
   std::shared_ptr<StringDict> dict;
-  std::vector<Value> values;
   std::vector<uint8_t> validity;
 
   size_t size() const {
@@ -135,14 +130,11 @@ struct ColumnVector {
         return b8.size();
       case ColumnKind::kString:
         return codes.size();
-      case ColumnKind::kValues:
-        return values.size();
     }
     return 0;
   }
 
   bool IsNullAt(size_t i) const {
-    if (kind == ColumnKind::kValues) return values[i].is_null();
     return !validity.empty() && validity[i] == 0;
   }
 
@@ -158,8 +150,6 @@ struct ColumnVector {
         return ValueType::kBool;
       case ColumnKind::kString:
         return ValueType::kString;
-      case ColumnKind::kValues:
-        return values[i].type();
     }
     return ValueType::kNull;
   }
@@ -177,32 +167,12 @@ struct ColumnVector {
         return Value(b8[i] != 0);
       case ColumnKind::kString:
         return Value(dict->entry(codes[i]));
-      case ColumnKind::kValues:
-        return values[i];
     }
     return Value::Null();
   }
 
-  /// Hash of row i's value; bit-identical to ValueHashInline(ValueAt(i)).
-  uint64_t HashAt(size_t i) const {
-    if (IsNullAt(i)) return 0x9ae16a3b2f90404fULL;
-    switch (kind) {
-      case ColumnKind::kInt64:
-        return Mix64(static_cast<uint64_t>(i64[i]));
-      case ColumnKind::kDouble:
-        return HashDouble(f64[i]);
-      case ColumnKind::kBool:
-        return Mix64(b8[i] != 0 ? 1 : 0);
-      case ColumnKind::kString:
-        return dict->hash(codes[i]);
-      case ColumnKind::kValues:
-        return ValueHashInline(values[i]);
-    }
-    return 0;
-  }
-
   /// Cost-model byte size of row i's value; identical to
-  /// ValueSizeBytesInline(ValueAt(i)).
+  /// ValueAt(i).SizeBytes().
   uint64_t SizeAt(size_t i) const {
     if (IsNullAt(i)) return 1;
     switch (kind) {
@@ -213,21 +183,16 @@ struct ColumnVector {
         return 1;
       case ColumnKind::kString:
         return dict->size_bytes(codes[i]);
-      case ColumnKind::kValues:
-        return ValueSizeBytesInline(values[i]);
     }
     return 1;
   }
 
-  /// Appends one value, keeping the typed layout while every non-NULL value
-  /// matches `kind` (NULLs go to validity; strings intern into `dict`, which
-  /// must be set for kString). The first mismatching value converts the
-  /// column to kValues. The load path of table storage.
+  /// Appends one value: NULL into validity, anything else into the typed
+  /// payload (strings intern into `dict`, which must be set for kString).
+  /// A non-NULL value must have the column's type; Table::AppendRow checks
+  /// that before appending. The load path of table storage and of the DRB
+  /// read-back (BatchesFromRows).
   void Append(const Value& v);
-
-  /// Converts a typed column to the kValues fallback in place (kind
-  /// mismatches during appends and multi-source gathers).
-  void PromoteToValues();
 
   /// Rows [begin, begin + n) as a fresh column: typed payloads and validity
   /// are range copies; string columns share this column's dictionary.

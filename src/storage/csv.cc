@@ -1,5 +1,7 @@
 #include "storage/csv.h"
 
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -52,18 +54,29 @@ Result<Value> ParseCsvCell(const std::string& cell, ValueType type,
     case ValueType::kInt64: {
       if (cell.empty()) return Value::Null();
       char* end = nullptr;
+      errno = 0;
       long long v = std::strtoll(cell.c_str(), &end, 10);
       if (end == nullptr || *end != '\0') {
         return Status::InvalidArgument("bad int cell '" + cell + "'");
+      }
+      if (errno == ERANGE) {
+        return Status::InvalidArgument("int cell '" + cell + "' out of range");
       }
       return Value(static_cast<int64_t>(v));
     }
     case ValueType::kDouble: {
       if (cell.empty()) return Value::Null();
       char* end = nullptr;
+      errno = 0;
       double v = std::strtod(cell.c_str(), &end);
       if (end == nullptr || *end != '\0') {
         return Status::InvalidArgument("bad double cell '" + cell + "'");
+      }
+      // ERANGE also flags underflow, which keeps its (zero or subnormal)
+      // value; only a finite literal rounding to infinity is rejected.
+      if (errno == ERANGE && std::isinf(v)) {
+        return Status::InvalidArgument("double cell '" + cell +
+                                       "' out of range");
       }
       return Value(v);
     }
@@ -76,6 +89,10 @@ Result<std::shared_ptr<Table>> LoadCsvTable(const std::string& name,
                                             const std::string& path,
                                             size_t num_partitions,
                                             const CsvOptions& options) {
+  if (num_partitions == 0) {
+    return Status::InvalidArgument("CSV table " + name +
+                                   " needs at least one partition");
+  }
   std::FILE* f = std::fopen(path.c_str(), "r");
   if (f == nullptr) {
     return Status::NotFound("cannot open CSV file " + path);
@@ -107,19 +124,19 @@ Result<std::shared_ptr<Table>> LoadCsvTable(const std::string& name,
           std::to_string(schema.num_fields()) + " cells, got " +
           std::to_string(cells.size()));
     }
+    auto at_line = [&](const Status& st) {
+      return Status(st.code(), path + ":" + std::to_string(line_number) +
+                                   ": " + st.message());
+    };
     Row row;
     row.reserve(cells.size());
     for (size_t c = 0; c < cells.size(); ++c) {
       auto value = ParseCsvCell(cells[c], schema.field(c).type, options);
-      if (!value.ok()) {
-        return Status::InvalidArgument(path + ":" +
-                                       std::to_string(line_number) + ": " +
-                                       value.status().message());
-      }
+      if (!value.ok()) return at_line(value.status());
       row.push_back(std::move(value).value());
     }
-    table->AppendRow(std::move(row));
-    return Status::OK();
+    Status appended = table->AppendRow(row);
+    return appended.ok() ? appended : at_line(appended);
   };
 
   Status status = Status::OK();

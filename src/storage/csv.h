@@ -30,13 +30,16 @@ std::vector<std::string> SplitCsvLine(const std::string& line,
                                       char delimiter);
 
 /// Converts a cell to a Value of `type`; empty non-string cells and the
-/// null token map to NULL. Fails on malformed numerics.
+/// null token map to NULL. Fails on malformed numerics, on an int64 cell
+/// outside int64's range and on a finite double cell that overflows to
+/// infinity (underflow keeps its value).
 Result<Value> ParseCsvCell(const std::string& cell, ValueType type,
                            const CsvOptions& options);
 
 /// Loads `path` into a new table named `name` with the given schema,
-/// hash-partitioned across `num_partitions`. The caller registers the
-/// result with a Catalog. Cell count must match the schema on every line.
+/// hash-partitioned across `num_partitions` (at least 1). The caller
+/// registers the result with a Catalog. Cell count must match the schema
+/// on every line; errors about a line are prefixed with `path:line`.
 Result<std::shared_ptr<Table>> LoadCsvTable(const std::string& name,
                                             const Schema& schema,
                                             const std::string& path,

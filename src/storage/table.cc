@@ -69,8 +69,22 @@ void Table::OpenLoadRun(Partition* part) {
   part->load_run_open = true;
 }
 
-void Table::AppendRow(const Row& row) {
-  DYNOPT_CHECK(row.size() == schema_.num_fields());
+Status Table::AppendRow(const Row& row) {
+  if (row.size() != schema_.num_fields()) {
+    return Status::InvalidArgument(
+        "row of " + std::to_string(row.size()) + " values appended to " +
+        name_ + ", which has " + std::to_string(schema_.num_fields()) +
+        " columns");
+  }
+  for (size_t c = 0; c < row.size(); ++c) {
+    const ValueType expected = schema_.field(c).type;
+    const ValueType actual = row[c].type();
+    if (actual != expected && actual != ValueType::kNull) {
+      return Status::InvalidArgument(
+          "column " + name_ + "." + schema_.field(c).name + " expects " +
+          ValueTypeName(expected) + ", got " + ValueTypeName(actual));
+    }
+  }
   size_t target;
   if (!partition_key_indices_.empty()) {
     target = static_cast<size_t>(HashRowKey(row, partition_key_indices_) %
@@ -89,6 +103,7 @@ void Table::AppendRow(const Row& row) {
   part.bytes += size;
   ++num_rows_;
   total_bytes_ += size;
+  return Status::OK();
 }
 
 void Table::AppendBatches(size_t partition,

@@ -72,9 +72,10 @@ class Table {
 
   /// Appends one row to its home partition — the load API. Values go into
   /// the partition's open run column by column: NULLs into validity,
-  /// strings into the column's shared dictionary, and a column whose values
-  /// mix types falls back to kValues.
-  void AppendRow(const Row& row);
+  /// strings into the column's shared dictionary. A row whose arity differs
+  /// from the schema, or with a non-NULL value whose type is not its
+  /// field's, is rejected with kInvalidArgument before anything changes.
+  Status AppendRow(const Row& row);
 
   /// Moves finished batches onto the end of `partition` as new runs (the
   /// materialization sink, so the producing node's placement — and any

@@ -30,7 +30,7 @@ std::shared_ptr<Table> MakeTable(const std::string& name,
   return std::make_shared<Table>(name, Schema(std::move(fields)), 1);
 }
 
-std::shared_ptr<Table> BuildMetrics(Engine* engine) {
+Result<std::shared_ptr<Table>> BuildMetrics(Engine* engine) {
   auto table = MakeTable("sys.metrics", {{"kind", ValueType::kString},
                                          {"name", ValueType::kString},
                                          {"value", ValueType::kInt64},
@@ -39,8 +39,9 @@ std::shared_ptr<Table> BuildMetrics(Engine* engine) {
                                          {"p90", ValueType::kInt64},
                                          {"p99", ValueType::kInt64}});
   for (const MetricSample& m : engine->metrics_registry().Samples()) {
-    table->AppendRow({S(m.kind), S(m.name), I(m.value), I(m.sum), I(m.p50),
-                      I(m.p90), I(m.p99)});
+    DYNOPT_RETURN_IF_ERROR(
+        table->AppendRow({S(m.kind), S(m.name), I(m.value), I(m.sum), I(m.p50),
+                          I(m.p90), I(m.p99)}));
   }
   return table;
 }
@@ -53,8 +54,8 @@ Value MetricValue(T v) {
   return I(v);
 }
 
-void AppendQueryRow(Table* table, const ArchivedQuery& q,
-                    const std::string& status) {
+Status AppendQueryRow(Table* table, const ArchivedQuery& q,
+                      const std::string& status) {
   Row row = {I(q.query_id), S(q.label), S(q.optimizer), S(status),
              S(q.priority), D(q.queue_wait_seconds), D(q.wall_seconds),
              S(q.fingerprint), S(q.critical_path), B(q.regressed),
@@ -62,10 +63,10 @@ void AppendQueryRow(Table* table, const ArchivedQuery& q,
   VisitMetricFields(
       [&](const MetricField&, auto v) { row.push_back(MetricValue(v)); },
       q.metrics);
-  table->AppendRow(row);
+  return table->AppendRow(row);
 }
 
-std::shared_ptr<Table> BuildQueries(Engine* engine) {
+Result<std::shared_ptr<Table>> BuildQueries(Engine* engine) {
   // Identity columns, then one column per ExecMetrics field.
   std::vector<Field> fields = {{"query_id", ValueType::kInt64},
                                {"label", ValueType::kString},
@@ -93,15 +94,15 @@ std::shared_ptr<Table> BuildQueries(Engine* engine) {
     q.optimizer = a.optimizer;
     q.fingerprint = a.fingerprint;
     q.priority = a.priority;
-    AppendQueryRow(table.get(), q, "running");
+    DYNOPT_RETURN_IF_ERROR(AppendQueryRow(table.get(), q, "running"));
   }
   for (const ArchivedQuery& q : archive->Snapshot()) {
-    AppendQueryRow(table.get(), q, "completed");
+    DYNOPT_RETURN_IF_ERROR(AppendQueryRow(table.get(), q, "completed"));
   }
   return table;
 }
 
-std::shared_ptr<Table> BuildAdmission(Engine* engine) {
+Result<std::shared_ptr<Table>> BuildAdmission(Engine* engine) {
   auto table =
       MakeTable("sys.admission", {{"priority", ValueType::kString},
                                   {"queued", ValueType::kInt64},
@@ -118,35 +119,38 @@ std::shared_ptr<Table> BuildAdmission(Engine* engine) {
   // engine-wide and repeat on every row (one row per priority class).
   for (int p = kNumQueryPriorities - 1; p >= 0; --p) {
     const auto prio = static_cast<QueryPriority>(p);
-    table->AppendRow(
+    DYNOPT_RETURN_IF_ERROR(table->AppendRow(
         {S(QueryPriorityName(prio)), I(ac.queued_in_class(prio)),
          I(ac.running()), I(reg.counter("admission.admitted")->value()),
          I(reg.counter("admission.shed")->value()),
          I(reg.counter("admission.rejected")->value()),
          I(reg.counter("admission.timeouts")->value()),
          I(reg.counter("admission.degraded_memory")->value()),
-         I(reg.counter("admission.degraded_strategy")->value())});
+         I(reg.counter("admission.degraded_strategy")->value())}));
   }
   return table;
 }
 
-std::shared_ptr<Table> BuildMemory(Engine* engine) {
+Result<std::shared_ptr<Table>> BuildMemory(Engine* engine) {
   auto table = MakeTable("sys.memory", {{"label", ValueType::kString},
                                         {"depth", ValueType::kInt64},
                                         {"parent", ValueType::kString},
                                         {"used_bytes", ValueType::kInt64},
                                         {"peak_bytes", ValueType::kInt64},
                                         {"budget_bytes", ValueType::kInt64}});
+  Status status;
   engine->memory().VisitTree([&](const MemoryTracker& t, int depth) {
-    table->AppendRow(
+    if (!status.ok()) return;
+    status = table->AppendRow(
         {S(t.label()), I(depth),
          S(t.parent() != nullptr ? t.parent()->label() : std::string()),
          I(t.used()), I(t.peak()), I(t.budget())});
   });
+  DYNOPT_RETURN_IF_ERROR(status);
   return table;
 }
 
-std::shared_ptr<Table> BuildErrorStats(Engine* engine) {
+Result<std::shared_ptr<Table>> BuildErrorStats(Engine* engine) {
   auto table = MakeTable("sys.error_stats", {{"key", ValueType::kString},
                                              {"count", ValueType::kInt64},
                                              {"geo_mean_q", ValueType::kDouble},
@@ -154,12 +158,13 @@ std::shared_ptr<Table> BuildErrorStats(Engine* engine) {
   ErrorStatsStore* store = EngineErrorStats(engine);
   if (store == nullptr) return table;  // risk.use_error_store off: empty.
   for (const auto& [key, e] : store->Entries()) {
-    table->AppendRow({S(key), I(e.count), D(e.GeoMeanQ()), D(e.max_q)});
+    DYNOPT_RETURN_IF_ERROR(
+        table->AppendRow({S(key), I(e.count), D(e.GeoMeanQ()), D(e.max_q)}));
   }
   return table;
 }
 
-std::shared_ptr<Table> BuildSketches(Engine* engine) {
+Result<std::shared_ptr<Table>> BuildSketches(Engine* engine) {
   auto table =
       MakeTable("sys.sketches", {{"table_name", ValueType::kString},
                                  {"column_name", ValueType::kString},
@@ -178,14 +183,15 @@ std::shared_ptr<Table> BuildSketches(Engine* engine) {
     const std::string col = key.substr(bar + 1);
     auto sk = sketches.Get(tbl, col);
     if (sk == nullptr) continue;  // Removed since Keys(); skip.
-    table->AppendRow({S(tbl), S(col), I(sk->rows), I(sk->null_keys),
-                      I(sk->bloom.SizeBytes()), I(sk->agms.depth()),
-                      I(sk->agms.width())});
+    DYNOPT_RETURN_IF_ERROR(
+        table->AppendRow({S(tbl), S(col), I(sk->rows), I(sk->null_keys),
+                          I(sk->bloom.SizeBytes()), I(sk->agms.depth()),
+                          I(sk->agms.width())}));
   }
   return table;
 }
 
-std::shared_ptr<Table> BuildDecisions(Engine* engine) {
+Result<std::shared_ptr<Table>> BuildDecisions(Engine* engine) {
   auto table =
       MakeTable("sys.decisions", {{"query_id", ValueType::kInt64},
                                   {"decision_id", ValueType::kInt64},
@@ -203,10 +209,11 @@ std::shared_ptr<Table> BuildDecisions(Engine* engine) {
   for (const ArchivedQuery& q : archive->Snapshot()) {
     if (q.profile == nullptr) continue;
     for (const PlanDecision& d : q.profile->decisions.decisions()) {
-      table->AppendRow({I(q.query_id), I(d.id), S(d.point), S(d.chosen),
-                        D(d.estimated_rows), D(d.actual_rows), D(d.QError()),
-                        S(d.provenance), S(d.prior_key), D(d.prior_factor),
-                        B(q.regressed && d.id == q.first_divergent_index)});
+      DYNOPT_RETURN_IF_ERROR(table->AppendRow(
+          {I(q.query_id), I(d.id), S(d.point), S(d.chosen),
+           D(d.estimated_rows), D(d.actual_rows), D(d.QError()),
+           S(d.provenance), S(d.prior_key), D(d.prior_factor),
+           B(q.regressed && d.id == q.first_divergent_index)}));
     }
   }
   return table;

@@ -53,9 +53,10 @@ Status LoadTpcds(Engine* engine, const TpcdsOptions& options) {
       int64_t rem = static_cast<int64_t>(day) % 360;
       int64_t moy = rem / 30 + 1;
       int64_t dom = rem % 30 + 1;
-      t->AppendRow({Value(static_cast<int64_t>(2450000 + day)),
-                    Value(year * 10000 + moy * 100 + dom), Value(year),
-                    Value(moy)});
+      DYNOPT_RETURN_IF_ERROR(
+          t->AppendRow({Value(static_cast<int64_t>(2450000 + day)),
+                        Value(year * 10000 + moy * 100 + dom), Value(year),
+                        Value(moy)}));
     }
     DYNOPT_RETURN_IF_ERROR(catalog.RegisterTable(t));
   }
@@ -73,9 +74,10 @@ Status LoadTpcds(Engine* engine, const TpcdsOptions& options) {
         parts);
     DYNOPT_RETURN_IF_ERROR(t->SetPartitionKey({"s_store_sk"}));
     for (uint64_t i = 0; i < n.store; ++i) {
-      t->AppendRow({Value(static_cast<int64_t>(i)),
-                    Value("STORE_" + std::to_string(i)),
-                    Value("store_name_" + std::to_string(i))});
+      DYNOPT_RETURN_IF_ERROR(
+          t->AppendRow({Value(static_cast<int64_t>(i)),
+                        Value("STORE_" + std::to_string(i)),
+                        Value("store_name_" + std::to_string(i))}));
     }
     DYNOPT_RETURN_IF_ERROR(catalog.RegisterTable(t));
   }
@@ -91,10 +93,11 @@ Status LoadTpcds(Engine* engine, const TpcdsOptions& options) {
         parts);
     DYNOPT_RETURN_IF_ERROR(t->SetPartitionKey({"i_item_sk"}));
     for (uint64_t i = 0; i < n.item; ++i) {
-      t->AppendRow({Value(static_cast<int64_t>(i)),
-                    Value("ITEM_" + std::to_string(i)),
-                    Value("desc_" + std::to_string(i)),
-                    Value("brand_" + std::to_string(i % 50))});
+      DYNOPT_RETURN_IF_ERROR(
+          t->AppendRow({Value(static_cast<int64_t>(i)),
+                        Value("ITEM_" + std::to_string(i)),
+                        Value("desc_" + std::to_string(i)),
+                        Value("brand_" + std::to_string(i % 50))}));
     }
     DYNOPT_RETURN_IF_ERROR(catalog.RegisterTable(t));
   }
@@ -134,10 +137,12 @@ Status LoadTpcds(Engine* engine, const TpcdsOptions& options) {
       --lines_left;
       int64_t item = rng.NextInt64(0, static_cast<int64_t>(n.item) - 1);
       sales.push_back(SaleKey{item, ticket, ticket_customer, ticket_day});
-      t->AppendRow({Value(date_sk(ticket_day)), Value(item),
-                    Value(ticket_customer), Value(ticket),
-                    Value(rng.NextInt64(0, static_cast<int64_t>(n.store) - 1)),
-                    Value(rng.NextInt64(1, 100))});
+      DYNOPT_RETURN_IF_ERROR(
+          t->AppendRow({Value(date_sk(ticket_day)), Value(item),
+                        Value(ticket_customer), Value(ticket),
+                        Value(rng.NextInt64(
+                            0, static_cast<int64_t>(n.store) - 1)),
+                        Value(rng.NextInt64(1, 100))}));
     }
     DYNOPT_RETURN_IF_ERROR(catalog.RegisterTable(t));
   }
@@ -168,9 +173,10 @@ Status LoadTpcds(Engine* engine, const TpcdsOptions& options) {
         return_day = sale.sold_day + rng.NextUint64(60) + 1;
       }
       if (return_day >= n.date_dim) return_day = n.date_dim - 1;
-      t->AppendRow({Value(date_sk(return_day)), Value(sale.item),
-                    Value(sale.customer), Value(sale.ticket),
-                    Value(rng.NextInt64(1, 10))});
+      DYNOPT_RETURN_IF_ERROR(
+          t->AppendRow({Value(date_sk(return_day)), Value(sale.item),
+                        Value(sale.customer), Value(sale.ticket),
+                        Value(rng.NextInt64(1, 10))}));
       returned_pairs.emplace_back(sale.customer, sale.item);
     }
     DYNOPT_RETURN_IF_ERROR(catalog.RegisterTable(t));
@@ -200,8 +206,9 @@ Status LoadTpcds(Engine* engine, const TpcdsOptions& options) {
         customer = static_cast<int64_t>(customer_dist.Sample(rng));
         item = rng.NextInt64(0, static_cast<int64_t>(n.item) - 1);
       }
-      t->AppendRow({Value(date_sk(rng.NextUint64(n.date_dim))), Value(item),
-                    Value(customer), Value(rng.NextInt64(1, 100))});
+      DYNOPT_RETURN_IF_ERROR(
+          t->AppendRow({Value(date_sk(rng.NextUint64(n.date_dim))), Value(item),
+                        Value(customer), Value(rng.NextInt64(1, 100))}));
     }
     DYNOPT_RETURN_IF_ERROR(catalog.RegisterTable(t));
   }

@@ -107,7 +107,7 @@ Status LoadTpch(Engine* engine, const TpchOptions& options) {
         parts);
     DYNOPT_RETURN_IF_ERROR(t->SetPartitionKey({"r_regionkey"}));
     for (int64_t i = 0; i < 5; ++i) {
-      t->AppendRow({Value(i), Value(kRegions[i])});
+      DYNOPT_RETURN_IF_ERROR(t->AppendRow({Value(i), Value(kRegions[i])}));
     }
     DYNOPT_RETURN_IF_ERROR(catalog.RegisterTable(t));
   }
@@ -122,8 +122,9 @@ Status LoadTpch(Engine* engine, const TpchOptions& options) {
         parts);
     DYNOPT_RETURN_IF_ERROR(t->SetPartitionKey({"n_nationkey"}));
     for (int64_t i = 0; i < 25; ++i) {
-      t->AppendRow({Value(i), Value("NATION_" + std::to_string(i)),
-                    Value(i % 5)});
+      DYNOPT_RETURN_IF_ERROR(
+          t->AppendRow({Value(i), Value("NATION_" + std::to_string(i)),
+                        Value(i % 5)}));
     }
     DYNOPT_RETURN_IF_ERROR(catalog.RegisterTable(t));
   }
@@ -139,10 +140,11 @@ Status LoadTpch(Engine* engine, const TpchOptions& options) {
         parts);
     DYNOPT_RETURN_IF_ERROR(t->SetPartitionKey({"s_suppkey"}));
     for (uint64_t i = 0; i < n.supplier; ++i) {
-      t->AppendRow({Value(static_cast<int64_t>(i)),
-                    Value("Supplier#" + std::to_string(i)),
-                    Value(rng.NextInt64(0, 24)),
-                    Value(rng.NextDouble() * 10000.0)});
+      DYNOPT_RETURN_IF_ERROR(
+          t->AppendRow({Value(static_cast<int64_t>(i)),
+                        Value("Supplier#" + std::to_string(i)),
+                        Value(rng.NextInt64(0, 24)),
+                        Value(rng.NextDouble() * 10000.0)}));
     }
     DYNOPT_RETURN_IF_ERROR(catalog.RegisterTable(t));
   }
@@ -158,9 +160,11 @@ Status LoadTpch(Engine* engine, const TpchOptions& options) {
         parts);
     DYNOPT_RETURN_IF_ERROR(t->SetPartitionKey({"c_custkey"}));
     for (uint64_t i = 0; i < n.customer; ++i) {
-      t->AppendRow({Value(static_cast<int64_t>(i)), Value(rng.NextInt64(0, 24)),
-                    Value(kSegments[rng.NextUint64(5)]),
-                    Value(rng.NextDouble() * 10000.0)});
+      DYNOPT_RETURN_IF_ERROR(
+          t->AppendRow({Value(static_cast<int64_t>(i)),
+                        Value(rng.NextInt64(0, 24)),
+                        Value(kSegments[rng.NextUint64(5)]),
+                        Value(rng.NextDouble() * 10000.0)}));
     }
     DYNOPT_RETURN_IF_ERROR(catalog.RegisterTable(t));
   }
@@ -189,11 +193,13 @@ Status LoadTpch(Engine* engine, const TpchOptions& options) {
         bx = others[rng.NextUint64(4)];
       }
       int64_t by = rng.NextInt64(1, 5);
-      t->AppendRow({Value(static_cast<int64_t>(i)),
-                    Value("part_" + std::to_string(i)),
-                    Value("Brand#" + std::to_string(bx) + std::to_string(by)),
-                    Value(kTypes[rng.NextUint64(kNumTypes)]),
-                    Value(rng.NextInt64(1, 50))});
+      DYNOPT_RETURN_IF_ERROR(
+          t->AppendRow({Value(static_cast<int64_t>(i)),
+                        Value("part_" + std::to_string(i)),
+                        Value("Brand#" + std::to_string(bx) +
+                              std::to_string(by)),
+                        Value(kTypes[rng.NextUint64(kNumTypes)]),
+                        Value(rng.NextInt64(1, 50))}));
     }
     DYNOPT_RETURN_IF_ERROR(catalog.RegisterTable(t));
   }
@@ -214,9 +220,10 @@ Status LoadTpch(Engine* engine, const TpchOptions& options) {
             static_cast<int64_t>((p + static_cast<uint64_t>(s) *
                                           (n.supplier / 4 + 1)) %
                                  n.supplier);
-        t->AppendRow({Value(static_cast<int64_t>(p)), Value(suppkey),
-                      Value(rng.NextInt64(1, 9999)),
-                      Value(rng.NextDouble() * 1000.0)});
+        DYNOPT_RETURN_IF_ERROR(
+            t->AppendRow({Value(static_cast<int64_t>(p)), Value(suppkey),
+                          Value(rng.NextInt64(1, 9999)),
+                          Value(rng.NextDouble() * 1000.0)}));
       }
     }
     DYNOPT_RETURN_IF_ERROR(catalog.RegisterTable(t));
@@ -249,12 +256,14 @@ Status LoadTpch(Engine* engine, const TpchOptions& options) {
       // true joint selectivity ~0.05, independence predicts ~0.17.
       bool old_order = date < 19950401;
       bool finished = rng.NextBool(old_order ? 0.98 : 0.02);
-      t->AppendRow({Value(static_cast<int64_t>(i)),
-                    Value(rng.NextInt64(0, static_cast<int64_t>(n.customer) - 1)),
-                    Value(date), Value(finished ? "F" : "O"),
-                    Value(kPriorities[rng.NextUint64(5)]),
-                    Value("Clerk#" + std::to_string(rng.NextInt64(0, 999))),
-                    Value(rng.NextDouble() * 100000.0)});
+      DYNOPT_RETURN_IF_ERROR(
+          t->AppendRow({Value(static_cast<int64_t>(i)),
+                        Value(rng.NextInt64(
+                            0, static_cast<int64_t>(n.customer) - 1)),
+                        Value(date), Value(finished ? "F" : "O"),
+                        Value(kPriorities[rng.NextUint64(5)]),
+                        Value("Clerk#" + std::to_string(rng.NextInt64(0, 999))),
+                        Value(rng.NextDouble() * 100000.0)}));
     }
     DYNOPT_RETURN_IF_ERROR(catalog.RegisterTable(t));
   }
@@ -284,11 +293,12 @@ Status LoadTpch(Engine* engine, const TpchOptions& options) {
             (static_cast<uint64_t>(partkey) +
              static_cast<uint64_t>(slot) * (n.supplier / 4 + 1)) %
             n.supplier);
-        t->AppendRow({Value(static_cast<int64_t>(o)), Value(ln),
-                      Value(partkey), Value(suppkey),
-                      Value(rng.NextInt64(1, 50)),
-                      Value(rng.NextDouble() * 10000.0),
-                      Value(order_dates[o])});
+        DYNOPT_RETURN_IF_ERROR(
+            t->AppendRow({Value(static_cast<int64_t>(o)), Value(ln),
+                          Value(partkey), Value(suppkey),
+                          Value(rng.NextInt64(1, 50)),
+                          Value(rng.NextDouble() * 10000.0),
+                          Value(order_dates[o])}));
       }
     }
     DYNOPT_RETURN_IF_ERROR(catalog.RegisterTable(t));

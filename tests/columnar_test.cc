@@ -70,13 +70,14 @@ void ExpectMetricsEqual(const ExecMetrics& a, const ExecMetrics& b) {
   EXPECT_EQ(a.index_lookups, b.index_lookups);
 }
 
-/// A random dataset exercising every ColumnKind: an int64 key with NULLs, a
-/// second int64 key, a double, a string with a skewed (dictionary-friendly)
-/// domain, and a deliberately mixed-type column (kValues fallback).
+/// A random dataset of int64, double and string columns: an int64 key with
+/// NULLs, a second int64 key, a double, and a string with a skewed
+/// (dictionary-friendly) domain.
 Dataset RandomDataset(uint64_t seed, size_t rows, size_t num_partitions,
                       int key_domain, double null_rate) {
-  Dataset data({"t.k", "t.k2", "t.score", "t.name", "t.mixed"},
-               num_partitions);
+  Dataset data({"t.k", "t.k2", "t.score", "t.name"}, num_partitions,
+               {ColumnKind::kInt64, ColumnKind::kInt64, ColumnKind::kDouble,
+                ColumnKind::kString});
   Rng rng(seed);
   ZipfDistribution zipf(16, 1.2);
   for (size_t i = 0; i < rows; ++i) {
@@ -87,20 +88,6 @@ Dataset RandomDataset(uint64_t seed, size_t rows, size_t num_partitions,
     row.push_back(Value(rng.NextInt64(0, 4)));
     row.push_back(Value(rng.NextDouble() * 100.0));
     row.push_back(Value("name_" + std::to_string(zipf.Sample(rng))));
-    switch (rng.NextInt64(0, 3)) {
-      case 0:
-        row.push_back(Value(rng.NextInt64(-5, 5)));
-        break;
-      case 1:
-        row.push_back(Value(rng.NextDouble()));
-        break;
-      case 2:
-        row.push_back(Value(std::string("m") + std::to_string(i % 7)));
-        break;
-      default:
-        row.push_back(Value::Null());
-        break;
-    }
     data.partitions[rng.NextUint64(num_partitions)].push_back(std::move(row));
   }
   return data;
@@ -141,7 +128,7 @@ TEST(ColumnBatchTest, BatchHashAndSizeMatchRowKernels) {
       EXPECT_EQ(hashes[i], HashRowKey(row, keys));
       EXPECT_EQ(nulls[i] != 0, row[0].is_null() || row[3].is_null());
       uint64_t size = 8;
-      for (const Value& v : row) size += ValueSizeBytesInline(v);
+      for (const Value& v : row) size += v.SizeBytes();
       EXPECT_EQ(b.row_sizes[i], size);
     }
   }
@@ -149,18 +136,19 @@ TEST(ColumnBatchTest, BatchHashAndSizeMatchRowKernels) {
 }
 
 TEST(ColumnBatchTest, ColumnwiseStatsAndSketchesMatchRowCollection) {
-  // Stored runs of a table with every column kind, including NULLs and a
-  // mixed-type column; strings go through the dictionary's cached hashes.
+  // Stored runs of a table with int64, double and string columns, including
+  // NULLs; strings go through the dictionary's cached hashes.
   Dataset data = RandomDataset(9, 700, 1, 30, 0.2);
   Table t("t", Schema({{"k", ValueType::kInt64},
                        {"k2", ValueType::kInt64},
                        {"score", ValueType::kDouble},
-                       {"name", ValueType::kString},
-                       {"mixed", ValueType::kInt64}}),
+                       {"name", ValueType::kString}}),
           1);
-  for (const Row& row : data.partitions[0]) t.AppendRow(row);
-  const std::vector<std::string> names = {"k", "score", "name", "mixed"};
-  const std::vector<int> slots = {0, 2, 3, 4};
+  for (const Row& row : data.partitions[0]) {
+    ASSERT_TRUE(t.AppendRow(row).ok());
+  }
+  const std::vector<std::string> names = {"k", "score", "name"};
+  const std::vector<int> slots = {0, 2, 3};
   TableStatsBuilder by_row(names, slots), by_column(names, slots);
   for (const Row& row : t.ReadRows(0)) by_row.AddRow(row);
   for (const ColumnBatch& run : t.partition(0)) {
@@ -182,7 +170,7 @@ TEST(ColumnBatchTest, ColumnwiseStatsAndSketchesMatchRowCollection) {
   }
 
   SketchOptions opts;
-  for (int col : {0, 3, 4}) {
+  for (int col : {0, 2, 3}) {
     JoinKeySketch by_rows{BloomFilter(700, 10, 1), FastAgmsSketch(opts), 0, 0};
     JoinKeySketch by_cols{BloomFilter(700, 10, 1), FastAgmsSketch(opts), 0, 0};
     for (const Row& row : t.ReadRows(0)) {
@@ -252,13 +240,12 @@ TEST(ColumnBatchTest, TypedStatsAddsMatchValueAddsAtScale) {
   std::vector<std::pair<std::string, ColumnVector>> columns;
   for (bool nulls : {false, true}) {
     const std::string tag = nulls ? " with NULLs" : "";
-    ColumnVector i64, f64, zeros, nan_first, b8, str, mixed;
+    ColumnVector i64, f64, zeros, nan_first, b8, str;
     i64.kind = ColumnKind::kInt64;
     f64.kind = zeros.kind = nan_first.kind = ColumnKind::kDouble;
     b8.kind = ColumnKind::kBool;
     str.kind = ColumnKind::kString;
     str.dict = dict;
-    mixed.kind = ColumnKind::kValues;
     for (size_t i = 0; i < kRows; ++i) {
       const int64_t small = rng.NextInt64(-1000000, 1000000);
       const int64_t huge = rng.NextBool(0.5) ? kTwo53 + rng.NextInt64(0, 1)
@@ -272,20 +259,6 @@ TEST(ColumnBatchTest, TypedStatsAddsMatchValueAddsAtScale) {
                                      : rng.NextDouble() * 100);
       b8.b8.push_back(rng.NextBool(0.3) ? 1 : 0);
       str.codes.push_back(static_cast<uint32_t>(rng.NextUint64(dict->size())));
-      switch (rng.NextUint64(nulls ? 4 : 3)) {
-        case 0:
-          mixed.values.push_back(Value(small));
-          break;
-        case 1:
-          mixed.values.push_back(Value(static_cast<double>(small) / 4));
-          break;
-        case 2:
-          mixed.values.push_back(Value(dict->entry(str.codes.back())));
-          break;
-        default:
-          mixed.values.push_back(Value::Null());
-          break;
-      }
     }
     if (nulls) {
       std::vector<uint8_t> validity(kRows);
@@ -300,7 +273,6 @@ TEST(ColumnBatchTest, TypedStatsAddsMatchValueAddsAtScale) {
     columns.emplace_back("nan-first double" + tag, std::move(nan_first));
     columns.emplace_back("bool" + tag, std::move(b8));
     columns.emplace_back("string" + tag, std::move(str));
-    columns.emplace_back("values" + tag, std::move(mixed));
   }
   // Pilot-run's path: an ascending selection of about 60% of the rows.
   std::vector<uint32_t> sel;
@@ -560,12 +532,13 @@ class ColumnarParityTest : public ::testing::Test {
     Rng rng(seed);
     ZipfDistribution zipf(32, 1.1);
     for (int i = 0; i < rows; ++i) {
-      t->AppendRow({rng.NextBool(null_rate)
-                        ? Value::Null()
-                        : Value(rng.NextInt64(0, key_domain - 1)),
-                    Value(rng.NextInt64(0, 5)),
-                    Value(rng.NextDouble() * 10.0),
-                    Value("s" + std::to_string(zipf.Sample(rng)))});
+      const Row row = {rng.NextBool(null_rate)
+                           ? Value::Null()
+                           : Value(rng.NextInt64(0, key_domain - 1)),
+                       Value(rng.NextInt64(0, 5)),
+                       Value(rng.NextDouble() * 10.0),
+                       Value("s" + std::to_string(zipf.Sample(rng)))};
+      ASSERT_TRUE(t->AppendRow(row).ok());
     }
     ASSERT_TRUE(engine_->catalog().RegisterTable(t).ok());
   }

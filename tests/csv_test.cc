@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 
 #include "exec/engine.h"
 #include "opt/dynamic_optimizer.h"
@@ -56,6 +58,43 @@ TEST(CsvCellTest, Conversions) {
   EXPECT_FALSE(ParseCsvCell("4x2", ValueType::kInt64, options).ok());
   EXPECT_FALSE(ParseCsvCell("1.2.3", ValueType::kDouble, options).ok());
   EXPECT_FALSE(ParseCsvCell("maybe", ValueType::kBool, options).ok());
+
+  // Numbers out of their type's range are errors, as the same SQL literals
+  // are.
+  for (const char* cell : {"99999999999999999999", "-99999999999999999999"}) {
+    auto v = ParseCsvCell(cell, ValueType::kInt64, options);
+    EXPECT_EQ(v.status().code(), StatusCode::kInvalidArgument) << cell;
+    EXPECT_NE(v.status().message().find("out of range"), std::string::npos)
+        << v.status().message();
+  }
+  for (const char* cell : {"1e999", "-1e999"}) {
+    auto v = ParseCsvCell(cell, ValueType::kDouble, options);
+    EXPECT_EQ(v.status().code(), StatusCode::kInvalidArgument) << cell;
+    EXPECT_NE(v.status().message().find("out of range"), std::string::npos)
+        << v.status().message();
+  }
+  // The extremes that fit keep their values, an underflow keeps its
+  // rounded value, and an infinity spelled out stays accepted.
+  EXPECT_EQ(ParseCsvCell("9223372036854775807", ValueType::kInt64, options)
+                .value()
+                .AsInt64(),
+            std::numeric_limits<int64_t>::max());
+  EXPECT_EQ(ParseCsvCell("-9223372036854775808", ValueType::kInt64, options)
+                .value()
+                .AsInt64(),
+            std::numeric_limits<int64_t>::min());
+  EXPECT_EQ(ParseCsvCell("1.7976931348623157e308", ValueType::kDouble, options)
+                .value()
+                .AsDouble(),
+            std::numeric_limits<double>::max());
+  EXPECT_EQ(
+      ParseCsvCell("1e-999", ValueType::kDouble, options).value().AsDouble(),
+      0.0);
+  EXPECT_EQ(
+      ParseCsvCell("4e-320", ValueType::kDouble, options).value().AsDouble(),
+      4e-320);
+  EXPECT_TRUE(std::isinf(
+      ParseCsvCell("inf", ValueType::kDouble, options).value().AsDouble()));
 }
 
 TEST(CsvLoadTest, LoadsAndPartitions) {
@@ -101,6 +140,21 @@ TEST(CsvLoadTest, ErrorsAreSpecific) {
   auto r2 = LoadCsvTable("t", schema, bad_cell, 2);
   std::remove(bad_cell.c_str());
   EXPECT_EQ(r2.status().code(), StatusCode::kInvalidArgument);
+
+  std::string big_cell = WriteTempCsv("id\n1\n99999999999999999999\n");
+  auto r3 = LoadCsvTable("t", schema, big_cell, 2);
+  std::remove(big_cell.c_str());
+  EXPECT_EQ(r3.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(r3.status().message().find(big_cell + ":3: "), std::string::npos)
+      << r3.status().message();
+}
+
+TEST(CsvLoadTest, ZeroPartitionsIsAnError) {
+  std::string path = WriteTempCsv("id\n1\n");
+  auto table =
+      LoadCsvTable("t", Schema({{"id", ValueType::kInt64}}), path, 0);
+  std::remove(path.c_str());
+  EXPECT_EQ(table.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(CsvLoadTest, NoHeaderAndCustomDelimiter) {

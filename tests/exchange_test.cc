@@ -58,7 +58,8 @@ struct DatasetSpec {
 /// Random 3-column dataset {k, k2, payload} spread round-robin over
 /// partitions (with optional forced-empty partitions).
 Dataset MakeDataset(const DatasetSpec& spec) {
-  Dataset data({"k", "k2", "payload"}, spec.num_partitions);
+  Dataset data({"k", "k2", "payload"}, spec.num_partitions,
+               {ColumnKind::kInt64, ColumnKind::kInt64, ColumnKind::kString});
   Rng rng(spec.seed);
   ZipfDistribution zipf(static_cast<size_t>(spec.key_domain),
                         spec.zipf_skew > 0 ? spec.zipf_skew : 0.0);
@@ -264,7 +265,7 @@ TEST_F(ExchangeTest, CoPartitionedInputShufflesNoBytes) {
   spec.rows = 300;
   Dataset data = MakeDataset(spec);
   // Pre-place every row on its hash destination.
-  Dataset placed(data.columns, n);
+  Dataset placed(data.columns, n, data.kinds);
   std::vector<int> keys = {0};
   for (auto& part : data.partitions) {
     for (Row& row : part) {
@@ -335,8 +336,8 @@ TEST_F(ExchangeTest, DuplicateKeysEmitAllMatchesInBuildOrder)
   // Several build rows share one key: every (build, probe) pair must be
   // emitted, in ascending build-row order — the flat table's reverse
   // insertion preserves the reference emission order.
-  Dataset build({"k", "tag"}, 1);
-  Dataset probe({"k", "tag"}, 1);
+  Dataset build({"k", "tag"}, 1, {ColumnKind::kInt64, ColumnKind::kString});
+  Dataset probe({"k", "tag"}, 1, {ColumnKind::kInt64, ColumnKind::kString});
   for (int i = 0; i < 5; ++i) {
     build.partitions[0].push_back({Value(7), Value("b" + std::to_string(i))});
   }

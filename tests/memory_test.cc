@@ -153,6 +153,25 @@ class GraceJoinTest : public ::testing::Test {
     return executor.Execute(*plan, {});
   }
 
+  /// Registers `name`: an int64 key `k` over [0, 300), and payloads `s`
+  /// (string) and `d` (double) that are each NULL on about 95% of rows.
+  void MakeSparseTable(const std::string& name, int rows, uint64_t seed) {
+    auto t = std::make_shared<Table>(name,
+                                     Schema({{"k", ValueType::kInt64},
+                                             {"s", ValueType::kString},
+                                             {"d", ValueType::kDouble}}),
+                                     engine_->cluster().num_nodes);
+    Rng rng(seed);
+    for (int i = 0; i < rows; ++i) {
+      const Row row = {Value(rng.NextInt64(0, 299)),
+                       rng.NextBool(0.95) ? Value::Null()
+                                          : Value("s" + std::to_string(i % 13)),
+                       rng.NextBool(0.95) ? Value::Null() : Value(i * 0.5)};
+      ASSERT_TRUE(t->AppendRow(row).ok());
+    }
+    ASSERT_TRUE(engine_->catalog().RegisterTable(t).ok());
+  }
+
   std::string spill_dir_;
   std::unique_ptr<Engine> engine_;
 };
@@ -199,6 +218,104 @@ TEST_F(GraceJoinTest, TinyBudgetForcesRecursionAndStillMatches) {
   SortRows(&b);
   EXPECT_EQ(a, b);
   EXPECT_EQ(CountFilesWithPrefix(spill_dir_, "__spill_"), 0);
+}
+
+/// Asserts that every column of every non-empty batch of `batches` has the
+/// kind `kinds` lists for it, and that string columns carry a dictionary.
+void ExpectColumnKinds(const std::vector<ColumnBatch>& batches,
+                       const std::vector<ColumnKind>& kinds) {
+  for (const ColumnBatch& b : batches) {
+    if (b.num_rows == 0) continue;
+    ASSERT_EQ(b.columns.size(), kinds.size());
+    for (size_t c = 0; c < kinds.size(); ++c) {
+      EXPECT_EQ(b.columns[c].kind, kinds[c]) << "column " << c;
+      if (kinds[c] == ColumnKind::kString) {
+        EXPECT_NE(b.columns[c].dict, nullptr) << "column " << c;
+      }
+    }
+  }
+}
+
+TEST_F(GraceJoinTest, SpilledNullPayloadsKeepTheirColumnKinds) {
+  // Payloads NULL on ~95% of rows, a 4 KiB budget: many spill files hold a
+  // sub-partition whose string or double payload is all NULL. Read back,
+  // such a file must keep each column's kind, so every output batch has
+  // the input columns' kinds and the rows match the in-memory join.
+  MakeSparseTable("nb", 3000, 41);
+  MakeSparseTable("np", 3000, 42);
+  const std::vector<ColumnKind> side = {
+      ColumnKind::kInt64, ColumnKind::kString, ColumnKind::kDouble};
+  std::vector<ColumnKind> joined = side;
+  joined.insert(joined.end(), side.begin(), side.end());
+  for (JoinMethod method : {JoinMethod::kHashShuffle, JoinMethod::kBroadcast}) {
+    SCOPED_TRACE(JoinMethodName(method));
+    auto run = [&](uint64_t budget, QueryContext* ctx) {
+      engine_->mutable_cluster().memory.join_memory_budget_bytes = budget;
+      JobExecutor executor = engine_->MakeExecutor(ctx);
+      return executor.Execute(
+          *PlanNode::Join(method, PlanNode::Scan("nb", "b"),
+                          PlanNode::Scan("np", "p"), {{"b.k", "p.k"}}),
+          {});
+    };
+    auto unlimited = run(0, nullptr);
+    ASSERT_TRUE(unlimited.ok()) << unlimited.status().ToString();
+    QueryContext ctx("sparse");
+    auto spilled = run(4 * 1024, &ctx);
+    ASSERT_TRUE(spilled.ok()) << spilled.status().ToString();
+    EXPECT_GT(spilled->metrics.spill_partitions, 0u);
+
+    std::vector<Row> a = unlimited->data.GatherRows();
+    std::vector<Row> b = spilled->data.GatherRows();
+    SortRows(&a);
+    SortRows(&b);
+    EXPECT_EQ(a, b);
+    for (const auto& part : spilled->data.partitions) {
+      ExpectColumnKinds(part, joined);
+    }
+    EXPECT_EQ(CountFilesWithPrefix(spill_dir_, "__spill_"), 0);
+  }
+}
+
+TEST_F(GraceJoinTest, MaterializedNullChunksKeepTheirColumnKinds) {
+  // The materialize_to_disk round trip reads each partition back in
+  // 4-row chunks; with a ~95%-NULL string payload many chunks hold only
+  // NULL strings, and the temp table's runs must still be kString.
+  MakeSparseTable("nb", 400, 43);
+  engine_->mutable_cluster().materialize_to_disk = true;
+  engine_->mutable_cluster().exec.max_batch_size = 4;
+  JobExecutor executor = engine_->MakeExecutor();
+  auto scan = executor.Execute(*PlanNode::Scan("nb", "b"), {});
+  ASSERT_TRUE(scan.ok()) << scan.status().ToString();
+  std::vector<std::vector<Row>> expected;
+  for (size_t p = 0; p < scan->data.partitions.size(); ++p) {
+    expected.emplace_back();
+    for (const ColumnBatch& b : scan->data.partitions[p]) {
+      for (size_t i = 0; i < b.num_rows; ++i) {
+        expected[p].push_back(b.RowAt(i));
+      }
+    }
+  }
+  ExecMetrics metrics;
+  auto sink = executor.Materialize(std::move(scan->data), "sparse", {}, false,
+                                   &metrics, nullptr);
+  ASSERT_TRUE(sink.ok()) << sink.status().ToString();
+  auto table = engine_->catalog().GetTable(sink->table_name);
+  ASSERT_TRUE(table.ok());
+  size_t null_string_runs = 0;
+  for (size_t p = 0; p < table.value()->num_partitions(); ++p) {
+    const std::vector<ColumnBatch>& runs = table.value()->partition(p);
+    ExpectColumnKinds(runs, {ColumnKind::kInt64, ColumnKind::kString,
+                             ColumnKind::kDouble});
+    for (const ColumnBatch& run : runs) {
+      bool all_null = true;
+      for (size_t i = 0; i < run.num_rows; ++i) {
+        all_null = all_null && run.columns[1].IsNullAt(i);
+      }
+      if (all_null) ++null_string_runs;
+    }
+    EXPECT_EQ(table.value()->ReadRows(p), expected[p]) << "partition " << p;
+  }
+  EXPECT_GT(null_string_runs, 0u);  // The case under test occurred.
 }
 
 /// Order-sensitive fingerprint of a job's output: every value in

@@ -75,17 +75,17 @@ TEST(TableTest, TotalBytesGrowsWithData) {
 
 // --- Columnar storage ----------------------------------------------------------
 
-/// Every storage case in one schema: typed ints, doubles, bools and
-/// strings with NULLs, an all-NULL column, a column whose values mix types
-/// (must fall back to kValues), and an untyped field.
+/// Every storage case in one schema: ints, doubles, bools and strings with
+/// NULLs, an all-NULL column, and an int and a double column without
+/// NULLs (no validity vector).
 Schema ZooSchema() {
   return Schema({{"i", ValueType::kInt64},
                  {"d", ValueType::kDouble},
                  {"b", ValueType::kBool},
                  {"s", ValueType::kString},
                  {"none", ValueType::kInt64},
-                 {"mixed", ValueType::kInt64},
-                 {"untyped", ValueType::kNull}});
+                 {"count", ValueType::kInt64},
+                 {"scaled", ValueType::kDouble}});
 }
 
 std::vector<Row> ZooRows(int n) {
@@ -98,8 +98,8 @@ std::vector<Row> ZooRows(int n) {
     row.push_back(r % 6 == 0 ? Value::Null()
                              : Value("str_" + std::to_string(r % 9)));
     row.push_back(Value::Null());
-    row.push_back(r == 5 ? Value("five") : Value(r));
-    row.push_back(r % 2 == 0 ? Value(r) : Value(r * 1.5));
+    row.push_back(Value(r));
+    row.push_back(Value(r * 1.5));
     rows.push_back(std::move(row));
   }
   return rows;
@@ -109,7 +109,7 @@ TEST(ColumnarStorageTest, RowsReadBackExactlyAsAppended) {
   const size_t num_parts = 3;
   Table t("zoo", ZooSchema(), num_parts);
   const std::vector<Row> rows = ZooRows(40);
-  for (const Row& row : rows) t.AppendRow(row);
+  for (const Row& row : rows) ASSERT_TRUE(t.AppendRow(row).ok());
   ASSERT_EQ(t.NumRows(), rows.size());
 
   for (size_t p = 0; p < num_parts; ++p) {
@@ -133,19 +133,19 @@ TEST(ColumnarStorageTest, RowsReadBackExactlyAsAppended) {
     }
   }
 
-  // Layout: typed columns stay typed, the mixed column falls back, and the
-  // string column shares one dictionary across partitions.
+  // Layout: every column has its field's kind, only columns holding a
+  // NULL carry validity, and the string column shares one dictionary
+  // across partitions.
   const ColumnBatch& run0 = t.partition(0).front();
   const ColumnBatch& run1 = t.partition(1).front();
-  EXPECT_EQ(run0.columns[0].kind, ColumnKind::kInt64);
-  EXPECT_EQ(run0.columns[1].kind, ColumnKind::kDouble);
-  EXPECT_EQ(run0.columns[2].kind, ColumnKind::kBool);
-  EXPECT_EQ(run0.columns[3].kind, ColumnKind::kString);
-  EXPECT_EQ(run0.columns[4].kind, ColumnKind::kInt64);
-  EXPECT_EQ(run0.columns[6].kind, ColumnKind::kValues);
-  // Row 5 ("five") went to partition 2 only.
-  EXPECT_EQ(t.partition(2).front().columns[5].kind, ColumnKind::kValues);
-  EXPECT_EQ(run0.columns[5].kind, ColumnKind::kInt64);
+  const ColumnKind kinds[] = {ColumnKind::kInt64,  ColumnKind::kDouble,
+                              ColumnKind::kBool,   ColumnKind::kString,
+                              ColumnKind::kInt64,  ColumnKind::kInt64,
+                              ColumnKind::kDouble};
+  for (size_t c = 0; c < 7; ++c) {
+    EXPECT_EQ(run0.columns[c].kind, kinds[c]) << "column " << c;
+    EXPECT_EQ(run0.columns[c].validity.empty(), c >= 5) << "column " << c;
+  }
   EXPECT_EQ(run0.columns[3].dict.get(), run1.columns[3].dict.get());
   for (size_t i = 0; i < run0.num_rows; ++i) {
     EXPECT_TRUE(run0.columns[4].IsNullAt(i));
@@ -173,7 +173,7 @@ TEST(ColumnarStorageTest, EmptyPartitions) {
 TEST(ColumnarStorageTest, ByteTotalsEqualSumOfRowSizes) {
   Table t("zoo", ZooSchema(), 4);
   ASSERT_TRUE(t.SetPartitionKey({"i"}).ok());
-  for (const Row& row : ZooRows(200)) t.AppendRow(row);
+  for (const Row& row : ZooRows(200)) ASSERT_TRUE(t.AppendRow(row).ok());
   uint64_t total = 0;
   for (size_t p = 0; p < t.num_partitions(); ++p) {
     uint64_t part = 0;
@@ -188,6 +188,58 @@ TEST(ColumnarStorageTest, ByteTotalsEqualSumOfRowSizes) {
     total += part;
   }
   EXPECT_EQ(t.TotalBytes(), total);
+}
+
+TEST(ColumnarStorageTest, RejectedRowsLeaveTheTableUnchanged) {
+  Table t("people", TwoColumnSchema(), 3);
+  ASSERT_TRUE(t.AppendRow({Value(1), Value("a")}).ok());
+  // NULL is valid in any column.
+  ASSERT_TRUE(t.AppendRow({Value::Null(), Value::Null()}).ok());
+  const uint64_t rows = t.NumRows();
+  const uint64_t bytes = t.TotalBytes();
+  std::vector<uint64_t> part_rows;
+  std::vector<std::vector<Row>> contents;
+  for (size_t p = 0; p < t.num_partitions(); ++p) {
+    part_rows.push_back(t.PartitionRows(p));
+    contents.push_back(t.ReadRows(p));
+  }
+  auto expect_unchanged = [&]() {
+    EXPECT_EQ(t.NumRows(), rows);
+    EXPECT_EQ(t.TotalBytes(), bytes);
+    for (size_t p = 0; p < t.num_partitions(); ++p) {
+      EXPECT_EQ(t.PartitionRows(p), part_rows[p]) << "partition " << p;
+      EXPECT_EQ(t.ReadRows(p), contents[p]) << "partition " << p;
+    }
+  };
+
+  // A type mismatch names the table, the column and both types. The first
+  // value is valid, so a rejected row must not leave it behind either.
+  Status st = t.AppendRow({Value(2), Value(int64_t{7})});
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(st.message().find("people.name"), std::string::npos)
+      << st.message();
+  EXPECT_NE(st.message().find("STRING"), std::string::npos) << st.message();
+  EXPECT_NE(st.message().find("INT64"), std::string::npos) << st.message();
+  expect_unchanged();
+  st = t.AppendRow({Value(2.5), Value("b")});
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(st.message().find("people.id"), std::string::npos)
+      << st.message();
+  expect_unchanged();
+
+  // Arity mismatches, too many values and too few.
+  st = t.AppendRow({Value(2), Value("b"), Value(3)});
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(st.message().find("people"), std::string::npos) << st.message();
+  expect_unchanged();
+  EXPECT_EQ(t.AppendRow({Value(2)}).code(), StatusCode::kInvalidArgument);
+  expect_unchanged();
+
+  // The next valid row still appends, to the partition round-robin
+  // placement gives it (rejected rows take no turn).
+  ASSERT_TRUE(t.AppendRow({Value(3), Value("c")}).ok());
+  EXPECT_EQ(t.NumRows(), rows + 1);
+  EXPECT_EQ(t.ReadRows(2), (std::vector<Row>{{Value(3), Value("c")}}));
 }
 
 /// A batch holding `rows`, built through the same column append the load

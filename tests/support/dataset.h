@@ -22,14 +22,22 @@ struct Dataset {
   std::vector<std::string> columns;
   std::vector<std::vector<Row>> partitions;
 
+  /// The declared kind of each column, parallel to `columns`: FromDataset
+  /// batches column c as kinds[c], so every non-NULL value in it must have
+  /// that type. ToDataset records the batches' kinds.
+  std::vector<ColumnKind> kinds;
+
   /// Per-row byte sizes parallel to `partitions`, filled by ToDataset from
   /// the batches' annotation (empty otherwise), so tests can check every
   /// annotation against RowSizeBytes.
   std::vector<std::vector<uint64_t>> row_sizes;
 
   Dataset() = default;
-  Dataset(std::vector<std::string> cols, size_t num_partitions)
-      : columns(std::move(cols)), partitions(num_partitions) {}
+  Dataset(std::vector<std::string> cols, size_t num_partitions,
+          std::vector<ColumnKind> column_kinds = {})
+      : columns(std::move(cols)),
+        partitions(num_partitions),
+        kinds(std::move(column_kinds)) {}
 
   /// True when row_sizes is present and aligned with partitions.
   bool HasRowSizes() const {
@@ -61,13 +69,14 @@ struct Dataset {
 };
 
 /// Splits every partition of `data` into batches of at most
-/// `max_batch_size` rows, preserving row order exactly; row sizes are
-/// computed from the values.
+/// `max_batch_size` rows of the declared `data.kinds`, preserving row order
+/// exactly; row sizes are computed from the values.
 ColumnarDataset FromDataset(const Dataset& data, size_t max_batch_size);
 
 /// Converts batches back to a row Dataset, emitting the row_sizes
-/// annotation from the batches' sizes. Exact inverse of FromDataset up to
-/// batch boundaries.
+/// annotation from the batches' sizes and the kinds from the first
+/// non-empty batch (kInt64 for every column when there is none). Exact
+/// inverse of FromDataset up to batch boundaries.
 Dataset ToDataset(ColumnarDataset&& data);
 
 /// True when any of the key slots of `row` is NULL (SQL equi-join

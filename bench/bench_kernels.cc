@@ -148,9 +148,9 @@ PipelineResult RunPipelineColumnar(JobExecutor* executor,
                                           &result.metrics);
     DYNOPT_CHECK(probe_or.ok());
     ShuffleResult probe_parts = std::move(probe_or).value();
-    auto join_or = executor->LocalHashJoin(
-        build_parts.data, probe_parts.data, build_keys, probe_keys,
-        &result.metrics, &build_parts.hashes, &probe_parts.hashes);
+    auto join_or = executor->LocalHashJoin(std::move(build_parts),
+                                           probe_parts, build_keys, probe_keys,
+                                           &result.metrics);
     DYNOPT_CHECK(join_or.ok());
     current = std::move(join_or).value();
   }

@@ -106,17 +106,37 @@ void BuildTable(const ColumnBatch& build, const std::vector<int>& keys,
   table->Build(hashes, key_null.data(), n);
 }
 
+/// Each partition of `data` as whole-batch views, without hashes.
+std::vector<std::vector<BatchView>> WholeBatchViews(
+    const ColumnarDataset& data) {
+  std::vector<std::vector<BatchView>> views(data.partitions.size());
+  for (size_t p = 0; p < data.partitions.size(); ++p) {
+    for (const ColumnBatch& b : data.partitions[p]) {
+      if (b.num_rows > 0) views[p].push_back({&b, nullptr, nullptr, b.num_rows});
+    }
+  }
+  return views;
+}
+
+/// Output columns of a join: the build side's, then the probe side's.
+std::vector<std::string> JoinedColumns(const std::vector<std::string>& build,
+                                       const std::vector<std::string>& probe) {
+  std::vector<std::string> out = build;
+  out.insert(out.end(), probe.begin(), probe.end());
+  return out;
+}
+
 /// Probes `table`, built over the flat `build` batch, with one partition's
-/// `num_batches` probe batches and emits build ++ probe rows into `sink`:
-/// probe rows in order, each one's matches in ascending build order.
-/// `hashes`, when non-null, holds the shuffle's key hashes of the probe rows
-/// in batch-concatenation order; otherwise keys are hashed here. Returns
-/// the number of rows emitted.
+/// probe rows `probe` and emits build ++ probe rows into `sink`: views in
+/// order, rows in view order, each one's matches in ascending build order.
+/// A view without hashes (a whole batch that was not shuffled) is hashed
+/// here first. A probe row with a NULL key matches nothing: the table
+/// leaves NULL-key build rows unlinked, and NULL never equals a value.
+/// Returns the number of rows emitted.
 uint64_t ProbeTable(const ColumnBatch& build, const JoinHashTable& table,
-                    const ColumnBatch* probe, size_t num_batches,
+                    const std::vector<BatchView>& probe,
                     const std::vector<int>& build_keys,
-                    const std::vector<int>& probe_keys, const uint64_t* hashes,
-                    BatchSink* sink) {
+                    const std::vector<int>& probe_keys, BatchSink* sink) {
   constexpr uint32_t kEnd = JoinHashTable::kEnd;
   // Hoisted raw views: const locals stay in registers across the emission
   // writes below.
@@ -133,18 +153,15 @@ uint64_t ProbeTable(const ColumnBatch& build, const JoinHashTable& table,
   std::vector<uint32_t> bsel, psel;
   std::vector<uint64_t> jsizes;
   uint64_t matches = 0;
-  size_t hash_off = 0;
-  for (size_t b = 0; b < num_batches; ++b) {
-    const ColumnBatch& pb = probe[b];
-    const size_t m = pb.num_rows;
-    if (m == 0) continue;
-    null_scratch.assign(m, 0);
-    const uint64_t* ph;
-    if (hashes != nullptr) {
-      ph = hashes + hash_off;
-      AnyKeyNull(pb, pkeys, num_keys, null_scratch.data());
-    } else {
+  for (const BatchView& view : probe) {
+    const ColumnBatch& pb = *view.batch;
+    const size_t m = view.num_rows;
+    if (m == 0) continue;  // May have no columns to hash.
+    const uint32_t* sel = view.sel;
+    const uint64_t* ph = view.hashes;
+    if (ph == nullptr) {
       hash_scratch.resize(m);
+      null_scratch.assign(m, 0);
       HashKeyColumns(pb, pkeys, num_keys, hash_scratch.data(),
                      null_scratch.data());
       ph = hash_scratch.data();
@@ -154,39 +171,32 @@ uint64_t ProbeTable(const ColumnBatch& build, const JoinHashTable& table,
     jsizes.clear();
     const uint64_t* psizes = pb.row_sizes.data();
     for (size_t j = 0; j < m; ++j) {
+      // Misses resolve from the table's own arrays: the chain is walked
+      // comparing full 64-bit hashes (L1-resident) and the probe row's keys
+      // are only touched on a hash match. The upcoming bucket loads are
+      // data-dependent random accesses into an array that outgrows L2 for
+      // large build sides; prefetching a few rows ahead hides most of that
+      // latency.
+      if (j + 8 < m) __builtin_prefetch(&heads[ph[j + 8] & mask]);
       const uint64_t h = ph[j];
-      uint32_t first;
-      if (hashes != nullptr) {
-        // Precomputed hashes let misses resolve from the table's own arrays
-        // — the chain is walked comparing full 64-bit hashes (L1-resident)
-        // and the probe row's keys are only touched on a hash match. The
-        // upcoming bucket loads are data-dependent random accesses into an
-        // array that outgrows L2 for large build sides; prefetching a few
-        // rows ahead hides most of that latency.
-        if (j + 8 < m) __builtin_prefetch(&heads[ph[j + 8] & mask]);
-        first = heads[h & mask];
-        while (first != kEnd && table_hashes[first] != h) first = next[first];
-        if (first == kEnd) continue;
-        if (null_scratch[j]) continue;
-      } else {
-        if (null_scratch[j]) continue;
-        first = heads[h & mask];
-      }
+      uint32_t first = heads[h & mask];
+      while (first != kEnd && table_hashes[first] != h) first = next[first];
+      if (first == kEnd) continue;
+      const uint32_t row = sel != nullptr ? sel[j] : static_cast<uint32_t>(j);
       for (uint32_t i = first; i != kEnd; i = next[i]) {
         if (table_hashes[i] != h) continue;
-        if (!JoinKeysEqual(build, i, pb, j, bkeys, pkeys, num_keys)) {
+        if (!JoinKeysEqual(build, i, pb, row, bkeys, pkeys, num_keys)) {
           continue;
         }
         bsel.push_back(i);
-        psel.push_back(static_cast<uint32_t>(j));
+        psel.push_back(row);
         // Joined-row size: both payloads, one 8-byte header.
-        jsizes.push_back(bsizes[i] + psizes[j] - 8);
+        jsizes.push_back(bsizes[i] + psizes[row] - 8);
       }
     }
     sink->AppendJoinGather(build, bsel.data(), pb, psel.data(), jsizes.data(),
                            bsel.size());
     matches += bsel.size();
-    hash_off += m;
   }
   return matches;
 }
@@ -501,7 +511,7 @@ Result<ColumnarDataset> JobExecutor::ExecFilter(
         // Everything survives: the batch moves wholesale.
         dest.push_back(std::move(b));
       } else if (!sel.empty()) {
-        dest.push_back(GatherBatch(b, sel.data(), sel.size()));
+        dest.push_back(GatherViews({{&b, sel.data(), nullptr, sel.size()}}));
       }
       b = ColumnBatch();
     }
@@ -568,6 +578,23 @@ Result<ColumnarDataset> JobExecutor::ExecProject(
   return out;
 }
 
+std::vector<std::vector<BatchView>> ShuffleResult::Views() const {
+  std::vector<std::vector<BatchView>> views(num_partitions);
+  for (size_t p = 0; p < routes.size(); ++p) {
+    for (size_t b = 0; b < routes[p].size(); ++b) {
+      const Route& route = routes[p][b];
+      for (size_t d = 0; d < num_partitions; ++d) {
+        const uint32_t lo = route.offsets[d];
+        const uint32_t hi = route.offsets[d + 1];
+        if (hi == lo) continue;
+        views[d].push_back({&source.partitions[p][b], route.sel.data() + lo,
+                            route.hashes.data() + lo, hi - lo});
+      }
+    }
+  }
+  return views;
+}
+
 Result<ShuffleResult> JobExecutor::Repartition(
     ColumnarDataset&& input, const std::vector<int>& key_indices,
     ExecMetrics* metrics) {
@@ -577,185 +604,76 @@ Result<ShuffleResult> JobExecutor::Repartition(
   const auto wall_start = WallClock::now();
   const size_t n = cluster_.num_nodes;
   const size_t src_parts = input.partitions.size();
-  const size_t batch_cap = cluster_.exec.max_batch_size;
-  const size_t num_cols = input.columns.size();
 
-  // Fault overlay for one shuffle stage: node i both routes source
-  // partition i (CPU) and receives destination partition i (network); the
-  // wider of the two vectors bounds the node count.
-  auto fault_check = [&](const std::vector<uint64_t>& received_bytes,
-                         const std::vector<uint64_t>& rows_in) -> Status {
-    if (!FaultsArmed()) return Status::OK();
-    std::vector<double> per_node(std::max(received_bytes.size(),
-                                          rows_in.size()),
-                                 0.0);
-    for (size_t i = 0; i < received_bytes.size(); ++i) {
-      per_node[i] += static_cast<double>(received_bytes[i]) *
-                     cluster_.network_seconds_per_byte;
-    }
-    for (size_t i = 0; i < rows_in.size(); ++i) {
-      per_node[i] +=
-          static_cast<double>(rows_in[i]) * cluster_.cpu_seconds_per_tuple;
-    }
-    return ApplyFaults(FaultSite::kRepartition, per_node, metrics);
-  };
-
-  // Adaptive route: a pool without at least two workers cannot overlap
-  // anything, so the two-phase exchange below would pay n full re-scans of
-  // every source batch (one per destination) with nothing gained in
-  // return. The one-pass exchange hashes each batch, buckets its rows per
-  // destination and gathers them while the batch is still hot in cache.
-  // Row order, hashes and all metering are identical on both routes.
-  if (pool_->num_threads() <= 1) {
-    ShuffleResult result;
-    result.data = ColumnarDataset(input.columns, n);
-    result.hashes.resize(n);
-    std::vector<uint64_t> received_bytes(n, 0);
-    std::vector<uint64_t> rows_in(src_parts, 0);
-    uint64_t shuffled_bytes = 0;
-    uint64_t total_rows = 0;
-    const FastMod mod_n(n);
-    std::vector<BatchSink> sinks;
-    sinks.reserve(n);
-    for (size_t d = 0; d < n; ++d) {
-      sinks.emplace_back(num_cols, batch_cap, &result.data.partitions[d]);
-    }
-    std::vector<std::vector<uint32_t>> sel(n);
-    std::vector<uint64_t> hashes;
-    std::vector<uint8_t> null_scratch;
-    for (size_t p = 0; p < src_parts; ++p) {
-      uint64_t part_rows = 0;
-      for (ColumnBatch& b : input.partitions[p]) {
-        const size_t m = b.num_rows;
-        part_rows += m;
-        hashes.resize(m);
-        null_scratch.assign(m, 0);
-        HashKeyColumns(b, key_indices.data(), key_indices.size(),
-                       hashes.data(), null_scratch.data());
-        for (auto& s : sel) s.clear();
-        const uint64_t* sizes = b.row_sizes.data();
-        for (size_t i = 0; i < m; ++i) {
-          const size_t dest = static_cast<size_t>(mod_n(hashes[i]));
-          // A row already sitting on its destination node (co-partitioned
-          // input) moves no bytes.
-          const uint64_t moved = (dest != p || src_parts != n) ? sizes[i] : 0;
-          shuffled_bytes += moved;
-          received_bytes[dest] += moved;
-          sel[dest].push_back(static_cast<uint32_t>(i));
-          result.hashes[dest].push_back(hashes[i]);
-        }
-        for (size_t d = 0; d < n; ++d) {
-          if (!sel[d].empty()) {
-            sinks[d].AppendGather(b, sel[d].data(), sel[d].size());
-          }
-        }
-        b = ColumnBatch();  // the batch is fully consumed; free it eagerly
-      }
-      rows_in[p] = part_rows;
-      total_rows += part_rows;
-      input.partitions[p].clear();
-    }
-    for (BatchSink& s : sinks) s.Flush();
-    input.partitions.clear();
-    metrics->bytes_shuffled += shuffled_bytes;
-    metrics->tuples_processed += total_rows;
-    metrics->simulated_seconds +=
-        static_cast<double>(MaxOver(received_bytes)) *
-            cluster_.network_seconds_per_byte +
-        static_cast<double>(MaxOver(rows_in)) * cluster_.cpu_seconds_per_tuple;
-    DYNOPT_RETURN_IF_ERROR(fault_check(received_bytes, rows_in));
-    metrics->wall_shuffle_seconds += SecondsSince(wall_start);
-    return result;
-  }
-
-  // Phase 1: per source partition, hash the key columns of every batch
-  // (column-at-a-time) and record each row's destination, per-destination
-  // counts and byte metering. No rows move.
-  struct RoutePlan {
-    std::vector<uint64_t> hashes;    // flat over the partition's rows
-    std::vector<uint32_t> dest;      // [row] -> destination partition
-    std::vector<size_t> counts;      // [dest] -> rows routed there
-    std::vector<uint64_t> bytes_to;  // [dest] -> shuffled bytes
-    uint64_t shuffled_bytes = 0;
-  };
-  std::vector<RoutePlan> routed(src_parts);
-  std::vector<uint64_t> rows_in(src_parts, 0);
-  pool_->ParallelFor(src_parts, [&](size_t p) {
-    RoutePlan& plan = routed[p];
-    uint64_t part_rows = 0;
-    for (const ColumnBatch& b : input.partitions[p]) part_rows += b.num_rows;
-    rows_in[p] = part_rows;
-    plan.hashes.resize(part_rows);
-    plan.dest.resize(part_rows);
-    plan.counts.assign(n, 0);
-    plan.bytes_to.assign(n, 0);
-    const FastMod mod_n(n);
-    std::vector<uint8_t> null_scratch;
-    size_t base = 0;
-    for (const ColumnBatch& b : input.partitions[p]) {
-      const size_t m = b.num_rows;
-      null_scratch.assign(m, 0);
-      HashKeyColumns(b, key_indices.data(), key_indices.size(),
-                     plan.hashes.data() + base, null_scratch.data());
-      const uint64_t* h = plan.hashes.data() + base;
-      const uint64_t* sizes = b.row_sizes.data();
-      for (size_t i = 0; i < m; ++i) {
-        const size_t dest = static_cast<size_t>(mod_n(h[i]));
-        plan.dest[base + i] = static_cast<uint32_t>(dest);
-        ++plan.counts[dest];
-        // Co-partitioned rows move no bytes (same rule as the one-pass
-        // route).
-        const uint64_t moved =
-            (dest != p || src_parts != n) ? sizes[i] : 0;
-        plan.shuffled_bytes += moved;
-        plan.bytes_to[dest] += moved;
-      }
-      base += m;
-    }
-  });
-
-  // Phase 2: parallel over destinations — each destination walks every
-  // source batch in order, gathering its rows (and their hashes) into
-  // fixed-capacity output batches. Sources in ascending order, rows in
-  // batch order: exactly the row order of a sequential shuffle.
+  // Per source partition, in parallel: hash each batch's key columns
+  // (column-at-a-time), count its rows per destination and meter the bytes
+  // they move, then prefix-sum the counts and scatter row indices and
+  // hashes in source order — a stable counting sort. No row moves.
   ShuffleResult result;
-  result.data = ColumnarDataset(input.columns, n);
-  result.hashes.resize(n);
-  pool_->ParallelFor(n, [&](size_t d) {
-    size_t total = 0;
-    for (size_t p = 0; p < src_parts; ++p) total += routed[p].counts[d];
-    auto& out_hashes = result.hashes[d];
-    out_hashes.reserve(total);
-    BatchSink sink(num_cols, batch_cap, &result.data.partitions[d]);
-    std::vector<uint32_t> sel;
-    for (size_t p = 0; p < src_parts; ++p) {
-      const RoutePlan& plan = routed[p];
-      size_t base = 0;
-      for (const ColumnBatch& b : input.partitions[p]) {
-        const size_t m = b.num_rows;
-        sel.clear();
-        for (size_t i = 0; i < m; ++i) {
-          if (plan.dest[base + i] == d) {
-            sel.push_back(static_cast<uint32_t>(i));
-            out_hashes.push_back(plan.hashes[base + i]);
-          }
-        }
-        sink.AppendGather(b, sel.data(), sel.size());
-        base += m;
+  result.num_partitions = n;
+  result.routes.resize(src_parts);
+  std::vector<uint64_t> rows_in(src_parts, 0);
+  std::vector<uint64_t> shuffled_from(src_parts, 0);
+  std::vector<std::vector<uint64_t>> bytes_to(src_parts);
+  pool_->ParallelFor(src_parts, [&](size_t p) {
+    const std::vector<ColumnBatch>& batches = input.partitions[p];
+    std::vector<ShuffleResult::Route>& routes = result.routes[p];
+    routes.resize(batches.size());
+    std::vector<uint64_t>& to = bytes_to[p];
+    to.assign(n, 0);
+    const FastMod mod_n(n);
+    std::vector<uint64_t> hashes;
+    std::vector<uint8_t> key_null;
+    std::vector<uint32_t> dest;
+    std::vector<uint32_t> cursor(n);
+    uint64_t part_rows = 0;
+    uint64_t shuffled = 0;
+    for (size_t b = 0; b < batches.size(); ++b) {
+      const ColumnBatch& batch = batches[b];
+      const size_t m = batch.num_rows;
+      part_rows += m;
+      hashes.resize(m);
+      key_null.assign(m, 0);
+      dest.resize(m);
+      HashKeyColumns(batch, key_indices.data(), key_indices.size(),
+                     hashes.data(), key_null.data());
+      ShuffleResult::Route& route = routes[b];
+      route.offsets.assign(n + 1, 0);
+      const uint64_t* sizes = batch.row_sizes.data();
+      for (size_t i = 0; i < m; ++i) {
+        const size_t d = static_cast<size_t>(mod_n(hashes[i]));
+        dest[i] = static_cast<uint32_t>(d);
+        ++route.offsets[d + 1];
+        // A row already sitting on its destination node (co-partitioned
+        // input) moves no bytes.
+        const uint64_t moved = (d != p || src_parts != n) ? sizes[i] : 0;
+        shuffled += moved;
+        to[d] += moved;
+      }
+      for (size_t d = 0; d < n; ++d) {
+        route.offsets[d + 1] += route.offsets[d];
+        cursor[d] = route.offsets[d];
+      }
+      route.sel.resize(m);
+      route.hashes.resize(m);
+      for (size_t i = 0; i < m; ++i) {
+        const uint32_t k = cursor[dest[i]]++;
+        route.sel[k] = static_cast<uint32_t>(i);
+        route.hashes[k] = hashes[i];
       }
     }
-    sink.Flush();
+    rows_in[p] = part_rows;
+    shuffled_from[p] = shuffled;
   });
-  // The input is fully consumed.
-  input.partitions.clear();
+  result.source = std::move(input);
 
   std::vector<uint64_t> received_bytes(n, 0);
   uint64_t total_rows = 0;
   uint64_t shuffled_bytes = 0;
   for (size_t p = 0; p < src_parts; ++p) {
-    shuffled_bytes += routed[p].shuffled_bytes;
+    shuffled_bytes += shuffled_from[p];
     total_rows += rows_in[p];
-    for (size_t d = 0; d < n; ++d) received_bytes[d] += routed[p].bytes_to[d];
+    for (size_t d = 0; d < n; ++d) received_bytes[d] += bytes_to[p][d];
   }
   metrics->bytes_shuffled += shuffled_bytes;
   metrics->tuples_processed += total_rows;
@@ -763,7 +681,22 @@ Result<ShuffleResult> JobExecutor::Repartition(
       static_cast<double>(MaxOver(received_bytes)) *
           cluster_.network_seconds_per_byte +
       static_cast<double>(MaxOver(rows_in)) * cluster_.cpu_seconds_per_tuple;
-  DYNOPT_RETURN_IF_ERROR(fault_check(received_bytes, rows_in));
+  if (FaultsArmed()) {
+    // Fault overlay for the shuffle stage: node i both routes source
+    // partition i (CPU) and receives destination partition i (network);
+    // the wider of the two vectors bounds the node count.
+    std::vector<double> per_node(std::max(n, src_parts), 0.0);
+    for (size_t i = 0; i < n; ++i) {
+      per_node[i] += static_cast<double>(received_bytes[i]) *
+                     cluster_.network_seconds_per_byte;
+    }
+    for (size_t i = 0; i < src_parts; ++i) {
+      per_node[i] +=
+          static_cast<double>(rows_in[i]) * cluster_.cpu_seconds_per_tuple;
+    }
+    DYNOPT_RETURN_IF_ERROR(
+        ApplyFaults(FaultSite::kRepartition, per_node, metrics));
+  }
   metrics->wall_shuffle_seconds += SecondsSince(wall_start);
   return result;
 }
@@ -788,8 +721,9 @@ Status JobExecutor::GraceJoinPartition(
     JoinHashTable table;
     BuildTable(build, build_keys, nullptr, &table);
     *work += build.num_rows + probe.num_rows +
-             ProbeTable(build, table, &probe, 1, build_keys, probe_keys,
-                        nullptr, sink);
+             ProbeTable(build, table,
+                        {{&probe, nullptr, nullptr, probe.num_rows}},
+                        build_keys, probe_keys, sink);
     return Status::OK();
   }
 
@@ -911,74 +845,107 @@ Status JobExecutor::GraceJoinPartition(
 }
 
 Result<ColumnarDataset> JobExecutor::LocalHashJoin(
+    ShuffleResult&& build, const ShuffleResult& probe,
+    const std::vector<int>& build_keys, const std::vector<int>& probe_keys,
+    ExecMetrics* metrics) {
+  return JoinViews(JoinedColumns(build.source.columns, probe.source.columns),
+                   build.Views(), probe.Views(), build_keys, probe_keys,
+                   metrics, &build);
+}
+
+Result<ColumnarDataset> JobExecutor::LocalHashJoin(
     const ColumnarDataset& build, const ColumnarDataset& probe,
     const std::vector<int>& build_keys, const std::vector<int>& probe_keys,
-    ExecMetrics* metrics,
-    const std::vector<std::vector<uint64_t>>* build_hashes,
-    const std::vector<std::vector<uint64_t>>* probe_hashes) {
+    ExecMetrics* metrics) {
+  return JoinViews(JoinedColumns(build.columns, probe.columns),
+                   WholeBatchViews(build), WholeBatchViews(probe), build_keys,
+                   probe_keys, metrics);
+}
+
+Result<ColumnarDataset> JobExecutor::JoinViews(
+    std::vector<std::string> out_columns,
+    const std::vector<std::vector<BatchView>>& build,
+    const std::vector<std::vector<BatchView>>& probe,
+    const std::vector<int>& build_keys, const std::vector<int>& probe_keys,
+    ExecMetrics* metrics, ShuffleResult* build_owner) {
   DYNOPT_RETURN_IF_ERROR(config_status_);
-  DYNOPT_CHECK(build.partitions.size() == probe.partitions.size());
+  const size_t num_parts = probe.size();
+  const size_t num_builds = build.size();
+  DYNOPT_CHECK(num_builds == num_parts || num_builds == 1);
   DYNOPT_RETURN_IF_ERROR(CheckAlive());
-  const size_t num_parts = build.partitions.size();
+  // Node p's build partition: its own, or the one a broadcast shares.
+  auto build_of = [num_builds](size_t p) { return num_builds == 1 ? 0 : p; };
   const size_t batch_cap = cluster_.exec.max_batch_size;
-  std::vector<std::string> out_columns = build.columns;
-  out_columns.insert(out_columns.end(), probe.columns.begin(),
-                     probe.columns.end());
-  ColumnarDataset out(out_columns, num_parts);
+  ColumnarDataset out(std::move(out_columns), num_parts);
+  std::vector<uint64_t> build_rows(num_builds, 0);
+  for (size_t b = 0; b < num_builds; ++b) {
+    for (const BatchView& v : build[b]) build_rows[b] += v.num_rows;
+  }
 
   // Per-node join-memory governance: size every build partition from its
   // row_sizes and mark the ones exceeding the join budget for the
-  // grace-join spill path. The resident build side is accounted against
-  // the query's tracker for the duration of the join (spilled partitions
-  // account their sub-joins inside GraceJoinPartition instead). With a
-  // zero budget and no query context nothing is sized and nothing spills.
+  // grace-join spill path. Each node's resident build side — a broadcast's
+  // on every node — is accounted against the query's tracker for the
+  // duration of the join (spilled partitions account their sub-joins
+  // inside GraceJoinPartition instead). With a zero budget and no query
+  // context nothing is sized and nothing spills.
   const uint64_t join_budget = cluster_.memory.join_memory_budget_bytes;
-  std::vector<char> spill(num_parts, 0);
+  std::vector<char> spill(num_builds, 0);
   bool any_spill = false;
   MemoryReservation join_mem(ctx_ != nullptr ? &ctx_->memory() : nullptr);
   if (join_budget > 0 || ctx_ != nullptr) {
-    std::vector<uint64_t> build_bytes(num_parts, 0);
-    pool_->ParallelFor(num_parts, [&](size_t p) {
+    std::vector<uint64_t> build_bytes(num_builds, 0);
+    pool_->ParallelFor(num_builds, [&](size_t b) {
       uint64_t bytes = 0;
-      for (const ColumnBatch& b : build.partitions[p]) {
-        for (uint64_t s : b.row_sizes) bytes += s;
+      for (const BatchView& v : build[b]) {
+        const uint64_t* sizes = v.batch->row_sizes.data();
+        for (size_t k = 0; k < v.num_rows; ++k) {
+          bytes += sizes[v.sel != nullptr ? v.sel[k] : k];
+        }
       }
-      build_bytes[p] = bytes;
+      build_bytes[b] = bytes;
     });
+    for (size_t b = 0; b < num_builds; ++b) {
+      spill[b] = join_budget > 0 && build_bytes[b] > join_budget &&
+                 build_rows[b] > 1;
+      any_spill = any_spill || spill[b];
+    }
     for (size_t p = 0; p < num_parts; ++p) {
-      if (join_budget > 0 && build_bytes[p] > join_budget &&
-          build.PartitionRows(p) > 1) {
-        spill[p] = 1;
-        any_spill = true;
-      } else {
-        join_mem.GrowUnchecked(build_bytes[p]);
-      }
+      if (!spill[build_of(p)]) join_mem.GrowUnchecked(build_bytes[build_of(p)]);
     }
   }
 
-  // Build phase: concatenate each partition's build batches into one flat
-  // batch (the table's index space), hash its key columns (or adopt the
-  // shuffle's hashes) and build the flat table. Spilled partitions never
+  // Build phase: gather each build partition's views into one flat batch
+  // (the table's index space) and build the flat table over it with the
+  // shuffle's hashes, or hash its key columns. Spilled partitions never
   // build a full-partition table — that is the point.
   TraceSpan build_span("join-build", "kernel");
   auto wall_start = WallClock::now();
-  if (join_tables_.size() < num_parts) join_tables_.resize(num_parts);
+  if (join_tables_.size() < num_builds) join_tables_.resize(num_builds);
   std::vector<JoinHashTable>& tables = join_tables_;
-  std::vector<ColumnBatch> build_flat(num_parts);
-  pool_->ParallelFor(num_parts, [&](size_t p) {
-    build_flat[p] = ConcatBatches(build.partitions[p]);
-    if (spill[p]) return;
-    BuildTable(build_flat[p], build_keys,
-               build_hashes != nullptr ? (*build_hashes)[p].data() : nullptr,
-               &tables[p]);
+  std::vector<ColumnBatch> build_flat(num_builds);
+  pool_->ParallelFor(num_builds, [&](size_t b) {
+    build_flat[b] = GatherViews(build[b]);
+    if (spill[b]) return;
+    std::vector<uint64_t> hashes;
+    if (!build[b].empty() && build[b][0].hashes != nullptr) {
+      hashes.reserve(build_rows[b]);
+      for (const BatchView& v : build[b]) {
+        hashes.insert(hashes.end(), v.hashes, v.hashes + v.num_rows);
+      }
+    }
+    BuildTable(build_flat[b], build_keys,
+               hashes.empty() ? nullptr : hashes.data(), &tables[b]);
   });
+  // The flat batches hold every build row now; `build` is not read again.
+  if (build_owner != nullptr) *build_owner = ShuffleResult();
   metrics->wall_build_seconds += SecondsSince(wall_start);
   if (FaultsArmed()) {
     // Build-stage fault overlay: node p's clean task time is inserting its
     // build partition into the hash table.
     std::vector<double> build_seconds(num_parts, 0.0);
     for (size_t p = 0; p < num_parts; ++p) {
-      build_seconds[p] = static_cast<double>(build_flat[p].num_rows) *
+      build_seconds[p] = static_cast<double>(build_rows[build_of(p)]) *
                          cluster_.cpu_seconds_per_tuple;
     }
     DYNOPT_RETURN_IF_ERROR(
@@ -986,10 +953,11 @@ Result<ColumnarDataset> JobExecutor::LocalHashJoin(
   }
   build_span.End();
 
-  // Probe phase. Spilled partitions take the grace-join route inside the
-  // same ParallelFor, emitting into the same output slot; their failures
-  // (spill I/O, a cancellation observed mid-spill) land in part_status,
-  // merged after the loop.
+  // Probe phase. Spilled partitions gather their probe views into one flat
+  // batch and take the grace-join route inside the same ParallelFor,
+  // emitting into the same output slot; their failures (spill I/O, a
+  // cancellation observed mid-spill) land in part_status, merged after the
+  // loop.
   DYNOPT_RETURN_IF_ERROR(CheckAlive());
   TraceSpan probe_span("join-probe", "kernel");
   wall_start = WallClock::now();
@@ -997,23 +965,19 @@ Result<ColumnarDataset> JobExecutor::LocalHashJoin(
   std::vector<Status> part_status(num_parts);
   std::vector<SpillStats> part_spill(any_spill ? num_parts : 0);
   pool_->ParallelFor(num_parts, [&](size_t p) {
-    const std::vector<ColumnBatch>& probe_batches = probe.partitions[p];
-    BatchSink sink(out_columns.size(), batch_cap, &out.partitions[p]);
-    if (spill[p]) {
+    const size_t b = build_of(p);
+    BatchSink sink(out.columns.size(), batch_cap, &out.partitions[p]);
+    if (spill[b]) {
       part_status[p] = GraceJoinPartition(
-          build_flat[p], ConcatBatches(probe_batches), build_keys, probe_keys,
+          build_flat[b], GatherViews(probe[p]), build_keys, probe_keys,
           /*depth=*/0, /*salt=*/0xc2b2ae3d27d4eb4fULL, p, &work[p], &sink,
           &part_spill[p]);
     } else {
       uint64_t probe_rows = 0;
-      for (const ColumnBatch& pb : probe_batches) probe_rows += pb.num_rows;
-      work[p] = build_flat[p].num_rows + probe_rows +
-                ProbeTable(build_flat[p], tables[p], probe_batches.data(),
-                           probe_batches.size(), build_keys, probe_keys,
-                           probe_hashes != nullptr
-                               ? (*probe_hashes)[p].data()
-                               : nullptr,
-                           &sink);
+      for (const BatchView& v : probe[p]) probe_rows += v.num_rows;
+      work[p] = build_rows[b] + probe_rows +
+                ProbeTable(build_flat[b], tables[b], probe[p], build_keys,
+                           probe_keys, &sink);
     }
     sink.Flush();
   });
@@ -1057,9 +1021,8 @@ Result<ColumnarDataset> JobExecutor::LocalHashJoin(
     // emission work (work[p] minus the build rows already charged above).
     std::vector<double> probe_seconds(num_parts, 0.0);
     for (size_t p = 0; p < num_parts; ++p) {
-      probe_seconds[p] =
-          static_cast<double>(work[p] - build_flat[p].num_rows) *
-          cluster_.cpu_seconds_per_tuple;
+      probe_seconds[p] = static_cast<double>(work[p] - build_rows[build_of(p)]) *
+                         cluster_.cpu_seconds_per_tuple;
     }
     DYNOPT_RETURN_IF_ERROR(
         ApplyFaults(FaultSite::kProbe, probe_seconds, metrics));
@@ -1096,23 +1059,14 @@ Result<ColumnarDataset> JobExecutor::ExecJoin(
     DYNOPT_ASSIGN_OR_RETURN(
         ShuffleResult probe_parts,
         Repartition(std::move(probe), probe_keys, metrics));
-    return LocalHashJoin(build_parts.data, probe_parts.data, build_keys,
-                         probe_keys, metrics, &build_parts.hashes,
-                         &probe_parts.hashes);
+    return LocalHashJoin(std::move(build_parts), probe_parts, build_keys,
+                         probe_keys, metrics);
   }
 
   // Broadcast join: replicate the (small) build side to every partition of
   // the probe side.
   DYNOPT_CHECK(node.method == JoinMethod::kBroadcast);
-  uint64_t build_bytes = 0;
-  std::vector<ColumnBatch> build_all;
-  for (auto& part : build.partitions) {
-    for (ColumnBatch& b : part) {
-      for (uint64_t s : b.row_sizes) build_bytes += s;
-      build_all.push_back(std::move(b));
-    }
-  }
-  build.partitions.clear();
+  const uint64_t build_bytes = build.TotalBytes();
   const size_t n = probe.partitions.size();
   metrics->bytes_broadcast += build_bytes * n;
   // Every node receives the full build side; receipt happens in parallel.
@@ -1143,13 +1097,15 @@ Result<ColumnarDataset> JobExecutor::ExecJoin(
         ApplyFaults(FaultSite::kBroadcast, receive_seconds, metrics));
   }
 
-  // Physical replication: per-node joins are real work (dictionaries are
-  // shared across the copies; codes and fixed-width payloads are
-  // duplicated). The memory cost is bounded by the planner's broadcast
-  // threshold.
-  ColumnarDataset replicated(build.columns, n);
-  for (size_t p = 0; p < n; ++p) replicated.partitions[p] = build_all;
-  return LocalHashJoin(replicated, probe, build_keys, probe_keys, metrics);
+  // The simulator meters n copies but keeps one: the build side becomes a
+  // single partition that every probe partition reads, so the join gathers
+  // one flat batch and builds one table (still metered as a build on every
+  // node).
+  ColumnarDataset shared(build.columns, 1);
+  for (std::vector<ColumnBatch>& part : build.partitions) {
+    for (ColumnBatch& b : part) shared.partitions[0].push_back(std::move(b));
+  }
+  return LocalHashJoin(shared, probe, build_keys, probe_keys, metrics);
 }
 
 void JobExecutor::TransferPredicate(const ColumnarDataset& build,
@@ -1217,7 +1173,9 @@ void JobExecutor::TransferPredicate(const ColumnarDataset& build,
           pruned_bytes[p] += b.row_sizes[i];
         }
       }
-      if (sel.size() != b.num_rows) b = GatherBatch(b, sel.data(), sel.size());
+      if (sel.size() != b.num_rows) {
+        b = GatherViews({{&b, sel.data(), nullptr, sel.size()}});
+      }
     }
   });
   uint64_t max_probe_part = 0;

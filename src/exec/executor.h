@@ -39,13 +39,27 @@ struct SinkResult {
   TableStats stats;        ///< Online statistics (empty when disabled).
 };
 
-/// A repartitioned dataset plus the key hash of every row, computed once
-/// during routing: hashes[p][i] is the key hash of the i-th row of
-/// partition p in batch-concatenation order (the flat row index space the
-/// local hash join builds its table over), so build and probe never rehash.
+/// A hash-repartitioned dataset whose rows have not moved. `source` keeps
+/// the input batches, and routes[p][b] routes batch b of source partition
+/// p: a stable counting sort of its rows by destination, with the key hash
+/// of each row. Partition d is Views()[d]: its rows from every source
+/// batch, sources ascending and rows in batch order, exactly the row order
+/// of a sequential shuffle.
 struct ShuffleResult {
-  ColumnarDataset data;
-  std::vector<std::vector<uint64_t>> hashes;
+  struct Route {
+    /// Destination d's rows are sel[offsets[d], offsets[d + 1]).
+    std::vector<uint32_t> offsets;
+    std::vector<uint32_t> sel;     ///< Row indices, grouped by destination.
+    std::vector<uint64_t> hashes;  ///< Key hash of row sel[k], aligned.
+  };
+
+  /// Each destination's rows as views into `source`: element d lists
+  /// destination d's non-empty views, sources ascending.
+  std::vector<std::vector<BatchView>> Views() const;
+
+  ColumnarDataset source;
+  std::vector<std::vector<Route>> routes;
+  size_t num_partitions = 0;
 };
 
 /// Executes physical job plans against the simulated cluster: operators run
@@ -115,32 +129,43 @@ class JobExecutor {
                                      sketch_columns = nullptr);
 
   /// Hash-repartitions `input` on `key_indices` into the cluster's node
-  /// count, metering network traffic. Phase 1 hashes key columns with
-  /// HashKeyColumns (each row's key hash exactly once); phase 2 scatters
-  /// per *destination* (each destination gathers its rows from every
-  /// source batch in source order, so writers never share state and the
-  /// output row order matches a sequential shuffle). Pools with at most one
-  /// worker take a one-pass exchange with the same output. Fails only
+  /// count, metering network traffic, without moving a row: per source
+  /// batch (source partitions in parallel) it hashes the key columns with
+  /// HashKeyColumns, counts rows per destination, prefix-sums the counts
+  /// and scatters row indices and hashes in source order (see
+  /// ShuffleResult). The join gathers each destination's rows. Fails only
   /// under fault injection (retryable kTransient).
   Result<ShuffleResult> Repartition(ColumnarDataset&& input,
                                     const std::vector<int>& key_indices,
                                     ExecMetrics* metrics);
 
-  /// Local hash join between aligned partitions (equal-length partition
-  /// vectors); emits build-row ++ probe-row. Build batches are concatenated
-  /// per partition so the flat table of JoinHashTable::Build indexes them
-  /// directly; probing walks probe batches emitting gathered
-  /// build++probe columns. When `build_hashes` / `probe_hashes` are
-  /// non-null (per-partition key hashes from Repartition) the join reuses
-  /// them instead of rehashing. Under a join memory budget, build
-  /// partitions over budget take the grace-join spill path. Fails under
-  /// fault injection (retryable kTransient), cancellation, or spill I/O.
-  Result<ColumnarDataset> LocalHashJoin(
-      const ColumnarDataset& build, const ColumnarDataset& probe,
-      const std::vector<int>& build_keys, const std::vector<int>& probe_keys,
-      ExecMetrics* metrics,
-      const std::vector<std::vector<uint64_t>>* build_hashes = nullptr,
-      const std::vector<std::vector<uint64_t>>* probe_hashes = nullptr);
+  /// Local hash join between the partitions of two shuffled sides; emits
+  /// build-row ++ probe-row. Each partition's build rows are gathered from
+  /// their routes into one flat batch (the flat table of
+  /// JoinHashTable::Build indexes it) and the table is built with the
+  /// routes' hashes. The join consumes `build`: its source batches are
+  /// freed once gathered, so the flat batches are the only copy of a build
+  /// row while the probe runs. The probe reads its rows through their
+  /// routes, so the output gather is the only copy of a probe row. Under a
+  /// join memory budget, build partitions over budget take the grace-join
+  /// spill path. Fails under fault injection (retryable kTransient),
+  /// cancellation, or spill I/O.
+  Result<ColumnarDataset> LocalHashJoin(ShuffleResult&& build,
+                                        const ShuffleResult& probe,
+                                        const std::vector<int>& build_keys,
+                                        const std::vector<int>& probe_keys,
+                                        ExecMetrics* metrics);
+
+  /// The same join over datasets read as whole-batch views, hashed here.
+  /// `build` has one partition per probe partition (a partition-wise join)
+  /// or exactly one partition, which every probe partition reads (a
+  /// broadcast: one flat batch and one table, metered as one build per
+  /// node).
+  Result<ColumnarDataset> LocalHashJoin(const ColumnarDataset& build,
+                                        const ColumnarDataset& probe,
+                                        const std::vector<int>& build_keys,
+                                        const std::vector<int>& probe_keys,
+                                        ExecMetrics* metrics);
 
   const ClusterConfig& cluster() const { return cluster_; }
 
@@ -161,6 +186,18 @@ class JobExecutor {
   Result<ColumnarDataset> ExecIndexNestedLoopJoin(
       const PlanNode& node, const std::map<std::string, Value>& params,
       ExecMetrics* metrics);
+
+  /// The join behind both LocalHashJoin overloads. `build[b]` and
+  /// `probe[p]` list each partition's views; `build` has probe.size()
+  /// partitions or one shared by every probe partition. Views of one side
+  /// all carry hashes or none do. `build_owner`, when non-null, owns the
+  /// build views' batches and is reset once they are gathered.
+  Result<ColumnarDataset> JoinViews(
+      std::vector<std::string> out_columns,
+      const std::vector<std::vector<BatchView>>& build,
+      const std::vector<std::vector<BatchView>>& probe,
+      const std::vector<int>& build_keys, const std::vector<int>& probe_keys,
+      ExecMetrics* metrics, ShuffleResult* build_owner = nullptr);
 
   /// True when an enabled fault injector is attached.
   bool FaultsArmed() const { return faults_ != nullptr && faults_->enabled(); }
@@ -248,11 +285,12 @@ class JobExecutor {
   /// colliding.
   static inline std::atomic<uint64_t> spill_serial_{0};
 
-  /// Join build tables, reused across LocalHashJoin calls so the bucket /
-  /// chain / hash vectors keep their capacity instead of being reallocated
-  /// for every join of a pipeline. Only touched from LocalHashJoin, which
-  /// runs one join at a time (each ParallelFor body writes a distinct
-  /// element).
+  /// Join build tables, one per build partition (a broadcast uses only the
+  /// first, read by every probe partition), reused across joins so the
+  /// bucket / chain / hash vectors keep their capacity instead of being
+  /// reallocated for every join of a pipeline. Only touched from
+  /// JoinViews, which runs one join at a time (each build task writes a
+  /// distinct element; probe tasks only read).
   std::vector<JoinHashTable> join_tables_;
 };
 

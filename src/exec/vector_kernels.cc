@@ -128,6 +128,16 @@ void AppendValidity(ColumnVector* dst, size_t old_rows,
   for (size_t k = 0; k < n; ++k) dst->validity.push_back(valid[sel[k]]);
 }
 
+/// dst[k] = src[sel[k]] for k in [0, n), or a range copy when `sel` is null.
+template <typename T>
+void GatherInto(T* dst, const T* src, const uint32_t* sel, size_t n) {
+  if (sel == nullptr) {
+    std::copy(src, src + n, dst);
+  } else {
+    for (size_t k = 0; k < n; ++k) dst[k] = src[sel[k]];
+  }
+}
+
 }  // namespace
 
 void HashKeyColumns(const ColumnBatch& batch, const int* keys,
@@ -279,44 +289,6 @@ void AddColumnToSketch(const ColumnBatch& batch, int column,
   }
 }
 
-ColumnBatch GatherBatch(const ColumnBatch& src, const uint32_t* sel,
-                        size_t n) {
-  ColumnBatch out;
-  out.num_rows = n;
-  out.columns.resize(src.columns.size());
-  for (size_t c = 0; c < src.columns.size(); ++c) {
-    const ColumnVector& s = src.columns[c];
-    ColumnVector& d = out.columns[c];
-    d.kind = s.kind;
-    switch (s.kind) {
-      case ColumnKind::kInt64:
-        d.i64.resize(n);
-        for (size_t k = 0; k < n; ++k) d.i64[k] = s.i64[sel[k]];
-        break;
-      case ColumnKind::kDouble:
-        d.f64.resize(n);
-        for (size_t k = 0; k < n; ++k) d.f64[k] = s.f64[sel[k]];
-        break;
-      case ColumnKind::kBool:
-        d.b8.resize(n);
-        for (size_t k = 0; k < n; ++k) d.b8[k] = s.b8[sel[k]];
-        break;
-      case ColumnKind::kString:
-        d.dict = s.dict;  // Selection never changes the value set: share.
-        d.codes.resize(n);
-        for (size_t k = 0; k < n; ++k) d.codes[k] = s.codes[sel[k]];
-        break;
-    }
-    if (!s.validity.empty()) {
-      d.validity.resize(n);
-      for (size_t k = 0; k < n; ++k) d.validity[k] = s.validity[sel[k]];
-    }
-  }
-  out.row_sizes.resize(n);
-  for (size_t k = 0; k < n; ++k) out.row_sizes[k] = src.row_sizes[sel[k]];
-  return out;
-}
-
 void AppendGatherColumn(ColumnVector* dst, const ColumnVector& src,
                         const uint32_t* sel, size_t n) {
   if (n == 0) return;
@@ -348,9 +320,9 @@ void AppendGatherColumn(ColumnVector* dst, const ColumnVector& src,
         // Merge dictionaries: intern via the source's cached hashes. NULL
         // slots carry a meaningless code 0 and must not touch the dict.
         // The destination dict may have been adopted from an earlier source
-        // batch and still be shared with it (and, on a parallel shuffle,
-        // readable from other workers' sinks) — clone before the first
-        // mutating intern so shared dictionaries stay immutable. A unique
+        // batch and still be shared with it (and, in a parallel join,
+        // readable from other workers) — clone before the first mutating
+        // intern so shared dictionaries stay immutable. A unique
         // reference cannot gain new owners mid-append, so use_count()==1 is
         // a safe exclusivity check.
         if (dst->dict.use_count() > 1) {
@@ -373,89 +345,86 @@ void AppendGatherColumn(ColumnVector* dst, const ColumnVector& src,
   AppendValidity(dst, old_rows, src, sel, n);
 }
 
-ColumnBatch ConcatBatches(const std::vector<ColumnBatch>& batches) {
+ColumnBatch GatherViews(const std::vector<BatchView>& views) {
   ColumnBatch out;
-  if (batches.empty()) return out;
+  if (views.empty()) return out;
   size_t total = 0;
-  size_t max_rows = 0;
-  for (const ColumnBatch& b : batches) {
-    total += b.num_rows;
-    max_rows = std::max(max_rows, b.num_rows);
-  }
-  const size_t num_cols = batches[0].columns.size();
+  for (const BatchView& v : views) total += v.num_rows;
+  const size_t num_cols = views[0].batch->columns.size();
+  out.num_rows = total;
   out.columns.resize(num_cols);
-  out.row_sizes.reserve(total);
-  std::vector<uint32_t> identity;  // built lazily — slow path only
   for (size_t c = 0; c < num_cols; ++c) {
-    // When a string column's batches all share one dictionary (the
-    // common case, since a partition's batches come from one producer) —
-    // and always for the other kinds — the concat is a bulk range copy
-    // instead of a per-element gather that merges dictionaries.
-    const ColumnVector* proto = nullptr;
-    bool uniform = true;
-    bool any_validity = false;
-    for (const ColumnBatch& b : batches) {
-      if (b.num_rows == 0) continue;
-      const ColumnVector& s = b.columns[c];
-      if (!s.validity.empty()) any_validity = true;
-      if (proto == nullptr) {
-        proto = &s;
-      } else if (s.dict.get() != proto->dict.get()) {
-        uniform = false;
+    const ColumnVector& first = views[0].batch->columns[c];
+    ColumnVector& d = out.columns[c];
+    d.kind = first.kind;
+    switch (d.kind) {
+      case ColumnKind::kInt64:
+        d.i64.resize(total);
+        break;
+      case ColumnKind::kDouble:
+        d.f64.resize(total);
+        break;
+      case ColumnKind::kBool:
+        d.b8.resize(total);
+        break;
+      case ColumnKind::kString:
+        d.codes.resize(total);
+        d.dict = first.dict;
+        break;
+    }
+    for (const BatchView& v : views) {
+      if (!v.batch->columns[c].validity.empty()) {
+        d.validity.assign(total, 1);
+        break;
       }
     }
-    if (proto == nullptr) continue;  // every batch is empty
-    ColumnVector& d = out.columns[c];
-    if (uniform) {
-      d.kind = proto->kind;
-      if (proto->kind == ColumnKind::kString) d.dict = proto->dict;
-      for (const ColumnBatch& b : batches) {
-        if (b.num_rows == 0) continue;
-        const ColumnVector& s = b.columns[c];
-        switch (d.kind) {
-          case ColumnKind::kInt64:
-            if (d.i64.empty()) d.i64.reserve(total);
-            d.i64.insert(d.i64.end(), s.i64.begin(), s.i64.end());
-            break;
-          case ColumnKind::kDouble:
-            if (d.f64.empty()) d.f64.reserve(total);
-            d.f64.insert(d.f64.end(), s.f64.begin(), s.f64.end());
-            break;
-          case ColumnKind::kBool:
-            if (d.b8.empty()) d.b8.reserve(total);
-            d.b8.insert(d.b8.end(), s.b8.begin(), s.b8.end());
-            break;
-          case ColumnKind::kString:
-            if (d.codes.empty()) d.codes.reserve(total);
-            d.codes.insert(d.codes.end(), s.codes.begin(), s.codes.end());
-            break;
-        }
-        if (any_validity) {
-          if (d.validity.capacity() == 0) d.validity.reserve(total);
-          if (s.validity.empty()) {
-            d.validity.insert(d.validity.end(), b.num_rows, 1);
+    size_t off = 0;
+    for (const BatchView& v : views) {
+      const ColumnVector& s = v.batch->columns[c];
+      const uint32_t* sel = v.sel;
+      const size_t n = v.num_rows;
+      switch (d.kind) {
+        case ColumnKind::kInt64:
+          GatherInto(d.i64.data() + off, s.i64.data(), sel, n);
+          break;
+        case ColumnKind::kDouble:
+          GatherInto(d.f64.data() + off, s.f64.data(), sel, n);
+          break;
+        case ColumnKind::kBool:
+          GatherInto(d.b8.data() + off, s.b8.data(), sel, n);
+          break;
+        case ColumnKind::kString:
+          if (s.dict.get() == d.dict.get()) {
+            GatherInto(d.codes.data() + off, s.codes.data(), sel, n);
           } else {
-            d.validity.insert(d.validity.end(), s.validity.begin(),
-                              s.validity.end());
+            // Another dictionary: intern through its cached hashes into a
+            // private clone (the adopted dictionary is still shared with
+            // its source batch). NULL slots keep code 0.
+            if (d.dict.use_count() > 1) {
+              d.dict = std::make_shared<StringDict>(*d.dict);
+            }
+            for (size_t k = 0; k < n; ++k) {
+              const size_t i = sel != nullptr ? sel[k] : k;
+              d.codes[off + k] =
+                  s.IsNullAt(i) ? 0
+                                : d.dict->Intern(s.dict->entry(s.codes[i]),
+                                                 s.dict->hash(s.codes[i]));
+            }
           }
-        }
+          break;
       }
-    } else {
-      if (identity.empty() && max_rows > 0) {
-        identity.resize(max_rows);
-        for (size_t i = 0; i < max_rows; ++i) {
-          identity[i] = static_cast<uint32_t>(i);
-        }
+      if (!s.validity.empty()) {
+        GatherInto(d.validity.data() + off, s.validity.data(), sel, n);
       }
-      for (const ColumnBatch& b : batches) {
-        AppendGatherColumn(&d, b.columns[c], identity.data(), b.num_rows);
-      }
+      off += n;
     }
   }
-  for (const ColumnBatch& b : batches) {
-    out.row_sizes.insert(out.row_sizes.end(), b.row_sizes.begin(),
-                         b.row_sizes.end());
-    out.num_rows += b.num_rows;
+  out.row_sizes.resize(total);
+  size_t off = 0;
+  for (const BatchView& v : views) {
+    GatherInto(out.row_sizes.data() + off, v.batch->row_sizes.data(), v.sel,
+               v.num_rows);
+    off += v.num_rows;
   }
   return out;
 }
@@ -472,25 +441,6 @@ void BatchSink::CloseIfFull() {
   if (open_ && cur_.num_rows >= capacity_) {
     out_->push_back(std::move(cur_));
     open_ = false;
-  }
-}
-
-void BatchSink::AppendGather(const ColumnBatch& src, const uint32_t* sel,
-                             size_t n) {
-  size_t off = 0;
-  while (off < n) {
-    EnsureOpen();
-    const size_t m = std::min(capacity_ - cur_.num_rows, n - off);
-    for (size_t c = 0; c < num_columns_; ++c) {
-      AppendGatherColumn(&cur_.columns[c], src.columns[c], sel + off, m);
-    }
-    for (size_t k = 0; k < m; ++k) {
-      cur_.row_sizes.push_back(src.row_sizes[sel[off + k]]);
-    }
-    cur_.num_rows += m;
-    rows_appended_ += m;
-    off += m;
-    CloseIfFull();
   }
 }
 

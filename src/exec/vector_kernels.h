@@ -92,31 +92,36 @@ void AddBatchToStats(const ColumnBatch& batch, TableStatsBuilder* builder);
 void AddColumnToSketch(const ColumnBatch& batch, int column,
                        JoinKeySketch* sketch);
 
-/// Gathers the `n` rows selected by `sel` out of `src` into a fresh
-/// compacted batch (typed per-column gather; string columns share the
-/// source dictionary; row_sizes gathered alongside). The selection-vector
-/// half of the filter kernel.
-ColumnBatch GatherBatch(const ColumnBatch& src, const uint32_t* sel,
-                        size_t n);
+/// Rows of one batch read in place: rows sel[0..num_rows) of `*batch` in
+/// that order, or rows [0, num_rows) when `sel` is null. `hashes`, when
+/// non-null, holds the key hash of each viewed row (aligned with `sel`).
+/// A view borrows everything it points to. The shuffle's routes and the
+/// hash join's inputs are lists of views.
+struct BatchView {
+  const ColumnBatch* batch = nullptr;
+  const uint32_t* sel = nullptr;
+  const uint64_t* hashes = nullptr;
+  size_t num_rows = 0;
+};
 
-/// Concatenates all batches of one partition into a single batch (used by
-/// the join build side so hash-table entries index a flat row space). The
-/// batches' columns must agree in kind; string columns on different
-/// dictionaries are merged via cached-hash interning.
-ColumnBatch ConcatBatches(const std::vector<ColumnBatch>& batches);
+/// Gathers the rows of `views`, in order, into one fresh batch of exactly
+/// their total size with typed indexed writes: the join's flat build side
+/// (hash-table entries index its row space), and with one view the
+/// compaction half of the filter kernels. The views' columns must agree in
+/// kind. A string column adopts the first view's dictionary and interns
+/// rows from other dictionaries into a private clone of it. Returns an
+/// empty batch without columns when `views` is empty.
+ColumnBatch GatherViews(const std::vector<BatchView>& views);
 
 /// Accumulates gathered rows into fixed-capacity output batches
 /// (max_batch_size rows each); each destination column takes its source's
-/// kind, and string columns merge dictionaries. Shuffle scatter and join
-/// emission funnel through this sink.
+/// kind, and string columns merge dictionaries. Join emission funnels
+/// through this sink.
 class BatchSink {
  public:
   BatchSink(size_t num_columns, size_t max_batch_size,
             std::vector<ColumnBatch>* out)
       : num_columns_(num_columns), capacity_(max_batch_size), out_(out) {}
-
-  /// Appends rows src[sel[0..n)] — all columns plus their row_sizes.
-  void AppendGather(const ColumnBatch& src, const uint32_t* sel, size_t n);
 
   /// Appends `n` joined rows: build columns gathered by `bsel` from
   /// `build`, probe columns gathered by `psel` from `probe` — the slots

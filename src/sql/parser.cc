@@ -23,6 +23,12 @@ Result<T> ParseNumber(const std::string& text, const char* what) {
   return v;
 }
 
+/// Deepest nesting of NOT, parentheses and UDF calls an expression may
+/// have. Each level costs a few stack frames in the recursive-descent
+/// parser, and later passes (binder, evaluators, destruction) recurse over
+/// the tree, so an unbounded depth would overflow the stack.
+constexpr int kMaxExpressionDepth = 1000;
+
 /// Recursive-descent parser over the token stream.
 class Parser {
  public:
@@ -209,15 +215,30 @@ class Parser {
     return children.size() == 1 ? children[0] : And(std::move(children));
   }
 
+  /// Enters one more nesting level (a failed parse never leaves it).
+  Status EnterNested() {
+    if (++depth_ > kMaxExpressionDepth) {
+      return Status::ParseError("expression nested deeper than " +
+                                std::to_string(kMaxExpressionDepth) +
+                                " levels at offset " +
+                                std::to_string(Peek().position));
+    }
+    return Status::OK();
+  }
+
   Result<ExprPtr> ParseUnary() {
     if (MatchKeyword("NOT")) {
+      DYNOPT_RETURN_IF_ERROR(EnterNested());
       DYNOPT_ASSIGN_OR_RETURN(ExprPtr child, ParseUnary());
+      --depth_;
       return Not(std::move(child));
     }
     if (Peek().type == TokenType::kLParen) {
       Advance();
+      DYNOPT_RETURN_IF_ERROR(EnterNested());
       DYNOPT_ASSIGN_OR_RETURN(ExprPtr inner, ParseOr());
       DYNOPT_RETURN_IF_ERROR(Expect(TokenType::kRParen, "')'"));
+      --depth_;
       return inner;
     }
     return ParsePredicate();
@@ -298,6 +319,7 @@ class Parser {
         if (Peek(1).type == TokenType::kLParen) {
           std::string name = Advance().text;
           Advance();  // '('
+          DYNOPT_RETURN_IF_ERROR(EnterNested());
           std::vector<ExprPtr> args;
           if (Peek().type != TokenType::kRParen) {
             do {
@@ -306,6 +328,7 @@ class Parser {
             } while (Match(TokenType::kComma));
           }
           DYNOPT_RETURN_IF_ERROR(Expect(TokenType::kRParen, "')'"));
+          --depth_;
           return Udf(std::move(name), std::move(args));
         }
         return ParseColumnRef();
@@ -319,6 +342,7 @@ class Parser {
 
   std::vector<Token> tokens_;
   size_t pos_ = 0;
+  int depth_ = 0;  ///< NOT / parenthesis / UDF-call levels entered.
 };
 
 }  // namespace

@@ -352,9 +352,8 @@ TEST(ColumnarKernelTest, ShuffleAndJoinMatchRowReferenceKernels) {
     auto pb = executor.Repartition(
         FromDataset(probe, cluster.exec.max_batch_size), keys, &col_metrics);
     ASSERT_TRUE(pb.ok()) << pb.status().ToString();
-    auto joined = executor.LocalHashJoin(cb->data, pb->data, keys, keys,
-                                         &col_metrics, &cb->hashes,
-                                         &pb->hashes);
+    auto joined =
+        executor.LocalHashJoin(std::move(*cb), *pb, keys, keys, &col_metrics);
     ASSERT_TRUE(joined.ok()) << joined.status().ToString();
     Dataset col_joined = ToDataset(std::move(*joined));
 

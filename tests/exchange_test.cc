@@ -4,9 +4,11 @@
 // executor's kernels must produce identical rows in identical order and
 // identical metering — bytes_shuffled, tuples_processed and bit-identical
 // simulated_seconds — across uniform, skewed (Zipf), NULL-key,
-// composite-key and empty-partition inputs, on every route of the adaptive
-// exchange. Plus ThreadPool stress tests for the nested / concurrent
-// ParallelFor the exchange phases rely on.
+// composite-key and empty-partition inputs, on one-, three- and
+// default-worker pools. The shuffle only routes rows (per-destination
+// selection lists over the source batches); the join gathers the build
+// side flat and probes through the routes. Plus ThreadPool stress tests for
+// the nested / concurrent ParallelFor the exchange relies on.
 
 #include <gtest/gtest.h>
 
@@ -96,6 +98,17 @@ Dataset Rows(const ColumnarDataset& data) {
   return ToDataset(ColumnarDataset(data));
 }
 
+/// A shuffle's partitions as rows: each destination's routed rows gathered
+/// in route order.
+Dataset Rows(const ShuffleResult& shuffled) {
+  ColumnarDataset data(shuffled.source.columns, shuffled.num_partitions);
+  const std::vector<std::vector<BatchView>> views = shuffled.Views();
+  for (size_t d = 0; d < views.size(); ++d) {
+    if (!views[d].empty()) data.partitions[d].push_back(GatherViews(views[d]));
+  }
+  return ToDataset(std::move(data));
+}
+
 class ExchangeTest : public ::testing::Test {
  protected:
   ExchangeTest() : engine_(std::make_unique<Engine>()) {}
@@ -119,11 +132,19 @@ void ExpectPipelineParityWith(JobExecutor executor,
       executor.Repartition(Batches(build_in), build_keys, &par_metrics));
   ShuffleResult probe_parts = MustOk(
       executor.Repartition(Batches(probe_in), probe_keys, &par_metrics));
+  const Dataset par_build = Rows(build_parts);
+  const Dataset par_probe = Rows(probe_parts);
+  const std::vector<std::vector<BatchView>> build_views = build_parts.Views();
+  std::vector<std::vector<uint64_t>> build_hashes(build_views.size());
+  for (size_t p = 0; p < build_views.size(); ++p) {
+    for (const BatchView& view : build_views[p]) {
+      build_hashes[p].insert(build_hashes[p].end(), view.hashes,
+                             view.hashes + view.num_rows);
+    }
+  }
   const Dataset par_out = Rows(MustOk(executor.LocalHashJoin(
-      build_parts.data, probe_parts.data, build_keys, probe_keys,
-      &par_metrics, &build_parts.hashes, &probe_parts.hashes)));
-  const Dataset par_build = Rows(build_parts.data);
-  const Dataset par_probe = Rows(probe_parts.data);
+      std::move(build_parts), probe_parts, build_keys, probe_keys,
+      &par_metrics)));
 
   ExecMetrics ref_metrics;
   Dataset ref_build = reference::Repartition(CopyDataset(build_in),
@@ -134,16 +155,16 @@ void ExpectPipelineParityWith(JobExecutor executor,
       reference::LocalHashJoin(ref_build, ref_probe, build_keys, probe_keys,
                                cluster, &ref_metrics);
 
-  // The shuffle must place the same rows in the same partitions in the same
-  // order (phase-2 gathers run in source order), and precomputed hashes
-  // must match a fresh HashRowKey.
+  // The shuffle must route the same rows to the same partitions in the
+  // same order (sources ascending, rows in batch order), and the routes'
+  // hashes must match a fresh HashRowKey.
   ASSERT_EQ(par_build.partitions.size(), ref_build.partitions.size());
   for (size_t p = 0; p < ref_build.partitions.size(); ++p) {
     EXPECT_EQ(par_build.partitions[p], ref_build.partitions[p])
         << "build shuffle partition " << p;
-    ASSERT_EQ(build_parts.hashes[p].size(), par_build.partitions[p].size());
-    for (size_t i = 0; i < build_parts.hashes[p].size(); ++i) {
-      EXPECT_EQ(build_parts.hashes[p][i],
+    ASSERT_EQ(build_hashes[p].size(), par_build.partitions[p].size());
+    for (size_t i = 0; i < build_hashes[p].size(); ++i) {
+      EXPECT_EQ(build_hashes[p][i],
                 HashRowKey(par_build.partitions[p][i], build_keys));
     }
   }
@@ -183,10 +204,10 @@ void ExpectPipelineParityWith(JobExecutor executor,
   EXPECT_EQ(par_metrics.bytes_broadcast, ref_metrics.bytes_broadcast);
 }
 
-/// Runs the parity check through every route of the adaptive exchange: the
-/// engine's own pool, a single-worker pool (the one-pass route) and an
-/// explicit multi-worker pool (the two-phase scatter route), so both code
-/// paths are covered regardless of the host's core count.
+/// Runs the parity check on the engine's own pool, a single-worker pool
+/// and an explicit three-worker pool, so the result cannot depend on how
+/// the routing and join tasks are spread over workers, whatever the host's
+/// core count.
 void ExpectPipelineParity(Engine* engine, const Dataset& build_in,
                           const Dataset& probe_in,
                           const std::vector<int>& build_keys,
@@ -278,7 +299,7 @@ TEST_F(ExchangeTest, CoPartitionedInputShufflesNoBytes) {
   ShuffleResult shuffled =
       MustOk(executor.Repartition(Batches(placed), keys, &metrics));
   EXPECT_EQ(metrics.bytes_shuffled, 0u);
-  EXPECT_EQ(shuffled.data.NumRows(), 300u);
+  EXPECT_EQ(Rows(shuffled).NumRows(), 300u);
 }
 
 TEST_F(ExchangeTest, AllRowsOneKeyLandInOnePartition) {
@@ -293,7 +314,7 @@ TEST_F(ExchangeTest, AllRowsOneKeyLandInOnePartition) {
   ExecMetrics par_metrics, ref_metrics;
   ShuffleResult shuffled =
       MustOk(executor.Repartition(Batches(data), keys, &par_metrics));
-  const Dataset par = Rows(shuffled.data);
+  const Dataset par = Rows(shuffled);
   Dataset ref = reference::Repartition(CopyDataset(data), keys, cluster(),
                                        &ref_metrics);
   size_t non_empty = 0;
@@ -306,8 +327,8 @@ TEST_F(ExchangeTest, AllRowsOneKeyLandInOnePartition) {
 }
 
 TEST_F(ExchangeTest, BroadcastStyleJoinWithoutPrecomputedHashes) {
-  // LocalHashJoin must also be correct when no hashes are threaded in (the
-  // broadcast-join path).
+  // LocalHashJoin must also be correct on sides that were not shuffled:
+  // their keys are hashed at join time, as a broadcast's are.
   DatasetSpec bspec;
   bspec.rows = 150;
   bspec.num_partitions = 4;
@@ -328,6 +349,40 @@ TEST_F(ExchangeTest, BroadcastStyleJoinWithoutPrecomputedHashes) {
   for (size_t p = 0; p < ref_out.partitions.size(); ++p) {
     EXPECT_EQ(par_out.partitions[p], ref_out.partitions[p]);
   }
+  EXPECT_EQ(par_metrics.simulated_seconds, ref_metrics.simulated_seconds);
+}
+
+TEST_F(ExchangeTest, OnePartitionBuildIsReadByEveryProbePartition) {
+  // A build side with one partition is a broadcast: every probe partition
+  // joins against it, and the metering charges its rows to every node —
+  // identical to the reference joining n physical copies.
+  DatasetSpec bspec;
+  bspec.rows = 120;
+  bspec.num_partitions = 1;
+  bspec.null_fraction = 0.1;
+  bspec.seed = 31;
+  DatasetSpec pspec;
+  pspec.rows = 500;
+  pspec.num_partitions = 4;
+  pspec.null_fraction = 0.1;
+  pspec.seed = 32;
+  Dataset build = MakeDataset(bspec);
+  Dataset probe = MakeDataset(pspec);
+  Dataset replicated(build.columns, pspec.num_partitions, build.kinds);
+  for (auto& part : replicated.partitions) part = build.partitions[0];
+  std::vector<int> keys = {0};
+  JobExecutor executor = MakeExecutor();
+  ExecMetrics par_metrics, ref_metrics;
+  Dataset par_out = Rows(MustOk(executor.LocalHashJoin(
+      Batches(build), Batches(probe), keys, keys, &par_metrics)));
+  Dataset ref_out = reference::LocalHashJoin(replicated, probe, keys, keys,
+                                             cluster(), &ref_metrics);
+  ASSERT_EQ(par_out.partitions.size(), ref_out.partitions.size());
+  for (size_t p = 0; p < ref_out.partitions.size(); ++p) {
+    EXPECT_EQ(par_out.partitions[p], ref_out.partitions[p]);
+  }
+  EXPECT_GT(par_out.NumRows(), 0u);
+  EXPECT_EQ(par_metrics.tuples_processed, ref_metrics.tuples_processed);
   EXPECT_EQ(par_metrics.simulated_seconds, ref_metrics.simulated_seconds);
 }
 
@@ -365,7 +420,7 @@ TEST_F(ExchangeTest, AnnotatedInputShuffleMetersIdentically) {
   // The shuffle meters network bytes from the batches' row_sizes
   // annotation instead of re-walking payloads — the resulting bytes and
   // simulated seconds must be bit-identical to the reference (which always
-  // recomputes), on both routes of the adaptive exchange.
+  // recomputes), on one- and three-worker pools.
   Dataset input = MakeDataset({.num_partitions = 7, .rows = 400,
                                .key_domain = 23, .null_fraction = 0.1});
   std::vector<int> keys = {0};
@@ -380,7 +435,7 @@ TEST_F(ExchangeTest, AnnotatedInputShuffleMetersIdentically) {
     ExecMetrics par_metrics;
     ShuffleResult parts =
         MustOk(executor.Repartition(Batches(input), keys, &par_metrics));
-    const Dataset rows = Rows(parts.data);
+    const Dataset rows = Rows(parts);
     for (size_t p = 0; p < ref.partitions.size(); ++p) {
       EXPECT_EQ(rows.partitions[p], ref.partitions[p]);
     }
@@ -497,7 +552,7 @@ TEST(ThreadPoolStressTest, RepartitionFromWithinPool) {
     ExecMetrics metrics;
     ShuffleResult out =
         MustOk(executors[seed].Repartition(Batches(data), {0}, &metrics));
-    if (out.data.NumRows() == 200) done.fetch_add(1);
+    if (Rows(out).NumRows() == 200) done.fetch_add(1);
   });
   EXPECT_EQ(done.load(), 3);
 }

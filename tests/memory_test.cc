@@ -338,18 +338,38 @@ uint64_t OrderFingerprint(const ColumnarDataset& data) {
 /// Exact metering and emission order of recursive grace joins (fanout 2,
 /// a budget several splits below every build partition), for both join
 /// methods that go through the spill path.
-TEST_F(GraceJoinTest, PinnedRecursiveSpillMeteringAndOrder) {
+/// Registers the pinned tests' tables "sb" (600 rows) and "sp" (900 rows):
+/// an int64 key `k` over [0, 150), NULL on every 17th row, and a string
+/// payload.
+void RegisterPinnedTables(Engine* engine) {
   Rng rng(31);
   for (const auto& [name, rows] : {std::pair{"sb", 600}, {"sp", 900}}) {
     auto t = std::make_shared<Table>(
         name, Schema({{"k", ValueType::kInt64}, {"pad", ValueType::kString}}),
-        engine_->cluster().num_nodes);
+        engine->cluster().num_nodes);
     for (int i = 0; i < rows; ++i) {
-      t->AppendRow({i % 17 == 0 ? Value::Null() : Value(rng.NextInt64(0, 149)),
-                    Value("v" + std::to_string(i % 41))});
+      ASSERT_TRUE(t->AppendRow({i % 17 == 0 ? Value::Null()
+                                            : Value(rng.NextInt64(0, 149)),
+                                Value("v" + std::to_string(i % 41))})
+                      .ok());
     }
-    ASSERT_TRUE(engine_->catalog().RegisterTable(t).ok());
+    ASSERT_TRUE(engine->catalog().RegisterTable(t).ok());
   }
+}
+
+/// Runs b ⋈ p on the pinned tables with `method` under a fresh
+/// QueryContext.
+Result<JobResult> RunPinnedJoin(Engine* engine, JoinMethod method) {
+  QueryContext ctx("pinned");
+  JobExecutor executor = engine->MakeExecutor(&ctx);
+  return executor.Execute(
+      *PlanNode::Join(method, PlanNode::Scan("sb", "b"),
+                      PlanNode::Scan("sp", "p"), {{"b.k", "p.k"}}),
+      {});
+}
+
+TEST_F(GraceJoinTest, PinnedRecursiveSpillMeteringAndOrder) {
+  RegisterPinnedTables(engine_.get());
   engine_->mutable_cluster().memory.join_memory_budget_bytes = 256;
   engine_->mutable_cluster().memory.max_spill_fanout = 2;
   struct Pinned {
@@ -358,31 +378,72 @@ TEST_F(GraceJoinTest, PinnedRecursiveSpillMeteringAndOrder) {
     uint64_t spilled_bytes;
     uint64_t spill_partitions;
     uint64_t tuples;
+    uint64_t min_peak_memory;
+    uint64_t max_peak_memory;
     uint64_t rows;
     uint64_t fingerprint;
   };
   const Pinned cases[] = {
-      {JoinMethod::kHashShuffle, 0.42956400000000011, 177552, 167, 7603, 3192,
-       1643223946021974665ULL},
-      {JoinMethod::kBroadcast, 1.3453740000000003, 901712, 300, 11179, 3192,
-       8266236316227931581ULL},
+      {JoinMethod::kHashShuffle, 0.42956400000000011, 177552, 167, 7603, 696,
+       20598, 3192, 1643223946021974665ULL},
+      {JoinMethod::kBroadcast, 1.3453740000000003, 901712, 300, 11179, 1811,
+       205980, 3192, 8266236316227931581ULL},
   };
   for (const Pinned& want : cases) {
-    QueryContext ctx("pinned");
-    JobExecutor executor = engine_->MakeExecutor(&ctx);
-    auto result = executor.Execute(
-        *PlanNode::Join(want.method, PlanNode::Scan("sb", "b"),
-                        PlanNode::Scan("sp", "p"), {{"b.k", "p.k"}}),
-        {});
+    auto result = RunPinnedJoin(engine_.get(), want.method);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     const ExecMetrics& m = result->metrics;
     EXPECT_EQ(m.simulated_seconds, want.sim) << JoinMethodName(want.method);
     EXPECT_EQ(m.spilled_bytes, want.spilled_bytes);
     EXPECT_EQ(m.spill_partitions, want.spill_partitions);
     EXPECT_EQ(m.tuples_processed, want.tuples);
+    // Spilling partitions reserve their leaf joins concurrently, so the
+    // peak depends on how leaves of different nodes overlap in time: at
+    // least the resident partitions plus the largest leaf, at most what the
+    // in-memory join reserves (PinnedInMemoryJoinMeteringAndOrder).
+    EXPECT_GE(m.peak_memory_bytes, want.min_peak_memory);
+    EXPECT_LE(m.peak_memory_bytes, want.max_peak_memory);
     EXPECT_EQ(result->data.NumRows(), want.rows);
     EXPECT_EQ(OrderFingerprint(result->data), want.fingerprint);
     EXPECT_EQ(CountFilesWithPrefix(spill_dir_, "__spill_"), 0);
+  }
+}
+
+/// Exact metering and emission order of the in-memory joins (budget 0) on
+/// the same tables, under a QueryContext, with batches small enough that
+/// both sides of every join span many of them.
+TEST_F(GraceJoinTest, PinnedInMemoryJoinMeteringAndOrder) {
+  RegisterPinnedTables(engine_.get());
+  engine_->mutable_cluster().memory.join_memory_budget_bytes = 0;
+  engine_->mutable_cluster().exec.max_batch_size = 16;
+  struct Pinned {
+    JoinMethod method;
+    double sim;
+    uint64_t tuples;
+    uint64_t bytes_shuffled;
+    uint64_t bytes_broadcast;
+    uint64_t peak_memory;
+    uint64_t rows;
+    uint64_t fingerprint;
+  };
+  const Pinned cases[] = {
+      {JoinMethod::kHashShuffle, 0.14832400000000001, 7692, 45911, 0, 20598,
+       3192, 2445090669073753291ULL},
+      {JoinMethod::kBroadcast, 0.28751400000000005, 11592, 0, 205980, 205980,
+       3192, 888902924682170047ULL},
+  };
+  for (const Pinned& want : cases) {
+    auto result = RunPinnedJoin(engine_.get(), want.method);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    const ExecMetrics& m = result->metrics;
+    EXPECT_EQ(m.simulated_seconds, want.sim) << JoinMethodName(want.method);
+    EXPECT_EQ(m.tuples_processed, want.tuples);
+    EXPECT_EQ(m.bytes_shuffled, want.bytes_shuffled);
+    EXPECT_EQ(m.bytes_broadcast, want.bytes_broadcast);
+    EXPECT_EQ(m.peak_memory_bytes, want.peak_memory);
+    EXPECT_EQ(m.spilled_bytes, 0u);
+    EXPECT_EQ(result->data.NumRows(), want.rows);
+    EXPECT_EQ(OrderFingerprint(result->data), want.fingerprint);
   }
 }
 

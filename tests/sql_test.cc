@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
+#include "exec/engine.h"
+#include "exec/vector_kernels.h"
+#include "opt/dynamic_optimizer.h"
 #include "sql/binder.h"
 #include "sql/lexer.h"
 #include "sql/parser.h"
@@ -182,6 +187,104 @@ TEST(ParserTest, OutOfRangeDoubleLiteralIsParseError) {
 }
 
 // --- Binder -------------------------------------------------------------------
+
+// --- Nesting depth ------------------------------------------------------------
+
+/// The parser's nesting limit (NOT, parentheses and UDF calls together).
+constexpr int kDepthLimit = 1000;
+
+enum class Nesting { kNot, kParen, kAlternating };
+
+/// `t.x = 1` inside `levels` nesting levels: all NOT, all parentheses, or
+/// alternating "NOT (" from the outside in.
+std::string NestedPredicate(Nesting shape, int levels) {
+  std::string open;
+  std::string close;
+  for (int i = 0; i < levels; ++i) {
+    const bool is_not = shape == Nesting::kNot ||
+                        (shape == Nesting::kAlternating && i % 2 == 0);
+    if (is_not) {
+      open += "NOT ";
+    } else {
+      open += "(";
+      close += ")";
+    }
+  }
+  return open + "t.x = 1" + close;
+}
+
+std::string NestedQuery(Nesting shape, int levels) {
+  return "SELECT t.x, t.y FROM t WHERE " + NestedPredicate(shape, levels);
+}
+
+TEST(ParserDepthTest, NestingAtTheLimitParsesBindsAndRuns) {
+  Engine engine;
+  auto t = std::make_shared<Table>(
+      "t", Schema({{"x", ValueType::kInt64}, {"y", ValueType::kInt64}}),
+      engine.cluster().num_nodes);
+  for (int i = 0; i < 200; ++i) {
+    ASSERT_TRUE(t->AppendRow({Value(int64_t{i % 4}), Value(int64_t{i})}).ok());
+  }
+  ASSERT_TRUE(engine.catalog().RegisterTable(t).ok());
+  ASSERT_TRUE(engine.CollectBaseStats("t", {"x", "y"}).ok());
+  auto flat = ParseAndBind("SELECT t.x, t.y FROM t WHERE t.x = 1",
+                           engine.catalog());
+  ASSERT_TRUE(flat.ok()) << flat.status().ToString();
+  DynamicOptimizer dynamic(&engine);
+  auto want = dynamic.Run(flat.value());
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  ASSERT_EQ(want->rows.size(), 50u);
+
+  // An even number of NOTs in every shape: each query means t.x = 1.
+  for (Nesting shape : {Nesting::kNot, Nesting::kParen, Nesting::kAlternating}) {
+    const std::string sql = NestedQuery(shape, kDepthLimit);
+    auto stmt = ParseSelect(sql);
+    ASSERT_TRUE(stmt.ok()) << stmt.status().ToString();
+
+    // The vectorized filter compiles and evaluates the deep tree.
+    auto pred = VecPredicate::Compile(stmt->where, {"t.x", "t.y"}, nullptr,
+                                      nullptr);
+    ASSERT_TRUE(pred.ok()) << pred.status().ToString();
+    ColumnBatch batch;
+    batch.num_rows = 4;
+    batch.columns.resize(2);
+    batch.columns[0].i64 = {0, 1, 2, 1};
+    batch.columns[1].i64 = {5, 6, 7, 8};
+    std::vector<uint8_t> keep;
+    pred->EvalBools(batch, &keep);
+    EXPECT_EQ(keep, (std::vector<uint8_t>{0, 1, 0, 1}));
+
+    auto query = ParseAndBind(sql, engine.catalog());
+    ASSERT_TRUE(query.ok()) << query.status().ToString();
+    auto got = dynamic.Run(query.value());
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(got->rows, want->rows);
+    // The statement, the bound query and the compiled predicate are
+    // destroyed here, each a tree kDepthLimit levels deep.
+  }
+}
+
+TEST(ParserDepthTest, NestingPastTheLimitIsParseError) {
+  for (Nesting shape : {Nesting::kNot, Nesting::kParen, Nesting::kAlternating}) {
+    auto stmt = ParseSelect(NestedQuery(shape, kDepthLimit + 1));
+    EXPECT_EQ(stmt.status().code(), StatusCode::kParseError);
+    EXPECT_NE(stmt.status().message().find("nested deeper than 1000"),
+              std::string::npos)
+        << stmt.status().ToString();
+  }
+  // Far past the limit: rejected, not a stack overflow.
+  EXPECT_EQ(ParseSelect(NestedQuery(Nesting::kParen, 100000)).status().code(),
+            StatusCode::kParseError);
+  EXPECT_EQ(ParseSelect(NestedQuery(Nesting::kNot, 100000)).status().code(),
+            StatusCode::kParseError);
+  std::string calls;
+  for (int i = 0; i < 100000; ++i) calls += "f(";
+  calls += "t.x" + std::string(100000, ')');
+  EXPECT_EQ(ParseSelect("SELECT t.x FROM t WHERE " + calls + " = 1")
+                .status()
+                .code(),
+            StatusCode::kParseError);
+}
 
 class BinderTest : public ::testing::Test {
  protected:

@@ -9,30 +9,27 @@ namespace {
 
 /// Shared state of one ParallelFor call. Held by shared_ptr because a
 /// helper task can still sit in the queue after the call returned (when the
-/// caller claimed every block itself); such a task must find only a
-/// harmless "no blocks left" state, never a dangling stack frame.
+/// caller claimed every index itself); such a task must find only a
+/// harmless "no indices left" state, never a dangling stack frame.
 struct ForState {
   size_t n = 0;
-  size_t num_blocks = 0;
   /// Valid only while the owning ParallelFor call is still blocked; tasks
-  /// dereference it only after successfully claiming a block, which is
+  /// dereference it only after successfully claiming an index, which is
   /// impossible once the call returned.
   const std::function<void(size_t)>* fn = nullptr;
-  std::atomic<size_t> next_block{0};
-  std::atomic<size_t> done_blocks{0};
+  std::atomic<size_t> next{0};
+  std::atomic<size_t> done{0};
   std::mutex done_mu;
   std::condition_variable done_cv;
 };
 
-/// Claims and runs blocks until none remain.
-void RunBlocks(ForState* s) {
+/// Claims and runs indices, one per claim, until none remain.
+void RunIndices(ForState* s) {
   for (;;) {
-    size_t b = s->next_block.fetch_add(1, std::memory_order_relaxed);
-    if (b >= s->num_blocks) return;
-    const size_t begin = b * s->n / s->num_blocks;
-    const size_t end = (b + 1) * s->n / s->num_blocks;
-    for (size_t i = begin; i < end; ++i) (*s->fn)(i);
-    if (s->done_blocks.fetch_add(1) + 1 == s->num_blocks) {
+    const size_t i = s->next.fetch_add(1, std::memory_order_relaxed);
+    if (i >= s->n) return;
+    (*s->fn)(i);
+    if (s->done.fetch_add(1) + 1 == s->n) {
       std::lock_guard<std::mutex> lock(s->done_mu);
       s->done_cv.notify_all();
     }
@@ -84,14 +81,14 @@ void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
   }
   auto state = std::make_shared<ForState>();
   state->n = n;
-  // The caller participates, so one block is its own; helpers get the rest.
-  state->num_blocks = std::min(n, threads_.size() + 1);
   state->fn = &fn;
-  const size_t helpers = state->num_blocks - 1;
+  // The caller participates, so it and the helpers together are at most
+  // one more than the pool's threads.
+  const size_t helpers = std::min(n, threads_.size() + 1) - 1;
   {
     std::lock_guard<std::mutex> lock(mu_);
     for (size_t i = 0; i < helpers; ++i) {
-      tasks_.push([state] { RunBlocks(state.get()); });
+      tasks_.push([state] { RunIndices(state.get()); });
     }
   }
   if (helpers == 1) {
@@ -99,11 +96,9 @@ void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
   } else {
     cv_.notify_all();
   }
-  RunBlocks(state.get());
+  RunIndices(state.get());
   std::unique_lock<std::mutex> lock(state->done_mu);
-  state->done_cv.wait(lock, [&] {
-    return state->done_blocks.load() == state->num_blocks;
-  });
+  state->done_cv.wait(lock, [&] { return state->done.load() == state->n; });
 }
 
 }  // namespace dynopt

@@ -25,11 +25,12 @@ class ThreadPool {
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   /// Runs fn(i) for every i in [0, n), distributing across workers, and
-  /// waits for completion. Work is chunked into ~num_threads contiguous
-  /// blocks (not one task per index), and the calling thread executes
-  /// blocks too, so nested and concurrent ParallelFor calls cannot
-  /// deadlock: a caller can always drain its own loop even when every
-  /// worker is busy.
+  /// waits for completion. min(n, num_threads + 1) - 1 helper tasks are
+  /// queued, and they and the calling thread claim one index at a time, so
+  /// a slow or descheduled index never holds back another: any free thread
+  /// takes the next one. Because the caller claims indices too, nested and
+  /// concurrent ParallelFor calls cannot deadlock: a caller can always
+  /// drain its own loop even when every worker is busy.
   void ParallelFor(size_t n, const std::function<void(size_t)>& fn);
 
   size_t num_threads() const { return threads_.size(); }

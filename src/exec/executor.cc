@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <optional>
 
 #include "common/hash.h"
 #include "common/logging.h"
@@ -18,14 +19,15 @@ namespace dynopt {
 
 namespace {
 
-/// Key indices of `names` within `data`; error when any is missing.
-Result<std::vector<int>> ResolveColumns(const ColumnarDataset& data,
+/// Slots of `names` within `columns` (first match); error when any is
+/// missing.
+Result<std::vector<int>> ResolveColumns(const std::vector<std::string>& columns,
                                         const std::vector<std::string>& names,
                                         const char* what) {
   std::vector<int> indices;
   indices.reserve(names.size());
   for (const auto& name : names) {
-    int idx = data.ColumnIndex(name);
+    int idx = LinearColumnIndex(columns, name);
     if (idx < 0) {
       return Status::ExecutionError(std::string(what) + " column " + name +
                                     " not found in dataset");
@@ -118,16 +120,58 @@ std::vector<std::vector<BatchView>> WholeBatchViews(
   return views;
 }
 
-/// Output columns of a join: the build side's, then the probe side's.
-std::vector<std::string> JoinedColumns(const std::vector<std::string>& build,
-                                       const std::vector<std::string>& probe) {
-  std::vector<std::string> out = build;
-  out.insert(out.end(), probe.begin(), probe.end());
-  return out;
+/// A join's own output columns: the build side's, then the probe side's,
+/// each with the slot it is gathered from. The probe's j-th column is read
+/// from slot probe_slots[j] (a projected INLJ inner), or from slot j when
+/// `probe_slots` is null.
+void JoinedColumns(const std::vector<std::string>& build,
+                   const std::vector<std::string>& probe,
+                   const int* probe_slots, std::vector<std::string>* names,
+                   std::vector<SinkColumn>* sources) {
+  *names = build;
+  names->insert(names->end(), probe.begin(), probe.end());
+  sources->clear();
+  for (size_t i = 0; i < build.size(); ++i) {
+    sources->push_back({SinkColumn::kBuild, static_cast<int>(i)});
+  }
+  for (size_t j = 0; j < probe.size(); ++j) {
+    sources->push_back({SinkColumn::kProbe, probe_slots != nullptr
+                                                ? probe_slots[j]
+                                                : static_cast<int>(j)});
+  }
+}
+
+/// Folds the Project nodes `projects` (bottom-up) into a join's output:
+/// each narrows and reorders `names` and `sources` to its columns, a name
+/// resolving to its first match (so the build side's column wins over a
+/// probe column of the same name).
+Status FoldProjects(const std::vector<const PlanNode*>& projects,
+                    std::vector<std::string>* names,
+                    std::vector<SinkColumn>* sources) {
+  for (const PlanNode* project : projects) {
+    DYNOPT_ASSIGN_OR_RETURN(
+        std::vector<int> keep,
+        ResolveColumns(*names, project->project_columns, "project"));
+    std::vector<SinkColumn> kept;
+    kept.reserve(keep.size());
+    for (int k : keep) kept.push_back((*sources)[static_cast<size_t>(k)]);
+    *sources = std::move(kept);
+    *names = project->project_columns;
+  }
+  return Status::OK();
+}
+
+/// The largest per-partition row count of `data`.
+uint64_t MaxPartitionRows(const ColumnarDataset& data) {
+  uint64_t mx = 0;
+  for (size_t p = 0; p < data.partitions.size(); ++p) {
+    mx = std::max(mx, data.PartitionRows(p));
+  }
+  return mx;
 }
 
 /// Probes `table`, built over the flat `build` batch, with one partition's
-/// probe rows `probe` and emits build ++ probe rows into `sink`: views in
+/// probe rows `probe` and emits the joined rows into `sink`: views in
 /// order, rows in view order, each one's matches in ascending build order.
 /// A view without hashes (a whole batch that was not shuffled) is hashed
 /// here first. A probe row with a NULL key matches nothing: the table
@@ -147,11 +191,9 @@ uint64_t ProbeTable(const ColumnBatch& build, const JoinHashTable& table,
   const int* bkeys = build_keys.data();
   const int* pkeys = probe_keys.data();
   const size_t num_keys = build_keys.size();
-  const uint64_t* bsizes = build.row_sizes.data();
   std::vector<uint64_t> hash_scratch;
   std::vector<uint8_t> null_scratch;
   std::vector<uint32_t> bsel, psel;
-  std::vector<uint64_t> jsizes;
   uint64_t matches = 0;
   for (const BatchView& view : probe) {
     const ColumnBatch& pb = *view.batch;
@@ -168,8 +210,6 @@ uint64_t ProbeTable(const ColumnBatch& build, const JoinHashTable& table,
     }
     bsel.clear();
     psel.clear();
-    jsizes.clear();
-    const uint64_t* psizes = pb.row_sizes.data();
     for (size_t j = 0; j < m; ++j) {
       // Misses resolve from the table's own arrays: the chain is walked
       // comparing full 64-bit hashes (L1-resident) and the probe row's keys
@@ -190,15 +230,33 @@ uint64_t ProbeTable(const ColumnBatch& build, const JoinHashTable& table,
         }
         bsel.push_back(i);
         psel.push_back(row);
-        // Joined-row size: both payloads, one 8-byte header.
-        jsizes.push_back(bsizes[i] + psizes[row] - 8);
       }
     }
-    sink->AppendJoinGather(build, bsel.data(), pb, psel.data(), jsizes.data(),
-                           bsel.size());
+    sink->AppendJoinGather(build, bsel.data(), pb, psel.data(), bsel.size());
     matches += bsel.size();
   }
   return matches;
+}
+
+/// `columns`, the names a leaf chain holds, laid out by their stored slots
+/// `slots` over a run of `num_stored` columns: a predicate compiled against
+/// the result reads the stored run in place. Every other slot, and the
+/// slot of a later repeat of a name, holds an empty placeholder, so a name
+/// resolves to the slot of its first occurrence in `columns`, or, when the
+/// chain does not hold it (a column the scan's projection pushdown
+/// dropped), not at all.
+std::vector<std::string> NamesAtStoredSlots(
+    const std::vector<std::string>& columns, const std::vector<int>& slots,
+    size_t num_stored) {
+  std::vector<std::string> names(num_stored);
+  for (size_t i = 0; i < columns.size(); ++i) {
+    if (std::find(columns.begin(), columns.begin() + i, columns[i]) !=
+        columns.begin() + i) {
+      continue;  // A repeat: the first occurrence already placed the name.
+    }
+    names[static_cast<size_t>(slots[i])] = columns[i];
+  }
+  return names;
 }
 
 /// The kind of each column of `batch`.
@@ -355,7 +413,7 @@ namespace {
 
 /// True when every leaf of `node` scans a sys.* virtual table. Such jobs
 /// (filters/projects over engine snapshots already in memory) are metered
-/// at zero simulated cost — see the sys-table early-return in ExecScan.
+/// at zero simulated cost — see the sys-table case in ExecLeaf.
 bool ReadsOnlySystemTables(const PlanNode& node) {
   if (node.kind == PlanNode::Kind::kScan) {
     return Catalog::IsSystemName(node.table);
@@ -399,182 +457,175 @@ Result<JobResult> JobExecutor::Execute(
 Result<ColumnarDataset> JobExecutor::ExecNode(
     const PlanNode& node, const std::map<std::string, Value>& params,
     ExecMetrics* metrics) {
-  // Cooperative cancellation: every operator boundary is a check point, so
-  // a cancel/deadline terminates within one operator's work.
-  DYNOPT_RETURN_IF_ERROR(CheckAlive());
-  switch (node.kind) {
-    case PlanNode::Kind::kScan:
-      return ExecScan(node, metrics);
-    case PlanNode::Kind::kFilter:
-      return ExecFilter(node, params, metrics);
-    case PlanNode::Kind::kProject:
-      return ExecProject(node, params, metrics);
-    case PlanNode::Kind::kJoin:
-      if (node.method == JoinMethod::kIndexNestedLoop) {
-        return ExecIndexNestedLoopJoin(node, params, metrics);
-      }
-      return ExecJoin(node, params, metrics);
+  // Filter and Project nodes run inside the task of the scan or join below
+  // them: collect that chain (bottom-up). Every plan node is a
+  // cooperative-cancellation check point, top-down, before any work — so a
+  // cancel/deadline terminates within one operator's work.
+  std::vector<const PlanNode*> chain;
+  const PlanNode* base = &node;
+  for (;;) {
+    DYNOPT_RETURN_IF_ERROR(CheckAlive());
+    if (base->kind != PlanNode::Kind::kFilter &&
+        base->kind != PlanNode::Kind::kProject) {
+      break;
+    }
+    chain.push_back(base);
+    base = base->children[0].get();
   }
-  return Status::Internal("unknown plan node kind");
+  std::reverse(chain.begin(), chain.end());
+  if (base->kind == PlanNode::Kind::kScan) {
+    return ExecLeaf(*base, chain, params, metrics);
+  }
+  for (const PlanNode* n : chain) {
+    if (n->kind == PlanNode::Kind::kFilter) {
+      return Status::InvalidArgument(
+          "a Filter must sit on a scan, possibly through other Filter and "
+          "Project nodes; this one reads a " +
+          std::string(JoinMethodName(base->method)) + " join");
+    }
+  }
+  DYNOPT_ASSIGN_OR_RETURN(
+      ColumnarDataset out,
+      base->method == JoinMethod::kIndexNestedLoop
+          ? ExecIndexNestedLoopJoin(*base, chain, params, metrics)
+          : ExecJoin(*base, chain, params, metrics));
+  // Each folded Project's charge, bottom-up: one pass over the join's
+  // output rows on every node.
+  const double project_seconds = static_cast<double>(MaxPartitionRows(out)) *
+                                 cluster_.cpu_seconds_per_tuple;
+  for (size_t i = 0; i < chain.size(); ++i) {
+    metrics->simulated_seconds += project_seconds;
+  }
+  return out;
 }
 
-Result<ColumnarDataset> JobExecutor::ExecScan(const PlanNode& node,
-                                              ExecMetrics* metrics) {
-  TraceSpan span("scan:" + node.table, "kernel");
+Result<ColumnarDataset> JobExecutor::ExecLeaf(
+    const PlanNode& scan, const std::vector<const PlanNode*>& chain,
+    const std::map<std::string, Value>& params, ExecMetrics* metrics) {
+  TraceSpan span("scan:" + scan.table, "kernel");
+  const auto wall_start = WallClock::now();
   DYNOPT_ASSIGN_OR_RETURN(std::shared_ptr<Table> table,
-                          catalog_->GetTable(node.table));
-  std::vector<int> keep;
-  std::vector<std::string> out_columns;
+                          catalog_->GetTable(scan.table));
+  // The chain's columns as it goes up — names, and the stored slot each is
+  // read from — resolved and compiled once, bottom-up: a predicate fails as
+  // Bind() would, a Project with "project column … not found".
+  std::vector<int> slots;
+  std::vector<std::string> columns;
   DYNOPT_RETURN_IF_ERROR(
-      ResolveScanColumns(node, table->schema(), &keep, &out_columns));
+      ResolveScanColumns(scan, table->schema(), &slots, &columns));
+  const size_t num_stored = table->schema().num_fields();
+  // preds[k] is chain node k's compiled predicate (unset for a Project).
+  std::vector<std::optional<VecPredicate>> preds(chain.size());
+  for (size_t k = 0; k < chain.size(); ++k) {
+    const PlanNode& n = *chain[k];
+    if (n.kind == PlanNode::Kind::kFilter) {
+      DYNOPT_ASSIGN_OR_RETURN(
+          preds[k], VecPredicate::Compile(
+                        n.predicate,
+                        NamesAtStoredSlots(columns, slots, num_stored),
+                        &params, udfs_));
+      continue;
+    }
+    DYNOPT_ASSIGN_OR_RETURN(
+        std::vector<int> keep,
+        ResolveColumns(columns, n.project_columns, "project"));
+    std::vector<int> kept_slots;
+    kept_slots.reserve(keep.size());
+    for (int i : keep) kept_slots.push_back(slots[static_cast<size_t>(i)]);
+    slots = std::move(kept_slots);
+    columns = n.project_columns;
+  }
 
+  // One task per partition runs the whole chain over each stored run: the
+  // predicates evaluate on the run in place, and only the surviving rows of
+  // the final columns are copied, at most max_batch_size rows per batch.
+  // rows_in[k][p] counts the rows entering chain node k on partition p.
   const size_t num_parts = table->num_partitions();
   const size_t batch_cap = cluster_.exec.max_batch_size;
-  ColumnarDataset out(out_columns, num_parts);
-  std::vector<uint64_t> bytes_in(num_parts, 0);
-  std::vector<uint64_t> rows_in(num_parts, 0);
+  ColumnarDataset out(columns, num_parts);
+  std::vector<std::vector<uint64_t>> rows_in(
+      chain.size(), std::vector<uint64_t>(num_parts, 0));
   pool_->ParallelFor(num_parts, [&](size_t p) {
-    const std::vector<ColumnBatch>& runs = table->partition(p);
     auto& batches = out.partitions[p];
-    batches.reserve(table->PartitionRows(p) / batch_cap + runs.size());
-    // Copy the kept column ranges of every stored run, at most batch_cap
-    // rows per batch; input bytes are the partition's cached total.
-    for (const ColumnBatch& run : runs) {
-      for (size_t start = 0; start < run.num_rows; start += batch_cap) {
-        const size_t m = std::min(batch_cap, run.num_rows - start);
-        batches.push_back(
-            SliceBatch(run, start, m, keep.data(), keep.size()));
-      }
-    }
-    bytes_in[p] = table->PartitionBytes(p);
-    rows_in[p] = table->PartitionRows(p);
-  });
-
-  uint64_t total_bytes = 0, total_rows = 0;
-  for (size_t p = 0; p < num_parts; ++p) {
-    total_bytes += bytes_in[p];
-    total_rows += rows_in[p];
-  }
-  if (Catalog::IsSystemName(node.table)) {
-    // sys.* virtual tables materialize engine state that is already in
-    // memory: metered at zero simulated cost so introspection queries
-    // never perturb the cost model a real workload sees.
-    return out;
-  }
-  metrics->tuples_processed += total_rows;
-  double io_seconds;
-  if (node.is_intermediate) {
-    metrics->bytes_intermediate_read += total_bytes;
-    io_seconds = static_cast<double>(MaxOver(bytes_in)) *
-                 cluster_.disk_read_seconds_per_byte;
-    // Re-reading materialized intermediates is re-optimization overhead.
-    metrics->reopt_seconds += io_seconds;
-  } else {
-    metrics->bytes_scanned += total_bytes;
-    io_seconds = static_cast<double>(MaxOver(bytes_in)) *
-                 cluster_.scan_seconds_per_byte;
-  }
-  metrics->simulated_seconds +=
-      io_seconds + static_cast<double>(MaxOver(rows_in)) *
-                       cluster_.cpu_seconds_per_tuple;
-  return out;
-}
-
-Result<ColumnarDataset> JobExecutor::ExecFilter(
-    const PlanNode& node, const std::map<std::string, Value>& params,
-    ExecMetrics* metrics) {
-  DYNOPT_ASSIGN_OR_RETURN(ColumnarDataset input,
-                          ExecNode(*node.children[0], params, metrics));
-  // Compile once per operator: slots resolved here, never in the batch
-  // loop. Fails with the same BindError messages as Bind().
-  DYNOPT_ASSIGN_OR_RETURN(
-      VecPredicate pred,
-      VecPredicate::Compile(node.predicate, input.columns, &params, udfs_));
-
-  const size_t num_parts = input.partitions.size();
-  ColumnarDataset out(input.columns, num_parts);
-  std::vector<uint64_t> rows_in(num_parts, 0);
-  pool_->ParallelFor(num_parts, [&](size_t p) {
-    auto& src = input.partitions[p];
-    auto& dest = out.partitions[p];
-    uint64_t nrows = 0;
-    std::vector<uint8_t> keep;
+    std::vector<uint8_t> pass, keep;
     std::vector<uint32_t> sel;
-    for (ColumnBatch& b : src) {
-      nrows += b.num_rows;
-      pred.EvalBools(b, &keep);
-      sel.clear();
-      for (size_t i = 0; i < b.num_rows; ++i) {
-        if (keep[i]) sel.push_back(static_cast<uint32_t>(i));
-      }
-      if (sel.size() == b.num_rows) {
-        // Everything survives: the batch moves wholesale.
-        dest.push_back(std::move(b));
-      } else if (!sel.empty()) {
-        dest.push_back(GatherViews({{&b, sel.data(), nullptr, sel.size()}}));
-      }
-      b = ColumnBatch();
-    }
-    src.clear();
-    rows_in[p] = nrows;
-  });
-  uint64_t total_rows = 0;
-  for (uint64_t r : rows_in) total_rows += r;
-  metrics->tuples_processed += total_rows;
-  metrics->simulated_seconds += static_cast<double>(MaxOver(rows_in)) *
-                                cluster_.cpu_seconds_per_tuple;
-  return out;
-}
-
-Result<ColumnarDataset> JobExecutor::ExecProject(
-    const PlanNode& node, const std::map<std::string, Value>& params,
-    ExecMetrics* metrics) {
-  DYNOPT_ASSIGN_OR_RETURN(ColumnarDataset input,
-                          ExecNode(*node.children[0], params, metrics));
-  DYNOPT_ASSIGN_OR_RETURN(
-      std::vector<int> keep,
-      ResolveColumns(input, node.project_columns, "project"));
-  const size_t num_parts = input.partitions.size();
-  ColumnarDataset out(node.project_columns, num_parts);
-  std::vector<uint64_t> rows_in(num_parts, 0);
-  pool_->ParallelFor(num_parts, [&](size_t p) {
-    auto& src = input.partitions[p];
-    auto& dest = out.partitions[p];
-    dest.reserve(src.size());
-    uint64_t nrows = 0;
-    for (ColumnBatch& b : src) {
-      nrows += b.num_rows;
-      ColumnBatch projected;
-      projected.num_rows = b.num_rows;
-      projected.row_sizes.resize(b.num_rows);
-      // New sizes first (they read the kept columns before any are moved
-      // out below).
-      ProjectedRowSizes(b, keep.data(), keep.size(),
-                        projected.row_sizes.data());
-      projected.columns.reserve(keep.size());
-      // Projection is a column shuffle: move each kept column (copy only a
-      // repeated slot), drop the rest.
-      std::vector<char> moved(b.columns.size(), 0);
-      for (size_t ki = 0; ki < keep.size(); ++ki) {
-        const size_t c = static_cast<size_t>(keep[ki]);
-        if (!moved[c]) {
-          projected.columns.push_back(std::move(b.columns[c]));
-          moved[c] = 1;
+    for (const ColumnBatch& run : table->partition(p)) {
+      const size_t rows = run.num_rows;
+      // pass[i]: row i survived every predicate so far (empty: all did).
+      pass.clear();
+      size_t alive = rows;
+      for (size_t k = 0; k < chain.size(); ++k) {
+        rows_in[k][p] += alive;
+        if (!preds[k].has_value() || alive == 0) continue;
+        preds[k]->EvalBools(run, &keep);
+        if (pass.empty()) {
+          pass.swap(keep);
         } else {
-          size_t prev = 0;
-          while (static_cast<size_t>(keep[prev]) != c) ++prev;
-          ColumnVector copy = projected.columns[prev];
-          projected.columns.push_back(std::move(copy));
+          for (size_t i = 0; i < rows; ++i) pass[i] &= keep[i];
+        }
+        alive = 0;
+        for (size_t i = 0; i < rows; ++i) alive += pass[i];
+      }
+      if (alive == 0) continue;
+      for (size_t start = 0; start < rows; start += batch_cap) {
+        const size_t m = std::min(batch_cap, rows - start);
+        sel.clear();
+        if (!pass.empty()) {
+          for (size_t i = start; i < start + m; ++i) {
+            if (pass[i]) sel.push_back(static_cast<uint32_t>(i));
+          }
+        }
+        if (pass.empty() || sel.size() == m) {
+          batches.push_back(
+              SliceBatch(run, start, m, slots.data(), slots.size()));
+        } else if (!sel.empty()) {
+          batches.push_back(
+              GatherViews({{&run, sel.data(), nullptr, sel.size()}},
+                          slots.data(), slots.size()));
         }
       }
-      dest.push_back(std::move(projected));
-      b = ColumnBatch();
     }
-    src.clear();
-    rows_in[p] = nrows;
   });
-  metrics->simulated_seconds += static_cast<double>(MaxOver(rows_in)) *
-                                cluster_.cpu_seconds_per_tuple;
+
+  // Metering, one formula per plan node in plan order: the scan, then each
+  // Filter and Project bottom-up.
+  if (!Catalog::IsSystemName(scan.table)) {
+    // sys.* virtual tables materialize engine state that is already in
+    // memory: their scan is metered at zero simulated cost so
+    // introspection queries never perturb the cost model a real workload
+    // sees.
+    uint64_t total_bytes = 0, total_rows = 0, max_bytes = 0, max_rows = 0;
+    for (size_t p = 0; p < num_parts; ++p) {
+      total_bytes += table->PartitionBytes(p);
+      total_rows += table->PartitionRows(p);
+      max_bytes = std::max(max_bytes, table->PartitionBytes(p));
+      max_rows = std::max(max_rows, table->PartitionRows(p));
+    }
+    metrics->tuples_processed += total_rows;
+    double io_seconds;
+    if (scan.is_intermediate) {
+      metrics->bytes_intermediate_read += total_bytes;
+      io_seconds =
+          static_cast<double>(max_bytes) * cluster_.disk_read_seconds_per_byte;
+      // Re-reading materialized intermediates is re-optimization overhead.
+      metrics->reopt_seconds += io_seconds;
+    } else {
+      metrics->bytes_scanned += total_bytes;
+      io_seconds =
+          static_cast<double>(max_bytes) * cluster_.scan_seconds_per_byte;
+    }
+    metrics->simulated_seconds +=
+        io_seconds +
+        static_cast<double>(max_rows) * cluster_.cpu_seconds_per_tuple;
+  }
+  for (size_t k = 0; k < chain.size(); ++k) {
+    if (preds[k].has_value()) {
+      for (uint64_t r : rows_in[k]) metrics->tuples_processed += r;
+    }
+    metrics->simulated_seconds += static_cast<double>(MaxOver(rows_in[k])) *
+                                  cluster_.cpu_seconds_per_tuple;
+  }
+  metrics->wall_scan_seconds += SecondsSince(wall_start);
   return out;
 }
 
@@ -848,22 +899,28 @@ Result<ColumnarDataset> JobExecutor::LocalHashJoin(
     ShuffleResult&& build, const ShuffleResult& probe,
     const std::vector<int>& build_keys, const std::vector<int>& probe_keys,
     ExecMetrics* metrics) {
-  return JoinViews(JoinedColumns(build.source.columns, probe.source.columns),
-                   build.Views(), probe.Views(), build_keys, probe_keys,
-                   metrics, &build);
+  std::vector<std::string> names;
+  std::vector<SinkColumn> sources;
+  JoinedColumns(build.source.columns, probe.source.columns, nullptr, &names,
+                &sources);
+  return JoinViews(std::move(names), std::move(sources), build.Views(),
+                   probe.Views(), build_keys, probe_keys, metrics, &build);
 }
 
 Result<ColumnarDataset> JobExecutor::LocalHashJoin(
     const ColumnarDataset& build, const ColumnarDataset& probe,
     const std::vector<int>& build_keys, const std::vector<int>& probe_keys,
     ExecMetrics* metrics) {
-  return JoinViews(JoinedColumns(build.columns, probe.columns),
+  std::vector<std::string> names;
+  std::vector<SinkColumn> sources;
+  JoinedColumns(build.columns, probe.columns, nullptr, &names, &sources);
+  return JoinViews(std::move(names), std::move(sources),
                    WholeBatchViews(build), WholeBatchViews(probe), build_keys,
                    probe_keys, metrics);
 }
 
 Result<ColumnarDataset> JobExecutor::JoinViews(
-    std::vector<std::string> out_columns,
+    std::vector<std::string> out_columns, std::vector<SinkColumn> sources,
     const std::vector<std::vector<BatchView>>& build,
     const std::vector<std::vector<BatchView>>& probe,
     const std::vector<int>& build_keys, const std::vector<int>& probe_keys,
@@ -871,7 +928,13 @@ Result<ColumnarDataset> JobExecutor::JoinViews(
   DYNOPT_RETURN_IF_ERROR(config_status_);
   const size_t num_parts = probe.size();
   const size_t num_builds = build.size();
-  DYNOPT_CHECK(num_builds == num_parts || num_builds == 1);
+  if (num_builds != num_parts && num_builds != 1) {
+    return Status::InvalidArgument(
+        "hash join needs one build partition per probe partition, or one "
+        "shared build partition; got " +
+        std::to_string(num_builds) + " build and " +
+        std::to_string(num_parts) + " probe partitions");
+  }
   DYNOPT_RETURN_IF_ERROR(CheckAlive());
   // Node p's build partition: its own, or the one a broadcast shares.
   auto build_of = [num_builds](size_t p) { return num_builds == 1 ? 0 : p; };
@@ -966,7 +1029,7 @@ Result<ColumnarDataset> JobExecutor::JoinViews(
   std::vector<SpillStats> part_spill(any_spill ? num_parts : 0);
   pool_->ParallelFor(num_parts, [&](size_t p) {
     const size_t b = build_of(p);
-    BatchSink sink(out.columns.size(), batch_cap, &out.partitions[p]);
+    BatchSink sink(&sources, batch_cap, &out.partitions[p]);
     if (spill[b]) {
       part_status[p] = GraceJoinPartition(
           build_flat[b], GatherViews(probe[p]), build_keys, probe_keys,
@@ -1031,8 +1094,8 @@ Result<ColumnarDataset> JobExecutor::JoinViews(
 }
 
 Result<ColumnarDataset> JobExecutor::ExecJoin(
-    const PlanNode& node, const std::map<std::string, Value>& params,
-    ExecMetrics* metrics) {
+    const PlanNode& node, const std::vector<const PlanNode*>& projects,
+    const std::map<std::string, Value>& params, ExecMetrics* metrics) {
   DYNOPT_ASSIGN_OR_RETURN(ColumnarDataset build,
                           ExecNode(*node.children[0], params, metrics));
   DYNOPT_ASSIGN_OR_RETURN(ColumnarDataset probe,
@@ -1042,10 +1105,17 @@ Result<ColumnarDataset> JobExecutor::ExecJoin(
     build_names.push_back(l);
     probe_names.push_back(r);
   }
-  DYNOPT_ASSIGN_OR_RETURN(std::vector<int> build_keys,
-                          ResolveColumns(build, build_names, "join build"));
-  DYNOPT_ASSIGN_OR_RETURN(std::vector<int> probe_keys,
-                          ResolveColumns(probe, probe_names, "join probe"));
+  DYNOPT_ASSIGN_OR_RETURN(
+      std::vector<int> build_keys,
+      ResolveColumns(build.columns, build_names, "join build"));
+  DYNOPT_ASSIGN_OR_RETURN(
+      std::vector<int> probe_keys,
+      ResolveColumns(probe.columns, probe_names, "join probe"));
+  // The join's output after the Projects folded into it.
+  std::vector<std::string> out_columns;
+  std::vector<SinkColumn> sources;
+  JoinedColumns(build.columns, probe.columns, nullptr, &out_columns, &sources);
+  DYNOPT_RETURN_IF_ERROR(FoldProjects(projects, &out_columns, &sources));
 
   if (node.method == JoinMethod::kHashShuffle) {
     if (PredicateTransferEnabled()) {
@@ -1059,8 +1129,9 @@ Result<ColumnarDataset> JobExecutor::ExecJoin(
     DYNOPT_ASSIGN_OR_RETURN(
         ShuffleResult probe_parts,
         Repartition(std::move(probe), probe_keys, metrics));
-    return LocalHashJoin(std::move(build_parts), probe_parts, build_keys,
-                         probe_keys, metrics);
+    return JoinViews(std::move(out_columns), std::move(sources),
+                     build_parts.Views(), probe_parts.Views(), build_keys,
+                     probe_keys, metrics, &build_parts);
   }
 
   // Broadcast join: replicate the (small) build side to every partition of
@@ -1077,7 +1148,7 @@ Result<ColumnarDataset> JobExecutor::ExecJoin(
   // optimizer that broadcast a dataset it wrongly believed small pays here.
   // This flat-penalty model only applies while no join-memory budget is
   // configured; with a budget, the overflow takes the *real* grace-join
-  // spill path inside LocalHashJoin and is metered from executed passes.
+  // spill path inside JoinViews and is metered from executed passes.
   if (cluster_.memory.join_memory_budget_bytes == 0 &&
       build_bytes > cluster_.broadcast_threshold_bytes) {
     double overflow = static_cast<double>(build_bytes -
@@ -1105,7 +1176,9 @@ Result<ColumnarDataset> JobExecutor::ExecJoin(
   for (std::vector<ColumnBatch>& part : build.partitions) {
     for (ColumnBatch& b : part) shared.partitions[0].push_back(std::move(b));
   }
-  return LocalHashJoin(shared, probe, build_keys, probe_keys, metrics);
+  return JoinViews(std::move(out_columns), std::move(sources),
+                   WholeBatchViews(shared), WholeBatchViews(probe), build_keys,
+                   probe_keys, metrics);
 }
 
 void JobExecutor::TransferPredicate(const ColumnarDataset& build,
@@ -1192,8 +1265,8 @@ void JobExecutor::TransferPredicate(const ColumnarDataset& build,
 }
 
 Result<ColumnarDataset> JobExecutor::ExecIndexNestedLoopJoin(
-    const PlanNode& node, const std::map<std::string, Value>& params,
-    ExecMetrics* metrics) {
+    const PlanNode& node, const std::vector<const PlanNode*>& projects,
+    const std::map<std::string, Value>& params, ExecMetrics* metrics) {
   TraceSpan span("inlj", "kernel");
   if (node.keys.size() != 1) {
     return Status::ExecutionError(
@@ -1227,11 +1300,17 @@ Result<ColumnarDataset> JobExecutor::ExecIndexNestedLoopJoin(
     return Status::ExecutionError("outer join key " + node.keys[0].first +
                                   " not found");
   }
-  // Inner output columns (with projection pushdown).
+  // Inner output columns (with projection pushdown), read from the stored
+  // runs' slots; the join's output after the Projects folded into it.
   std::vector<int> inner_keep;
   std::vector<std::string> inner_columns;
   DYNOPT_RETURN_IF_ERROR(ResolveScanColumns(inner_scan, inner->schema(),
                                             &inner_keep, &inner_columns));
+  std::vector<std::string> out_columns;
+  std::vector<SinkColumn> sources;
+  JoinedColumns(outer.columns, inner_columns, inner_keep.data(), &out_columns,
+                &sources);
+  DYNOPT_RETURN_IF_ERROR(FoldProjects(projects, &out_columns, &sources));
 
   // Broadcast the outer to every node; each arriving row probes the local
   // index immediately (Section 3, Indexed Nested Loop Join). The outer's
@@ -1273,26 +1352,20 @@ Result<ColumnarDataset> JobExecutor::ExecIndexNestedLoopJoin(
         ApplyFaults(FaultSite::kBroadcast, receive_seconds, metrics));
   }
 
-  std::vector<std::string> out_columns = outer.columns;
-  out_columns.insert(out_columns.end(), inner_columns.begin(),
-                     inner_columns.end());
-  ColumnarDataset out(out_columns, n);
+  ColumnarDataset out(std::move(out_columns), n);
   std::vector<uint64_t> matched_bytes(n, 0);
   pool_->ParallelFor(n, [&](size_t p) {
-    BatchSink sink(out_columns.size(), cluster_.exec.max_batch_size,
-                   &out.partitions[p]);
+    BatchSink sink(&sources, cluster_.exec.max_batch_size, &out.partitions[p]);
     // Matches accumulate as (outer row, inner row) selection pairs and are
     // gathered whenever the outer batch or the inner run changes.
     const ColumnBatch* outer_batch = nullptr;
     const ColumnBatch* run = nullptr;
     std::vector<uint32_t> osel, isel;
-    std::vector<uint64_t> sizes;
     auto flush = [&]() {
       sink.AppendJoinGather(*outer_batch, osel.data(), *run, isel.data(),
-                            sizes.data(), osel.size(), inner_keep.data());
+                            osel.size());
       osel.clear();
       isel.clear();
-      sizes.clear();
     };
     uint64_t local_matched_bytes = 0;
     for (const OuterKey& key : keys) {
@@ -1308,13 +1381,8 @@ Result<ColumnarDataset> JobExecutor::ExecIndexNestedLoopJoin(
         run = match_run;
         // Only matched pages are read: the full stored row is charged.
         local_matched_bytes += run->row_sizes[row];
-        uint64_t size = ob.row_sizes[key.row];
-        for (int k : inner_keep) {
-          size += run->columns[static_cast<size_t>(k)].SizeAt(row);
-        }
         osel.push_back(key.row);
         isel.push_back(static_cast<uint32_t>(row));
-        sizes.push_back(size);
       }
     }
     if (!osel.empty()) flush();

@@ -67,8 +67,11 @@ struct ShuffleResult {
 /// every unit of work (bytes scanned/shuffled/broadcast/materialized,
 /// tuples, index lookups) is metered and converted to simulated seconds
 /// under the ClusterConfig cost model. Per pipeline stage, simulated time is
-/// max-over-nodes. Each plan-node kind has exactly one operator, and each
-/// operator one metering formula.
+/// max-over-nodes. Filter and Project run inside the task of the scan or
+/// join below them: a leaf is one task per partition (scan, predicates,
+/// survivors' gather), and a Project over a join narrows the join's output
+/// gather. Each plan node keeps its own metering formula, charged in plan
+/// order after its fused task.
 ///
 /// The data-movement kernels (Repartition / LocalHashJoin) are public:
 /// tests compare them against the sequential row oracle under
@@ -170,30 +173,44 @@ class JobExecutor {
   const ClusterConfig& cluster() const { return cluster_; }
 
  private:
+  /// Runs the subtree at `node`. A chain of Filter and Project nodes runs
+  /// inside the task of the scan or join below it: ExecNode walks down to
+  /// that node, checking for cancellation at every plan node, then runs
+  /// ExecLeaf or the join with the chain. A Filter over a join is
+  /// kInvalidArgument (only scans are filtered), and each Project folded
+  /// into a join is charged after it, bottom-up.
   Result<ColumnarDataset> ExecNode(const PlanNode& node,
                                    const std::map<std::string, Value>& params,
                                    ExecMetrics* metrics);
-  Result<ColumnarDataset> ExecScan(const PlanNode& node, ExecMetrics* metrics);
-  Result<ColumnarDataset> ExecFilter(
-      const PlanNode& node, const std::map<std::string, Value>& params,
-      ExecMetrics* metrics);
-  Result<ColumnarDataset> ExecProject(
-      const PlanNode& node, const std::map<std::string, Value>& params,
-      ExecMetrics* metrics);
+  /// The leaf pipeline: scan → Filter/Project `chain` (bottom-up) in one
+  /// task per partition. Each predicate is compiled once against the
+  /// names the chain holds at that point, placed at their stored slots,
+  /// and evaluated on each stored run in place; each max_batch_size slice
+  /// then emits only its surviving rows of the final columns. Metered as
+  /// the scan followed by each chain node, bottom-up.
+  Result<ColumnarDataset> ExecLeaf(const PlanNode& scan,
+                                   const std::vector<const PlanNode*>& chain,
+                                   const std::map<std::string, Value>& params,
+                                   ExecMetrics* metrics);
+  /// Shuffle and broadcast joins; `projects` (bottom-up) are folded into
+  /// the output gather.
   Result<ColumnarDataset> ExecJoin(const PlanNode& node,
+                                   const std::vector<const PlanNode*>& projects,
                                    const std::map<std::string, Value>& params,
                                    ExecMetrics* metrics);
   Result<ColumnarDataset> ExecIndexNestedLoopJoin(
-      const PlanNode& node, const std::map<std::string, Value>& params,
-      ExecMetrics* metrics);
+      const PlanNode& node, const std::vector<const PlanNode*>& projects,
+      const std::map<std::string, Value>& params, ExecMetrics* metrics);
 
-  /// The join behind both LocalHashJoin overloads. `build[b]` and
-  /// `probe[p]` list each partition's views; `build` has probe.size()
-  /// partitions or one shared by every probe partition. Views of one side
-  /// all carry hashes or none do. `build_owner`, when non-null, owns the
-  /// build views' batches and is reset once they are gathered.
+  /// The join behind both LocalHashJoin overloads and ExecJoin. `build[b]`
+  /// and `probe[p]` list each partition's views; `build` has probe.size()
+  /// partitions or one shared by every probe partition (any other count
+  /// is kInvalidArgument). Views of one side all carry hashes or none do.
+  /// The output has columns `out_columns`, gathered as `sources` says.
+  /// `build_owner`, when non-null, owns the build views' batches and is
+  /// reset once they are gathered.
   Result<ColumnarDataset> JoinViews(
-      std::vector<std::string> out_columns,
+      std::vector<std::string> out_columns, std::vector<SinkColumn> sources,
       const std::vector<std::vector<BatchView>>& build,
       const std::vector<std::vector<BatchView>>& probe,
       const std::vector<int>& build_keys, const std::vector<int>& probe_keys,

@@ -80,9 +80,11 @@ enum class MetricKind { kMetered, kHost };
   X(uint64_t, pt_pruned_rows, kSum, kMetered)                                 \
   X(uint64_t, pt_pruned_bytes, kSum, kMetered)                                \
   /* Host wall-clock (steady_clock) inside the executor's kernels, */         \
-  /* independent of the simulated cost model: shuffle exchange (routing + */  \
-  /* merge), hash-join build, hash-join probe (lookups + output), and sink */ \
+  /* independent of the simulated cost model: the leaf pipeline (scan, */     \
+  /* filters, projects), shuffle exchange (routing), hash-join build, */      \
+  /* hash-join probe (lookups + projected output), and sink */                \
   /* materialization (schema inference, stats, write-back). */                \
+  X(double, wall_scan_seconds, kSum, kHost)                                   \
   X(double, wall_shuffle_seconds, kSum, kHost)                                \
   X(double, wall_build_seconds, kSum, kHost)                                  \
   X(double, wall_probe_seconds, kSum, kHost)                                  \

@@ -103,31 +103,6 @@ inline bool NumericAt(const ColumnVector& col, size_t i, double* out) {
   return false;
 }
 
-/// An exact reserve() on every append would defeat std::vector's geometric
-/// growth — each gather into the same destination column would reallocate
-/// and copy everything appended so far. Grow by at least 2x instead.
-template <typename V>
-void ReserveAppend(V* v, size_t needed) {
-  if (v->capacity() < needed) {
-    v->reserve(std::max(needed, v->capacity() * 2));
-  }
-}
-
-/// Merges gathered validity bits into dst (which already has `old_rows`
-/// rows before this append).
-void AppendValidity(ColumnVector* dst, size_t old_rows,
-                    const ColumnVector& src, const uint32_t* sel, size_t n) {
-  if (src.validity.empty()) {
-    if (!dst->validity.empty()) {
-      dst->validity.insert(dst->validity.end(), n, 1);
-    }
-    return;
-  }
-  if (dst->validity.empty()) dst->validity.assign(old_rows, 1);
-  const uint8_t* valid = src.validity.data();
-  for (size_t k = 0; k < n; ++k) dst->validity.push_back(valid[sel[k]]);
-}
-
 /// dst[k] = src[sel[k]] for k in [0, n), or a range copy when `sel` is null.
 template <typename T>
 void GatherInto(T* dst, const T* src, const uint32_t* sel, size_t n) {
@@ -136,6 +111,74 @@ void GatherInto(T* dst, const T* src, const uint32_t* sel, size_t n) {
   } else {
     for (size_t k = 0; k < n; ++k) dst[k] = src[sel[k]];
   }
+}
+
+/// Adds the cost-model size of rows [begin, begin + n) of `col` to
+/// out[0..n): 8 bytes per int64 or double, 1 per bool, a string's
+/// dictionary size, 1 per NULL — RowSizeBytes' per-value term.
+void AddValueSizes(const ColumnVector& col, size_t begin, size_t n,
+                   uint64_t* out) {
+  const bool nullable = !col.validity.empty();
+  const uint8_t* valid = col.validity.data() + (nullable ? begin : 0);
+  switch (col.kind) {
+    case ColumnKind::kInt64:
+    case ColumnKind::kDouble:
+      if (!nullable) {
+        for (size_t i = 0; i < n; ++i) out[i] += 8;
+      } else {
+        for (size_t i = 0; i < n; ++i) out[i] += valid[i] ? 8 : 1;
+      }
+      break;
+    case ColumnKind::kBool:
+      // NULL and bool both cost 1 byte.
+      for (size_t i = 0; i < n; ++i) out[i] += 1;
+      break;
+    case ColumnKind::kString: {
+      const uint32_t* codes = col.codes.data() + begin;
+      const StringDict* dict = col.dict.get();
+      if (!nullable) {
+        for (size_t i = 0; i < n; ++i) out[i] += dict->size_bytes(codes[i]);
+      } else {
+        for (size_t i = 0; i < n; ++i) {
+          out[i] += valid[i] ? dict->size_bytes(codes[i]) : 1;
+        }
+      }
+      break;
+    }
+  }
+}
+
+/// Sets each row size of `batch` from its values: 8 bytes of header plus
+/// every column's value size, as RowSizeBytes.
+void SizeRowsFromValues(ColumnBatch* batch) {
+  batch->row_sizes.assign(batch->num_rows, 8);
+  for (const ColumnVector& col : batch->columns) {
+    AddValueSizes(col, 0, batch->num_rows, batch->row_sizes.data());
+  }
+}
+
+/// True when `keep` lists every one of `num_columns` slots in order: the
+/// kept rows are whole, and their cached sizes still hold.
+bool KeepsWholeRows(const int* keep, size_t num_keep, size_t num_columns) {
+  if (num_keep != num_columns) return false;
+  for (size_t k = 0; k < num_keep; ++k) {
+    if (keep[k] != static_cast<int>(k)) return false;
+  }
+  return true;
+}
+
+/// Writes the validity of src[sel[0..n)] into rows [old_rows, old_rows + n)
+/// of dst (which already has `old_rows` rows), materializing dst's mask
+/// only once a NULL-capable source arrives.
+void AppendValidity(ColumnVector* dst, size_t old_rows,
+                    const ColumnVector& src, const uint32_t* sel, size_t n) {
+  if (src.validity.empty()) {
+    if (!dst->validity.empty()) dst->validity.resize(old_rows + n, 1);
+    return;
+  }
+  if (dst->validity.empty()) dst->validity.assign(old_rows, 1);
+  dst->validity.resize(old_rows + n);
+  GatherInto(dst->validity.data() + old_rows, src.validity.data(), sel, n);
 }
 
 }  // namespace
@@ -176,43 +219,6 @@ bool ColumnValueEqual(const ColumnVector& a, size_t i, const ColumnVector& b,
   return a.dict->entry(a.codes[i]) == b.dict->entry(b.codes[j]);
 }
 
-void ProjectedRowSizes(const ColumnBatch& batch, const int* keep,
-                       size_t num_keep, uint64_t* out) {
-  const size_t n = batch.num_rows;
-  for (size_t i = 0; i < n; ++i) out[i] = 8;  // Row header.
-  for (size_t k = 0; k < num_keep; ++k) {
-    const ColumnVector& col = batch.columns[static_cast<size_t>(keep[k])];
-    const bool nullable = !col.validity.empty();
-    const uint8_t* valid = col.validity.data();
-    switch (col.kind) {
-      case ColumnKind::kInt64:
-      case ColumnKind::kDouble:
-        if (!nullable) {
-          for (size_t i = 0; i < n; ++i) out[i] += 8;
-        } else {
-          for (size_t i = 0; i < n; ++i) out[i] += valid[i] ? 8 : 1;
-        }
-        break;
-      case ColumnKind::kBool:
-        // NULL and bool both cost 1 byte.
-        for (size_t i = 0; i < n; ++i) out[i] += 1;
-        break;
-      case ColumnKind::kString: {
-        const uint32_t* codes = col.codes.data();
-        const StringDict* dict = col.dict.get();
-        if (!nullable) {
-          for (size_t i = 0; i < n; ++i) out[i] += dict->size_bytes(codes[i]);
-        } else {
-          for (size_t i = 0; i < n; ++i) {
-            out[i] += valid[i] ? dict->size_bytes(codes[i]) : 1;
-          }
-        }
-        break;
-      }
-    }
-  }
-}
-
 ColumnBatch SliceBatch(const ColumnBatch& src, size_t begin, size_t n,
                        const int* keep, size_t num_keep) {
   ColumnBatch out;
@@ -222,20 +228,11 @@ ColumnBatch SliceBatch(const ColumnBatch& src, size_t begin, size_t n,
     out.columns.push_back(
         src.columns[static_cast<size_t>(keep[k])].Slice(begin, n));
   }
-  // Keeping every column in order keeps every row whole: its size is the
-  // source's cached annotation.
-  bool whole_rows = num_keep == src.columns.size();
-  std::vector<int> all(num_keep);
-  for (size_t k = 0; k < num_keep; ++k) {
-    all[k] = static_cast<int>(k);
-    whole_rows = whole_rows && keep[k] == all[k];
-  }
-  if (whole_rows) {
+  if (KeepsWholeRows(keep, num_keep, src.columns.size())) {
     out.row_sizes.assign(src.row_sizes.begin() + begin,
                          src.row_sizes.begin() + begin + n);
   } else {
-    out.row_sizes.resize(n);
-    ProjectedRowSizes(out, all.data(), num_keep, out.row_sizes.data());
+    SizeRowsFromValues(&out);
   }
   return out;
 }
@@ -299,63 +296,65 @@ void AppendGatherColumn(ColumnVector* dst, const ColumnVector& src,
     dst->dict = src.kind == ColumnKind::kString ? src.dict : nullptr;
     dst->validity.clear();
   }
+  // Resize once, then write by index.
   switch (dst->kind) {
     case ColumnKind::kInt64:
-      ReserveAppend(&dst->i64, old_rows + n);
-      for (size_t k = 0; k < n; ++k) dst->i64.push_back(src.i64[sel[k]]);
+      dst->i64.resize(old_rows + n);
+      GatherInto(dst->i64.data() + old_rows, src.i64.data(), sel, n);
       break;
     case ColumnKind::kDouble:
-      ReserveAppend(&dst->f64, old_rows + n);
-      for (size_t k = 0; k < n; ++k) dst->f64.push_back(src.f64[sel[k]]);
+      dst->f64.resize(old_rows + n);
+      GatherInto(dst->f64.data() + old_rows, src.f64.data(), sel, n);
       break;
     case ColumnKind::kBool:
-      ReserveAppend(&dst->b8, old_rows + n);
-      for (size_t k = 0; k < n; ++k) dst->b8.push_back(src.b8[sel[k]]);
+      dst->b8.resize(old_rows + n);
+      GatherInto(dst->b8.data() + old_rows, src.b8.data(), sel, n);
       break;
-    case ColumnKind::kString:
-      ReserveAppend(&dst->codes, old_rows + n);
+    case ColumnKind::kString: {
+      dst->codes.resize(old_rows + n);
+      uint32_t* codes = dst->codes.data() + old_rows;
       if (dst->dict.get() == src.dict.get()) {
-        for (size_t k = 0; k < n; ++k) dst->codes.push_back(src.codes[sel[k]]);
-      } else {
-        // Merge dictionaries: intern via the source's cached hashes. NULL
-        // slots carry a meaningless code 0 and must not touch the dict.
-        // The destination dict may have been adopted from an earlier source
-        // batch and still be shared with it (and, in a parallel join,
-        // readable from other workers) — clone before the first mutating
-        // intern so shared dictionaries stay immutable. A unique
-        // reference cannot gain new owners mid-append, so use_count()==1 is
-        // a safe exclusivity check.
-        if (dst->dict.use_count() > 1) {
-          dst->dict = std::make_shared<StringDict>(*dst->dict);
-        }
-        const bool nullable = !src.validity.empty();
-        for (size_t k = 0; k < n; ++k) {
-          const uint32_t code = src.codes[sel[k]];
-          if (nullable && !src.validity[sel[k]]) {
-            dst->codes.push_back(0);
-          } else {
-            dst->codes.push_back(
-                dst->dict->Intern(src.dict->entry(code),
-                                  src.dict->hash(code)));
-          }
-        }
+        GatherInto(codes, src.codes.data(), sel, n);
+        break;
+      }
+      // Merge dictionaries: intern via the source's cached hashes. NULL
+      // slots carry a meaningless code 0 and must not touch the dict.
+      // The destination dict may have been adopted from an earlier source
+      // batch and still be shared with it (and, in a parallel join,
+      // readable from other workers) — clone before the first mutating
+      // intern so shared dictionaries stay immutable. A unique
+      // reference cannot gain new owners mid-append, so use_count()==1 is
+      // a safe exclusivity check.
+      if (dst->dict.use_count() > 1) {
+        dst->dict = std::make_shared<StringDict>(*dst->dict);
+      }
+      for (size_t k = 0; k < n; ++k) {
+        const uint32_t i = sel[k];
+        codes[k] = src.IsNullAt(i)
+                       ? 0
+                       : dst->dict->Intern(src.dict->entry(src.codes[i]),
+                                           src.dict->hash(src.codes[i]));
       }
       break;
+    }
   }
   AppendValidity(dst, old_rows, src, sel, n);
 }
 
-ColumnBatch GatherViews(const std::vector<BatchView>& views) {
+ColumnBatch GatherViews(const std::vector<BatchView>& views, const int* keep,
+                        size_t num_keep) {
   ColumnBatch out;
   if (views.empty()) return out;
   size_t total = 0;
   for (const BatchView& v : views) total += v.num_rows;
-  const size_t num_cols = views[0].batch->columns.size();
+  const size_t num_src_cols = views[0].batch->columns.size();
+  const size_t num_cols = keep != nullptr ? num_keep : num_src_cols;
   out.num_rows = total;
   out.columns.resize(num_cols);
-  for (size_t c = 0; c < num_cols; ++c) {
+  for (size_t k = 0; k < num_cols; ++k) {
+    const size_t c = keep != nullptr ? static_cast<size_t>(keep[k]) : k;
     const ColumnVector& first = views[0].batch->columns[c];
-    ColumnVector& d = out.columns[c];
+    ColumnVector& d = out.columns[k];
     d.kind = first.kind;
     switch (d.kind) {
       case ColumnKind::kInt64:
@@ -403,9 +402,9 @@ ColumnBatch GatherViews(const std::vector<BatchView>& views) {
             if (d.dict.use_count() > 1) {
               d.dict = std::make_shared<StringDict>(*d.dict);
             }
-            for (size_t k = 0; k < n; ++k) {
-              const size_t i = sel != nullptr ? sel[k] : k;
-              d.codes[off + k] =
+            for (size_t j = 0; j < n; ++j) {
+              const size_t i = sel != nullptr ? sel[j] : j;
+              d.codes[off + j] =
                   s.IsNullAt(i) ? 0
                                 : d.dict->Intern(s.dict->entry(s.codes[i]),
                                                  s.dict->hash(s.codes[i]));
@@ -418,6 +417,11 @@ ColumnBatch GatherViews(const std::vector<BatchView>& views) {
       }
       off += n;
     }
+  }
+  if (keep != nullptr && !KeepsWholeRows(keep, num_keep, num_src_cols)) {
+    // A projection: the gathered rows are sized from their kept values.
+    SizeRowsFromValues(&out);
+    return out;
   }
   out.row_sizes.resize(total);
   size_t off = 0;
@@ -432,7 +436,7 @@ ColumnBatch GatherViews(const std::vector<BatchView>& views) {
 void BatchSink::EnsureOpen() {
   if (open_) return;
   cur_ = ColumnBatch();
-  cur_.columns.resize(num_columns_);
+  cur_.columns.resize(columns_->size());
   cur_.row_sizes.reserve(std::min<size_t>(capacity_, 4096));
   open_ = true;
 }
@@ -447,25 +451,26 @@ void BatchSink::CloseIfFull() {
 void BatchSink::AppendJoinGather(const ColumnBatch& build,
                                  const uint32_t* bsel,
                                  const ColumnBatch& probe,
-                                 const uint32_t* psel, const uint64_t* sizes,
-                                 size_t n, const int* probe_cols) {
-  const size_t bc = build.columns.size();
+                                 const uint32_t* psel, size_t n) {
+  const size_t num_columns = columns_->size();
   size_t off = 0;
   while (off < n) {
     EnsureOpen();
-    const size_t m = std::min(capacity_ - cur_.num_rows, n - off);
-    for (size_t c = 0; c < bc; ++c) {
-      AppendGatherColumn(&cur_.columns[c], build.columns[c], bsel + off, m);
+    const size_t old_rows = cur_.num_rows;
+    const size_t m = std::min(capacity_ - old_rows, n - off);
+    cur_.row_sizes.resize(old_rows + m, 8);  // Row header.
+    uint64_t* sizes = cur_.row_sizes.data() + old_rows;
+    for (size_t c = 0; c < num_columns; ++c) {
+      const SinkColumn& from = (*columns_)[c];
+      const bool from_build = from.side == SinkColumn::kBuild;
+      ColumnVector& dst = cur_.columns[c];
+      AppendGatherColumn(
+          &dst,
+          (from_build ? build : probe).columns[static_cast<size_t>(from.slot)],
+          (from_build ? bsel : psel) + off, m);
+      AddValueSizes(dst, old_rows, m, sizes);
     }
-    for (size_t c = bc; c < num_columns_; ++c) {
-      const size_t src = probe_cols != nullptr
-                             ? static_cast<size_t>(probe_cols[c - bc])
-                             : c - bc;
-      AppendGatherColumn(&cur_.columns[c], probe.columns[src], psel + off, m);
-    }
-    cur_.row_sizes.insert(cur_.row_sizes.end(), sizes + off, sizes + off + m);
     cur_.num_rows += m;
-    rows_appended_ += m;
     off += m;
     CloseIfFull();
   }

@@ -60,16 +60,12 @@ inline bool JoinKeysEqual(const ColumnBatch& build, size_t i,
   return true;
 }
 
-/// Per-row byte sizes of a projection of `batch` to the `num_keep` column
-/// slots in `keep`: 8-byte row header + each kept value's cost-model size,
-/// accumulated column-at-a-time. `out` must hold batch.num_rows elements.
-void ProjectedRowSizes(const ColumnBatch& batch, const int* keep,
-                       size_t num_keep, uint64_t* out);
-
 /// Rows [begin, begin + n) of the `num_keep` column slots in `keep` of
 /// `src`, in that order, as a fresh batch (a scan's projected copy of a
 /// stored run): column ranges are copied, string columns share the source
-/// dictionary, and row_sizes are the projected sizes (ProjectedRowSizes).
+/// dictionary, and each row is sized from its kept values (8-byte header
+/// plus each value's cost-model size, column at a time), or keeps its
+/// cached size when `keep` is every column in order.
 ColumnBatch SliceBatch(const ColumnBatch& src, size_t begin, size_t n,
                        const int* keep, size_t num_keep);
 
@@ -106,53 +102,66 @@ struct BatchView {
 
 /// Gathers the rows of `views`, in order, into one fresh batch of exactly
 /// their total size with typed indexed writes: the join's flat build side
-/// (hash-table entries index its row space), and with one view the
-/// compaction half of the filter kernels. The views' columns must agree in
-/// kind. A string column adopts the first view's dictionary and interns
-/// rows from other dictionaries into a private clone of it. Returns an
-/// empty batch without columns when `views` is empty.
-ColumnBatch GatherViews(const std::vector<BatchView>& views);
+/// (hash-table entries index its row space), predicate transfer's
+/// compaction, and with `keep` the leaf pipeline's survivors. `keep`,
+/// when non-null, lists the `num_keep` column slots to gather, in output
+/// order (a slot may repeat); the rows are then sized from their kept
+/// values, as SliceBatch does, unless `keep` is every column in order.
+/// Without it every column is gathered with its cached row size. The
+/// views' columns must agree in kind. A string column adopts the first
+/// view's dictionary and interns rows from other dictionaries into a
+/// private clone of it. Returns an empty batch without columns when
+/// `views` is empty.
+ColumnBatch GatherViews(const std::vector<BatchView>& views,
+                        const int* keep = nullptr, size_t num_keep = 0);
 
-/// Accumulates gathered rows into fixed-capacity output batches
+/// Where a join's output column comes from: slot `slot` of the build-side
+/// (outer) batch or of the probe-side (inner) batch.
+struct SinkColumn {
+  enum Side : uint8_t { kBuild, kProbe };
+  Side side;
+  int slot;
+};
+
+/// Accumulates gathered join rows into fixed-capacity output batches
 /// (max_batch_size rows each); each destination column takes its source's
 /// kind, and string columns merge dictionaries. Join emission funnels
-/// through this sink.
+/// through this sink, and a Project above the join is folded into its
+/// column list, so a projected join gathers only the columns it keeps.
 class BatchSink {
  public:
-  BatchSink(size_t num_columns, size_t max_batch_size,
+  /// `columns` (borrowed, resolved once per join) lists the output columns.
+  BatchSink(const std::vector<SinkColumn>* columns, size_t max_batch_size,
             std::vector<ColumnBatch>* out)
-      : num_columns_(num_columns), capacity_(max_batch_size), out_(out) {}
+      : columns_(columns), capacity_(max_batch_size), out_(out) {}
 
-  /// Appends `n` joined rows: build columns gathered by `bsel` from
-  /// `build`, probe columns gathered by `psel` from `probe` — the slots
-  /// `probe_cols` when non-null (a projected inner), every column
-  /// otherwise — with the caller-computed joined row sizes.
+  /// Appends `n` joined rows: each output column gathered by `bsel` from
+  /// `build` or by `psel` from `probe`. Each row's size is computed from
+  /// the gathered columns, column at a time: 8 bytes of header plus each
+  /// value's size, as RowSizeBytes.
   void AppendJoinGather(const ColumnBatch& build, const uint32_t* bsel,
                         const ColumnBatch& probe, const uint32_t* psel,
-                        const uint64_t* sizes, size_t n,
-                        const int* probe_cols = nullptr);
+                        size_t n);
 
   /// Emits the final partial batch (no-op when empty). Call exactly once.
   void Flush();
-
-  uint64_t rows_appended() const { return rows_appended_; }
 
  private:
   void EnsureOpen();
   void CloseIfFull();
 
-  size_t num_columns_;
+  const std::vector<SinkColumn>* columns_;
   size_t capacity_;
   std::vector<ColumnBatch>* out_;
   ColumnBatch cur_;
   bool open_ = false;
-  uint64_t rows_appended_ = 0;
 };
 
-/// Appends src[sel[0..n)] to `dst`. The first append adopts the source's
-/// kind and shares its dictionary; later sources must have the same kind,
-/// and a string source on another dictionary interns via its cached
-/// hashes. Exposed for the sink and for tests.
+/// Appends src[sel[0..n)] to `dst`, resizing it once and writing by
+/// index. The first append adopts the source's kind and shares its
+/// dictionary; later sources must have the same kind, and a string source
+/// on another dictionary interns via its cached hashes. Exposed for the
+/// sink and for tests.
 void AppendGatherColumn(ColumnVector* dst, const ColumnVector& src,
                         const uint32_t* sel, size_t n);
 

@@ -19,7 +19,7 @@ std::vector<std::string> SystemTableNames();
 /// returned Table is an ordinary in-memory snapshot (single partition, no
 /// stats), so the rest of the stack — planner, executor, SQL shell — treats
 /// it like any other dataset. Scanning it is metered at zero simulated cost
-/// (see JobExecutor::ExecScan). Unknown names => NotFound.
+/// (see JobExecutor::ExecLeaf). Unknown names => NotFound.
 ///
 /// Tables:
 ///   sys.metrics     counters/gauges/histograms of the engine registry,

@@ -393,8 +393,8 @@ Result<Dataset> OracleRun(Engine* engine, const PlanNode& node,
   const ClusterConfig& cluster = engine->cluster();
   switch (node.kind) {
     case PlanNode::Kind::kScan: {
-      if (!node.scan_columns.empty() || node.is_intermediate) {
-        return Status::Internal("oracle scans whole base tables only");
+      if (node.is_intermediate) {
+        return Status::Internal("oracle scans base tables only");
       }
       DYNOPT_ASSIGN_OR_RETURN(std::shared_ptr<Table> table,
                               engine->catalog().GetTable(node.table));
@@ -416,7 +416,26 @@ Result<Dataset> OracleRun(Engine* engine, const PlanNode& node,
           static_cast<double>(max_bytes) * cluster.scan_seconds_per_byte +
           static_cast<double>(MaxPartitionRows(out)) *
               cluster.cpu_seconds_per_tuple;
-      return out;
+      if (node.scan_columns.empty()) return out;
+      // Projection pushdown: whole stored rows are read and charged, and
+      // only the named columns leave the scan.
+      std::vector<int> slots;
+      for (const std::string& name : node.scan_columns) {
+        slots.push_back(out.ColumnIndex(name));
+        if (slots.back() < 0) {
+          return Status::ExecutionError("scan column " + name +
+                                        " not in table " + node.table);
+        }
+      }
+      Dataset narrowed(node.scan_columns, out.partitions.size());
+      for (size_t p = 0; p < out.partitions.size(); ++p) {
+        for (const Row& row : out.partitions[p]) {
+          Row kept;
+          for (int s : slots) kept.push_back(row[static_cast<size_t>(s)]);
+          narrowed.partitions[p].push_back(std::move(kept));
+        }
+      }
+      return narrowed;
     }
     case PlanNode::Kind::kFilter: {
       DYNOPT_ASSIGN_OR_RETURN(
@@ -694,6 +713,77 @@ TEST_F(ColumnarParityTest, EmptyInputsAndEmptyPartitions) {
   // Filter that rejects everything.
   ExpectParity(*PlanNode::Filter(PlanNode::Scan("t", "a"),
                                  Eq(Col("a", "k"), Lit(Value(-1)))));
+}
+
+TEST_F(ColumnarParityTest, FusedLeafAndProjectedJoinShapes) {
+  // Filter and Project run inside the scan's or the join's task; rows, row
+  // sizes and metering must still match the operator-at-a-time oracle at
+  // every batch size.
+  MakeTable("lhs", 300, 30, 91);
+  MakeTable("rhs", 400, 30, 92);
+  std::vector<std::unique_ptr<PlanNode>> plans;
+  // The dynamic optimizer's pushdown shape: a pruned scan, a filter on a
+  // column only the predicate reads, then two Projects.
+  plans.push_back(PlanNode::Project(
+      PlanNode::Project(
+          PlanNode::Filter(
+              PlanNode::Scan("lhs", "l", false,
+                             {"l.k", "l.score", "l.name", "l.k2"}),
+              Cmp(CompareOp::kLt, Col("l", "score"), Lit(Value(6.0)))),
+          {"l.name", "l.k", "l.k2"}),
+      {"l.k2", "l.name"}));
+  // A Project that narrows and reorders a scan's columns.
+  plans.push_back(
+      PlanNode::Project(PlanNode::Scan("lhs", "l"), {"l.name", "l.k"}));
+  // A Filter that keeps every row (score is in [0, 10)), and one that
+  // keeps none.
+  plans.push_back(PlanNode::Filter(
+      PlanNode::Scan("lhs", "l"),
+      Cmp(CompareOp::kGe, Col("l", "score"), Lit(Value(0.0)))));
+  plans.push_back(PlanNode::Filter(
+      PlanNode::Scan("lhs", "l", false, {"l.score", "l.name"}),
+      Cmp(CompareOp::kLt, Col("l", "score"), Lit(Value(0.0)))));
+  // Project(Project(Join)): probe columns before build columns, and one
+  // column repeated.
+  plans.push_back(PlanNode::Project(
+      PlanNode::Project(
+          PlanNode::Join(
+              JoinMethod::kHashShuffle,
+              PlanNode::Filter(PlanNode::Scan("lhs", "l"),
+                               Cmp(CompareOp::kGe, Col("l", "score"),
+                                   Lit(Value(5.0)))),
+              PlanNode::Scan("rhs", "r"), {{"l.k2", "r.k2"}}),
+          {"r.name", "l.k", "r.score", "l.name", "l.k"}),
+      {"l.k", "r.name", "l.k", "l.name"}));
+  // A projected broadcast join.
+  plans.push_back(PlanNode::Project(
+      PlanNode::Join(JoinMethod::kBroadcast,
+                     PlanNode::Filter(PlanNode::Scan("lhs", "l"),
+                                      Eq(Col("l", "k2"), Lit(Value(1)))),
+                     PlanNode::Scan("rhs", "r"), {{"l.k", "r.k"}}),
+      {"r.k2", "l.score", "r.name"}));
+  for (size_t batch_size : {1u, 3u, 1024u}) {
+    engine_->mutable_cluster().exec.max_batch_size = batch_size;
+    for (const auto& plan : plans) {
+      SCOPED_TRACE("max_batch_size " + std::to_string(batch_size) + "\n" +
+                   plan->ToString());
+      ExpectParity(*plan);
+    }
+  }
+  // A predicate on a column the scan's projection pushdown dropped fails
+  // as Bind() would, and a Project of a dropped column as before.
+  auto dropped = PlanNode::Filter(
+      PlanNode::Scan("lhs", "l", false, {"l.k", "l.name"}),
+      Cmp(CompareOp::kLt, Col("l", "score"), Lit(Value(6.0))));
+  ExpectParity(*dropped);
+  EXPECT_EQ(engine_->MakeExecutor().Execute(*dropped, {}).status().ToString(),
+            "BindError: unresolved column l.score");
+  auto projected_away = PlanNode::Filter(
+      PlanNode::Project(PlanNode::Scan("lhs", "l"), {"l.k", "l.name"}),
+      Cmp(CompareOp::kLt, Col("l", "score"), Lit(Value(6.0))));
+  ExpectParity(*projected_away);
+  ExpectParity(*PlanNode::Project(PlanNode::Scan("lhs", "l", false, {"l.k"}),
+                                  {"l.k", "l.name"}));
 }
 
 TEST_F(ColumnarParityTest, SimulatedTimeInvariantUnderBatchSize) {

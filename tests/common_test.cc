@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <map>
+#include <mutex>
 #include <set>
 #include <thread>
 #include <vector>
@@ -271,7 +274,7 @@ TEST(ThreadPoolTest, ReusableAcrossCalls) {
 }
 
 TEST(ThreadPoolTest, NestedParallelForDoesNotDeadlock) {
-  // Inner loops launched from inside worker tasks: block-claiming plus the
+  // Inner loops launched from inside worker tasks: index claiming plus the
   // caller draining its own loop means this must complete even when every
   // worker is already occupied by an outer task.
   ThreadPool pool(2);
@@ -280,6 +283,30 @@ TEST(ThreadPoolTest, NestedParallelForDoesNotDeadlock) {
     pool.ParallelFor(16, [&](size_t) { total.fetch_add(1); });
   });
   EXPECT_EQ(total.load(), 8 * 16);
+}
+
+TEST(ThreadPoolTest, BlockedIndexDoesNotHoldBackTheOthers) {
+  // Each index is claimed on its own: while index 0 waits, the other two
+  // threads (one worker and the caller, or two workers) run indices 1..9.
+  // Were indices handed out in contiguous blocks, 1 and 2 would sit behind
+  // index 0 and the wait would time out.
+  ThreadPool pool(2);
+  std::mutex mu;
+  std::condition_variable cv;
+  int finished = 0;
+  bool others_finished = false;
+  pool.ParallelFor(10, [&](size_t i) {
+    std::unique_lock<std::mutex> lock(mu);
+    if (i == 0) {
+      others_finished = cv.wait_for(lock, std::chrono::seconds(5),
+                                    [&] { return finished == 9; });
+    } else {
+      ++finished;
+      cv.notify_all();
+    }
+  });
+  EXPECT_TRUE(others_finished);
+  EXPECT_EQ(finished, 9);
 }
 
 TEST(ThreadPoolTest, ConcurrentParallelForFromManyThreads) {

@@ -386,6 +386,29 @@ TEST_F(ExchangeTest, OnePartitionBuildIsReadByEveryProbePartition) {
   EXPECT_EQ(par_metrics.simulated_seconds, ref_metrics.simulated_seconds);
 }
 
+TEST_F(ExchangeTest, MismatchedPartitionCountsAreInvalidArgument) {
+  // A build side must have one partition per probe partition, or one
+  // shared by all of them; anything else is an error, not an abort.
+  DatasetSpec bspec;
+  bspec.rows = 60;
+  bspec.num_partitions = 3;
+  DatasetSpec pspec = bspec;
+  pspec.num_partitions = 4;
+  pspec.seed = 2;
+  std::vector<int> keys = {0};
+  JobExecutor executor = MakeExecutor();
+  ExecMetrics metrics;
+  auto joined = executor.LocalHashJoin(Batches(MakeDataset(bspec)),
+                                       Batches(MakeDataset(pspec)), keys, keys,
+                                       &metrics);
+  ASSERT_FALSE(joined.ok());
+  EXPECT_EQ(joined.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(joined.status().message().find("3 build and 4 probe"),
+            std::string::npos)
+      << joined.status().ToString();
+  EXPECT_EQ(MeteringDiff(metrics, ExecMetrics()), "");
+}
+
 TEST_F(ExchangeTest, DuplicateKeysEmitAllMatchesInBuildOrder)
 {
   // Several build rows share one key: every (build, probe) pair must be

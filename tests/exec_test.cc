@@ -357,6 +357,89 @@ TEST_F(ExecTest, InljPinnedMeteringAndOrder) {
             "p9:\n");
 }
 
+TEST_F(ExecTest, ProjectedInljGathersOnlyTheKeptColumns) {
+  // Two Projects over an INLJ fold into its output gather: inner columns
+  // before outer ones, one column repeated. The rows are the unprojected
+  // join's, narrowed, in the same order; each row is sized from its kept
+  // values; and the metering is the join's plus one pass per Project.
+  auto inner = MakeTable("inner", 300, 40, 49);
+  ASSERT_TRUE(inner->CreateSecondaryIndex("k").ok());
+  MakeTable("outer", 60, 40, 50);
+  auto join = [] {
+    return PlanNode::Join(
+        JoinMethod::kIndexNestedLoop, PlanNode::Scan("outer", "o"),
+        PlanNode::Scan("inner", "i", false, {"i.payload", "i.k2"}),
+        {{"o.k", "i.k"}});
+  };
+  auto whole = Exec(*join());
+  auto projected = Exec(*PlanNode::Project(
+      PlanNode::Project(join(), {"i.k2", "o.payload", "i.payload", "o.k"}),
+      {"o.k", "i.k2", "o.k", "i.payload"}));
+  ASSERT_TRUE(whole.ok()) << whole.status().ToString();
+  ASSERT_TRUE(projected.ok()) << projected.status().ToString();
+  // whole: o.k, o.k2, o.payload, i.payload, i.k2.
+  ASSERT_EQ(whole->data.columns,
+            (std::vector<std::string>{"o.k", "o.k2", "o.payload",
+                                      "i.payload", "i.k2"}));
+  EXPECT_EQ(projected->data.columns,
+            (std::vector<std::string>{"o.k", "i.k2", "o.k", "i.payload"}));
+  ASSERT_EQ(whole->data.partitions.size(),
+            projected->data.partitions.size());
+  for (size_t p = 0; p < whole->data.partitions.size(); ++p) {
+    std::vector<Row> expected;
+    for (const ColumnBatch& b : whole->data.partitions[p]) {
+      for (size_t i = 0; i < b.num_rows; ++i) {
+        const Row row = b.RowAt(i);
+        expected.push_back({row[0], row[4], row[0], row[3]});
+      }
+    }
+    std::vector<Row> actual;
+    for (const ColumnBatch& b : projected->data.partitions[p]) {
+      ASSERT_EQ(b.row_sizes.size(), b.num_rows);
+      for (size_t i = 0; i < b.num_rows; ++i) {
+        actual.push_back(b.RowAt(i));
+        EXPECT_EQ(b.row_sizes[i], RowSizeBytes(actual.back()));
+      }
+    }
+    EXPECT_EQ(actual, expected) << "partition " << p;
+  }
+  EXPECT_GT(projected->data.NumRows(), 0u);
+  uint64_t max_rows = 0;
+  for (size_t p = 0; p < whole->data.partitions.size(); ++p) {
+    max_rows = std::max(max_rows, whole->data.PartitionRows(p));
+  }
+  const double project_seconds = static_cast<double>(max_rows) *
+                                 engine_->cluster().cpu_seconds_per_tuple;
+  ExecMetrics expected = whole->metrics;
+  expected.simulated_seconds += project_seconds;
+  expected.simulated_seconds += project_seconds;
+  EXPECT_EQ(MeteringDiff(expected, projected->metrics), "");
+}
+
+TEST_F(ExecTest, FilterAboveAJoinIsInvalidArgument) {
+  // Only a scan is filtered (possibly through other Filter and Project
+  // nodes); no planner builds anything else, and the executor says so
+  // instead of aborting.
+  MakeTable("lhs", 50, 10, 51);
+  MakeTable("rhs", 50, 10, 52);
+  auto join = [] {
+    return PlanNode::Join(JoinMethod::kHashShuffle, PlanNode::Scan("lhs", "l"),
+                          PlanNode::Scan("rhs", "r"), {{"l.k", "r.k"}});
+  };
+  auto filtered = PlanNode::Filter(join(), Eq(Col("l", "k2"), Lit(Value(1))));
+  auto through_project = PlanNode::Project(
+      PlanNode::Filter(PlanNode::Project(join(), {"l.k", "l.k2"}),
+                       Eq(Col("l", "k2"), Lit(Value(1)))),
+      {"l.k"});
+  for (const PlanNode* plan : {filtered.get(), through_project.get()}) {
+    const Status status = Exec(*plan).status();
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << status.ToString();
+    EXPECT_NE(status.message().find("Filter"), std::string::npos)
+        << status.ToString();
+  }
+}
+
 TEST_F(ExecTest, InljRequiresIndex) {
   MakeTable("inner", 100, 10, 42);  // No index created.
   MakeTable("outer", 10, 10, 43);

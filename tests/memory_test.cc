@@ -220,6 +220,54 @@ TEST_F(GraceJoinTest, TinyBudgetForcesRecursionAndStillMatches) {
   EXPECT_EQ(CountFilesWithPrefix(spill_dir_, "__spill_"), 0);
 }
 
+TEST_F(GraceJoinTest, ProjectedSpilledJoinGathersOnlyTheKeptColumns) {
+  // Projects folded into a spilling join narrow the output of every
+  // grace-join sub-partition: the rows are the unprojected join's, narrowed,
+  // in the same order, sized from their kept values; spilling is unchanged
+  // and each Project adds one pass over the output.
+  engine_->mutable_cluster().memory.join_memory_budget_bytes = 16 * 1024;
+  auto join = [] {
+    return PlanNode::Join(JoinMethod::kHashShuffle, PlanNode::Scan("b", "b"),
+                          PlanNode::Scan("p", "p"), {{"b.k", "p.k"}});
+  };
+  QueryContext whole_ctx("whole");
+  QueryContext projected_ctx("projected");
+  auto whole = engine_->MakeExecutor(&whole_ctx).Execute(*join(), {});
+  auto projected = engine_->MakeExecutor(&projected_ctx)
+                       .Execute(*PlanNode::Project(
+                                    PlanNode::Project(
+                                        join(), {"p.pad", "b.k", "p.k"}),
+                                    {"b.k", "p.pad", "b.k"}),
+                                {});
+  ASSERT_TRUE(whole.ok()) << whole.status().ToString();
+  ASSERT_TRUE(projected.ok()) << projected.status().ToString();
+  EXPECT_GT(projected->metrics.spill_partitions, 0u);
+  // whole: b.k, b.pad, p.k, p.pad.
+  std::vector<Row> expected;
+  for (const Row& row : whole->data.GatherRows()) {
+    expected.push_back({row[0], row[3], row[0]});
+  }
+  EXPECT_EQ(projected->data.GatherRows(), expected);
+  for (const auto& part : projected->data.partitions) {
+    for (const ColumnBatch& b : part) {
+      for (size_t i = 0; i < b.num_rows; ++i) {
+        EXPECT_EQ(b.row_sizes[i], RowSizeBytes(b.RowAt(i)));
+      }
+    }
+  }
+  uint64_t max_rows = 0;
+  for (size_t p = 0; p < whole->data.partitions.size(); ++p) {
+    max_rows = std::max(max_rows, whole->data.PartitionRows(p));
+  }
+  const double project_seconds = static_cast<double>(max_rows) *
+                                 engine_->cluster().cpu_seconds_per_tuple;
+  ExecMetrics expected_metrics = whole->metrics;
+  expected_metrics.simulated_seconds += project_seconds;
+  expected_metrics.simulated_seconds += project_seconds;
+  EXPECT_EQ(MeteringDiff(expected_metrics, projected->metrics), "");
+  EXPECT_EQ(CountFilesWithPrefix(spill_dir_, "__spill_"), 0);
+}
+
 /// Asserts that every column of every non-empty batch of `batches` has the
 /// kind `kinds` lists for it, and that string columns carry a dictionary.
 void ExpectColumnKinds(const std::vector<ColumnBatch>& batches,

@@ -238,6 +238,8 @@ TEST_F(SysTest, QueriesHasAColumnPerMetricField) {
     }
   }
   ASSERT_NE(completed, nullptr);
+  // The leaf pipelines' wall time is recorded like every other field.
+  EXPECT_GT(run->metrics.wall_scan_seconds, 0.0);
   VisitMetricFields(
       [&](const MetricField& field, auto value) {
         const int col = ColumnIndex(queries->columns, field.name);

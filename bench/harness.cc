@@ -307,30 +307,41 @@ void PrintFigureTable(const std::string& figure) {
                 r.optimizer.c_str(), r.plan.c_str());
   }
   // Host wall-clock spent inside each physical operator class — the real
-  // execution cost, orthogonal to the simulated seconds plotted above.
+  // execution cost, orthogonal to the simulated seconds plotted above: every
+  // wall_* field of the metric list, in list order. wall_stats_seconds is
+  // the statistics part of materialize, so it reads materialize.stats.
+  auto wall_breakdown = [](const ExecMetrics& m, bool* any) {
+    std::string line;
+    VisitMetricFields(
+        [&](const MetricField& field, const auto& value) {
+          std::string name = field.name;
+          if (name.rfind("wall_", 0) != 0) return;
+          name.erase(0, 5);
+          const size_t suffix = name.rfind("_seconds");
+          if (suffix != std::string::npos) name.erase(suffix);
+          if (name == "stats") name = "materialize.stats";
+          const double seconds = static_cast<double>(value);
+          if (seconds > 0) *any = true;
+          char cell[64];
+          std::snprintf(cell, sizeof(cell), "%s=%.4f ", name.c_str(), seconds);
+          line += cell;
+        },
+        m);
+    return line;
+  };
   bool any_wall = false;
+  std::vector<std::string> lines;
   for (const auto& r : records) {
-    if (r.figure == figure &&
-        (r.metrics.wall_shuffle_seconds > 0 ||
-         r.metrics.wall_build_seconds > 0 ||
-         r.metrics.wall_probe_seconds > 0 ||
-         r.metrics.wall_materialize_seconds > 0)) {
-      any_wall = true;
-      break;
-    }
+    if (r.figure != figure) continue;
+    char total[64];
+    std::snprintf(total, sizeof(total), "wall_total=%.4f", r.wall_seconds);
+    lines.push_back(r.query + " sf=" + std::to_string(r.paper_sf) + " " +
+                    r.optimizer + ": " + wall_breakdown(r.metrics, &any_wall) +
+                    total);
   }
   if (any_wall) {
     std::printf("\n-- wall-clock kernel breakdown (host seconds) --\n");
-    for (const auto& r : records) {
-      if (r.figure != figure) continue;
-      std::printf(
-          "%s sf=%d %s: shuffle=%.4f build=%.4f probe=%.4f "
-          "materialize=%.4f wall_total=%.4f\n",
-          r.query.c_str(), r.paper_sf, r.optimizer.c_str(),
-          r.metrics.wall_shuffle_seconds, r.metrics.wall_build_seconds,
-          r.metrics.wall_probe_seconds, r.metrics.wall_materialize_seconds,
-          r.wall_seconds);
-    }
+    for (const std::string& line : lines) std::printf("%s\n", line.c_str());
   }
 }
 

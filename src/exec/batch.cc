@@ -15,6 +15,7 @@ void FillColumn(const Row* rows, size_t n, size_t c, ColumnKind kind,
   ColumnVector& col = *out;
   col.kind = kind;
   if (kind == ColumnKind::kString) col.dict = std::make_shared<StringDict>();
+  col.Reserve(n);
   for (size_t i = 0; i < n; ++i) col.Append(rows[i][c]);
 }
 
@@ -27,7 +28,8 @@ ColumnBatch BatchFromRows(const Row* rows, size_t n,
     FillColumn(rows, n, c, kinds[c], &batch.columns[c]);
   }
   batch.row_sizes.resize(n);
-  for (size_t i = 0; i < n; ++i) batch.row_sizes[i] = RowSizeBytes(rows[i]);
+  uint64_t* sizes = batch.row_sizes.mutable_data();
+  for (size_t i = 0; i < n; ++i) sizes[i] = RowSizeBytes(rows[i]);
   return batch;
 }
 

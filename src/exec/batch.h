@@ -36,8 +36,8 @@ inline int LinearColumnIndex(const std::vector<std::string>& columns,
 /// Node-partitioned batch collections, the one in-memory form of data
 /// flowing between the executor's operators. The batch layout itself
 /// (ColumnKind, StringDict, ColumnVector, ColumnBatch) lives in
-/// storage/column_batch.h because table storage uses it too: scans copy
-/// column ranges out of a table's runs, and materialization moves a job's
+/// storage/column_batch.h because table storage uses it too: scans borrow
+/// column ranges of a table's runs, and materialization moves a job's
 /// batches into a temp table. Rows appear only in result delivery
 /// (GatherRows) and at the DRB file boundary shared by materialize_to_disk
 /// and the grace-join spill files (BatchesFromRows).

@@ -537,9 +537,11 @@ Result<ColumnarDataset> JobExecutor::ExecLeaf(
   }
 
   // One task per partition runs the whole chain over each stored run: the
-  // predicates evaluate on the run in place, and only the surviving rows of
-  // the final columns are copied, at most max_batch_size rows per batch.
-  // rows_in[k][p] counts the rows entering chain node k on partition p.
+  // predicates evaluate on the run in place, and each slice of at most
+  // max_batch_size rows goes out as a batch of the final columns. A slice
+  // whose every row survives borrows the run's buffers; a filtered slice
+  // gathers its survivors. rows_in[k][p] counts the rows entering chain
+  // node k on partition p.
   const size_t num_parts = table->num_partitions();
   const size_t batch_cap = cluster_.exec.max_batch_size;
   ColumnarDataset out(columns, num_parts);
@@ -945,43 +947,16 @@ Result<ColumnarDataset> JobExecutor::JoinViews(
     for (const BatchView& v : build[b]) build_rows[b] += v.num_rows;
   }
 
-  // Per-node join-memory governance: size every build partition from its
-  // row_sizes and mark the ones exceeding the join budget for the
-  // grace-join spill path. Each node's resident build side — a broadcast's
-  // on every node — is accounted against the query's tracker for the
-  // duration of the join (spilled partitions account their sub-joins
-  // inside GraceJoinPartition instead). With a zero budget and no query
-  // context nothing is sized and nothing spills.
-  const uint64_t join_budget = cluster_.memory.join_memory_budget_bytes;
-  std::vector<char> spill(num_builds, 0);
-  bool any_spill = false;
-  MemoryReservation join_mem(ctx_ != nullptr ? &ctx_->memory() : nullptr);
-  if (join_budget > 0 || ctx_ != nullptr) {
-    std::vector<uint64_t> build_bytes(num_builds, 0);
-    pool_->ParallelFor(num_builds, [&](size_t b) {
-      uint64_t bytes = 0;
-      for (const BatchView& v : build[b]) {
-        const uint64_t* sizes = v.batch->row_sizes.data();
-        for (size_t k = 0; k < v.num_rows; ++k) {
-          bytes += sizes[v.sel != nullptr ? v.sel[k] : k];
-        }
-      }
-      build_bytes[b] = bytes;
-    });
-    for (size_t b = 0; b < num_builds; ++b) {
-      spill[b] = join_budget > 0 && build_bytes[b] > join_budget &&
-                 build_rows[b] > 1;
-      any_spill = any_spill || spill[b];
-    }
-    for (size_t p = 0; p < num_parts; ++p) {
-      if (!spill[build_of(p)]) join_mem.GrowUnchecked(build_bytes[build_of(p)]);
-    }
-  }
-
   // Build phase: gather each build partition's views into one flat batch
   // (the table's index space) and build the flat table over it with the
-  // shuffle's hashes, or hash its key columns. Spilled partitions never
-  // build a full-partition table — that is the point.
+  // shuffle's hashes, or hash its key columns. Join-memory governance sizes
+  // each flat partition from its row sizes in the same task; one exceeding
+  // the join budget takes the grace-join spill path and never builds a
+  // full-partition table — that is the point. With a zero budget nothing
+  // spills.
+  const uint64_t join_budget = cluster_.memory.join_memory_budget_bytes;
+  std::vector<uint64_t> build_bytes(num_builds, 0);
+  std::vector<char> spill(num_builds, 0);
   TraceSpan build_span("join-build", "kernel");
   auto wall_start = WallClock::now();
   if (join_tables_.size() < num_builds) join_tables_.resize(num_builds);
@@ -989,6 +964,9 @@ Result<ColumnarDataset> JobExecutor::JoinViews(
   std::vector<ColumnBatch> build_flat(num_builds);
   pool_->ParallelFor(num_builds, [&](size_t b) {
     build_flat[b] = GatherViews(build[b]);
+    for (uint64_t size : build_flat[b].row_sizes) build_bytes[b] += size;
+    spill[b] = join_budget > 0 && build_bytes[b] > join_budget &&
+               build_rows[b] > 1;
     if (spill[b]) return;
     std::vector<uint64_t> hashes;
     if (!build[b].empty() && build[b][0].hashes != nullptr) {
@@ -1002,6 +980,17 @@ Result<ColumnarDataset> JobExecutor::JoinViews(
   });
   // The flat batches hold every build row now; `build` is not read again.
   if (build_owner != nullptr) *build_owner = ShuffleResult();
+  // Each node's resident build side — a broadcast's on every node — is
+  // accounted against the query's tracker for the rest of the join
+  // (spilled partitions account their sub-joins inside GraceJoinPartition
+  // instead). Nothing reserves during the build, so reserving after it
+  // leaves the tracker's peak where reserving before it would.
+  bool any_spill = false;
+  MemoryReservation join_mem(ctx_ != nullptr ? &ctx_->memory() : nullptr);
+  for (size_t b = 0; b < num_builds; ++b) any_spill = any_spill || spill[b];
+  for (size_t p = 0; p < num_parts; ++p) {
+    if (!spill[build_of(p)]) join_mem.GrowUnchecked(build_bytes[build_of(p)]);
+  }
   metrics->wall_build_seconds += SecondsSince(wall_start);
   if (FaultsArmed()) {
     // Build-stage fault overlay: node p's clean task time is inserting its
@@ -1612,9 +1601,18 @@ Result<SinkResult> JobExecutor::Materialize(
     }
   }
 
+  // Move the batches in partition-faithfully so the producing node's
+  // placement (and any skew) survives materialization. The runs keep the
+  // batches' buffers, so a scan of the temp table borrows what the job
+  // wrote.
+  for (size_t p = 0; p < num_parts; ++p) {
+    DYNOPT_RETURN_IF_ERROR(
+        table->AppendBatches(p, std::move(data.partitions[p])));
+  }
+
   // Online join-key sketches (predicate transfer): per-partition builders
-  // merged into one dataset-level sketch per column, registered under the
-  // temp name. Runs before the batches are moved into the table below.
+  // over the stored runs, merged into one dataset-level sketch per column,
+  // registered under the temp name.
   std::vector<int> sketch_indices;
   std::vector<std::string> sketch_names;
   if (sketches_ != nullptr && sketch_columns != nullptr) {
@@ -1646,7 +1644,7 @@ Result<SinkResult> JobExecutor::Materialize(
       }
     }
     pool_->ParallelFor(num_parts, [&](size_t p) {
-      for (const ColumnBatch& b : data.partitions[p]) {
+      for (const ColumnBatch& b : table->partition(p)) {
         for (size_t c = 0; c < num_sketch; ++c) {
           AddColumnToSketch(b, sketch_indices[c], &shards[p][c]);
         }
@@ -1671,12 +1669,6 @@ Result<SinkResult> JobExecutor::Materialize(
     metrics->stats_seconds += sketch_cost;
     metrics->simulated_seconds += sketch_cost;
     metrics->wall_stats_seconds += SecondsSince(sketch_start);
-  }
-
-  // Move the batches in partition-faithfully so the producing node's
-  // placement (and any skew) survives materialization.
-  for (size_t p = 0; p < num_parts; ++p) {
-    table->AppendBatches(p, std::move(data.partitions[p]));
   }
 
   DYNOPT_RETURN_IF_ERROR(catalog_->RegisterTable(table));

@@ -117,8 +117,9 @@ class JobExecutor {
   Result<JobResult> Execute(const PlanNode& root,
                             const std::map<std::string, Value>& params);
 
-  /// The Sink operator: moves `data`'s batches into a fresh temp table in
-  /// the catalog (partition placement and row order preserved), optionally
+  /// The Sink operator: moves `data`'s batches, buffers and all, into a
+  /// fresh temp table in the catalog (partition placement and row order
+  /// preserved; a batch the table rejects fails the sink), optionally
   /// collecting online statistics on `stats_columns` (qualified names) and
   /// join-key sketches on `sketch_columns`, column-at-a-time. Charges
   /// materialization I/O and the per-reopt fixed cost to
@@ -186,8 +187,10 @@ class JobExecutor {
   /// task per partition. Each predicate is compiled once against the
   /// names the chain holds at that point, placed at their stored slots,
   /// and evaluated on each stored run in place; each max_batch_size slice
-  /// then emits only its surviving rows of the final columns. Metered as
-  /// the scan followed by each chain node, bottom-up.
+  /// then emits only its surviving rows of the final columns: a slice
+  /// whose every row survives borrows the run's buffers, others gather
+  /// their survivors. Metered as the scan followed by each chain node,
+  /// bottom-up.
   Result<ColumnarDataset> ExecLeaf(const PlanNode& scan,
                                    const std::vector<const PlanNode*>& chain,
                                    const std::map<std::string, Value>& params,

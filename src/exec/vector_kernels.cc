@@ -152,8 +152,9 @@ void AddValueSizes(const ColumnVector& col, size_t begin, size_t n,
 /// every column's value size, as RowSizeBytes.
 void SizeRowsFromValues(ColumnBatch* batch) {
   batch->row_sizes.assign(batch->num_rows, 8);
+  uint64_t* sizes = batch->row_sizes.mutable_data();
   for (const ColumnVector& col : batch->columns) {
-    AddValueSizes(col, 0, batch->num_rows, batch->row_sizes.data());
+    AddValueSizes(col, 0, batch->num_rows, sizes);
   }
 }
 
@@ -178,7 +179,8 @@ void AppendValidity(ColumnVector* dst, size_t old_rows,
   }
   if (dst->validity.empty()) dst->validity.assign(old_rows, 1);
   dst->validity.resize(old_rows + n);
-  GatherInto(dst->validity.data() + old_rows, src.validity.data(), sel, n);
+  GatherInto(dst->validity.mutable_data() + old_rows, src.validity.data(), sel,
+             n);
 }
 
 }  // namespace
@@ -229,8 +231,7 @@ ColumnBatch SliceBatch(const ColumnBatch& src, size_t begin, size_t n,
         src.columns[static_cast<size_t>(keep[k])].Slice(begin, n));
   }
   if (KeepsWholeRows(keep, num_keep, src.columns.size())) {
-    out.row_sizes.assign(src.row_sizes.begin() + begin,
-                         src.row_sizes.begin() + begin + n);
+    out.row_sizes = src.row_sizes.Slice(begin, n);
   } else {
     SizeRowsFromValues(&out);
   }
@@ -300,19 +301,19 @@ void AppendGatherColumn(ColumnVector* dst, const ColumnVector& src,
   switch (dst->kind) {
     case ColumnKind::kInt64:
       dst->i64.resize(old_rows + n);
-      GatherInto(dst->i64.data() + old_rows, src.i64.data(), sel, n);
+      GatherInto(dst->i64.mutable_data() + old_rows, src.i64.data(), sel, n);
       break;
     case ColumnKind::kDouble:
       dst->f64.resize(old_rows + n);
-      GatherInto(dst->f64.data() + old_rows, src.f64.data(), sel, n);
+      GatherInto(dst->f64.mutable_data() + old_rows, src.f64.data(), sel, n);
       break;
     case ColumnKind::kBool:
       dst->b8.resize(old_rows + n);
-      GatherInto(dst->b8.data() + old_rows, src.b8.data(), sel, n);
+      GatherInto(dst->b8.mutable_data() + old_rows, src.b8.data(), sel, n);
       break;
     case ColumnKind::kString: {
       dst->codes.resize(old_rows + n);
-      uint32_t* codes = dst->codes.data() + old_rows;
+      uint32_t* codes = dst->codes.mutable_data() + old_rows;
       if (dst->dict.get() == src.dict.get()) {
         GatherInto(codes, src.codes.data(), sel, n);
         break;
@@ -356,6 +357,8 @@ ColumnBatch GatherViews(const std::vector<BatchView>& views, const int* keep,
     const ColumnVector& first = views[0].batch->columns[c];
     ColumnVector& d = out.columns[k];
     d.kind = first.kind;
+    // Every row of the payload is written below; only the validity mask,
+    // which NULL-free sources leave alone, starts filled.
     switch (d.kind) {
       case ColumnKind::kInt64:
         d.i64.resize(total);
@@ -384,17 +387,17 @@ ColumnBatch GatherViews(const std::vector<BatchView>& views, const int* keep,
       const size_t n = v.num_rows;
       switch (d.kind) {
         case ColumnKind::kInt64:
-          GatherInto(d.i64.data() + off, s.i64.data(), sel, n);
+          GatherInto(d.i64.mutable_data() + off, s.i64.data(), sel, n);
           break;
         case ColumnKind::kDouble:
-          GatherInto(d.f64.data() + off, s.f64.data(), sel, n);
+          GatherInto(d.f64.mutable_data() + off, s.f64.data(), sel, n);
           break;
         case ColumnKind::kBool:
-          GatherInto(d.b8.data() + off, s.b8.data(), sel, n);
+          GatherInto(d.b8.mutable_data() + off, s.b8.data(), sel, n);
           break;
         case ColumnKind::kString:
           if (s.dict.get() == d.dict.get()) {
-            GatherInto(d.codes.data() + off, s.codes.data(), sel, n);
+            GatherInto(d.codes.mutable_data() + off, s.codes.data(), sel, n);
           } else {
             // Another dictionary: intern through its cached hashes into a
             // private clone (the adopted dictionary is still shared with
@@ -402,18 +405,19 @@ ColumnBatch GatherViews(const std::vector<BatchView>& views, const int* keep,
             if (d.dict.use_count() > 1) {
               d.dict = std::make_shared<StringDict>(*d.dict);
             }
+            uint32_t* codes = d.codes.mutable_data() + off;
             for (size_t j = 0; j < n; ++j) {
               const size_t i = sel != nullptr ? sel[j] : j;
-              d.codes[off + j] =
-                  s.IsNullAt(i) ? 0
-                                : d.dict->Intern(s.dict->entry(s.codes[i]),
-                                                 s.dict->hash(s.codes[i]));
+              codes[j] = s.IsNullAt(i)
+                             ? 0
+                             : d.dict->Intern(s.dict->entry(s.codes[i]),
+                                              s.dict->hash(s.codes[i]));
             }
           }
           break;
       }
       if (!s.validity.empty()) {
-        GatherInto(d.validity.data() + off, s.validity.data(), sel, n);
+        GatherInto(d.validity.mutable_data() + off, s.validity.data(), sel, n);
       }
       off += n;
     }
@@ -424,10 +428,10 @@ ColumnBatch GatherViews(const std::vector<BatchView>& views, const int* keep,
     return out;
   }
   out.row_sizes.resize(total);
+  uint64_t* sizes = out.row_sizes.mutable_data();
   size_t off = 0;
   for (const BatchView& v : views) {
-    GatherInto(out.row_sizes.data() + off, v.batch->row_sizes.data(), v.sel,
-               v.num_rows);
+    GatherInto(sizes + off, v.batch->row_sizes.data(), v.sel, v.num_rows);
     off += v.num_rows;
   }
   return out;
@@ -437,7 +441,7 @@ void BatchSink::EnsureOpen() {
   if (open_) return;
   cur_ = ColumnBatch();
   cur_.columns.resize(columns_->size());
-  cur_.row_sizes.reserve(std::min<size_t>(capacity_, 4096));
+  cur_.row_sizes.reserve(ReservedRows());
   open_ = true;
 }
 
@@ -459,15 +463,19 @@ void BatchSink::AppendJoinGather(const ColumnBatch& build,
     const size_t old_rows = cur_.num_rows;
     const size_t m = std::min(capacity_ - old_rows, n - off);
     cur_.row_sizes.resize(old_rows + m, 8);  // Row header.
-    uint64_t* sizes = cur_.row_sizes.data() + old_rows;
+    uint64_t* sizes = cur_.row_sizes.mutable_data() + old_rows;
     for (size_t c = 0; c < num_columns; ++c) {
       const SinkColumn& from = (*columns_)[c];
       const bool from_build = from.side == SinkColumn::kBuild;
+      const ColumnVector& src =
+          (from_build ? build : probe).columns[static_cast<size_t>(from.slot)];
       ColumnVector& dst = cur_.columns[c];
-      AppendGatherColumn(
-          &dst,
-          (from_build ? build : probe).columns[static_cast<size_t>(from.slot)],
-          (from_build ? bsel : psel) + off, m);
+      if (old_rows == 0) {
+        // A fresh batch: size the column for a full batch once.
+        dst.kind = src.kind;
+        dst.Reserve(ReservedRows());
+      }
+      AppendGatherColumn(&dst, src, (from_build ? bsel : psel) + off, m);
       AddValueSizes(dst, old_rows, m, sizes);
     }
     cur_.num_rows += m;

@@ -1,6 +1,7 @@
 #ifndef DYNOPT_EXEC_VECTOR_KERNELS_H_
 #define DYNOPT_EXEC_VECTOR_KERNELS_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -61,11 +62,12 @@ inline bool JoinKeysEqual(const ColumnBatch& build, size_t i,
 }
 
 /// Rows [begin, begin + n) of the `num_keep` column slots in `keep` of
-/// `src`, in that order, as a fresh batch (a scan's projected copy of a
-/// stored run): column ranges are copied, string columns share the source
-/// dictionary, and each row is sized from its kept values (8-byte header
-/// plus each value's cost-model size, column at a time), or keeps its
-/// cached size when `keep` is every column in order.
+/// `src`, in that order, as a batch that borrows `src`'s buffers (a scan's
+/// slice of a stored run): no element is copied, and string columns share
+/// the source dictionary. Each row is sized from its kept values (8-byte
+/// header plus each value's cost-model size, column at a time) into fresh
+/// row sizes, or shares the source's cached sizes when `keep` is every
+/// column in order.
 ColumnBatch SliceBatch(const ColumnBatch& src, size_t begin, size_t n,
                        const int* keep, size_t num_keep);
 
@@ -100,10 +102,11 @@ struct BatchView {
   size_t num_rows = 0;
 };
 
-/// Gathers the rows of `views`, in order, into one fresh batch of exactly
-/// their total size with typed indexed writes: the join's flat build side
-/// (hash-table entries index its row space), predicate transfer's
-/// compaction, and with `keep` the leaf pipeline's survivors. `keep`,
+/// Gathers the rows of `views`, in order, into one fresh batch whose
+/// buffers are allocated once, at exactly the rows' total, and written by
+/// typed indexed writes without a zero-fill first: the join's flat build
+/// side (hash-table entries index its row space), predicate transfer's
+/// compaction, and with `keep` a filtered leaf slice's survivors. `keep`,
 /// when non-null, lists the `num_keep` column slots to gather, in output
 /// order (a slot may repeat); the rows are then sized from their kept
 /// values, as SliceBatch does, unless `keep` is every column in order.
@@ -125,9 +128,11 @@ struct SinkColumn {
 
 /// Accumulates gathered join rows into fixed-capacity output batches
 /// (max_batch_size rows each); each destination column takes its source's
-/// kind, and string columns merge dictionaries. Join emission funnels
-/// through this sink, and a Project above the join is folded into its
-/// column list, so a projected join gathers only the columns it keeps.
+/// kind, and string columns merge dictionaries. A fresh batch reserves each
+/// column and its row sizes for min(max_batch_size, 4096) rows once, so
+/// appends write in place instead of growing the buffers. Join emission
+/// funnels through this sink, and a Project above the join is folded into
+/// its column list, so a projected join gathers only the columns it keeps.
 class BatchSink {
  public:
   /// `columns` (borrowed, resolved once per join) lists the output columns.
@@ -149,6 +154,8 @@ class BatchSink {
  private:
   void EnsureOpen();
   void CloseIfFull();
+  /// Rows each fresh output column and row-size array is reserved for.
+  size_t ReservedRows() const { return std::min<size_t>(capacity_, 4096); }
 
   const std::vector<SinkColumn>* columns_;
   size_t capacity_;
@@ -157,8 +164,8 @@ class BatchSink {
   bool open_ = false;
 };
 
-/// Appends src[sel[0..n)] to `dst`, resizing it once and writing by
-/// index. The first append adopts the source's kind and shares its
+/// Appends src[sel[0..n)] to `dst`, resizing it once (no zero-fill) and
+/// writing by index. The first append adopts the source's kind and shares its
 /// dictionary; later sources must have the same kind, and a string source
 /// on another dictionary interns via its cached hashes. Exposed for the
 /// sink and for tests.

@@ -43,26 +43,40 @@ void ColumnVector::Append(const Value& v) {
 ColumnVector ColumnVector::Slice(size_t begin, size_t n) const {
   ColumnVector out;
   out.kind = kind;
-  const size_t end = begin + n;
   switch (kind) {
     case ColumnKind::kInt64:
-      out.i64.assign(i64.begin() + begin, i64.begin() + end);
+      out.i64 = i64.Slice(begin, n);
       break;
     case ColumnKind::kDouble:
-      out.f64.assign(f64.begin() + begin, f64.begin() + end);
+      out.f64 = f64.Slice(begin, n);
       break;
     case ColumnKind::kBool:
-      out.b8.assign(b8.begin() + begin, b8.begin() + end);
+      out.b8 = b8.Slice(begin, n);
       break;
     case ColumnKind::kString:
       out.dict = dict;
-      out.codes.assign(codes.begin() + begin, codes.begin() + end);
+      out.codes = codes.Slice(begin, n);
       break;
   }
-  if (!validity.empty()) {
-    out.validity.assign(validity.begin() + begin, validity.begin() + end);
-  }
+  if (!validity.empty()) out.validity = validity.Slice(begin, n);
   return out;
+}
+
+void ColumnVector::Reserve(size_t n) {
+  switch (kind) {
+    case ColumnKind::kInt64:
+      i64.reserve(n);
+      break;
+    case ColumnKind::kDouble:
+      f64.reserve(n);
+      break;
+    case ColumnKind::kBool:
+      b8.reserve(n);
+      break;
+    case ColumnKind::kString:
+      codes.reserve(n);
+      break;
+  }
 }
 
 }  // namespace dynopt

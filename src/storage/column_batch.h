@@ -1,9 +1,15 @@
 #ifndef DYNOPT_STORAGE_COLUMN_BATCH_H_
 #define DYNOPT_STORAGE_COLUMN_BATCH_H_
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
+#include <cstring>
 #include <memory>
+#include <new>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/hash.h"
@@ -24,6 +30,149 @@ namespace dynopt {
 /// row header + value sizes, i.e. RowSizeBytes of the row), so network and
 /// disk metering never re-walk payloads. A `Table` partition is a sequence
 /// of immutable batches ("runs"); the executor's batches are the same type.
+///
+/// Every payload, validity mask and row-size array is a SharedBuffer: an
+/// immutable, reference-counted block viewed through an offset and a
+/// length. Copying a column or slicing it shares the block, so a scan's
+/// slice borrows the stored run and a temp table keeps the very buffers a
+/// job wrote. Writes copy on write, as StringDict's interning does.
+
+/// A reference-counted array of trivially copyable elements, viewed through
+/// an offset and a length. Copies and Slice() share the elements (no
+/// allocation); reads go through const accessors only, so a read never
+/// copies. A write (resize, push_back, assign, reserve, mutable_data)
+/// first copies the viewed elements into a fresh block when this handle is
+/// not the block's only holder or views it from an offset — the rule
+/// StringDict follows before its first mutating intern. Only a batch's
+/// owner writes it, and a block with one reference has no other holder that
+/// could copy it meanwhile, so the check is safe across threads. A fresh
+/// block is one allocation: refcount, capacity and elements. Growing leaves
+/// the new elements uninitialized unless a fill value is given — every
+/// writer writes each element it sizes.
+template <typename T>
+class SharedBuffer {
+  static_assert(std::is_trivially_copyable_v<T>,
+                "SharedBuffer holds trivially copyable elements");
+
+ public:
+  SharedBuffer() = default;
+  SharedBuffer(const SharedBuffer& other)
+      : block_(other.block_), data_(other.data_), size_(other.size_) {
+    if (block_ != nullptr) block_->refs.fetch_add(1, std::memory_order_relaxed);
+  }
+  SharedBuffer(SharedBuffer&& other) noexcept
+      : block_(std::exchange(other.block_, nullptr)),
+        data_(std::exchange(other.data_, nullptr)),
+        size_(std::exchange(other.size_, 0)) {}
+  SharedBuffer& operator=(SharedBuffer other) noexcept {
+    std::swap(block_, other.block_);
+    std::swap(data_, other.data_);
+    std::swap(size_, other.size_);
+    return *this;
+  }
+  ~SharedBuffer() { Drop(); }
+
+  const T* data() const { return data_; }
+  size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  const T& operator[](size_t i) const { return data_[i]; }
+  const T* begin() const { return data_; }
+  const T* end() const { return data_ + size_; }
+
+  /// Elements [begin, begin + n), sharing this buffer's block.
+  SharedBuffer Slice(size_t begin, size_t n) const {
+    SharedBuffer out;
+    if (n == 0) return out;
+    out.block_ = block_;
+    out.data_ = data_ + begin;
+    out.size_ = n;
+    block_->refs.fetch_add(1, std::memory_order_relaxed);
+    return out;
+  }
+
+  /// The elements, writable (copied first when shared or offset).
+  T* mutable_data() {
+    if (size_ > 0 && !Writable(size_)) Reallocate(size_);
+    return data_;
+  }
+  /// Makes room to write up to `n` elements without another allocation.
+  void reserve(size_t n) {
+    if (n > 0 && !Writable(std::max(n, size_))) Reallocate(std::max(n, size_));
+  }
+  /// Sets the length to `n`; new elements are uninitialized.
+  void resize(size_t n) {
+    if (n > size_ && !Writable(n)) Reallocate(std::max(n, 2 * size_));
+    size_ = n;
+  }
+  /// Sets the length to `n`, filling new elements with `value`.
+  void resize(size_t n, T value) {
+    const size_t old = size_;
+    resize(n);
+    if (n > old) std::fill(data_ + old, data_ + n, value);
+  }
+  /// `n` copies of `value`.
+  void assign(size_t n, T value) {
+    if (!Writable(n)) {
+      Drop();
+      if (n > 0) Reallocate(n);
+    }
+    std::fill_n(data_, n, value);
+    size_ = n;
+  }
+  void push_back(T value) {
+    if (!Writable(size_ + 1)) Reallocate(std::max<size_t>(16, 2 * size_));
+    data_[size_++] = value;
+  }
+  void clear() { Drop(); }
+
+ private:
+  struct Block {
+    explicit Block(size_t cap) : refs(1), capacity(cap) {}
+    std::atomic<size_t> refs;
+    size_t capacity;
+  };
+  static_assert(sizeof(Block) % alignof(T) == 0, "elements follow the block");
+
+  static T* Elements(Block* block) { return reinterpret_cast<T*>(block + 1); }
+
+  /// This handle is the block's only holder, views it from its first
+  /// element, and the block holds at least `n` elements.
+  bool Writable(size_t n) const {
+    return block_ != nullptr && data_ == Elements(block_) &&
+           n <= block_->capacity &&
+           block_->refs.load(std::memory_order_acquire) == 1;
+  }
+
+  /// Moves the viewed elements into a fresh, unshared block of `capacity`
+  /// (at least size_) elements.
+  void Reallocate(size_t capacity) {
+    void* mem = ::operator new(sizeof(Block) + capacity * sizeof(T));
+    Block* fresh = new (mem) Block(capacity);
+    T* elements = Elements(fresh);
+    if (size_ > 0) std::memcpy(elements, data_, size_ * sizeof(T));
+    const size_t size = size_;
+    Drop();
+    block_ = fresh;
+    data_ = elements;
+    size_ = size;
+  }
+
+  /// Releases this handle's reference, leaving it empty.
+  void Drop() {
+    if (block_ != nullptr &&
+        block_->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      block_->~Block();
+      ::operator delete(block_);
+    }
+    block_ = nullptr;
+    data_ = nullptr;
+    size_ = 0;
+  }
+
+  Block* block_ = nullptr;
+  T* data_ = nullptr;
+  size_t size_ = 0;
+};
 
 /// Physical layout of one column vector.
 enum class ColumnKind : uint8_t {
@@ -108,17 +257,17 @@ class StringDict {
   size_t slot_mask_ = 0;
 };
 
-/// One typed column of a batch. Exactly one payload vector (per `kind`) is
+/// One typed column of a batch. Exactly one payload buffer (per `kind`) is
 /// populated; `validity` is empty when every row is non-NULL, otherwise one
-/// byte per row (1 = valid).
+/// byte per row (1 = valid). Copies share the buffers (see SharedBuffer).
 struct ColumnVector {
   ColumnKind kind = ColumnKind::kInt64;
-  std::vector<int64_t> i64;
-  std::vector<double> f64;
-  std::vector<uint8_t> b8;
-  std::vector<uint32_t> codes;
+  SharedBuffer<int64_t> i64;
+  SharedBuffer<double> f64;
+  SharedBuffer<uint8_t> b8;
+  SharedBuffer<uint32_t> codes;
   std::shared_ptr<StringDict> dict;
-  std::vector<uint8_t> validity;
+  SharedBuffer<uint8_t> validity;
 
   size_t size() const {
     switch (kind) {
@@ -194,9 +343,13 @@ struct ColumnVector {
   /// read-back (BatchesFromRows).
   void Append(const Value& v);
 
-  /// Rows [begin, begin + n) as a fresh column: typed payloads and validity
-  /// are range copies; string columns share this column's dictionary.
+  /// Rows [begin, begin + n) as a column that borrows this one's payload,
+  /// validity and dictionary: no element is copied.
   ColumnVector Slice(size_t begin, size_t n) const;
+
+  /// Makes room for `n` rows of the `kind` payload (a writer that knows how
+  /// many rows it will append allocates once).
+  void Reserve(size_t n);
 };
 
 /// A horizontal slice of rows: `num_rows` rows across `columns.size()`
@@ -205,7 +358,7 @@ struct ColumnVector {
 struct ColumnBatch {
   size_t num_rows = 0;
   std::vector<ColumnVector> columns;
-  std::vector<uint64_t> row_sizes;
+  SharedBuffer<uint64_t> row_sizes;
 
   Row RowAt(size_t i) const {
     Row row;

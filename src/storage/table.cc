@@ -106,15 +106,33 @@ Status Table::AppendRow(const Row& row) {
   return Status::OK();
 }
 
-void Table::AppendBatches(size_t partition,
-                          std::vector<ColumnBatch>&& batches) {
-  DYNOPT_CHECK(partition < partitions_.size());
+Status Table::AppendBatches(size_t partition,
+                            std::vector<ColumnBatch>&& batches) {
+  if (partition >= partitions_.size()) {
+    return Status::InvalidArgument(
+        "batches appended to partition " + std::to_string(partition) +
+        " of " + name_ + ", which has " +
+        std::to_string(partitions_.size()) + " partitions");
+  }
+  for (const ColumnBatch& batch : batches) {
+    if (batch.num_rows == 0) continue;
+    if (batch.columns.size() != schema_.num_fields()) {
+      return Status::InvalidArgument(
+          "batch of " + std::to_string(batch.columns.size()) +
+          " columns appended to " + name_ + ", which has " +
+          std::to_string(schema_.num_fields()) + " columns");
+    }
+    if (batch.row_sizes.size() != batch.num_rows) {
+      return Status::InvalidArgument(
+          "batch of " + std::to_string(batch.num_rows) + " rows with " +
+          std::to_string(batch.row_sizes.size()) +
+          " row sizes appended to " + name_);
+    }
+  }
   Partition& part = partitions_[partition];
   part.load_run_open = false;
   for (ColumnBatch& batch : batches) {
     if (batch.num_rows == 0) continue;
-    DYNOPT_CHECK(batch.columns.size() == schema_.num_fields());
-    DYNOPT_CHECK(batch.row_sizes.size() == batch.num_rows);
     uint64_t bytes = 0;
     for (uint64_t s : batch.row_sizes) bytes += s;
     part.run_starts.push_back(part.rows);
@@ -125,6 +143,7 @@ void Table::AppendBatches(size_t partition,
     part.runs.push_back(std::move(batch));
   }
   batches.clear();
+  return Status::OK();
 }
 
 std::pair<const ColumnBatch*, size_t> Table::LocateRow(

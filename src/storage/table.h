@@ -60,7 +60,8 @@ class SecondaryIndex {
 /// caches every row's full cost-model size, and each partition its row
 /// count and byte total, so scans never re-size rows. String columns
 /// loaded through AppendRow share one dictionary per column across all
-/// partitions.
+/// partitions. Scans borrow the runs' buffers rather than copy them (see
+/// SharedBuffer), so a run appended to after a scan copies on write.
 class Table {
  public:
   Table(std::string name, Schema schema, size_t num_partitions);
@@ -79,9 +80,12 @@ class Table {
 
   /// Moves finished batches onto the end of `partition` as new runs (the
   /// materialization sink, so the producing node's placement — and any
-  /// skew — survives). Each non-empty batch must have one column per
-  /// schema field and row_sizes holding RowSizeBytes of each row.
-  void AppendBatches(size_t partition, std::vector<ColumnBatch>&& batches);
+  /// skew — survives). The runs keep the batches' buffers, which may be
+  /// shared with the batches' sources. Each non-empty batch must have one
+  /// column per schema field and row_sizes holding RowSizeBytes of each
+  /// row. A partition out of range, or any batch breaking those rules, is
+  /// rejected with kInvalidArgument before anything is moved in.
+  Status AppendBatches(size_t partition, std::vector<ColumnBatch>&& batches);
 
   /// Builds a secondary index over `column` (for the Figure-8 INLJ
   /// experiments). Call after loading completes.

@@ -261,8 +261,10 @@ TEST(ColumnBatchTest, TypedStatsAddsMatchValueAddsAtScale) {
       str.codes.push_back(static_cast<uint32_t>(rng.NextUint64(dict->size())));
     }
     if (nulls) {
-      std::vector<uint8_t> validity(kRows);
-      for (uint8_t& v : validity) v = rng.NextBool(0.1) ? 0 : 1;
+      SharedBuffer<uint8_t> validity;
+      for (size_t i = 0; i < kRows; ++i) {
+        validity.push_back(rng.NextBool(0.1) ? 0 : 1);
+      }
       for (ColumnVector* c : {&i64, &f64, &zeros, &nan_first, &b8, &str}) {
         c->validity = validity;
       }
@@ -858,6 +860,185 @@ TEST_F(ColumnarParityTest, ScanOutputInvariantUnderBatchSize) {
       ExpectMetricsEqual(baseline.metrics, result->metrics);
     }
   }
+}
+
+// --- Shared column buffers: slices and scans borrow --------------------------
+
+/// Address of row `row` of `col`'s payload.
+const void* PayloadAt(const ColumnVector& col, size_t row) {
+  switch (col.kind) {
+    case ColumnKind::kInt64:
+      return col.i64.data() + row;
+    case ColumnKind::kDouble:
+      return col.f64.data() + row;
+    case ColumnKind::kBool:
+      return col.b8.data() + row;
+    case ColumnKind::kString:
+      return col.codes.data() + row;
+  }
+  return nullptr;
+}
+
+/// True when `b`'s first payload address lies inside a payload of one of
+/// `runs`' columns.
+bool PointsIntoRuns(const ColumnVector& b, const std::vector<ColumnBatch>& runs) {
+  const auto* p = static_cast<const char*>(PayloadAt(b, 0));
+  for (const ColumnBatch& run : runs) {
+    for (const ColumnVector& col : run.columns) {
+      const auto* lo = static_cast<const char*>(PayloadAt(col, 0));
+      const auto* hi = static_cast<const char*>(PayloadAt(col, col.size()));
+      if (p >= lo && p < hi) return true;
+    }
+  }
+  return false;
+}
+
+TEST(ColumnBatchTest, SliceBatchBorrowsItsSource) {
+  Dataset data = RandomDataset(7, 200, 1, 20, 0.2);
+  const ColumnBatch src = FromDataset(data, 200).partitions[0][0];
+  ASSERT_EQ(src.num_rows, 200u);
+  // Whole rows: every payload, validity mask and the row sizes point into
+  // the source.
+  const std::vector<int> all = {0, 1, 2, 3};
+  const ColumnBatch whole = SliceBatch(src, 50, 30, all.data(), all.size());
+  ASSERT_EQ(whole.num_rows, 30u);
+  for (size_t c = 0; c < all.size(); ++c) {
+    EXPECT_EQ(PayloadAt(whole.columns[c], 0), PayloadAt(src.columns[c], 50))
+        << "column " << c;
+    if (!src.columns[c].validity.empty()) {
+      EXPECT_EQ(whole.columns[c].validity.data(),
+                src.columns[c].validity.data() + 50);
+    }
+  }
+  EXPECT_EQ(whole.row_sizes.data(), src.row_sizes.data() + 50);
+  // A projection borrows its payloads but sizes its rows from the kept
+  // values.
+  const std::vector<int> keep = {3, 0, 3};
+  const ColumnBatch projected =
+      SliceBatch(src, 120, 40, keep.data(), keep.size());
+  for (size_t k = 0; k < keep.size(); ++k) {
+    EXPECT_EQ(PayloadAt(projected.columns[k], 0),
+              PayloadAt(src.columns[static_cast<size_t>(keep[k])], 120));
+  }
+  ASSERT_EQ(projected.row_sizes.size(), 40u);
+  for (size_t i = 0; i < 40; ++i) {
+    EXPECT_EQ(projected.row_sizes[i], RowSizeBytes(projected.RowAt(i)));
+  }
+}
+
+TEST_F(ColumnarParityTest, UnfilteredLeafBorrowsStoredRuns) {
+  MakeTable("t", 900, 40, 75);
+  auto table = engine_->catalog().GetTable("t").value();
+  constexpr size_t kBatch = 64;
+  engine_->mutable_cluster().exec.max_batch_size = kBatch;
+  // Whole rows, and a projection pushdown that narrows and reorders.
+  const std::vector<int> all = {0, 1, 2, 3};
+  const std::vector<int> pushed = {3, 0};
+  for (const bool project : {false, true}) {
+    SCOPED_TRACE(project ? "projected" : "whole rows");
+    auto plan = project ? PlanNode::Scan("t", "a", false, {"a.name", "a.k"})
+                        : PlanNode::Scan("t", "a");
+    const std::vector<int>& slots = project ? pushed : all;
+    auto result = engine_->MakeExecutor().Execute(*plan, {});
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    for (size_t p = 0; p < table->num_partitions(); ++p) {
+      const auto& out = result->data.partitions[p];
+      size_t j = 0;
+      for (const ColumnBatch& run : table->partition(p)) {
+        for (size_t start = 0; start < run.num_rows; start += kBatch) {
+          ASSERT_LT(j, out.size());
+          const ColumnBatch& b = out[j++];
+          for (size_t k = 0; k < slots.size(); ++k) {
+            const ColumnVector& stored =
+                run.columns[static_cast<size_t>(slots[k])];
+            EXPECT_EQ(PayloadAt(b.columns[k], 0), PayloadAt(stored, start));
+            if (!stored.validity.empty()) {
+              EXPECT_EQ(b.columns[k].validity.data(),
+                        stored.validity.data() + start);
+            }
+          }
+          if (!project) {
+            EXPECT_EQ(b.row_sizes.data(), run.row_sizes.data() + start);
+          }
+        }
+      }
+      EXPECT_EQ(j, out.size());
+    }
+  }
+  // A filtered slice gathers its survivors into fresh buffers: with one
+  // slice per stored run, no run keeps all of its ~90 rows.
+  engine_->mutable_cluster().exec.max_batch_size = 4096;
+  auto filtered = engine_->MakeExecutor().Execute(
+      *PlanNode::Filter(PlanNode::Scan("t", "a"),
+                        Cmp(CompareOp::kLt, Col("a", "score"),
+                            Lit(Value(5.0)))),
+      {});
+  ASSERT_TRUE(filtered.ok()) << filtered.status().ToString();
+  size_t batches = 0;
+  for (size_t p = 0; p < table->num_partitions(); ++p) {
+    for (const ColumnBatch& b : filtered->data.partitions[p]) {
+      ++batches;
+      for (const ColumnVector& col : b.columns) {
+        EXPECT_FALSE(PointsIntoRuns(col, table->partition(p)));
+      }
+    }
+  }
+  EXPECT_GT(batches, 0u);
+}
+
+TEST_F(ColumnarParityTest, TempTableKeepsAndScanBorrowsMaterializedBatches) {
+  MakeTable("t", 600, 30, 77);
+  engine_->mutable_cluster().exec.max_batch_size = 50;
+  auto join = engine_->MakeExecutor().Execute(
+      *PlanNode::Join(JoinMethod::kHashShuffle, PlanNode::Scan("t", "l"),
+                      PlanNode::Scan("t", "r"), {{"l.k2", "r.k2"}}),
+      {});
+  ASSERT_TRUE(join.ok()) << join.status().ToString();
+  // Each batch's buffers before the move: every column's payload and the
+  // row sizes.
+  std::vector<std::vector<std::vector<const void*>>> before;
+  for (const auto& part : join->data.partitions) {
+    before.emplace_back();
+    for (const ColumnBatch& b : part) {
+      std::vector<const void*> ptrs;
+      for (const ColumnVector& col : b.columns) ptrs.push_back(PayloadAt(col, 0));
+      ptrs.push_back(b.row_sizes.data());
+      before.back().push_back(std::move(ptrs));
+    }
+  }
+  ExecMetrics sink_metrics;
+  auto sink = engine_->MakeExecutor().Materialize(
+      std::move(join->data), "borrow", {}, false, &sink_metrics);
+  ASSERT_TRUE(sink.ok()) << sink.status().ToString();
+  auto temp = engine_->catalog().GetTable(sink->table_name).value();
+  ASSERT_EQ(temp->num_partitions(), before.size());
+  auto buffers = [](const ColumnBatch& b) {
+    std::vector<const void*> ptrs;
+    for (const ColumnVector& col : b.columns) ptrs.push_back(PayloadAt(col, 0));
+    ptrs.push_back(b.row_sizes.data());
+    return ptrs;
+  };
+  for (size_t p = 0; p < before.size(); ++p) {
+    ASSERT_EQ(temp->partition(p).size(), before[p].size());
+    for (size_t i = 0; i < before[p].size(); ++i) {
+      EXPECT_EQ(buffers(temp->partition(p)[i]), before[p][i]);
+    }
+  }
+  // Every stored run has at most max_batch_size rows, so the scan emits
+  // each run whole, on the run's own buffers.
+  auto scan = engine_->MakeExecutor().Execute(
+      *PlanNode::Scan(sink->table_name, "", true), {});
+  ASSERT_TRUE(scan.ok()) << scan.status().ToString();
+  size_t runs = 0;
+  for (size_t p = 0; p < before.size(); ++p) {
+    const auto& out = scan->data.partitions[p];
+    ASSERT_EQ(out.size(), before[p].size());
+    for (size_t i = 0; i < out.size(); ++i) {
+      EXPECT_EQ(buffers(out[i]), before[p][i]);
+      ++runs;
+    }
+  }
+  EXPECT_GT(runs, 0u);
 }
 
 // --- Satellite: column slots resolve once per operator --------------------

@@ -248,8 +248,8 @@ TEST(ParserDepthTest, NestingAtTheLimitParsesBindsAndRuns) {
     ColumnBatch batch;
     batch.num_rows = 4;
     batch.columns.resize(2);
-    batch.columns[0].i64 = {0, 1, 2, 1};
-    batch.columns[1].i64 = {5, 6, 7, 8};
+    for (int64_t x : {0, 1, 2, 1}) batch.columns[0].i64.push_back(x);
+    for (int64_t y : {5, 6, 7, 8}) batch.columns[1].i64.push_back(y);
     std::vector<uint8_t> keep;
     pred->EvalBools(batch, &keep);
     EXPECT_EQ(keep, (std::vector<uint8_t>{0, 1, 0, 1}));

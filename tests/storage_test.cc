@@ -3,6 +3,7 @@
 #include <memory>
 #include <set>
 
+#include "common/thread_pool.h"
 #include "storage/catalog.h"
 #include "storage/schema.h"
 #include "storage/table.h"
@@ -268,7 +269,7 @@ TEST(ColumnarStorageTest, AppendBatchesPreservesPlacementAndOrder) {
   batches.push_back(BatchOf(first));
   batches.push_back(ColumnBatch());  // Empty batches are dropped.
   batches.push_back(BatchOf(second));
-  t.AppendBatches(2, std::move(batches));
+  ASSERT_TRUE(t.AppendBatches(2, std::move(batches)).ok());
   EXPECT_EQ(t.partition(0).size(), 0u);
   EXPECT_EQ(t.partition(2).size(), 2u);
   EXPECT_EQ(t.PartitionRows(2), 3u);
@@ -285,6 +286,191 @@ TEST(ColumnarStorageTest, AppendBatchesPreservesPlacementAndOrder) {
   for (const Row& row : all) bytes += RowSizeBytes(row);
   EXPECT_EQ(t.PartitionBytes(2), bytes);
   EXPECT_EQ(t.TotalBytes(), bytes);
+}
+
+TEST(ColumnarStorageTest, AppendBatchesRejectsMalformedBatches) {
+  Table t("t", TwoColumnSchema(), 2);
+  ASSERT_TRUE(t.AppendRow({Value(1), Value("a")}).ok());
+  const uint64_t rows = t.NumRows();
+  const uint64_t bytes = t.TotalBytes();
+  auto expect_unchanged = [&]() {
+    EXPECT_EQ(t.NumRows(), rows);
+    EXPECT_EQ(t.TotalBytes(), bytes);
+    EXPECT_EQ(t.partition(0).size() + t.partition(1).size(), 1u);
+  };
+  const std::vector<Row> good = {{Value(2), Value("b")}};
+
+  // A partition out of range.
+  std::vector<ColumnBatch> batches;
+  batches.push_back(BatchOf(good));
+  EXPECT_EQ(t.AppendBatches(2, std::move(batches)).code(),
+            StatusCode::kInvalidArgument);
+  expect_unchanged();
+
+  // A batch whose column count is not the schema's, after a good batch
+  // that must not be moved in either.
+  batches.clear();
+  batches.push_back(BatchOf(good));
+  batches.push_back(BatchOf(good));
+  batches.back().columns.pop_back();
+  EXPECT_EQ(t.AppendBatches(0, std::move(batches)).code(),
+            StatusCode::kInvalidArgument);
+  expect_unchanged();
+
+  // A batch with fewer row sizes than rows.
+  batches.clear();
+  batches.push_back(BatchOf(good));
+  batches.push_back(BatchOf({{Value(3), Value("c")}, {Value(4), Value("d")}}));
+  batches.back().row_sizes.resize(1);
+  EXPECT_EQ(t.AppendBatches(1, std::move(batches)).code(),
+            StatusCode::kInvalidArgument);
+  expect_unchanged();
+}
+
+// --- Shared column buffers -----------------------------------------------------
+
+/// A column of each kind over the same 10 rows, every third one NULL.
+std::vector<ColumnVector> ColumnsOfEveryKind() {
+  std::vector<ColumnVector> cols(4);
+  cols[0].kind = ColumnKind::kInt64;
+  cols[1].kind = ColumnKind::kDouble;
+  cols[2].kind = ColumnKind::kBool;
+  cols[3].kind = ColumnKind::kString;
+  cols[3].dict = std::make_shared<StringDict>();
+  for (int i = 0; i < 10; ++i) {
+    const bool null = i % 3 == 1;
+    cols[0].Append(null ? Value::Null() : Value(int64_t{i}));
+    cols[1].Append(null ? Value::Null() : Value(i * 0.5));
+    cols[2].Append(null ? Value::Null() : Value(i % 2 == 0));
+    cols[3].Append(null ? Value::Null() : Value("v" + std::to_string(i)));
+  }
+  return cols;
+}
+
+/// The payload pointer of `col`'s kind.
+const void* PayloadData(const ColumnVector& col) {
+  switch (col.kind) {
+    case ColumnKind::kInt64:
+      return col.i64.data();
+    case ColumnKind::kDouble:
+      return col.f64.data();
+    case ColumnKind::kBool:
+      return col.b8.data();
+    case ColumnKind::kString:
+      return col.codes.data();
+  }
+  return nullptr;
+}
+
+TEST(SharedBufferTest, SliceBorrowsPayloadAndValidityOfEveryKind) {
+  for (const ColumnVector& col : ColumnsOfEveryKind()) {
+    const ColumnVector slice = col.Slice(3, 5);
+    ASSERT_EQ(slice.kind, col.kind);
+    ASSERT_EQ(slice.size(), 5u);
+    switch (col.kind) {
+      case ColumnKind::kInt64:
+        EXPECT_EQ(slice.i64.data(), col.i64.data() + 3);
+        break;
+      case ColumnKind::kDouble:
+        EXPECT_EQ(slice.f64.data(), col.f64.data() + 3);
+        break;
+      case ColumnKind::kBool:
+        EXPECT_EQ(slice.b8.data(), col.b8.data() + 3);
+        break;
+      case ColumnKind::kString:
+        EXPECT_EQ(slice.codes.data(), col.codes.data() + 3);
+        EXPECT_EQ(slice.dict, col.dict);
+        break;
+    }
+    ASSERT_EQ(slice.validity.size(), 5u);
+    EXPECT_EQ(slice.validity.data(), col.validity.data() + 3);
+    for (size_t i = 0; i < 5; ++i) {
+      EXPECT_EQ(slice.ValueAt(i), col.ValueAt(3 + i)) << "row " << i;
+    }
+  }
+  // A batch's row sizes slice the same way.
+  SharedBuffer<uint64_t> sizes;
+  for (uint64_t i = 0; i < 10; ++i) sizes.push_back(9 + i);
+  const SharedBuffer<uint64_t> tail = sizes.Slice(4, 6);
+  EXPECT_EQ(tail.data(), sizes.data() + 4);
+  EXPECT_EQ(tail[0], 13u);
+}
+
+TEST(SharedBufferTest, WritesCopyOnWrite) {
+  for (const ColumnVector& source : ColumnsOfEveryKind()) {
+    // A write to the slice leaves the source's values and buffer alone.
+    ColumnVector col = source;
+    const void* col_data = PayloadData(col);
+    ColumnVector slice = col.Slice(2, 4);
+    const void* slice_data = PayloadData(slice);
+    slice.Append(Value::Null());
+    slice.validity.mutable_data()[0] = 0;
+    EXPECT_NE(PayloadData(slice), slice_data);
+    EXPECT_EQ(slice.size(), 5u);
+    EXPECT_TRUE(slice.IsNullAt(0));
+    EXPECT_EQ(PayloadData(col), col_data);
+    for (size_t i = 0; i < col.size(); ++i) {
+      EXPECT_EQ(col.ValueAt(i), source.ValueAt(i)) << "row " << i;
+    }
+
+    // A write to the source leaves an earlier slice alone.
+    ColumnVector kept = col.Slice(0, 3);
+    const void* kept_data = PayloadData(kept);
+    col.validity.mutable_data()[0] = 0;
+    col.Append(Value::Null());
+    EXPECT_NE(PayloadData(col), col_data);
+    EXPECT_EQ(PayloadData(kept), kept_data);
+    EXPECT_EQ(kept.size(), 3u);
+    for (size_t i = 0; i < kept.size(); ++i) {
+      EXPECT_EQ(kept.ValueAt(i), source.ValueAt(i)) << "row " << i;
+    }
+    EXPECT_TRUE(col.IsNullAt(0));
+  }
+}
+
+TEST(SharedBufferTest, UniqueBufferWritesInPlace) {
+  SharedBuffer<int64_t> buf;
+  buf.reserve(100);
+  buf.push_back(1);
+  const int64_t* data = buf.data();
+  for (int64_t i = 2; i <= 100; ++i) buf.push_back(i);
+  buf.resize(50);
+  buf.resize(80, 7);
+  buf.mutable_data()[0] = -1;
+  EXPECT_EQ(buf.data(), data);
+  EXPECT_EQ(buf[0], -1);
+  EXPECT_EQ(buf[49], 50);
+  EXPECT_EQ(buf[79], 7);
+  // Once the only other holder is gone, the block is unique again.
+  { SharedBuffer<int64_t> copy = buf; }
+  buf.mutable_data()[1] = -2;
+  EXPECT_EQ(buf.data(), data);
+  EXPECT_EQ(buf[1], -2);
+}
+
+TEST(SharedBufferTest, ConcurrentSlicesAndPrivateWrites) {
+  // Each task slices and reads one shared column while writing its own
+  // copy: the reference counts and the copy-on-write check race here
+  // (TSan runs this binary in CI).
+  ColumnVector col;
+  col.kind = ColumnKind::kInt64;
+  for (int64_t i = 0; i < 4096; ++i) col.Append(Value(i));
+  ThreadPool pool(4);
+  constexpr size_t kTasks = 16;
+  std::vector<int64_t> sums(kTasks, 0);
+  pool.ParallelFor(kTasks, [&](size_t t) {
+    const ColumnVector slice = col.Slice(t * 256, 256);
+    ColumnVector mine = slice;
+    int64_t* own = mine.i64.mutable_data();
+    for (size_t i = 0; i < 256; ++i) own[i] = -own[i];
+    int64_t sum = 0;
+    for (size_t i = 0; i < 256; ++i) sum += slice.i64[i] + mine.i64[i];
+    for (int64_t v : col.i64) sum += v;
+    sums[t] = sum;
+  });
+  const int64_t total = 4095 * 4096 / 2;
+  for (size_t t = 0; t < kTasks; ++t) EXPECT_EQ(sums[t], total) << t;
+  for (int64_t i = 0; i < 4096; ++i) ASSERT_EQ(col.i64[i], i);
 }
 
 // --- Secondary index -----------------------------------------------------------

@@ -8,10 +8,19 @@
 #include <mutex>
 #include <string>
 
+#include <unistd.h>
+
 #include "common/memory_tracker.h"
 #include "common/status.h"
 
 namespace dynopt {
+
+/// Prefix of every file this process writes under a spill directory
+/// ("__spill_<pid>_"), so processes sharing the directory never name,
+/// read or sweep each other's files.
+inline std::string ProcessSpillPrefix() {
+  return "__spill_" + std::to_string(static_cast<long>(::getpid())) + "_";
+}
 
 /// Cooperative cancellation flag shared between a query's driver thread and
 /// whoever wants the query gone (a client disconnect, a deadline watchdog,
@@ -146,10 +155,10 @@ class QueryContext {
         budget_bytes, parent, "query-" + std::to_string(id_));
   }
 
-  /// Prefix of every spill file this query writes under spill_directory;
-  /// recovery sweeps it after terminal failures.
+  /// Prefix of every file this query writes under spill_directory
+  /// ("__spill_<pid>_q<id>_"); recovery sweeps it after terminal failures.
   std::string SpillFilePrefix() const {
-    return "__spill_q" + std::to_string(id_) + "_";
+    return ProcessSpillPrefix() + "q" + std::to_string(id_) + "_";
   }
 
   /// Records that this query made observable progress just now. Called by

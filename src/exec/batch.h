@@ -36,11 +36,11 @@ inline int LinearColumnIndex(const std::vector<std::string>& columns,
 /// Node-partitioned batch collections, the one in-memory form of data
 /// flowing between the executor's operators. The batch layout itself
 /// (ColumnKind, StringDict, ColumnVector, ColumnBatch) lives in
-/// storage/column_batch.h because table storage uses it too: scans borrow
-/// column ranges of a table's runs, and materialization moves a job's
-/// batches into a temp table. Rows appear only in result delivery
-/// (GatherRows) and at the DRB file boundary shared by materialize_to_disk
-/// and the grace-join spill files (BatchesFromRows).
+/// storage/column_batch.h because table storage and the batch files of
+/// storage/serde use it too: scans borrow column ranges of a table's runs,
+/// materialization moves a job's batches into a temp table, and spill and
+/// temp files hold whole batches. Rows appear only in result delivery
+/// (GatherRows).
 
 /// A node-partitioned batch collection. Each partition is a sequence of
 /// batches; batch boundaries within a partition carry no semantics
@@ -98,15 +98,6 @@ struct ColumnarDataset {
     return out;
   }
 };
-
-/// Splits `rows` into batches of at most `max_batch_size` rows, column c
-/// of every batch of kind `kinds[c]` — the kinds of the columns the rows
-/// were written from, so a chunk whose column is all NULL keeps its kind —
-/// and sizes each row with RowSizeBytes: the read side of the DRB file
-/// boundary. Every non-NULL value must have its column's type.
-std::vector<ColumnBatch> BatchesFromRows(const std::vector<Row>& rows,
-                                         const std::vector<ColumnKind>& kinds,
-                                         size_t max_batch_size);
 
 }  // namespace dynopt
 

@@ -259,24 +259,6 @@ std::vector<std::string> NamesAtStoredSlots(
   return names;
 }
 
-/// The kind of each column of `batch`.
-std::vector<ColumnKind> ColumnKinds(const ColumnBatch& batch) {
-  std::vector<ColumnKind> kinds;
-  kinds.reserve(batch.columns.size());
-  for (const ColumnVector& col : batch.columns) kinds.push_back(col.kind);
-  return kinds;
-}
-
-/// All of `rows` — a spill file written from a batch with column `kinds` —
-/// read back as one batch of the same kinds, with row sizes computed from
-/// the values (the file boundary is the only place the grace join holds
-/// rows).
-ColumnBatch BatchFromSpill(const std::vector<Row>& rows,
-                           const std::vector<ColumnKind>& kinds) {
-  if (rows.empty()) return ColumnBatch();
-  return std::move(BatchesFromRows(rows, kinds, rows.size())[0]);
-}
-
 }  // namespace
 
 JobExecutor::JobExecutor(Catalog* catalog, StatsManager* stats,
@@ -806,18 +788,11 @@ Status JobExecutor::GraceJoinPartition(
       static_cast<double>(build.num_rows + probe.num_rows) *
       cluster_.cpu_seconds_per_tuple;
 
-  // Spill every non-empty sub-partition pair to checksummed DRB files —
-  // rows exist only at this file boundary, as in materialize_to_disk. Every
-  // spilled byte is written once and read back once, charged at the disk
-  // rates.
-  const uint64_t serial =
-      spill_serial_.fetch_add(1, std::memory_order_relaxed);
-  const std::string base =
-      cluster_.spill_directory + "/" +
-      (ctx_ != nullptr ? ctx_->SpillFilePrefix()
-                       : std::string("__spill_q0_")) +
-      "s" + std::to_string(serial) + "_p" + std::to_string(part) + "_d" +
-      std::to_string(depth) + "_k";
+  // Spill every non-empty sub-partition pair to checksummed batch files,
+  // each side one batch gathered over its split's selection. Every spilled
+  // byte is written once and read back once, charged at the disk rates.
+  const std::string base = NewSpillStem() + "p" + std::to_string(part) +
+                           "_d" + std::to_string(depth) + "_k";
   std::vector<std::string> files;
   files.reserve(static_cast<size_t>(fanout) * 2);
   auto cleanup = [&files]() {
@@ -825,13 +800,20 @@ Status JobExecutor::GraceJoinPartition(
   };
   auto write_side = [](const std::string& path, const ColumnBatch& side,
                        const std::vector<uint32_t>& sel, uint64_t* bytes) {
-    std::vector<Row> rows;
-    rows.reserve(sel.size());
-    for (uint32_t i : sel) {
-      rows.push_back(side.RowAt(i));
-      *bytes += side.row_sizes[i];
+    ColumnBatch sub = GatherViews({{&side, sel.data(), nullptr, sel.size()}});
+    for (uint64_t s : sub.row_sizes) *bytes += s;
+    return WriteBatchesFile(path, {std::move(sub)});
+  };
+  // The one batch a spill file holds.
+  auto read_side = [](const std::string& path) -> Result<ColumnBatch> {
+    DYNOPT_ASSIGN_OR_RETURN(std::vector<ColumnBatch> batches,
+                            ReadBatchesFile(path));
+    if (batches.size() != 1) {
+      return Status::DataCorruption("spill file " + path + " holds " +
+                                    std::to_string(batches.size()) +
+                                    " batches, not 1");
     }
-    return WriteRowsFile(path, rows);
+    return std::move(batches[0]);
   };
   std::vector<char> live(fanout, 0);
   for (int k = 0; k < fanout; ++k) {
@@ -856,8 +838,6 @@ Status JobExecutor::GraceJoinPartition(
   }
   build_sub.clear();
   probe_sub.clear();
-  const std::vector<ColumnKind> build_kinds = ColumnKinds(build);
-  const std::vector<ColumnKind> probe_kinds = ColumnKinds(probe);
 
   // Join each sub-partition pair: read both sides back, drop the files,
   // recurse (a still-oversized sub-partition splits again under a fresh
@@ -871,12 +851,12 @@ Status JobExecutor::GraceJoinPartition(
     }
     const std::string bpath = base + std::to_string(k) + ".build.drb";
     const std::string ppath = base + std::to_string(k) + ".probe.drb";
-    auto sub_build = ReadRowsFile(bpath);
+    auto sub_build = read_side(bpath);
     if (!sub_build.ok()) {
       cleanup();
       return sub_build.status();
     }
-    auto sub_probe = ReadRowsFile(ppath);
+    auto sub_probe = read_side(ppath);
     if (!sub_probe.ok()) {
       cleanup();
       return sub_probe.status();
@@ -885,10 +865,9 @@ Status JobExecutor::GraceJoinPartition(
     std::remove(ppath.c_str());
     const uint64_t next_salt = Mix64(
         salt ^ (0x9e3779b97f4a7c15ULL * static_cast<uint64_t>(k + 1)));
-    Status st = GraceJoinPartition(
-        BatchFromSpill(sub_build.value(), build_kinds),
-        BatchFromSpill(sub_probe.value(), probe_kinds), build_keys,
-        probe_keys, depth + 1, next_salt, part, work, sink, stats);
+    Status st = GraceJoinPartition(sub_build.value(), sub_probe.value(),
+                                   build_keys, probe_keys, depth + 1,
+                                   next_salt, part, work, sink, stats);
     if (!st.ok()) {
       cleanup();
       return st;
@@ -1408,17 +1387,6 @@ ValueType FirstValueType(const ColumnarDataset& data, size_t c) {
   return ValueType::kNull;
 }
 
-/// The kind of each column of `data`, which every non-empty batch of the
-/// column shares; empty when `data` has no rows.
-std::vector<ColumnKind> DatasetKinds(const ColumnarDataset& data) {
-  for (const auto& part : data.partitions) {
-    for (const ColumnBatch& b : part) {
-      if (b.num_rows > 0) return ColumnKinds(b);
-    }
-  }
-  return {};
-}
-
 }  // namespace
 
 Result<SinkResult> JobExecutor::Materialize(
@@ -1505,42 +1473,33 @@ Result<SinkResult> JobExecutor::Materialize(
                                        mat_stage));
   }
   // Optionally round-trip each partition through the on-disk temp-file
-  // format (the paper's intermediates are "stored in a temporary file").
-  // The DRB format is row-oriented, so rows are built here, and the
-  // verified read-back replaces the partition's batches, each column
-  // keeping its kind.
+  // format (the paper's intermediates are "stored in a temporary file"):
+  // the verified read-back replaces the partition's batches.
   // Under fault injection this is where corruption is *physical*: a byte of
   // the written file is flipped, the checksummed format detects it on
   // read-back (kDataCorruption), and the partition is re-materialized with
   // backoff — up to the retry budget, after which the sink fails fatally.
   if (cluster_.materialize_to_disk) {
     const bool inject = FaultsArmed();
-    const std::vector<ColumnKind> kinds = DatasetKinds(data);
+    const std::string stem = NewSpillStem();
     const BackoffPolicy& backoff = cluster_.fault.backoff;
     std::vector<Status> statuses(num_parts);
     std::vector<double> extra_seconds(num_parts, 0.0);
     std::vector<uint64_t> part_retries(num_parts, 0);
     std::vector<uint64_t> part_corrupted(num_parts, 0);
     pool_->ParallelFor(num_parts, [&](size_t p) {
-      std::string path = cluster_.spill_directory + "/" + name + ".p" +
-                         std::to_string(p) + ".rows";
-      std::vector<Row> rows;
-      rows.reserve(part_rows[p]);
-      for (const ColumnBatch& b : data.partitions[p]) {
-        for (size_t i = 0; i < b.num_rows; ++i) rows.push_back(b.RowAt(i));
-      }
+      const std::string path = stem + "p" + std::to_string(p) + ".drb";
       Status st;
       for (int attempt = 0;; ++attempt) {
-        st = WriteRowsFile(path, rows);
+        st = WriteBatchesFile(path, data.partitions[p]);
         if (!st.ok()) break;
         if (inject && faults_->CorruptsBlock(mat_stage, p, attempt)) {
           (void)CorruptByteInFile(path,
                                   faults_->CorruptionOffset(mat_stage, p));
         }
-        auto back = ReadRowsFile(path);
+        auto back = ReadBatchesFile(path);
         if (back.ok()) {
-          data.partitions[p] = BatchesFromRows(back.value(), kinds,
-                                               cluster_.exec.max_batch_size);
+          data.partitions[p] = std::move(back).value();
           break;
         }
         st = back.status();

@@ -247,6 +247,21 @@ class JobExecutor {
     return ctx_ != nullptr ? ctx_->CheckAlive() : Status::OK();
   }
 
+  /// Path stem of a fresh file under spill_directory: the query's spill-file
+  /// prefix (process id and query id; "q0" when ungoverned) plus a
+  /// process-wide serial. Every file the executor writes there is named
+  /// from one, so no two writers sharing the directory collide, in one
+  /// process or across processes.
+  std::string NewSpillStem() {
+    return cluster_.spill_directory + "/" +
+           (ctx_ != nullptr ? ctx_->SpillFilePrefix()
+                            : ProcessSpillPrefix() + "q0_") +
+           "s" +
+           std::to_string(
+               spill_serial_.fetch_add(1, std::memory_order_relaxed)) +
+           "_";
+  }
+
   /// Per-ParallelFor-body accumulator of one grace-join spill partition.
   /// Merged serially after the join's probe loop (max-over-nodes for the
   /// simulated seconds, sums for the byte/partition counters).
@@ -300,8 +315,8 @@ class JobExecutor {
   SketchManager* sketches_ = nullptr;  ///< Engine-owned; may be null (no PT).
   MetricsRegistry* registry_;  ///< The engine's; never null.
 
-  /// Process-wide serial for spill-file names: two executors (or two joins
-  /// of one query) can spill concurrently into the same directory without
+  /// Process-wide serial of NewSpillStem: two executors (or two joins of
+  /// one query) can write concurrently into the same directory without
   /// colliding.
   static inline std::atomic<uint64_t> spill_serial_{0};
 

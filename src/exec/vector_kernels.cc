@@ -183,6 +183,66 @@ void AppendValidity(ColumnVector* dst, size_t old_rows,
              n);
 }
 
+/// Sets `col`'s payload (per its kind) to `n` rows; new rows are left
+/// uninitialized for a gather to write.
+void ResizePayload(ColumnVector* col, size_t n) {
+  switch (col->kind) {
+    case ColumnKind::kInt64:
+      col->i64.resize(n);
+      return;
+    case ColumnKind::kDouble:
+      col->f64.resize(n);
+      return;
+    case ColumnKind::kBool:
+      col->b8.resize(n);
+      return;
+    case ColumnKind::kString:
+      col->codes.resize(n);
+      return;
+  }
+}
+
+/// Writes src[sel[0..n)] (rows [0, n) when `sel` is null) into rows
+/// [off, off + n) of `dst`'s payload, which already holds them and has
+/// src's kind. A string source on another dictionary interns through its
+/// cached hashes into dst's, which is cloned before the first mutating
+/// intern while shared (an adopted dictionary is still its source batch's,
+/// and in a parallel join readable from other workers); NULL rows get code
+/// 0. Validity is the caller's.
+void GatherColumn(ColumnVector* dst, size_t off, const ColumnVector& src,
+                  const uint32_t* sel, size_t n) {
+  switch (dst->kind) {
+    case ColumnKind::kInt64:
+      GatherInto(dst->i64.mutable_data() + off, src.i64.data(), sel, n);
+      return;
+    case ColumnKind::kDouble:
+      GatherInto(dst->f64.mutable_data() + off, src.f64.data(), sel, n);
+      return;
+    case ColumnKind::kBool:
+      GatherInto(dst->b8.mutable_data() + off, src.b8.data(), sel, n);
+      return;
+    case ColumnKind::kString:
+      break;
+  }
+  uint32_t* codes = dst->codes.mutable_data() + off;
+  if (dst->dict.get() == src.dict.get()) {
+    GatherInto(codes, src.codes.data(), sel, n);
+    return;
+  }
+  // A unique reference cannot gain new owners mid-gather, so use_count()
+  // == 1 is a safe exclusivity check.
+  if (dst->dict.use_count() > 1) {
+    dst->dict = std::make_shared<StringDict>(*dst->dict);
+  }
+  for (size_t k = 0; k < n; ++k) {
+    const size_t i = sel != nullptr ? sel[k] : k;
+    codes[k] = src.IsNullAt(i)
+                   ? 0
+                   : dst->dict->Intern(src.dict->entry(src.codes[i]),
+                                       src.dict->hash(src.codes[i]));
+  }
+}
+
 }  // namespace
 
 void HashKeyColumns(const ColumnBatch& batch, const int* keys,
@@ -287,61 +347,6 @@ void AddColumnToSketch(const ColumnBatch& batch, int column,
   }
 }
 
-void AppendGatherColumn(ColumnVector* dst, const ColumnVector& src,
-                        const uint32_t* sel, size_t n) {
-  if (n == 0) return;
-  const size_t old_rows = dst->size();
-  if (old_rows == 0) {
-    // Fresh destination: adopt the source layout (and share its dict).
-    dst->kind = src.kind;
-    dst->dict = src.kind == ColumnKind::kString ? src.dict : nullptr;
-    dst->validity.clear();
-  }
-  // Resize once, then write by index.
-  switch (dst->kind) {
-    case ColumnKind::kInt64:
-      dst->i64.resize(old_rows + n);
-      GatherInto(dst->i64.mutable_data() + old_rows, src.i64.data(), sel, n);
-      break;
-    case ColumnKind::kDouble:
-      dst->f64.resize(old_rows + n);
-      GatherInto(dst->f64.mutable_data() + old_rows, src.f64.data(), sel, n);
-      break;
-    case ColumnKind::kBool:
-      dst->b8.resize(old_rows + n);
-      GatherInto(dst->b8.mutable_data() + old_rows, src.b8.data(), sel, n);
-      break;
-    case ColumnKind::kString: {
-      dst->codes.resize(old_rows + n);
-      uint32_t* codes = dst->codes.mutable_data() + old_rows;
-      if (dst->dict.get() == src.dict.get()) {
-        GatherInto(codes, src.codes.data(), sel, n);
-        break;
-      }
-      // Merge dictionaries: intern via the source's cached hashes. NULL
-      // slots carry a meaningless code 0 and must not touch the dict.
-      // The destination dict may have been adopted from an earlier source
-      // batch and still be shared with it (and, in a parallel join,
-      // readable from other workers) — clone before the first mutating
-      // intern so shared dictionaries stay immutable. A unique
-      // reference cannot gain new owners mid-append, so use_count()==1 is
-      // a safe exclusivity check.
-      if (dst->dict.use_count() > 1) {
-        dst->dict = std::make_shared<StringDict>(*dst->dict);
-      }
-      for (size_t k = 0; k < n; ++k) {
-        const uint32_t i = sel[k];
-        codes[k] = src.IsNullAt(i)
-                       ? 0
-                       : dst->dict->Intern(src.dict->entry(src.codes[i]),
-                                           src.dict->hash(src.codes[i]));
-      }
-      break;
-    }
-  }
-  AppendValidity(dst, old_rows, src, sel, n);
-}
-
 ColumnBatch GatherViews(const std::vector<BatchView>& views, const int* keep,
                         size_t num_keep) {
   ColumnBatch out;
@@ -357,23 +362,10 @@ ColumnBatch GatherViews(const std::vector<BatchView>& views, const int* keep,
     const ColumnVector& first = views[0].batch->columns[c];
     ColumnVector& d = out.columns[k];
     d.kind = first.kind;
+    if (d.kind == ColumnKind::kString) d.dict = first.dict;
     // Every row of the payload is written below; only the validity mask,
     // which NULL-free sources leave alone, starts filled.
-    switch (d.kind) {
-      case ColumnKind::kInt64:
-        d.i64.resize(total);
-        break;
-      case ColumnKind::kDouble:
-        d.f64.resize(total);
-        break;
-      case ColumnKind::kBool:
-        d.b8.resize(total);
-        break;
-      case ColumnKind::kString:
-        d.codes.resize(total);
-        d.dict = first.dict;
-        break;
-    }
+    ResizePayload(&d, total);
     for (const BatchView& v : views) {
       if (!v.batch->columns[c].validity.empty()) {
         d.validity.assign(total, 1);
@@ -383,43 +375,12 @@ ColumnBatch GatherViews(const std::vector<BatchView>& views, const int* keep,
     size_t off = 0;
     for (const BatchView& v : views) {
       const ColumnVector& s = v.batch->columns[c];
-      const uint32_t* sel = v.sel;
-      const size_t n = v.num_rows;
-      switch (d.kind) {
-        case ColumnKind::kInt64:
-          GatherInto(d.i64.mutable_data() + off, s.i64.data(), sel, n);
-          break;
-        case ColumnKind::kDouble:
-          GatherInto(d.f64.mutable_data() + off, s.f64.data(), sel, n);
-          break;
-        case ColumnKind::kBool:
-          GatherInto(d.b8.mutable_data() + off, s.b8.data(), sel, n);
-          break;
-        case ColumnKind::kString:
-          if (s.dict.get() == d.dict.get()) {
-            GatherInto(d.codes.mutable_data() + off, s.codes.data(), sel, n);
-          } else {
-            // Another dictionary: intern through its cached hashes into a
-            // private clone (the adopted dictionary is still shared with
-            // its source batch). NULL slots keep code 0.
-            if (d.dict.use_count() > 1) {
-              d.dict = std::make_shared<StringDict>(*d.dict);
-            }
-            uint32_t* codes = d.codes.mutable_data() + off;
-            for (size_t j = 0; j < n; ++j) {
-              const size_t i = sel != nullptr ? sel[j] : j;
-              codes[j] = s.IsNullAt(i)
-                             ? 0
-                             : d.dict->Intern(s.dict->entry(s.codes[i]),
-                                              s.dict->hash(s.codes[i]));
-            }
-          }
-          break;
-      }
+      GatherColumn(&d, off, s, v.sel, v.num_rows);
       if (!s.validity.empty()) {
-        GatherInto(d.validity.mutable_data() + off, s.validity.data(), sel, n);
+        GatherInto(d.validity.mutable_data() + off, s.validity.data(), v.sel,
+                   v.num_rows);
       }
-      off += n;
+      off += v.num_rows;
     }
   }
   if (keep != nullptr && !KeepsWholeRows(keep, num_keep, num_src_cols)) {
@@ -471,11 +432,16 @@ void BatchSink::AppendJoinGather(const ColumnBatch& build,
           (from_build ? build : probe).columns[static_cast<size_t>(from.slot)];
       ColumnVector& dst = cur_.columns[c];
       if (old_rows == 0) {
-        // A fresh batch: size the column for a full batch once.
+        // A fresh batch: adopt the source's kind and dictionary, and size
+        // the column for a full batch once.
         dst.kind = src.kind;
+        if (src.kind == ColumnKind::kString) dst.dict = src.dict;
         dst.Reserve(ReservedRows());
       }
-      AppendGatherColumn(&dst, src, (from_build ? bsel : psel) + off, m);
+      const uint32_t* sel = (from_build ? bsel : psel) + off;
+      ResizePayload(&dst, old_rows + m);
+      GatherColumn(&dst, old_rows, src, sel, m);
+      AppendValidity(&dst, old_rows, src, sel, m);
       AddValueSizes(dst, old_rows, m, sizes);
     }
     cur_.num_rows += m;

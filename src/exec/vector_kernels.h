@@ -19,9 +19,8 @@ namespace dynopt {
 class UdfRegistry;
 
 /// Vectorized kernels over ColumnBatch: per-column loops with tight typed
-/// inner loops instead of per-value variant dispatch (the
-/// DYNOPT_NATIVE_SIMD build compiles this translation unit with
-/// -march=native). Every kernel is bit-identical to the row-level Value
+/// inner loops instead of per-value variant dispatch. Every kernel is
+/// bit-identical to the row-level Value
 /// semantics — same hash math as HashRowKey, same byte sizes as
 /// RowSizeBytes, same comparison semantics (including the
 /// all-numeric-comparisons-coerce-to-double rule of Value::Compare) — so
@@ -163,14 +162,6 @@ class BatchSink {
   ColumnBatch cur_;
   bool open_ = false;
 };
-
-/// Appends src[sel[0..n)] to `dst`, resizing it once (no zero-fill) and
-/// writing by index. The first append adopts the source's kind and shares its
-/// dictionary; later sources must have the same kind, and a string source
-/// on another dictionary interns via its cached hashes. Exposed for the
-/// sink and for tests.
-void AppendGatherColumn(ColumnVector* dst, const ColumnVector& src,
-                        const uint32_t* sel, size_t n);
 
 /// A filter predicate compiled against a batch schema: evaluates
 /// column-at-a-time into a tri-state mask (false / true / NULL) with the

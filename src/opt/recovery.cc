@@ -3,6 +3,7 @@
 #include <string>
 #include <vector>
 
+#include "common/query_context.h"
 #include "storage/serde.h"
 
 namespace dynopt {
@@ -52,13 +53,14 @@ Result<OptimizerRunResult> RunWithRecovery(Optimizer* optimizer,
 
   // The query is not going to finish; reclaim whatever intermediates the
   // attempts left behind so a failed query does not leak temp tables, and
-  // sweep any grace-join spill runs still sitting in the spill directory
+  // sweep any spill or temp files still sitting in the spill directory
   // (a cancel can land between a partition's write and its read-back).
   // With a context attached, optimizers prefix their temp tables
   // "q<id>_" (Optimizer::TempPrefix), so the sweep is scoped to THIS
   // query — under concurrent traffic an unscoped drop would destroy other
   // in-flight queries' intermediates. Ungoverned runs keep the historical
-  // drop-everything behavior (one query at a time by construction).
+  // drop-everything behavior (one query at a time by construction), and
+  // their file sweep stays within this process's files.
   const std::string temp_prefix =
       optimizer->context() != nullptr
           ? "q" + std::to_string(optimizer->context()->id()) + "_"
@@ -69,7 +71,7 @@ Result<OptimizerRunResult> RunWithRecovery(Optimizer* optimizer,
   const std::string spill_prefix =
       optimizer->context() != nullptr
           ? optimizer->context()->SpillFilePrefix()
-          : std::string("__spill_");
+          : ProcessSpillPrefix();
   (void)RemoveFilesWithPrefix(engine->cluster().spill_directory, spill_prefix);
   r->total_paid_seconds = r->wasted_seconds;
   return last;

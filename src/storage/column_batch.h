@@ -8,6 +8,7 @@
 #include <memory>
 #include <new>
 #include <string>
+#include <string_view>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -201,11 +202,11 @@ class StringDict {
   const std::vector<uint64_t>& hashes() const { return hashes_; }
 
   /// Code of `s`, inserting it if absent.
-  uint32_t Intern(const std::string& s) { return Intern(s, HashString(s)); }
+  uint32_t Intern(std::string_view s) { return Intern(s, HashString(s)); }
 
   /// Intern with a precomputed HashString(s) (dictionary merges reuse the
   /// source dictionary's cached hash).
-  uint32_t Intern(const std::string& s, uint64_t h) {
+  uint32_t Intern(std::string_view s, uint64_t h) {
     if (slots_.empty()) Rehash(16);
     size_t b = static_cast<size_t>(h) & slot_mask_;
     while (slots_[b] != kEmpty) {
@@ -214,7 +215,7 @@ class StringDict {
       b = (b + 1) & slot_mask_;
     }
     const uint32_t code = static_cast<uint32_t>(entries_.size());
-    entries_.push_back(s);
+    entries_.emplace_back(s);
     hashes_.push_back(h);
     sizes_.push_back(16 + s.size());
     slots_[b] = code;
@@ -339,8 +340,7 @@ struct ColumnVector {
   /// Appends one value: NULL into validity, anything else into the typed
   /// payload (strings intern into `dict`, which must be set for kString).
   /// A non-NULL value must have the column's type; Table::AppendRow checks
-  /// that before appending. The load path of table storage and of the DRB
-  /// read-back (BatchesFromRows).
+  /// that before appending. The load path of table storage.
   void Append(const Value& v);
 
   /// Rows [begin, begin + n) as a column that borrows this one's payload,

@@ -1,9 +1,10 @@
 #include "storage/serde.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <memory>
+#include <string_view>
 #include <system_error>
 
 #include "common/hash.h"
@@ -12,34 +13,10 @@ namespace dynopt {
 
 namespace {
 
-constexpr uint8_t kTagNull = 0;
-constexpr uint8_t kTagBoolFalse = 1;
-constexpr uint8_t kTagBoolTrue = 2;
-constexpr uint8_t kTagInt64 = 3;
-constexpr uint8_t kTagDouble = 4;
-constexpr uint8_t kTagString = 5;
-
-void AppendFixed64(uint64_t v, std::string* out) {
-  char buf[8];
-  for (int i = 0; i < 8; ++i) {
-    buf[i] = static_cast<char>((v >> (8 * i)) & 0xff);
-  }
-  out->append(buf, 8);
-}
-
-Result<uint64_t> ReadFixed64(const std::string& buffer, size_t* offset) {
-  if (*offset + 8 > buffer.size()) {
-    return Status::DataCorruption("serde: truncated fixed64");
-  }
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<uint64_t>(
-             static_cast<unsigned char>(buffer[*offset + i]))
-         << (8 * i);
-  }
-  *offset += 8;
-  return v;
-}
+/// "DRB3": Dynopt Row Batches, format version 3.
+constexpr char kMagic[4] = {'D', 'R', 'B', '3'};
+/// The magic and the fixed64 payload checksum.
+constexpr size_t kHeaderSize = sizeof(kMagic) + 8;
 
 void AppendVarint(uint64_t v, std::string* out) {
   while (v >= 0x80) {
@@ -49,206 +26,189 @@ void AppendVarint(uint64_t v, std::string* out) {
   out->push_back(static_cast<char>(v));
 }
 
-Result<uint64_t> ReadVarint(const std::string& buffer, size_t* offset) {
-  uint64_t v = 0;
-  int shift = 0;
-  while (true) {
-    if (*offset >= buffer.size()) {
-      return Status::DataCorruption("serde: truncated varint");
-    }
-    uint8_t byte = static_cast<unsigned char>(buffer[(*offset)++]);
-    v |= static_cast<uint64_t>(byte & 0x7f) << shift;
-    if ((byte & 0x80) == 0) break;
-    shift += 7;
-    if (shift > 63) return Status::DataCorruption("serde: varint overflow");
-  }
-  return v;
+/// Appends `n` elements of `data` in host byte order.
+template <typename T>
+void AppendArray(const T* data, size_t n, std::string* out) {
+  if (n > 0) out->append(reinterpret_cast<const char*>(data), n * sizeof(T));
 }
 
-}  // namespace
-
-void EncodeValue(const Value& v, std::string* out) {
-  switch (v.type()) {
-    case ValueType::kNull:
-      out->push_back(static_cast<char>(kTagNull));
-      break;
-    case ValueType::kBool:
-      out->push_back(
-          static_cast<char>(v.AsBool() ? kTagBoolTrue : kTagBoolFalse));
-      break;
-    case ValueType::kInt64:
-      out->push_back(static_cast<char>(kTagInt64));
-      AppendFixed64(static_cast<uint64_t>(v.AsInt64()), out);
-      break;
-    case ValueType::kDouble: {
-      out->push_back(static_cast<char>(kTagDouble));
-      uint64_t bits;
-      double d = v.AsDouble();
-      std::memcpy(&bits, &d, sizeof(d));
-      AppendFixed64(bits, out);
-      break;
-    }
-    case ValueType::kString: {
-      out->push_back(static_cast<char>(kTagString));
-      const std::string& s = v.AsString();
-      AppendVarint(s.size(), out);
-      out->append(s);
-      break;
-    }
-  }
-}
-
-Result<Value> DecodeValue(const std::string& buffer, size_t* offset) {
-  if (*offset >= buffer.size()) {
-    return Status::DataCorruption("serde: truncated value tag");
-  }
-  uint8_t tag = static_cast<unsigned char>(buffer[(*offset)++]);
-  switch (tag) {
-    case kTagNull:
-      return Value::Null();
-    case kTagBoolFalse:
-      return Value(false);
-    case kTagBoolTrue:
-      return Value(true);
-    case kTagInt64: {
-      DYNOPT_ASSIGN_OR_RETURN(uint64_t bits, ReadFixed64(buffer, offset));
-      return Value(static_cast<int64_t>(bits));
-    }
-    case kTagDouble: {
-      DYNOPT_ASSIGN_OR_RETURN(uint64_t bits, ReadFixed64(buffer, offset));
-      double d;
-      std::memcpy(&d, &bits, sizeof(d));
-      return Value(d);
-    }
-    case kTagString: {
-      DYNOPT_ASSIGN_OR_RETURN(uint64_t len, ReadVarint(buffer, offset));
-      // len is attacker-/corruption-controlled: compare against the space
-      // left instead of `*offset + len` (which can wrap).
-      if (len > buffer.size() - *offset) {
-        return Status::DataCorruption("serde: truncated string payload");
+void EncodeColumn(const ColumnVector& col, size_t rows, std::string* out) {
+  out->push_back(static_cast<char>(col.kind));
+  out->push_back(col.validity.empty() ? 0 : 1);
+  AppendArray(col.validity.data(), col.validity.empty() ? 0 : rows, out);
+  switch (col.kind) {
+    case ColumnKind::kInt64:
+      AppendArray(col.i64.data(), rows, out);
+      return;
+    case ColumnKind::kDouble:
+      AppendArray(col.f64.data(), rows, out);
+      return;
+    case ColumnKind::kBool:
+      AppendArray(col.b8.data(), rows, out);
+      return;
+    case ColumnKind::kString:
+      for (size_t i = 0; i < rows; ++i) {
+        if (col.IsNullAt(i)) continue;
+        const std::string& s = col.dict->entry(col.codes[i]);
+        AppendVarint(s.size(), out);
+        out->append(s);
       }
-      Value v(buffer.substr(*offset, len));
-      *offset += len;
-      return v;
+      return;
+  }
+}
+
+std::string EncodeBatches(const std::vector<ColumnBatch>& batches) {
+  std::string out(kMagic, sizeof(kMagic));
+  out.append(8, '\0');  // The checksum, set once the payload is written.
+  AppendVarint(batches.size(), &out);
+  for (const ColumnBatch& batch : batches) {
+    AppendVarint(batch.num_rows, &out);
+    AppendVarint(batch.columns.size(), &out);
+    for (const ColumnVector& col : batch.columns) {
+      EncodeColumn(col, batch.num_rows, &out);
     }
-    default:
-      return Status::DataCorruption("serde: unknown value tag " +
-                                    std::to_string(tag));
+    AppendArray(batch.row_sizes.data(), batch.num_rows, &out);
   }
-}
-
-void EncodeRow(const Row& row, std::string* out) {
-  AppendVarint(row.size(), out);
-  for (const Value& v : row) EncodeValue(v, out);
-}
-
-Result<Row> DecodeRow(const std::string& buffer, size_t* offset) {
-  DYNOPT_ASSIGN_OR_RETURN(uint64_t count, ReadVarint(buffer, offset));
-  Row row;
-  row.reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    DYNOPT_ASSIGN_OR_RETURN(Value v, DecodeValue(buffer, offset));
-    row.push_back(std::move(v));
-  }
-  return row;
-}
-
-std::string EncodeRows(const std::vector<Row>& rows) {
-  std::string out;
-  AppendVarint(rows.size(), &out);
-  for (const Row& row : rows) EncodeRow(row, &out);
-  return out;
-}
-
-Result<std::vector<Row>> DecodeRows(const std::string& buffer) {
-  size_t offset = 0;
-  DYNOPT_ASSIGN_OR_RETURN(uint64_t count, ReadVarint(buffer, &offset));
-  std::vector<Row> rows;
-  rows.reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    DYNOPT_ASSIGN_OR_RETURN(Row row, DecodeRow(buffer, &offset));
-    rows.push_back(std::move(row));
-  }
-  if (offset != buffer.size()) {
-    return Status::DataCorruption("serde: trailing bytes after rows");
-  }
-  return rows;
-}
-
-namespace {
-
-/// "DRB2": Dynopt Row Blocks, format version 2 (v1 was the bare
-/// EncodeRows stream with no integrity protection).
-constexpr char kRowsFileMagic[4] = {'D', 'R', 'B', '2'};
-constexpr size_t kRowsPerBlock = 1024;
-
-}  // namespace
-
-std::string EncodeRowsChecksummed(const std::vector<Row>& rows) {
-  std::string out;
-  out.append(kRowsFileMagic, sizeof(kRowsFileMagic));
-  AppendVarint(rows.size(), &out);
-  std::string payload;
-  for (size_t begin = 0; begin < rows.size(); begin += kRowsPerBlock) {
-    const size_t end = std::min(rows.size(), begin + kRowsPerBlock);
-    payload.clear();
-    for (size_t i = begin; i < end; ++i) EncodeRow(rows[i], &payload);
-    AppendVarint(end - begin, &out);
-    AppendVarint(payload.size(), &out);
-    AppendFixed64(HashBytes(payload.data(), payload.size()), &out);
-    out.append(payload);
+  uint64_t checksum =
+      HashBytes(out.data() + kHeaderSize, out.size() - kHeaderSize);
+  for (size_t i = 0; i < 8; ++i) {
+    out[sizeof(kMagic) + i] = static_cast<char>(checksum & 0xff);
+    checksum >>= 8;
   }
   return out;
 }
 
-Result<std::vector<Row>> DecodeRowsChecksummed(const std::string& buffer) {
-  if (buffer.size() < sizeof(kRowsFileMagic) ||
-      std::memcmp(buffer.data(), kRowsFileMagic, sizeof(kRowsFileMagic)) !=
-          0) {
-    return Status::DataCorruption("serde: bad row-block magic");
-  }
-  size_t offset = sizeof(kRowsFileMagic);
-  DYNOPT_ASSIGN_OR_RETURN(uint64_t total, ReadVarint(buffer, &offset));
-  std::vector<Row> rows;
-  // A corrupted count must not drive a huge allocation; blocks below bound
-  // the real row count anyway.
-  rows.reserve(std::min<uint64_t>(total, buffer.size()));
-  uint64_t decoded = 0;
-  while (decoded < total) {
-    DYNOPT_ASSIGN_OR_RETURN(uint64_t block_rows, ReadVarint(buffer, &offset));
-    DYNOPT_ASSIGN_OR_RETURN(uint64_t payload_size,
-                            ReadVarint(buffer, &offset));
-    DYNOPT_ASSIGN_OR_RETURN(uint64_t checksum, ReadFixed64(buffer, &offset));
-    if (block_rows == 0 || decoded + block_rows > total) {
-      return Status::DataCorruption("serde: row-block count out of range");
-    }
-    if (payload_size > buffer.size() - offset) {
-      return Status::DataCorruption("serde: truncated row-block payload");
-    }
-    if (HashBytes(buffer.data() + offset, payload_size) != checksum) {
-      return Status::DataCorruption("serde: row-block checksum mismatch");
-    }
-    const size_t block_end = offset + payload_size;
-    for (uint64_t i = 0; i < block_rows; ++i) {
-      DYNOPT_ASSIGN_OR_RETURN(Row row, DecodeRow(buffer, &offset));
-      if (offset > block_end) {
-        return Status::DataCorruption("serde: row crosses block boundary");
-      }
-      rows.push_back(std::move(row));
-    }
-    if (offset != block_end) {
-      return Status::DataCorruption("serde: row-block payload size mismatch");
-    }
-    decoded += block_rows;
-  }
-  if (offset != buffer.size()) {
-    return Status::DataCorruption("serde: trailing bytes after row blocks");
-  }
-  return rows;
+Status Corrupt(const char* what) {
+  return Status::DataCorruption(std::string("serde: ") + what);
 }
 
-Status WriteRowsFile(const std::string& path, const std::vector<Row>& rows) {
-  std::string buffer = EncodeRowsChecksummed(rows);
+/// Bounds-checked reads over a file's payload. No count sizes a buffer
+/// before it is checked against the bytes left.
+class PayloadReader {
+ public:
+  PayloadReader(const char* data, size_t size)
+      : pos_(data), end_(data + size) {}
+
+  size_t left() const { return static_cast<size_t>(end_ - pos_); }
+
+  Status Varint(uint64_t* v) {
+    *v = 0;
+    for (int shift = 0; shift < 64; shift += 7) {
+      if (pos_ == end_) return Corrupt("truncated varint");
+      const uint8_t byte = static_cast<uint8_t>(*pos_++);
+      *v |= static_cast<uint64_t>(byte & 0x7f) << shift;
+      if ((byte & 0x80) == 0) return Status::OK();
+    }
+    return Corrupt("varint overflow");
+  }
+
+  Status Byte(uint8_t* b) {
+    if (pos_ == end_) return Corrupt("truncated batch file");
+    *b = static_cast<uint8_t>(*pos_++);
+    return Status::OK();
+  }
+
+  Status Bytes(uint64_t n, std::string_view* out) {
+    if (n > left()) return Corrupt("string past the end");
+    *out = std::string_view(pos_, n);
+    pos_ += n;
+    return Status::OK();
+  }
+
+  /// `n` elements into `out`, sized once and copied in host byte order.
+  template <typename T>
+  Status Array(size_t n, SharedBuffer<T>* out) {
+    if (n > left() / sizeof(T)) return Corrupt("array past the end");
+    out->resize(n);
+    if (n > 0) std::memcpy(out->mutable_data(), pos_, n * sizeof(T));
+    pos_ += n * sizeof(T);
+    return Status::OK();
+  }
+
+ private:
+  const char* pos_;
+  const char* end_;
+};
+
+Status DecodeColumn(PayloadReader* in, size_t rows, ColumnVector* col) {
+  uint8_t kind = 0, nullable = 0;
+  DYNOPT_RETURN_IF_ERROR(in->Byte(&kind));
+  DYNOPT_RETURN_IF_ERROR(in->Byte(&nullable));
+  if (kind > static_cast<uint8_t>(ColumnKind::kString)) {
+    return Corrupt("unknown column kind");
+  }
+  if (nullable > 1) return Corrupt("bad validity flag");
+  col->kind = static_cast<ColumnKind>(kind);
+  if (nullable == 1) DYNOPT_RETURN_IF_ERROR(in->Array(rows, &col->validity));
+  switch (col->kind) {
+    case ColumnKind::kInt64:
+      return in->Array(rows, &col->i64);
+    case ColumnKind::kDouble:
+      return in->Array(rows, &col->f64);
+    case ColumnKind::kBool:
+      return in->Array(rows, &col->b8);
+    case ColumnKind::kString:
+      break;
+  }
+  col->dict = std::make_shared<StringDict>();
+  col->codes.resize(rows);
+  uint32_t* codes = col->codes.mutable_data();
+  for (size_t i = 0; i < rows; ++i) {
+    codes[i] = 0;
+    if (col->IsNullAt(i)) continue;
+    uint64_t len = 0;
+    std::string_view s;
+    DYNOPT_RETURN_IF_ERROR(in->Varint(&len));
+    DYNOPT_RETURN_IF_ERROR(in->Bytes(len, &s));
+    codes[i] = col->dict->Intern(s);
+  }
+  return Status::OK();
+}
+
+Result<std::vector<ColumnBatch>> DecodeBatches(const char* data, size_t size) {
+  if (size < kHeaderSize || std::memcmp(data, kMagic, sizeof(kMagic)) != 0) {
+    return Corrupt("bad batch file magic");
+  }
+  uint64_t checksum = 0;
+  for (size_t i = 0; i < 8; ++i) {
+    checksum |= static_cast<uint64_t>(
+                    static_cast<uint8_t>(data[sizeof(kMagic) + i]))
+                << (8 * i);
+  }
+  if (HashBytes(data + kHeaderSize, size - kHeaderSize) != checksum) {
+    return Corrupt("batch file checksum mismatch");
+  }
+  PayloadReader in(data + kHeaderSize, size - kHeaderSize);
+  uint64_t num_batches = 0;
+  DYNOPT_RETURN_IF_ERROR(in.Varint(&num_batches));
+  // Every batch takes at least its two counts, every column its kind and
+  // validity flag, and every row its 8-byte size.
+  if (num_batches > in.left() / 2) return Corrupt("batch count past the end");
+  std::vector<ColumnBatch> batches(num_batches);
+  for (ColumnBatch& batch : batches) {
+    uint64_t rows = 0, columns = 0;
+    DYNOPT_RETURN_IF_ERROR(in.Varint(&rows));
+    if (rows > in.left() / sizeof(uint64_t)) {
+      return Corrupt("row count past the end");
+    }
+    DYNOPT_RETURN_IF_ERROR(in.Varint(&columns));
+    if (columns > in.left() / 2) return Corrupt("column count past the end");
+    batch.num_rows = rows;
+    batch.columns.resize(columns);
+    for (ColumnVector& col : batch.columns) {
+      DYNOPT_RETURN_IF_ERROR(DecodeColumn(&in, rows, &col));
+    }
+    DYNOPT_RETURN_IF_ERROR(in.Array(rows, &batch.row_sizes));
+  }
+  if (in.left() != 0) return Corrupt("trailing bytes after the batches");
+  return batches;
+}
+
+}  // namespace
+
+Status WriteBatchesFile(const std::string& path,
+                        const std::vector<ColumnBatch>& batches) {
+  const std::string buffer = EncodeBatches(batches);
   std::FILE* f = std::fopen(path.c_str(), "wb");
   if (f == nullptr) {
     return Status::ExecutionError("cannot open " + path + " for writing");
@@ -261,19 +221,23 @@ Status WriteRowsFile(const std::string& path, const std::vector<Row>& rows) {
   return Status::OK();
 }
 
-Result<std::vector<Row>> ReadRowsFile(const std::string& path) {
+Result<std::vector<ColumnBatch>> ReadBatchesFile(const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) {
     return Status::NotFound("cannot open " + path + " for reading");
   }
-  std::string buffer;
-  char chunk[1 << 16];
-  size_t n;
-  while ((n = std::fread(chunk, 1, sizeof(chunk), f)) > 0) {
-    buffer.append(chunk, n);
+  long size = -1;
+  if (std::fseek(f, 0, SEEK_END) == 0) size = std::ftell(f);
+  if (size < 0 || std::fseek(f, 0, SEEK_SET) != 0) {
+    std::fclose(f);
+    return Status::ExecutionError("cannot size " + path);
   }
+  const size_t n = static_cast<size_t>(size);
+  auto buffer = std::make_unique_for_overwrite<char[]>(n);
+  const size_t read = std::fread(buffer.get(), 1, n, f);
   std::fclose(f);
-  return DecodeRowsChecksummed(buffer);
+  if (read != n) return Status::ExecutionError("short read from " + path);
+  return DecodeBatches(buffer.get(), n);
 }
 
 int RemoveFilesWithPrefix(const std::string& dir, const std::string& prefix) {

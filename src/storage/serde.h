@@ -6,57 +6,35 @@
 #include <vector>
 
 #include "common/status.h"
-#include "common/value.h"
+#include "storage/column_batch.h"
 
 namespace dynopt {
 
-/// Binary row serialization for materialized intermediate results. The
+/// Batch files: the on-disk form of materialized intermediates (the
 /// paper's system stores each re-optimization point's output "in a
-/// temporary file"; this is the on-disk format: a 1-byte type tag per
-/// value, little-endian fixed-width payloads, length-prefixed strings,
-/// rows prefixed by their value count.
-///
-/// The format is self-describing per value (schemas of intermediates are
-/// inferred from data on read-back) and append-friendly.
+/// temporary file") and of grace-join spill partitions. A file holds whole
+/// column batches: the magic "DRB3", a fixed64 HashBytes checksum of the
+/// payload, then the payload — a varint batch count and per batch a varint
+/// row count, a varint column count, per column a kind byte, a validity
+/// flag byte (plus one validity byte per row when set) and the typed
+/// payload (8 bytes per int64 or double row, 1 per bool row, a varint
+/// length and the bytes per non-NULL string row), and finally 8 bytes of
+/// row size per row. Arrays are copied in host byte order: only the
+/// process that wrote a file reads it, and it removes the file after.
 
-/// Appends the encoding of `v` to `out`.
-void EncodeValue(const Value& v, std::string* out);
+/// Writes `batches` to `path`, overwriting. A failed open or short write
+/// is kExecutionError.
+Status WriteBatchesFile(const std::string& path,
+                        const std::vector<ColumnBatch>& batches);
 
-/// Decodes one value starting at `*offset`; advances the offset.
-Result<Value> DecodeValue(const std::string& buffer, size_t* offset);
-
-/// Appends the encoding of `row` to `out`.
-void EncodeRow(const Row& row, std::string* out);
-
-/// Decodes one row starting at `*offset`; advances the offset.
-Result<Row> DecodeRow(const std::string& buffer, size_t* offset);
-
-/// Serializes all rows into one buffer (count-prefixed).
-std::string EncodeRows(const std::vector<Row>& rows);
-
-/// Inverse of EncodeRows.
-Result<std::vector<Row>> DecodeRows(const std::string& buffer);
-
-/// Serializes rows into the checksummed block format files use: a 4-byte
-/// magic ("DRB2"), the varint total row count, then blocks of up to 1024
-/// rows, each carrying (varint row count, varint payload size, fixed64
-/// payload checksum, payload of EncodeRow records). Any single flipped
-/// byte is detectable: payload flips break the block checksum, header
-/// flips break framing (offset/count mismatches), and the decoder verifies
-/// both per block and for the whole buffer.
-std::string EncodeRowsChecksummed(const std::vector<Row>& rows);
-
-/// Inverse of EncodeRowsChecksummed. Every framing or checksum violation
-/// returns kDataCorruption (retryable by re-materializing the data).
-Result<std::vector<Row>> DecodeRowsChecksummed(const std::string& buffer);
-
-/// Writes `rows` to `path` (EncodeRowsChecksummed format), overwriting.
-Status WriteRowsFile(const std::string& path, const std::vector<Row>& rows);
-
-/// Reads a file written by WriteRowsFile. kNotFound when the file is
-/// missing; kDataCorruption when its contents fail framing or checksum
-/// verification.
-Result<std::vector<Row>> ReadRowsFile(const std::string& path);
+/// Reads a file written by WriteBatchesFile: the same batches, with the
+/// same column kinds, validity, values and row sizes; each string column
+/// gets a fresh dictionary per batch and code 0 on NULL rows. kNotFound
+/// when the file is missing; kDataCorruption when the magic or checksum
+/// does not match or the payload does not parse (a count or length past
+/// the end, an unknown kind, trailing bytes) — any single flipped byte is
+/// detected.
+Result<std::vector<ColumnBatch>> ReadBatchesFile(const std::string& path);
 
 /// Flips one bit of the byte at `offset % file size` in `path` — the fault
 /// injector's physical corruption primitive (and available to tests).
@@ -65,8 +43,9 @@ Status CorruptByteInFile(const std::string& path, uint64_t offset);
 /// Deletes every regular file directly under `dir` whose name starts with
 /// `prefix`; returns how many were removed. A missing or unreadable
 /// directory removes nothing. The spill janitor: recovery sweeps a query's
-/// grace-join spill files ("__spill_q<id>_*") with this after cancellation
-/// or terminal failure, and tests assert zero leaks with the counter below.
+/// spill and temp files (QueryContext::SpillFilePrefix) with this after
+/// cancellation or terminal failure, and tests assert zero leaks with the
+/// counter below.
 int RemoveFilesWithPrefix(const std::string& dir, const std::string& prefix);
 
 /// Counts regular files directly under `dir` whose name starts with

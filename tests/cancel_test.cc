@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
 #include <filesystem>
 #include <memory>
@@ -170,7 +172,12 @@ TEST_F(CancelTest, RecoverySweepsSpillFilesOfCancelledQuery) {
   // partition's write and its read-back; terminal recovery must sweep them.
   QueryContext ctx("orphan");
   std::string orphan = spill_dir_ + "/" + ctx.SpillFilePrefix() + "s0_p0.drb";
-  ASSERT_TRUE(WriteRowsFile(orphan, {{Value(int64_t{1})}}).ok());
+  ColumnBatch batch;
+  batch.num_rows = 1;
+  batch.columns.resize(1);
+  batch.columns[0].Append(Value(int64_t{1}));
+  batch.row_sizes.push_back(16);
+  ASSERT_TRUE(WriteBatchesFile(orphan, {batch}).ok());
   ASSERT_EQ(CountFilesWithPrefix(spill_dir_, "__spill_"), 1);
 
   ctx.Cancel("abandoned");
@@ -182,6 +189,28 @@ TEST_F(CancelTest, RecoverySweepsSpillFilesOfCancelledQuery) {
   ASSERT_FALSE(run.ok());
   EXPECT_EQ(run.status().code(), StatusCode::kCancelled);
   EXPECT_EQ(CountFilesWithPrefix(spill_dir_, "__spill_"), 0);
+}
+
+TEST_F(CancelTest, UngovernedSweepKeepsOtherProcessesSpillFiles) {
+  // Another process sharing the spill directory names its files under its
+  // own process id. An ungoverned query's terminal failure sweeps every
+  // spill file of this process, and none of the other's.
+  const std::string foreign = spill_dir_ + "/__spill_" +
+                              std::to_string(::getpid() + 1) + "_q1_s0_p0.drb";
+  const std::string own =
+      spill_dir_ + "/" + ProcessSpillPrefix() + "q0_s0_p0.drb";
+  ASSERT_TRUE(WriteBatchesFile(foreign, {}).ok());
+  ASSERT_TRUE(WriteBatchesFile(own, {}).ok());
+
+  // An invalid batch size fails every attempt with kInvalidArgument.
+  engine_->mutable_cluster().exec.max_batch_size = 0;
+  DynamicOptimizer dynamic(engine_.get());
+  auto run = RunWithRecovery(&dynamic, engine_.get(), ChainQuery(),
+                             RecoveryPolicy(), nullptr);
+  ASSERT_FALSE(run.ok());
+  EXPECT_EQ(run.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(std::filesystem::exists(foreign));
+  EXPECT_FALSE(std::filesystem::exists(own));
 }
 
 TEST_F(CancelTest, CancelStatusesAreNotRetryable) {

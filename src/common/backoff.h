@@ -12,11 +12,12 @@ namespace dynopt {
 /// *simulated* seconds (the retrying node sits idle that long in the cost
 /// model); nothing actually sleeps. Attempt numbering starts at 0 for the
 /// first execution, so attempt k's retry waits
-/// min(initial * multiplier^k, cap).
+/// min(kInitialSeconds * kMultiplier^k, kCapSeconds).
 struct BackoffPolicy {
-  double initial_seconds = 0.05;
-  double multiplier = 2.0;
-  double cap_seconds = 1.0;
+  static constexpr double kInitialSeconds = 0.05;
+  static constexpr double kMultiplier = 2.0;
+  static constexpr double kCapSeconds = 1.0;
+
   /// Total executions allowed per task (first try + retries). Exhausting
   /// them escalates the task failure to a query-level transient error.
   int max_attempts = 4;
@@ -33,13 +34,13 @@ struct BackoffPolicy {
   /// same delays on every run regardless of thread scheduling.
   uint64_t jitter_seed = 0;
 
-  double Delay(int attempt) const {
-    double d = initial_seconds;
+  static double Delay(int attempt) {
+    double d = kInitialSeconds;
     for (int i = 0; i < attempt; ++i) {
-      d *= multiplier;
-      if (d >= cap_seconds) break;
+      d *= kMultiplier;
+      if (d >= kCapSeconds) break;
     }
-    return std::min(d, cap_seconds);
+    return std::min(d, kCapSeconds);
   }
 
   /// Delay(attempt) spread by deterministic jitter. `site` identifies the

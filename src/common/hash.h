@@ -40,11 +40,13 @@ inline uint64_t HashString(std::string_view s) {
 
 /// Hash of a double under the engine's cross-type key rule: integral
 /// doubles hash like the equal int64, so cross-type join keys behave
-/// consistently with Value::Compare; other doubles hash their bits.
+/// consistently with Value::Compare; other doubles hash their bits. The
+/// range check comes first: casting NaN, an infinity or a double beyond
+/// int64's range to int64 is undefined behaviour.
 inline uint64_t HashDouble(double d) {
-  if (d == static_cast<double>(static_cast<int64_t>(d)) &&
-      std::abs(d) < 9.0e18) {
-    return Mix64(static_cast<uint64_t>(static_cast<int64_t>(d)));
+  if (std::abs(d) < 9.0e18) {
+    const int64_t i = static_cast<int64_t>(d);
+    if (d == static_cast<double>(i)) return Mix64(static_cast<uint64_t>(i));
   }
   uint64_t bits;
   static_assert(sizeof(bits) == sizeof(d));

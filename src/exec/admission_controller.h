@@ -18,6 +18,14 @@
 
 namespace dynopt {
 
+/// Relative slot share of each QueryPriority class (indexed by the enum:
+/// low, normal, high). Under sustained overload class i receives
+/// weight[i]/sum(non-empty weights) of the slots while lighter classes
+/// still make progress (no starvation).
+inline constexpr double kClassWeights[kNumQueryPriorities] = {1.0, 2.0, 4.0};
+/// Reservation multiplier applied to a query admitted while degrading.
+inline constexpr double kDegradeMemoryFraction = 0.5;
+
 /// Overload-resilient gate in front of the engine. At most
 /// `max_concurrent_queries` queries run at once, each holding a memory
 /// reservation against the engine tracker; at most `max_queue_depth` more
@@ -25,8 +33,8 @@ namespace dynopt {
 ///
 ///  - Each waiter belongs to the priority class of its QueryContext
 ///    (kNormal with no context). Free slots are granted by smooth weighted
-///    round-robin across the non-empty classes
-///    (AdmissionConfig::class_weights), FIFO within a class — so under
+///    round-robin across the non-empty classes (kClassWeights), FIFO
+///    within a class — so under
 ///    sustained overload, slot share is proportional to weight while no
 ///    class starves. A workload that never sets priorities occupies one
 ///    class and is served in exact FIFO arrival order, the pre-priority
@@ -280,7 +288,7 @@ class AdmissionController {
       if (degrade && bytes > 0) {
         bytes = std::max<uint64_t>(
             1, static_cast<uint64_t>(static_cast<double>(bytes) *
-                                     config_.degrade_memory_fraction));
+                                     kDegradeMemoryFraction));
       }
 
       MemoryReservation reservation(engine_memory_);
@@ -322,8 +330,8 @@ class AdmissionController {
     double total = 0;
     for (int i = 0; i < kNumQueryPriorities; ++i) {
       if (classes_[i].empty()) continue;
-      wrr_current_[i] += config_.class_weights[i];
-      total += config_.class_weights[i];
+      wrr_current_[i] += kClassWeights[i];
+      total += kClassWeights[i];
       if (best < 0 || wrr_current_[i] > best_current) {
         best = i;
         best_current = wrr_current_[i];

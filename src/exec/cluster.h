@@ -6,7 +6,6 @@
 #include <string>
 
 #include "common/backoff.h"
-#include "common/query_context.h"
 #include "common/retry_budget.h"
 #include "common/status.h"
 
@@ -35,10 +34,6 @@ struct FaultInjectionConfig {
   /// time by straggler_multiplier.
   double straggler_probability = 0.0;
   double straggler_multiplier = 4.0;
-  /// A task slower than this multiple of the stage's median task time gets
-  /// a speculative backup execution; the faster of the two completions
-  /// wins (mitigates stragglers the scheduler cannot predict).
-  double speculation_threshold = 3.0;
 
   /// Probability that a materialized partition file is corrupted (one byte
   /// flipped) before read-back; the serde checksum detects it and the
@@ -47,17 +42,16 @@ struct FaultInjectionConfig {
 
   /// Whole-query failure injection: the query aborts with kTransient when
   /// kernel stage `fail_query_at_stage` (0-based, counted across the whole
-  /// engine lifetime since arming) executes. Negative disables. At most
-  /// `max_query_failures` aborts fire, so a retried/resumed query makes
-  /// progress instead of re-failing forever.
+  /// engine lifetime since arming) executes. Negative disables. The abort
+  /// fires once, so a retried/resumed query makes progress instead of
+  /// re-failing forever.
   int fail_query_at_stage = -1;
-  int max_query_failures = 1;
 };
 
 /// Memory-governance knobs: budgets for the hierarchical MemoryTracker and
 /// the real grace-hash-join spill path. All zero by default — a zero budget
 /// means "unlimited", so the executor's metering (and the legacy
-/// spill_penalty_passes accounting for oversized broadcasts) is
+/// kSpillPenaltyPasses accounting for oversized broadcasts) is
 /// byte-for-byte identical to a build without memory governance.
 struct MemoryGovernanceConfig {
   /// Engine-wide budget across all concurrently admitted queries
@@ -69,16 +63,18 @@ struct MemoryGovernanceConfig {
   /// Per-node join build-side memory (0 == unlimited). A build partition
   /// exceeding this triggers the real grace hash join: build and probe are
   /// partitioned to checksummed spill files under `spill_directory` and
-  /// joined recursively, replacing the flat spill_penalty_passes charge.
+  /// joined recursively, replacing the flat kSpillPenaltyPasses charge.
   uint64_t join_memory_budget_bytes = 0;
-  /// Recursion depth cap for grace-join sub-partitioning. A sub-partition
-  /// still over budget at this depth joins in memory anyway (accounted as
-  /// over-subscription, never refused) — a single query must always
-  /// complete.
-  int max_spill_recursion = 4;
   /// Sub-partitions per spill pass (fan-out of each recursive split).
   int max_spill_fanout = 32;
 };
+
+/// Recursion depth cap for grace-join sub-partitioning, read by the
+/// executor and by the spill-aware cost model that mirrors it. A
+/// sub-partition still over budget at this depth joins in memory anyway
+/// (accounted as over-subscription, never refused) — a single query must
+/// always complete.
+inline constexpr int kMaxSpillRecursion = 4;
 
 /// Execution-engine knobs independent of the simulated cost model. These
 /// change *how* operators run, never *what* they meter: with any valid setting the deterministic counters and
@@ -99,6 +95,8 @@ struct ExecOptions {
 /// Everything beyond the first three knobs is off by default: a workload
 /// that configures nothing gets single-class FIFO admission with fixed
 /// reservations — behaviorally identical to the pre-priority controller.
+/// Priority classes share slots by fixed weights (kClassWeights,
+/// exec/admission_controller.h).
 struct AdmissionConfig {
   /// Queries allowed to execute simultaneously.
   int max_concurrent_queries = 4;
@@ -108,17 +106,6 @@ struct AdmissionConfig {
   /// Max wall-clock a query waits in the queue before giving up with
   /// kResourceExhausted.
   double queue_timeout_seconds = 10.0;
-
-  // --- Priority classes + weighted-fair slot scheduling -----------------
-
-  /// Relative slot share of each QueryPriority class (indexed by the enum:
-  /// low, normal, high). Free slots are granted by smooth weighted
-  /// round-robin across the non-empty classes, so under sustained overload
-  /// class i receives weight[i]/sum(non-empty weights) of the slots while
-  /// lighter classes still make progress (no starvation). Within a class,
-  /// order is FIFO. With every query in one class (the default — nobody
-  /// sets a priority) this degenerates to plain FIFO.
-  double class_weights[kNumQueryPriorities] = {1.0, 2.0, 4.0};
 
   // --- Adaptive load shedding ------------------------------------------
 
@@ -139,11 +126,9 @@ struct AdmissionConfig {
 
   /// Queue-depth watermark above which admitted queries are degraded
   /// instead of queued ones being refused: their memory reservation (and
-  /// query budget) is multiplied by degrade_memory_fraction, trading spill
+  /// query budget) is multiplied by kDegradeMemoryFraction, trading spill
   /// I/O for admission headroom. 0 disables degradation.
   int degrade_queue_depth = 0;
-  /// Reservation multiplier applied when degrading (in (0, 1]).
-  double degrade_memory_fraction = 0.5;
   /// Also stamp strategy_downgraded on degraded queries' contexts: the
   /// caller-side hook (ApplyStrategyDowngrade, opt/degrade.h) then swaps a
   /// dynamic re-optimizing strategy for a cheap static plan, shedding the
@@ -160,26 +145,18 @@ struct RiskConfig {
   /// a join whose estimated build side exceeds the per-node budget is priced
   /// with the grace-hash spill passes the executor will actually pay
   /// (write+read each overflowing pass, recursive re-partitioning up to
-  /// memory.max_spill_recursion), so join-order, build-side and
+  /// kMaxSpillRecursion), so join-order, build-side and
   /// broadcast-vs-shuffle choices see the true cost.
   bool spill_aware_costing = false;
 
   /// Consume the decision log's back-patched q-errors at every
   /// re-optimization point (dynamic / ingres-like / pilot-run): observed
   /// estimation error widens the selectivity confidence interval used for
-  /// the remaining decisions (pessimistic-bound costing) and, above
-  /// qerror_reopt_threshold, triggers an extra re-optimization checkpoint.
+  /// the remaining decisions (pessimistic-bound costing, capped at
+  /// kMaxCiWidening, opt/error_stats.h) and, above kQErrorReoptThreshold
+  /// (opt/dynamic_optimizer.h), triggers an extra re-optimization
+  /// checkpoint.
   bool error_feedback = false;
-  /// Worst observed within-query q-error above which an extra reopt point
-  /// is inserted where the plan would otherwise go static.
-  double qerror_reopt_threshold = 4.0;
-  /// Cap on error-triggered extra reopt rounds per query (each one costs a
-  /// materialization, so unbounded triggering could thrash).
-  int max_extra_reopts = 2;
-  /// Cap on the confidence-interval widening factor applied to uncertain
-  /// cardinalities (both from within-query feedback and from stored
-  /// priors); 1.0 disables widening even with error_feedback on.
-  double max_ci_widening = 8.0;
 
   /// Consult/record the persistent cross-query ErrorStatsStore
   /// (opt/error_stats.h): per-table/per-predicate q-error aggregates give
@@ -190,15 +167,13 @@ struct RiskConfig {
   /// File the store loads at arm time and saves to (atomic tmp+rename).
   /// Empty = in-memory only.
   std::string error_stats_path;
-  /// Bound on distinct (table/predicate/join) keys the store retains; new
-  /// keys beyond the bound are dropped (counted, never an error).
-  size_t error_store_max_entries = 4096;
 };
 
-/// Predicate-transfer / sketch knobs (stats/sketch.h). Everything is off by
-/// default — with this struct untouched no sketch is built, no filter is
-/// shipped, and every optimizer plans and meters byte-for-byte like a build
-/// without the subsystem (pinned by tests/sketch_test and the golden suite).
+/// Predicate-transfer / sketch knobs (stats/sketch.h). Off by default —
+/// with this struct untouched no sketch is built, no filter is shipped, and
+/// every optimizer plans and meters byte-for-byte like a build without the
+/// subsystem (pinned by tests/sketch_test and the golden suite). Every
+/// sketch uses SketchOptions' fixed resolution and seed.
 struct SketchConfig {
   /// Build Bloom + Fast-AGMS sketches on join keys during scans and
   /// materializations, and ship the build side's Bloom filter sideways to
@@ -206,19 +181,6 @@ struct SketchConfig {
   /// Repartition. Filter-transfer bytes are charged as network cost;
   /// pruned bytes are network cost saved.
   bool enable_predicate_transfer = false;
-  /// Bloom budget in bits per expected key. More bits = lower false-positive
-  /// rate but a larger filter to broadcast. Must be in [1, 64]
-  /// (ValidateClusterConfig): below 1 the filter saturates instantly, above
-  /// 64 it would out-weigh the data it prunes.
-  double pt_bits_per_key = 8.0;
-  /// Fast-AGMS rows (median over rows controls variance). Must be in
-  /// [1, 64].
-  size_t agms_depth = 5;
-  /// Fast-AGMS counters per row. Must be in [1, 1 << 20].
-  size_t agms_width = 256;
-  /// Seed of every sketch hash; sketches are deterministic and mergeable
-  /// only across builders sharing a seed.
-  uint64_t seed = 0x5eed5eedULL;
 };
 
 /// Introspection-plane knobs (opt/profile_archive.h, src/sys/). Off by
@@ -235,10 +197,6 @@ struct IntrospectionConfig {
   bool enabled = false;
   /// Completed-query profiles retained (ring buffer; oldest evicted).
   size_t archive_capacity = 64;
-  /// A query slower than `threshold x` the best archived same-fingerprint
-  /// run is flagged as a plan regression and its decision log diffed
-  /// against that baseline. Must be >= 1.
-  double regression_threshold = 1.5;
 };
 
 /// Query-watchdog knobs (exec/query_watchdog.h). Off by default — no
@@ -255,6 +213,11 @@ struct WatchdogConfig {
   /// watchdog then only enforces deadlines).
   double progress_timeout_seconds = 0;
 };
+
+/// Disk write+read passes charged per overflow byte when a broadcast build
+/// side exceeds broadcast_threshold_bytes while no join-memory budget is
+/// set (the dynamic hash join's recursive partitioning, priced flat).
+inline constexpr double kSpillPenaltyPasses = 4.0;
 
 /// Configuration of the simulated shared-nothing cluster, standing in for
 /// the paper's 10-node AWS deployment. Datasets are hash-partitioned across
@@ -277,15 +240,10 @@ struct ClusterConfig {
   /// 1000x data-substitution factor below, 256 KB of generated data stands
   /// for ~256 MB of per-node join memory on the paper's cluster. A build
   /// side that *actually* exceeds this at runtime overflows the in-memory
-  /// hash table and pays `spill_penalty_passes` extra disk passes over the
+  /// hash table and pays kSpillPenaltyPasses extra disk passes over the
   /// overflow — the hidden cost of an optimizer broadcasting a dataset it
   /// wrongly believed to be small.
   uint64_t broadcast_threshold_bytes = 256ull << 10;
-
-  /// Disk write+read passes charged per overflow byte when a broadcast
-  /// build side exceeds the memory budget (dynamic hash join recursive
-  /// partitioning).
-  double spill_penalty_passes = 4.0;
 
   // --- Cost-model constants (simulated seconds per unit of work) ---------
   //
@@ -372,64 +330,10 @@ inline Status ValidateClusterConfig(const ClusterConfig& config) {
         std::to_string(config.admission.max_concurrent_queries) +
         "); zero slots would refuse every query");
   }
-  for (int i = 0; i < kNumQueryPriorities; ++i) {
-    if (config.admission.class_weights[i] <= 0) {
-      return Status::InvalidArgument(
-          "ClusterConfig.admission.class_weights[" + std::to_string(i) +
-          "] must be > 0; a zero-weight class would starve forever");
-    }
-  }
-  if (config.admission.degrade_memory_fraction <= 0 ||
-      config.admission.degrade_memory_fraction > 1.0) {
-    return Status::InvalidArgument(
-        "ClusterConfig.admission.degrade_memory_fraction must be in (0, 1] "
-        "(got " +
-        std::to_string(config.admission.degrade_memory_fraction) + ")");
-  }
   if (config.watchdog.enabled && config.watchdog.poll_interval_seconds <= 0) {
     return Status::InvalidArgument(
         "ClusterConfig.watchdog.poll_interval_seconds must be > 0 when the "
         "watchdog is enabled");
-  }
-  if (config.risk.qerror_reopt_threshold < 1.0) {
-    return Status::InvalidArgument(
-        "ClusterConfig.risk.qerror_reopt_threshold must be >= 1 (got " +
-        std::to_string(config.risk.qerror_reopt_threshold) +
-        "); a q-error is never below 1, so a smaller threshold would "
-        "trigger an extra reopt on every query");
-  }
-  if (config.risk.max_extra_reopts < 0) {
-    return Status::InvalidArgument(
-        "ClusterConfig.risk.max_extra_reopts must be >= 0");
-  }
-  if (config.risk.max_ci_widening < 1.0) {
-    return Status::InvalidArgument(
-        "ClusterConfig.risk.max_ci_widening must be >= 1 (got " +
-        std::to_string(config.risk.max_ci_widening) +
-        "); widening below 1 would make estimates *optimistic*");
-  }
-  if (config.sketch.pt_bits_per_key < 1.0 ||
-      config.sketch.pt_bits_per_key > 64.0) {
-    return Status::InvalidArgument(
-        "ClusterConfig.sketch.pt_bits_per_key must be in [1, 64] (got " +
-        std::to_string(config.sketch.pt_bits_per_key) +
-        "); below 1 the Bloom filter saturates instantly, above 64 the "
-        "filter out-weighs the data it prunes");
-  }
-  if (config.sketch.agms_depth < 1 || config.sketch.agms_depth > 64) {
-    return Status::InvalidArgument(
-        "ClusterConfig.sketch.agms_depth must be in [1, 64] (got " +
-        std::to_string(config.sketch.agms_depth) +
-        "); the AGMS median needs at least one row and pays linearly for "
-        "each extra one");
-  }
-  if (config.sketch.agms_width < 1 ||
-      config.sketch.agms_width > (size_t{1} << 20)) {
-    return Status::InvalidArgument(
-        "ClusterConfig.sketch.agms_width must be in [1, 1048576] (got " +
-        std::to_string(config.sketch.agms_width) +
-        "); zero-width rows cannot count anything and oversized rows "
-        "out-weigh the statistics they replace");
   }
   if (config.introspection.enabled &&
       config.introspection.archive_capacity < 1) {
@@ -437,13 +341,6 @@ inline Status ValidateClusterConfig(const ClusterConfig& config) {
         "ClusterConfig.introspection.archive_capacity must be >= 1 when the "
         "archive is enabled; a zero-capacity ring could never hold the "
         "baseline a regression check compares against");
-  }
-  if (config.introspection.regression_threshold < 1.0) {
-    return Status::InvalidArgument(
-        "ClusterConfig.introspection.regression_threshold must be >= 1 "
-        "(got " +
-        std::to_string(config.introspection.regression_threshold) +
-        "); a threshold below 1 would flag faster runs as regressions");
   }
   return Status::OK();
 }

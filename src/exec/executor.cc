@@ -19,6 +19,12 @@ namespace dynopt {
 
 namespace {
 
+/// A task projected to finish beyond this multiple of its stage's median
+/// clean task time gets a speculative backup execution; the faster of the
+/// two completions wins (mitigates stragglers the scheduler cannot
+/// predict).
+constexpr double kSpeculationThreshold = 3.0;
+
 /// Slots of `names` within `columns` (first match); error when any is
 /// missing.
 Result<std::vector<int>> ResolveColumns(const std::vector<std::string>& columns,
@@ -360,12 +366,11 @@ Status JobExecutor::ApplyFaults(FaultSite site,
     }
     completion += task;
     // Speculative execution: a task projected to finish beyond
-    // `speculation_threshold` x the median launches a backup copy on a
+    // kSpeculationThreshold x the median launches a backup copy on a
     // healthy node. The backup starts once the slowness is observable (at
     // the median completion time) and runs clean, so it finishes at
     // median + base; the earlier of original and backup wins.
-    if (median > 0.0 && cfg.speculation_threshold > 0.0 &&
-        completion > cfg.speculation_threshold * median) {
+    if (median > 0.0 && completion > kSpeculationThreshold * median) {
       const double backup = median + base;
       if (backup < completion) {
         completion = backup;
@@ -750,7 +755,7 @@ Status JobExecutor::GraceJoinPartition(
   // tracker records the over-subscription). Same build and probe as an
   // in-memory partition, over a throwaway table.
   if (build_size <= cluster_.memory.join_memory_budget_bytes ||
-      build.num_rows <= 1 || depth >= cluster_.memory.max_spill_recursion) {
+      build.num_rows <= 1 || depth >= kMaxSpillRecursion) {
     MemoryReservation leaf_mem(ctx_ != nullptr ? &ctx_->memory() : nullptr);
     leaf_mem.GrowUnchecked(build_size);
     JoinHashTable table;
@@ -788,44 +793,33 @@ Status JobExecutor::GraceJoinPartition(
       static_cast<double>(build.num_rows + probe.num_rows) *
       cluster_.cpu_seconds_per_tuple;
 
-  // Spill every non-empty sub-partition pair to checksummed batch files,
-  // each side one batch gathered over its split's selection. Every spilled
-  // byte is written once and read back once, charged at the disk rates.
+  // Spill every non-empty sub-partition pair to one checksummed batch
+  // file holding two batches, build then probe, each gathered over its
+  // split's selection. Every spilled byte is written once and read back
+  // once, charged at the disk rates.
   const std::string base = NewSpillStem() + "p" + std::to_string(part) +
                            "_d" + std::to_string(depth) + "_k";
   std::vector<std::string> files;
-  files.reserve(static_cast<size_t>(fanout) * 2);
+  files.reserve(static_cast<size_t>(fanout));
   auto cleanup = [&files]() {
     for (const std::string& f : files) std::remove(f.c_str());
   };
-  auto write_side = [](const std::string& path, const ColumnBatch& side,
-                       const std::vector<uint32_t>& sel, uint64_t* bytes) {
+  auto gather = [](const ColumnBatch& side, const std::vector<uint32_t>& sel,
+                   uint64_t* bytes) {
     ColumnBatch sub = GatherViews({{&side, sel.data(), nullptr, sel.size()}});
     for (uint64_t s : sub.row_sizes) *bytes += s;
-    return WriteBatchesFile(path, {std::move(sub)});
-  };
-  // The one batch a spill file holds.
-  auto read_side = [](const std::string& path) -> Result<ColumnBatch> {
-    DYNOPT_ASSIGN_OR_RETURN(std::vector<ColumnBatch> batches,
-                            ReadBatchesFile(path));
-    if (batches.size() != 1) {
-      return Status::DataCorruption("spill file " + path + " holds " +
-                                    std::to_string(batches.size()) +
-                                    " batches, not 1");
-    }
-    return std::move(batches[0]);
+    return sub;
   };
   std::vector<char> live(fanout, 0);
   for (int k = 0; k < fanout; ++k) {
     if (build_sub[k].empty() && probe_sub[k].empty()) continue;
     live[k] = 1;
     uint64_t pair_bytes = 0;
-    const std::string bpath = base + std::to_string(k) + ".build.drb";
-    const std::string ppath = base + std::to_string(k) + ".probe.drb";
-    files.push_back(bpath);
-    files.push_back(ppath);
-    Status st = write_side(bpath, build, build_sub[k], &pair_bytes);
-    if (st.ok()) st = write_side(ppath, probe, probe_sub[k], &pair_bytes);
+    files.push_back(base + std::to_string(k) + ".drb");
+    std::vector<ColumnBatch> pair;
+    pair.push_back(gather(build, build_sub[k], &pair_bytes));
+    pair.push_back(gather(probe, probe_sub[k], &pair_bytes));
+    Status st = WriteBatchesFile(files.back(), pair);
     if (!st.ok()) {
       cleanup();
       return st;
@@ -839,9 +833,9 @@ Status JobExecutor::GraceJoinPartition(
   build_sub.clear();
   probe_sub.clear();
 
-  // Join each sub-partition pair: read both sides back, drop the files,
-  // recurse (a still-oversized sub-partition splits again under a fresh
-  // salt, up to max_spill_recursion).
+  // Join each sub-partition pair: read its file back, drop it, recurse (a
+  // still-oversized sub-partition splits again under a fresh salt, up to
+  // kMaxSpillRecursion).
   for (int k = 0; k < fanout; ++k) {
     if (!live[k]) continue;
     Status alive = CheckAlive();
@@ -849,25 +843,23 @@ Status JobExecutor::GraceJoinPartition(
       cleanup();
       return alive;
     }
-    const std::string bpath = base + std::to_string(k) + ".build.drb";
-    const std::string ppath = base + std::to_string(k) + ".probe.drb";
-    auto sub_build = read_side(bpath);
-    if (!sub_build.ok()) {
-      cleanup();
-      return sub_build.status();
+    const std::string path = base + std::to_string(k) + ".drb";
+    auto pair = ReadBatchesFile(path);
+    if (pair.ok() && pair->size() != 2) {
+      pair = Status::DataCorruption("spill file " + path + " holds " +
+                                    std::to_string(pair->size()) +
+                                    " batches, not 2");
     }
-    auto sub_probe = read_side(ppath);
-    if (!sub_probe.ok()) {
+    if (!pair.ok()) {
       cleanup();
-      return sub_probe.status();
+      return pair.status();
     }
-    std::remove(bpath.c_str());
-    std::remove(ppath.c_str());
+    std::remove(path.c_str());
     const uint64_t next_salt = Mix64(
         salt ^ (0x9e3779b97f4a7c15ULL * static_cast<uint64_t>(k + 1)));
-    Status st = GraceJoinPartition(sub_build.value(), sub_probe.value(),
-                                   build_keys, probe_keys, depth + 1,
-                                   next_salt, part, work, sink, stats);
+    Status st = GraceJoinPartition((*pair)[0], (*pair)[1], build_keys,
+                                   probe_keys, depth + 1, next_salt, part,
+                                   work, sink, stats);
     if (!st.ok()) {
       cleanup();
       return st;
@@ -1122,7 +1114,7 @@ Result<ColumnarDataset> JobExecutor::ExecJoin(
     double overflow = static_cast<double>(build_bytes -
                                           cluster_.broadcast_threshold_bytes);
     metrics->simulated_seconds +=
-        overflow * cluster_.spill_penalty_passes *
+        overflow * kSpillPenaltyPasses *
         (cluster_.disk_write_seconds_per_byte +
          cluster_.disk_read_seconds_per_byte);
   }
@@ -1155,10 +1147,9 @@ void JobExecutor::TransferPredicate(const ColumnarDataset& build,
                                     const std::vector<int>& probe_keys,
                                     ExecMetrics* metrics) {
   TraceSpan span("predicate-transfer", "kernel");
-  const SketchConfig& cfg = cluster_.sketch;
   const uint64_t build_rows = build.NumRows();
-  BloomFilter bloom(std::max<uint64_t>(build_rows, 1), cfg.pt_bits_per_key,
-                    cfg.seed);
+  BloomFilter bloom(std::max<uint64_t>(build_rows, 1),
+                    SketchOptions().bits_per_key);
   {
     std::vector<uint64_t> hashes;
     std::vector<uint8_t> key_null;
@@ -1585,21 +1576,13 @@ Result<SinkResult> JobExecutor::Materialize(
   }
   if (!sketch_indices.empty()) {
     const auto sketch_start = WallClock::now();
-    SketchOptions opts;
-    opts.bits_per_key = cluster_.sketch.pt_bits_per_key;
-    opts.agms_depth = cluster_.sketch.agms_depth;
-    opts.agms_width = cluster_.sketch.agms_width;
-    opts.seed = cluster_.sketch.seed;
     const size_t num_sketch = sketch_indices.size();
     // All shards are sized from the same total so merging is well-formed.
     std::vector<std::vector<JoinKeySketch>> shards(num_parts);
     for (size_t p = 0; p < num_parts; ++p) {
       shards[p].reserve(num_sketch);
       for (size_t c = 0; c < num_sketch; ++c) {
-        shards[p].push_back(
-            JoinKeySketch{BloomFilter(std::max<uint64_t>(total_rows, 1),
-                                      opts.bits_per_key, opts.seed),
-                          FastAgmsSketch(opts), 0, 0});
+        shards[p].push_back(JoinKeySketch::ForKeys(total_rows));
       }
     }
     pool_->ParallelFor(num_parts, [&](size_t p) {

@@ -103,16 +103,6 @@ class JobExecutor {
               RetryBudget* retry_budget = nullptr,
               SketchManager* sketches = nullptr);
 
-  void set_context(QueryContext* ctx) { ctx_ = ctx; }
-  QueryContext* context() const { return ctx_; }
-
-  /// Attaches the engine-wide retry budget (see common/retry_budget.h) —
-  /// alternative to the constructor argument. Null leaves retries governed
-  /// only by the per-task BackoffPolicy, the pre-budget behavior. The
-  /// budget is shared across executors and must outlive this executor's
-  /// jobs.
-  void set_retry_budget(RetryBudget* budget) { retry_budget_ = budget; }
-
   /// Runs one job tree and returns its output dataset plus metrics.
   Result<JobResult> Execute(const PlanNode& root,
                             const std::map<std::string, Value>& params);
@@ -276,7 +266,7 @@ class JobExecutor {
   /// its flat batches): recursively splits both sides by a re-salted key
   /// hash into checksummed spill files under spill_directory, then joins
   /// each sub-partition pair with the in-memory build and probe (once it
-  /// fits the budget, or unconditionally at max_spill_recursion — a single
+  /// fits the budget, or unconditionally at kMaxSpillRecursion — a single
   /// query always completes). Emits into `sink` (sub-partition, then probe
   /// row, then hash-chain order), adds its tuple work to `work` and
   /// accounts spilling in `stats`. Spill files are removed as consumed and

@@ -72,12 +72,10 @@ uint64_t FaultInjector::CorruptionOffset(int stage, size_t node) const {
 bool FaultInjector::ShouldFailQuery(int stage) {
   if (config_.fail_query_at_stage < 0) return false;
   if (stage != config_.fail_query_at_stage) return false;
-  // One failure budget per firing; fetch_add keeps the cap exact even if
-  // two executors raced here (they do not today — kernel prologues are
-  // serial — but the injector should not depend on that).
-  int fired = query_failures_fired_.fetch_add(1);
-  if (fired >= config_.max_query_failures) return false;
-  return true;
+  // Fires once; the exchange keeps that exact even if two executors raced
+  // here (they do not today — kernel prologues are serial — but the
+  // injector should not depend on that).
+  return !query_failed_.exchange(true);
 }
 
 }  // namespace dynopt

@@ -32,9 +32,8 @@ const char* FaultSiteName(FaultSite site);
 /// Stage ids advance monotonically at kernel entry (serial sections only),
 /// which is what makes recovery terminate: a restarted or resumed query
 /// executes under *fresh* stage ids, so a fault that killed attempt 1 does
-/// not deterministically re-kill attempt 2, and one-shot query failures
-/// (`fail_query_at_stage` + `max_query_failures`) fire a bounded number of
-/// times.
+/// not deterministically re-kill attempt 2, and the one-shot query failure
+/// (`fail_query_at_stage`) fires once.
 class FaultInjector {
  public:
   explicit FaultInjector(const FaultInjectionConfig& config)
@@ -64,8 +63,8 @@ class FaultInjector {
   uint64_t CorruptionOffset(int stage, size_t node) const;
 
   /// True when the whole query must abort at `stage` (one-shot: fires at
-  /// most `max_query_failures` times over the injector's lifetime). Not
-  /// const: consumes one failure budget when it fires.
+  /// most once over the injector's lifetime). Not const: spends the shot
+  /// when it fires.
   bool ShouldFailQuery(int stage);
 
   /// Simulated seconds of work a query-level abort threw away; recovery
@@ -75,7 +74,6 @@ class FaultInjector {
     aborted_work_seconds_ += seconds;
   }
   double aborted_work_seconds() const { return aborted_work_seconds_; }
-  int query_failures_fired() const { return query_failures_fired_.load(); }
   int stages_started() const { return next_stage_.load(); }
 
  private:
@@ -85,7 +83,7 @@ class FaultInjector {
 
   FaultInjectionConfig config_;
   std::atomic<int> next_stage_{0};
-  std::atomic<int> query_failures_fired_{0};
+  std::atomic<bool> query_failed_{false};
   double aborted_work_seconds_ = 0;
 };
 

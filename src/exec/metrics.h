@@ -71,7 +71,7 @@ enum class MetricKind { kMetered, kHost };
   /* Join-order/algorithm decisions logged (opt/decision_log.h). */           \
   X(uint64_t, num_decisions, kSum, kMetered)                                  \
   /* Extra re-optimization checkpoints the error feedback loop bought */      \
-  /* (risk.qerror_reopt_threshold; dynamic/ingres-like only). */              \
+  /* (kQErrorReoptThreshold; dynamic/ingres-like only). */                   \
   X(uint64_t, error_reopt_triggers, kSum, kMetered)                           \
   /* Predicate transfer: Bloom-filter bytes shipped build -> probe side, */   \
   /* probe rows the filter dropped before the shuffle (NULL keys count), */   \

@@ -498,10 +498,10 @@ inline bool ApplyCmp(int c, CompareOp op) {
   return false;
 }
 
+/// Value::Compare's three-way double compare: NaN compares equal to
+/// everything.
 inline int CompareDoubles(double a, double b) {
-  if (a < b) return -1;
-  if (a > b) return 1;
-  return 0;
+  return static_cast<int>(a > b) - static_cast<int>(a < b);
 }
 
 }  // namespace
@@ -581,57 +581,67 @@ void EvalScalar(const PNode& node, const ColumnBatch& batch,
   }
 }
 
-/// Numeric double view of an operand: fills vals/nulls (length n) and
-/// returns true when the operand is statically numeric (typed numeric
-/// column or numeric constant). String columns and non-numeric constants
-/// fall back to the generic Value path.
-bool FillNumeric(const ScalarOperand& op, size_t n, std::vector<double>* vals,
-                 std::vector<uint8_t>* nulls) {
-  vals->resize(n);
-  nulls->assign(n, 0);
+/// A statically numeric operand read in place: a typed int64, double or
+/// bool column where it is stored, or a numeric constant. String columns
+/// and non-numeric constants have no such view and take the generic Value
+/// path.
+struct NumericOperand {
+  const int64_t* i64 = nullptr;
+  const double* f64 = nullptr;
+  const uint8_t* b8 = nullptr;
+  const uint8_t* validity = nullptr;  ///< Null when the column has none.
+  double constant = 0;                ///< When no column pointer is set.
+};
+
+bool AsNumeric(const ScalarOperand& op, NumericOperand* out) {
   if (op.constant != nullptr) {
     const Value& v = *op.constant;
-    double d;
     switch (v.type()) {
       case ValueType::kInt64:
-        d = static_cast<double>(v.AsInt64());
-        break;
+        out->constant = static_cast<double>(v.AsInt64());
+        return true;
       case ValueType::kDouble:
-        d = v.AsDouble();
-        break;
+        out->constant = v.AsDouble();
+        return true;
       case ValueType::kBool:
-        d = v.AsBool() ? 1.0 : 0.0;
-        break;
+        out->constant = v.AsBool() ? 1.0 : 0.0;
+        return true;
       default:
         return false;
     }
-    std::fill(vals->begin(), vals->end(), d);
-    return true;
   }
   if (op.col == nullptr) return false;
   const ColumnVector& col = *op.col;
-  const bool nullable = !col.validity.empty();
   switch (col.kind) {
     case ColumnKind::kInt64:
-      for (size_t i = 0; i < n; ++i) {
-        (*vals)[i] = static_cast<double>(col.i64[i]);
-      }
+      out->i64 = col.i64.data();
       break;
     case ColumnKind::kDouble:
-      std::copy(col.f64.begin(), col.f64.end(), vals->begin());
+      out->f64 = col.f64.data();
       break;
     case ColumnKind::kBool:
-      for (size_t i = 0; i < n; ++i) {
-        (*vals)[i] = col.b8[i] != 0 ? 1.0 : 0.0;
-      }
+      out->b8 = col.b8.data();
       break;
     default:
       return false;
   }
-  if (nullable) {
-    for (size_t i = 0; i < n; ++i) (*nulls)[i] = col.validity[i] ? 0 : 1;
-  }
+  if (!col.validity.empty()) out->validity = col.validity.data();
   return true;
+}
+
+/// Calls `f` with a row -> double reader specialized to `op`'s layout, so
+/// a comparison loop compiles once per pair of layouts.
+template <typename F>
+void WithReader(const NumericOperand& op, F&& f) {
+  if (op.i64 != nullptr) {
+    f([p = op.i64](size_t i) { return static_cast<double>(p[i]); });
+  } else if (op.f64 != nullptr) {
+    f([p = op.f64](size_t i) { return p[i]; });
+  } else if (op.b8 != nullptr) {
+    f([p = op.b8](size_t i) { return p[i] != 0 ? 1.0 : 0.0; });
+  } else {
+    f([c = op.constant](size_t) { return c; });
+  }
 }
 
 /// Comparison of two operands into a tri-state mask; NULL operands yield
@@ -639,23 +649,29 @@ bool FillNumeric(const ScalarOperand& op, size_t n, std::vector<double>* vals,
 void CompareOperands(const ScalarOperand& l, const ScalarOperand& r,
                      CompareOp op, size_t n, std::vector<uint8_t>* out) {
   out->resize(n);
-  // Fast path 1: both sides statically numeric -> vectorized double
-  // compare (Value::Compare coerces every numeric pair to double).
-  {
-    std::vector<double> lv, rv;
-    std::vector<uint8_t> ln, rn;
-    if (FillNumeric(l, n, &lv, &ln) && FillNumeric(r, n, &rv, &rn)) {
-      for (size_t i = 0; i < n; ++i) {
-        if (ln[i] | rn[i]) {
-          (*out)[i] = kTriNull;
-        } else {
-          (*out)[i] =
-              ApplyCmp(CompareDoubles(lv[i], rv[i]), op) ? kTriTrue
-                                                         : kTriFalse;
-        }
-      }
-      return;
+  // Fast path 1: both sides statically numeric -> double compare over the
+  // stored columns (Value::Compare coerces every numeric pair to double).
+  NumericOperand ln, rn;
+  if (AsNumeric(l, &ln) && AsNumeric(r, &rn)) {
+    uint8_t tri_of[3];  // Indexed by CompareDoubles + 1.
+    for (int c = -1; c <= 1; ++c) {
+      tri_of[c + 1] = ApplyCmp(c, op) ? kTriTrue : kTriFalse;
     }
+    uint8_t* o = out->data();
+    WithReader(ln, [&](auto lhs) {
+      WithReader(rn, [&](auto rhs) {
+        for (size_t i = 0; i < n; ++i) {
+          o[i] = tri_of[CompareDoubles(lhs(i), rhs(i)) + 1];
+        }
+      });
+    });
+    for (const uint8_t* valid : {ln.validity, rn.validity}) {
+      if (valid == nullptr) continue;
+      for (size_t i = 0; i < n; ++i) {
+        if (valid[i] == 0) o[i] = kTriNull;
+      }
+    }
+    return;
   }
   // Fast path 2: dictionary string column vs string constant -> memoize the
   // comparison per dictionary code (one compare per distinct value). A
@@ -722,33 +738,21 @@ void EvalTri(const PNode& node, const ColumnBatch& batch,
       return;
     }
     case PNode::Op::kBetween: {
+      // v >= lo and v <= hi through the comparison kernel, so BETWEEN
+      // agrees with its expansion and with BoundBetween on every value
+      // (NaN compares equal, as in Value::Compare); NULL when either
+      // comparison is NULL.
       ScalarOperand v, lo, hi;
       EvalScalar(*node.children[0], batch, &v);
       EvalScalar(*node.children[1], batch, &lo);
       EvalScalar(*node.children[2], batch, &hi);
-      out->resize(n);
-      std::vector<double> vv, lv, hv;
-      std::vector<uint8_t> vn, ln, hn;
-      if (FillNumeric(v, n, &vv, &vn) && FillNumeric(lo, n, &lv, &ln) &&
-          FillNumeric(hi, n, &hv, &hn)) {
-        for (size_t i = 0; i < n; ++i) {
-          if (vn[i] | ln[i] | hn[i]) {
-            (*out)[i] = kTriNull;
-          } else {
-            (*out)[i] = (vv[i] >= lv[i] && vv[i] <= hv[i]) ? kTriTrue
-                                                           : kTriFalse;
-          }
-        }
-        return;
-      }
+      std::vector<uint8_t> upper;
+      CompareOperands(v, lo, CompareOp::kGe, n, out);
+      CompareOperands(v, hi, CompareOp::kLe, n, &upper);
       for (size_t i = 0; i < n; ++i) {
-        if (v.IsNullAt(i) || lo.IsNullAt(i) || hi.IsNullAt(i)) {
-          (*out)[i] = kTriNull;
-          continue;
-        }
-        const Value val = v.At(i);
-        (*out)[i] = (val >= lo.At(i) && val <= hi.At(i)) ? kTriTrue
-                                                         : kTriFalse;
+        const uint8_t a = (*out)[i];
+        const uint8_t b = upper[i];
+        (*out)[i] = (a == kTriNull || b == kTriNull) ? kTriNull : (a & b);
       }
       return;
     }

@@ -7,6 +7,15 @@
 
 namespace dynopt {
 
+namespace {
+
+/// Selinger defaults for predicates the optimizer is blind to (UDFs,
+/// parameters, or no statistics): 1/10 for equalities, 1/3 for ranges [28].
+constexpr double kDefaultEqSelectivity = 0.1;
+constexpr double kDefaultRangeSelectivity = 1.0 / 3.0;
+
+}  // namespace
+
 double CardinalityEstimator::ConjunctSelectivity(
     const std::string& alias, const ExprPtr& conjunct) const {
   PredicateShape shape = AnalyzePredicates({conjunct});
@@ -16,20 +25,20 @@ double CardinalityEstimator::ConjunctSelectivity(
     // Complex predicate: the optimizer is blind; use Selinger defaults.
     // BETWEEN and inequality comparisons default to 1/3, equality to 1/10.
     if (conjunct->kind() == ExprKind::kBetween) {
-      return options_.default_range_selectivity;
+      return kDefaultRangeSelectivity;
     }
     if (conjunct->kind() == ExprKind::kComparison) {
       CompareOp op = static_cast<const ComparisonExpr&>(*conjunct).op();
-      return op == CompareOp::kEq ? options_.default_eq_selectivity
-                                  : options_.default_range_selectivity;
+      return op == CompareOp::kEq ? kDefaultEqSelectivity
+                                  : kDefaultRangeSelectivity;
     }
-    return options_.default_eq_selectivity;
+    return kDefaultEqSelectivity;
   }
   const ColumnStatsSnapshot* col = view_->Column(alias, simple->column);
-  if (col == nullptr || !options_.use_histograms) {
-    if (simple->is_between) return options_.default_range_selectivity;
-    return simple->op == CompareOp::kEq ? options_.default_eq_selectivity
-                                        : options_.default_range_selectivity;
+  if (col == nullptr) {
+    if (simple->is_between) return kDefaultRangeSelectivity;
+    return simple->op == CompareOp::kEq ? kDefaultEqSelectivity
+                                        : kDefaultRangeSelectivity;
   }
   if (simple->is_between) {
     return col->EstimateRangeSelectivity(simple->lo, simple->hi);
@@ -46,7 +55,7 @@ double CardinalityEstimator::ConjunctSelectivity(
     case CompareOp::kGe:
       return col->EstimateRangeSelectivity(simple->value, Value::Null());
   }
-  return options_.default_range_selectivity;
+  return kDefaultRangeSelectivity;
 }
 
 double CardinalityEstimator::EstimatePredicateSelectivity(
@@ -68,18 +77,6 @@ double CardinalityEstimator::EstimateFilteredSize(
 double CardinalityEstimator::EstimateFilteredBytes(
     const std::string& alias) const {
   return view_->TotalBytes(alias) * EstimatePredicateSelectivity(alias);
-}
-
-double CardinalityEstimator::EstimateKeyNdv(const JoinEdge& edge,
-                                            const std::string& alias,
-                                            double size_cap) const {
-  double ndv = 1.0;
-  for (const auto& key : edge.KeysOf(alias)) {
-    const ColumnStatsSnapshot* col = view_->Column(alias, key);
-    double key_ndv = col != nullptr && col->ndv > 0 ? col->ndv : size_cap;
-    ndv *= std::max(1.0, key_ndv);
-  }
-  return std::clamp(ndv, 1.0, std::max(1.0, size_cap));
 }
 
 std::shared_ptr<const JoinKeySketch> CardinalityEstimator::SketchFor(

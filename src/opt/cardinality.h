@@ -10,15 +10,10 @@
 
 namespace dynopt {
 
-/// Knobs selecting which optimizer persona the estimator plays.
+/// Knobs selecting which optimizer persona the estimator plays. Simple
+/// fixed-value predicates are estimated from equi-height histograms (paper
+/// Section 5.1: single local predicates are estimated, not executed).
 struct EstimationOptions {
-  /// Use equi-height histograms for simple fixed-value predicates (paper
-  /// Section 5.1: single local predicates are estimated, not executed).
-  bool use_histograms = true;
-  /// Selinger defaults for predicates the optimizer is blind to (UDFs,
-  /// parameters): 1/10 for equalities, 1/3 for ranges [28].
-  double default_eq_selectivity = 0.1;
-  double default_range_selectivity = 1.0 / 3.0;
   /// INGRES mode: only dataset cardinalities are known; distinct counts
   /// and histograms are ignored.
   bool cardinality_only = false;
@@ -59,11 +54,6 @@ class CardinalityEstimator {
   double EstimateJoinCardinality(const JoinEdge& edge,
                                  double left_size_override = -1.0,
                                  double right_size_override = -1.0) const;
-
-  /// Distinct-count of join key columns on `alias`'s side of `edge`
-  /// (product over composite key, each capped by the filtered size).
-  double EstimateKeyNdv(const JoinEdge& edge, const std::string& alias,
-                        double size_cap) const;
 
   /// Attaches the engine's join-key sketch registry; null detaches. With a
   /// registry attached, SketchJoinCardinality can answer from Fast-AGMS

@@ -13,7 +13,7 @@ namespace {
 /// still exceeds the budget re-partitions every row of the pair (CPU) and
 /// writes + reads back every pair byte once (disk rates); a fanout-way
 /// split shrinks the build share per level; recursion caps at
-/// max_spill_recursion, after which the executor joins in memory over
+/// kMaxSpillRecursion, after which the executor joins in memory over
 /// budget (no further passes charged). `node_pair_bytes`/`node_pair_rows`
 /// are the per-node build+probe volume each pass rewrites.
 void AddSpillCharge(const JoinCostInputs& in, const ClusterConfig& cluster,
@@ -25,7 +25,7 @@ void AddSpillCharge(const JoinCostInputs& in, const ClusterConfig& cluster,
       static_cast<double>(std::max(2, cluster.memory.max_spill_fanout));
   int passes = 0;
   double share = node_build_bytes;
-  while (share > budget && passes < cluster.memory.max_spill_recursion) {
+  while (share > budget && passes < kMaxSpillRecursion) {
     ++passes;
     share /= fanout;
   }

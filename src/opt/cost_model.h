@@ -39,7 +39,7 @@ struct JoinCostBreakdown {
   /// that read is charged in spill_seconds, not counted again here).
   double spilled_bytes = 0;
   /// Predicted grace-join recursion depth per overflowing node (0 = in
-  /// memory; capped at memory.max_spill_recursion like the executor).
+  /// memory; capped at kMaxSpillRecursion like the executor).
   int spill_passes = 0;
 };
 
@@ -54,7 +54,7 @@ struct JoinCostBreakdown {
 /// JobExecutor::GraceJoinPartition: every recursion level whose per-node
 /// build share still exceeds the budget writes and reads back the whole
 /// build+probe pair once (disk rates) and re-partitions every row (CPU),
-/// up to memory.max_spill_recursion levels with memory.max_spill_fanout-way
+/// up to kMaxSpillRecursion levels with memory.max_spill_fanout-way
 /// splits. A shuffle's per-node build share is build_bytes/num_nodes; a
 /// broadcast replicates the full build to every node, which is exactly why
 /// a tight budget can flip the broadcast-vs-shuffle choice.

@@ -158,7 +158,7 @@ Result<OptimizerRunResult> DynamicOptimizer::RunFromState(
   struct TempCleanup {
     Engine* engine;
     const std::vector<std::string>* names;
-    bool armed;
+    bool armed = true;
     ~TempCleanup() {
       if (!armed) return;
       for (const auto& name : *names) {
@@ -167,7 +167,7 @@ Result<OptimizerRunResult> DynamicOptimizer::RunFromState(
         engine->sketches().RemoveTable(name);
       }
     }
-  } cleanup{engine_, &state.temp_tables, options_.drop_temp_tables};
+  } cleanup{engine_, &state.temp_tables};
 
   // Cuts a checkpoint after a completed stage; returns true when the run
   // must abort here (failure injection).
@@ -209,11 +209,11 @@ Result<OptimizerRunResult> DynamicOptimizer::RunFromState(
   SelectivityRisk risk;  // Rebuilt before every planning round.
   auto rebuild_risk = [&]() {
     risk = err_store != nullptr
-               ? PriorRisk(state.spec, err_store, risk_cfg.max_ci_widening)
+               ? PriorRisk(state.spec, err_store, kMaxCiWidening)
                : SelectivityRisk();
     if (!risk_cfg.error_feedback) return;
     const double observed = std::clamp(state.decisions.GeoMeanQError(), 1.0,
-                                       risk_cfg.max_ci_widening);
+                                       kMaxCiWidening);
     if (observed <= 1.0) return;
     // Widen every still-estimated input (intermediates have exact counts)
     // and the join outputs by the error observed so far this query.
@@ -244,7 +244,7 @@ Result<OptimizerRunResult> DynamicOptimizer::RunFromState(
   };
 
   // ---- Stage 1: predicate push-down (Algorithm 1 lines 6-9) -------------
-  if (options_.pushdown_predicates && !state.pushdown_done) {
+  if (!state.pushdown_done) {
     std::vector<std::string> aliases;
     for (const auto& ref : state.spec.tables) aliases.push_back(ref.alias);
     for (size_t i = state.pushdown_next_index; i < aliases.size(); ++i) {
@@ -283,7 +283,7 @@ Result<OptimizerRunResult> DynamicOptimizer::RunFromState(
       // rounds can estimate joins against it from Fast-AGMS rather than
       // formula (1).
       std::vector<std::string> sketch_cols;
-      if (options_.collect_sketches) {
+      if (options_.use_sketches) {
         std::set<std::string> join_keys;
         for (const auto& j : state.spec.joins) {
           if (!j.Involves(alias)) continue;
@@ -333,7 +333,7 @@ Result<OptimizerRunResult> DynamicOptimizer::RunFromState(
   }
 
   // Temp tables are dropped by the cleanup guard on scope exit (success
-  // and fatal failure alike), honoring options_.drop_temp_tables.
+  // and fatal failure alike).
   auto finish = [&](OptimizerRunResult result) -> OptimizerRunResult {
     // Persist what this query taught the error memory; a failed save only
     // costs the lesson, never the query.
@@ -400,8 +400,8 @@ Result<OptimizerRunResult> DynamicOptimizer::RunFromState(
   // information mid-query.
   auto extra_reopt_due = [&]() {
     return risk_cfg.error_feedback && state.spec.joins.size() == 2 &&
-           state.extra_reopts < risk_cfg.max_extra_reopts &&
-           state.decisions.MaxQError() > risk_cfg.qerror_reopt_threshold;
+           state.extra_reopts < kMaxExtraReopts &&
+           state.decisions.MaxQError() > kQErrorReoptThreshold;
   };
   while (state.spec.joins.size() > 2 || extra_reopt_due()) {
     // Re-optimization point: the natural cancellation boundary (the paper's
@@ -411,7 +411,7 @@ Result<OptimizerRunResult> DynamicOptimizer::RunFromState(
     const bool extra_round = state.spec.joins.size() <= 2;
     if (extra_round) {
       trace << "[error-reopt] max q-error " << state.decisions.MaxQError()
-            << " > " << risk_cfg.qerror_reopt_threshold
+            << " > " << kQErrorReoptThreshold
             << "; extra materialization point before the final join\n";
     }
     TraceSpan round_span("reopt-" + std::to_string(state.join_counter),
@@ -420,8 +420,7 @@ Result<OptimizerRunResult> DynamicOptimizer::RunFromState(
     rebuild_risk();
     Planner planner(&view, engine_->cluster(), options_.planner,
                     use_risk ? &risk : nullptr,
-                    options_.use_sketch_estimates ? &engine_->sketches()
-                                                  : nullptr);
+                    options_.use_sketches ? &engine_->sketches() : nullptr);
     DYNOPT_ASSIGN_OR_RETURN(PlannedJoin planned, planner.PickNextJoin());
 
     const std::string& build = planned.build_alias;
@@ -453,7 +452,7 @@ Result<OptimizerRunResult> DynamicOptimizer::RunFromState(
     // Sketches are collected on every round, including the last: the tail
     // PlanRemaining still estimates the final two joins, and Fast-AGMS on
     // the freshly materialized intermediate is exactly what sharpens it.
-    bool sketch = options_.collect_sketches && !stats_columns.empty();
+    bool sketch = options_.use_sketches && !stats_columns.empty();
     auto sink_or = executor.Materialize(std::move(job.data), TempPrefix("join"),
                                         stats_columns, collect,
                                         &state.metrics,
@@ -522,8 +521,7 @@ Result<OptimizerRunResult> DynamicOptimizer::RunFromState(
   rebuild_risk();
   Planner planner(&view, engine_->cluster(), options_.planner,
                   use_risk ? &risk : nullptr,
-                  options_.use_sketch_estimates ? &engine_->sketches()
-                                                : nullptr);
+                  options_.use_sketches ? &engine_->sketches() : nullptr);
   std::vector<PlannedJoin> final_steps;
   DYNOPT_ASSIGN_OR_RETURN(std::shared_ptr<const JoinTree> final_tree,
                           planner.PlanRemaining(&final_steps));

@@ -14,26 +14,29 @@
 
 namespace dynopt {
 
+/// With risk.error_feedback on, a query whose worst observed q-error
+/// exceeds this earns an extra re-optimization checkpoint where the plan
+/// would otherwise go static.
+inline constexpr double kQErrorReoptThreshold = 4.0;
+/// Cap on those error-triggered extra rounds per query (each one costs a
+/// materialization, so unbounded triggering could thrash).
+inline constexpr int kMaxExtraReopts = 2;
+
 /// Knobs for the runtime dynamic optimizer. The booleans exist so the
 /// Figure-6 overhead experiments can ablate individual stages.
 struct DynamicOptimizerOptions {
   PlannerOptions planner;
-  /// Execute-early for multi/complex predicate sets (Algorithm 1 lines
-  /// 6-9); when false, predicates are only estimated.
-  bool pushdown_predicates = true;
   /// Collect sketches on materialized intermediates; when false only exact
   /// row counts are fed back.
   bool collect_online_stats = true;
   /// Build join-key Bloom + Fast-AGMS sketches on every materialized
   /// intermediate (registered with the engine's SketchManager and priced
-  /// like online statistics). Off by default: metering stays byte-identical.
-  bool collect_sketches = false;
-  /// Let the planner answer join cardinalities from Fast-AGMS sketches
-  /// where both sides carry one, falling back to formula (1) otherwise.
-  /// Decisions made from sketches are tagged est_src=sketch in the log.
-  bool use_sketch_estimates = false;
-  /// Drop materialized temp tables when the query finishes.
-  bool drop_temp_tables = true;
+  /// like online statistics), and let the planner answer join
+  /// cardinalities from them where both sides carry one, falling back to
+  /// formula (1) otherwise. Decisions made from sketches are tagged
+  /// est_src=sketch in the log. Off by default: metering stays
+  /// byte-identical.
+  bool use_sketches = false;
   /// Also push down single simple predicates instead of estimating them
   /// from the histogram — the INGRES-style full decomposition.
   bool pushdown_simple_predicates = false;
@@ -78,7 +81,7 @@ struct DynamicCheckpoint {
   /// SubtreeKey -> actual materialized rows of completed stages.
   std::map<std::string, uint64_t> subtree_actual_rows;
   /// Extra re-optimization checkpoints already spent on this query by the
-  /// error feedback loop (risk.max_extra_reopts bounds it). Lives in the
+  /// error feedback loop (kMaxExtraReopts bounds it). Lives in the
   /// checkpoint so a resumed run neither forgets a spent trigger (which
   /// would re-fire it) nor re-counts one.
   int extra_reopts = 0;

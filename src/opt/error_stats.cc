@@ -238,11 +238,10 @@ std::string JoinErrorKey(std::vector<std::string> base_tables) {
 
 namespace {
 
-/// What lives in Engine::opt_state(): the store plus the config it was
-/// built from, so a knob edit via mutable_cluster() rebuilds it.
+/// What lives in Engine::opt_state(): the store plus the path it was
+/// built from, so a path edit via mutable_cluster() rebuilds it.
 struct EngineErrorStatsSlot {
   std::string path;
-  size_t max_entries = 0;
   std::shared_ptr<ErrorStatsStore> store;
 };
 
@@ -257,13 +256,10 @@ ErrorStatsStore* EngineErrorStats(Engine* engine) {
   std::lock_guard<std::mutex> lock(g_engine_slot_mu);
   auto slot =
       std::static_pointer_cast<EngineErrorStatsSlot>(engine->opt_state());
-  if (slot == nullptr || slot->path != rc.error_stats_path ||
-      slot->max_entries != rc.error_store_max_entries) {
+  if (slot == nullptr || slot->path != rc.error_stats_path) {
     slot = std::make_shared<EngineErrorStatsSlot>();
     slot->path = rc.error_stats_path;
-    slot->max_entries = rc.error_store_max_entries;
-    slot->store = std::make_shared<ErrorStatsStore>(
-        rc.error_stats_path, rc.error_store_max_entries);
+    slot->store = std::make_shared<ErrorStatsStore>(rc.error_stats_path);
     // Fail-soft by contract: a missing/corrupt file logs and starts fresh;
     // an unreadable one still leaves a usable empty store.
     (void)slot->store->Load();

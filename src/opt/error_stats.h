@@ -40,13 +40,19 @@ struct ErrorStatsEntry {
 ///  - The file is version-tagged and checksummed (FNV over the payload);
 ///    Load() treats a missing file as empty, and a truncated/corrupt/
 ///    version-mismatched file as "warn and start fresh" — always OK.
-///  - The entry map is bounded (`max_entries`); new keys beyond the bound
-///    are dropped and counted, never an error.
+///  - The entry map is bounded (`max_entries`, kErrorStoreMaxEntries for
+///    the engine's store); new keys beyond the bound are dropped and
+///    counted, never an error.
 /// All methods are thread-safe (one mutex; aggregates are tiny).
 class ErrorStatsStore {
  public:
+  /// Bound on the distinct (table/predicate/join) keys the engine's store
+  /// retains.
+  static constexpr size_t kErrorStoreMaxEntries = 4096;
+
   /// `path` empty = in-memory only (Load/Save become no-ops returning OK).
-  explicit ErrorStatsStore(std::string path, size_t max_entries = 4096);
+  explicit ErrorStatsStore(std::string path,
+                           size_t max_entries = kErrorStoreMaxEntries);
 
   /// Records one observed q-error (>= 1) for `key`. Values below 1 or
   /// non-finite are ignored (a q-error is max(est/actual, actual/est), so
@@ -107,15 +113,21 @@ std::string JoinErrorKey(std::vector<std::string> base_tables);
 /// instead of owning a store, so queries share (and persist to) one error
 /// memory. The store lives in the engine's type-erased opt_state() slot
 /// (the exec layer cannot name opt types) and is rebuilt — with a fail-soft
-/// Load() — whenever risk.error_stats_path / error_store_max_entries
-/// change, mirroring the engine's Rearm* pattern. Returns nullptr when
-/// risk.use_error_store is off (the default). Thread-safe.
+/// Load() — whenever risk.error_stats_path changes, mirroring the engine's
+/// Rearm* pattern. Returns nullptr when risk.use_error_store is off (the
+/// default). Thread-safe.
 ErrorStatsStore* EngineErrorStats(Engine* engine);
+
+/// Cap on the confidence-interval widening factor the optimizers apply to
+/// uncertain cardinalities, from within-query q-error feedback and from
+/// stored priors alike.
+inline constexpr double kMaxCiWidening = 8.0;
 
 /// Prior-only risk for `spec` from the store: per-alias widening factors
 /// from each base table's TableErrorKey and a global factor from the
-/// query's JoinErrorKey, all clamped to [1, cap]. Null store, unknown keys
-/// or intermediates => neutral entries. Never fails.
+/// query's JoinErrorKey, all clamped to [1, cap] (the optimizers pass
+/// kMaxCiWidening). Null store, unknown keys or intermediates => neutral
+/// entries. Never fails.
 SelectivityRisk PriorRisk(const QuerySpec& spec, const ErrorStatsStore* store,
                           double cap);
 

@@ -9,7 +9,6 @@ DynamicOptimizerOptions MakeIngresOptions(const PlannerOptions& base) {
   options.planner = base;
   options.planner.estimation.cardinality_only = true;
   // INGRES decomposes every single-variable query, simple or not.
-  options.pushdown_predicates = true;
   options.pushdown_simple_predicates = true;
   // Only exact cardinalities of intermediates are fed back; no sketches.
   options.collect_online_stats = false;

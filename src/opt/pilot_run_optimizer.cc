@@ -46,7 +46,6 @@ PilotRunOptimizer::PilotRunOptimizer(Engine* engine,
     : engine_(engine), options_(options) {}
 
 Result<OptimizerRunResult> PilotRunOptimizer::Run(const QuerySpec& query) {
-  DYNOPT_RETURN_IF_ERROR(ValidateStatsOptions(options_.stats_options));
   QuerySpec spec = query;
   spec.NormalizeJoins();
   DYNOPT_RETURN_IF_ERROR(spec.Validate());
@@ -102,7 +101,7 @@ Result<OptimizerRunResult> PilotRunOptimizer::Run(const QuerySpec& query) {
     // sample_limit rows have matched; only matched rows feed the builder.
     constexpr size_t kChunkRows = 1024;
     const uint64_t limit = options_.sample_limit;
-    TableStatsBuilder builder(names, indices, options_.stats_options);
+    TableStatsBuilder builder(names, indices);
     uint64_t scanned = 0, matched = 0, scanned_bytes = 0;
     std::vector<uint8_t> keep;
     std::vector<uint32_t> sel;
@@ -205,7 +204,7 @@ Result<OptimizerRunResult> PilotRunOptimizer::Run(const QuerySpec& query) {
   ErrorStatsStore* err_store = EngineErrorStats(engine_);
   const bool use_risk = cluster.risk.error_feedback || err_store != nullptr;
   const SelectivityRisk prior_risk =
-      PriorRisk(spec, err_store, cluster.risk.max_ci_widening);
+      PriorRisk(spec, err_store, kMaxCiWidening);
   StatsView view(&planning_spec, &engine_->stats(), &engine_->catalog());
   view.SetAliasOverrides(&overrides);
   TraceSpan plan_span("plan-dp", "opt");
@@ -381,10 +380,9 @@ Result<OptimizerRunResult> PilotRunOptimizer::Run(const QuerySpec& query) {
   // widens every remaining estimate (on top of any cross-query priors)
   // before the tail of the plan commits to broadcast-sized bets.
   SelectivityRisk rest_risk =
-      PriorRisk(remaining, err_store, cluster.risk.max_ci_widening);
+      PriorRisk(remaining, err_store, kMaxCiWidening);
   if (cluster.risk.error_feedback && pilot_q > 1.0) {
-    const double widen =
-        std::min(pilot_q, cluster.risk.max_ci_widening);
+    const double widen = std::min(pilot_q, kMaxCiWidening);
     rest_risk.global_factor = std::max(rest_risk.global_factor, widen);
     for (const auto& ref : remaining.tables) {
       if (ref.is_intermediate) continue;

@@ -15,9 +15,6 @@ struct PilotRunOptions {
   /// LIMIT k of each pilot run: sampling stops once k tuples have been
   /// output (the technique of [23] as described in Section 7 of the paper).
   size_t sample_limit = 1000;
-  /// Sketch resolution of the sample statistics; Run() rejects out-of-range
-  /// values with kInvalidArgument (ValidateStatsOptions).
-  StatsOptions stats_options;
 };
 
 /// The pilot-run baseline [23]: before optimizing, a select-project "pilot

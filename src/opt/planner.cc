@@ -146,8 +146,7 @@ PlannedJoin Planner::DecorateWithMethod(const JoinEdge& edge, double card,
                      << right_rows << "," << right_bytes
                      << ") hash=" << best_cost;
 
-  if (options_.enable_broadcast &&
-      small_bytes <= static_cast<double>(cluster_.broadcast_threshold_bytes)) {
+  if (small_bytes <= static_cast<double>(cluster_.broadcast_threshold_bytes)) {
     double cost =
         EstimateJoinExecCost(JoinMethod::kBroadcast, in, cluster_, 0.0);
     if (cost < best_cost) {

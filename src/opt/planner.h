@@ -55,7 +55,6 @@ struct SelectivityRisk {
 
 /// Planner knobs shared by the optimizers.
 struct PlannerOptions {
-  bool enable_broadcast = true;
   /// Consider the indexed nested loop join (Figure 8 experiments).
   bool enable_inlj = false;
   EstimationOptions estimation;

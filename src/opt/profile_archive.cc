@@ -124,14 +124,14 @@ ArchivedQuery ProfileArchive::Archive(ArchivedQuery entry) {
   const double sim = entry.metrics.simulated_seconds;
   const double baseline_sim =
       baseline != nullptr ? baseline->metrics.simulated_seconds : 0;
-  if (baseline_sim > 0 && sim > config_.regression_threshold * baseline_sim) {
+  if (baseline_sim > 0 && sim > kRegressionThreshold * baseline_sim) {
     entry.regressed = true;
     std::ostringstream note;
     note << "sim_seconds " << FormatSeconds(sim) << " is "
          << FormatFactor(sim / baseline_sim) << "x the best archived run ("
          << FormatSeconds(baseline_sim) << ", " << baseline->optimizer
          << ") of this query (threshold "
-         << FormatFactor(config_.regression_threshold) << "x)";
+         << FormatFactor(kRegressionThreshold) << "x)";
     // Name the first decision where the two runs' plans part ways, and the
     // error-store prior (if any) that was in play there.
     if (entry.profile != nullptr && baseline->profile != nullptr) {
@@ -242,8 +242,7 @@ ProfileArchive* EngineProfileArchive(Engine* engine) {
   auto slot = std::static_pointer_cast<EngineArchiveSlot>(
       engine->introspection_state());
   if (slot == nullptr ||
-      slot->config.archive_capacity != ic.archive_capacity ||
-      slot->config.regression_threshold != ic.regression_threshold) {
+      slot->config.archive_capacity != ic.archive_capacity) {
     slot = std::make_shared<EngineArchiveSlot>();
     slot->config = ic;
     slot->archive = std::make_shared<ProfileArchive>(ic);

@@ -79,6 +79,11 @@ struct ArchivedQuery {
 /// IntrospectionConfig::archive_capacity (oldest evicted first).
 class ProfileArchive {
  public:
+  /// A query slower than this multiple of the best archived
+  /// same-fingerprint run is flagged as a plan regression and its decision
+  /// log diffed against that baseline.
+  static constexpr double kRegressionThreshold = 1.5;
+
   explicit ProfileArchive(IntrospectionConfig config)
       : config_(config) {}
 

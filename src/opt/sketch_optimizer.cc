@@ -14,8 +14,7 @@ namespace {
 DynamicOptimizerOptions MakeSketchOptions(const PlannerOptions& base) {
   DynamicOptimizerOptions options;
   options.planner = base;
-  options.collect_sketches = true;
-  options.use_sketch_estimates = true;
+  options.use_sketches = true;
   options.profile_label = "sketch-dynamic";
   return options;
 }
@@ -28,11 +27,6 @@ SketchDynamicOptimizer::SketchDynamicOptimizer(Engine* engine,
 
 Status SketchDynamicOptimizer::EnsureBaseSketches(const QuerySpec& query,
                                                   ExecMetrics* metrics) {
-  SketchOptions opts;
-  opts.bits_per_key = engine_->cluster().sketch.pt_bits_per_key;
-  opts.agms_depth = engine_->cluster().sketch.agms_depth;
-  opts.agms_width = engine_->cluster().sketch.agms_width;
-  opts.seed = engine_->cluster().sketch.seed;
   const double stats_rate = engine_->cluster().stats_seconds_per_value;
 
   for (const auto& ref : query.tables) {
@@ -54,10 +48,8 @@ Status SketchDynamicOptimizer::EnsureBaseSketches(const QuerySpec& query,
       if (engine_->sketches().Has(ref.table, column)) continue;  // Amortized.
       const int col = table->schema().FieldIndex(column);
       if (col < 0) continue;  // Nothing to sketch (resolved at plan time).
-      auto sketch = std::make_shared<JoinKeySketch>(JoinKeySketch{
-          BloomFilter(std::max<uint64_t>(table->NumRows(), 1),
-                      opts.bits_per_key, opts.seed),
-          FastAgmsSketch(opts), 0, 0});
+      auto sketch = std::make_shared<JoinKeySketch>(
+          JoinKeySketch::ForKeys(table->NumRows()));
       for (size_t p = 0; p < table->num_partitions(); ++p) {
         for (const ColumnBatch& run : table->partition(p)) {
           AddColumnToSketch(run, col, sketch.get());

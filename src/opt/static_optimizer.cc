@@ -205,8 +205,7 @@ Result<std::shared_ptr<const JoinTree>> StaticCostBasedOptimizer::PlanWithDp(
       // Broadcast (build = s1, must be small — judged pessimistically, so
       // a side with a misestimation history loses its broadcast
       // eligibility before it can blow past the threshold at runtime).
-      if (options.enable_broadcast &&
-          left.bytes * wl <=
+      if (left.bytes * wl <=
               static_cast<double>(cluster.broadcast_threshold_bytes)) {
         double cost = base_cost + EstimateJoinExecCost(JoinMethod::kBroadcast,
                                                        in, cluster, 0.0);
@@ -268,7 +267,7 @@ Result<OptimizerRunResult> StaticCostBasedOptimizer::Run(
   // the store for the next one.
   ErrorStatsStore* err_store = EngineErrorStats(engine_);
   const SelectivityRisk risk =
-      PriorRisk(spec, err_store, engine_->cluster().risk.max_ci_widening);
+      PriorRisk(spec, err_store, kMaxCiWidening);
   double est_rows = -1;
   double est_cost = -1;
   DYNOPT_ASSIGN_OR_RETURN(

@@ -61,7 +61,6 @@ void HyperLogLog::Merge(const HyperLogLog& other) {
       registers_[i] = other.registers_[i];
     }
   }
-  num_adds_ += other.num_adds_;
 }
 
 }  // namespace dynopt

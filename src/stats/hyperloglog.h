@@ -21,7 +21,6 @@ class HyperLogLog {
 
   /// Adds an element identified by its 64-bit hash.
   void Add(uint64_t hash) {
-    ++num_adds_;
     const uint64_t index = hash >> (64 - precision_);
     const uint64_t remaining = hash << precision_;
     // Rank = position of leftmost 1-bit in the remaining bits (1-based);
@@ -39,11 +38,9 @@ class HyperLogLog {
   void Merge(const HyperLogLog& other);
 
   int precision() const { return precision_; }
-  uint64_t num_adds() const { return num_adds_; }
 
  private:
   int precision_;
-  uint64_t num_adds_ = 0;
   std::vector<uint8_t> registers_;
 };
 

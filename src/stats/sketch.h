@@ -1,6 +1,7 @@
 #ifndef DYNOPT_STATS_SKETCH_H_
 #define DYNOPT_STATS_SKETCH_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -33,9 +34,10 @@ inline uint64_t SketchMix64(uint64_t x) {
 }
 
 /// Shared knobs for one sketch family; two sketches are mergeable /
-/// comparable only when built from identical options.
+/// comparable only when built from identical options. The engine builds
+/// every sketch from the defaults.
 struct SketchOptions {
-  double bits_per_key = 8.0;  ///< Bloom budget (ClusterConfig.sketch).
+  double bits_per_key = 8.0;  ///< Bloom budget in bits per expected key.
   size_t agms_depth = 5;      ///< Independent estimator rows (median taken).
   size_t agms_width = 256;    ///< Counters per row.
   uint64_t seed = 0x5eed5eedULL;
@@ -118,6 +120,16 @@ class FastAgmsSketch {
 /// Both sketches for one (dataset, join-key column) pair, plus the exact
 /// row count observed while building them.
 struct JoinKeySketch {
+  /// Empty sketches at the default SketchOptions, the Bloom filter sized
+  /// for `expected_keys` insertions (at least 1), so shards sized from the
+  /// same total merge cleanly.
+  static JoinKeySketch ForKeys(uint64_t expected_keys) {
+    return JoinKeySketch{
+        BloomFilter(std::max<uint64_t>(expected_keys, 1),
+                    SketchOptions().bits_per_key),
+        FastAgmsSketch(), 0, 0};
+  }
+
   BloomFilter bloom;
   FastAgmsSketch agms;
   uint64_t rows = 0;       ///< Rows scanned (including null keys).

@@ -223,21 +223,6 @@ class StringDict {
     return code;
   }
 
-  /// Code of `s` if present, kNotFound otherwise (no insertion) — used to
-  /// turn an equality predicate against a constant into a code compare.
-  static constexpr uint32_t kNotFound = 0xffffffffu;
-  uint32_t Find(const std::string& s) const {
-    if (slots_.empty()) return kNotFound;
-    const uint64_t h = HashString(s);
-    size_t b = static_cast<size_t>(h) & slot_mask_;
-    while (slots_[b] != kEmpty) {
-      const uint32_t code = slots_[b];
-      if (hashes_[code] == h && entries_[code] == s) return code;
-      b = (b + 1) & slot_mask_;
-    }
-    return kNotFound;
-  }
-
  private:
   static constexpr uint32_t kEmpty = 0xffffffffu;
 
@@ -319,22 +304,6 @@ struct ColumnVector {
         return Value(dict->entry(codes[i]));
     }
     return Value::Null();
-  }
-
-  /// Cost-model byte size of row i's value; identical to
-  /// ValueAt(i).SizeBytes().
-  uint64_t SizeAt(size_t i) const {
-    if (IsNullAt(i)) return 1;
-    switch (kind) {
-      case ColumnKind::kInt64:
-      case ColumnKind::kDouble:
-        return 8;
-      case ColumnKind::kBool:
-        return 1;
-      case ColumnKind::kString:
-        return dict->size_bytes(codes[i]);
-    }
-    return 1;
   }
 
   /// Appends one value: NULL into validity, anything else into the typed

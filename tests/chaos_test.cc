@@ -414,7 +414,6 @@ TEST_F(ChaosTest, StragglersTriggerSpeculativeExecution) {
     cfg.seed = seed;
     cfg.straggler_probability = 0.5;
     cfg.straggler_multiplier = 10.0;
-    cfg.speculation_threshold = 2.0;
     Arm(cfg);
     DynamicOptimizer optimizer(engine_);
     auto result = optimizer.Run(query.value());

@@ -520,7 +520,7 @@ Result<Dataset> OracleRun(Engine* engine, const PlanNode& node,
         metrics->simulated_seconds +=
             static_cast<double>(build_bytes -
                                 cluster.broadcast_threshold_bytes) *
-            cluster.spill_penalty_passes *
+            kSpillPenaltyPasses *
             (cluster.disk_write_seconds_per_byte +
              cluster.disk_read_seconds_per_byte);
       }
@@ -626,6 +626,47 @@ TEST_F(ColumnarParityTest, FilterPredicateZoo) {
     auto plan =
         PlanNode::Filter(PlanNode::Scan("t", "a"), predicates[i]);
     ExpectParity(*plan, {{"p", Value(2)}});
+  }
+
+  // Doubles at the edges of comparison: NaN (Value::Compare finds it equal
+  // to everything), signed zeros, infinities, huge finite values, NULL and
+  // both bounds. BETWEEN must agree with the oracle and with its own
+  // expansion on every row.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  auto d = std::make_shared<Table>(
+      "d", Schema({{"id", ValueType::kInt64}, {"x", ValueType::kDouble}}),
+      engine_->cluster().num_nodes);
+  ASSERT_TRUE(d->SetPartitionKey({"id"}).ok());
+  const std::vector<Value> xs = {
+      Value(nan),  Value(0.0),    Value(-0.0),   Value(inf),
+      Value(-inf), Value(1e300),  Value(-1e300), Value::Null(),
+      Value(1.0),  Value(2.0),    Value(1.5),    Value(2.5)};
+  for (size_t i = 0; i < xs.size(); ++i) {
+    ASSERT_TRUE(
+        d->AppendRow({Value(static_cast<int64_t>(i)), xs[i]}).ok());
+  }
+  ASSERT_TRUE(engine_->catalog().RegisterTable(d).ok());
+  const ExprPtr x = Col("d", "x");
+  auto between = [&](Value lo, Value hi) {
+    return Between(x, Lit(std::move(lo)), Lit(std::move(hi)));
+  };
+  const std::vector<ExprPtr> edge_predicates = {
+      between(Value(1), Value(2)),
+      Not(between(Value(1), Value(2))),
+      between(Value(1.0), Value(inf)),
+      between(Value(-0.0), Value(0.0)),
+      between(Value::Null(), Value(2)),
+      between(Value(1), Value::Null()),
+      Eq(between(Value(1), Value(2)), Lit(Value(true))),
+      And({Cmp(CompareOp::kGe, x, Lit(Value(1))),
+           Cmp(CompareOp::kLe, x, Lit(Value(2)))}),
+      Cmp(CompareOp::kLt, x, Lit(Value(nan))),
+      Eq(x, Lit(Value(-0.0))),
+  };
+  for (const ExprPtr& pred : edge_predicates) {
+    SCOPED_TRACE(pred->ToString());
+    ExpectParity(*PlanNode::Filter(PlanNode::Scan("d", "d"), pred));
   }
 }
 

@@ -4,6 +4,8 @@
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
+#include <cstring>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <set>
@@ -175,6 +177,29 @@ TEST(HashTest, HashStringAvalanche) {
 
 TEST(HashTest, HashBytesMatchesHashString) {
   EXPECT_EQ(HashBytes("abc", 3), HashString("abc"));
+}
+
+TEST(HashTest, IntegralDoublesHashLikeInt64AndOthersHashTheirBits) {
+  for (int64_t i : {int64_t{0}, int64_t{1}, int64_t{-1}, int64_t{42},
+                    -(int64_t{1} << 53), int64_t{1} << 62}) {
+    EXPECT_EQ(HashDouble(static_cast<double>(i)),
+              Mix64(static_cast<uint64_t>(i)))
+        << i;
+  }
+  EXPECT_EQ(HashDouble(-0.0), Mix64(0));
+  auto bits_hash = [](double d) {
+    uint64_t bits;
+    std::memcpy(&bits, &d, sizeof(d));
+    return Mix64(bits);
+  };
+  const double inf = std::numeric_limits<double>::infinity();
+  // Fractions, values at or beyond the int64 range (integral, but past the
+  // 9e18 cut-off), infinities and NaN hash their bits; none is cast.
+  for (double d : {0.5, -2.25, 9.1e18, -9.1e18, std::ldexp(1.0, 63),
+                   -std::ldexp(1.0, 63), 1e300, -1e300, inf, -inf,
+                   std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_EQ(HashDouble(d), bits_hash(d)) << d;
+  }
 }
 
 // --- Rng / Zipf ------------------------------------------------------------

@@ -51,8 +51,6 @@ TEST_F(FaultToleranceTest, ResumeAfterEachPossibleFailurePoint) {
 
     DynamicOptimizerOptions failing_options;
     failing_options.inject_failure_after_stages = fail_after;
-    // Keep the checkpoint data (temp tables) alive across the "crash".
-    failing_options.drop_temp_tables = false;
     DynamicOptimizer failing(engine_, failing_options);
     auto failed = failing.Run(query.value());
     ASSERT_FALSE(failed.ok()) << "failure injection did not fire at stage "
@@ -84,7 +82,6 @@ TEST_F(FaultToleranceTest, ResumeRejectsMissingCheckpointData) {
   ASSERT_TRUE(query.ok());
   DynamicOptimizerOptions failing_options;
   failing_options.inject_failure_after_stages = 1;
-  failing_options.drop_temp_tables = false;
   DynamicOptimizer failing(engine_, failing_options);
   ASSERT_FALSE(failing.Run(query.value()).ok());
   ASSERT_NE(failing.last_checkpoint(), nullptr);
@@ -114,7 +111,6 @@ TEST_F(FaultToleranceTest, CheckpointTraceSurvivesResume) {
   ASSERT_TRUE(query.ok());
   DynamicOptimizerOptions failing_options;
   failing_options.inject_failure_after_stages = 2;
-  failing_options.drop_temp_tables = false;
   DynamicOptimizer failing(engine_, failing_options);
   ASSERT_FALSE(failing.Run(query.value()).ok());
   ASSERT_NE(failing.last_checkpoint(), nullptr);

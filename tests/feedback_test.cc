@@ -416,8 +416,7 @@ TEST(FeedbackTest, ErrorFeedbackBuysExtraReoptCheckpointAndWins) {
   auto off = no_feedback.Run(spec);
   ASSERT_TRUE(off.ok()) << off.status().ToString();
   EXPECT_EQ(off->metrics.error_reopt_triggers, 0u);
-  EXPECT_GT(off->metrics.max_q_error,
-            engine.cluster().risk.qerror_reopt_threshold);
+  EXPECT_GT(off->metrics.max_q_error, kQErrorReoptThreshold);
 
   // Registries are engine-scoped now: the trigger counter lands in the
   // engine's own registry, not the process-wide default.

@@ -497,7 +497,7 @@ TEST_F(GraceJoinTest, PinnedInMemoryJoinMeteringAndOrder) {
 
 TEST_F(GraceJoinTest, DuplicateHeavyKeyDegradesToInMemory) {
   // All build rows share one key: partitioning can never shrink the run,
-  // so recursion must bottom out at max_spill_recursion and finish the
+  // so recursion must bottom out at kMaxSpillRecursion and finish the
   // join in memory rather than looping forever.
   auto t = std::make_shared<Table>(
       "dup", Schema({{"k", ValueType::kInt64}, {"pad", ValueType::kString}}),

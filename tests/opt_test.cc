@@ -269,17 +269,6 @@ TEST_F(OptTest, PlannerChoosesBroadcastForSmallSide) {
   EXPECT_NE(planned->build_alias, "f");
 }
 
-TEST_F(OptTest, PlannerFallsBackToHashWhenBroadcastDisabled) {
-  QuerySpec spec = StarQuery();
-  StatsView view(&spec, &engine_->stats(), &engine_->catalog());
-  PlannerOptions options;
-  options.enable_broadcast = false;
-  Planner planner(&view, engine_->cluster(), options);
-  auto planned = planner.PickNextJoin();
-  ASSERT_TRUE(planned.ok());
-  EXPECT_EQ(planned->method, JoinMethod::kHashShuffle);
-}
-
 TEST_F(OptTest, PlannerInljRequiresIndexAndFilteredOuter) {
   QuerySpec spec = StarQuery();
   spec.FindRef("d1")->filtered = true;

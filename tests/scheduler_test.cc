@@ -222,7 +222,6 @@ TEST_F(SchedulerTest, DegradationShrinksReservationAndStampsContext) {
   engine_->mutable_cluster().admission.max_queue_depth = 8;
   engine_->mutable_cluster().admission.queue_timeout_seconds = 60.0;
   engine_->mutable_cluster().admission.degrade_queue_depth = 2;
-  engine_->mutable_cluster().admission.degrade_memory_fraction = 0.5;
   engine_->mutable_cluster().admission.degrade_strategy = true;
   engine_->mutable_cluster().memory.engine_budget_bytes = 64 << 20;
   engine_->mutable_cluster().memory.query_reservation_bytes = 2 << 20;

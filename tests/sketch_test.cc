@@ -5,8 +5,7 @@
 //    and skewed key distributions;
 //  - shard merging is commutative and associative (bitwise OR / elementwise
 //    add), so per-partition builders combine into one dataset-level sketch;
-//  - everything is deterministic under a fixed seed;
-//  - ClusterConfig rejects out-of-range sketch knobs at validation time.
+//  - everything is deterministic under a fixed seed.
 
 #include "stats/sketch.h"
 
@@ -238,40 +237,6 @@ TEST(SketchManagerTest, PutGetRemoveTable) {
   EXPECT_TRUE(manager.Has("lineitem", "l_okey"));
   manager.Clear();
   EXPECT_FALSE(manager.Has("lineitem", "l_okey"));
-}
-
-TEST(SketchConfigTest, ValidateRejectsOutOfRangeKnobs) {
-  ClusterConfig ok;
-  EXPECT_TRUE(ValidateClusterConfig(ok).ok());
-
-  ClusterConfig c = ok;
-  c.sketch.pt_bits_per_key = 0.5;
-  EXPECT_FALSE(ValidateClusterConfig(c).ok());
-  c = ok;
-  c.sketch.pt_bits_per_key = 65.0;
-  EXPECT_FALSE(ValidateClusterConfig(c).ok());
-  c = ok;
-  c.sketch.agms_depth = 0;
-  EXPECT_FALSE(ValidateClusterConfig(c).ok());
-  c = ok;
-  c.sketch.agms_depth = 65;
-  EXPECT_FALSE(ValidateClusterConfig(c).ok());
-  c = ok;
-  c.sketch.agms_width = 0;
-  EXPECT_FALSE(ValidateClusterConfig(c).ok());
-  c = ok;
-  c.sketch.agms_width = 2000000;
-  EXPECT_FALSE(ValidateClusterConfig(c).ok());
-  // The boundary values themselves are legal.
-  c = ok;
-  c.sketch.pt_bits_per_key = 1.0;
-  c.sketch.agms_depth = 1;
-  c.sketch.agms_width = 1;
-  EXPECT_TRUE(ValidateClusterConfig(c).ok());
-  c.sketch.pt_bits_per_key = 64.0;
-  c.sketch.agms_depth = 64;
-  c.sketch.agms_width = 1048576;
-  EXPECT_TRUE(ValidateClusterConfig(c).ok());
 }
 
 }  // namespace

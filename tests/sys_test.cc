@@ -468,7 +468,7 @@ TEST_F(SysTest, RealRunsRegressAgainstAFasterArchivedPlan) {
   auto slow = worst.Run(chain);
   ASSERT_TRUE(slow.ok());
   ASSERT_GT(slow->metrics.simulated_seconds,
-            engine->cluster().introspection.regression_threshold *
+            ProfileArchive::kRegressionThreshold *
                 fast->metrics.simulated_seconds)
       << "worst-order unexpectedly competitive with dynamic";
 

@@ -1403,7 +1403,8 @@ Result<SinkResult> JobExecutor::Materialize(
                                        data.partitions.size());
 
   // Online statistics builders, one per partition, merged afterwards — the
-  // paper collects sketches in parallel with writing the sink.
+  // paper collects sketches in parallel with writing the sink. They build
+  // what re-planning reads: counts, bounds and HLL ndv, no quantiles.
   std::vector<int> stat_indices;
   std::vector<std::string> stat_names;
   for (const auto& col : stats_columns) {
@@ -1417,7 +1418,8 @@ Result<SinkResult> JobExecutor::Materialize(
   if (collect_stats) {
     builders.reserve(num_parts);
     for (size_t p = 0; p < num_parts; ++p) {
-      builders.emplace_back(stat_names, stat_indices);
+      builders.emplace_back(stat_names, stat_indices, StatsOptions(),
+                            Quantiles::kSkip);
     }
   }
   // Each partition's stat columns are fed column-at-a-time, in the
@@ -1619,7 +1621,8 @@ Result<SinkResult> JobExecutor::Materialize(
   result.table_name = name;
   if (collect_stats) {
     const auto finalize_start = WallClock::now();
-    TableStatsBuilder merged(stat_names, stat_indices);
+    TableStatsBuilder merged(stat_names, stat_indices, StatsOptions(),
+                             Quantiles::kSkip);
     for (const auto& b : builders) merged.Merge(b);
     result.stats = merged.Finalize();
     metrics->wall_stats_seconds += SecondsSince(finalize_start);

@@ -111,9 +111,11 @@ class JobExecutor {
   /// fresh temp table in the catalog (partition placement and row order
   /// preserved; a batch the table rejects fails the sink), optionally
   /// collecting online statistics on `stats_columns` (qualified names) and
-  /// join-key sketches on `sketch_columns`, column-at-a-time. Charges
-  /// materialization I/O and the per-reopt fixed cost to
-  /// `metrics->reopt_seconds` and stats collection to
+  /// join-key sketches on `sketch_columns`, column-at-a-time. The online
+  /// statistics are counts, bounds and HLL ndv without quantiles
+  /// (Quantiles::kSkip); `stats_seconds` still prices the paper's GK + HLL
+  /// collection per value. Charges materialization I/O and the per-reopt
+  /// fixed cost to `metrics->reopt_seconds` and stats collection to
   /// `metrics->stats_seconds` (both included in simulated_seconds).
   Result<SinkResult> Materialize(ColumnarDataset&& data,
                                  const std::string& prefix,

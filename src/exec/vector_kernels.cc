@@ -460,12 +460,14 @@ void BatchSink::Flush() {
 // --- VecPredicate --------------------------------------------------------
 
 namespace {
+// SQL truth values, ordered FALSE < NULL < TRUE so that Kleene AND is the
+// minimum, OR the maximum and NOT the reflection kTriTrue - x.
 constexpr uint8_t kTriFalse = 0;
-constexpr uint8_t kTriTrue = 1;
-constexpr uint8_t kTriNull = 2;
+constexpr uint8_t kTriNull = 1;
+constexpr uint8_t kTriTrue = 2;
 
-/// EvalBool-style truthiness as tri-state (NULL stays distinguishable for
-/// leaf-comparison propagation; combinators coerce kTriNull to false).
+/// EvalBool-style truthiness as tri-state: NULL stays unknown, and only
+/// EvalBools, the filter's reading, turns it into false.
 uint8_t TruthyTri(const Value& v) {
   if (v.is_null()) return kTriNull;
   switch (v.type()) {
@@ -738,10 +740,10 @@ void EvalTri(const PNode& node, const ColumnBatch& batch,
       return;
     }
     case PNode::Op::kBetween: {
-      // v >= lo and v <= hi through the comparison kernel, so BETWEEN
+      // v >= lo AND v <= hi through the comparison kernel, so BETWEEN
       // agrees with its expansion and with BoundBetween on every value
-      // (NaN compares equal, as in Value::Compare); NULL when either
-      // comparison is NULL.
+      // (NaN compares equal, as in Value::Compare), NULLs under Kleene
+      // AND.
       ScalarOperand v, lo, hi;
       EvalScalar(*node.children[0], batch, &v);
       EvalScalar(*node.children[1], batch, &lo);
@@ -750,45 +752,30 @@ void EvalTri(const PNode& node, const ColumnBatch& batch,
       CompareOperands(v, lo, CompareOp::kGe, n, out);
       CompareOperands(v, hi, CompareOp::kLe, n, &upper);
       for (size_t i = 0; i < n; ++i) {
-        const uint8_t a = (*out)[i];
-        const uint8_t b = upper[i];
-        (*out)[i] = (a == kTriNull || b == kTriNull) ? kTriNull : (a & b);
+        (*out)[i] = std::min((*out)[i], upper[i]);
       }
       return;
     }
-    case PNode::Op::kAnd: {
-      out->assign(n, kTriTrue);
-      std::vector<uint8_t> child;
-      for (const auto& c : node.children) {
-        EvalTri(*c, batch, &child);
-        // EvalBool coercion at the combinator boundary: NULL children are
-        // false, and the AND result itself is never NULL.
-        for (size_t i = 0; i < n; ++i) {
-          (*out)[i] = ((*out)[i] == kTriTrue && child[i] == kTriTrue)
-                          ? kTriTrue
-                          : kTriFalse;
-        }
-      }
-      return;
-    }
+    case PNode::Op::kAnd:
     case PNode::Op::kOr: {
-      out->assign(n, kTriFalse);
+      const bool is_and = node.op == PNode::Op::kAnd;
+      out->assign(n, is_and ? kTriTrue : kTriFalse);
       std::vector<uint8_t> child;
       for (const auto& c : node.children) {
         EvalTri(*c, batch, &child);
-        for (size_t i = 0; i < n; ++i) {
-          (*out)[i] = ((*out)[i] == kTriTrue || child[i] == kTriTrue)
-                          ? kTriTrue
-                          : kTriFalse;
+        uint8_t* o = out->data();
+        if (is_and) {
+          for (size_t i = 0; i < n; ++i) o[i] = std::min(o[i], child[i]);
+        } else {
+          for (size_t i = 0; i < n; ++i) o[i] = std::max(o[i], child[i]);
         }
       }
       return;
     }
     case PNode::Op::kNot: {
       EvalTri(*node.children[0], batch, out);
-      // NOT(EvalBool(x)): NULL coerces to false first, so NOT(NULL) = true.
       for (size_t i = 0; i < n; ++i) {
-        (*out)[i] = (*out)[i] == kTriTrue ? kTriFalse : kTriTrue;
+        (*out)[i] = static_cast<uint8_t>(kTriTrue - (*out)[i]);
       }
       return;
     }

@@ -1,5 +1,6 @@
 #include "plan/expr.h"
 
+#include <optional>
 #include <sstream>
 
 #include "plan/udf.h"
@@ -114,9 +115,12 @@ ExprPtr CombineConjuncts(std::vector<ExprPtr> conjuncts) {
   return And(std::move(conjuncts));
 }
 
-bool BoundExpr::EvalBool(const Row& row) const {
-  Value v = Eval(row);
-  if (v.is_null()) return false;
+namespace {
+
+/// SQL truth value of `v`: NULL is unknown (nullopt); a bool is itself, a
+/// number is true when non-zero and anything else is false.
+std::optional<bool> TruthOf(const Value& v) {
+  if (v.is_null()) return std::nullopt;
   switch (v.type()) {
     case ValueType::kBool:
       return v.AsBool();
@@ -127,6 +131,12 @@ bool BoundExpr::EvalBool(const Row& row) const {
     default:
       return false;
   }
+}
+
+}  // namespace
+
+bool BoundExpr::EvalBool(const Row& row) const {
+  return TruthOf(Eval(row)).value_or(false);
 }
 
 namespace {
@@ -195,11 +205,16 @@ class BoundBetween : public BoundExpr {
   BoundBetween(BoundExprPtr in, BoundExprPtr lo, BoundExprPtr hi)
       : input_(std::move(in)), lo_(std::move(lo)), hi_(std::move(hi)) {}
   Value Eval(const Row& row) const override {
+    // v >= lo AND v <= hi under Kleene AND: a NULL bound is unknown, but
+    // the other bound can still make the whole FALSE.
     Value v = input_->Eval(row);
     Value lo = lo_->Eval(row);
     Value hi = hi_->Eval(row);
-    if (v.is_null() || lo.is_null() || hi.is_null()) return Value::Null();
-    return Value(v >= lo && v <= hi);
+    if (v.is_null()) return Value::Null();
+    if (!lo.is_null() && !(v >= lo)) return Value(false);
+    if (!hi.is_null() && !(v <= hi)) return Value(false);
+    if (lo.is_null() || hi.is_null()) return Value::Null();
+    return Value(true);
   }
 
  private:
@@ -212,11 +227,18 @@ class BoundAnd : public BoundExpr {
  public:
   explicit BoundAnd(std::vector<BoundExprPtr> children)
       : children_(std::move(children)) {}
+  /// Kleene AND: FALSE if any child is FALSE, else NULL if any is NULL.
   Value Eval(const Row& row) const override {
+    bool unknown = false;
     for (const auto& child : children_) {
-      if (!child->EvalBool(row)) return Value(false);
+      const std::optional<bool> t = TruthOf(child->Eval(row));
+      if (!t.has_value()) {
+        unknown = true;
+      } else if (!*t) {
+        return Value(false);
+      }
     }
-    return Value(true);
+    return unknown ? Value::Null() : Value(true);
   }
 
  private:
@@ -227,11 +249,18 @@ class BoundOr : public BoundExpr {
  public:
   explicit BoundOr(std::vector<BoundExprPtr> children)
       : children_(std::move(children)) {}
+  /// Kleene OR: TRUE if any child is TRUE, else NULL if any is NULL.
   Value Eval(const Row& row) const override {
+    bool unknown = false;
     for (const auto& child : children_) {
-      if (child->EvalBool(row)) return Value(true);
+      const std::optional<bool> t = TruthOf(child->Eval(row));
+      if (!t.has_value()) {
+        unknown = true;
+      } else if (*t) {
+        return Value(true);
+      }
     }
-    return Value(false);
+    return unknown ? Value::Null() : Value(false);
   }
 
  private:
@@ -241,8 +270,10 @@ class BoundOr : public BoundExpr {
 class BoundNot : public BoundExpr {
  public:
   explicit BoundNot(BoundExprPtr child) : child_(std::move(child)) {}
+  /// NOT NULL is NULL.
   Value Eval(const Row& row) const override {
-    return Value(!child_->EvalBool(row));
+    const std::optional<bool> t = TruthOf(child_->Eval(row));
+    return t.has_value() ? Value(!*t) : Value::Null();
   }
 
  private:

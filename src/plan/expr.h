@@ -229,6 +229,9 @@ ExprPtr CombineConjuncts(std::vector<ExprPtr> conjuncts);
 
 /// Compiled expression: column references resolved to row slots, parameters
 /// substituted, UDFs resolved to callables. Evaluation is row-at-a-time.
+/// NOT, AND, OR and BETWEEN follow SQL's three-valued (Kleene) logic, so a
+/// NULL operand can leave them NULL; only EvalBool, a filter's reading,
+/// turns NULL into false.
 class BoundExpr {
  public:
   virtual ~BoundExpr() = default;

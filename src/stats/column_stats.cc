@@ -53,10 +53,11 @@ std::string ColumnStatsSnapshot::ToString() const {
   return os.str();
 }
 
-ColumnStatsBuilder::ColumnStatsBuilder(const StatsOptions& options)
-    : options_(options),
-      gk_(options.gk_epsilon),
-      hll_(options.hll_precision) {}
+ColumnStatsBuilder::ColumnStatsBuilder(const StatsOptions& options,
+                                       Quantiles quantiles)
+    : options_(options), hll_(options.hll_precision) {
+  if (quantiles == Quantiles::kCollect) gk_.emplace(options.gk_epsilon);
+}
 
 void ColumnStatsBuilder::Add(const Value& v) {
   ++count_;
@@ -67,7 +68,7 @@ void ColumnStatsBuilder::Add(const Value& v) {
   if (min_value_.is_null() || v < min_value_) min_value_ = v;
   if (max_value_.is_null() || v > max_value_) max_value_ = v;
   hll_.Add(v.Hash());
-  gk_.Insert(v.NumericKey());
+  if (gk_) gk_->Insert(v.NumericKey());
 }
 
 namespace {
@@ -75,12 +76,12 @@ namespace {
 // GK keys are handed to the sketch this many at a time.
 constexpr size_t kKeyBatch = 256;
 
-// Calls add(i) for each valid selected row i, in order, and inserts the GK
-// keys it returns into `gk`; returns the number of NULL rows.
-template <typename AddRow>
-uint64_t AddValidRows(const ColumnRows& rows, GkQuantileSketch* gk,
-                      AddRow&& add) {
-  double keys[kKeyBatch] = {};
+// Calls add(i) for each valid selected row i, in order, and, when kKeys,
+// inserts the GK keys it returns into `gk`; returns the number of NULL rows.
+template <bool kKeys, typename AddRow>
+uint64_t ScanValidRows(const ColumnRows& rows, GkQuantileSketch* gk,
+                       AddRow&& add) {
+  double keys[kKeys ? kKeyBatch : 1] = {};
   size_t num_keys = 0;
   uint64_t nulls = 0;
   for (size_t k = 0; k < rows.n; ++k) {
@@ -89,13 +90,16 @@ uint64_t AddValidRows(const ColumnRows& rows, GkQuantileSketch* gk,
       ++nulls;
       continue;
     }
-    keys[num_keys++] = add(i);
-    if (num_keys == kKeyBatch) {
-      gk->Insert(keys, num_keys);
-      num_keys = 0;
+    const double key = add(i);
+    if constexpr (kKeys) {
+      keys[num_keys++] = key;
+      if (num_keys == kKeyBatch) {
+        gk->Insert(keys, num_keys);
+        num_keys = 0;
+      }
     }
   }
-  gk->Insert(keys, num_keys);
+  if constexpr (kKeys) gk->Insert(keys, num_keys);
   return nulls;
 }
 
@@ -126,6 +130,13 @@ constexpr size_t kNoRow = static_cast<size_t>(-1);
 
 }  // namespace
 
+template <typename AddRow>
+uint64_t ColumnStatsBuilder::AddValidRows(const ColumnRows& rows,
+                                          AddRow&& add) {
+  return gk_ ? ScanValidRows<true>(rows, &*gk_, add)
+             : ScanValidRows<false>(rows, nullptr, add);
+}
+
 template <typename Column>
 void ColumnStatsBuilder::AddNumbers(const Column& column,
                                     const ColumnRows& rows) {
@@ -139,7 +150,7 @@ void ColumnStatsBuilder::AddNumbers(const Column& column,
   double hi = has_max ? max_value_.NumericKey() : 0.0;
   size_t lo_row = kNoRow;
   size_t hi_row = kNoRow;
-  null_count_ += AddValidRows(rows, &gk_, [&](size_t i) {
+  null_count_ += AddValidRows(rows, [&](size_t i) {
     const double x = column.Key(i);
     if (!has_min || x < lo) {
       lo = x;
@@ -189,7 +200,7 @@ void ColumnStatsBuilder::AddStrings(const uint32_t* codes,
                               : nullptr;
   bool lo_moved = false;
   bool hi_moved = false;
-  null_count_ += AddValidRows(rows, &gk_, [&](size_t i) {
+  null_count_ += AddValidRows(rows, [&](size_t i) {
     const uint32_t code = codes[i];
     const std::string& s = entries[code];
     if (!min_is_number && (lo == nullptr || s.compare(*lo) < 0)) {
@@ -220,7 +231,11 @@ void ColumnStatsBuilder::Merge(const ColumnStatsBuilder& other) {
     max_value_ = other.max_value_;
   }
   hll_.Merge(other.hll_);
-  gk_.Merge(other.gk_);
+  if (gk_ && other.gk_) {
+    gk_->Merge(*other.gk_);
+  } else {
+    gk_.reset();
+  }
 }
 
 ColumnStatsSnapshot ColumnStatsBuilder::Finalize() const {
@@ -234,8 +249,10 @@ ColumnStatsSnapshot ColumnStatsBuilder::Finalize() const {
   }
   snap.min_value = min_value_;
   snap.max_value = max_value_;
-  snap.histogram =
-      EquiHeightHistogram::FromSketch(gk_, options_.histogram_buckets);
+  if (gk_) {
+    snap.histogram =
+        EquiHeightHistogram::FromSketch(*gk_, options_.histogram_buckets);
+  }
   return snap;
 }
 

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <string>
 
 #include "common/status.h"
@@ -29,9 +30,18 @@ struct StatsOptions {
 /// here, before any sketch is built.
 Status ValidateStatsOptions(const StatsOptions& options);
 
+/// Whether a statistics builder keeps a Greenwald–Khanna sketch for the
+/// equi-height histogram. Base tables collect quantiles; re-optimization
+/// points skip them, because the planner reads an intermediate's counts,
+/// bounds and HLL ndv but never its histogram (an intermediate's alias
+/// carries no local predicate), and an empty histogram estimates a range at
+/// Selinger's 1/3.
+enum class Quantiles { kCollect, kSkip };
+
 /// Finalized, immutable per-column statistics snapshot used by the
 /// optimizer: distinct count (HLL), value range, and an equi-height
-/// histogram for range selectivity.
+/// histogram for range selectivity (empty when built with
+/// Quantiles::kSkip).
 struct ColumnStatsSnapshot {
   uint64_t count = 0;
   uint64_t null_count = 0;
@@ -72,7 +82,10 @@ struct ColumnRows {
 /// per call.
 class ColumnStatsBuilder {
  public:
-  explicit ColumnStatsBuilder(const StatsOptions& options = StatsOptions());
+  /// With Quantiles::kSkip no GK sketch exists: values feed only the
+  /// counts, bounds and HLL, and Finalize leaves the histogram empty.
+  explicit ColumnStatsBuilder(const StatsOptions& options = StatsOptions(),
+                              Quantiles quantiles = Quantiles::kCollect);
 
   /// One value: the row-at-a-time oracle the typed bulk adds must match
   /// (TableStatsBuilder::AddRow and the tests).
@@ -85,6 +98,7 @@ class ColumnStatsBuilder {
   /// HashString is hashes[codes[i]].
   void AddStrings(const uint32_t* codes, const std::string* entries,
                   const uint64_t* hashes, const ColumnRows& rows);
+  /// The merge keeps a GK sketch only when both sides have one.
   void Merge(const ColumnStatsBuilder& other);
   ColumnStatsSnapshot Finalize() const;
 
@@ -93,13 +107,17 @@ class ColumnStatsBuilder {
  private:
   template <typename Column>
   void AddNumbers(const Column& column, const ColumnRows& rows);
+  /// Calls add(i) for each valid selected row i and inserts the GK keys it
+  /// returns, when there is a sketch; returns the number of NULL rows.
+  template <typename AddRow>
+  uint64_t AddValidRows(const ColumnRows& rows, AddRow&& add);
 
   StatsOptions options_;
   uint64_t count_ = 0;
   uint64_t null_count_ = 0;
   Value min_value_;
   Value max_value_;
-  GkQuantileSketch gk_;
+  std::optional<GkQuantileSketch> gk_;  ///< Empty under Quantiles::kSkip.
   HyperLogLog hll_;
 };
 

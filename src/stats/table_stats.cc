@@ -22,13 +22,14 @@ std::string TableStats::ToString() const {
 
 TableStatsBuilder::TableStatsBuilder(std::vector<std::string> column_names,
                                      std::vector<int> column_indices,
-                                     const StatsOptions& options)
+                                     const StatsOptions& options,
+                                     Quantiles quantiles)
     : column_names_(std::move(column_names)),
       column_indices_(std::move(column_indices)) {
   DYNOPT_CHECK(column_names_.size() == column_indices_.size());
   builders_.reserve(column_names_.size());
   for (size_t i = 0; i < column_names_.size(); ++i) {
-    builders_.emplace_back(options);
+    builders_.emplace_back(options, quantiles);
   }
 }
 

@@ -36,10 +36,12 @@ struct TableStats {
 /// column's values in row order through column(i).
 class TableStatsBuilder {
  public:
-  /// `column_names[i]` is collected from row position `column_indices[i]`.
+  /// `column_names[i]` is collected from row position `column_indices[i]`;
+  /// `quantiles` applies to every column.
   TableStatsBuilder(std::vector<std::string> column_names,
                     std::vector<int> column_indices,
-                    const StatsOptions& options = StatsOptions());
+                    const StatsOptions& options = StatsOptions(),
+                    Quantiles quantiles = Quantiles::kCollect);
 
   void AddRow(const Row& row);
   /// Counts `rows` rows totalling `bytes` whose values the caller feeds

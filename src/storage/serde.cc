@@ -1,5 +1,6 @@
 #include "storage/serde.h"
 
+#include <bit>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -13,8 +14,8 @@ namespace dynopt {
 
 namespace {
 
-/// "DRB3": Dynopt Row Batches, format version 3.
-constexpr char kMagic[4] = {'D', 'R', 'B', '3'};
+/// "DRB4": Dynopt Row Batches, format version 4.
+constexpr char kMagic[4] = {'D', 'R', 'B', '4'};
 /// The magic and the fixed64 payload checksum.
 constexpr size_t kHeaderSize = sizeof(kMagic) + 8;
 
@@ -70,7 +71,7 @@ std::string EncodeBatches(const std::vector<ColumnBatch>& batches) {
     AppendArray(batch.row_sizes.data(), batch.num_rows, &out);
   }
   uint64_t checksum =
-      HashBytes(out.data() + kHeaderSize, out.size() - kHeaderSize);
+      BatchFileChecksum(out.data() + kHeaderSize, out.size() - kHeaderSize);
   for (size_t i = 0; i < 8; ++i) {
     out[sizeof(kMagic) + i] = static_cast<char>(checksum & 0xff);
     checksum >>= 8;
@@ -175,7 +176,7 @@ Result<std::vector<ColumnBatch>> DecodeBatches(const char* data, size_t size) {
                     static_cast<uint8_t>(data[sizeof(kMagic) + i]))
                 << (8 * i);
   }
-  if (HashBytes(data + kHeaderSize, size - kHeaderSize) != checksum) {
+  if (BatchFileChecksum(data + kHeaderSize, size - kHeaderSize) != checksum) {
     return Corrupt("batch file checksum mismatch");
   }
   PayloadReader in(data + kHeaderSize, size - kHeaderSize);
@@ -205,6 +206,30 @@ Result<std::vector<ColumnBatch>> DecodeBatches(const char* data, size_t size) {
 }
 
 }  // namespace
+
+uint64_t BatchFileChecksum(const void* data, size_t len) {
+  // Odd multipliers, so that multiplying is a bijection mod 2^64.
+  constexpr uint64_t kWordMul = 0x9fb21c651e98df25ULL;
+  constexpr uint64_t kStateMul = 0xc2b2ae3d27d4eb4fULL;
+  const auto* p = static_cast<const unsigned char*>(data);
+  uint64_t h = Mix64(len);
+  // For a fixed state the step is a bijection of the word, and for a fixed
+  // word a bijection of the state, so changing any one word changes the
+  // result.
+  auto fold = [&h](uint64_t word) {
+    h = std::rotl(h ^ (word * kWordMul), 29) * kStateMul;
+  };
+  size_t i = 0;
+  for (; i + 8 <= len; i += 8) {
+    uint64_t word;
+    std::memcpy(&word, p + i, 8);
+    fold(word);
+  }
+  uint64_t tail = 0;
+  std::memcpy(&tail, p + i, len - i);
+  fold(tail);
+  return Mix64(h);
+}
 
 Status WriteBatchesFile(const std::string& path,
                         const std::vector<ColumnBatch>& batches) {

@@ -13,14 +13,21 @@ namespace dynopt {
 /// Batch files: the on-disk form of materialized intermediates (the
 /// paper's system stores each re-optimization point's output "in a
 /// temporary file") and of grace-join spill partitions. A file holds whole
-/// column batches: the magic "DRB3", a fixed64 HashBytes checksum of the
-/// payload, then the payload — a varint batch count and per batch a varint
+/// column batches: the magic "DRB4", a fixed64 BatchFileChecksum of the
+/// payload (DRB3 had the same layout under byte-serial HashBytes), then
+/// the payload — a varint batch count and per batch a varint
 /// row count, a varint column count, per column a kind byte, a validity
 /// flag byte (plus one validity byte per row when set) and the typed
 /// payload (8 bytes per int64 or double row, 1 per bool row, a varint
 /// length and the bytes per non-NULL string row), and finally 8 bytes of
 /// row size per row. Arrays are copied in host byte order: only the
 /// process that wrote a file reads it, and it removes the file after.
+
+/// The batch-file checksum of `len` payload bytes: each 8-byte word in host
+/// byte order, then the 0-7 tail bytes as one zero-padded word, folded by
+/// one bijective step per word into a state seeded from `len`, finalized
+/// by Mix64. A flipped byte changes one word and so the checksum.
+uint64_t BatchFileChecksum(const void* data, size_t len);
 
 /// Writes `batches` to `path`, overwriting. A failed open or short write
 /// is kExecutionError.

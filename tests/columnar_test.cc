@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <limits>
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
@@ -609,7 +611,7 @@ TEST_F(ColumnarParityTest, FilterPredicateZoo) {
       // String comparisons against constants (dictionary fast path).
       Eq(Col("a", "name"), Lit(Value(std::string("s0")))),
       Cmp(CompareOp::kGt, Col("a", "name"), Lit(Value(std::string("s2")))),
-      // NULL-propagating leaves under EvalBool coercion.
+      // NULL-propagating leaves; only the filter reads NULL as false.
       Eq(Col("a", "k"), Lit(Value::Null())),
       // AND/OR/NOT trees over NULLable children.
       And({Cmp(CompareOp::kGe, Col("a", "k"), Lit(Value(10))),
@@ -667,6 +669,37 @@ TEST_F(ColumnarParityTest, FilterPredicateZoo) {
   for (const ExprPtr& pred : edge_predicates) {
     SCOPED_TRACE(pred->ToString());
     ExpectParity(*PlanNode::Filter(PlanNode::Scan("d", "d"), pred));
+  }
+
+  // NOT/AND/OR nests over NULLs under Kleene logic, against ids written out
+  // by hand, since the oracle evaluates with the same semantics. x > 2 is
+  // TRUE for ids {3, 5, 11}, NULL for 7 and FALSE elsewhere (NaN compares
+  // equal to everything).
+  const ExprPtr is_null = Eq(x, Lit(Value::Null()));
+  const ExprPtr gt2 = Cmp(CompareOp::kGt, x, Lit(Value(2)));
+  const std::vector<std::pair<ExprPtr, std::vector<int64_t>>> kleene = {
+      {Not(is_null), {}},
+      {Not(Not(is_null)), {}},
+      {Not(between(Value::Null(), Value(2))), {3, 5, 11}},
+      {Not(between(Value(1), Value::Null())), {1, 2, 4, 6}},
+      {Or({is_null, gt2}), {3, 5, 11}},
+      {Not(Or({is_null, gt2})), {}},
+      {Not(And({is_null, gt2})), {0, 1, 2, 4, 6, 8, 9, 10}},
+      {And({Not(is_null), gt2}), {}},
+      {Or({is_null, Not(Cmp(CompareOp::kLt, x, Lit(Value(1))))}),
+       {0, 3, 5, 8, 9, 10, 11}},
+      {Or({And({is_null, gt2}), Eq(x, Lit(Value(1.5)))}), {0, 10}},
+  };
+  for (const auto& [pred, want] : kleene) {
+    SCOPED_TRACE(pred->ToString());
+    JobResult result =
+        ExpectParity(*PlanNode::Filter(PlanNode::Scan("d", "d"), pred));
+    std::vector<int64_t> got;
+    for (const Row& row : result.data.GatherRows()) {
+      got.push_back(row[0].AsInt64());
+    }
+    std::sort(got.begin(), got.end());
+    EXPECT_EQ(got, want);
   }
 }
 

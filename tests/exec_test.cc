@@ -4,8 +4,10 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <sstream>
 #include <tuple>
 
+#include "common/hash.h"
 #include "common/random.h"
 #include "exec/engine.h"
 #include "exec/executor.h"
@@ -40,6 +42,18 @@ std::vector<Row> NaiveJoin(const std::vector<Row>& left,
   return out;
 }
 
+/// Type and exact payload of a Value, doubles as hexfloat.
+std::string ExactValueString(const Value& v) {
+  std::ostringstream os;
+  os << ValueTypeName(v.type()) << ':';
+  if (v.type() == ValueType::kDouble) {
+    os << std::hexfloat << v.AsDouble();
+  } else {
+    os << v.ToString();
+  }
+  return os.str();
+}
+
 /// Engine fixture with two joinable tables, configurable sizes and key
 /// skew.
 class ExecTest : public ::testing::Test {
@@ -68,6 +82,34 @@ class ExecTest : public ::testing::Test {
     }
     EXPECT_TRUE(engine_->catalog().RegisterTable(t).ok());
     return t;
+  }
+
+  /// A table with a column of every kind: `i` (int64) is never NULL, `d`
+  /// (double), `b` (bool) and `s` (string) are about 10 % NULL, and `z`
+  /// (int64) is always NULL.
+  void MakeKindTable(const std::string& name, int rows, uint64_t seed) {
+    auto t = std::make_shared<Table>(name,
+                                     Schema({{"i", ValueType::kInt64},
+                                             {"d", ValueType::kDouble},
+                                             {"b", ValueType::kBool},
+                                             {"s", ValueType::kString},
+                                             {"z", ValueType::kInt64}}),
+                                     engine_->cluster().num_nodes);
+    Rng rng(seed);
+    auto sometimes_null = [&](Value v) {
+      return rng.NextBool(0.1) ? Value::Null() : v;
+    };
+    for (int r = 0; r < rows; ++r) {
+      EXPECT_TRUE(
+          t->AppendRow(
+               {Value(rng.NextInt64(-500, 500)),
+                sometimes_null(Value(rng.NextDouble() * 100.0 - 50.0)),
+                sometimes_null(Value(rng.NextBool(0.3))),
+                sometimes_null(Value("s" + std::to_string(rng.NextUint64(300)))),
+                Value::Null()})
+              .ok());
+    }
+    EXPECT_TRUE(engine_->catalog().RegisterTable(t).ok());
   }
 
   Result<JobResult> Exec(const PlanNode& plan) {
@@ -580,6 +622,114 @@ TEST_F(ExecTest, MaterializeWithoutStatsStillRecordsCardinality) {
   const TableStats* stats = engine_->stats().Get(sink->table_name);
   ASSERT_NE(stats, nullptr);
   EXPECT_EQ(stats->row_count, 200u);
+}
+
+TEST_F(ExecTest, MaterializedStatsAreAQuantileBuildersWithoutHistogram) {
+  MakeKindTable("kinds", 3000, 61);
+  engine_->mutable_cluster().exec.max_batch_size = 128;
+  const std::vector<std::string> columns = {"a.i", "a.d", "a.b", "a.s",
+                                            "a.z"};
+  // Stored runs as they are, and batches the filter gathered through its
+  // selection.
+  for (bool filtered : {false, true}) {
+    std::unique_ptr<PlanNode> plan = PlanNode::Scan("kinds", "a");
+    if (filtered) {
+      plan = PlanNode::Filter(std::move(plan), Cmp(CompareOp::kGt,
+                                                   Col("a", "i"),
+                                                   Lit(Value(0))));
+    }
+    auto job = Exec(*plan);
+    ASSERT_TRUE(job.ok()) << job.status().ToString();
+    std::vector<int> slots;
+    for (const std::string& c : columns) {
+      slots.push_back(job->data.ColumnIndex(c));
+    }
+    TableStatsBuilder collecting(columns, slots);
+    for (const auto& part : job->data.partitions) {
+      for (const ColumnBatch& b : part) AddBatchToStats(b, &collecting);
+    }
+    const TableStats want = collecting.Finalize();
+    const uint64_t rows = job->data.NumRows();
+    const size_t parts = job->data.partitions.size();
+
+    JobExecutor executor = engine_->MakeExecutor();
+    ExecMetrics metrics;
+    auto sink = executor.Materialize(std::move(job->data), "kinds", columns,
+                                     true, &metrics);
+    ASSERT_TRUE(sink.ok()) << sink.status().ToString();
+    const TableStats* got = engine_->stats().Get(sink->table_name);
+    ASSERT_NE(got, nullptr);
+    EXPECT_EQ(got->row_count, rows);
+    for (const std::string& c : columns) {
+      SCOPED_TRACE(c + (filtered ? " filtered" : ""));
+      const ColumnStatsSnapshot& w = want.columns.at(c);
+      const ColumnStatsSnapshot* g = got->Column(c);
+      ASSERT_NE(g, nullptr);
+      EXPECT_EQ(g->count, w.count);
+      EXPECT_EQ(g->null_count, w.null_count);
+      EXPECT_EQ(g->ndv, w.ndv);
+      EXPECT_EQ(ExactValueString(g->min_value), ExactValueString(w.min_value));
+      EXPECT_EQ(ExactValueString(g->max_value), ExactValueString(w.max_value));
+      EXPECT_TRUE(g->histogram.empty());
+      EXPECT_EQ(w.histogram.empty(), c == "a.z");
+    }
+    // Simulated seconds still price GK + HLL per collected value.
+    EXPECT_DOUBLE_EQ(metrics.stats_seconds,
+                     static_cast<double>(rows * columns.size()) *
+                         engine_->cluster().stats_seconds_per_value /
+                         static_cast<double>(parts));
+  }
+}
+
+TEST_F(ExecTest, SkippingQuantilesKeepsCountsBoundsAndNdvThroughASelection) {
+  MakeKindTable("kinds", 2000, 63);
+  auto table = engine_->catalog().GetTable("kinds");
+  ASSERT_TRUE(table.ok());
+  for (size_t c = 0; c < 5; ++c) {
+    SCOPED_TRACE("column " + std::to_string(c));
+    ColumnStatsBuilder collecting;
+    ColumnStatsBuilder skipping(StatsOptions(), Quantiles::kSkip);
+    for (size_t p = 0; p < table.value()->num_partitions(); ++p) {
+      for (const ColumnBatch& run : table.value()->partition(p)) {
+        std::vector<uint32_t> odd;
+        for (uint32_t i = 1; i < run.num_rows; i += 2) odd.push_back(i);
+        AddColumnToStats(run.columns[c], odd.data(), odd.size(), &collecting);
+        AddColumnToStats(run.columns[c], odd.data(), odd.size(), &skipping);
+      }
+    }
+    const ColumnStatsSnapshot w = collecting.Finalize();
+    const ColumnStatsSnapshot g = skipping.Finalize();
+    EXPECT_GT(w.count, 0u);
+    EXPECT_EQ(g.count, w.count);
+    EXPECT_EQ(g.null_count, w.null_count);
+    EXPECT_EQ(g.ndv, w.ndv);
+    EXPECT_EQ(ExactValueString(g.min_value), ExactValueString(w.min_value));
+    EXPECT_EQ(ExactValueString(g.max_value), ExactValueString(w.max_value));
+    EXPECT_TRUE(g.histogram.empty());
+  }
+}
+
+TEST_F(ExecTest, BaseStatsKeepTheirQuantilesBitForBit) {
+  // CollectBaseStats still builds GK histograms: this fingerprint of its
+  // output (doubles as hexfloat) is the one the engine produced before
+  // re-optimization points stopped collecting quantiles.
+  MakeKindTable("kinds", 5000, 62);
+  ASSERT_TRUE(
+      engine_->CollectBaseStats("kinds", {"i", "d", "b", "s", "z"}).ok());
+  const TableStats* stats = engine_->stats().Get("kinds");
+  ASSERT_NE(stats, nullptr);
+  std::ostringstream os;
+  os << std::hexfloat << stats->row_count << ' ' << stats->total_bytes;
+  for (const auto& [name, c] : stats->columns) {
+    os << '|' << name << ' ' << c.count << ' ' << c.null_count << ' '
+       << c.ndv << ' ' << ExactValueString(c.min_value) << ' '
+       << ExactValueString(c.max_value) << ' ' << c.histogram.count();
+    for (double b : c.histogram.boundaries()) os << ' ' << b;
+  }
+  for (const char* name : {"i", "d", "b", "s"}) {
+    EXPECT_EQ(stats->Column(name)->histogram.num_buckets(), 64) << name;
+  }
+  EXPECT_EQ(HashString(os.str()), 0x0f7b9b0e8e7d3e2fULL) << os.str();
 }
 
 // --- Metrics ----------------------------------------------------------------------

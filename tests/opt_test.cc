@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 
 #include "common/random.h"
 #include "exec/engine.h"
@@ -392,6 +393,55 @@ TEST_F(OptTest, ReconstructMergesParallelEdges) {
                                        {"a.v", "a.b", "b.v"});
   ASSERT_EQ(out.joins.size(), 1u);
   EXPECT_EQ(out.joins[0].keys.size(), 2u);
+}
+
+TEST_F(OptTest, IntermediatesCarryNoLocalPredicates) {
+  // Re-optimization points skip quantiles because nothing estimates a local
+  // predicate on an intermediate: every rewrite drops the predicates of the
+  // aliases it replaces, so only the untouched aliases keep theirs.
+  QuerySpec spec = StarQuery();
+  for (const char* alias : {"f", "d1", "d2"}) {
+    spec.predicates.push_back(
+        {alias, Cmp(CompareOp::kLt, Col(alias, "v"), Lit(Value(50)))});
+    spec.predicates.push_back(
+        {alias, Cmp(CompareOp::kGe, Col(alias, "a"), Lit(Value(2)))});
+  }
+  auto aliases_with_predicates = [](const QuerySpec& q) {
+    std::set<std::string> out;
+    for (const LocalPredicate& p : q.predicates) out.insert(p.alias);
+    return out;
+  };
+  auto edge_between = [](const QuerySpec& q, const std::string& x,
+                         const std::string& y) {
+    for (const JoinEdge& e : q.joins) {
+      if (e.Involves(x) && e.Involves(y)) return e;
+    }
+    ADD_FAILURE() << "no edge " << x << "-" << y;
+    return JoinEdge{};
+  };
+  auto selectivity = [&](const QuerySpec& q, const std::string& alias) {
+    StatsView view(&q, &engine_->stats(), &engine_->catalog());
+    return CardinalityEstimator(&view).EstimatePredicateSelectivity(alias);
+  };
+
+  QuerySpec pushed =
+      ReplaceWithFiltered(spec, "d1", "__tmp_pd_0", {"d1.a", "d1.v"});
+  EXPECT_EQ(aliases_with_predicates(pushed),
+            (std::set<std::string>{"f", "d2"}));
+  EXPECT_EQ(selectivity(pushed, "d1"), 1.0);
+
+  QuerySpec joined = ReconstructAfterJoin(
+      pushed, edge_between(pushed, "f", "d1"), "__tmp_j_0", "__j0",
+      {"f.v", "d1.v", "f.b"});
+  EXPECT_EQ(aliases_with_predicates(joined), (std::set<std::string>{"d2"}));
+  EXPECT_TRUE(joined.PredicatesFor("__j0").empty());
+  EXPECT_EQ(selectivity(joined, "__j0"), 1.0);
+
+  QuerySpec last = ReconstructAfterJoin(
+      joined, edge_between(joined, "__j0", "d2"), "__tmp_j_1", "__j1",
+      {"f.v", "d1.v", "d2.v"});
+  EXPECT_TRUE(last.predicates.empty());
+  EXPECT_EQ(selectivity(last, "__j1"), 1.0);
 }
 
 // --- Plan builder -------------------------------------------------------------------

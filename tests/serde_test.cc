@@ -9,7 +9,6 @@
 #include <limits>
 #include <thread>
 
-#include "common/hash.h"
 #include "common/random.h"
 #include "exec/engine.h"
 #include "opt/dynamic_optimizer.h"
@@ -277,7 +276,7 @@ StatusCode ReadCode(const std::string& bytes) {
 
 /// `bytes` with its checksum recomputed, so only the parser can object.
 std::string Rechecksummed(std::string bytes) {
-  uint64_t h = HashBytes(bytes.data() + 12, bytes.size() - 12);
+  uint64_t h = BatchFileChecksum(bytes.data() + 12, bytes.size() - 12);
   for (size_t i = 0; i < 8; ++i, h >>= 8) bytes[4 + i] = static_cast<char>(h);
   return bytes;
 }
@@ -291,6 +290,27 @@ TEST(SerdeTest, EverySingleByteFlipIsDataCorruption) {
       bad[offset] = static_cast<char>(bad[offset] ^ mask);
       EXPECT_EQ(ReadCode(bad), StatusCode::kDataCorruption)
           << "offset " << offset << " mask " << mask;
+    }
+  }
+}
+
+TEST(SerdeTest, ChecksumSeesEveryByteFlipAtEveryLengthAndTail) {
+  // Lengths 0..40 cover whole words, each tail size, and both together.
+  Rng rng(7);
+  std::string bytes(40, '\0');
+  for (char& c : bytes) c = static_cast<char>(rng.NextUint64(256));
+  for (size_t len = 0; len <= bytes.size(); ++len) {
+    const uint64_t good = BatchFileChecksum(bytes.data(), len);
+    if (len > 0) {
+      EXPECT_NE(BatchFileChecksum(bytes.data(), len - 1), good) << len;
+    }
+    for (size_t offset = 0; offset < len; ++offset) {
+      for (unsigned mask : {0x01u, 0x80u, 0xffu}) {
+        std::string bad = bytes;
+        bad[offset] = static_cast<char>(bad[offset] ^ mask);
+        EXPECT_NE(BatchFileChecksum(bad.data(), len), good)
+            << "len " << len << " offset " << offset << " mask " << mask;
+      }
     }
   }
 }

@@ -1,16 +1,24 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "exec/engine.h"
 #include "exec/vector_kernels.h"
 #include "opt/dynamic_optimizer.h"
+#include "opt/ingres_optimizer.h"
+#include "opt/order_baselines.h"
+#include "opt/pilot_run_optimizer.h"
+#include "opt/sketch_optimizer.h"
+#include "opt/static_optimizer.h"
 #include "sql/binder.h"
 #include "sql/lexer.h"
 #include "sql/parser.h"
 #include "storage/catalog.h"
+#include "workloads/tpch.h"
 
 namespace dynopt {
 namespace {
@@ -284,6 +292,62 @@ TEST(ParserDepthTest, NestingPastTheLimitIsParseError) {
                 .status()
                 .code(),
             StatusCode::kParseError);
+}
+
+// --- Three-valued logic ---------------------------------------------------------
+
+TEST(ThreeValuedLogicTest, NotAndOrBetweenOverNullUnderEveryStrategy) {
+  // NOT NULL is NULL, FALSE AND NULL is FALSE, TRUE OR NULL is TRUE, and a
+  // filter keeps only TRUE rows. The expected key sets are written out by
+  // hand: the row oracle evaluates predicates with the same code.
+  Engine engine;
+  TpchOptions tpch;
+  tpch.sf = 0.01;
+  ASSERT_TRUE(LoadTpch(&engine, tpch).ok());
+  auto keys = [](int64_t lo, int64_t hi) {
+    std::vector<int64_t> out;
+    for (int64_t k = lo; k <= hi; ++k) out.push_back(k);
+    return out;
+  };
+  const std::vector<std::pair<std::string, std::vector<int64_t>>> cases = {
+      {"NOT (n_nationkey = NULL)", {}},
+      {"NOT (n_nationkey BETWEEN NULL AND 2)", keys(3, 24)},
+      {"NOT (n_nationkey BETWEEN 2 AND NULL)", keys(0, 1)},
+      {"n_nationkey BETWEEN NULL AND 2", {}},
+      {"n_nationkey = NULL OR n_nationkey < 3", keys(0, 2)},
+      {"NOT (n_nationkey = NULL OR n_nationkey > 2)", {}},
+      {"NOT (n_nationkey = NULL AND n_nationkey > 2)", keys(0, 2)},
+      {"NOT (NOT (n_nationkey = NULL))", {}},
+      {"NOT (n_nationkey < 3 AND (n_nationkey = NULL OR n_nationkey > 0))",
+       keys(3, 24)},
+  };
+  for (const auto& [where, want] : cases) {
+    SCOPED_TRACE(where);
+    auto query = ParseAndBind(
+        "SELECT n_nationkey FROM nation, region WHERE n_regionkey = "
+        "r_regionkey AND (" + where + ")",
+        engine.catalog());
+    ASSERT_TRUE(query.ok()) << query.status().ToString();
+    DynamicOptimizer dynamic(&engine);
+    auto hint = dynamic.Run(query.value());
+    ASSERT_TRUE(hint.ok()) << hint.status().ToString();
+    BestOrderOptimizer best(&engine, hint->join_tree);
+    StaticCostBasedOptimizer cost_based(&engine);
+    PilotRunOptimizer pilot(&engine);
+    IngresLikeOptimizer ingres(&engine);
+    WorstOrderOptimizer worst(&engine);
+    SketchDynamicOptimizer sketch(&engine);
+    for (Optimizer* opt : std::vector<Optimizer*>{
+             &dynamic, &best, &cost_based, &pilot, &ingres, &worst, &sketch}) {
+      auto result = opt->Run(query.value());
+      ASSERT_TRUE(result.ok()) << opt->name() << ": "
+                               << result.status().ToString();
+      std::vector<int64_t> got;
+      for (const Row& row : result->rows) got.push_back(row[0].AsInt64());
+      std::sort(got.begin(), got.end());
+      EXPECT_EQ(got, want) << opt->name();
+    }
+  }
 }
 
 class BinderTest : public ::testing::Test {

@@ -464,6 +464,28 @@ TEST(ColumnStatsTest, MergeMatchesSingleStream) {
   EXPECT_EQ(merged.max_value, single.max_value);
 }
 
+TEST(ColumnStatsTest, MergeKeepsQuantilesOnlyWhenBothSidesHaveThem) {
+  ColumnStatsBuilder full, also_full;
+  ColumnStatsBuilder skip(StatsOptions(), Quantiles::kSkip);
+  for (int i = 0; i < 1000; ++i) {
+    full.Add(Value(i));
+    also_full.Add(Value(i + 1000));
+    skip.Add(Value(i + 2000));
+  }
+  ColumnStatsBuilder both = full;
+  both.Merge(also_full);
+  EXPECT_EQ(both.Finalize().histogram.count(), 2000u);
+  ColumnStatsBuilder mixed = full;
+  mixed.Merge(skip);
+  const ColumnStatsSnapshot snap = mixed.Finalize();
+  EXPECT_EQ(snap.count, 2000u);
+  EXPECT_EQ(snap.max_value, Value(2999));
+  EXPECT_TRUE(snap.histogram.empty());
+  // Without a histogram a range estimates at Selinger's 1/3.
+  EXPECT_DOUBLE_EQ(snap.EstimateRangeSelectivity(Value(0), Value(10)),
+                   1.0 / 3.0);
+}
+
 TEST(StatsOptionsTest, OutOfRangeFieldsAreNamed) {
   EXPECT_TRUE(ValidateStatsOptions(StatsOptions()).ok());
   auto code_and_field = [](StatsOptions options, const char* field) {

@@ -35,11 +35,8 @@
 #include "bench/harness.h"
 #include "common/logging.h"
 #include "opt/dynamic_optimizer.h"
-#include "opt/ingres_optimizer.h"
-#include "opt/order_baselines.h"
-#include "opt/pilot_run_optimizer.h"
 #include "opt/recovery.h"
-#include "opt/static_optimizer.h"
+#include "opt/strategies.h"
 
 namespace dynopt {
 namespace bench {
@@ -47,25 +44,6 @@ namespace {
 
 const char* const kFaultQueries[] = {"q17", "q9"};
 const double kFailureRates[] = {0.0, 0.02, 0.05, 0.1, 0.2};
-
-std::unique_ptr<Optimizer> MakeOptimizer(
-    Engine* engine, const std::string& name,
-    std::shared_ptr<const JoinTree> best_order_hint) {
-  if (name == "dynamic") return std::make_unique<DynamicOptimizer>(engine);
-  if (name == "cost-based") {
-    return std::make_unique<StaticCostBasedOptimizer>(engine);
-  }
-  if (name == "worst-order") {
-    return std::make_unique<WorstOrderOptimizer>(engine);
-  }
-  if (name == "pilot-run") return std::make_unique<PilotRunOptimizer>(engine);
-  if (name == "ingres-like") {
-    return std::make_unique<IngresLikeOptimizer>(engine);
-  }
-  DYNOPT_CHECK(name == "best-order");
-  return std::make_unique<BestOrderOptimizer>(engine,
-                                              std::move(best_order_hint));
-}
 
 /// Fault-free reference for one query: the result set every faulted run
 /// must still produce, and the dynamic join order used as the best-order
@@ -104,7 +82,9 @@ void Arm(Engine* engine, FaultInjectionConfig cfg) {
 int CountStages(Engine* engine, const std::string& name, const Reference& ref,
                 const QuerySpec& query) {
   Arm(engine, FaultInjectionConfig());
-  auto result = MakeOptimizer(engine, name, ref.tree)->Run(query);
+  auto optimizer =
+      MakeOptimizer(engine, name, PlannerOptions(), ref.tree).value();
+  auto result = optimizer->Run(query);
   DYNOPT_CHECK(result.ok());
   const int stages = engine->fault_injector()->stages_started();
   engine->DisarmFaultInjection();
@@ -217,7 +197,8 @@ SingleFailureRow MeasureRecoveredFailure(Engine* engine, const Reference& ref,
   cfg.fail_query_at_stage = fail_at;
   Arm(engine, cfg);
 
-  auto optimizer = MakeOptimizer(engine, name, ref.tree);
+  auto optimizer =
+      MakeOptimizer(engine, name, PlannerOptions(), ref.tree).value();
   RecoveryReport report;
   auto result = RunWithRecovery(optimizer.get(), engine, query,
                                 RecoveryPolicy(), &report);
@@ -255,7 +236,8 @@ RateSweepRow MeasureRate(Engine* engine, const Reference& ref,
   engine->mutable_cluster().materialize_to_disk = rate > 0;
   Arm(engine, cfg);
 
-  auto optimizer = MakeOptimizer(engine, name, ref.tree);
+  auto optimizer =
+      MakeOptimizer(engine, name, PlannerOptions(), ref.tree).value();
   RecoveryReport report;
   auto result = RunWithRecovery(optimizer.get(), engine, query,
                                 RecoveryPolicy(), &report);
@@ -321,7 +303,9 @@ int Main(int argc, char** argv) {
     Baseline baselines[6];
     for (size_t o = 0; o < 6; ++o) {
       const std::string name = kOptimizers[o];
-      auto result = MakeOptimizer(engine, name, ref.tree)->Run(query);
+      auto optimizer =
+          MakeOptimizer(engine, name, PlannerOptions(), ref.tree).value();
+      auto result = optimizer->Run(query);
       DYNOPT_CHECK(result.ok());
       if (name == "dynamic") {
         ref.columns = result->columns;

@@ -31,10 +31,7 @@
 #include "common/logging.h"
 #include "common/query_context.h"
 #include "opt/dynamic_optimizer.h"
-#include "opt/ingres_optimizer.h"
-#include "opt/order_baselines.h"
-#include "opt/pilot_run_optimizer.h"
-#include "opt/static_optimizer.h"
+#include "opt/strategies.h"
 #include "storage/serde.h"
 
 namespace dynopt {
@@ -48,25 +45,6 @@ const char* const kMemoryQueries[] = {"q17", "q9"};
 /// bench scale (per-partition build sides shrink with the generator sf).
 const uint64_t kBudgets[] = {0,         256 * 1024, 128 * 1024, 64 * 1024,
                              32 * 1024, 8 * 1024,   2 * 1024};
-
-std::unique_ptr<Optimizer> MakeOptimizer(
-    Engine* engine, const std::string& name,
-    std::shared_ptr<const JoinTree> best_order_hint) {
-  if (name == "dynamic") return std::make_unique<DynamicOptimizer>(engine);
-  if (name == "cost-based") {
-    return std::make_unique<StaticCostBasedOptimizer>(engine);
-  }
-  if (name == "worst-order") {
-    return std::make_unique<WorstOrderOptimizer>(engine);
-  }
-  if (name == "pilot-run") return std::make_unique<PilotRunOptimizer>(engine);
-  if (name == "ingres-like") {
-    return std::make_unique<IngresLikeOptimizer>(engine);
-  }
-  DYNOPT_CHECK(name == "best-order");
-  return std::make_unique<BestOrderOptimizer>(engine,
-                                              std::move(best_order_hint));
-}
 
 struct Reference {
   std::vector<std::string> columns;
@@ -154,7 +132,8 @@ int Main(int argc, char** argv) {
       for (size_t o = 0; o < 6; ++o) {
         const std::string name = kOptimizers[o];
         QueryContext ctx(std::string(query_name) + "/" + name);
-        auto optimizer = MakeOptimizer(engine, name, ref.tree);
+        auto optimizer =
+            MakeOptimizer(engine, name, PlannerOptions(), ref.tree).value();
         optimizer->set_context(&ctx);
         auto result = optimizer->Run(query);
         DYNOPT_CHECK(result.ok());  // Degrade via spill, never refuse.

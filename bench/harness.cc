@@ -8,12 +8,7 @@
 #include <sstream>
 
 #include "common/logging.h"
-#include "opt/dynamic_optimizer.h"
-#include "opt/ingres_optimizer.h"
-#include "opt/order_baselines.h"
-#include "opt/pilot_run_optimizer.h"
-#include "opt/sketch_optimizer.h"
-#include "opt/static_optimizer.h"
+#include "opt/strategies.h"
 #include "workloads/tpcds.h"
 #include "workloads/tpch.h"
 
@@ -107,41 +102,8 @@ Result<OptimizerRunResult> RunStrategy(Engine* engine, int paper_sf,
 
   const std::string hint_key = query + "/" + std::to_string(paper_sf) + "/" +
                                (enable_inlj ? "inlj" : "plain");
-  if (optimizer_name == "dynamic") {
-    DynamicOptimizerOptions options;
-    options.planner = planner;
-    DynamicOptimizer optimizer(engine, options);
-    auto result = optimizer.Run(spec);
-    if (result.ok()) {
-      std::lock_guard<std::mutex> lock(g_mutex);
-      HintCache()[hint_key] = result->join_tree;
-    }
-    return result;
-  }
-  if (optimizer_name == "cost-based") {
-    StaticCostBasedOptimizer optimizer(engine, planner);
-    return optimizer.Run(spec);
-  }
-  if (optimizer_name == "worst-order") {
-    WorstOrderOptimizer optimizer(engine, planner);
-    return optimizer.Run(spec);
-  }
-  if (optimizer_name == "pilot-run") {
-    PilotRunOptions options;
-    options.planner = planner;
-    PilotRunOptimizer optimizer(engine, options);
-    return optimizer.Run(spec);
-  }
-  if (optimizer_name == "ingres-like") {
-    IngresLikeOptimizer optimizer(engine, planner);
-    return optimizer.Run(spec);
-  }
-  if (optimizer_name == "sketch-dynamic") {
-    SketchDynamicOptimizer optimizer(engine, planner);
-    return optimizer.Run(spec);
-  }
+  std::shared_ptr<const JoinTree> hint;
   if (optimizer_name == "best-order") {
-    std::shared_ptr<const JoinTree> hint;
     {
       std::lock_guard<std::mutex> lock(g_mutex);
       auto it = HintCache().find(hint_key);
@@ -149,18 +111,21 @@ Result<OptimizerRunResult> RunStrategy(Engine* engine, int paper_sf,
     }
     if (hint == nullptr) {
       // The "user" learns the optimal order from a dynamic run first.
-      DynamicOptimizerOptions options;
-      options.planner = planner;
-      DynamicOptimizer dynamic(engine, options);
-      DYNOPT_ASSIGN_OR_RETURN(OptimizerRunResult dyn, dynamic.Run(spec));
+      DYNOPT_ASSIGN_OR_RETURN(OptimizerRunResult dyn,
+                              RunStrategy(engine, paper_sf, "dynamic", query,
+                                          enable_inlj));
       hint = dyn.join_tree;
-      std::lock_guard<std::mutex> lock(g_mutex);
-      HintCache()[hint_key] = hint;
     }
-    BestOrderOptimizer optimizer(engine, hint);
-    return optimizer.Run(spec);
   }
-  return Status::InvalidArgument("unknown optimizer " + optimizer_name);
+  DYNOPT_ASSIGN_OR_RETURN(
+      std::unique_ptr<Optimizer> optimizer,
+      MakeOptimizer(engine, optimizer_name, planner, std::move(hint)));
+  auto result = optimizer->Run(spec);
+  if (optimizer_name == "dynamic" && result.ok()) {
+    std::lock_guard<std::mutex> lock(g_mutex);
+    HintCache()[hint_key] = result->join_tree;
+  }
+  return result;
 }
 
 Record MakeRecord(std::string figure, std::string query, int paper_sf,

@@ -8,7 +8,9 @@
 //   \tables            list catalog tables (including the sys.* virtual
 //                      tables of the live introspection plane)
 //   \opt NAME          switch optimizer: dynamic | cost-based |
-//                      sketch-dynamic | worst-order
+//                      pilot-run | ingres-like | sketch-dynamic |
+//                      worst-order (best-order needs a hint the shell
+//                      cannot give; an unknown name is refused)
 //   \explain SQL       show the DP plan with cardinality estimates
 //   \trace             toggle plan-trace printing
 //   \q                 quit
@@ -24,14 +26,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
+#include <memory>
 #include <string>
+#include <utility>
 
 #include "exec/engine.h"
-#include "opt/dynamic_optimizer.h"
 #include "opt/explain.h"
-#include "opt/order_baselines.h"
-#include "opt/sketch_optimizer.h"
-#include "opt/static_optimizer.h"
+#include "opt/strategies.h"
 #include "sql/binder.h"
 #include "sys/system_tables.h"
 #include "workloads/tpcds.h"
@@ -41,27 +42,14 @@ using namespace dynopt;
 
 namespace {
 
-void RunQuery(Engine* engine, const std::string& sql,
-              const std::string& optimizer_name, bool trace) {
+void RunQuery(Engine* engine, const std::string& sql, Optimizer* optimizer,
+              bool trace) {
   auto query = ParseAndBind(sql, engine->catalog());
   if (!query.ok()) {
     std::printf("error: %s\n", query.status().ToString().c_str());
     return;
   }
-  Result<OptimizerRunResult> result = Status::OK();
-  if (optimizer_name == "cost-based") {
-    StaticCostBasedOptimizer optimizer(engine);
-    result = optimizer.Run(query.value());
-  } else if (optimizer_name == "worst-order") {
-    WorstOrderOptimizer optimizer(engine);
-    result = optimizer.Run(query.value());
-  } else if (optimizer_name == "sketch-dynamic") {
-    SketchDynamicOptimizer optimizer(engine);
-    result = optimizer.Run(query.value());
-  } else {
-    DynamicOptimizer optimizer(engine);
-    result = optimizer.Run(query.value());
-  }
+  Result<OptimizerRunResult> result = optimizer->Run(query.value());
   if (!result.ok()) {
     std::printf("error: %s\n", result.status().ToString().c_str());
     return;
@@ -110,7 +98,8 @@ int main(int argc, char** argv) {
   std::printf("optimizer: dynamic. \\opt, \\tables, \\trace, \\q.\n");
   std::printf("introspection on: try SELECT * FROM sys.queries\n");
 
-  std::string optimizer = "dynamic";
+  std::unique_ptr<Optimizer> optimizer =
+      MakeOptimizer(&engine, "dynamic", PlannerOptions(), nullptr).value();
   bool trace = false;
   std::string line;
   while (true) {
@@ -134,8 +123,14 @@ int main(int argc, char** argv) {
       continue;
     }
     if (line.rfind("\\opt ", 0) == 0) {
-      optimizer = line.substr(5);
-      std::printf("optimizer: %s\n", optimizer.c_str());
+      auto made = MakeOptimizer(&engine, line.substr(5), PlannerOptions(),
+                                nullptr);
+      if (!made.ok()) {
+        std::printf("error: %s\n", made.status().ToString().c_str());
+        continue;
+      }
+      optimizer = std::move(made).value();
+      std::printf("optimizer: %s\n", optimizer->name().c_str());
       continue;
     }
     if (line.rfind("\\explain ", 0) == 0) {
@@ -152,7 +147,7 @@ int main(int argc, char** argv) {
       std::printf("%s", explained->c_str());
       continue;
     }
-    RunQuery(&engine, line, optimizer, trace);
+    RunQuery(&engine, line, optimizer.get(), trace);
   }
   return 0;
 }

@@ -2,6 +2,7 @@
 #define DYNOPT_EXEC_ENGINE_H_
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/memory_tracker.h"
@@ -27,7 +28,9 @@ namespace dynopt {
 class Engine {
  public:
   explicit Engine(const ClusterConfig& cluster = ClusterConfig())
-      : cluster_(cluster), pool_(0) {}
+      : cluster_(cluster), pool_(0) {
+    ExportQueryCounters(ExecMetrics(), &metrics_);
+  }
 
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
@@ -150,6 +153,15 @@ class Engine {
   /// Armed injector, or nullptr. Recovery policies read its aborted-work
   /// ledger to price restarts.
   FaultInjector* fault_injector() { return faults_.get(); }
+
+  /// Removes temp table `name` from the catalog together with its
+  /// statistics and join-key sketches; a name the catalog no longer holds
+  /// still loses its statistics and sketches.
+  void DropTempTable(const std::string& name) {
+    (void)catalog_.DropTable(name);
+    stats_.Remove(name);
+    sketches_.RemoveTable(name);
+  }
 
   /// Collects load-time ("upfront") statistics on `columns` of `table` and
   /// registers them with the StatsManager — the simulator's analogue of the

@@ -390,9 +390,6 @@ Status JobExecutor::ApplyFaults(FaultSite site,
   }
   metrics->num_retries += retries;
   metrics->speculative_executions += speculative;
-  registry_->counter("exec.retries")->Increment(retries);
-  registry_->counter("exec.speculative")
-      ->Increment(speculative);
   return Status::OK();
 }
 
@@ -418,7 +415,6 @@ Result<JobResult> JobExecutor::Execute(
     const PlanNode& root, const std::map<std::string, Value>& params) {
   DYNOPT_RETURN_IF_ERROR(config_status_);
   TraceSpan span("job", "job");
-  registry_->counter("exec.jobs")->Increment();
   JobResult result;
   result.metrics.num_jobs = 1;
   // The root's batches go out as they are — Materialize moves them into a
@@ -1030,9 +1026,6 @@ Result<ColumnarDataset> JobExecutor::JoinViews(
     }
     metrics->spilled_bytes += call_spilled_bytes;
     metrics->spill_partitions += call_spill_partitions;
-    registry_->counter("exec.spill_bytes")->Increment(call_spilled_bytes);
-    registry_->counter("exec.spill_partitions")
-        ->Increment(call_spill_partitions);
     metrics->simulated_seconds += max_spill_seconds;
     if (ctx_ != nullptr) {
       metrics->peak_memory_bytes =
@@ -1539,10 +1532,6 @@ Result<SinkResult> JobExecutor::Materialize(
       }
       metrics->num_retries += call_retries;
       metrics->corrupted_blocks += call_corrupted;
-      registry_->counter("exec.retries")
-          ->Increment(call_retries);
-      registry_->counter("exec.corrupted_blocks")
-          ->Increment(call_corrupted);
       if (extra > 0.0) {
         metrics->simulated_seconds += extra;
         metrics->recovery_seconds += extra;

@@ -2,6 +2,9 @@
 
 #include <iomanip>
 #include <sstream>
+#include <type_traits>
+
+#include "common/metrics_registry.h"
 
 namespace dynopt {
 
@@ -46,6 +49,20 @@ std::string MeteringDiff(const ExecMetrics& a, const ExecMetrics& b) {
       },
       a, b);
   return os.str();
+}
+
+void ExportQueryCounters(const ExecMetrics& metrics,
+                         MetricsRegistry* registry) {
+  VisitMetricFields(
+      [&](const MetricField& field, auto value) {
+        if constexpr (std::is_integral_v<decltype(value)>) {
+          if (field.merge == MetricMerge::kSum) {
+            registry->counter(std::string("query.") + field.name)
+                ->Increment(static_cast<uint64_t>(value));
+          }
+        }
+      },
+      metrics);
 }
 
 }  // namespace dynopt

@@ -6,6 +6,8 @@
 
 namespace dynopt {
 
+class MetricsRegistry;
+
 /// How ExecMetrics::Add() folds another value into a field.
 enum class MetricMerge {
   kSum,   ///< Work and seconds accumulate.
@@ -20,8 +22,9 @@ enum class MetricKind { kMetered, kHost };
 
 // The one declaration of every ExecMetrics field, as
 //   X(type, name, merge rule, kind)
-// Add(), ToString(), MeteringDiff(), the bench record JSON and the
-// sys.queries columns all iterate it, so a new counter is one entry here.
+// Add(), ToString(), MeteringDiff(), the bench record JSON, the
+// sys.queries columns and the registry export (ExportQueryCounters) all
+// iterate it, so a new counter is one entry here.
 //
 // The three *_seconds components after simulated_seconds decompose total
 // simulated time the way Figure 6 of the paper does: plain execution vs.
@@ -127,6 +130,14 @@ void VisitMetricFields(Fn&& fn, Metrics&&... metrics) {
 /// One "name: a != b" line, values exact, per deterministic (kMetered)
 /// field where `a` and `b` differ; empty when their metering is identical.
 std::string MeteringDiff(const ExecMetrics& a, const ExecMetrics& b);
+
+/// Adds one finished query's integral kSum fields to `registry`'s
+/// "query.<name>" counters, so the registry agrees with sys.queries and
+/// the work of a query that fails counts nowhere. The engine exports a
+/// zero ExecMetrics at construction, so every counter exists from the
+/// start.
+void ExportQueryCounters(const ExecMetrics& metrics,
+                         MetricsRegistry* registry);
 
 }  // namespace dynopt
 

@@ -26,7 +26,7 @@ struct PlanAlternative {
 /// One join-order/algorithm decision: what the optimizer chose at one
 /// decision point, what it estimated, and — back-patched once the subtree
 /// materializes — what actually came out, so per-decision q-error is
-/// computable. Logged by all six strategies.
+/// computable. Logged by all seven strategies.
 struct PlanDecision {
   int id = -1;            // index in the owning DecisionLog
   std::string point;      // "pushdown:d1", "reopt-2", "final", "initial-plan"

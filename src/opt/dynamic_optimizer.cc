@@ -1,58 +1,21 @@
 #include "opt/dynamic_optimizer.h"
 
 #include <algorithm>
+#include <optional>
 #include <set>
 #include <sstream>
 
-#include "common/metrics_registry.h"
 #include "opt/error_stats.h"
-#include "opt/finalize.h"
 #include "opt/plan_builder.h"
 #include "opt/query_run.h"
 #include "opt/reconstruction.h"
+#include "opt/static_execution.h"
 #include "opt/static_optimizer.h"
 #include "plan/analysis.h"
 
 namespace dynopt {
 
 namespace {
-
-/// Columns the materialized output of `edge` must carry: projections and
-/// keys of every *other* join edge provided by either joined side.
-std::vector<std::string> RequiredOutputColumns(const QuerySpec& spec,
-                                               const JoinEdge& edge) {
-  std::vector<std::string> out;
-  std::set<std::string> seen;
-  auto add = [&](const std::string& name) {
-    if (seen.insert(name).second) out.push_back(name);
-  };
-  const TableRef* left = spec.FindRef(edge.left_alias);
-  const TableRef* right = spec.FindRef(edge.right_alias);
-  for (const auto& proj : spec.projections) {
-    if (left->Provides(proj) || right->Provides(proj)) add(proj);
-  }
-  for (const auto& other : spec.joins) {
-    bool is_executed = (other.left_alias == edge.left_alias &&
-                        other.right_alias == edge.right_alias) ||
-                       (other.left_alias == edge.right_alias &&
-                        other.right_alias == edge.left_alias);
-    if (is_executed) continue;
-    for (const std::string& alias : {edge.left_alias, edge.right_alias}) {
-      if (!other.Involves(alias)) continue;
-      for (const auto& key : other.KeysOf(alias)) add(key);
-    }
-  }
-  // Degenerate case: nothing downstream needs this result's columns (can
-  // only happen for pathological projection-less queries); keep the join
-  // keys so the dataset is non-empty schema-wise.
-  if (out.empty()) {
-    for (const auto& [l, r] : edge.keys) {
-      add(l);
-      add(r);
-    }
-  }
-  return out;
-}
 
 /// Key columns of future joins among `available` — the "attributes that
 /// participate on subsequent join stages" the paper collects online
@@ -62,11 +25,10 @@ std::vector<std::string> FutureJoinKeyColumns(
     const std::vector<std::string>& available) {
   std::set<std::string> keys;
   for (const auto& other : spec.joins) {
-    bool is_executed = (other.left_alias == executed.left_alias &&
-                        other.right_alias == executed.right_alias) ||
-                       (other.left_alias == executed.right_alias &&
-                        other.right_alias == executed.left_alias);
-    if (is_executed) continue;
+    if (other.Involves(executed.left_alias) &&
+        other.Involves(executed.right_alias)) {
+      continue;  // The executed edge.
+    }
     for (const auto& [l, r] : other.keys) {
       keys.insert(l);
       keys.insert(r);
@@ -77,19 +39,6 @@ std::vector<std::string> FutureJoinKeyColumns(
     if (keys.count(col) > 0) out.push_back(col);
   }
   return out;
-}
-
-/// Replaces each leaf of `tree` by its recorded subtree over original
-/// aliases (used to report the effective join order).
-std::shared_ptr<const JoinTree> ExpandTree(
-    const std::shared_ptr<const JoinTree>& tree,
-    const std::map<std::string, std::shared_ptr<const JoinTree>>& subtrees) {
-  if (tree->IsLeaf()) {
-    auto it = subtrees.find(tree->alias);
-    return it != subtrees.end() ? it->second : tree;
-  }
-  return JoinTree::Join(ExpandTree(tree->left, subtrees),
-                        ExpandTree(tree->right, subtrees), tree->method);
 }
 
 }  // namespace
@@ -145,7 +94,7 @@ Result<OptimizerRunResult> DynamicOptimizer::RunFromState(
   last_checkpoint_.reset();
   // Fingerprints state.spec before push-down rewrites it, so a resumed run
   // keeps the fingerprint of the original query (via spec.base_tables).
-  QueryRun run(engine_, state.spec, options_.profile_label, ctx_);
+  QueryRun run(engine_, state.spec, name(), ctx_);
   JobExecutor executor = engine_->MakeExecutor(ctx_);
   std::ostringstream trace;
   trace << state.trace;
@@ -161,11 +110,7 @@ Result<OptimizerRunResult> DynamicOptimizer::RunFromState(
     bool armed = true;
     ~TempCleanup() {
       if (!armed) return;
-      for (const auto& name : *names) {
-        (void)engine->catalog().DropTable(name);
-        engine->stats().Remove(name);
-        engine->sketches().RemoveTable(name);
-      }
+      for (const auto& name : *names) engine->DropTempTable(name);
     }
   } cleanup{engine_, &state.temp_tables};
 
@@ -197,6 +142,26 @@ Result<OptimizerRunResult> DynamicOptimizer::RunFromState(
     return st;
   };
 
+  // Runs one stage's job and materializes its output as a temp table of
+  // `kind`, the stage's checkpoint. A failure in either step routes through
+  // fail_stage with the state as of the stage's start.
+  auto run_stage = [&](const PlanNode& plan, const char* kind,
+                       const std::vector<std::string>& stats_columns,
+                       bool collect_stats,
+                       const std::vector<std::string>* sketch_columns)
+      -> Result<SinkResult> {
+    DynamicCheckpoint stage_start = state;
+    auto job = executor.Execute(plan, state.spec.params);
+    if (!job.ok()) return fail_stage(job.status(), std::move(stage_start));
+    state.metrics.Add(job->metrics);
+    auto sink = executor.Materialize(
+        std::move(job->data), TempTablePrefix(ctx_, kind), stats_columns,
+        collect_stats, &state.metrics, sketch_columns);
+    if (!sink.ok()) return fail_stage(sink.status(), std::move(stage_start));
+    state.temp_tables.push_back(sink->table_name);
+    return sink;
+  };
+
   // ---- Risk-aware planning state (all knobs off by default) --------------
   // error_feedback: observed q-errors widen the selectivity confidence
   // interval for the *remaining* decisions and can buy extra
@@ -224,13 +189,23 @@ Result<OptimizerRunResult> DynamicOptimizer::RunFromState(
       f = std::max(f, observed);
     }
   };
-  // Stamps the dominant consumed prior onto a decision planned under the
-  // current risk, so EXPLAIN can name the prior that shaped the plan.
-  auto stamp_prior = [&](PlanDecision* d) {
-    if (err_store != nullptr && risk.prior_factor > 1.0) {
-      d->prior_key = risk.prior_key;
-      d->prior_factor = risk.prior_factor;
+  // A decision planned under the current risk (whose prior it carries),
+  // filled from `planned` when it is one planner step.
+  auto decision_for = [&](std::string point, std::string chosen,
+                          const PlannedJoin* planned) {
+    PlanDecision d;
+    d.point = std::move(point);
+    d.chosen = std::move(chosen);
+    StampPrior(err_store, risk, &d);
+    if (planned != nullptr) {
+      d.method = planned->method;
+      d.build_alias = planned->build_alias;
+      d.estimated_rows = planned->estimated_cardinality;
+      d.estimated_cost = planned->estimated_cost;
+      d.provenance = planned->provenance;
+      d.rejected = planned->rejected;
     }
+    return d;
   };
   // Base-table names for a subtree's alias set (store keys must outlive
   // this query's temp aliases).
@@ -271,14 +246,6 @@ Result<OptimizerRunResult> DynamicOptimizer::RunFromState(
       CardinalityEstimator pd_estimator(&pd_view,
                                         options_.planner.estimation);
       const double pd_est_rows = pd_estimator.EstimateFilteredSize(alias);
-      TraceSpan stage_span("pushdown:" + alias, "stage");
-      DynamicCheckpoint stage_start = state;
-      auto job_or = executor.Execute(*plan, state.spec.params);
-      if (!job_or.ok()) {
-        return fail_stage(job_or.status(), std::move(stage_start));
-      }
-      JobResult job = std::move(job_or).value();
-      state.metrics.Add(job.metrics);
       // Sketch the filtered table's join-key columns so later planning
       // rounds can estimate joins against it from Fast-AGMS rather than
       // formula (1).
@@ -293,16 +260,11 @@ Result<OptimizerRunResult> DynamicOptimizer::RunFromState(
           if (join_keys.count(col) > 0) sketch_cols.push_back(col);
         }
       }
-      auto sink_or =
-          executor.Materialize(std::move(job.data), TempPrefix("pushdown"), needed,
-                               options_.collect_online_stats,
-                               &state.metrics,
-                               sketch_cols.empty() ? nullptr : &sketch_cols);
-      if (!sink_or.ok()) {
-        return fail_stage(sink_or.status(), std::move(stage_start));
-      }
-      SinkResult sink = std::move(sink_or).value();
-      state.temp_tables.push_back(sink.table_name);
+      TraceSpan stage_span("pushdown:" + alias, "stage");
+      DYNOPT_ASSIGN_OR_RETURN(
+          SinkResult sink,
+          run_stage(*plan, "pushdown", needed, options_.collect_online_stats,
+                    sketch_cols.empty() ? nullptr : &sketch_cols));
       trace << "[pushdown] " << alias << " -> " << sink.table_name << " ("
             << sink.stats.row_count << " rows)\n";
       PlanDecision decision;
@@ -332,78 +294,20 @@ Result<OptimizerRunResult> DynamicOptimizer::RunFromState(
     state.pushdown_done = true;
   }
 
-  // Temp tables are dropped by the cleanup guard on scope exit (success
-  // and fatal failure alike).
-  auto finish = [&](OptimizerRunResult result) -> OptimizerRunResult {
-    // Persist what this query taught the error memory; a failed save only
-    // costs the lesson, never the query.
-    if (err_store != nullptr) (void)err_store->Save();
-    auto profile = std::make_shared<QueryProfile>();
-    profile->optimizer = options_.profile_label;
-    profile->decisions = state.decisions;
-    profile->subtree_actual_rows = state.subtree_actual_rows;
-    run.Finish(std::move(profile), state.prepaid, &result);
-    return result;
-  };
-
-  // ---- Figure-6 ablation: push-down only, then one static job -----------
-  if (options_.stop_after_pushdown) {
-    StatsView pd_view(&state.spec, &engine_->stats(), &engine_->catalog());
-    double dp_rows = -1;
-    double dp_cost = -1;
-    rebuild_risk();
-    DYNOPT_ASSIGN_OR_RETURN(
-        std::shared_ptr<const JoinTree> tree,
-        StaticCostBasedOptimizer::PlanWithDp(
-            state.spec, pd_view, engine_->cluster(), options_.planner,
-            &dp_rows, &dp_cost, use_risk ? &risk : nullptr));
-    DYNOPT_ASSIGN_OR_RETURN(std::unique_ptr<PlanNode> plan,
-                            BuildPhysicalPlan(state.spec, *tree, true));
-    auto job_or = executor.Execute(*plan, state.spec.params);
-    if (!job_or.ok()) return fail_stage(job_or.status(), state);
-    JobResult job = std::move(job_or).value();
-    OptimizerRunResult result;
-    result.metrics = state.metrics;
-    result.metrics.Add(job.metrics);
-    trace << "[pushdown-only] static plan: " << tree->ToString() << "\n";
-    PlanDecision decision;
-    decision.point = "static-rest";
-    decision.chosen = tree->ToString();
-    decision.estimated_rows = dp_rows;
-    decision.estimated_cost = dp_cost;
-    stamp_prior(&decision);
-    decision.actual_rows = static_cast<double>(job.data.NumRows());
-    if (err_store != nullptr) {
-      err_store->Record(
-          JoinErrorKey(base_tables_of(
-              ExpandTree(tree, state.subtrees)->Aliases())),
-          decision.QError());
-    }
-    state.decisions.Record(std::move(decision));
-    state.subtree_actual_rows[SubtreeKey(
-        ExpandTree(tree, state.subtrees)->Aliases())] = job.data.NumRows();
-    result.columns = job.data.columns;
-    result.rows = job.data.GatherRows();
-    DYNOPT_RETURN_IF_ERROR(
-        ApplyPostProcessing(state.spec, engine_->cluster(), &result));
-    result.join_tree = ExpandTree(tree, state.subtrees);
-    result.plan_trace = trace.str();
-    return finish(std::move(result));
-  }
-
   // ---- Stage 2: re-optimization loop (Algorithm 1 lines 11-15) ----------
-  // With error feedback on, a query whose observed q-error crossed the
-  // threshold earns extra rounds: instead of handing the final two joins to
-  // PlanRemaining on estimates it has already seen fail, it materializes
-  // one more join and plans the tail on exact counts. Statics never get
-  // this chance — it is the dynamic strategy's unique ability to buy
-  // information mid-query.
+  // The stop_after_pushdown ablation skips it. With error feedback on, a
+  // query whose observed q-error crossed the threshold earns extra rounds:
+  // instead of handing the final two joins to PlanRemaining on estimates
+  // it has already seen fail, it materializes one more join and plans the
+  // tail on exact counts. Statics never get this chance — it is the
+  // dynamic strategy's unique ability to buy information mid-query.
   auto extra_reopt_due = [&]() {
     return risk_cfg.error_feedback && state.spec.joins.size() == 2 &&
            state.extra_reopts < kMaxExtraReopts &&
            state.decisions.MaxQError() > kQErrorReoptThreshold;
   };
-  while (state.spec.joins.size() > 2 || extra_reopt_due()) {
+  while (!options_.stop_after_pushdown &&
+         (state.spec.joins.size() > 2 || extra_reopt_due())) {
     // Re-optimization point: the natural cancellation boundary (the paper's
     // materialization points are exactly where mid-query decisions — here,
     // stopping — are safe).
@@ -433,14 +337,6 @@ Result<OptimizerRunResult> DynamicOptimizer::RunFromState(
         RequiredOutputColumns(state.spec, planned.edge);
     auto plan = PlanNode::Project(std::move(join_plan), out_columns);
 
-    DynamicCheckpoint stage_start = state;
-    auto job_or = executor.Execute(*plan, state.spec.params);
-    if (!job_or.ok()) {
-      return fail_stage(job_or.status(), std::move(stage_start));
-    }
-    JobResult job = std::move(job_or).value();
-    state.metrics.Add(job.metrics);
-
     // Online statistics: only on attributes of subsequent join stages, and
     // skipped in the very last loop iteration (no further re-optimization
     // will consume them — Section 5.3).
@@ -453,15 +349,10 @@ Result<OptimizerRunResult> DynamicOptimizer::RunFromState(
     // PlanRemaining still estimates the final two joins, and Fast-AGMS on
     // the freshly materialized intermediate is exactly what sharpens it.
     bool sketch = options_.use_sketches && !stats_columns.empty();
-    auto sink_or = executor.Materialize(std::move(job.data), TempPrefix("join"),
-                                        stats_columns, collect,
-                                        &state.metrics,
-                                        sketch ? &stats_columns : nullptr);
-    if (!sink_or.ok()) {
-      return fail_stage(sink_or.status(), std::move(stage_start));
-    }
-    SinkResult sink = std::move(sink_or).value();
-    state.temp_tables.push_back(sink.table_name);
+    DYNOPT_ASSIGN_OR_RETURN(
+        SinkResult sink,
+        run_stage(*plan, "join", stats_columns, collect,
+                  sketch ? &stats_columns : nullptr));
 
     const int round = state.join_counter;
     std::string new_alias = "__j" + std::to_string(state.join_counter++);
@@ -472,16 +363,8 @@ Result<OptimizerRunResult> DynamicOptimizer::RunFromState(
         state.subtrees.at(build), state.subtrees.at(probe), planned.method);
     state.subtrees.erase(build);
     state.subtrees.erase(probe);
-    PlanDecision decision;
-    decision.point = "reopt-" + std::to_string(round);
-    decision.chosen = planned.ToString();
-    stamp_prior(&decision);
-    decision.method = planned.method;
-    decision.build_alias = planned.build_alias;
-    decision.estimated_rows = planned.estimated_cardinality;
-    decision.estimated_cost = planned.estimated_cost;
-    decision.provenance = planned.provenance;
-    decision.rejected = planned.rejected;
+    PlanDecision decision = decision_for(
+        "reopt-" + std::to_string(round), planned.ToString(), &planned);
     decision.actual_rows = static_cast<double>(sink.stats.row_count);
     if (err_store != nullptr) {
       err_store->Record(
@@ -498,9 +381,6 @@ Result<OptimizerRunResult> DynamicOptimizer::RunFromState(
       // and re-earns it, so it is neither lost nor double-counted.
       ++state.extra_reopts;
       state.metrics.error_reopt_triggers += 1;
-      engine_->metrics_registry()
-          .counter("opt.error_reopt_triggers")
-          ->Increment();
     }
     round_span.AddArg("actual_rows",
                       static_cast<double>(sink.stats.row_count));
@@ -515,77 +395,77 @@ Result<OptimizerRunResult> DynamicOptimizer::RunFromState(
   }
 
   // ---- Stage 3: final job (Algorithm 1 lines 17-18) ---------------------
-  DYNOPT_RETURN_IF_ERROR(CheckContext());
-  TraceSpan final_span("final", "stage");
-  StatsView view(&state.spec, &engine_->stats(), &engine_->catalog());
-  rebuild_risk();
-  Planner planner(&view, engine_->cluster(), options_.planner,
-                  use_risk ? &risk : nullptr,
-                  options_.use_sketches ? &engine_->sketches() : nullptr);
-  std::vector<PlannedJoin> final_steps;
-  DYNOPT_ASSIGN_OR_RETURN(std::shared_ptr<const JoinTree> final_tree,
-                          planner.PlanRemaining(&final_steps));
-  DYNOPT_ASSIGN_OR_RETURN(std::unique_ptr<PlanNode> final_plan,
-                          BuildPhysicalPlan(state.spec, *final_tree, true));
-  auto job_or = executor.Execute(*final_plan, state.spec.params);
-  if (!job_or.ok()) return fail_stage(job_or.status(), state);
-  JobResult job = std::move(job_or).value();
+  // The Figure-6 ablation (stop_after_pushdown) plans the whole rest of the
+  // query statically (DP over the refined statistics) instead. The job's
+  // output (before post-processing) is the actual for the last planning
+  // decision; the inner of a two-join tail never materializes separately,
+  // so it is logged estimate-only.
+  std::optional<TraceSpan> final_span;
+  std::shared_ptr<const JoinTree> final_tree;
+  std::vector<PlanDecision> final_decisions;
+  if (options_.stop_after_pushdown) {
+    StatsView view(&state.spec, &engine_->stats(), &engine_->catalog());
+    double dp_rows = -1;
+    double dp_cost = -1;
+    rebuild_risk();
+    DYNOPT_ASSIGN_OR_RETURN(
+        final_tree,
+        StaticCostBasedOptimizer::PlanWithDp(
+            state.spec, view, engine_->cluster(), options_.planner, &dp_rows,
+            &dp_cost, use_risk ? &risk : nullptr));
+    trace << "[pushdown-only] static plan: " << final_tree->ToString() << "\n";
+    final_decisions.push_back(
+        decision_for("static-rest", final_tree->ToString(), nullptr));
+    final_decisions.back().estimated_rows = dp_rows;
+    final_decisions.back().estimated_cost = dp_cost;
+  } else {
+    DYNOPT_RETURN_IF_ERROR(CheckContext());
+    final_span.emplace("final", "stage");
+    StatsView view(&state.spec, &engine_->stats(), &engine_->catalog());
+    rebuild_risk();
+    Planner planner(&view, engine_->cluster(), options_.planner,
+                    use_risk ? &risk : nullptr,
+                    options_.use_sketches ? &engine_->sketches() : nullptr);
+    std::vector<PlannedJoin> steps;
+    DYNOPT_ASSIGN_OR_RETURN(final_tree, planner.PlanRemaining(&steps));
+    trace << "[final] " << final_tree->ToString() << "\n";
+    if (steps.size() == 2) {
+      final_decisions.push_back(
+          decision_for("final-inner", steps[0].ToString(), &steps[0]));
+    }
+    final_decisions.push_back(
+        decision_for("final", final_tree->ToString(),
+                     steps.empty() ? nullptr : &steps.back()));
+  }
   OptimizerRunResult result;
   result.metrics = state.metrics;
-  result.metrics.Add(job.metrics);
-  trace << "[final] " << final_tree->ToString() << "\n";
-
-  // The final job's output (before post-processing) is the actual for the
-  // last planning decision; the inner of a two-join tail never
-  // materializes separately, so it is logged estimate-only.
-  if (final_steps.size() == 2) {
-    PlanDecision inner;
-    inner.point = "final-inner";
-    inner.chosen = final_steps[0].ToString();
-    stamp_prior(&inner);
-    inner.method = final_steps[0].method;
-    inner.build_alias = final_steps[0].build_alias;
-    inner.estimated_rows = final_steps[0].estimated_cardinality;
-    inner.estimated_cost = final_steps[0].estimated_cost;
-    inner.provenance = final_steps[0].provenance;
-    inner.rejected = final_steps[0].rejected;
-    state.decisions.Record(std::move(inner));
-  }
-  {
-    PlanDecision decision;
-    decision.point = "final";
-    decision.chosen = final_tree->ToString();
-    stamp_prior(&decision);
-    if (!final_steps.empty()) {
-      const PlannedJoin& last = final_steps.back();
-      decision.method = last.method;
-      decision.build_alias = last.build_alias;
-      decision.estimated_rows = last.estimated_cardinality;
-      decision.estimated_cost = last.estimated_cost;
-      decision.provenance = last.provenance;
-      decision.rejected = last.rejected;
-    }
-    decision.actual_rows = static_cast<double>(job.data.NumRows());
-    if (err_store != nullptr) {
-      err_store->Record(
-          JoinErrorKey(base_tables_of(
-              ExpandTree(final_tree, state.subtrees)->Aliases())),
-          decision.QError());
-    }
-    state.decisions.Record(std::move(decision));
-  }
-  state.subtree_actual_rows[SubtreeKey(
-      ExpandTree(final_tree, state.subtrees)->Aliases())] = job.data.NumRows();
-  final_span.AddArg("actual_rows", static_cast<double>(job.data.NumRows()));
-  final_span.End();
-
-  result.columns = job.data.columns;
-  result.rows = job.data.GatherRows();
-  DYNOPT_RETURN_IF_ERROR(
-      ApplyPostProcessing(state.spec, engine_->cluster(), &result));
+  auto join_rows = RunFinalJob(executor, engine_->cluster(), state.spec,
+                               *final_tree, &result);
+  if (!join_rows.ok()) return fail_stage(join_rows.status(), state);
   result.join_tree = ExpandTree(final_tree, state.subtrees);
+  const std::set<std::string> aliases = result.join_tree->Aliases();
+  PlanDecision& root = final_decisions.back();
+  root.actual_rows = static_cast<double>(*join_rows);
+  if (err_store != nullptr) {
+    err_store->Record(JoinErrorKey(base_tables_of(aliases)), root.QError());
+  }
+  for (PlanDecision& d : final_decisions) state.decisions.Record(std::move(d));
+  state.subtree_actual_rows[SubtreeKey(aliases)] = *join_rows;
+  if (final_span.has_value()) {
+    final_span->AddArg("actual_rows", static_cast<double>(*join_rows));
+    final_span->End();
+  }
   result.plan_trace = trace.str();
-  return finish(std::move(result));
+  // Persist what this query taught the error memory; a failed save only
+  // costs the lesson, never the query. The cleanup guard drops the temp
+  // tables on scope exit (success and fatal failure alike).
+  if (err_store != nullptr) (void)err_store->Save();
+  auto profile = std::make_shared<QueryProfile>();
+  profile->optimizer = name();
+  profile->decisions = state.decisions;
+  profile->subtree_actual_rows = state.subtree_actual_rows;
+  run.Finish(std::move(profile), state.prepaid, &result);
+  return result;
 }
 
 }  // namespace dynopt

@@ -49,9 +49,6 @@ struct DynamicOptimizerOptions {
   /// (with a retryable Transient error and a recoverable checkpoint) after
   /// this many completed stages. Negative disables injection.
   int inject_failure_after_stages = -1;
-  /// Optimizer name stamped on QueryProfile/trace spans; the ingres-like
-  /// wrapper overrides it so its profiles are attributed correctly.
-  std::string profile_label = "dynamic";
 };
 
 /// Serializable progress of a dynamic-optimization run — the
@@ -104,6 +101,10 @@ struct DynamicCheckpoint {
 ///      the intermediate.
 ///   3. The final (at most two) joins are ordered with the accumulated
 ///      statistics and executed as one job whose output is returned.
+///
+/// IngresLikeOptimizer and SketchDynamicOptimizer are this loop under
+/// other options; as subclasses they keep its checkpoints and resume.
+/// Profiles, trace spans and the archive name the run by name().
 class DynamicOptimizer : public Optimizer {
  public:
   explicit DynamicOptimizer(
@@ -112,10 +113,6 @@ class DynamicOptimizer : public Optimizer {
 
   std::string name() const override { return "dynamic"; }
   Result<OptimizerRunResult> Run(const QuerySpec& query) override;
-  /// Run() for a wrapper that paid work before the run starts: `prepaid`
-  /// is counted in the result's metrics (see QueryRun::Finish).
-  Result<OptimizerRunResult> Run(const QuerySpec& query,
-                                 const ExecMetrics& prepaid);
 
   /// Continues a run that failed mid-query from its last checkpoint; the
   /// checkpoint's temp tables must still exist in the catalog. Completed
@@ -136,10 +133,17 @@ class DynamicOptimizer : public Optimizer {
     return last_checkpoint_.has_value() ? &*last_checkpoint_ : nullptr;
   }
 
+ protected:
+  /// Run() for a subclass that paid work before the run starts: `prepaid`
+  /// is counted in the result's metrics (see QueryRun::Finish).
+  Result<OptimizerRunResult> Run(const QuerySpec& query,
+                                 const ExecMetrics& prepaid);
+
+  Engine* const engine_;
+
  private:
   Result<OptimizerRunResult> RunFromState(DynamicCheckpoint state);
 
-  Engine* engine_;
   DynamicOptimizerOptions options_;
   std::optional<DynamicCheckpoint> last_checkpoint_;
 };

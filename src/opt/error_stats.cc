@@ -236,6 +236,32 @@ std::string JoinErrorKey(std::vector<std::string> base_tables) {
   return key;
 }
 
+void StampPrior(const ErrorStatsStore* store, const SelectivityRisk& risk,
+                PlanDecision* decision) {
+  if (store != nullptr && risk.prior_factor > 1.0) {
+    decision->prior_key = risk.prior_key;
+    decision->prior_factor = risk.prior_factor;
+  }
+}
+
+void RecordWholePlanError(ErrorStatsStore* store, const QuerySpec& spec,
+                          const DecisionLog& log, int decision) {
+  if (store == nullptr) return;
+  const auto& decisions = log.decisions();
+  if (decision >= 0 && decision < static_cast<int>(decisions.size())) {
+    const double q = decisions[static_cast<size_t>(decision)].QError();
+    std::vector<std::string> bases;
+    for (const auto& ref : spec.tables) {
+      if (!ref.is_intermediate) bases.push_back(ref.table);
+    }
+    if (q >= 1.0 && !bases.empty()) {
+      store->Record(JoinErrorKey(std::move(bases)), q);
+    }
+  }
+  // Persist opportunistically; a failed save never fails the query.
+  (void)store->Save();
+}
+
 namespace {
 
 /// What lives in Engine::opt_state(): the store plus the path it was

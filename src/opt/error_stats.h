@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "opt/decision_log.h"
 #include "opt/planner.h"
 #include "plan/expr.h"
 #include "plan/query_spec.h"
@@ -107,6 +108,19 @@ std::string TableErrorKey(const std::string& table,
 /// kept (self-joins of the same table are a different shape than a single
 /// scan).
 std::string JoinErrorKey(std::vector<std::string> base_tables);
+
+/// Stamps the dominant prior of `risk` onto `decision` when a store is in
+/// play and the prior widened the plan (factor > 1), so EXPLAIN can name
+/// the prior that shaped it. Otherwise the decision stays unannotated.
+void StampPrior(const ErrorStatsStore* store, const SelectivityRisk& risk,
+                PlanDecision* decision);
+
+/// Records the q-error of `log`'s decision `decision`, a whole-query plan
+/// judged against the final join output, under the JoinErrorKey of
+/// `spec`'s base tables (nothing when it has no estimate or no actual),
+/// then saves the store. A null store does nothing.
+void RecordWholePlanError(ErrorStatsStore* store, const QuerySpec& spec,
+                          const DecisionLog& log, int decision);
 
 /// The engine-scoped shared store, (re)built lazily from
 /// engine->cluster().risk: every optimizer of one engine calls this

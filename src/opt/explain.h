@@ -45,7 +45,7 @@ Result<double> EstimateTreeCardinality(Engine* engine, const QuerySpec& spec,
 /// are known), followed by the optimizer's full decision log (estimates,
 /// chosen algorithm, rejected alternatives, back-patched actuals) and the
 /// run's deterministic execution counters (simulated seconds, spill/retry/
-/// memory). Requires run.profile (always set by the six strategies); host
+/// memory). Requires run.profile (always set by the seven strategies); host
 /// wall-clock values are deliberately excluded so the output is stable
 /// across machines (golden-tested on TPC-H Q9).
 Result<std::string> ExplainAnalyze(Engine* engine, const QuerySpec& query,

@@ -12,7 +12,6 @@ DynamicOptimizerOptions MakeIngresOptions(const PlannerOptions& base) {
   options.pushdown_simple_predicates = true;
   // Only exact cardinalities of intermediates are fed back; no sketches.
   options.collect_online_stats = false;
-  options.profile_label = "ingres-like";
   return options;
 }
 
@@ -20,10 +19,6 @@ DynamicOptimizerOptions MakeIngresOptions(const PlannerOptions& base) {
 
 IngresLikeOptimizer::IngresLikeOptimizer(Engine* engine,
                                          const PlannerOptions& options)
-    : inner_(engine, MakeIngresOptions(options)) {}
-
-Result<OptimizerRunResult> IngresLikeOptimizer::Run(const QuerySpec& query) {
-  return inner_.Run(query);
-}
+    : DynamicOptimizer(engine, MakeIngresOptions(options)) {}
 
 }  // namespace dynopt

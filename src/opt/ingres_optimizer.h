@@ -5,7 +5,6 @@
 
 #include "exec/engine.h"
 #include "opt/dynamic_optimizer.h"
-#include "opt/optimizer.h"
 
 namespace dynopt {
 
@@ -16,30 +15,14 @@ namespace dynopt {
 /// dataset cardinalities*: no distinct-count sketches or histograms are
 /// collected or consulted, so the formula-(1) result estimation degrades to
 /// a size-only proxy and the planner often forms a less efficient tree.
-class IngresLikeOptimizer : public Optimizer {
+/// Decomposition materializes every intermediate, so the dynamic
+/// optimizer's checkpoints and resume work unchanged here.
+class IngresLikeOptimizer : public DynamicOptimizer {
  public:
   explicit IngresLikeOptimizer(Engine* engine,
                                const PlannerOptions& options = PlannerOptions());
 
   std::string name() const override { return "ingres-like"; }
-  Result<OptimizerRunResult> Run(const QuerySpec& query) override;
-
-  /// Cancellation/deadline checks happen inside the wrapped dynamic
-  /// optimizer's decomposition loop, so forward the context there too.
-  void set_context(QueryContext* ctx) override {
-    Optimizer::set_context(ctx);
-    inner_.set_context(ctx);
-  }
-
-  /// Decomposition materializes every intermediate, so the wrapped dynamic
-  /// optimizer's checkpoints work unchanged here.
-  bool CanResume() const override { return inner_.CanResume(); }
-  Result<OptimizerRunResult> ResumeFromLastCheckpoint() override {
-    return inner_.ResumeFromLastCheckpoint();
-  }
-
- private:
-  DynamicOptimizer inner_;
 };
 
 }  // namespace dynopt

@@ -51,4 +51,15 @@ std::string JoinTree::ToString() const {
          ")";
 }
 
+std::shared_ptr<const JoinTree> ExpandTree(
+    const std::shared_ptr<const JoinTree>& tree,
+    const std::map<std::string, std::shared_ptr<const JoinTree>>& subtrees) {
+  if (tree->IsLeaf()) {
+    auto it = subtrees.find(tree->alias);
+    return it != subtrees.end() ? it->second : tree;
+  }
+  return JoinTree::Join(ExpandTree(tree->left, subtrees),
+                        ExpandTree(tree->right, subtrees), tree->method);
+}
+
 }  // namespace dynopt

@@ -1,6 +1,7 @@
 #ifndef DYNOPT_OPT_JOIN_TREE_H_
 #define DYNOPT_OPT_JOIN_TREE_H_
 
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -34,6 +35,13 @@ struct JoinTree {
   /// broadcast and 'i' indexed nested loop.
   std::string ToString() const;
 };
+
+/// Replaces each leaf of `tree` that `subtrees` names by its subtree: how
+/// the strategies that materialize intermediates report the effective
+/// join order over the query's original aliases.
+std::shared_ptr<const JoinTree> ExpandTree(
+    const std::shared_ptr<const JoinTree>& tree,
+    const std::map<std::string, std::shared_ptr<const JoinTree>>& subtrees);
 
 }  // namespace dynopt
 

@@ -14,4 +14,8 @@ void SortRows(std::vector<Row>* rows) {
   });
 }
 
+std::string TempTablePrefix(const QueryContext* ctx, const std::string& kind) {
+  return ctx != nullptr ? "q" + std::to_string(ctx->id()) + "_" + kind : kind;
+}
+
 }  // namespace dynopt

@@ -33,10 +33,10 @@ struct OptimizerRunResult {
   std::shared_ptr<QueryProfile> profile;
 };
 
-/// Common interface of the six optimization strategies compared in the
-/// paper's evaluation. Run() owns the full lifecycle: plan (possibly
-/// interleaved with execution for the dynamic strategies), execute, clean
-/// up temp datasets, and report metrics.
+/// Common interface of the seven optimization strategies: the six the
+/// paper's evaluation compares, plus sketch-dynamic. Run() owns the full
+/// lifecycle: plan (possibly interleaved with execution for the dynamic
+/// strategies), execute, clean up temp datasets, and report metrics.
 class Optimizer {
  public:
   virtual ~Optimizer() = default;
@@ -45,10 +45,10 @@ class Optimizer {
 
   /// True when this optimizer can continue a failed run from mid-query
   /// state instead of restarting. Only the checkpointing strategies
-  /// (dynamic, and ingres-like which wraps it) return true: their
-  /// materialized intermediates double as checkpoints. The static
-  /// strategies execute one monolithic job and have nothing to resume
-  /// from — RunWithRecovery (opt/recovery.h) degrades them to whole-query
+  /// (dynamic and its subclasses ingres-like and sketch-dynamic) return
+  /// true: their materialized intermediates double as checkpoints. The
+  /// static strategies and pilot-run have nothing to resume from —
+  /// RunWithRecovery (opt/recovery.h) degrades them to whole-query
   /// restart.
   virtual bool CanResume() const { return false; }
 
@@ -62,9 +62,8 @@ class Optimizer {
   /// Attaches a per-query context: every driver loop checks its
   /// cancellation token/deadline at stage and re-optimization boundaries,
   /// and executors account memory against its tracker. Null (the default)
-  /// runs ungoverned. The context must outlive Run()/Resume(). Wrapping
-  /// strategies (ingres-like) forward this to their inner optimizer.
-  virtual void set_context(QueryContext* ctx) { ctx_ = ctx; }
+  /// runs ungoverned. The context must outlive Run()/Resume().
+  void set_context(QueryContext* ctx) { ctx_ = ctx; }
   QueryContext* context() const { return ctx_; }
 
  protected:
@@ -73,20 +72,17 @@ class Optimizer {
     return ctx_ != nullptr ? ctx_->CheckAlive() : Status::OK();
   }
 
-  /// Catalog temp-name prefix for this query's materialized intermediates:
-  /// "q<id>_<kind>" with a context attached, so concurrent queries' temp
-  /// tables are distinguishable and a terminal-failure sweep
-  /// (RunWithRecovery) reclaims only THIS query's leftovers instead of
-  /// destroying other in-flight queries' intermediates. Plain `kind`
-  /// ungoverned — single-query runs keep their legacy names.
-  std::string TempPrefix(const char* kind) const {
-    return ctx_ != nullptr
-               ? "q" + std::to_string(ctx_->id()) + "_" + kind
-               : std::string(kind);
-  }
-
   QueryContext* ctx_ = nullptr;
 };
+
+/// Catalog temp-name prefix for the materialized intermediates of `kind`
+/// a query run under `ctx` creates: "q<id>_<kind>" with a context, so
+/// concurrent queries' temp tables are distinguishable and a
+/// terminal-failure sweep (RunWithRecovery, which passes an empty kind)
+/// reclaims only THIS query's leftovers instead of destroying other
+/// in-flight queries' intermediates. Plain `kind` ungoverned — single-query
+/// runs keep their legacy names.
+std::string TempTablePrefix(const QueryContext* ctx, const std::string& kind);
 
 /// Sorts rows lexicographically — canonical form for comparing result sets
 /// across optimizers in tests.

@@ -19,16 +19,11 @@ Result<OptimizerRunResult> RunSingleTable(Engine* engine,
                                           const QuerySpec& spec,
                                           const std::string& optimizer,
                                           QueryContext* ctx) {
-  auto tree = JoinTree::Leaf(spec.tables[0].alias);
-  auto profile = std::make_shared<QueryProfile>();
-  profile->optimizer = optimizer;
   PlanDecision decision;
   decision.point = "single-table";
-  decision.chosen = tree->ToString();
-  int decision_id = profile->decisions.Record(std::move(decision));
-  return ExecuteTreeAsSingleJob(
-      engine, spec, tree, "[" + optimizer + "] plan: " + tree->ToString() + "\n",
-      ctx, std::move(profile), decision_id);
+  return ExecuteTreeAsSingleJob(engine, spec,
+                                JoinTree::Leaf(spec.tables[0].alias),
+                                optimizer, std::move(decision), ctx);
 }
 
 }  // namespace
@@ -99,17 +94,11 @@ Result<OptimizerRunResult> WorstOrderOptimizer::Run(const QuerySpec& query) {
     in_chain.insert(best_next);
     chain_rows = best_card;
   }
-  std::string trace = "[worst-order] plan: " + tree->ToString() + "\n";
-  auto profile = std::make_shared<QueryProfile>();
-  profile->optimizer = name();
   PlanDecision decision;
   decision.point = "initial-plan";
-  decision.chosen = tree->ToString();
   decision.estimated_rows = chain_rows;  // Greedy chain's final estimate.
-  int decision_id = profile->decisions.Record(std::move(decision));
-  return ExecuteTreeAsSingleJob(engine_, spec, std::move(tree),
-                                std::move(trace), ctx_, std::move(profile),
-                                decision_id);
+  return ExecuteTreeAsSingleJob(engine_, spec, std::move(tree), name(),
+                                std::move(decision), ctx_);
 }
 
 BestOrderOptimizer::BestOrderOptimizer(Engine* engine,
@@ -136,17 +125,12 @@ Result<OptimizerRunResult> BestOrderOptimizer::Run(const QuerySpec& query) {
     return Status::InvalidArgument(
         "best-order hint aliases do not match the query");
   }
-  std::string trace = "[best-order] plan: " + hint_->ToString() + "\n";
-  auto profile = std::make_shared<QueryProfile>();
-  profile->optimizer = name();
   PlanDecision decision;
   decision.point = "hinted-plan";
-  decision.chosen = hint_->ToString();
   DYNOPT_ASSIGN_OR_RETURN(decision.estimated_rows,
                           EstimateTreeCardinality(engine_, spec, *hint_));
-  int decision_id = profile->decisions.Record(std::move(decision));
-  return ExecuteTreeAsSingleJob(engine_, spec, hint_, std::move(trace), ctx_,
-                                std::move(profile), decision_id);
+  return ExecuteTreeAsSingleJob(engine_, spec, hint_, name(),
+                                std::move(decision), ctx_);
 }
 
 }  // namespace dynopt

@@ -7,7 +7,6 @@
 
 #include "exec/vector_kernels.h"
 #include "opt/error_stats.h"
-#include "opt/finalize.h"
 #include "opt/plan_builder.h"
 #include "opt/query_run.h"
 #include "opt/reconstruction.h"
@@ -26,17 +25,6 @@ const JoinTree* FindFirstJoin(const JoinTree& tree) {
   if (tree.left->IsLeaf() && tree.right->IsLeaf()) return &tree;
   if (const JoinTree* in_left = FindFirstJoin(*tree.left)) return in_left;
   return FindFirstJoin(*tree.right);
-}
-
-std::shared_ptr<const JoinTree> ReplaceSubtree(
-    const std::shared_ptr<const JoinTree>& tree, const std::string& alias,
-    const std::shared_ptr<const JoinTree>& replacement) {
-  if (tree->IsLeaf()) {
-    return tree->alias == alias ? replacement : tree;
-  }
-  return JoinTree::Join(ReplaceSubtree(tree->left, alias, replacement),
-                        ReplaceSubtree(tree->right, alias, replacement),
-                        tree->method);
 }
 
 }  // namespace
@@ -222,10 +210,7 @@ Result<OptimizerRunResult> PilotRunOptimizer::Run(const QuerySpec& query) {
   initial_decision.chosen = initial_tree->ToString();
   initial_decision.estimated_rows = initial_rows;
   initial_decision.estimated_cost = initial_cost;
-  if (err_store != nullptr && prior_risk.prior_factor > 1.0) {
-    initial_decision.prior_key = prior_risk.prior_key;
-    initial_decision.prior_factor = prior_risk.prior_factor;
-  }
+  StampPrior(err_store, prior_risk, &initial_decision);
   const int initial_id =
       profile->decisions.Record(std::move(initial_decision));
 
@@ -269,27 +254,8 @@ Result<OptimizerRunResult> PilotRunOptimizer::Run(const QuerySpec& query) {
     return Status::Internal("initial plan joins unconnected datasets");
   }
   // Columns the rest of the query needs from this intermediate.
-  std::vector<std::string> out_columns;
-  {
-    std::set<std::string> seen;
-    for (const auto& proj : spec.projections) {
-      const TableRef* l = spec.FindRef(build);
-      const TableRef* r = spec.FindRef(probe);
-      if ((l->Provides(proj) || r->Provides(proj)) && seen.insert(proj).second) {
-        out_columns.push_back(proj);
-      }
-    }
-    for (const auto& edge : spec.joins) {
-      bool is_executed = edge.Involves(build) && edge.Involves(probe);
-      if (is_executed) continue;
-      for (const std::string& alias : {build, probe}) {
-        if (!edge.Involves(alias)) continue;
-        for (const auto& key : edge.KeysOf(alias)) {
-          if (seen.insert(key).second) out_columns.push_back(key);
-        }
-      }
-    }
-  }
+  const std::vector<std::string> out_columns =
+      RequiredOutputColumns(spec, executed);
   // Pilot-statistics estimate of the executed join (what the initial plan
   // believed), recorded against the materialized actual below.
   CardinalityEstimator pilot_estimator(&view, options_.planner.estimation);
@@ -302,17 +268,14 @@ Result<OptimizerRunResult> PilotRunOptimizer::Run(const QuerySpec& query) {
   result.metrics.Add(job.metrics);
   DYNOPT_ASSIGN_OR_RETURN(
       SinkResult sink,
-      executor.Materialize(std::move(job.data), TempPrefix("pilot"), out_columns, true,
-                           &result.metrics));
+      executor.Materialize(std::move(job.data), TempTablePrefix(ctx_, "pilot"),
+                           out_columns, true, &result.metrics));
   // Any early error return below used to leak the pilot sink table; drop
   // it on every exit path instead.
   struct SinkCleanup {
     Engine* engine;
     const std::string* name;
-    ~SinkCleanup() {
-      (void)engine->catalog().DropTable(*name);
-      engine->stats().Remove(*name);
-    }
+    ~SinkCleanup() { engine->DropTempTable(*name); }
   } sink_cleanup{engine_, &sink.table_name};
   trace << "[pilot-run] executed " << executed.ToString() << " -> "
         << sink.table_name << " (" << sink.stats.row_count << " rows)\n";
@@ -406,49 +369,22 @@ Result<OptimizerRunResult> PilotRunOptimizer::Run(const QuerySpec& query) {
   rest_decision.chosen = rest_tree->ToString();
   rest_decision.estimated_rows = rest_rows;
   rest_decision.estimated_cost = rest_cost;
-  if (err_store != nullptr && rest_risk.prior_factor > 1.0) {
-    rest_decision.prior_key = rest_risk.prior_key;
-    rest_decision.prior_factor = rest_risk.prior_factor;
-  }
+  StampPrior(err_store, rest_risk, &rest_decision);
   const int rest_id = profile->decisions.Record(std::move(rest_decision));
   TraceSpan rest_span("final", "stage");
-  DYNOPT_ASSIGN_OR_RETURN(std::unique_ptr<PlanNode> rest_plan,
-                          BuildPhysicalPlan(remaining, *rest_tree, true));
-  DYNOPT_ASSIGN_OR_RETURN(JobResult rest_job,
-                          executor.Execute(*rest_plan, remaining.params));
-  result.metrics.Add(rest_job.metrics);
-  const uint64_t final_rows = rest_job.data.NumRows();
+  DYNOPT_ASSIGN_OR_RETURN(
+      const uint64_t final_rows,
+      RunFinalJob(executor, cluster, remaining, *rest_tree, &result));
   // Both the whole-query initial estimate and the adjusted plan are judged
   // against the final pre-post-processing output.
   profile->decisions.SetActual(initial_id, static_cast<double>(final_rows));
   profile->decisions.SetActual(rest_id, static_cast<double>(final_rows));
-  if (err_store != nullptr) {
-    const auto& ds = profile->decisions.decisions();
-    if (initial_id >= 0 && initial_id < static_cast<int>(ds.size())) {
-      const double q = ds[static_cast<size_t>(initial_id)].QError();
-      std::vector<std::string> bases;
-      for (const auto& ref : spec.tables) {
-        if (!ref.is_intermediate) bases.push_back(ref.table);
-      }
-      if (q >= 1.0 && !bases.empty()) {
-        err_store->Record(JoinErrorKey(std::move(bases)), q);
-      }
-    }
-    (void)err_store->Save();
-  }
-  {
-    std::set<std::string> all_aliases;
-    for (const auto& ref : spec.tables) all_aliases.insert(ref.alias);
-    profile->subtree_actual_rows[SubtreeKey(all_aliases)] = final_rows;
-  }
+  RecordWholePlanError(err_store, spec, profile->decisions, initial_id);
+  result.join_tree = ExpandTree(rest_tree, {{new_alias, step_tree}});
+  profile->subtree_actual_rows[SubtreeKey(result.join_tree->Aliases())] =
+      final_rows;
   rest_span.AddArg("actual_rows", static_cast<double>(final_rows));
   rest_span.End();
-
-  result.columns = rest_job.data.columns;
-  result.rows = rest_job.data.GatherRows();
-  DYNOPT_RETURN_IF_ERROR(
-      ApplyPostProcessing(spec, cluster, &result));
-  result.join_tree = ReplaceSubtree(rest_tree, new_alias, step_tree);
   result.plan_trace = trace.str();
   run.Finish(std::move(profile), ExecMetrics(), &result);
   return result;

@@ -37,6 +37,35 @@ std::vector<std::string> RequiredColumns(const QuerySpec& spec,
   return out;
 }
 
+std::vector<std::string> RequiredOutputColumns(const QuerySpec& spec,
+                                               const JoinEdge& edge) {
+  std::vector<std::string> out;
+  const TableRef* left = spec.FindRef(edge.left_alias);
+  const TableRef* right = spec.FindRef(edge.right_alias);
+  for (const auto& proj : spec.projections) {
+    if (left->Provides(proj) || right->Provides(proj)) AddUnique(&out, proj);
+  }
+  for (const auto& other : spec.joins) {
+    if (other.Involves(edge.left_alias) && other.Involves(edge.right_alias)) {
+      continue;  // The executed edge.
+    }
+    for (const std::string& alias : {edge.left_alias, edge.right_alias}) {
+      if (!other.Involves(alias)) continue;
+      for (const auto& key : other.KeysOf(alias)) AddUnique(&out, key);
+    }
+  }
+  // Degenerate case: nothing downstream needs this result's columns (can
+  // only happen for pathological projection-less queries); keep the join
+  // keys so the dataset is non-empty schema-wise.
+  if (out.empty()) {
+    for (const auto& [l, r] : edge.keys) {
+      AddUnique(&out, l);
+      AddUnique(&out, r);
+    }
+  }
+  return out;
+}
+
 Result<std::unique_ptr<PlanNode>> BuildLeafPlan(const QuerySpec& spec,
                                                 const std::string& alias) {
   const TableRef* ref = spec.FindRef(alias);

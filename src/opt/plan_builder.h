@@ -23,6 +23,12 @@ std::vector<std::string> RequiredColumns(const QuerySpec& spec,
                                          const std::string& alias,
                                          bool include_predicate_columns);
 
+/// Columns the materialized output of the join along `edge` must carry:
+/// the projections either joined side provides, and the keys of every
+/// other join edge that involves either side.
+std::vector<std::string> RequiredOutputColumns(const QuerySpec& spec,
+                                               const JoinEdge& edge);
+
 /// Leaf access plan for `alias`: scan (with projection pushdown) plus its
 /// local predicates.
 Result<std::unique_ptr<PlanNode>> BuildLeafPlan(const QuerySpec& spec,

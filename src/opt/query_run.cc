@@ -36,8 +36,8 @@ void QueryRun::Finish(std::shared_ptr<QueryProfile> profile,
       ++with_actuals;
     }
   }
-  registry.counter("opt.decisions")->Increment(decisions.size());
   registry.counter("opt.decisions_with_actuals")->Increment(with_actuals);
+  ExportQueryCounters(metrics, &registry);
   span_.SetSimSeconds(metrics.simulated_seconds);
   span_.AddArg("max_q_error", metrics.max_q_error);
   span_.End();

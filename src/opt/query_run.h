@@ -35,7 +35,8 @@ class QueryRun {
   ///     base sketches) — after everything executed, so the simulated-time
   ///     sum keeps its order, and sets rows_out to the returned row count;
   ///  2. folds `profile`'s decision log into max_q_error / num_decisions
-  ///     and exports the q-error telemetry to the engine's registry;
+  ///     and exports the q-error telemetry and the run's summed counters
+  ///     (ExportQueryCounters) to the engine's registry;
   ///  3. ends the query span with the simulated seconds and drains the
   ///     tracer into `profile`;
   ///  4. attaches `profile`, stamps wall_seconds and archives the run.

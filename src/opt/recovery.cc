@@ -1,7 +1,6 @@
 #include "opt/recovery.h"
 
 #include <string>
-#include <vector>
 
 #include "common/query_context.h"
 #include "storage/serde.h"
@@ -52,22 +51,20 @@ Result<OptimizerRunResult> RunWithRecovery(Optimizer* optimizer,
   }
 
   // The query is not going to finish; reclaim whatever intermediates the
-  // attempts left behind so a failed query does not leak temp tables, and
-  // sweep any spill or temp files still sitting in the spill directory
-  // (a cancel can land between a partition's write and its read-back).
-  // With a context attached, optimizers prefix their temp tables
-  // "q<id>_" (Optimizer::TempPrefix), so the sweep is scoped to THIS
-  // query — under concurrent traffic an unscoped drop would destroy other
-  // in-flight queries' intermediates. Ungoverned runs keep the historical
-  // drop-everything behavior (one query at a time by construction), and
-  // their file sweep stays within this process's files.
-  const std::string temp_prefix =
-      optimizer->context() != nullptr
-          ? "q" + std::to_string(optimizer->context()->id()) + "_"
-          : std::string("");
-  std::vector<std::string> dropped =
-      engine->catalog().DropTempTablesWithPrefix(temp_prefix);
-  for (const std::string& name : dropped) engine->stats().Remove(name);
+  // attempts left behind (tables, their statistics and sketches) so a
+  // failed query leaks nothing, and sweep any spill or temp files still
+  // sitting in the spill directory (a cancel can land between a
+  // partition's write and its read-back). With a context attached,
+  // optimizers prefix their temp tables "q<id>_" (TempTablePrefix), so the
+  // sweep is scoped to THIS query — under concurrent traffic an unscoped
+  // drop would destroy other in-flight queries' intermediates. Ungoverned
+  // runs keep the historical drop-everything behavior (one query at a time
+  // by construction), and their file sweep stays within this process's
+  // files.
+  for (const std::string& name : engine->catalog().DropTempTablesWithPrefix(
+           TempTablePrefix(optimizer->context(), ""))) {
+    engine->DropTempTable(name);
+  }
   const std::string spill_prefix =
       optimizer->context() != nullptr
           ? optimizer->context()->SpillFilePrefix()

@@ -15,7 +15,6 @@ DynamicOptimizerOptions MakeSketchOptions(const PlannerOptions& base) {
   DynamicOptimizerOptions options;
   options.planner = base;
   options.use_sketches = true;
-  options.profile_label = "sketch-dynamic";
   return options;
 }
 
@@ -23,7 +22,7 @@ DynamicOptimizerOptions MakeSketchOptions(const PlannerOptions& base) {
 
 SketchDynamicOptimizer::SketchDynamicOptimizer(Engine* engine,
                                                const PlannerOptions& options)
-    : engine_(engine), inner_(engine, MakeSketchOptions(options)) {}
+    : DynamicOptimizer(engine, MakeSketchOptions(options)) {}
 
 Status SketchDynamicOptimizer::EnsureBaseSketches(const QuerySpec& query,
                                                   ExecMetrics* metrics) {
@@ -71,9 +70,11 @@ Status SketchDynamicOptimizer::EnsureBaseSketches(const QuerySpec& query,
 
 Result<OptimizerRunResult> SketchDynamicOptimizer::Run(
     const QuerySpec& query) {
+  // A query cancelled before it starts pays for no sketches.
+  DYNOPT_RETURN_IF_ERROR(CheckContext());
   ExecMetrics sketch_metrics;
   DYNOPT_RETURN_IF_ERROR(EnsureBaseSketches(query, &sketch_metrics));
-  return inner_.Run(query, sketch_metrics);
+  return DynamicOptimizer::Run(query, sketch_metrics);
 }
 
 }  // namespace dynopt

@@ -5,7 +5,6 @@
 
 #include "exec/engine.h"
 #include "opt/dynamic_optimizer.h"
-#include "opt/optimizer.h"
 
 namespace dynopt {
 
@@ -22,28 +21,16 @@ namespace dynopt {
 /// the *remaining* joins. Decisions answered from sketches carry
 /// est_src=sketch in the decision log; formula-(1) fallbacks under this
 /// strategy carry est_src=stats.
-class SketchDynamicOptimizer : public Optimizer {
+class SketchDynamicOptimizer : public DynamicOptimizer {
  public:
   explicit SketchDynamicOptimizer(
       Engine* engine, const PlannerOptions& options = PlannerOptions());
 
   std::string name() const override { return "sketch-dynamic"; }
+  /// Sketches the query's base join keys first, then runs the loop with
+  /// that work prepaid. Resume needs no such step: base sketches survive a
+  /// failure in the engine, so a resumed run replans identically.
   Result<OptimizerRunResult> Run(const QuerySpec& query) override;
-
-  /// Cancellation/deadline checks happen inside the wrapped dynamic
-  /// optimizer's decomposition loop, so forward the context there too.
-  void set_context(QueryContext* ctx) override {
-    Optimizer::set_context(ctx);
-    inner_.set_context(ctx);
-  }
-
-  /// Decomposition materializes every intermediate, so the wrapped dynamic
-  /// optimizer's checkpoints work unchanged here. (Base sketches survive in
-  /// the engine across the failure, so a resumed run replans identically.)
-  bool CanResume() const override { return inner_.CanResume(); }
-  Result<OptimizerRunResult> ResumeFromLastCheckpoint() override {
-    return inner_.ResumeFromLastCheckpoint();
-  }
 
  private:
   /// Builds Bloom + Fast-AGMS sketches over every base-table join-key
@@ -52,9 +39,6 @@ class SketchDynamicOptimizer : public Optimizer {
   /// partitions into `metrics`. Columns already sketched (by a previous
   /// query on this engine) are free.
   Status EnsureBaseSketches(const QuerySpec& query, ExecMetrics* metrics);
-
-  Engine* engine_;
-  DynamicOptimizer inner_;
 };
 
 }  // namespace dynopt

@@ -11,26 +11,33 @@
 
 namespace dynopt {
 
-/// Executes a fully decided join tree as one pipelined job (no
-/// re-optimization points, no materialization) into `result`: its work is
-/// added to result->metrics, its rows and columns (post-processed) replace
-/// the result's. The job's output cardinality (before post-processing)
-/// back-patches decision `root_decision` in `profile`'s log and is recorded
-/// under the tree's SubtreeKey. A non-null `ctx` makes the job cancellable
-/// at its operator boundaries and accounts memory against its tracker.
+/// The last job of every strategy: lowers `tree` over `spec` projected to
+/// the SELECT list, runs it on `executor` (no re-optimization point, no
+/// materialization), adds its work to result->metrics and replaces the
+/// result's columns and rows with its post-processed output. Returns the
+/// join output's row count before post-processing: the actual the plan
+/// decisions the job settles are judged against.
+Result<uint64_t> RunFinalJob(JobExecutor& executor,
+                             const ClusterConfig& cluster,
+                             const QuerySpec& spec, const JoinTree& tree,
+                             OptimizerRunResult* result);
+
+/// RunFinalJob on a fresh executor bound to `ctx` (null runs ungoverned):
+/// its output cardinality back-patches decision `root_decision` in
+/// `profile`'s log and is recorded under the tree's SubtreeKey.
 Status ExecuteTree(Engine* engine, const QuerySpec& spec,
                    const JoinTree& tree, QueryContext* ctx,
                    QueryProfile* profile, int root_decision,
                    OptimizerRunResult* result);
 
 /// The whole Run() of the static strategies (cost-based, best-order,
-/// worst-order): ExecuteTree inside its own QueryRun, finished with
-/// `profile` (whose optimizer names the run).
+/// worst-order): ExecuteTree inside its own QueryRun named `optimizer`,
+/// whose profile logs `root` — its chosen plan filled in here — as the
+/// one decision, judged against the job's output.
 Result<OptimizerRunResult> ExecuteTreeAsSingleJob(
     Engine* engine, const QuerySpec& spec,
-    std::shared_ptr<const JoinTree> tree, std::string plan_trace,
-    QueryContext* ctx, std::shared_ptr<QueryProfile> profile,
-    int root_decision);
+    std::shared_ptr<const JoinTree> tree, const std::string& optimizer,
+    PlanDecision root, QueryContext* ctx);
 
 }  // namespace dynopt
 

@@ -275,37 +275,16 @@ Result<OptimizerRunResult> StaticCostBasedOptimizer::Run(
       PlanWithDp(spec, view, engine_->cluster(), options_, &est_rows,
                  &est_cost, err_store != nullptr ? &risk : nullptr));
   plan_span.End();
-  std::string trace = "[cost-based] plan: " + tree->ToString() + "\n";
-
-  auto profile = std::make_shared<QueryProfile>();
-  profile->optimizer = name();
   PlanDecision decision;
   decision.point = "initial-plan";
-  decision.chosen = tree->ToString();
   decision.estimated_rows = est_rows;
   decision.estimated_cost = est_cost;
-  if (err_store != nullptr && risk.prior_factor > 1.0) {
-    decision.prior_key = risk.prior_key;
-    decision.prior_factor = risk.prior_factor;
-  }
-  int decision_id = profile->decisions.Record(std::move(decision));
-  auto result = ExecuteTreeAsSingleJob(engine_, spec, std::move(tree),
-                                       std::move(trace), ctx_,
-                                       std::move(profile), decision_id);
-  if (result.ok() && err_store != nullptr && result.value().profile != nullptr) {
-    const auto& decisions = result.value().profile->decisions.decisions();
-    if (decision_id >= 0 && decision_id < static_cast<int>(decisions.size())) {
-      const double q = decisions[static_cast<size_t>(decision_id)].QError();
-      std::vector<std::string> bases;
-      for (const auto& ref : spec.tables) {
-        if (!ref.is_intermediate) bases.push_back(ref.table);
-      }
-      if (q >= 1.0 && !bases.empty()) {
-        err_store->Record(JoinErrorKey(std::move(bases)), q);
-        // Persist opportunistically; a failed save never fails the query.
-        (void)err_store->Save();
-      }
-    }
+  StampPrior(err_store, risk, &decision);
+  auto result = ExecuteTreeAsSingleJob(engine_, spec, std::move(tree), name(),
+                                       std::move(decision), ctx_);
+  if (result.ok()) {
+    // The plan is the profile's one decision.
+    RecordWholePlanError(err_store, spec, result->profile->decisions, 0);
   }
   return result;
 }

@@ -19,11 +19,8 @@
 #include "common/random.h"
 #include "exec/engine.h"
 #include "opt/dynamic_optimizer.h"
-#include "opt/ingres_optimizer.h"
-#include "opt/order_baselines.h"
-#include "opt/pilot_run_optimizer.h"
 #include "opt/recovery.h"
-#include "opt/static_optimizer.h"
+#include "opt/strategies.h"
 #include "storage/serde.h"
 
 namespace dynopt {
@@ -69,11 +66,12 @@ class CancelTest : public ::testing::Test {
 
   std::vector<std::unique_ptr<Optimizer>> AllOptimizers() {
     std::vector<std::unique_ptr<Optimizer>> opts;
-    opts.push_back(std::make_unique<DynamicOptimizer>(engine_.get()));
-    opts.push_back(std::make_unique<StaticCostBasedOptimizer>(engine_.get()));
-    opts.push_back(std::make_unique<PilotRunOptimizer>(engine_.get()));
-    opts.push_back(std::make_unique<IngresLikeOptimizer>(engine_.get()));
-    opts.push_back(std::make_unique<WorstOrderOptimizer>(engine_.get()));
+    for (const char* name : {"dynamic", "cost-based", "pilot-run",
+                             "ingres-like", "worst-order", "sketch-dynamic"}) {
+      opts.push_back(
+          MakeOptimizer(engine_.get(), name, PlannerOptions(), nullptr)
+              .value());
+    }
     return opts;
   }
 
@@ -95,9 +93,11 @@ TEST_F(CancelTest, PreCancelledContextStopsEveryOptimizer) {
               std::string::npos)
         << opt->name() << ": " << run.status().message();
   }
-  // Cancellation fires before any materialization: nothing to leak.
+  // Cancellation fires before any materialization or sketch: nothing to
+  // leak, and nothing paid for.
   EXPECT_EQ(engine_->catalog().TableNames().size(), tables_before);
   EXPECT_EQ(CountFilesWithPrefix(spill_dir_, "__spill_"), 0);
+  EXPECT_TRUE(engine_->sketches().Keys().empty());
 }
 
 TEST_F(CancelTest, ExpiredDeadlineReadsAsCancelled) {

@@ -16,12 +16,12 @@
 #include "common/logging.h"
 #include "exec/engine.h"
 #include "opt/dynamic_optimizer.h"
-#include "opt/ingres_optimizer.h"
-#include "opt/order_baselines.h"
 #include "opt/optimizer.h"
 #include "opt/pilot_run_optimizer.h"
 #include "opt/recovery.h"
+#include "opt/sketch_optimizer.h"
 #include "opt/static_optimizer.h"
+#include "opt/strategies.h"
 #include "storage/catalog.h"
 #include "storage/serde.h"
 #include "workloads/tpcds.h"
@@ -33,24 +33,6 @@ namespace {
 const char* const kAllOptimizers[] = {"dynamic",     "cost-based",
                                       "worst-order", "best-order",
                                       "pilot-run",   "ingres-like"};
-
-std::unique_ptr<Optimizer> MakeOptimizer(
-    Engine* engine, const std::string& name,
-    std::shared_ptr<const JoinTree> best_order_hint) {
-  if (name == "dynamic") return std::make_unique<DynamicOptimizer>(engine);
-  if (name == "cost-based") {
-    return std::make_unique<StaticCostBasedOptimizer>(engine);
-  }
-  if (name == "worst-order") {
-    return std::make_unique<WorstOrderOptimizer>(engine);
-  }
-  if (name == "pilot-run") return std::make_unique<PilotRunOptimizer>(engine);
-  if (name == "ingres-like") {
-    return std::make_unique<IngresLikeOptimizer>(engine);
-  }
-  return std::make_unique<BestOrderOptimizer>(engine,
-                                              std::move(best_order_hint));
-}
 
 class ChaosTest : public ::testing::Test {
  protected:
@@ -129,9 +111,11 @@ TEST_F(ChaosTest, DisabledInjectionMetersByteForByte) {
   auto query = TpcdsQ17(engine_);
   ASSERT_TRUE(query.ok());
   for (const char* name : {"dynamic", "cost-based"}) {
+    auto optimizer =
+        MakeOptimizer(engine_, name, PlannerOptions(), Q17Reference().tree)
+            .value();
     // Never armed.
-    auto baseline = MakeOptimizer(engine_, name, Q17Reference().tree)
-                        ->Run(query.value());
+    auto baseline = optimizer->Run(query.value());
     ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
 
     // Armed but disabled: the injector exists yet every fault hook must be
@@ -140,14 +124,12 @@ TEST_F(ChaosTest, DisabledInjectionMetersByteForByte) {
     disabled.seed = 99;
     engine_->mutable_cluster().fault = disabled;  // enabled stays false.
     engine_->ArmFaultInjection();
-    auto armed_off = MakeOptimizer(engine_, name, Q17Reference().tree)
-                         ->Run(query.value());
+    auto armed_off = optimizer->Run(query.value());
     ASSERT_TRUE(armed_off.ok()) << armed_off.status().ToString();
 
     // Disarmed again.
     engine_->DisarmFaultInjection();
-    auto disarmed = MakeOptimizer(engine_, name, Q17Reference().tree)
-                        ->Run(query.value());
+    auto disarmed = optimizer->Run(query.value());
     ASSERT_TRUE(disarmed.ok());
 
     for (const auto* run : {&armed_off, &disarmed}) {
@@ -183,7 +165,9 @@ TEST_F(ChaosTest, ChaosSweepAllOptimizersMatchFaultFreeReference) {
       cfg.corruption_probability = 0.10;
       Arm(cfg);
 
-      auto optimizer = MakeOptimizer(engine_, name, reference.tree);
+      auto optimizer =
+          MakeOptimizer(engine_, name, PlannerOptions(), reference.tree)
+              .value();
       RecoveryReport report;
       auto result = RunWithRecovery(optimizer.get(), engine_, query.value(),
                                     RecoveryPolicy(), &report);
@@ -456,7 +440,8 @@ TEST_F(ChaosTest, FaultsUnderTightMemoryBudgetStillMatchReference) {
     Arm(cfg);
 
     QueryContext ctx(name);
-    auto optimizer = MakeOptimizer(engine_, name, reference.tree);
+    auto optimizer =
+        MakeOptimizer(engine_, name, PlannerOptions(), reference.tree).value();
     optimizer->set_context(&ctx);
     RecoveryReport report;
     auto result = RunWithRecovery(optimizer.get(), engine_, query.value(),
@@ -477,6 +462,41 @@ TEST_F(ChaosTest, FaultsUnderTightMemoryBudgetStillMatchReference) {
         << name << " leaked spill files";
   }
   EXPECT_TRUE(spilled) << "the budget never forced a spill; tighten it";
+}
+
+// A query that exhausts its attempts leaves nothing behind: sketch-dynamic
+// registers join-key sketches under every temp table it materializes, and
+// the final cleanup drops them with the tables and their statistics.
+TEST(RecoveryCleanupTest, TerminalFailureDropsTempTablesStatsAndSketches) {
+  Engine engine;
+  TpchOptions tpch;
+  tpch.sf = 0.2;
+  ASSERT_TRUE(LoadTpch(&engine, tpch).ok());
+  auto query = TpchQ9(&engine);
+  ASSERT_TRUE(query.ok());
+  RecoveryPolicy once;
+  once.max_attempts = 1;
+  for (int stage : {4, 8, 12, 16, 20}) {
+    SCOPED_TRACE("fail_query_at_stage=" + std::to_string(stage));
+    FaultInjectionConfig cfg;
+    cfg.enabled = true;
+    cfg.fail_query_at_stage = stage;
+    engine.mutable_cluster().fault = cfg;
+    engine.ArmFaultInjection();
+    SketchDynamicOptimizer optimizer(&engine);
+    auto result = RunWithRecovery(&optimizer, &engine, query.value(), once);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kTransient);
+    for (const std::string& name : engine.catalog().TableNames()) {
+      EXPECT_FALSE(Catalog::IsTempName(name)) << name;
+    }
+    for (const std::string& name : engine.stats().TableNames()) {
+      EXPECT_FALSE(Catalog::IsTempName(name)) << name;
+    }
+    for (const std::string& key : engine.sketches().Keys()) {
+      EXPECT_FALSE(Catalog::IsTempName(key)) << key;
+    }
+  }
 }
 
 TEST_F(ChaosTest, DropTempTablesWithPrefixIsSelective) {

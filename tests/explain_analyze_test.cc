@@ -6,11 +6,15 @@
 //  - golden-file comparison on Q9 under sketch-dynamic with predicate
 //    transfer enabled: the pt[...] counters and est_src=sketch provenance
 //    are pinned down the same way (explain_analyze_q9_sketch.txt).
+//  - golden files for Q9 under pilot-run, ingres-like and the dynamic
+//    optimizer's push-down-only ablation, and for the error store's entries
+//    after every strategy ran Q8 and Q9 (error_store_q8_q9.txt).
 //  - all seven strategies produce a QueryProfile on TPC-DS Q17 whose
 //    decision log carries estimate-vs-actual rows and a q-error.
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <memory>
@@ -19,6 +23,7 @@
 
 #include "exec/engine.h"
 #include "opt/dynamic_optimizer.h"
+#include "opt/error_stats.h"
 #include "opt/explain.h"
 #include "opt/ingres_optimizer.h"
 #include "opt/order_baselines.h"
@@ -136,6 +141,80 @@ TEST(ExplainAnalyzePriorTest, GoldenQ9DynamicWithPriors) {
   EXPECT_NE(text->find("prior="), std::string::npos)
       << "second run consumed no error-store prior:\n" << text.value();
   CompareGolden(text.value(), "explain_analyze_q9_prior.txt");
+}
+
+/// Runs `optimizer` on Q9 over `engine` and compares its EXPLAIN ANALYZE to
+/// the named golden file.
+void ExpectGoldenQ9(Engine* engine, Optimizer* optimizer,
+                    const std::string& file_name) {
+  auto query = TpchQ9(engine);
+  ASSERT_TRUE(query.ok());
+  auto result = optimizer->Run(query.value());
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  auto text = ExplainAnalyze(engine, query.value(), result.value());
+  ASSERT_TRUE(text.ok()) << text.status().ToString();
+  CompareGolden(text.value(), file_name);
+}
+
+TEST_F(ExplainAnalyzeTest, GoldenQ9PilotRun) {
+  PilotRunOptimizer optimizer(engine_);
+  ExpectGoldenQ9(engine_, &optimizer, "explain_analyze_q9_pilot.txt");
+}
+
+TEST_F(ExplainAnalyzeTest, GoldenQ9IngresLike) {
+  IngresLikeOptimizer optimizer(engine_);
+  ExpectGoldenQ9(engine_, &optimizer, "explain_analyze_q9_ingres.txt");
+}
+
+// Figure 6's ablation: push-down stages, then the rest as one static job.
+TEST_F(ExplainAnalyzeTest, GoldenQ9DynamicPushdownOnly) {
+  DynamicOptimizerOptions options;
+  options.stop_after_pushdown = true;
+  DynamicOptimizer optimizer(engine_, options);
+  ExpectGoldenQ9(engine_, &optimizer, "explain_analyze_q9_pushdown_only.txt");
+}
+
+// One run of each strategy on Q8, then on Q9, against one engine with the
+// in-memory error store: later runs plan from the priors earlier runs
+// recorded, and the store's entries (count, and the log q-error sum and
+// the maximum as hex floats) pin what every strategy records.
+TEST(ExplainAnalyzeStoreTest, GoldenErrorStoreAfterEveryStrategyOnQ8AndQ9) {
+  Engine engine;
+  TpchOptions tpch;
+  tpch.sf = 0.2;
+  ASSERT_TRUE(LoadTpch(&engine, tpch).ok());
+  engine.mutable_cluster().risk.use_error_store = true;
+
+  for (auto make_query : {TpchQ8, TpchQ9}) {
+    auto query = make_query(&engine);
+    ASSERT_TRUE(query.ok());
+    DynamicOptimizer dynamic(&engine);
+    auto dynamic_run = dynamic.Run(query.value());
+    ASSERT_TRUE(dynamic_run.ok()) << dynamic_run.status().ToString();
+    std::unique_ptr<Optimizer> others[] = {
+        std::make_unique<BestOrderOptimizer>(&engine, dynamic_run->join_tree),
+        std::make_unique<StaticCostBasedOptimizer>(&engine),
+        std::make_unique<PilotRunOptimizer>(&engine),
+        std::make_unique<IngresLikeOptimizer>(&engine),
+        std::make_unique<WorstOrderOptimizer>(&engine),
+        std::make_unique<SketchDynamicOptimizer>(&engine)};
+    for (auto& optimizer : others) {
+      auto result = optimizer->Run(query.value());
+      ASSERT_TRUE(result.ok())
+          << optimizer->name() << ": " << result.status().ToString();
+    }
+  }
+
+  std::string text;
+  for (const auto& [key, entry] : EngineErrorStats(&engine)->Entries()) {
+    char line[512];
+    std::snprintf(line, sizeof(line), "%s count=%llu sum_log_q=%a max_q=%a\n",
+                  key.c_str(), static_cast<unsigned long long>(entry.count),
+                  entry.sum_log_q, entry.max_q);
+    text += line;
+  }
+  EXPECT_FALSE(text.empty());
+  CompareGolden(text, "error_store_q8_q9.txt");
 }
 
 TEST_F(ExplainAnalyzeTest, AllSevenStrategiesProfileQ17) {

@@ -23,6 +23,7 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/metrics_registry.h"
@@ -33,11 +34,10 @@
 #include "opt/dynamic_optimizer.h"
 #include "opt/error_stats.h"
 #include "opt/explain.h"
-#include "opt/ingres_optimizer.h"
-#include "opt/order_baselines.h"
-#include "opt/pilot_run_optimizer.h"
+#include "opt/recovery.h"
 #include "opt/static_optimizer.h"
 #include "opt/stats_view.h"
+#include "opt/strategies.h"
 #include "storage/serde.h"
 
 namespace dynopt {
@@ -211,24 +211,6 @@ QuerySpec MemoryQuery() {
   return spec;
 }
 
-std::unique_ptr<Optimizer> MakeOptimizer(
-    Engine* engine, const std::string& name,
-    std::shared_ptr<const JoinTree> best_order_hint) {
-  if (name == "dynamic") return std::make_unique<DynamicOptimizer>(engine);
-  if (name == "cost-based") {
-    return std::make_unique<StaticCostBasedOptimizer>(engine);
-  }
-  if (name == "worst-order") {
-    return std::make_unique<WorstOrderOptimizer>(engine);
-  }
-  if (name == "pilot-run") return std::make_unique<PilotRunOptimizer>(engine);
-  if (name == "ingres-like") {
-    return std::make_unique<IngresLikeOptimizer>(engine);
-  }
-  return std::make_unique<BestOrderOptimizer>(engine,
-                                              std::move(best_order_hint));
-}
-
 // ---- Cost model ----------------------------------------------------------
 
 JoinCostInputs SampleInputs(uint64_t budget) {
@@ -378,20 +360,22 @@ TEST(FeedbackTest, DefaultAndNeutralKnobsMeterIdenticallyAcrossStrategies) {
     SCOPED_TRACE(name);
     // Defaults: every risk knob off.
     engine.mutable_cluster().risk = RiskConfig();
-    auto baseline = MakeOptimizer(&engine, name, hint)->Run(spec);
+    auto optimizer =
+        MakeOptimizer(&engine, name, PlannerOptions(), hint).value();
+    auto baseline = optimizer->Run(spec);
     ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
     EXPECT_EQ(baseline->metrics.error_reopt_triggers, 0u);
     auto baseline_text = ExplainAnalyze(&engine, spec, baseline.value());
     ASSERT_TRUE(baseline_text.ok());
 
     // Same engine, same defaults: metering is deterministic to the byte.
-    auto repeat = MakeOptimizer(&engine, name, hint)->Run(spec);
+    auto repeat = optimizer->Run(spec);
     ASSERT_TRUE(repeat.ok());
 
     // Spill-aware costing on with no budget configured must be a no-op:
     // the model only diverges when memory_budget_bytes > 0.
     engine.mutable_cluster().risk.spill_aware_costing = true;
-    auto neutral = MakeOptimizer(&engine, name, hint)->Run(spec);
+    auto neutral = optimizer->Run(spec);
     ASSERT_TRUE(neutral.ok());
     engine.mutable_cluster().risk = RiskConfig();
 
@@ -420,8 +404,9 @@ TEST(FeedbackTest, ErrorFeedbackBuysExtraReoptCheckpointAndWins) {
 
   // Registries are engine-scoped now: the trigger counter lands in the
   // engine's own registry, not the process-wide default.
-  const uint64_t counter_before =
-      engine.metrics_registry().counter("opt.error_reopt_triggers")->value();
+  Counter* triggers =
+      engine.metrics_registry().counter("query.error_reopt_triggers");
+  const uint64_t counter_before = triggers->value();
   engine.mutable_cluster().risk.error_feedback = true;
   DynamicOptimizer with_feedback(&engine);
   auto on = with_feedback.Run(spec);
@@ -429,9 +414,8 @@ TEST(FeedbackTest, ErrorFeedbackBuysExtraReoptCheckpointAndWins) {
   engine.mutable_cluster().risk = RiskConfig();
 
   EXPECT_GE(on->metrics.error_reopt_triggers, 1u);
-  EXPECT_EQ(
-      engine.metrics_registry().counter("opt.error_reopt_triggers")->value(),
-      counter_before + on->metrics.error_reopt_triggers);
+  EXPECT_EQ(triggers->value(),
+            counter_before + on->metrics.error_reopt_triggers);
   EXPECT_EQ(SortedRows(on.value()), SortedRows(off.value()));
   // The extra checkpoint replans the tail on exact counts and dodges the
   // oversized broadcast the feedback-free run walks into.
@@ -559,7 +543,8 @@ TEST(FeedbackTest, RunEpilogueExportsQErrorTelemetry) {
   const QuerySpec spec = SpillQuery();
 
   auto& registry = engine.metrics_registry();
-  const uint64_t decisions_before = registry.counter("opt.decisions")->value();
+  const uint64_t decisions_before =
+      registry.counter("query.num_decisions")->value();
   const uint64_t actuals_before =
       registry.counter("opt.decisions_with_actuals")->value();
   const uint64_t hist_before = registry.histogram("opt.q_error")->count();
@@ -570,12 +555,62 @@ TEST(FeedbackTest, RunEpilogueExportsQErrorTelemetry) {
   ASSERT_NE(result->profile, nullptr);
   ASSERT_GT(result->metrics.num_decisions, 0u);
 
-  EXPECT_EQ(registry.counter("opt.decisions")->value(),
+  EXPECT_EQ(registry.counter("query.num_decisions")->value(),
             decisions_before + result->metrics.num_decisions);
   EXPECT_EQ(registry.counter("opt.decisions_with_actuals")->value(),
             actuals_before + result->profile->decisions.NumWithActuals());
   EXPECT_EQ(registry.histogram("opt.q_error")->count(),
             hist_before + result->profile->decisions.NumWithActuals());
+}
+
+// Every finished query adds its integral summed fields to the engine's
+// registry as "query.<field>" counters, so the registry agrees with
+// sys.queries: work and retries of a query that fails count nowhere.
+TEST(FeedbackTest, RegistryCountersSumTheFinishedQueriesFields) {
+  Engine engine;
+  BuildMisestimationTables(&engine);
+  const QuerySpec spec = MisestimationQuery();
+  FaultInjectionConfig faults;
+  faults.enabled = true;
+  faults.seed = 11;
+  faults.task_failure_probability = 0.1;
+  engine.mutable_cluster().fault = faults;
+  engine.ArmFaultInjection();
+
+  ExecMetrics finished;
+  for (const char* name : {"dynamic", "cost-based", "pilot-run",
+                           "ingres-like", "worst-order"}) {
+    auto optimizer =
+        MakeOptimizer(&engine, name, PlannerOptions(), nullptr).value();
+    auto result = optimizer->Run(spec);
+    ASSERT_TRUE(result.ok()) << name << ": " << result.status().ToString();
+    finished.Add(result->metrics);
+  }
+  EXPECT_GT(finished.num_retries, 0u);
+
+  // One more query retries tasks, then dies at a later stage.
+  faults.fail_query_at_stage = 6;
+  engine.mutable_cluster().fault = faults;
+  engine.ArmFaultInjection();
+  DynamicOptimizer failing(&engine);
+  RecoveryPolicy once;
+  once.max_attempts = 1;
+  auto failed = RunWithRecovery(&failing, &engine, spec, once);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_GT(engine.fault_injector()->stages_started(), 6);
+
+  MetricsRegistry& registry = engine.metrics_registry();
+  VisitMetricFields(
+      [&](const MetricField& field, auto value) {
+        if constexpr (std::is_integral_v<decltype(value)>) {
+          if (field.merge != MetricMerge::kSum) return;
+          EXPECT_EQ(registry.counter(std::string("query.") + field.name)
+                        ->value(),
+                    static_cast<uint64_t>(value))
+              << field.name;
+        }
+      },
+      finished);
 }
 
 }  // namespace

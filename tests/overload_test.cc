@@ -281,7 +281,7 @@ class StuckOptimizer : public Optimizer {
   Result<OptimizerRunResult> Run(const QuerySpec& query) override {
     (void)query;
     const std::string temp_name =
-        engine_->catalog().UniqueTempName(TempPrefix("stuck"));
+        engine_->catalog().UniqueTempName(TempTablePrefix(ctx_, "stuck"));
     auto t = std::make_shared<Table>(
         temp_name, Schema({{"k", ValueType::kInt64}}), 1);
     t->AppendRow({Value(int64_t{1})});
